@@ -1,7 +1,8 @@
 //! End-to-end experiment benchmarks: small versions of the paper's
 //! headline comparison (Figure 7's 16-replica point) run under Criterion
 //! so `cargo bench` exercises the full stack.  The paper-scale sweeps are
-//! produced by the `fig*`/`table*` binaries (see DESIGN.md §5).
+//! produced by the `fig*`/`table*` binaries in `src/bin/` (see the README's
+//! "Figure / table harnesses" section).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smp_replica::{run, ExperimentConfig, Protocol};

@@ -1,9 +1,10 @@
 //! Shared support for the per-figure / per-table benchmark harnesses.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (see DESIGN.md §5 for the index).  The binaries
-//! accept `--quick` (default: a scaled-down run that finishes in minutes
-//! on a laptop) and `--full` (the paper-scale parameter grid).
+//! paper's evaluation (the README's "Figure / table harnesses" section is
+//! the index).  The binaries accept `--quick` (default: a scaled-down run
+//! that finishes in minutes on a laptop) and `--full` (the paper-scale
+//! parameter grid).
 
 pub mod artifact;
 

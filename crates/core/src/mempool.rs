@@ -9,9 +9,10 @@ use crate::limiter::TokenBucket;
 use crate::messages::StratusMsg;
 use crate::pab::PabEngine;
 use rand::rngs::SmallRng;
+use smp_crypto::QuorumProof;
 use smp_mempool::{
-    Effects, FetchRetryState, FillStatus, FillTracker, LoadSnapshot, Mempool, MempoolEvent,
-    MempoolStats, MicroblockStore, ProposalQueue, TimerTag, TxBatcher, BATCH_TIMEOUT_TAG,
+    Dissemination, Effects, FetchWire, FillStatus, LoadSnapshot, Mempool, MempoolEvent,
+    MempoolStats, Missing, TimerTag,
 };
 use smp_telemetry::Telemetry;
 use smp_types::{
@@ -19,6 +20,15 @@ use smp_types::{
     Transaction, WireSize,
 };
 use std::collections::VecDeque;
+
+impl FetchWire for StratusMsg {
+    fn fetch(ids: Vec<MicroblockId>) -> Self {
+        StratusMsg::PabRequest { ids }
+    }
+    fn fetch_resp(mbs: Vec<Microblock>) -> Self {
+        StratusMsg::PabResponse { mbs }
+    }
+}
 
 /// Timer-tag base for DLB sampling timeouts (`τ`).
 pub const SAMPLE_TAG_BASE: u64 = 0x5100_0000_0000_0000;
@@ -32,30 +42,23 @@ pub const LIMITER_TAG: u64 = 0x4c49_4d49;
 /// The Stratus shared mempool.
 #[derive(Clone, Debug)]
 pub struct StratusMempool {
-    me: ReplicaId,
+    /// The shared dissemination core.  Its proposal queue is the paper's
+    /// `avaQue`: microblock ids whose availability proof is known and
+    /// which have not yet been referenced by a proposal.
+    core: Dissemination,
     n: usize,
-    max_refs: usize,
     config: StratusConfig,
-    batcher: TxBatcher,
-    store: MicroblockStore,
-    /// The paper's `avaQue`: microblock ids whose availability proof is
-    /// known and which have not yet been referenced by a proposal.
-    ava_queue: ProposalQueue,
-    tracker: FillTracker,
-    fetcher: FetchRetryState,
     pab: PabEngine,
     lb: LoadBalancer,
     estimator: StableTimeEstimator,
     limiter: Option<TokenBucket>,
     deferred: VecDeque<(Microblock, Option<ReplicaId>)>,
     started: bool,
-    created: u64,
     /// `LbInfo` replies observed since the last [`Mempool::load_snapshot`]
     /// drain, for cross-shard DLB coordination.
     pending_load: Vec<(ReplicaId, Option<SimTime>)>,
     /// Whether the periodic banList reset fired since the last drain.
     pending_reset: bool,
-    telemetry: Telemetry,
 }
 
 impl StratusMempool {
@@ -69,15 +72,9 @@ impl StratusMempool {
             .data_bandwidth_share
             .map(|share| TokenBucket::for_bandwidth_share(system.network.bandwidth_bps(), share));
         StratusMempool {
-            me,
+            core: Dissemination::new(system, me, config.fetch_timeout),
             n: system.n,
-            max_refs: system.mempool.max_refs_per_proposal,
             config,
-            batcher: TxBatcher::new(me, system.mempool),
-            store: MicroblockStore::new(),
-            ava_queue: ProposalQueue::new(),
-            tracker: FillTracker::new(),
-            fetcher: FetchRetryState::new(config.fetch_timeout),
             pab: PabEngine::new(system.seed, system.n, me, quorum, config.fetch_alpha),
             lb: LoadBalancer::new(me, system.n, config.dlb),
             estimator: StableTimeEstimator::new(
@@ -88,10 +85,8 @@ impl StratusMempool {
             limiter,
             deferred: VecDeque::new(),
             started: false,
-            created: 0,
             pending_load: Vec::new(),
             pending_reset: false,
-            telemetry: Telemetry::disabled(),
         }
     }
 
@@ -118,7 +113,7 @@ impl StratusMempool {
     /// Whether `id` is currently proposable (provably available and not
     /// yet referenced by a proposal seen by this replica).
     pub fn is_proposable(&self, id: &MicroblockId) -> bool {
-        self.ava_queue.contains(id)
+        self.core.is_proposable(id)
     }
 
     fn ensure_started(&mut self, effects: &mut Effects<StratusMsg>) {
@@ -140,11 +135,7 @@ impl StratusMempool {
         rng: &mut SmallRng,
         effects: &mut Effects<StratusMsg>,
     ) {
-        self.created += 1;
-        self.telemetry.counter_inc("batcher.sealed");
-        self.telemetry
-            .counter_add("batcher.sealed_txs", mb.len() as u64);
-        self.store.insert(mb.clone());
+        self.core.hold(&mb);
         if self.lb.enabled() && self.estimator.is_busy() {
             // Cloning is cheap: the transaction batch is shared via `Arc`.
             if let Some((token, targets)) = self.lb.start_sampling(mb.clone(), rng) {
@@ -159,28 +150,78 @@ impl StratusMempool {
         self.start_pab_broadcast(now, mb, None, effects);
     }
 
-    fn start_pab_broadcast(
+    /// Runs the PAB push phase for `mb` unless the token-bucket limiter
+    /// holds bulk data back so that control traffic always has headroom
+    /// (Section VI, optimization 2); then the microblock is handed back
+    /// with the time until enough tokens are available.
+    fn push_or_wait(
         &mut self,
         now: SimTime,
         mut mb: Microblock,
         origin: Option<ReplicaId>,
         effects: &mut Effects<StratusMsg>,
-    ) {
-        mb.disseminator = self.me;
-        // Token-bucket limiter: bulk data waits for tokens so that control
-        // traffic always has headroom (Section VI, optimization 2).
+    ) -> Result<(), (Microblock, SimTime)> {
+        mb.disseminator = self.core.me();
         let broadcast_bytes = mb.wire_size() * self.n.saturating_sub(1);
         if let Some(limiter) = &mut self.limiter {
             if !limiter.try_consume(now, broadcast_bytes) {
                 let delay = limiter.time_until_available(now, broadcast_bytes).max(1);
-                self.deferred.push_back((mb, origin));
-                effects.timer(delay, LIMITER_TAG);
-                return;
+                return Err((mb, delay));
             }
         }
-        self.telemetry.counter_inc("pab.push");
+        self.core.telemetry().counter_inc("pab.push");
         self.pab.start_push(&mb, now, origin);
         effects.broadcast(StratusMsg::PabMsg(mb));
+        Ok(())
+    }
+
+    fn start_pab_broadcast(
+        &mut self,
+        now: SimTime,
+        mb: Microblock,
+        origin: Option<ReplicaId>,
+        effects: &mut Effects<StratusMsg>,
+    ) {
+        if let Err((mb, delay)) = self.push_or_wait(now, mb, origin, effects) {
+            self.deferred.push_back((mb, origin));
+            effects.timer(delay, LIMITER_TAG);
+        }
+    }
+
+    fn drain_deferred(&mut self, now: SimTime, effects: &mut Effects<StratusMsg>) {
+        while let Some((mb, origin)) = self.deferred.pop_front() {
+            if let Err((mb, delay)) = self.push_or_wait(now, mb, origin, effects) {
+                self.deferred.push_front((mb, origin));
+                effects.timer(delay, LIMITER_TAG);
+                break;
+            }
+        }
+    }
+
+    /// PAB recovery phase for one proven microblock that is not held
+    /// locally: ask a random subset of the proof's signers for it
+    /// (`PAB-Fetch`) and keep retrying through the signers in turn.
+    /// Returns whether a request went out (nobody to ask if this replica
+    /// is the only signer).
+    fn fetch_from_signers(
+        &mut self,
+        id: MicroblockId,
+        proof: &QuorumProof,
+        rng: &mut SmallRng,
+        effects: &mut Effects<StratusMsg>,
+    ) -> bool {
+        let targets = self.pab.fetch_targets(proof, &[], rng);
+        if targets.is_empty() {
+            return false;
+        }
+        let me = self.core.me();
+        let signers = proof.signers().into_iter().map(ReplicaId);
+        let action = self
+            .core
+            .request(vec![id], signers.filter(|r| *r != me).collect());
+        effects.multicast(targets, StratusMsg::PabRequest { ids: action.ids });
+        effects.timer(self.config.fetch_timeout, action.tag);
+        true
     }
 
     /// Handles a verified availability proof that this replica should act
@@ -188,31 +229,16 @@ impl StratusMempool {
     /// data in the background if we do not have it.
     fn adopt_proof(
         &mut self,
-        now: SimTime,
         id: MicroblockId,
-        proof: smp_crypto::QuorumProof,
+        proof: QuorumProof,
         rng: &mut SmallRng,
         effects: &mut Effects<StratusMsg>,
     ) {
         self.pab.store_proof(id, proof.clone());
-        self.ava_queue.push(id);
-        if !self.store.contains(&id) {
-            let targets = self.pab.fetch_targets(&proof, &[], rng);
-            if !targets.is_empty() {
-                let candidates: Vec<ReplicaId> = proof
-                    .signers()
-                    .into_iter()
-                    .map(ReplicaId)
-                    .filter(|r| *r != self.me)
-                    .collect();
-                let action = self.fetcher.register(vec![id], candidates);
-                self.telemetry.counter_inc("fetcher.fetch");
-                effects.multicast(targets, StratusMsg::PabRequest { ids: vec![id] });
-                effects.timer(self.config.fetch_timeout, action.tag);
-                effects.event(MempoolEvent::FetchIssued { count: 1 });
-            }
+        self.core.make_proposable(id);
+        if !self.core.store().contains(&id) && self.fetch_from_signers(id, &proof, rng, effects) {
+            effects.event(MempoolEvent::FetchIssued { count: 1 });
         }
-        let _ = now;
     }
 
     fn handle_forward_decision(
@@ -231,31 +257,6 @@ impl StratusMempool {
             }
         }
     }
-
-    fn drain_deferred(&mut self, now: SimTime, effects: &mut Effects<StratusMsg>) {
-        while let Some((mb, origin)) = self.deferred.pop_front() {
-            let broadcast_bytes = mb.wire_size() * self.n.saturating_sub(1);
-            let can_send = match &mut self.limiter {
-                Some(l) => l.try_consume(now, broadcast_bytes),
-                None => true,
-            };
-            if can_send {
-                self.pab.start_push(&mb, now, origin);
-                let mut mb = mb;
-                mb.disseminator = self.me;
-                effects.broadcast(StratusMsg::PabMsg(mb));
-            } else {
-                let delay = self
-                    .limiter
-                    .as_mut()
-                    .map(|l| l.time_until_available(now, broadcast_bytes).max(1))
-                    .unwrap_or(1);
-                self.deferred.push_front((mb, origin));
-                effects.timer(delay, LIMITER_TAG);
-                break;
-            }
-        }
-    }
 }
 
 impl Mempool for StratusMempool {
@@ -269,12 +270,7 @@ impl Mempool for StratusMempool {
     ) -> Effects<StratusMsg> {
         let mut effects = Effects::none();
         self.ensure_started(&mut effects);
-        let _span = self.telemetry.span_at("batcher.add", now);
-        let outcome = self.batcher.add(now, txs);
-        if outcome.arm_timer {
-            effects.timer(self.batcher.timeout(), BATCH_TIMEOUT_TAG);
-        }
-        for mb in outcome.sealed {
+        for mb in self.core.seal_from_clients(now, txs, &mut effects) {
             self.handle_new_microblock(now, mb, rng, &mut effects);
         }
         effects
@@ -291,28 +287,16 @@ impl Mempool for StratusMempool {
         self.ensure_started(&mut effects);
         match msg {
             StratusMsg::PabMsg(mb) => {
-                let id = mb.id;
-                let newly = self.store.insert(mb);
                 // Acknowledge to the disseminator (push phase, Algorithm 1).
-                effects.send(
-                    from,
-                    StratusMsg::PabAck {
-                        id,
-                        sig: self.pab.ack_for(&id),
-                    },
-                );
-                if newly {
-                    for ev in self.tracker.on_microblock(id, &self.store, now) {
-                        effects.event(ev);
-                    }
-                    self.fetcher.prune(&self.store);
-                }
+                let (id, sig) = (mb.id, self.pab.ack_for(&mb.id));
+                effects.send(from, StratusMsg::PabAck { id, sig });
+                self.core.absorb(now, mb, &mut effects);
             }
             StratusMsg::PabAck { id, sig } => {
                 if let Some(ready) = self.pab.on_ack(id, sig, now) {
-                    self.telemetry.counter_inc("pab.stable");
-                    self.telemetry
-                        .observe_us("pab.stable_time", ready.stable_time);
+                    let telemetry = self.core.telemetry();
+                    telemetry.counter_inc("pab.stable");
+                    telemetry.observe_us("pab.stable_time", ready.stable_time);
                     self.estimator.record(ready.stable_time);
                     effects.event(MempoolEvent::MicroblockStable {
                         id,
@@ -321,7 +305,7 @@ impl Mempool for StratusMempool {
                     match ready.origin {
                         // Proxy: hand the proof back to the original sender,
                         // which takes over the recovery phase (Algorithm 4).
-                        Some(origin) if origin != self.me => {
+                        Some(origin) if origin != self.core.me() => {
                             effects.send(
                                 origin,
                                 StratusMsg::PabProof {
@@ -336,7 +320,7 @@ impl Mempool for StratusMempool {
                                 id,
                                 proof: ready.proof.clone(),
                             });
-                            self.adopt_proof(now, id, ready.proof, rng, &mut effects);
+                            self.adopt_proof(id, ready.proof, rng, &mut effects);
                         }
                     }
                 }
@@ -353,28 +337,10 @@ impl Mempool for StratusMempool {
                         proof: proof.clone(),
                     });
                 }
-                self.adopt_proof(now, id, proof, rng, &mut effects);
+                self.adopt_proof(id, proof, rng, &mut effects);
             }
-            StratusMsg::PabRequest { ids } => {
-                let mbs: Vec<Microblock> = ids
-                    .iter()
-                    .filter_map(|id| self.store.get(id).cloned())
-                    .collect();
-                if !mbs.is_empty() {
-                    effects.send(from, StratusMsg::PabResponse { mbs });
-                }
-            }
-            StratusMsg::PabResponse { mbs } => {
-                for mb in mbs {
-                    let id = mb.id;
-                    if self.store.insert(mb) {
-                        for ev in self.tracker.on_microblock(id, &self.store, now) {
-                            effects.event(ev);
-                        }
-                    }
-                }
-                self.fetcher.prune(&self.store);
-            }
+            StratusMsg::PabRequest { ids } => self.core.serve_fetch(from, &ids, &mut effects),
+            StratusMsg::PabResponse { mbs } => self.core.absorb_fetched(now, mbs, &mut effects),
             StratusMsg::LbQuery { token } => {
                 effects.send(
                     from,
@@ -398,7 +364,7 @@ impl Mempool for StratusMempool {
                 // original sender (the microblock's creator).
                 self.lb.note_proxied();
                 let origin = mb.creator;
-                self.store.insert(mb.clone());
+                self.core.hold(&mb);
                 self.start_pab_broadcast(now, mb, Some(origin), &mut effects);
             }
         }
@@ -407,11 +373,7 @@ impl Mempool for StratusMempool {
 
     fn on_timer(&mut self, now: SimTime, tag: TimerTag, rng: &mut SmallRng) -> Effects<StratusMsg> {
         let mut effects = Effects::none();
-        if tag == BATCH_TIMEOUT_TAG {
-            if let Some(mb) = self.batcher.on_timeout(now) {
-                self.handle_new_microblock(now, mb, rng, &mut effects);
-            }
-        } else if tag == BANLIST_RESET_TAG {
+        if tag == BANLIST_RESET_TAG {
             self.lb.reset_banlist();
             self.pending_reset = true;
             effects.timer(self.lb.banlist_reset_interval(), BANLIST_RESET_TAG);
@@ -427,68 +389,45 @@ impl Mempool for StratusMempool {
             if let Some(decision) = self.lb.on_sample_timeout(tag - SAMPLE_TAG_BASE) {
                 self.handle_forward_decision(now, decision, &mut effects);
             }
-        } else if FetchRetryState::owns_tag(tag) {
-            if let Some(action) = self.fetcher.on_timer(tag, &self.store) {
-                effects.send(action.target, StratusMsg::PabRequest { ids: action.ids });
-                effects.timer(self.config.fetch_timeout, action.tag);
-            }
+        } else if let Some(mb) = self.core.on_timer(now, tag, &mut effects) {
+            self.handle_new_microblock(now, mb, rng, &mut effects);
         }
         effects
     }
 
     fn make_payload(&mut self, _now: SimTime) -> Payload {
-        let mut refs = Vec::new();
+        // Ids without a known proof, or proven but not yet fetched
+        // locally, stay queued for a later proposal.
         let mut skipped = Vec::new();
-        while refs.len() < self.max_refs {
-            let Some(id) = self.ava_queue.pop() else {
-                break;
-            };
-            let Some(proof) = self.pab.proof_of(&id).cloned() else {
+        let pab = &self.pab;
+        let payload = self.core.drain_refs(|id, store| {
+            let Some((proof, mb)) = pab.proof_of(&id).zip(store.get(&id)) else {
                 skipped.push(id);
-                continue;
+                return None;
             };
-            let Some(mb) = self.store.get(&id) else {
-                // Provably available but not yet fetched locally: keep it
-                // for a later proposal rather than dropping it.
-                skipped.push(id);
-                continue;
-            };
-            refs.push(MicroblockRef::proven(
+            Some(MicroblockRef::proven(
                 id,
                 mb.creator,
                 mb.len() as u32,
-                proof,
-            ));
-        }
+                proof.clone(),
+            ))
+        });
         for id in skipped {
-            self.ava_queue.push(id);
+            self.core.make_proposable(id);
         }
-        if refs.is_empty() {
-            Payload::Empty
-        } else {
-            Payload::Refs(refs)
-        }
+        payload
     }
 
     fn on_proposal(
         &mut self,
-        now: SimTime,
+        _now: SimTime,
         proposal: &Proposal,
         rng: &mut SmallRng,
     ) -> (FillStatus, Effects<StratusMsg>) {
         let mut effects = Effects::none();
-        let refs = match &proposal.payload {
-            Payload::Refs(refs) => refs,
-            // Per-shard groups are split off by the sharded wrapper before
-            // a backend sees them; a whole sharded payload reaching an
-            // unsharded backend must not bypass reference verification.
-            Payload::Sharded(_) => {
-                return (
-                    FillStatus::Invalid("sharded payload reached an unsharded mempool"),
-                    effects,
-                )
-            }
-            _ => return (FillStatus::Ready, effects),
+        let refs = match Dissemination::refs_of(proposal) {
+            Ok(refs) => refs,
+            Err(status) => return (status, effects),
         };
         // Every reference must carry a valid availability proof, otherwise
         // the proposal triggers a view change (Algorithm 3, lines 22-25).
@@ -503,67 +442,34 @@ impl Mempool for StratusMempool {
                 return (FillStatus::Invalid("invalid availability proof"), effects);
             }
         }
-        let mut missing = Vec::new();
         for r in refs {
-            self.ava_queue.remove(&r.id);
-            if let Some(proof) = &r.proof {
-                self.pab.store_proof(r.id, proof.clone());
-            }
-            if !self.store.contains(&r.id) {
-                missing.push(r.clone());
-            }
+            let proof = r.proof.as_ref().expect("verified above");
+            self.pab.store_proof(r.id, proof.clone());
         }
+        let missing = self.core.missing(refs);
         if !missing.is_empty() {
             // Consensus is NOT blocked: the proofs guarantee the data can be
             // recovered in the background (PAB-Provable Availability).
-            self.tracker
-                .track(proposal, missing.iter().map(|r| r.id).collect(), false);
+            let ids = missing.iter().map(|r| r.id).collect();
+            self.core.track(proposal, ids, Missing::Recoverable);
             for r in &missing {
                 let proof = r.proof.as_ref().expect("verified above");
-                let targets = self.pab.fetch_targets(proof, &[], rng);
-                let candidates: Vec<ReplicaId> = proof
-                    .signers()
-                    .into_iter()
-                    .map(ReplicaId)
-                    .filter(|x| *x != self.me)
-                    .collect();
-                if candidates.is_empty() {
-                    continue;
-                }
-                let action = self.fetcher.register(vec![r.id], candidates);
-                self.telemetry.counter_inc("fetcher.fetch");
-                let request_targets = if targets.is_empty() {
-                    vec![action.target]
-                } else {
-                    targets
-                };
-                effects.multicast(request_targets, StratusMsg::PabRequest { ids: vec![r.id] });
-                effects.timer(self.config.fetch_timeout, action.tag);
+                self.fetch_from_signers(r.id, proof, rng, &mut effects);
             }
             effects.event(MempoolEvent::FetchIssued {
                 count: missing.len() as u32,
             });
         }
-        let _ = now;
         (FillStatus::Ready, effects)
     }
 
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<StratusMsg> {
-        let mut effects = Effects::none();
-        if let Payload::Refs(refs) = &proposal.payload {
-            for r in refs {
-                self.ava_queue.remove(&r.id);
-            }
-        }
-        for ev in self.tracker.on_commit(proposal, &self.store, now) {
-            effects.event(ev);
-        }
-        effects
+        self.core.on_commit(now, proposal)
     }
 
     fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.lb.set_telemetry(telemetry.clone());
-        self.telemetry = telemetry;
+        self.core.set_telemetry(telemetry);
     }
 
     fn load_snapshot(&mut self) -> Option<LoadSnapshot> {
@@ -585,12 +491,8 @@ impl Mempool for StratusMempool {
 
     fn stats(&self) -> MempoolStats {
         MempoolStats {
-            unbatched_txs: self.batcher.pending_txs(),
-            stored_microblocks: self.store.len(),
-            proposable_microblocks: self.ava_queue.len(),
-            created_microblocks: self.created,
             forwarded_microblocks: self.lb.forwarded_total(),
-            fetches_issued: self.fetcher.issued(),
+            ..self.core.stats()
         }
     }
 }

@@ -30,12 +30,12 @@
 //! network emits nothing.
 
 use crate::api::{Effects, FillStatus, Mempool, MempoolEvent, MempoolStats, TimerTag};
-use crate::batcher::{TxBatcher, BATCH_TIMEOUT_TAG};
-use crate::fetcher::FetchRetryState;
+use crate::dissemination::{
+    certifiers, creators_then_proposer, unproven_ref, verify_certificates, Dissemination,
+    FetchWire, Missing,
+};
 use crate::simple::DEFAULT_FETCH_TIMEOUT;
-use crate::store::{FillTracker, MicroblockStore, ProposalQueue};
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 use smp_crypto::{Digest, Hasher, KeyPair, PublicKey, QuorumProof, SecretKey, Signature};
 use smp_telemetry::Telemetry;
@@ -173,6 +173,15 @@ impl DagMsg {
     }
 }
 
+impl FetchWire for DagMsg {
+    fn fetch(ids: Vec<MicroblockId>) -> Self {
+        DagMsg::Fetch { ids }
+    }
+    fn fetch_resp(mbs: Vec<Microblock>) -> Self {
+        DagMsg::FetchResp { mbs }
+    }
+}
+
 impl WireSize for DagMsg {
     fn wire_size(&self) -> usize {
         match self {
@@ -188,17 +197,11 @@ impl WireSize for DagMsg {
 /// Mysticeti-style DAG mempool.
 #[derive(Clone, Debug)]
 pub struct DagMempool {
-    me: ReplicaId,
+    core: Dissemination,
     keys: Vec<PublicKey>,
     my_key: KeyPair,
     quorum: usize,
     mode: DagMode,
-    max_refs: usize,
-    batcher: TxBatcher,
-    store: MicroblockStore,
-    queue: ProposalQueue,
-    tracker: FillTracker,
-    fetcher: FetchRetryState,
     /// Sealed batches waiting for a block slot.
     pending_batches: VecDeque<Microblock>,
     /// Delivered batches to ack on the next emitted block (insertion
@@ -217,7 +220,6 @@ pub struct DagMempool {
     support: HashMap<MicroblockId, QuorumProof>,
     /// Batches whose support pattern reached `2f + 1`.
     certified: HashMap<MicroblockId, QuorumProof>,
-    meta: HashMap<MicroblockId, (ReplicaId, u32, SimTime)>,
     /// Digests of accepted blocks (duplicate suppression that stays
     /// correct across crash-restart re-emissions).
     seen: HashSet<Digest>,
@@ -227,9 +229,7 @@ pub struct DagMempool {
     emitted: bool,
     /// Next `seq` to stamp on an own emission.
     my_seq: u64,
-    created: u64,
     blocks_out: u64,
-    telemetry: Telemetry,
 }
 
 /// Receiver-side view of one creator's emission sequence: blocks are noted
@@ -257,17 +257,11 @@ impl DagMempool {
     pub fn with_mode(config: &SystemConfig, me: ReplicaId, mode: DagMode) -> Self {
         let keypairs = KeyPair::derive_all(config.seed, config.n);
         DagMempool {
-            me,
+            core: Dissemination::new(config, me, DEFAULT_FETCH_TIMEOUT),
             keys: keypairs.iter().map(|k| k.public).collect(),
             my_key: keypairs[me.index()],
             quorum: config.consensus_quorum(),
             mode,
-            max_refs: config.mempool.max_refs_per_proposal,
-            batcher: TxBatcher::new(me, config.mempool),
-            store: MicroblockStore::new(),
-            queue: ProposalQueue::new(),
-            tracker: FillTracker::new(),
-            fetcher: FetchRetryState::new(DEFAULT_FETCH_TIMEOUT),
             pending_batches: VecDeque::new(),
             unacked: Vec::new(),
             ledgers: HashMap::new(),
@@ -275,13 +269,10 @@ impl DagMempool {
             my_acked: HashSet::new(),
             support: HashMap::new(),
             certified: HashMap::new(),
-            meta: HashMap::new(),
             seen: HashSet::new(),
             latest: BTreeMap::new(),
             emitted: false,
-            created: 0,
             blocks_out: 0,
-            telemetry: Telemetry::disabled(),
         }
     }
 
@@ -297,7 +288,7 @@ impl DagMempool {
 
     /// The round of this replica's latest emitted block.
     pub fn current_round(&self) -> Option<u64> {
-        self.latest.get(&self.me).copied()
+        self.latest.get(&self.core.me()).copied()
     }
 
     /// Notes one accepted block in its creator's ledger and advances the
@@ -329,7 +320,7 @@ impl DagMempool {
             return;
         };
         while let Some(id) = ledger.ready.front() {
-            if !self.store.contains(id) {
+            if !self.core.store().contains(id) {
                 break;
             }
             if self.mode == DagMode::Certified && !self.certified.contains_key(id) {
@@ -337,26 +328,19 @@ impl DagMempool {
             }
             let id = *id;
             ledger.ready.pop_front();
-            self.queue.push(id);
+            self.core.make_proposable(id);
         }
     }
 
     fn ingest_payload(&mut self, now: SimTime, mb: Microblock, effects: &mut Effects<DagMsg>) {
         let id = mb.id;
-        self.meta
-            .entry(id)
-            .or_insert((mb.creator, mb.len() as u32, mb.created_at));
-        if !self.store.insert(mb) {
+        if !self.core.absorb(now, mb, effects) {
             return;
         }
-        self.telemetry.counter_inc("dag.payload_in");
+        self.core.telemetry().counter_inc("dag.payload_in");
         if self.my_acked.insert(id) {
             self.unacked.push(id);
         }
-        for ev in self.tracker.on_microblock(id, &self.store, now) {
-            effects.event(ev);
-        }
-        self.fetcher.prune(&self.store);
     }
 
     fn record_ack(
@@ -385,22 +369,24 @@ impl DagMempool {
         }
         let proof = self.support.remove(&id).expect("entry inserted above");
         self.certified.insert(id, proof);
-        self.telemetry.counter_inc("dag.certified");
+        self.core.telemetry().counter_inc("dag.certified");
+        // Certificates that overtake their batch wait in the ledger.
+        let Some(mb) = self.core.store().get(&id) else {
+            return;
+        };
+        let (creator, created_at) = (mb.creator, mb.created_at);
         if self.mode == DagMode::Certified {
-            if let Some((creator, _, _)) = self.meta.get(&id) {
-                let creator = *creator;
-                self.release_in_order(creator);
-            }
+            self.release_in_order(creator);
         }
-        if let Some((creator, _, created_at)) = self.meta.get(&id) {
-            if *creator == self.me {
-                let latency = now.saturating_sub(*created_at);
-                self.telemetry.observe_us("dag.commit.latency", latency);
-                effects.event(MempoolEvent::MicroblockStable {
-                    id,
-                    stable_time: latency,
-                });
-            }
+        if creator == self.core.me() {
+            let latency = now.saturating_sub(created_at);
+            self.core
+                .telemetry()
+                .observe_us("dag.commit.latency", latency);
+            effects.event(MempoolEvent::MicroblockStable {
+                id,
+                stable_time: latency,
+            });
         }
     }
 
@@ -428,7 +414,7 @@ impl DagMempool {
         self.seen.insert(digest);
         let frontier = self.latest.entry(block.creator).or_insert(block.round);
         *frontier = (*frontier).max(block.round);
-        self.telemetry.counter_inc("dag.block_in");
+        self.core.telemetry().counter_inc("dag.block_in");
         let batch_id = block.batch.as_ref().map(|mb| mb.id);
         if let Some(mb) = block.batch {
             self.ingest_payload(now, mb, effects);
@@ -463,7 +449,7 @@ impl DagMempool {
                 // until more peers have blocks.
                 return;
             };
-            let _span = self.telemetry.span_at("dag.emit", now);
+            let _span = self.core.telemetry().span_at("dag.emit", now);
             let batch = self.pending_batches.pop_front();
             let mut acks: Vec<DagAck> = Vec::with_capacity(self.unacked.len() + 1);
             for id in self.unacked.drain(..) {
@@ -492,8 +478,9 @@ impl DagMempool {
             self.my_seq += 1;
             // Built and signed inline so the digest is computed once and
             // reused for duplicate suppression below.
+            let me = self.core.me();
             let mut block = DagBlock {
-                creator: self.me,
+                creator: me,
                 round,
                 seq,
                 batch,
@@ -506,15 +493,14 @@ impl DagMempool {
             self.emitted = true;
             self.blocks_out += 1;
             self.seen.insert(digest);
-            let frontier = self.latest.entry(self.me).or_insert(round);
+            let frontier = self.latest.entry(me).or_insert(round);
             *frontier = (*frontier).max(round);
-            self.telemetry.counter_inc("dag.block_out");
-            self.telemetry.gauge_set("dag.round", round as f64);
+            self.core.telemetry().counter_inc("dag.block_out");
+            self.core.telemetry().gauge_set("dag.round", round as f64);
             if let Some(mb) = block.batch.clone() {
-                self.created += 1;
                 self.ingest_payload(now, mb, effects);
             }
-            self.note_block(self.me, seq, block.batch.as_ref().map(|mb| mb.id));
+            self.note_block(me, seq, block.batch.as_ref().map(|mb| mb.id));
             for ack in block.acks.clone() {
                 self.record_ack(now, ack.id, ack.sig, effects);
             }
@@ -532,16 +518,9 @@ impl Mempool for DagMempool {
         txs: Vec<Transaction>,
         _rng: &mut SmallRng,
     ) -> Effects<DagMsg> {
-        let _span = self.telemetry.span_at("batcher.add", now);
         let mut effects = Effects::none();
-        let outcome = self.batcher.add(now, txs);
-        if outcome.arm_timer {
-            effects.timer(self.batcher.timeout(), BATCH_TIMEOUT_TAG);
-        }
-        for mb in outcome.sealed {
-            self.telemetry.counter_inc("batcher.sealed");
-            self.pending_batches.push_back(mb);
-        }
+        let sealed = self.core.seal_from_clients(now, txs, &mut effects);
+        self.pending_batches.extend(sealed);
         self.maybe_emit(now, &mut effects);
         effects
     }
@@ -556,15 +535,8 @@ impl Mempool for DagMempool {
         let mut effects = Effects::none();
         match msg {
             DagMsg::Block(block) => self.accept_block(now, block, &mut effects),
-            DagMsg::Fetch { ids } => {
-                let mbs: Vec<Microblock> = ids
-                    .iter()
-                    .filter_map(|id| self.store.get(id).cloned())
-                    .collect();
-                if !mbs.is_empty() {
-                    effects.send(from, DagMsg::FetchResp { mbs });
-                }
-            }
+            DagMsg::Fetch { ids } => self.core.serve_fetch(from, &ids, &mut effects),
+            // Fetched batches are acked like delivered ones.
             DagMsg::FetchResp { mbs } => {
                 for mb in mbs {
                     self.ingest_payload(now, mb, &mut effects);
@@ -577,52 +549,32 @@ impl Mempool for DagMempool {
 
     fn on_timer(&mut self, now: SimTime, tag: TimerTag, _rng: &mut SmallRng) -> Effects<DagMsg> {
         let mut effects = Effects::none();
-        if tag == BATCH_TIMEOUT_TAG {
-            if let Some(mb) = self.batcher.on_timeout(now) {
-                self.telemetry.counter_inc("batcher.sealed");
-                self.pending_batches.push_back(mb);
-                self.maybe_emit(now, &mut effects);
-            }
-        } else if FetchRetryState::owns_tag(tag) {
-            if let Some(action) = self.fetcher.on_timer(tag, &self.store) {
-                effects.send(action.target, DagMsg::Fetch { ids: action.ids });
-                effects.timer(self.fetcher.timeout, action.tag);
-            }
+        if let Some(mb) = self.core.on_timer(now, tag, &mut effects) {
+            self.pending_batches.push_back(mb);
+            self.maybe_emit(now, &mut effects);
         }
         effects
     }
 
     fn make_payload(&mut self, now: SimTime) -> Payload {
-        let _span = self.telemetry.span_at("dag.make_payload", now);
-        let mut refs = Vec::new();
-        while refs.len() < self.max_refs {
-            let Some(id) = self.queue.pop() else { break };
-            let Some((creator, tx_count, _)) = self.meta.get(&id) else {
-                continue;
-            };
-            match self.mode {
-                DagMode::Certified => {
-                    let Some(proof) = self.certified.get(&id) else {
-                        continue;
-                    };
-                    refs.push(MicroblockRef::proven(
-                        id,
-                        *creator,
-                        *tx_count,
-                        proof.clone(),
-                    ));
-                }
-                DagMode::FastPath => {
-                    refs.push(MicroblockRef::unproven(id, *creator, *tx_count));
-                }
+        let _span = self.core.telemetry().span_at("dag.make_payload", now);
+        let (mode, certified) = (self.mode, &self.certified);
+        let payload = self.core.drain_refs(|id, store| match mode {
+            DagMode::Certified => {
+                let mb = store.get(&id)?;
+                let proof = certified.get(&id)?.clone();
+                Some(MicroblockRef::proven(
+                    id,
+                    mb.creator,
+                    mb.len() as u32,
+                    proof,
+                ))
             }
-        }
-        self.telemetry.counter_add("dag.refs", refs.len() as u64);
-        if refs.is_empty() {
-            Payload::Empty
-        } else {
-            Payload::Refs(refs)
-        }
+            DagMode::FastPath => unproven_ref(id, store),
+        });
+        let refs = payload.ref_count() as u64;
+        self.core.telemetry().counter_add("dag.refs", refs);
+        payload
     }
 
     fn on_proposal(
@@ -632,120 +584,45 @@ impl Mempool for DagMempool {
         rng: &mut SmallRng,
     ) -> (FillStatus, Effects<DagMsg>) {
         let mut effects = Effects::none();
-        let refs = match &proposal.payload {
-            Payload::Refs(refs) => refs,
-            // Per-shard groups are split off by the sharded wrapper before
-            // a backend sees them; a whole sharded payload reaching an
-            // unsharded backend must not bypass reference verification.
-            Payload::Sharded(_) => {
-                return (
-                    FillStatus::Invalid("sharded payload reached an unsharded mempool"),
-                    effects,
-                )
-            }
-            _ => return (FillStatus::Ready, effects),
+        let (me, proposer) = (self.core.me(), proposal.proposer);
+        let (keys, quorum) = (&self.keys, self.quorum);
+        let status = match self.mode {
+            // Every reference must carry a valid support certificate.
+            // Supported batches are recoverable from their ackers:
+            // consensus proceeds and the data arrives in the background.
+            DagMode::Certified => self.core.fill(
+                proposal,
+                |refs| verify_certificates(refs, keys, quorum),
+                |missing| certifiers(missing, me, proposer, rng),
+                Missing::Recoverable,
+                &mut effects,
+            ),
+            // Unproven references: consensus waits for the data, fetched
+            // from the creators first, then the proposer.
+            DagMode::FastPath => self.core.fill(
+                proposal,
+                |_| Ok(()),
+                |missing| creators_then_proposer(missing, proposer),
+                Missing::Blocks,
+                &mut effects,
+            ),
         };
-        match self.mode {
-            DagMode::Certified => {
-                // Every reference must carry a valid support certificate.
-                for r in refs {
-                    let Some(proof) = &r.proof else {
-                        return (
-                            FillStatus::Invalid("missing dag support certificate"),
-                            effects,
-                        );
-                    };
-                    if proof.digest != r.id.digest()
-                        || proof.verify(&self.keys, self.quorum).is_err()
-                    {
-                        return (FillStatus::Invalid("bad dag support certificate"), effects);
-                    }
-                }
-                let mut missing = Vec::new();
-                let mut signer_pool: Vec<ReplicaId> = Vec::new();
-                for r in refs {
-                    self.queue.remove(&r.id);
-                    if !self.store.contains(&r.id) {
-                        missing.push(r.id);
-                        if let Some(proof) = &r.proof {
-                            signer_pool.extend(proof.signers().into_iter().map(ReplicaId));
-                        }
-                    }
-                }
-                if missing.is_empty() {
-                    return (FillStatus::Ready, effects);
-                }
-                // Supported batches are recoverable from their ackers:
-                // consensus proceeds and the data arrives in the background.
-                self.tracker.track(proposal, missing.clone(), false);
-                signer_pool.retain(|r| *r != self.me);
-                signer_pool.shuffle(rng);
-                if signer_pool.is_empty() {
-                    signer_pool.push(proposal.proposer);
-                }
-                let action = self.fetcher.register(missing.clone(), signer_pool);
-                effects.send(action.target, DagMsg::Fetch { ids: action.ids });
-                effects.timer(self.fetcher.timeout, action.tag);
-                effects.event(MempoolEvent::FetchIssued {
-                    count: missing.len() as u32,
-                });
-                (FillStatus::Ready, effects)
-            }
-            DagMode::FastPath => {
-                let mut missing = Vec::new();
-                let mut creators = Vec::new();
-                for r in refs {
-                    self.queue.remove(&r.id);
-                    if !self.store.contains(&r.id) {
-                        missing.push(r.id);
-                        creators.push(r.creator);
-                    }
-                }
-                if missing.is_empty() {
-                    return (FillStatus::Ready, effects);
-                }
-                self.tracker.track(proposal, missing.clone(), true);
-                // Fetch from the creators first, then the proposer.
-                let mut candidates = creators;
-                candidates.push(proposal.proposer);
-                candidates.dedup();
-                let action = self.fetcher.register(missing.clone(), candidates);
-                effects.send(action.target, DagMsg::Fetch { ids: action.ids });
-                effects.timer(self.fetcher.timeout, action.tag);
-                effects.event(MempoolEvent::FetchIssued {
-                    count: missing.len() as u32,
-                });
-                (FillStatus::MustWait(missing), effects)
-            }
-        }
+        (status, effects)
     }
 
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<DagMsg> {
-        let mut effects = Effects::none();
-        if let Payload::Refs(refs) = &proposal.payload {
-            for r in refs {
-                self.queue.remove(&r.id);
-            }
-        }
-        for ev in self.tracker.on_commit(proposal, &self.store, now) {
-            effects.event(ev);
-        }
-        effects
+        self.core.on_commit(now, proposal)
     }
 
     fn stats(&self) -> MempoolStats {
         MempoolStats {
-            unbatched_txs: self.batcher.pending_txs(),
-            stored_microblocks: self.store.len(),
-            proposable_microblocks: self.queue.len(),
-            created_microblocks: self.created,
             forwarded_microblocks: self.blocks_out,
-            fetches_issued: self.fetcher.issued(),
+            ..self.core.stats()
         }
     }
 
     fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
+        self.core.set_telemetry(telemetry);
     }
 }
 

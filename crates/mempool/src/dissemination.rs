@@ -1,0 +1,415 @@
+//! The dissemination core shared by every reference-based mempool.
+//!
+//! `ReceiveTx/ShareTx/MakeProposal/FillProposal` is one interface, and
+//! the five shared mempools differ only in their *availability policy*
+//! (see the table in the crate docs).  [`Dissemination`] owns everything
+//! else: batching client transactions into microblocks, the microblock
+//! store, the proposal queue, proposal fill tracking, serving and issuing
+//! fetches with their retry timers, commit handling and the counters.  A
+//! backend holds one `Dissemination` next to its policy state and calls
+//! into it; nothing here knows which backend it serves.
+
+use crate::api::{Effects, FillStatus, MempoolEvent, MempoolStats, TimerTag};
+use crate::batcher::{TxBatcher, BATCH_TIMEOUT_TAG};
+use crate::fetcher::{FetchAction, FetchRetryState};
+use crate::messages::{NarwhalMsg, SmpMsg};
+use crate::store::{FillTracker, MicroblockStore, ProposalQueue};
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use smp_crypto::PublicKey;
+use smp_telemetry::Telemetry;
+use smp_types::{
+    Microblock, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime, SystemConfig,
+    Transaction,
+};
+
+/// The two fetch messages every wire family has, so the core can emit
+/// each family's own variants.
+pub trait FetchWire: Sized {
+    /// The family's request for missing microblocks.
+    fn fetch(ids: Vec<MicroblockId>) -> Self;
+    /// The family's response carrying microblocks.
+    fn fetch_resp(mbs: Vec<Microblock>) -> Self;
+}
+
+impl FetchWire for SmpMsg {
+    fn fetch(ids: Vec<MicroblockId>) -> Self {
+        SmpMsg::Fetch { ids }
+    }
+    fn fetch_resp(mbs: Vec<Microblock>) -> Self {
+        SmpMsg::FetchResp { mbs }
+    }
+}
+
+impl FetchWire for NarwhalMsg {
+    fn fetch(ids: Vec<MicroblockId>) -> Self {
+        NarwhalMsg::Fetch { ids }
+    }
+    fn fetch_resp(mbs: Vec<Microblock>) -> Self {
+        NarwhalMsg::FetchResp { mbs }
+    }
+}
+
+/// What a referenced-but-missing microblock means for consensus.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Missing {
+    /// Best-effort dissemination: consensus must wait for the data
+    /// (`FillStatus::MustWait`).
+    Blocks,
+    /// The reference is proven available: consensus proceeds and the data
+    /// is fetched in the background.
+    Recoverable,
+}
+
+/// Batcher, store, proposal queue, fill tracker and fetcher of one replica.
+#[derive(Clone, Debug)]
+pub struct Dissemination {
+    me: ReplicaId,
+    max_refs: usize,
+    batcher: TxBatcher,
+    store: MicroblockStore,
+    queue: ProposalQueue,
+    tracker: FillTracker,
+    fetcher: FetchRetryState,
+    created: u64,
+    telemetry: Telemetry,
+}
+
+impl Dissemination {
+    /// Creates the core for replica `me`; missing microblocks are
+    /// re-requested every `fetch_timeout` (the paper's `δ`).
+    pub fn new(config: &SystemConfig, me: ReplicaId, fetch_timeout: SimTime) -> Self {
+        Dissemination {
+            me,
+            max_refs: config.mempool.max_refs_per_proposal,
+            batcher: TxBatcher::new(me, config.mempool),
+            store: MicroblockStore::new(),
+            queue: ProposalQueue::new(),
+            tracker: FillTracker::new(),
+            fetcher: FetchRetryState::new(fetch_timeout),
+            created: 0,
+            telemetry: Telemetry::disabled(),
+        }
+    }
+
+    /// The replica this core belongs to.
+    pub fn me(&self) -> ReplicaId {
+        self.me
+    }
+
+    /// The microblocks available locally.
+    pub fn store(&self) -> &MicroblockStore {
+        &self.store
+    }
+
+    /// The telemetry handle, for the backend's own counters.
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    /// Installs the telemetry handle.
+    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.telemetry = telemetry;
+    }
+
+    fn note_sealed(&mut self, mb: &Microblock) {
+        self.created += 1;
+        self.telemetry.counter_inc("batcher.sealed");
+        self.telemetry
+            .counter_add("batcher.sealed_txs", mb.len() as u64);
+    }
+
+    /// `ReceiveTx`: buffers client transactions, arms the batch timer for
+    /// a partial batch and returns the microblocks sealed by this call for
+    /// the backend to share.
+    pub fn seal_from_clients<M>(
+        &mut self,
+        now: SimTime,
+        txs: Vec<Transaction>,
+        effects: &mut Effects<M>,
+    ) -> Vec<Microblock> {
+        let _span = self.telemetry.span_at("batcher.add", now);
+        let outcome = self.batcher.add(now, txs);
+        if outcome.arm_timer {
+            effects.timer(self.batcher.timeout(), BATCH_TIMEOUT_TAG);
+        }
+        for mb in &outcome.sealed {
+            self.note_sealed(mb);
+        }
+        outcome.sealed
+    }
+
+    /// Handles the core's two timers.  The batch timeout returns the
+    /// partial batch it sealed, for the backend to share; a fetch retry
+    /// re-requests whatever is still missing from the next candidate.
+    pub fn on_timer<M: FetchWire>(
+        &mut self,
+        now: SimTime,
+        tag: TimerTag,
+        effects: &mut Effects<M>,
+    ) -> Option<Microblock> {
+        if tag == BATCH_TIMEOUT_TAG {
+            let mb = self.batcher.on_timeout(now)?;
+            self.note_sealed(&mb);
+            return Some(mb);
+        }
+        if FetchRetryState::owns_tag(tag) {
+            if let Some(action) = self.fetcher.on_timer(tag, &self.store) {
+                self.telemetry.counter_inc("fetcher.retry");
+                effects.send(action.target, M::fetch(action.ids));
+                effects.timer(self.fetcher.timeout, action.tag);
+            }
+        }
+        None
+    }
+
+    /// Stores a microblock this replica disseminates itself (its own, or
+    /// one it proxies): no proposal can be waiting for it yet.
+    pub fn hold(&mut self, mb: &Microblock) {
+        self.store.insert(mb.clone());
+    }
+
+    fn admit<M>(&mut self, now: SimTime, mb: Microblock, effects: &mut Effects<M>) -> bool {
+        let id = mb.id;
+        if !self.store.insert(mb) {
+            return false;
+        }
+        self.telemetry.counter_inc("dissemination.mb_in");
+        effects
+            .events
+            .extend(self.tracker.on_microblock(id, &self.store, now));
+        true
+    }
+
+    /// Stores a microblock received from a peer, resuming the proposals
+    /// that waited for it.  Returns `false` for a duplicate.
+    pub fn absorb<M>(&mut self, now: SimTime, mb: Microblock, effects: &mut Effects<M>) -> bool {
+        let new = self.admit(now, mb, effects);
+        if new {
+            self.fetcher.prune(&self.store);
+        }
+        new
+    }
+
+    /// Handles a fetch response.
+    pub fn absorb_fetched<M>(
+        &mut self,
+        now: SimTime,
+        mbs: Vec<Microblock>,
+        effects: &mut Effects<M>,
+    ) {
+        for mb in mbs {
+            self.admit(now, mb, effects);
+        }
+        self.fetcher.prune(&self.store);
+    }
+
+    /// Answers a fetch request with the requested microblocks held here.
+    pub fn serve_fetch<M: FetchWire>(
+        &self,
+        from: ReplicaId,
+        ids: &[MicroblockId],
+        effects: &mut Effects<M>,
+    ) {
+        let mbs: Vec<Microblock> = ids
+            .iter()
+            .filter_map(|id| self.store.get(id).cloned())
+            .collect();
+        if !mbs.is_empty() {
+            effects.send(from, M::fetch_resp(mbs));
+        }
+    }
+
+    /// Makes `id` eligible for this replica's future proposals.
+    pub fn make_proposable(&mut self, id: MicroblockId) {
+        self.queue.push(id);
+    }
+
+    /// Whether `id` is waiting in the proposal queue.
+    pub fn is_proposable(&self, id: &MicroblockId) -> bool {
+        self.queue.contains(id)
+    }
+
+    /// `MakeProposal`: pops queued ids until the payload holds
+    /// `max_refs_per_proposal` references.  `make_ref` builds the
+    /// backend's reference for an id, or drops the id by returning `None`.
+    pub fn drain_refs(
+        &mut self,
+        mut make_ref: impl FnMut(MicroblockId, &MicroblockStore) -> Option<MicroblockRef>,
+    ) -> Payload {
+        let mut refs = Vec::new();
+        while refs.len() < self.max_refs {
+            let Some(id) = self.queue.pop() else { break };
+            if let Some(r) = make_ref(id, &self.store) {
+                refs.push(r);
+            }
+        }
+        if refs.is_empty() {
+            Payload::Empty
+        } else {
+            Payload::Refs(refs)
+        }
+    }
+
+    /// The references of `proposal` that have to be verified and filled, or
+    /// the verdict for a payload that carries none.
+    pub fn refs_of(proposal: &Proposal) -> Result<&[MicroblockRef], FillStatus> {
+        match &proposal.payload {
+            Payload::Refs(refs) => Ok(refs),
+            Payload::Inline(_) | Payload::Empty => Err(FillStatus::Ready),
+            // Per-shard groups are split off by the sharded wrapper before
+            // a backend sees them; a whole sharded payload reaching an
+            // unsharded backend must not bypass reference verification.
+            Payload::Sharded(_) => Err(FillStatus::Invalid(
+                "sharded payload reached an unsharded mempool",
+            )),
+        }
+    }
+
+    /// Takes the referenced microblocks out of the proposal queue (they
+    /// are no longer proposable by this replica) and returns the
+    /// references whose data is not held locally.
+    pub fn missing<'p>(&mut self, refs: &'p [MicroblockRef]) -> Vec<&'p MicroblockRef> {
+        let mut missing = Vec::new();
+        for r in refs {
+            self.queue.remove(&r.id);
+            if !self.store.contains(&r.id) {
+                missing.push(r);
+            }
+        }
+        missing
+    }
+
+    /// Remembers that `proposal` waits for `missing`.
+    pub fn track(&mut self, proposal: &Proposal, missing: Vec<MicroblockId>, policy: Missing) {
+        self.tracker
+            .track(proposal, missing, policy == Missing::Blocks);
+    }
+
+    /// Registers a fetch of `ids` with its ordered candidate list; the
+    /// caller sends the request and arms the retry timer `action.tag`.
+    pub fn request(&mut self, ids: Vec<MicroblockId>, candidates: Vec<ReplicaId>) -> FetchAction {
+        self.telemetry
+            .counter_add("fetcher.fetch", ids.len() as u64);
+        self.fetcher.register(ids, candidates)
+    }
+
+    /// `FillProposal`: has the backend `verify` the references, dequeues
+    /// them and, if some are missing, tracks the proposal and fetches them
+    /// from the first of `candidates(missing)`.  `policy` decides whether
+    /// consensus waits for the data.
+    pub fn fill<M: FetchWire>(
+        &mut self,
+        proposal: &Proposal,
+        verify: impl FnOnce(&[MicroblockRef]) -> Result<(), FillStatus>,
+        candidates: impl FnOnce(&[&MicroblockRef]) -> Vec<ReplicaId>,
+        policy: Missing,
+        effects: &mut Effects<M>,
+    ) -> FillStatus {
+        let refs = match Self::refs_of(proposal) {
+            Ok(refs) => refs,
+            Err(verdict) => return verdict,
+        };
+        if let Err(invalid) = verify(refs) {
+            return invalid;
+        }
+        let missing = self.missing(refs);
+        if missing.is_empty() {
+            return FillStatus::Ready;
+        }
+        let ids: Vec<MicroblockId> = missing.iter().map(|r| r.id).collect();
+        self.track(proposal, ids.clone(), policy);
+        let action = self.request(ids.clone(), candidates(&missing));
+        effects.send(action.target, M::fetch(action.ids));
+        effects.timer(self.fetcher.timeout, action.tag);
+        effects.event(MempoolEvent::FetchIssued {
+            count: ids.len() as u32,
+        });
+        match policy {
+            Missing::Blocks => FillStatus::MustWait(ids),
+            Missing::Recoverable => FillStatus::Ready,
+        }
+    }
+
+    /// Consensus committed `proposal`: its references stop being
+    /// proposable and it executes as soon as all of its data is local.
+    pub fn on_commit<M>(&mut self, now: SimTime, proposal: &Proposal) -> Effects<M> {
+        if let Payload::Refs(refs) = &proposal.payload {
+            for r in refs {
+                self.queue.remove(&r.id);
+            }
+        }
+        let mut effects = Effects::none();
+        effects.events = self.tracker.on_commit(proposal, &self.store, now);
+        effects
+    }
+
+    /// The core's counters; `forwarded_microblocks` is the backend's to
+    /// fill in.
+    pub fn stats(&self) -> MempoolStats {
+        MempoolStats {
+            unbatched_txs: self.batcher.pending_txs(),
+            stored_microblocks: self.store.len(),
+            proposable_microblocks: self.queue.len(),
+            created_microblocks: self.created,
+            forwarded_microblocks: 0,
+            fetches_issued: self.fetcher.issued(),
+        }
+    }
+}
+
+/// The reference of a best-effort backend: no proof, metadata read from
+/// the stored microblock.
+pub fn unproven_ref(id: MicroblockId, store: &MicroblockStore) -> Option<MicroblockRef> {
+    let mb = store.get(&id)?;
+    Some(MicroblockRef::unproven(id, mb.creator, mb.len() as u32))
+}
+
+/// Fetch candidates without proofs: the creators of the missing
+/// microblocks first, then the proposer.
+pub fn creators_then_proposer(missing: &[&MicroblockRef], proposer: ReplicaId) -> Vec<ReplicaId> {
+    let mut candidates: Vec<ReplicaId> = missing.iter().map(|r| r.creator).collect();
+    candidates.push(proposer);
+    candidates.dedup();
+    candidates
+}
+
+/// Checks that every reference carries a `quorum` certificate over its own
+/// id (Narwhal's reliable-broadcast readies, the DAG's acks).
+pub fn verify_certificates(
+    refs: &[MicroblockRef],
+    keys: &[PublicKey],
+    quorum: usize,
+) -> Result<(), FillStatus> {
+    for r in refs {
+        let Some(proof) = &r.proof else {
+            return Err(FillStatus::Invalid("missing batch certificate"));
+        };
+        if proof.digest != r.id.digest() || proof.verify(keys, quorum).is_err() {
+            return Err(FillStatus::Invalid("bad batch certificate"));
+        }
+    }
+    Ok(())
+}
+
+/// Fetch candidates of a certified reference: whoever signed the
+/// certificates of the missing microblocks other than `me`, in random
+/// order; the proposer if nobody else signed.
+pub fn certifiers(
+    missing: &[&MicroblockRef],
+    me: ReplicaId,
+    proposer: ReplicaId,
+    rng: &mut SmallRng,
+) -> Vec<ReplicaId> {
+    let mut pool: Vec<ReplicaId> = missing
+        .iter()
+        .filter_map(|r| r.proof.as_ref())
+        .flat_map(|proof| proof.signers().into_iter().map(ReplicaId))
+        .filter(|r| *r != me)
+        .collect();
+    pool.shuffle(rng);
+    if pool.is_empty() {
+        pool.push(proposer);
+    }
+    pool
+}

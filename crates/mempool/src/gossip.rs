@@ -7,18 +7,14 @@
 //! (Section III-E, Solution-II discussion), which is why it underperforms
 //! Stratus under skewed load (Figure 11).
 
-use crate::api::{Effects, FillStatus, Mempool, MempoolEvent, MempoolStats, TimerTag};
-use crate::batcher::{TxBatcher, BATCH_TIMEOUT_TAG};
-use crate::fetcher::FetchRetryState;
+use crate::api::{Effects, FillStatus, Mempool, MempoolStats, TimerTag};
+use crate::dissemination::{creators_then_proposer, unproven_ref, Dissemination, Missing};
 use crate::messages::SmpMsg;
 use crate::simple::DEFAULT_FETCH_TIMEOUT;
-use crate::store::{FillTracker, MicroblockStore, ProposalQueue};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use smp_telemetry::Telemetry;
-use smp_types::{
-    Microblock, MicroblockRef, Payload, Proposal, ReplicaId, SimTime, SystemConfig, Transaction,
-};
+use smp_types::{Microblock, Payload, Proposal, ReplicaId, SimTime, SystemConfig, Transaction};
 
 /// Default gossip fan-out (the evaluation uses 3).
 pub const DEFAULT_FANOUT: usize = 3;
@@ -30,18 +26,10 @@ pub const MAX_HOPS: u8 = 16;
 /// Gossip-based shared mempool.
 #[derive(Clone, Debug)]
 pub struct GossipSmp {
-    me: ReplicaId,
+    core: Dissemination,
     n: usize,
     fanout: usize,
-    max_refs: usize,
-    batcher: TxBatcher,
-    store: MicroblockStore,
-    queue: ProposalQueue,
-    tracker: FillTracker,
-    fetcher: FetchRetryState,
-    created: u64,
     relayed: u64,
-    telemetry: Telemetry,
 }
 
 impl GossipSmp {
@@ -53,18 +41,10 @@ impl GossipSmp {
     /// Creates the mempool with an explicit fan-out.
     pub fn with_fanout(config: &SystemConfig, me: ReplicaId, fanout: usize) -> Self {
         GossipSmp {
-            me,
+            core: Dissemination::new(config, me, DEFAULT_FETCH_TIMEOUT),
             n: config.n,
             fanout: fanout.max(1),
-            max_refs: config.mempool.max_refs_per_proposal,
-            batcher: TxBatcher::new(me, config.mempool),
-            store: MicroblockStore::new(),
-            queue: ProposalQueue::new(),
-            tracker: FillTracker::new(),
-            fetcher: FetchRetryState::new(DEFAULT_FETCH_TIMEOUT),
-            created: 0,
             relayed: 0,
-            telemetry: Telemetry::disabled(),
         }
     }
 
@@ -76,7 +56,7 @@ impl GossipSmp {
     fn random_peers(&self, rng: &mut SmallRng, exclude: &[ReplicaId]) -> Vec<ReplicaId> {
         let mut peers: Vec<ReplicaId> = (0..self.n as u32)
             .map(ReplicaId)
-            .filter(|r| *r != self.me && !exclude.contains(r))
+            .filter(|r| *r != self.core.me() && !exclude.contains(r))
             .collect();
         peers.shuffle(rng);
         peers.truncate(self.fanout);
@@ -111,17 +91,10 @@ impl Mempool for GossipSmp {
         txs: Vec<Transaction>,
         rng: &mut SmallRng,
     ) -> Effects<SmpMsg> {
-        let _span = self.telemetry.span_at("batcher.add", now);
         let mut effects = Effects::none();
-        let outcome = self.batcher.add(now, txs);
-        if outcome.arm_timer {
-            effects.timer(self.batcher.timeout(), BATCH_TIMEOUT_TAG);
-        }
-        for mb in outcome.sealed {
-            self.created += 1;
-            self.telemetry.counter_inc("batcher.sealed");
-            self.queue.push(mb.id);
-            self.store.insert(mb.clone());
+        for mb in self.core.seal_from_clients(now, txs, &mut effects) {
+            self.core.make_proposable(mb.id);
+            self.core.hold(&mb);
             self.gossip_out(mb, MAX_HOPS, &[], rng, &mut effects);
         }
         effects
@@ -135,107 +108,52 @@ impl Mempool for GossipSmp {
         rng: &mut SmallRng,
     ) -> Effects<SmpMsg> {
         let mut effects = Effects::none();
-        match msg {
-            SmpMsg::Gossip { .. } | SmpMsg::Microblock(_) => {
-                let (mb, hops) = match msg {
-                    SmpMsg::Gossip { mb, hops } => (mb, hops),
-                    SmpMsg::Microblock(mb) => (mb, MAX_HOPS),
-                    _ => unreachable!("outer match guarantees a microblock variant"),
-                };
-                if self.store.contains(&mb.id) {
-                    // Duplicate: do not relay again (bounded redundancy).
-                    return effects;
-                }
-                let id = mb.id;
-                let creator = mb.creator;
-                self.store.insert(mb.clone());
-                self.queue.push(id);
-                for ev in self.tracker.on_microblock(id, &self.store, now) {
-                    effects.event(ev);
-                }
-                self.fetcher.prune(&self.store);
-                // Relay on first receipt.
-                self.relayed += 1;
-                self.telemetry.counter_inc("gossip.relayed");
-                self.gossip_out(
-                    mb,
-                    hops.saturating_sub(1),
-                    &[from, creator],
-                    rng,
-                    &mut effects,
-                );
-            }
+        let (mb, hops) = match msg {
+            SmpMsg::Gossip { mb, hops } => (mb, hops),
+            SmpMsg::Microblock(mb) => (mb, MAX_HOPS),
             SmpMsg::Fetch { ids } => {
-                let mbs: Vec<Microblock> = ids
-                    .iter()
-                    .filter_map(|id| self.store.get(id).cloned())
-                    .collect();
-                if !mbs.is_empty() {
-                    effects.send(from, SmpMsg::FetchResp { mbs });
-                }
+                self.core.serve_fetch(from, &ids, &mut effects);
+                return effects;
             }
             SmpMsg::FetchResp { mbs } => {
-                for mb in mbs {
-                    let id = mb.id;
-                    if self.store.insert(mb) {
-                        for ev in self.tracker.on_microblock(id, &self.store, now) {
-                            effects.event(ev);
-                        }
-                    }
-                }
-                self.fetcher.prune(&self.store);
+                self.core.absorb_fetched(now, mbs, &mut effects);
+                return effects;
             }
+        };
+        // Duplicates are not relayed again (bounded redundancy).
+        if self.core.absorb(now, mb.clone(), &mut effects) {
+            self.core.make_proposable(mb.id);
+            // Relay on first receipt.
+            self.relayed += 1;
+            self.core.telemetry().counter_inc("gossip.relayed");
+            let exclude = [from, mb.creator];
+            self.gossip_out(mb, hops.saturating_sub(1), &exclude, rng, &mut effects);
         }
         effects
     }
 
     fn on_timer(&mut self, now: SimTime, tag: TimerTag, _rng: &mut SmallRng) -> Effects<SmpMsg> {
         let mut effects = Effects::none();
-        if tag == BATCH_TIMEOUT_TAG {
-            if let Some(mb) = self.batcher.on_timeout(now) {
-                self.created += 1;
-                self.queue.push(mb.id);
-                self.store.insert(mb.clone());
-                // The relay uses a dedicated RNG-free path on timeout: pick
-                // the first `fanout` peers deterministically after a rotation
-                // keyed by the microblock id for spread.
-                let start = (mb.id.digest().short() % self.n as u64) as u32;
-                let peers: Vec<ReplicaId> = (0..self.n as u32)
-                    .map(|i| ReplicaId((start + i) % self.n as u32))
-                    .filter(|r| *r != self.me)
-                    .take(self.fanout)
-                    .collect();
-                effects.multicast(
-                    peers,
-                    SmpMsg::Gossip {
-                        mb,
-                        hops: MAX_HOPS - 1,
-                    },
-                );
-            }
-        } else if FetchRetryState::owns_tag(tag) {
-            if let Some(action) = self.fetcher.on_timer(tag, &self.store) {
-                effects.send(action.target, SmpMsg::Fetch { ids: action.ids });
-                effects.timer(self.fetcher.timeout, action.tag);
-            }
+        if let Some(mb) = self.core.on_timer(now, tag, &mut effects) {
+            self.core.make_proposable(mb.id);
+            self.core.hold(&mb);
+            // The relay uses a dedicated RNG-free path on timeout: pick
+            // the first `fanout` peers deterministically after a rotation
+            // keyed by the microblock id for spread.
+            let start = (mb.id.digest().short() % self.n as u64) as u32;
+            let peers: Vec<ReplicaId> = (0..self.n as u32)
+                .map(|i| ReplicaId((start + i) % self.n as u32))
+                .filter(|r| *r != self.core.me())
+                .take(self.fanout)
+                .collect();
+            let hops = MAX_HOPS - 1;
+            effects.multicast(peers, SmpMsg::Gossip { mb, hops });
         }
         effects
     }
 
     fn make_payload(&mut self, _now: SimTime) -> Payload {
-        let mut refs = Vec::new();
-        while refs.len() < self.max_refs {
-            let Some(id) = self.queue.pop() else { break };
-            let Some(mb) = self.store.get(&id) else {
-                continue;
-            };
-            refs.push(MicroblockRef::unproven(id, mb.creator, mb.len() as u32));
-        }
-        if refs.is_empty() {
-            Payload::Empty
-        } else {
-            Payload::Refs(refs)
-        }
+        self.core.drain_refs(unproven_ref)
     }
 
     fn on_proposal(
@@ -245,73 +163,29 @@ impl Mempool for GossipSmp {
         _rng: &mut SmallRng,
     ) -> (FillStatus, Effects<SmpMsg>) {
         let mut effects = Effects::none();
-        let refs = match &proposal.payload {
-            Payload::Refs(refs) => refs,
-            // Per-shard groups are split off by the sharded wrapper before
-            // a backend sees them; a whole sharded payload reaching an
-            // unsharded backend must not bypass reference verification.
-            Payload::Sharded(_) => {
-                return (
-                    FillStatus::Invalid("sharded payload reached an unsharded mempool"),
-                    effects,
-                )
-            }
-            _ => return (FillStatus::Ready, effects),
-        };
-        let mut missing = Vec::new();
-        let mut creators = Vec::new();
-        for r in refs {
-            self.queue.remove(&r.id);
-            if !self.store.contains(&r.id) {
-                missing.push(r.id);
-                creators.push(r.creator);
-            }
-        }
-        if missing.is_empty() {
-            return (FillStatus::Ready, effects);
-        }
-        self.telemetry
-            .counter_add("fetcher.fetch", missing.len() as u64);
-        self.tracker.track(proposal, missing.clone(), true);
-        // Fetch from the creators first, then fall back to the proposer.
-        let mut candidates = creators;
-        candidates.push(proposal.proposer);
-        candidates.dedup();
-        let action = self.fetcher.register(missing.clone(), candidates);
-        effects.send(action.target, SmpMsg::Fetch { ids: action.ids });
-        effects.timer(self.fetcher.timeout, action.tag);
-        effects.event(MempoolEvent::FetchIssued {
-            count: missing.len() as u32,
-        });
-        (FillStatus::MustWait(missing), effects)
+        let status = self.core.fill(
+            proposal,
+            |_| Ok(()),
+            |missing| creators_then_proposer(missing, proposal.proposer),
+            Missing::Blocks,
+            &mut effects,
+        );
+        (status, effects)
     }
 
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<SmpMsg> {
-        let mut effects = Effects::none();
-        if let Payload::Refs(refs) = &proposal.payload {
-            for r in refs {
-                self.queue.remove(&r.id);
-            }
-        }
-        for ev in self.tracker.on_commit(proposal, &self.store, now) {
-            effects.event(ev);
-        }
-        effects
+        self.core.on_commit(now, proposal)
     }
 
     fn stats(&self) -> MempoolStats {
         MempoolStats {
-            unbatched_txs: self.batcher.pending_txs(),
-            stored_microblocks: self.store.len(),
-            proposable_microblocks: self.queue.len(),
-            created_microblocks: self.created,
             forwarded_microblocks: self.relayed,
-            fetches_issued: self.fetcher.issued(),
+            ..self.core.stats()
         }
     }
 
     fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
+        self.core.set_telemetry(telemetry);
     }
 }
 

@@ -19,10 +19,34 @@
 //! The paper's own contribution — Stratus, with provably available
 //! broadcast and distributed load balancing — lives in the `stratus`
 //! crate and implements the same [`Mempool`] trait.
+//!
+//! # One core, five availability policies
+//!
+//! The five reference-based backends share one mechanism,
+//! [`Dissemination`]: batching (seal on size or timeout), the microblock
+//! store, the proposal queue, proposal fill tracking, serving and issuing
+//! fetches with retry timers, the `make_payload` drain loop, the payload
+//! preamble and the two fill outcomes of `on_proposal`, `on_commit`,
+//! `stats` and the `batcher.*` / `dissemination.*` / `fetcher.*`
+//! counters.  A backend's file holds only its *availability policy*, and
+//! this table is the whole difference between the files:
+//!
+//! | backend | shares a sealed batch by | proposable when | ref carries | verified by | missing data blocks consensus? | fetch candidates |
+//! |---|---|---|---|---|---|---|
+//! | [`SimpleSmp`] | broadcast | stored (own: sealed) | nothing | — | yes (`MustWait`) | the proposer |
+//! | [`GossipSmp`] | gossip to `fanout` peers, relayed on first receipt | stored (own: sealed) | nothing | — | yes (`MustWait`) | creators, then the proposer |
+//! | [`NarwhalMempool`] | reliable broadcast (batch, echo, ready) | `2f + 1` readies and stored | ready certificate | [`dissemination::verify_certificates`] | no | certificate signers, shuffled |
+//! | [`DagMempool`] certified | DAG block + piggybacked acks | `2f + 1` acks and stored, in creator `seq` order | ack certificate | [`dissemination::verify_certificates`] | no | certificate signers, shuffled |
+//! | [`DagMempool`] fast path | DAG block + piggybacked acks | stored, in creator `seq` order | nothing | — | yes (`MustWait`) | creators, then the proposer |
+//! | `stratus::StratusMempool` | PAB push (or DLB forward to a proxy) | availability proof known | PAB proof (`f + 1 ..= 2f + 1` acks) | `PabEngine::verify_proof` | no | each signer with probability `α`, retried through the signers in turn |
+//!
+//! [`NativeMempool`] ships transactions inline, has no store and does not
+//! use the core.
 
 pub mod api;
 pub mod batcher;
 pub mod dag;
+pub mod dissemination;
 pub mod fetcher;
 pub mod gossip;
 pub mod messages;
@@ -36,6 +60,7 @@ pub use api::{
 };
 pub use batcher::{BatchOutcome, TxBatcher, BATCH_TIMEOUT_TAG};
 pub use dag::{DagAck, DagBlock, DagMempool, DagMsg, DagParentRef};
+pub use dissemination::{Dissemination, FetchWire, Missing};
 pub use fetcher::{FetchAction, FetchRetryState, FETCH_TAG_BASE};
 pub use gossip::GossipSmp;
 pub use messages::{NarwhalMsg, SmpMsg};

@@ -18,14 +18,12 @@
 //!   leader embeds next to the batch id in its proposal.
 
 use crate::api::{Effects, FillStatus, Mempool, MempoolEvent, MempoolStats, TimerTag};
-use crate::batcher::{TxBatcher, BATCH_TIMEOUT_TAG};
-use crate::fetcher::FetchRetryState;
+use crate::dissemination::{certifiers, verify_certificates, Dissemination, Missing};
 use crate::messages::NarwhalMsg;
 use crate::simple::DEFAULT_FETCH_TIMEOUT;
-use crate::store::{FillTracker, MicroblockStore, ProposalQueue};
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 use smp_crypto::{KeyPair, PublicKey, QuorumProof, Signature};
+use smp_telemetry::Telemetry;
 use smp_types::{
     Microblock, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime, SystemConfig,
     Transaction,
@@ -35,22 +33,28 @@ use std::collections::{HashMap, HashSet};
 /// Narwhal-style reliable-broadcast mempool.
 #[derive(Clone, Debug)]
 pub struct NarwhalMempool {
-    me: ReplicaId,
+    core: Dissemination,
     keys: Vec<PublicKey>,
     my_key: KeyPair,
     rb_quorum: usize,
-    max_refs: usize,
-    batcher: TxBatcher,
-    store: MicroblockStore,
-    queue: ProposalQueue,
-    tracker: FillTracker,
-    fetcher: FetchRetryState,
     echoes: HashMap<MicroblockId, QuorumProof>,
     readies: HashMap<MicroblockId, QuorumProof>,
     ready_sent: HashSet<MicroblockId>,
     certified: HashMap<MicroblockId, QuorumProof>,
     meta: HashMap<MicroblockId, (ReplicaId, u32, SimTime)>,
-    created: u64,
+}
+
+/// Adds `sig` to the signatures collected for `id`.
+fn collect(
+    proofs: &mut HashMap<MicroblockId, QuorumProof>,
+    id: MicroblockId,
+    sig: Signature,
+) -> &QuorumProof {
+    let proof = proofs
+        .entry(id)
+        .or_insert_with(|| QuorumProof::new(id.digest()));
+    proof.add(sig);
+    proof
 }
 
 impl NarwhalMempool {
@@ -58,22 +62,15 @@ impl NarwhalMempool {
     pub fn new(config: &SystemConfig, me: ReplicaId) -> Self {
         let keypairs = KeyPair::derive_all(config.seed, config.n);
         NarwhalMempool {
-            me,
+            core: Dissemination::new(config, me, DEFAULT_FETCH_TIMEOUT),
             keys: keypairs.iter().map(|k| k.public).collect(),
             my_key: keypairs[me.index()],
             rb_quorum: config.consensus_quorum(),
-            max_refs: config.mempool.max_refs_per_proposal,
-            batcher: TxBatcher::new(me, config.mempool),
-            store: MicroblockStore::new(),
-            queue: ProposalQueue::new(),
-            tracker: FillTracker::new(),
-            fetcher: FetchRetryState::new(DEFAULT_FETCH_TIMEOUT),
             echoes: HashMap::new(),
             readies: HashMap::new(),
             ready_sent: HashSet::new(),
             certified: HashMap::new(),
             meta: HashMap::new(),
-            created: 0,
         }
     }
 
@@ -86,17 +83,24 @@ impl NarwhalMempool {
         Signature::sign(&self.my_key.secret, &id.digest())
     }
 
-    fn disseminate(&mut self, mb: Microblock, effects: &mut Effects<NarwhalMsg>) {
-        self.created += 1;
+    fn signed_by_a_replica(&self, id: &MicroblockId, sig: &Signature) -> bool {
+        sig.verify(
+            &self.keys[sig.signer as usize % self.keys.len()],
+            &id.digest(),
+        )
+    }
+
+    fn note_meta(&mut self, mb: &Microblock) {
         self.meta
             .insert(mb.id, (mb.creator, mb.len() as u32, mb.created_at));
-        self.store.insert(mb.clone());
+    }
+
+    fn disseminate(&mut self, mb: Microblock, effects: &mut Effects<NarwhalMsg>) {
+        self.note_meta(&mb);
+        self.core.hold(&mb);
         // Creator's own echo counts toward the quorum.
         let own_echo = self.sign_for(&mb.id);
-        self.echoes
-            .entry(mb.id)
-            .or_insert_with(|| QuorumProof::new(mb.id.digest()))
-            .add(own_echo);
+        collect(&mut self.echoes, mb.id, own_echo);
         effects.broadcast(NarwhalMsg::Batch(mb));
     }
 
@@ -107,23 +111,13 @@ impl NarwhalMempool {
         sig: Signature,
         effects: &mut Effects<NarwhalMsg>,
     ) {
-        if !sig.verify(
-            &self.keys[sig.signer as usize % self.keys.len()],
-            &id.digest(),
-        ) {
+        if !self.signed_by_a_replica(&id, &sig) {
             return;
         }
-        let proof = self
-            .echoes
-            .entry(id)
-            .or_insert_with(|| QuorumProof::new(id.digest()));
-        proof.add(sig);
-        if proof.has_quorum(self.rb_quorum) && self.ready_sent.insert(id) {
+        let echoed = collect(&mut self.echoes, id, sig).has_quorum(self.rb_quorum);
+        if echoed && self.ready_sent.insert(id) {
             let own_ready = self.sign_for(&id);
-            self.readies
-                .entry(id)
-                .or_insert_with(|| QuorumProof::new(id.digest()))
-                .add(own_ready);
+            collect(&mut self.readies, id, own_ready);
             effects.broadcast(NarwhalMsg::Ready { id, sig: own_ready });
             self.maybe_certify(now, id, effects);
         }
@@ -136,19 +130,15 @@ impl NarwhalMempool {
         sig: Signature,
         effects: &mut Effects<NarwhalMsg>,
     ) {
-        if !sig.verify(
-            &self.keys[sig.signer as usize % self.keys.len()],
-            &id.digest(),
-        ) {
+        if !self.signed_by_a_replica(&id, &sig) {
             return;
         }
-        self.readies
-            .entry(id)
-            .or_insert_with(|| QuorumProof::new(id.digest()))
-            .add(sig);
+        collect(&mut self.readies, id, sig);
         self.maybe_certify(now, id, effects);
     }
 
+    /// A batch becomes proposable once `2f + 1` readies certify it and its
+    /// data is stored.
     fn maybe_certify(&mut self, now: SimTime, id: MicroblockId, effects: &mut Effects<NarwhalMsg>) {
         if self.certified.contains_key(&id) {
             return;
@@ -160,11 +150,11 @@ impl NarwhalMempool {
             return;
         }
         self.certified.insert(id, readies.clone());
-        if self.store.contains(&id) {
-            self.queue.push(id);
+        if self.core.store().contains(&id) {
+            self.core.make_proposable(id);
         }
         if let Some((creator, _, created_at)) = self.meta.get(&id) {
-            if *creator == self.me {
+            if *creator == self.core.me() {
                 effects.event(MempoolEvent::MicroblockStable {
                     id,
                     stable_time: now.saturating_sub(*created_at),
@@ -184,11 +174,7 @@ impl Mempool for NarwhalMempool {
         _rng: &mut SmallRng,
     ) -> Effects<NarwhalMsg> {
         let mut effects = Effects::none();
-        let outcome = self.batcher.add(now, txs);
-        if outcome.arm_timer {
-            effects.timer(self.batcher.timeout(), BATCH_TIMEOUT_TAG);
-        }
-        for mb in outcome.sealed {
+        for mb in self.core.seal_from_clients(now, txs, &mut effects) {
             self.disseminate(mb, &mut effects);
         }
         effects
@@ -199,29 +185,21 @@ impl Mempool for NarwhalMempool {
         now: SimTime,
         from: ReplicaId,
         msg: NarwhalMsg,
-        rng: &mut SmallRng,
+        _rng: &mut SmallRng,
     ) -> Effects<NarwhalMsg> {
         let mut effects = Effects::none();
         match msg {
             NarwhalMsg::Batch(mb) => {
                 let id = mb.id;
-                self.meta
-                    .insert(id, (mb.creator, mb.len() as u32, mb.created_at));
-                if self.store.insert(mb) {
+                self.note_meta(&mb);
+                if self.core.absorb(now, mb, &mut effects) {
                     // Echo the batch to everyone (the O(n²) step).
                     let sig = self.sign_for(&id);
-                    self.echoes
-                        .entry(id)
-                        .or_insert_with(|| QuorumProof::new(id.digest()))
-                        .add(sig);
+                    collect(&mut self.echoes, id, sig);
                     effects.broadcast(NarwhalMsg::Echo { id, sig });
-                    for ev in self.tracker.on_microblock(id, &self.store, now) {
-                        effects.event(ev);
-                    }
                     if self.certified.contains_key(&id) {
-                        self.queue.push(id);
+                        self.core.make_proposable(id);
                     }
-                    self.fetcher.prune(&self.store);
                 }
             }
             NarwhalMsg::Echo { id, sig } => self.record_echo(now, id, sig, &mut effects),
@@ -235,33 +213,14 @@ impl Mempool for NarwhalMempool {
                 if proof.verify(&self.keys, self.rb_quorum).is_ok() {
                     self.meta.entry(id).or_insert((creator, tx_count, now));
                     self.certified.entry(id).or_insert(proof);
-                    if self.store.contains(&id) {
-                        self.queue.push(id);
+                    if self.core.store().contains(&id) {
+                        self.core.make_proposable(id);
                     }
                 }
             }
-            NarwhalMsg::Fetch { ids } => {
-                let mbs: Vec<Microblock> = ids
-                    .iter()
-                    .filter_map(|id| self.store.get(id).cloned())
-                    .collect();
-                if !mbs.is_empty() {
-                    effects.send(from, NarwhalMsg::FetchResp { mbs });
-                }
-            }
-            NarwhalMsg::FetchResp { mbs } => {
-                for mb in mbs {
-                    let id = mb.id;
-                    if self.store.insert(mb) {
-                        for ev in self.tracker.on_microblock(id, &self.store, now) {
-                            effects.event(ev);
-                        }
-                    }
-                }
-                self.fetcher.prune(&self.store);
-            }
+            NarwhalMsg::Fetch { ids } => self.core.serve_fetch(from, &ids, &mut effects),
+            NarwhalMsg::FetchResp { mbs } => self.core.absorb_fetched(now, mbs, &mut effects),
         }
-        let _ = rng;
         effects
     }
 
@@ -272,41 +231,19 @@ impl Mempool for NarwhalMempool {
         _rng: &mut SmallRng,
     ) -> Effects<NarwhalMsg> {
         let mut effects = Effects::none();
-        if tag == BATCH_TIMEOUT_TAG {
-            if let Some(mb) = self.batcher.on_timeout(now) {
-                self.disseminate(mb, &mut effects);
-            }
-        } else if FetchRetryState::owns_tag(tag) {
-            if let Some(action) = self.fetcher.on_timer(tag, &self.store) {
-                effects.send(action.target, NarwhalMsg::Fetch { ids: action.ids });
-                effects.timer(self.fetcher.timeout, action.tag);
-            }
+        if let Some(mb) = self.core.on_timer(now, tag, &mut effects) {
+            self.disseminate(mb, &mut effects);
         }
         effects
     }
 
     fn make_payload(&mut self, _now: SimTime) -> Payload {
-        let mut refs = Vec::new();
-        while refs.len() < self.max_refs {
-            let Some(id) = self.queue.pop() else { break };
-            let Some(proof) = self.certified.get(&id) else {
-                continue;
-            };
-            let Some((creator, tx_count, _)) = self.meta.get(&id) else {
-                continue;
-            };
-            refs.push(MicroblockRef::proven(
-                id,
-                *creator,
-                *tx_count,
-                proof.clone(),
-            ));
-        }
-        if refs.is_empty() {
-            Payload::Empty
-        } else {
-            Payload::Refs(refs)
-        }
+        let (certified, meta) = (&self.certified, &self.meta);
+        self.core.drain_refs(|id, _| {
+            let (creator, tx_count, _) = meta.get(&id)?;
+            let proof = certified.get(&id)?.clone();
+            Some(MicroblockRef::proven(id, *creator, *tx_count, proof))
+        })
     }
 
     fn on_proposal(
@@ -316,81 +253,30 @@ impl Mempool for NarwhalMempool {
         rng: &mut SmallRng,
     ) -> (FillStatus, Effects<NarwhalMsg>) {
         let mut effects = Effects::none();
-        let refs = match &proposal.payload {
-            Payload::Refs(refs) => refs,
-            // Per-shard groups are split off by the sharded wrapper before
-            // a backend sees them; a whole sharded payload reaching an
-            // unsharded backend must not bypass reference verification.
-            Payload::Sharded(_) => {
-                return (
-                    FillStatus::Invalid("sharded payload reached an unsharded mempool"),
-                    effects,
-                )
-            }
-            _ => return (FillStatus::Ready, effects),
-        };
-        // Every reference must carry a valid certificate.
-        for r in refs {
-            let Some(proof) = &r.proof else {
-                return (FillStatus::Invalid("missing batch certificate"), effects);
-            };
-            if proof.digest != r.id.digest() || proof.verify(&self.keys, self.rb_quorum).is_err() {
-                return (FillStatus::Invalid("bad batch certificate"), effects);
-            }
-        }
-        let mut missing = Vec::new();
-        let mut signer_pool: Vec<ReplicaId> = Vec::new();
-        for r in refs {
-            self.queue.remove(&r.id);
-            if !self.store.contains(&r.id) {
-                missing.push(r.id);
-                if let Some(proof) = &r.proof {
-                    signer_pool.extend(proof.signers().into_iter().map(ReplicaId));
-                }
-            }
-        }
-        if missing.is_empty() {
-            return (FillStatus::Ready, effects);
-        }
-        // Certified batches are guaranteed recoverable: consensus proceeds
-        // and the data is fetched in the background from the certifiers.
-        self.tracker.track(proposal, missing.clone(), false);
-        signer_pool.retain(|r| *r != self.me);
-        signer_pool.shuffle(rng);
-        if signer_pool.is_empty() {
-            signer_pool.push(proposal.proposer);
-        }
-        let action = self.fetcher.register(missing.clone(), signer_pool);
-        effects.send(action.target, NarwhalMsg::Fetch { ids: action.ids });
-        effects.timer(self.fetcher.timeout, action.tag);
-        effects.event(MempoolEvent::FetchIssued {
-            count: missing.len() as u32,
-        });
-        (FillStatus::Ready, effects)
+        // Every reference must carry a valid certificate.  Certified
+        // batches are guaranteed recoverable: consensus proceeds and the
+        // data is fetched in the background from the certifiers.
+        let (me, keys, quorum) = (self.core.me(), &self.keys, self.rb_quorum);
+        let status = self.core.fill(
+            proposal,
+            |refs| verify_certificates(refs, keys, quorum),
+            |missing| certifiers(missing, me, proposal.proposer, rng),
+            Missing::Recoverable,
+            &mut effects,
+        );
+        (status, effects)
     }
 
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<NarwhalMsg> {
-        let mut effects = Effects::none();
-        if let Payload::Refs(refs) = &proposal.payload {
-            for r in refs {
-                self.queue.remove(&r.id);
-            }
-        }
-        for ev in self.tracker.on_commit(proposal, &self.store, now) {
-            effects.event(ev);
-        }
-        effects
+        self.core.on_commit(now, proposal)
     }
 
     fn stats(&self) -> MempoolStats {
-        MempoolStats {
-            unbatched_txs: self.batcher.pending_txs(),
-            stored_microblocks: self.store.len(),
-            proposable_microblocks: self.queue.len(),
-            created_microblocks: self.created,
-            forwarded_microblocks: 0,
-            fetches_issued: self.fetcher.issued(),
-        }
+        self.core.stats()
+    }
+
+    fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.core.set_telemetry(telemetry);
     }
 }
 

@@ -8,16 +8,13 @@
 //! the leader and triggers view changes under asynchrony or Byzantine
 //! senders.
 
-use crate::api::{Effects, FillStatus, Mempool, MempoolEvent, MempoolStats, TimerTag};
-use crate::batcher::{TxBatcher, BATCH_TIMEOUT_TAG};
-use crate::fetcher::FetchRetryState;
+use crate::api::{Effects, FillStatus, Mempool, MempoolStats, TimerTag};
+use crate::dissemination::{unproven_ref, Dissemination, Missing};
 use crate::messages::SmpMsg;
-use crate::store::{FillTracker, MicroblockStore, ProposalQueue};
+use crate::store::MicroblockStore;
 use rand::rngs::SmallRng;
 use smp_telemetry::Telemetry;
-use smp_types::{
-    Microblock, MicroblockRef, Payload, Proposal, ReplicaId, SimTime, SystemConfig, Transaction,
-};
+use smp_types::{Microblock, Payload, Proposal, ReplicaId, SimTime, SystemConfig, Transaction};
 
 /// Default fetch retry timeout (the paper's `δ`).
 pub const DEFAULT_FETCH_TIMEOUT: SimTime = 500 * smp_types::MICROS_PER_MS;
@@ -25,65 +22,32 @@ pub const DEFAULT_FETCH_TIMEOUT: SimTime = 500 * smp_types::MICROS_PER_MS;
 /// Best-effort shared mempool.
 #[derive(Clone, Debug)]
 pub struct SimpleSmp {
-    me: ReplicaId,
-    max_refs: usize,
-    batcher: TxBatcher,
-    store: MicroblockStore,
-    queue: ProposalQueue,
-    tracker: FillTracker,
-    fetcher: FetchRetryState,
-    created: u64,
-    telemetry: Telemetry,
+    core: Dissemination,
 }
 
 impl SimpleSmp {
     /// Creates the mempool for replica `me`.
     pub fn new(config: &SystemConfig, me: ReplicaId) -> Self {
         SimpleSmp {
-            me,
-            max_refs: config.mempool.max_refs_per_proposal,
-            batcher: TxBatcher::new(me, config.mempool),
-            store: MicroblockStore::new(),
-            queue: ProposalQueue::new(),
-            tracker: FillTracker::new(),
-            fetcher: FetchRetryState::new(DEFAULT_FETCH_TIMEOUT),
-            created: 0,
-            telemetry: Telemetry::disabled(),
+            core: Dissemination::new(config, me, DEFAULT_FETCH_TIMEOUT),
         }
     }
 
     /// Access to the microblock store (used by tests and the replica).
     pub fn store(&self) -> &MicroblockStore {
-        &self.store
+        self.core.store()
     }
 
     /// The replica this mempool belongs to.
     pub fn id(&self) -> ReplicaId {
-        self.me
+        self.core.me()
     }
 
+    /// Sealed microblocks are proposable at once and broadcast to everyone.
     fn disseminate(&mut self, mb: Microblock, effects: &mut Effects<SmpMsg>) {
-        self.created += 1;
-        self.telemetry.counter_inc("batcher.sealed");
-        self.telemetry
-            .counter_add("batcher.sealed_txs", mb.len() as u64);
-        self.queue.push(mb.id);
-        self.store.insert(mb.clone());
+        self.core.make_proposable(mb.id);
+        self.core.hold(&mb);
         effects.broadcast(SmpMsg::Microblock(mb));
-    }
-
-    fn ingest_microblock(&mut self, now: SimTime, mb: Microblock, effects: &mut Effects<SmpMsg>) {
-        let id = mb.id;
-        if !self.store.insert(mb) {
-            return;
-        }
-        self.telemetry.counter_inc("dissemination.mb_in");
-        // Newly learned microblocks become proposable by this replica too.
-        self.queue.push(id);
-        for ev in self.tracker.on_microblock(id, &self.store, now) {
-            effects.event(ev);
-        }
-        self.fetcher.prune(&self.store);
     }
 }
 
@@ -96,13 +60,8 @@ impl Mempool for SimpleSmp {
         txs: Vec<Transaction>,
         _rng: &mut SmallRng,
     ) -> Effects<SmpMsg> {
-        let _span = self.telemetry.span_at("batcher.add", now);
         let mut effects = Effects::none();
-        let outcome = self.batcher.add(now, txs);
-        if outcome.arm_timer {
-            effects.timer(self.batcher.timeout(), BATCH_TIMEOUT_TAG);
-        }
-        for mb in outcome.sealed {
+        for mb in self.core.seal_from_clients(now, txs, &mut effects) {
             self.disseminate(mb, &mut effects);
         }
         effects
@@ -118,62 +77,28 @@ impl Mempool for SimpleSmp {
         let mut effects = Effects::none();
         match msg {
             SmpMsg::Microblock(mb) | SmpMsg::Gossip { mb, .. } => {
-                self.ingest_microblock(now, mb, &mut effects);
-            }
-            SmpMsg::Fetch { ids } => {
-                let mbs: Vec<Microblock> = ids
-                    .iter()
-                    .filter_map(|id| self.store.get(id).cloned())
-                    .collect();
-                if !mbs.is_empty() {
-                    effects.send(from, SmpMsg::FetchResp { mbs });
+                let id = mb.id;
+                // Newly learned microblocks become proposable by this replica too.
+                if self.core.absorb(now, mb, &mut effects) {
+                    self.core.make_proposable(id);
                 }
             }
-            SmpMsg::FetchResp { mbs } => {
-                for mb in mbs {
-                    let id = mb.id;
-                    if self.store.insert(mb) {
-                        for ev in self.tracker.on_microblock(id, &self.store, now) {
-                            effects.event(ev);
-                        }
-                    }
-                }
-                self.fetcher.prune(&self.store);
-            }
+            SmpMsg::Fetch { ids } => self.core.serve_fetch(from, &ids, &mut effects),
+            SmpMsg::FetchResp { mbs } => self.core.absorb_fetched(now, mbs, &mut effects),
         }
         effects
     }
 
     fn on_timer(&mut self, now: SimTime, tag: TimerTag, _rng: &mut SmallRng) -> Effects<SmpMsg> {
         let mut effects = Effects::none();
-        if tag == BATCH_TIMEOUT_TAG {
-            if let Some(mb) = self.batcher.on_timeout(now) {
-                self.disseminate(mb, &mut effects);
-            }
-        } else if FetchRetryState::owns_tag(tag) {
-            if let Some(action) = self.fetcher.on_timer(tag, &self.store) {
-                self.telemetry.counter_inc("fetcher.retry");
-                effects.send(action.target, SmpMsg::Fetch { ids: action.ids });
-                effects.timer(self.fetcher.timeout, action.tag);
-            }
+        if let Some(mb) = self.core.on_timer(now, tag, &mut effects) {
+            self.disseminate(mb, &mut effects);
         }
         effects
     }
 
     fn make_payload(&mut self, _now: SimTime) -> Payload {
-        let mut refs = Vec::new();
-        while refs.len() < self.max_refs {
-            let Some(id) = self.queue.pop() else { break };
-            let Some(mb) = self.store.get(&id) else {
-                continue;
-            };
-            refs.push(MicroblockRef::unproven(id, mb.creator, mb.len() as u32));
-        }
-        if refs.is_empty() {
-            Payload::Empty
-        } else {
-            Payload::Refs(refs)
-        }
+        self.core.drain_refs(unproven_ref)
     }
 
     fn on_proposal(
@@ -183,77 +108,37 @@ impl Mempool for SimpleSmp {
         _rng: &mut SmallRng,
     ) -> (FillStatus, Effects<SmpMsg>) {
         let mut effects = Effects::none();
-        let refs = match &proposal.payload {
-            Payload::Refs(refs) => refs,
-            Payload::Inline(_) | Payload::Empty => return (FillStatus::Ready, effects),
-            // Per-shard groups are split off by the sharded wrapper before
-            // a backend sees them; reaching here is a layering error.
-            Payload::Sharded(_) => {
-                return (
-                    FillStatus::Invalid("sharded payload reached an unsharded mempool"),
-                    effects,
-                )
-            }
-        };
-        let mut missing = Vec::new();
-        for r in refs {
-            // Referenced microblocks are no longer proposable by us.
-            self.queue.remove(&r.id);
-            if !self.store.contains(&r.id) {
-                missing.push(r.id);
-            }
-        }
-        if missing.is_empty() {
-            return (FillStatus::Ready, effects);
-        }
-        // Best-effort SMP: consensus is blocked; fetch everything from the
-        // leader that proposed it (Section III-E, Problem-I).
-        self.telemetry
-            .counter_add("fetcher.fetch", missing.len() as u64);
-        self.tracker.track(proposal, missing.clone(), true);
-        let action = self
-            .fetcher
-            .register(missing.clone(), vec![proposal.proposer]);
-        effects.send(action.target, SmpMsg::Fetch { ids: action.ids });
-        effects.timer(self.fetcher.timeout, action.tag);
-        effects.event(MempoolEvent::FetchIssued {
-            count: missing.len() as u32,
-        });
-        (FillStatus::MustWait(missing), effects)
+        // Best-effort SMP: nothing to verify; consensus is blocked while
+        // everything missing is fetched from the leader that proposed it
+        // (Section III-E, Problem-I).
+        let status = self.core.fill(
+            proposal,
+            |_| Ok(()),
+            |_| vec![proposal.proposer],
+            Missing::Blocks,
+            &mut effects,
+        );
+        (status, effects)
     }
 
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<SmpMsg> {
-        let mut effects = Effects::none();
-        if let Payload::Refs(refs) = &proposal.payload {
-            for r in refs {
-                self.queue.remove(&r.id);
-            }
-        }
-        for ev in self.tracker.on_commit(proposal, &self.store, now) {
-            effects.event(ev);
-        }
-        effects
+        self.core.on_commit(now, proposal)
     }
 
     fn stats(&self) -> MempoolStats {
-        MempoolStats {
-            unbatched_txs: self.batcher.pending_txs(),
-            stored_microblocks: self.store.len(),
-            proposable_microblocks: self.queue.len(),
-            created_microblocks: self.created,
-            forwarded_microblocks: 0,
-            fetches_issued: self.fetcher.issued(),
-        }
+        self.core.stats()
     }
 
     fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
+        self.core.set_telemetry(telemetry);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::MempoolEvent;
+    use crate::batcher::BATCH_TIMEOUT_TAG;
     use rand::SeedableRng;
     use smp_types::{BlockId, ClientId, MempoolConfig, View};
 

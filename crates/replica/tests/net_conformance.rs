@@ -10,12 +10,23 @@
 use smp_replica::{
     run_replica_over_net, sim_commit_logs, ExperimentConfig, NetRunOptions, NetRunSummary, Protocol,
 };
-use smp_types::ReplicaId;
+use smp_types::{ReplicaId, TxId};
 use smp_workload::LoadDistribution;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::{Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// The socket tests run one at a time: each spawns a four-replica
+/// cluster whose wall-clock timers assume it has the cores to itself,
+/// and the test harness would otherwise run them side by side.
+fn serial() -> MutexGuard<'static, ()> {
+    static SOCKET_TESTS: Mutex<()> = Mutex::new(());
+    // The lock guards no data, so a test that panicked while holding it
+    // left nothing half-updated.
+    SOCKET_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn free_addrs(n: usize) -> Vec<SocketAddr> {
     let listeners: Vec<TcpListener> = (0..n)
@@ -46,8 +57,52 @@ fn run_cluster(config: &ExperimentConfig, opts: &NetRunOptions) -> Vec<NetRunSum
         .collect()
 }
 
+/// Runs `cluster(horizon_us)` and holds every replica's commit log to the
+/// simulator's.  A log that differs from the simulator's at some index
+/// fails at once.  A log that is a *strict prefix* means the wall-clock
+/// horizon fired before the workload was through (a loaded host): the
+/// cluster is run once more, on fresh ports, with the horizon doubled.
+fn conformant_reports(
+    sim_logs: &[Vec<TxId>],
+    horizon_us: u64,
+    cluster: impl Fn(u64) -> Vec<NetRunSummary>,
+) -> Vec<NetRunSummary> {
+    for horizon_us in [horizon_us, 2 * horizon_us] {
+        let reports = cluster(horizon_us);
+        let mut truncated = false;
+        for (i, (r, sim)) in reports.iter().zip(sim_logs).enumerate() {
+            if let Some(at) = r.commit_log.iter().zip(sim).position(|(a, b)| a != b) {
+                panic!(
+                    "replica {i}: socket commit log diverges from simulator at index {at} \
+                     ({:?} vs {:?})",
+                    r.commit_log[at], sim[at]
+                );
+            }
+            assert!(
+                r.commit_log.len() <= sim.len(),
+                "replica {i}: socket committed {} txs, simulator only {}",
+                r.commit_log.len(),
+                sim.len()
+            );
+            if r.commit_log.len() < sim.len() {
+                eprintln!(
+                    "replica {i}: {} of {} txs committed when the {horizon_us} us horizon fired",
+                    r.commit_log.len(),
+                    sim.len()
+                );
+                truncated = true;
+            }
+        }
+        if !truncated {
+            return reports;
+        }
+    }
+    panic!("socket commit logs are still a strict prefix of the simulator's at twice the horizon");
+}
+
 #[test]
 fn socket_cluster_commits_the_simulator_sequence() {
+    let _serial = serial();
     // Single-source workload: only replica 0 offers transactions, so the
     // committed sequence is fully determined by the protocol (FIFO from
     // one queue), not by cross-replica timing.
@@ -59,27 +114,21 @@ fn socket_cluster_commits_the_simulator_sequence() {
     let sim_logs = sim_commit_logs(&config, Some(tx_limit), 3_000_000);
     assert_eq!(sim_logs[0].len(), tx_limit as usize);
 
-    let reports = run_cluster(
-        &config,
-        &NetRunOptions {
-            tx_limit: Some(tx_limit),
-            horizon_us: 2_500_000,
-            ..NetRunOptions::default()
-        },
-    );
+    let reports = conformant_reports(&sim_logs, 2_500_000, |horizon_us| {
+        run_cluster(
+            &config,
+            &NetRunOptions {
+                tx_limit: Some(tx_limit),
+                horizon_us,
+                ..NetRunOptions::default()
+            },
+        )
+    });
     for (i, r) in reports.iter().enumerate() {
         assert!(
             r.peer_errors.is_empty(),
             "replica {i} peer errors: {:?}",
             r.peer_errors
-        );
-        assert_eq!(
-            r.commit_log,
-            sim_logs[i],
-            "replica {i}: socket commit log diverges from simulator \
-             ({} vs {} txs)",
-            r.commit_log.len(),
-            sim_logs[i].len()
         );
     }
     assert!(reports[0].frames_out > 0, "replica 0 sent no frames");
@@ -103,6 +152,7 @@ fn admin_ask(addr: SocketAddr, cmd: &str) -> Option<String> {
 /// as the uninstrumented cluster checked above.
 #[test]
 fn instrumented_cluster_commits_identical_sequence() {
+    let _serial = serial();
     let config = ExperimentConfig::new(Protocol::NativeHotStuff, 4, 4_000.0)
         .with_distribution(LoadDistribution::SingleReplica(0))
         .with_batch_size(16 * 1024);
@@ -110,60 +160,63 @@ fn instrumented_cluster_commits_identical_sequence() {
     let sim_logs = sim_commit_logs(&config, Some(tx_limit), 3_000_000);
     assert_eq!(sim_logs[0].len(), tx_limit as usize);
 
-    let addrs = free_addrs(config.n);
-    let admin_addrs = free_addrs(config.n);
-    let handles: Vec<_> = (0..config.n)
-        .map(|i| {
-            let config = config.clone();
-            let addrs = addrs.clone();
-            let opts = NetRunOptions {
-                tx_limit: Some(tx_limit),
-                horizon_us: 2_500_000,
-                telemetry: true,
-                admin_addr: Some(admin_addrs[i]),
-                flight_cadence_us: Some(100_000),
-                ..NetRunOptions::default()
-            };
-            thread::spawn(move || {
-                run_replica_over_net(&config, ReplicaId(i as u32), addrs, &opts)
-                    .expect("net replica run")
+    let run_observed_cluster = |horizon_us: u64| {
+        let addrs = free_addrs(config.n);
+        let admin_addrs = free_addrs(config.n);
+        let handles: Vec<_> = (0..config.n)
+            .map(|i| {
+                let config = config.clone();
+                let addrs = addrs.clone();
+                let opts = NetRunOptions {
+                    tx_limit: Some(tx_limit),
+                    horizon_us,
+                    telemetry: true,
+                    admin_addr: Some(admin_addrs[i]),
+                    flight_cadence_us: Some(100_000),
+                    ..NetRunOptions::default()
+                };
+                thread::spawn(move || {
+                    run_replica_over_net(&config, ReplicaId(i as u32), addrs, &opts)
+                        .expect("net replica run")
+                })
             })
-        })
-        .collect();
+            .collect();
 
-    // Mid-run, every replica's admin endpoint must answer HEALTH and
-    // METRICS (retry while the cluster forms).
-    for (i, addr) in admin_addrs.iter().enumerate() {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let health = loop {
-            match admin_ask(*addr, "HEALTH") {
-                Some(reply) => break reply,
-                None if Instant::now() < deadline => {
-                    thread::sleep(Duration::from_millis(50));
+        // Mid-run, every replica's admin endpoint must answer HEALTH and
+        // METRICS (retry while the cluster forms).
+        for (i, addr) in admin_addrs.iter().enumerate() {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let health = loop {
+                match admin_ask(*addr, "HEALTH") {
+                    Some(reply) => break reply,
+                    None if Instant::now() < deadline => {
+                        thread::sleep(Duration::from_millis(50));
+                    }
+                    None => panic!("replica {i} admin endpoint never answered HEALTH"),
                 }
-                None => panic!("replica {i} admin endpoint never answered HEALTH"),
-            }
-        };
-        assert!(
-            health.starts_with(&format!("ok replica={i} ")),
-            "replica {i} HEALTH: {health}"
-        );
-        let metrics = admin_ask(*addr, "METRICS").expect("METRICS reply");
-        assert!(
-            metrics.starts_with('{'),
-            "replica {i} METRICS not JSON: {metrics}"
-        );
-        let series = admin_ask(*addr, "SERIES").expect("SERIES reply");
-        assert!(
-            series.contains("smp-flightrec-v1"),
-            "replica {i} SERIES not schema-versioned: {series}"
-        );
-    }
+            };
+            assert!(
+                health.starts_with(&format!("ok replica={i} ")),
+                "replica {i} HEALTH: {health}"
+            );
+            let metrics = admin_ask(*addr, "METRICS").expect("METRICS reply");
+            assert!(
+                metrics.starts_with('{'),
+                "replica {i} METRICS not JSON: {metrics}"
+            );
+            let series = admin_ask(*addr, "SERIES").expect("SERIES reply");
+            assert!(
+                series.contains("smp-flightrec-v1"),
+                "replica {i} SERIES not schema-versioned: {series}"
+            );
+        }
 
-    let reports: Vec<_> = handles
-        .into_iter()
-        .map(|h| h.join().expect("replica thread"))
-        .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("replica thread"))
+            .collect()
+    };
+    let reports = conformant_reports(&sim_logs, 2_500_000, run_observed_cluster);
     for (i, r) in reports.iter().enumerate() {
         assert!(
             r.peer_errors.is_empty(),
@@ -174,10 +227,6 @@ fn instrumented_cluster_commits_identical_sequence() {
             r.frame_errors.is_empty(),
             "replica {i} frame errors: {:?}",
             r.frame_errors
-        );
-        assert_eq!(
-            r.commit_log, sim_logs[i],
-            "replica {i}: instrumented socket commit log diverges"
         );
         // The observability plane actually observed: windows sampled,
         // per-peer socket counters mirrored into the registry.
@@ -201,6 +250,7 @@ fn instrumented_cluster_commits_identical_sequence() {
 
 #[test]
 fn socket_cluster_runs_stratus_end_to_end() {
+    let _serial = serial();
     // Stratus commits referenced payloads (no inline txs), so the commit
     // log is empty by construction — this is a liveness smoke test of
     // the full PAB/DLB stack over real sockets: microblocks, acks,

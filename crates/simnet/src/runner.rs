@@ -1,6 +1,7 @@
 //! The simulation driver.
 
 use crate::context::{Action, NodeCtx, TimerTag};
+use crate::driver::node_rng_seed;
 use crate::event::{EventKind, EventQueue};
 use crate::faults::{FaultAction, FaultSchedule};
 use crate::link::{OutboundLink, Priority, QueuedMessage};
@@ -138,7 +139,7 @@ impl<N: Node> Simulation<N> {
     pub fn new(nodes: Vec<N>, net: NetConfig, seed: u64) -> Self {
         let n = nodes.len();
         let rngs = (0..n)
-            .map(|i| SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64)))
+            .map(|i| SmallRng::seed_from_u64(node_rng_seed(seed, i)))
             .collect();
         Simulation {
             nodes,
@@ -360,9 +361,7 @@ impl<N: Node> Simulation<N> {
                     // restarts exactly as a re-exec'd process's would,
                     // and the node's restart hook runs.
                     self.incarnation[idx] += 1;
-                    self.rngs[idx] = SmallRng::seed_from_u64(
-                        self.seed.wrapping_mul(0x9E37_79B9).wrapping_add(idx as u64),
-                    );
+                    self.rngs[idx] = SmallRng::seed_from_u64(node_rng_seed(self.seed, idx));
                     self.cpu_free[idx] = self.now;
                     self.telemetry.instant_at("simnet.fault.restart", self.now);
                     self.invoke(idx, Invocation::Restart);

@@ -1,0 +1,169 @@
+//! Golden fingerprints: every protocol row's model output, pinned.
+//!
+//! Each case runs a small fixed configuration through
+//! `smp_replica::run` and compares a hash of the whole `ObservationLog`
+//! (every entry's time, node and kind, in emission order) plus the
+//! committed-transaction count against constants recorded on the commit
+//! *before* the five shared mempools were rewritten on top of
+//! `smp_mempool::Dissemination`.  A refactor that claims "no model output
+//! changed" is proven by plain `cargo test` passing this file untouched; a
+//! change that is *meant* to alter behaviour must re-record the constants
+//! and say so.
+//!
+//! To re-record: `GOLDEN_PRINT=1 cargo test --test golden_fingerprints --
+//! --nocapture` prints the table rows.
+
+use stratus_repro::crypto::Hasher;
+use stratus_repro::prelude::*;
+use stratus_repro::simnet::{ObsKind, ObservationLog};
+
+/// n = 4, LAN, 1 s simulated, seed 42; batches small enough that both the
+/// size-triggered and the timeout-triggered seal paths run.
+fn lan(protocol: Protocol) -> ExperimentConfig {
+    ExperimentConfig::new(protocol, 4, 4_000.0)
+        .with_duration(250_000, 750_000)
+        .with_batch_size(8 * 1024)
+}
+
+/// S-HS over four mempool shards.
+fn sharded(protocol: Protocol) -> ExperimentConfig {
+    lan(protocol).with_shards(4)
+}
+
+/// One Byzantine sender (replica 3) that shares its microblocks with the
+/// leader and one more replica only, so honest replicas see proposals
+/// referencing data they never received.
+fn byzantine(protocol: Protocol) -> ExperimentConfig {
+    lan(protocol).with_byzantine(1, 1)
+}
+
+/// A delay storm (each message 20–120 ms late, reordered) through the
+/// middle of a 2 s run: certificates overtake the batches they certify.
+fn storm(protocol: Protocol) -> ExperimentConfig {
+    lan(protocol)
+        .with_duration(250_000, 1_750_000)
+        .with_fault_window(FaultWindow {
+            start: 400_000,
+            end: 1_200_000,
+            min_delay_us: 20_000,
+            max_delay_us: 120_000,
+        })
+}
+
+/// Same on the WAN preset, where proposals routinely outrun the data
+/// they reference (the miss → fetch → retry paths).
+fn wan(protocol: Protocol) -> ExperimentConfig {
+    lan(protocol).wan().with_duration(500_000, 2_500_000)
+}
+
+fn fingerprint(log: &ObservationLog) -> String {
+    let mut h = Hasher::with_domain(0x474f_4c44); // "GOLD"
+    for o in log.entries() {
+        h.update_u64(o.time);
+        h.update_u64(o.node.0 as u64);
+        match &o.kind {
+            ObsKind::Committed {
+                txs,
+                latency_sum_us,
+                latency_count,
+            } => {
+                h.update_u64(1);
+                h.update_u64(*txs as u64);
+                h.update_u64(*latency_sum_us);
+                h.update_u64(*latency_count as u64);
+            }
+            ObsKind::ViewChange { view } => {
+                h.update_u64(2);
+                h.update_u64(*view);
+            }
+            ObsKind::MicroblockStable { stable_time_us } => {
+                h.update_u64(3);
+                h.update_u64(*stable_time_us);
+            }
+            ObsKind::MissingFetch { count } => {
+                h.update_u64(4);
+                h.update_u64(*count as u64);
+            }
+            ObsKind::Custom { label, value } => {
+                h.update_u64(5);
+                h.update(label.as_bytes());
+                h.update_u64(value.to_bits());
+            }
+        }
+    }
+    let d = h.finalize();
+    format!("{:016x}{:016x}-{}", d.0[0], d.0[1], log.len())
+}
+
+/// `(case, scenario, protocol, fingerprint, committed txs)`.
+type Case = (
+    &'static str,
+    fn(Protocol) -> ExperimentConfig,
+    Protocol,
+    &'static str,
+    u64,
+);
+
+#[rustfmt::skip]
+fn cases() -> Vec<Case> {
+    use Protocol::*;
+    vec![
+        ("N-HS", lan, NativeHotStuff, "170e2bfba4bb618fb668ff413a6eb379-932", 2990),
+        ("N-PBFT", lan, NativePbft, "6c2924f6cef2ba66f154ca614f7e1bca-620", 2980),
+        ("SMP-HS", lan, SmpHotStuff, "0b959c70fc783959d1e1731e5580c9e6-936", 2988),
+        ("SMP-HS-G", lan, SmpHotStuffGossip, "4a86bc9b1d79016f00bf3520bc734047-938", 3086),
+        ("S-HS", lan, StratusHotStuff, "155369261cccd3ffe3521e59353454c3-1025", 2988),
+        ("S-PBFT", lan, StratusPbft, "4e9f6fb014a37c98f0e878d31ea76702-712", 2988),
+        ("S-SL", lan, StratusStreamlet, "82a62515f66610c56ccfc3b3894e1123-92", 0),
+        ("Narwhal", lan, Narwhal, "acfdcc6a5f2d92fc90d88bdba21930c2-1024", 2988),
+        ("MirBFT", lan, MirBft, "50a0819bbd2dcb1cae4705068579256e-144", 2800),
+        ("D-HS", lan, DagHotStuff, "eda19ca2ad77906ae794d23c3761fd94-1024", 2988),
+        ("D-HS-F", lan, DagHotStuffFast, "40f6f56c34e8df9928567a56dc5daeab-1025", 3037),
+        ("S-HS k=4", sharded, StratusHotStuff, "e82e252455416bd63a1560c8f3bcfb41-1693", 2974),
+        ("S-HS byzantine", byzantine, StratusHotStuff, "4e610ac656bdb1ec12eaf152a4b70c72-1061", 3086),
+        ("SMP-HS byzantine", byzantine, SmpHotStuff, "dae3f689e821bdc2126e2e6fa49f7dc0-957", 3086),
+        ("SMP-HS-G byzantine", byzantine, SmpHotStuffGossip, "4a86bc9b1d79016f00bf3520bc734047-938", 3086),
+        ("Narwhal byzantine", byzantine, Narwhal, "0dbc4828cb0119b79c3cfb4c6040b2b5-1001", 2241),
+        ("D-HS byzantine", byzantine, DagHotStuff, "6a149525267cf82b056148d673720eca-1036", 2588),
+        ("D-HS-F byzantine", byzantine, DagHotStuffFast, "3c73fd005ef7cc4f070dee68f4652216-1026", 2988),
+        ("S-HS storm", storm, StratusHotStuff, "2c013f06ce8d2d7eb3f285ddd816c2a9-1312", 7347),
+        ("Narwhal storm", storm, Narwhal, "ce981fa1df94aa2f809354b0829ea4b2-1262", 7486),
+        ("D-HS storm", storm, DagHotStuff, "0fae25cbdbe3f34199b3c894172a8bac-1326", 7702),
+        ("SMP-HS wan", wan, SmpHotStuff, "8f9c182eb904dc746309947aa108435a-106", 9600),
+        ("SMP-HS-G wan", wan, SmpHotStuffGossip, "d871c7038ec08d8f6c20ed858a513145-105", 9698),
+        ("S-HS wan", wan, StratusHotStuff, "0e97cc4e2f1ebc5a825c6c2c3f8b3471-389", 9441),
+        ("Narwhal wan", wan, Narwhal, "49f67a801240d0ad7da7eb2f09371933-385", 9388),
+        ("D-HS wan", wan, DagHotStuff, "e4b1addc3b4aa45f9ecd206fd3fd6b13-389", 9796),
+        ("D-HS-F wan", wan, DagHotStuffFast, "dc5a9aec20b827cbb63a51d8f37b185f-389", 9600),
+    ]
+}
+
+#[test]
+fn model_outputs_match_the_recorded_fingerprints() {
+    let print = std::env::var_os("GOLDEN_PRINT").is_some();
+    let mut wrong = Vec::new();
+    for (case, scenario, protocol, want_fp, want_txs) in cases() {
+        let result = run_experiment(&scenario(protocol));
+        let got = (fingerprint(&result.observations), result.committed_txs);
+        if print {
+            let fetches = result
+                .observations
+                .entries()
+                .iter()
+                .filter(|o| matches!(o.kind, ObsKind::MissingFetch { .. }))
+                .count();
+            println!("{case:<18} \"{}\", {}  // fetches {fetches}", got.0, got.1);
+        }
+        if got != (want_fp.to_string(), want_txs) {
+            wrong.push(format!(
+                "{case}: got ({}, {}), recorded ({want_fp}, {want_txs})",
+                got.0, got.1
+            ));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "model output changed:\n{}",
+        wrong.join("\n")
+    );
+}
