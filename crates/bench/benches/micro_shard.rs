@@ -97,19 +97,7 @@ fn bench_executor_comparison(c: &mut Criterion) {
     // large client batch and assemble the cross-shard payload.  The two
     // produce byte-identical results; this measures the wall-clock gain
     // of spreading the pipelines over worker threads once the per-shard
-    // work outweighs the inbox hand-off.  Deployment behaviour is what
-    // is measured: on a single-core host the parallel executor degrades
-    // to inline execution, which the warning below makes explicit.
-    if std::thread::available_parallelism()
-        .map(|p| p.get() < 2)
-        .unwrap_or(false)
-    {
-        eprintln!(
-            "note: single-core host — ParallelExecutor degrades to inline execution, so the \
-             'parallel' rows measure what a deployment would run here, not worker threads \
-             (set SMP_FORCE_PARALLEL=1 to force them)"
-        );
-    }
+    // work outweighs the inbox hand-off.
     let mut group = c.benchmark_group("executor_ingest_4k_txs");
     for shards in [2usize, 4] {
         for kind in ["sequential", "parallel"] {

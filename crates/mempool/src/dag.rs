@@ -247,10 +247,9 @@ struct CreatorLedger {
 }
 
 impl DagMempool {
-    /// Creates the mempool for replica `me` with the mode configured in
-    /// `config.dag_mode`.
+    /// Creates the mempool for replica `me` in the certified mode.
     pub fn new(config: &SystemConfig, me: ReplicaId) -> Self {
-        Self::with_mode(config, me, config.dag_mode)
+        Self::with_mode(config, me, DagMode::Certified)
     }
 
     /// Creates the mempool with an explicit commit-derivation mode.

@@ -3,20 +3,21 @@
 //! (throughput, latency, view changes, per-kind outbound bandwidth,
 //! throughput time series).
 
+use crate::assembly::{dispatch, ProtocolVisitor, OBSERVER};
 use crate::protocols::Protocol;
 use crate::replica::{Behavior, Replica};
+use crate::wire::codec::WireCodec;
 use crate::wire::MempoolWire;
 use simnet::{FaultWindow, NetConfig, Node, Simulation, Telemetry};
-use smp_consensus::{ConsensusEngine, HotStuffEngine, MirBftEngine, PbftEngine, StreamletEngine};
-use smp_mempool::{DagMempool, GossipSmp, Mempool, NarwhalMempool, NativeMempool, SimpleSmp};
+use smp_consensus::ConsensusEngine;
+use smp_mempool::Mempool;
 use smp_metrics::{bytes_to_mbps, BandwidthBreakdown, RoleBandwidth, RunSummary};
-use smp_shard::ShardedMempool;
 use smp_types::{
-    DagMode, ExecutorKind, MempoolConfig, NetworkPreset, ReplicaId, SimTime, SystemConfig,
-    MICROS_PER_MS, MICROS_PER_SEC,
+    ExecutorKind, MempoolConfig, NetworkPreset, ReplicaId, SimTime, SystemConfig, MICROS_PER_MS,
+    MICROS_PER_SEC,
 };
 use smp_workload::{LoadDistribution, WorkloadSpec};
-use stratus::{DlbConfig, StratusConfig, StratusMempool};
+use stratus::{DlbConfig, StratusConfig};
 
 /// Full description of one experiment run (one data point).
 #[derive(Clone, Debug)]
@@ -67,10 +68,6 @@ pub struct ExperimentConfig {
     /// registry + span tracer, exposed on [`ExperimentResult::telemetry`]).
     /// Off by default; results are byte-identical either way.
     pub telemetry: bool,
-    /// Commit-derivation mode for the DAG mempool protocols (ignored by
-    /// every other backend).  `DagHotStuffFast` forces the fast path
-    /// regardless of this knob.
-    pub dag_mode: DagMode,
 }
 
 impl ExperimentConfig {
@@ -95,18 +92,9 @@ impl ExperimentConfig {
             num_silent: 0,
             view_timeout: 1_000 * MICROS_PER_MS,
             shards: 1,
-            // The CI matrix exports SMP_EXECUTOR to run the whole suite
-            // under both executors; explicit `with_executor` overrides.
-            executor: ExecutorKind::from_env(),
+            executor: ExecutorKind::Sequential,
             telemetry: false,
-            dag_mode: DagMode::default(),
         }
-    }
-
-    /// Sets the DAG mempool commit-derivation mode.
-    pub fn with_dag_mode(mut self, mode: DagMode) -> Self {
-        self.dag_mode = mode;
-        self
     }
 
     /// Enables (or disables) the telemetry sink for this run.
@@ -201,17 +189,14 @@ impl ExperimentConfig {
             ..MempoolConfig::default()
         };
         sys.view_change_timeout = self.view_timeout;
-        sys = sys
-            .with_shards(self.shards)
-            .with_executor(self.executor)
-            .with_dag_mode(self.dag_mode);
+        sys = sys.with_shards(self.shards).with_executor(self.executor);
         if let Some(q) = self.pab_quorum {
             sys = sys.with_pab_quorum(q);
         }
         sys
     }
 
-    fn net_config(&self) -> NetConfig {
+    pub(crate) fn net_config(&self) -> NetConfig {
         let mut net = NetConfig::from_preset(self.network);
         net.fault_windows = self.fault_windows.clone();
         net
@@ -279,132 +264,34 @@ impl ExperimentResult {
 
 /// Runs a single experiment.
 pub fn run(config: &ExperimentConfig) -> ExperimentResult {
-    let sys = config.system();
-    match config.protocol {
-        Protocol::NativeHotStuff => {
-            run_protocol(config, &sys, HotStuffEngine::new, NativeMempool::new)
-        }
-        Protocol::NativePbft => run_protocol(config, &sys, PbftEngine::new, NativeMempool::new),
-        Protocol::SmpHotStuff => run_protocol(config, &sys, HotStuffEngine::new, SimpleSmp::new),
-        Protocol::SmpHotStuffGossip => {
-            run_protocol(config, &sys, HotStuffEngine::new, GossipSmp::new)
-        }
-        Protocol::StratusHotStuff => {
-            let st = config.stratus_config(&sys);
-            run_protocol(config, &sys, HotStuffEngine::new, move |s, i| {
-                StratusMempool::new(s, st, i)
-            })
-        }
-        Protocol::StratusPbft => {
-            let st = config.stratus_config(&sys);
-            run_protocol(config, &sys, PbftEngine::new, move |s, i| {
-                StratusMempool::new(s, st, i)
-            })
-        }
-        Protocol::StratusStreamlet => {
-            let st = config.stratus_config(&sys);
-            run_protocol(config, &sys, StreamletEngine::new, move |s, i| {
-                StratusMempool::new(s, st, i)
-            })
-        }
-        Protocol::Narwhal => run_protocol(config, &sys, HotStuffEngine::new, NarwhalMempool::new),
-        Protocol::MirBft => run_protocol(config, &sys, MirBftEngine::new, NativeMempool::new),
-        Protocol::DagHotStuff => run_protocol(config, &sys, HotStuffEngine::new, DagMempool::new),
-        Protocol::DagHotStuffFast => run_protocol(config, &sys, HotStuffEngine::new, |s, i| {
-            DagMempool::with_mode(s, i, DagMode::FastPath)
-        }),
-    }
+    dispatch(config, SimRun(config))
 }
 
-/// Runs one protocol with its backend mempool, wrapping the backend in a
-/// [`ShardedMempool`] when the configuration asks for more than one
-/// dissemination shard.  Every protocol of Table II composes with
-/// sharding this way (e.g. `StratusHotStuff` × k shards), under either
-/// executor: the `make` closure receives the per-shard configuration
-/// (batch budget divided by `k`), and the replica id salts the per-shard
-/// RNG streams so the sequential and parallel executors stay
-/// byte-identical while different replicas stay decorrelated.
-fn run_protocol<E, M, FE, FM>(
-    config: &ExperimentConfig,
-    sys: &SystemConfig,
-    make_engine: FE,
-    make_mempool: FM,
-) -> ExperimentResult
-where
-    E: ConsensusEngine,
-    M: Mempool + Send + 'static,
-    M::Msg: MempoolWire + Send,
-    FE: Fn(&SystemConfig, ReplicaId) -> E,
-    FM: Fn(&SystemConfig, ReplicaId) -> M,
-{
-    if config.shards > 1 {
-        let k = config.shards;
-        match config.executor {
-            ExecutorKind::Sequential => run_generic(config, sys, make_engine, move |s, i| {
-                ShardedMempool::sequential(s, k, i.0 as u64, |_, shard_sys| {
-                    make_mempool(shard_sys, i)
-                })
-            }),
-            ExecutorKind::Parallel => run_generic(config, sys, make_engine, move |s, i| {
-                ShardedMempool::parallel(s, k, i.0 as u64, |_, shard_sys| {
-                    make_mempool(shard_sys, i)
-                })
-            }),
-        }
-    } else {
-        run_generic(config, sys, make_engine, make_mempool)
+/// The simulated deployment of one protocol, run to its horizon.
+struct SimRun<'a>(&'a ExperimentConfig);
+
+impl ProtocolVisitor for SimRun<'_> {
+    type Out = ExperimentResult;
+
+    fn visit<E, M>(self, build: &dyn Fn(usize, &Telemetry) -> Replica<E, M>) -> Self::Out
+    where
+        E: ConsensusEngine,
+        M: Mempool + Send + 'static,
+        M::Msg: MempoolWire + WireCodec + Send + 'static,
+    {
+        let config = self.0;
+        let telemetry = if config.telemetry {
+            Telemetry::new()
+        } else {
+            Telemetry::disabled()
+        };
+        let nodes = (0..config.n).map(|i| build(i, &telemetry)).collect();
+        let mut sim = Simulation::new(nodes, config.net_config(), config.seed)
+            .with_telemetry(telemetry.clone());
+        let horizon = config.warmup + config.duration;
+        sim.run_until(horizon);
+        collect_results(config, sim, OBSERVER, horizon, telemetry)
     }
-}
-
-fn run_generic<E, M, FE, FM>(
-    config: &ExperimentConfig,
-    sys: &SystemConfig,
-    make_engine: FE,
-    make_mempool: FM,
-) -> ExperimentResult
-where
-    E: ConsensusEngine,
-    M: Mempool,
-    M::Msg: MempoolWire,
-    FE: Fn(&SystemConfig, ReplicaId) -> E,
-    FM: Fn(&SystemConfig, ReplicaId) -> M,
-    Replica<E, M>: Node,
-{
-    let rates = config.workload.rates(config.n);
-    let prioritize = config.protocol.is_stratus();
-    let observer = 0usize;
-    let telemetry = if config.telemetry {
-        Telemetry::new()
-    } else {
-        Telemetry::disabled()
-    };
-    let nodes: Vec<Replica<E, M>> = (0..config.n)
-        .map(|i| {
-            let id = ReplicaId(i as u32);
-            let mut mempool = make_mempool(sys, id);
-            mempool.set_telemetry(
-                telemetry
-                    .with_prefix(&format!("replica.{i}"))
-                    .with_track(i as u32),
-            );
-            Replica::new(
-                sys,
-                id,
-                make_engine(sys, id),
-                mempool,
-                config.behavior_for(i),
-                rates[i],
-                prioritize,
-                i == observer,
-            )
-        })
-        .collect();
-    let mut sim =
-        Simulation::new(nodes, config.net_config(), config.seed).with_telemetry(telemetry.clone());
-    let horizon = config.warmup + config.duration;
-    sim.run_until(horizon);
-
-    collect_results(config, sim, observer, horizon, telemetry)
 }
 
 fn collect_results<E, M>(

@@ -8,6 +8,7 @@
 //! [`experiment`] module exposes the protocol matrix of Table II and a
 //! runner that produces one figure/table data point per call.
 
+mod assembly;
 pub mod experiment;
 pub mod netrun;
 pub mod protocols;

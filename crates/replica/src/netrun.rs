@@ -4,25 +4,23 @@
 //! (crate::experiment::run) drives inside the simulator run here over
 //! real TCP: this module supplies the [`smp_net::WireMsg`] impl for
 //! [`ReplicaMsg`] (framing via [`wire::codec`](crate::wire::codec)), the
-//! per-protocol dispatch that assembles *one* replica for *this*
-//! process, and a simulator reference runner producing the commit log an
-//! `smp-net` cluster must reproduce byte-for-byte.
+//! visitor that assembles *one* replica for *this* process, and a
+//! simulator reference runner producing the commit log an `smp-net`
+//! cluster must reproduce byte-for-byte.
 
+use crate::assembly::{self, comparable, dispatch, ProtocolVisitor};
 use crate::experiment::ExperimentConfig;
-use crate::protocols::Protocol;
 use crate::replica::Replica;
 use crate::wire::codec::{self, WireCodec};
 use crate::wire::{MempoolWire, ReplicaMsg};
-use simnet::{Node, Simulation, Telemetry};
-use smp_consensus::{ConsensusEngine, HotStuffEngine, MirBftEngine, PbftEngine, StreamletEngine};
-use smp_mempool::{DagMempool, GossipSmp, Mempool, NarwhalMempool, NativeMempool, SimpleSmp};
+use simnet::{Simulation, Telemetry};
+use smp_consensus::ConsensusEngine;
+use smp_mempool::Mempool;
 use smp_net::{spawn_admin, AdminState, ClusterSpec, NetRuntime, WireError, WireMsg};
-use smp_shard::ShardedMempool;
 use smp_telemetry::{FlightSampler, DEFAULT_WINDOW_CAPACITY};
-use smp_types::{DagMode, ExecutorKind, ReplicaId, SystemConfig, TxId};
+use smp_types::{ReplicaId, TxId};
 use std::io;
 use std::net::SocketAddr;
-use stratus::StratusMempool;
 
 impl<MM> WireMsg for ReplicaMsg<MM>
 where
@@ -119,105 +117,8 @@ pub struct NetRunSummary {
     pub flight_series: Option<smp_metrics::JsonValue>,
 }
 
-/// Visitor over the concrete (engine, mempool) types of a protocol.
-trait ProtocolVisitor {
-    type Out;
-    fn visit<E, M, FE, FM>(self, make_engine: FE, make_mempool: FM) -> Self::Out
-    where
-        E: ConsensusEngine,
-        M: Mempool + Send + 'static,
-        M::Msg: MempoolWire + WireCodec + Send + 'static,
-        FE: Fn(&SystemConfig, ReplicaId) -> E,
-        FM: Fn(&SystemConfig, ReplicaId) -> M,
-        Replica<E, M>: Node<Msg = ReplicaMsg<M::Msg>>;
-}
-
-/// Applies the sharding wrap (if configured) and hands the final stack
-/// to the visitor — the same composition [`crate::experiment::run`] uses.
-fn visit_backend<V, E, M, FE, FM>(
-    config: &ExperimentConfig,
-    v: V,
-    make_engine: FE,
-    make_mempool: FM,
-) -> V::Out
-where
-    V: ProtocolVisitor,
-    E: ConsensusEngine,
-    M: Mempool + Send + 'static,
-    M::Msg: MempoolWire + WireCodec + Send + 'static,
-    FE: Fn(&SystemConfig, ReplicaId) -> E,
-    FM: Fn(&SystemConfig, ReplicaId) -> M,
-    Replica<E, M>: Node<Msg = ReplicaMsg<M::Msg>>,
-    Replica<E, ShardedMempool<M>>: Node<Msg = ReplicaMsg<smp_shard::ShardedMsg<M::Msg>>>,
-{
-    if config.shards > 1 {
-        let k = config.shards;
-        match config.executor {
-            ExecutorKind::Sequential => v.visit(make_engine, move |s: &SystemConfig, i| {
-                ShardedMempool::sequential(s, k, i.0 as u64, |_, shard_sys| {
-                    make_mempool(shard_sys, i)
-                })
-            }),
-            ExecutorKind::Parallel => v.visit(make_engine, move |s: &SystemConfig, i| {
-                ShardedMempool::parallel(s, k, i.0 as u64, |_, shard_sys| {
-                    make_mempool(shard_sys, i)
-                })
-            }),
-        }
-    } else {
-        v.visit(make_engine, make_mempool)
-    }
-}
-
-/// Resolves the protocol matrix to concrete types and runs the visitor.
-fn dispatch<V: ProtocolVisitor>(config: &ExperimentConfig, sys: &SystemConfig, v: V) -> V::Out {
-    match config.protocol {
-        Protocol::NativeHotStuff => {
-            visit_backend(config, v, HotStuffEngine::new, NativeMempool::new)
-        }
-        Protocol::NativePbft => visit_backend(config, v, PbftEngine::new, NativeMempool::new),
-        Protocol::SmpHotStuff => visit_backend(config, v, HotStuffEngine::new, SimpleSmp::new),
-        Protocol::SmpHotStuffGossip => {
-            visit_backend(config, v, HotStuffEngine::new, GossipSmp::new)
-        }
-        Protocol::StratusHotStuff => {
-            let st = config.stratus_config(sys);
-            visit_backend(
-                config,
-                v,
-                HotStuffEngine::new,
-                move |s: &SystemConfig, i| StratusMempool::new(s, st, i),
-            )
-        }
-        Protocol::StratusPbft => {
-            let st = config.stratus_config(sys);
-            visit_backend(config, v, PbftEngine::new, move |s: &SystemConfig, i| {
-                StratusMempool::new(s, st, i)
-            })
-        }
-        Protocol::StratusStreamlet => {
-            let st = config.stratus_config(sys);
-            visit_backend(
-                config,
-                v,
-                StreamletEngine::new,
-                move |s: &SystemConfig, i| StratusMempool::new(s, st, i),
-            )
-        }
-        Protocol::Narwhal => visit_backend(config, v, HotStuffEngine::new, NarwhalMempool::new),
-        Protocol::MirBft => visit_backend(config, v, MirBftEngine::new, NativeMempool::new),
-        Protocol::DagHotStuff => visit_backend(config, v, HotStuffEngine::new, DagMempool::new),
-        Protocol::DagHotStuffFast => {
-            visit_backend(config, v, HotStuffEngine::new, |s: &SystemConfig, i| {
-                DagMempool::with_mode(s, i, DagMode::FastPath)
-            })
-        }
-    }
-}
-
 struct NetVisitor<'a> {
     config: &'a ExperimentConfig,
-    sys: &'a SystemConfig,
     me: ReplicaId,
     addrs: Vec<SocketAddr>,
     opts: &'a NetRunOptions,
@@ -226,17 +127,13 @@ struct NetVisitor<'a> {
 impl ProtocolVisitor for NetVisitor<'_> {
     type Out = io::Result<NetRunSummary>;
 
-    fn visit<E, M, FE, FM>(self, make_engine: FE, make_mempool: FM) -> Self::Out
+    fn visit<E, M>(self, build: &dyn Fn(usize, &Telemetry) -> Replica<E, M>) -> Self::Out
     where
         E: ConsensusEngine,
         M: Mempool + Send + 'static,
         M::Msg: MempoolWire + WireCodec + Send + 'static,
-        FE: Fn(&SystemConfig, ReplicaId) -> E,
-        FM: Fn(&SystemConfig, ReplicaId) -> M,
-        Replica<E, M>: Node<Msg = ReplicaMsg<M::Msg>>,
     {
         let config = self.config;
-        let sys = self.sys;
         // No simulated clock exists under the socket runtime, so the
         // sink runs in wall-clock-only mode: spans self-stamp from the
         // process epoch.  An admin endpoint or flight sampler needs a
@@ -250,26 +147,8 @@ impl ProtocolVisitor for NetVisitor<'_> {
             Telemetry::disabled()
         };
         let i = self.me.index();
-        let rates = config.workload.rates(config.n);
-        let node_telemetry = telemetry
-            .with_prefix(&format!("replica.{i}"))
-            .with_track(i as u32);
-        let mut mempool = make_mempool(sys, self.me);
-        mempool.set_telemetry(node_telemetry.clone());
-        let mut replica = Replica::new(
-            sys,
-            self.me,
-            make_engine(sys, self.me),
-            mempool,
-            config.behavior_for(i),
-            rates[i],
-            config.protocol.is_stratus(),
-            i == 0,
-        );
-        replica.enable_commit_log();
-        if let Some(limit) = self.opts.tx_limit {
-            replica.limit_client_txs(limit);
-        }
+        let node_telemetry = assembly::node_telemetry(&telemetry, i);
+        let mut replica = comparable(build(i, &telemetry), self.opts.tx_limit);
         if self.opts.recover {
             replica.start_recovery();
         }
@@ -350,13 +229,10 @@ pub fn run_replica_over_net(
     opts: &NetRunOptions,
 ) -> io::Result<NetRunSummary> {
     assert_eq!(addrs.len(), config.n, "need one listen address per replica");
-    let sys = config.system();
     dispatch(
         config,
-        &sys,
         NetVisitor {
             config,
-            sys: &sys,
             me,
             addrs,
             opts,
@@ -366,7 +242,6 @@ pub fn run_replica_over_net(
 
 struct SimVisitor<'a> {
     config: &'a ExperimentConfig,
-    sys: &'a SystemConfig,
     tx_limit: Option<u64>,
     horizon_us: u64,
     faults: simnet::FaultSchedule,
@@ -375,41 +250,18 @@ struct SimVisitor<'a> {
 impl ProtocolVisitor for SimVisitor<'_> {
     type Out = Vec<Vec<TxId>>;
 
-    fn visit<E, M, FE, FM>(self, make_engine: FE, make_mempool: FM) -> Self::Out
+    fn visit<E, M>(self, build: &dyn Fn(usize, &Telemetry) -> Replica<E, M>) -> Self::Out
     where
         E: ConsensusEngine,
         M: Mempool + Send + 'static,
         M::Msg: MempoolWire + WireCodec + Send + 'static,
-        FE: Fn(&SystemConfig, ReplicaId) -> E,
-        FM: Fn(&SystemConfig, ReplicaId) -> M,
-        Replica<E, M>: Node<Msg = ReplicaMsg<M::Msg>>,
     {
         let config = self.config;
-        let sys = self.sys;
-        let rates = config.workload.rates(config.n);
-        let nodes: Vec<Replica<E, M>> = (0..config.n)
-            .map(|i| {
-                let id = ReplicaId(i as u32);
-                let mut replica = Replica::new(
-                    sys,
-                    id,
-                    make_engine(sys, id),
-                    make_mempool(sys, id),
-                    config.behavior_for(i),
-                    rates[i],
-                    config.protocol.is_stratus(),
-                    i == 0,
-                );
-                replica.enable_commit_log();
-                if let Some(limit) = self.tx_limit {
-                    replica.limit_client_txs(limit);
-                }
-                replica
-            })
+        let nodes = (0..config.n)
+            .map(|i| comparable(build(i, &Telemetry::disabled()), self.tx_limit))
             .collect();
-        let mut net = simnet::NetConfig::from_preset(config.network);
-        net.fault_windows = config.fault_windows.clone();
-        let mut sim = Simulation::new(nodes, net, config.seed).with_faults(self.faults);
+        let mut sim =
+            Simulation::new(nodes, config.net_config(), config.seed).with_faults(self.faults);
         sim.run_until(self.horizon_us);
         (0..config.n)
             .map(|i| sim.node(i).commit_log().unwrap_or(&[]).to_vec())
@@ -439,13 +291,10 @@ pub fn sim_commit_logs_with_faults(
     horizon_us: u64,
     faults: simnet::FaultSchedule,
 ) -> Vec<Vec<TxId>> {
-    let sys = config.system();
     dispatch(
         config,
-        &sys,
         SimVisitor {
             config,
-            sys: &sys,
             tx_limit,
             horizon_us,
             faults,
@@ -456,6 +305,7 @@ pub fn sim_commit_logs_with_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocols::Protocol;
     use smp_types::MICROS_PER_SEC;
     use smp_workload::LoadDistribution;
 

@@ -527,6 +527,36 @@ proptest! {
         ));
     }
 
+    // A modelled transaction length beyond a frame is rejected wherever
+    // the transaction rides (a forwarded or broadcast microblock, an inline
+    // proposal): sizes are summed and multiplied downstream, so a hostile
+    // `u64::MAX` must never reach them.
+    #[test]
+    fn oversized_modelled_payload_lengths_are_rejected(
+        mb in arb_microblock(),
+        pick in any::<u32>(),
+        extra in 1u64..=(u64::MAX - MAX_FRAME_BYTES as u64),
+    ) {
+        prop_assume!(!mb.is_empty());
+        let mut txs = (*mb.txs).clone();
+        let hostile = pick as usize % txs.len();
+        txs[hostile].payload_len = (MAX_FRAME_BYTES as u64 + extra) as usize;
+        let mb = Microblock::seal(mb.creator, txs.clone(), mb.created_at);
+        let proposal = Proposal::new(
+            View(1), 1, BlockId::GENESIS, ReplicaId(0), Payload::inline(txs), false,
+        );
+        for frame in [
+            encode_frame(&ReplicaMsg::mempool(StratusMsg::LbForward(mb.clone()), false)),
+            encode_frame(&ReplicaMsg::mempool(StratusMsg::PabMsg(mb), false)),
+            encode_frame(&ReplicaMsg::<StratusMsg>::consensus(ConsensusMsg::Propose(proposal), false)),
+        ] {
+            prop_assert!(matches!(
+                decode_frame::<StratusMsg>(&frame),
+                Err(DecodeError::OversizedFrame(_))
+            ));
+        }
+    }
+
     // Every version byte other than the current one is rejected.
     #[test]
     fn wrong_version_bytes_are_rejected(

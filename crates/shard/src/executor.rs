@@ -38,9 +38,7 @@ use rand::SeedableRng;
 use smp_mempool::{Effects, FillStatus, LoadSnapshot, Mempool, MempoolStats, TimerTag};
 use smp_telemetry::Telemetry;
 use smp_types::{Payload, Proposal, ReplicaId, SimTime, Transaction};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::OnceLock;
 use std::thread::JoinHandle;
 
 /// One operation applied to a single shard's backend instance.
@@ -245,26 +243,6 @@ fn shard_rngs(seed: u64, salt: u64, k: usize) -> Vec<SmallRng> {
         .collect()
 }
 
-static FORCE_WORKERS: AtomicBool = AtomicBool::new(false);
-
-/// Forces [`ParallelExecutor::new`] to spawn worker threads even on a
-/// single-core host (where it would otherwise degrade to inline
-/// execution).  For whole processes the `SMP_FORCE_PARALLEL`
-/// environment variable does the same; tests use this function instead
-/// because mutating the environment while other threads read it is
-/// undefined behaviour on glibc.
-pub fn force_parallel_workers(force: bool) {
-    FORCE_WORKERS.store(force, Ordering::SeqCst);
-}
-
-fn workers_forced() -> bool {
-    // The environment is consulted exactly once per process so a
-    // concurrently running test cannot race a getenv.
-    static ENV: OnceLock<bool> = OnceLock::new();
-    FORCE_WORKERS.load(Ordering::SeqCst)
-        || *ENV.get_or_init(|| std::env::var_os("SMP_FORCE_PARALLEL").is_some_and(|v| v != "0"))
-}
-
 /// Drives the per-shard pipelines of a sharded mempool.
 ///
 /// Implementations must apply each shard's operations in submission order
@@ -436,21 +414,12 @@ where
     M: Mempool + Send + 'static,
     M::Msg: Send,
 {
-    /// Builds the executor, spawning one worker thread per shard.
-    ///
-    /// Degenerate cases run inline instead (which is byte-identical, so
-    /// the degradation is unobservable in results): a single shard has
-    /// nothing to parallelise, and on a single-core host worker threads
-    /// are pure context-switch overhead.  Set `SMP_FORCE_PARALLEL=1` (or
-    /// call [`force_parallel_workers`]) to spawn workers regardless of
-    /// core count — the conformance tests do, so the worker path is
-    /// exercised even on one-core CI runners.
+    /// Builds the executor, spawning one worker thread per shard.  A
+    /// single shard has nothing to parallelise and runs inline, which
+    /// also threads the caller's RNG through.
     pub fn new(shards: Vec<M>, seed: u64, salt: u64) -> Self {
         assert!(!shards.is_empty(), "at least one shard is required");
-        let single_core = std::thread::available_parallelism()
-            .map(|p| p.get() < 2)
-            .unwrap_or(false);
-        if shards.len() == 1 || (single_core && !workers_forced()) {
+        if shards.len() == 1 {
             return ParallelExecutor {
                 mode: ParMode::Inline(SequentialExecutor::new(shards, seed, salt)),
             };
@@ -690,15 +659,8 @@ mod tests {
         }
     }
 
-    /// Spawns real workers even on single-core hosts (see
-    /// [`ParallelExecutor::new`]).
-    fn force_parallel() {
-        force_parallel_workers(true);
-    }
-
     #[test]
     fn parallel_matches_sequential_output_for_output_order_and_effects() {
-        force_parallel();
         let sys = small_system();
         for k in [1usize, 2, 4] {
             let mut seq = SequentialExecutor::new(instances(&sys, k), sys.seed, 3);
@@ -722,7 +684,6 @@ mod tests {
 
     #[test]
     fn parallel_preserves_per_shard_fifo_and_submission_order() {
-        force_parallel();
         let sys = small_system();
         let k = 4;
         let mut par = ParallelExecutor::new(instances(&sys, k), sys.seed, 0);
@@ -742,7 +703,6 @@ mod tests {
 
     #[test]
     fn dropping_the_parallel_executor_joins_workers() {
-        force_parallel();
         let sys = small_system();
         let par = ParallelExecutor::new(instances(&sys, 4), sys.seed, 1);
         drop(par); // must not hang or panic

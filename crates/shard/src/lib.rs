@@ -50,8 +50,8 @@ pub mod router;
 
 pub use envelope::ShardedMsg;
 pub use executor::{
-    force_parallel_workers, shard_rng_seed, Executor, ParallelExecutor, SequentialExecutor,
-    ShardExecutor, ShardOp, ShardOutput,
+    shard_rng_seed, Executor, ParallelExecutor, SequentialExecutor, ShardExecutor, ShardOp,
+    ShardOutput,
 };
 pub use mempool::{per_shard_config, ShardedMempool};
 pub use mux::TimerMux;

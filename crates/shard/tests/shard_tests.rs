@@ -415,8 +415,6 @@ fn drive_wrapper(
 
 #[test]
 fn parallel_wrapper_is_byte_identical_to_sequential_wrapper() {
-    // Exercise real worker threads even on single-core hosts.
-    smp_shard::force_parallel_workers(true);
     for k in [1usize, 2, 4] {
         let sys = small_batch_system(k);
         let salt = 7u64;

@@ -88,17 +88,6 @@ impl ExecutorKind {
             ExecutorKind::Parallel => "parallel",
         }
     }
-
-    /// Reads the `SMP_EXECUTOR` environment variable
-    /// (`sequential`/`parallel`, defaulting to sequential) — the hook the
-    /// CI executor matrix uses to run the whole suite under both
-    /// executors.
-    pub fn from_env() -> Self {
-        match std::env::var("SMP_EXECUTOR") {
-            Ok(v) => v.parse().unwrap_or_default(),
-            Err(_) => ExecutorKind::Sequential,
-        }
-    }
 }
 
 impl std::str::FromStr for ExecutorKind {
@@ -221,9 +210,6 @@ pub struct SystemConfig {
     /// (sequential) or on one worker thread each (parallel).  Irrelevant
     /// when `shards == 1`.
     pub executor: ExecutorKind,
-    /// Commit-derivation mode of the DAG mempool (ignored by every other
-    /// backend).
-    pub dag_mode: DagMode,
 }
 
 impl SystemConfig {
@@ -245,7 +231,6 @@ impl SystemConfig {
             view_change_timeout: 1_000 * MICROS_PER_MS,
             shards: 1,
             executor: ExecutorKind::Sequential,
-            dag_mode: DagMode::default(),
         }
     }
 
@@ -283,12 +268,6 @@ impl SystemConfig {
     /// Sets the mempool batching parameters.
     pub fn with_mempool(mut self, mempool: MempoolConfig) -> Self {
         self.mempool = mempool;
-        self
-    }
-
-    /// Sets the DAG mempool commit-derivation mode.
-    pub fn with_dag_mode(mut self, dag_mode: DagMode) -> Self {
-        self.dag_mode = dag_mode;
         self
     }
 
@@ -393,8 +372,6 @@ mod tests {
         assert_eq!("bogus".parse::<DagMode>(), Err(()));
         assert_eq!(DagMode::default(), DagMode::Certified);
         assert_eq!(DagMode::FastPath.label(), "fast-path");
-        let c = SystemConfig::new(4).with_dag_mode(DagMode::FastPath);
-        assert_eq!(c.dag_mode, DagMode::FastPath);
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! proposals, same commits, same `ObservationLog`, same throughput
 //! series — for every Table II protocol and k ∈ {1, 2, 4} shards.
 //!
-//! This is the safety net that lets `SMP_EXECUTOR=parallel` run the
-//! whole suite in CI: if the parallel executor's scheduling, RNG
-//! streams, or output merge ever diverge from the sequential reference,
-//! one of these comparisons trips.
+//! If the parallel executor's scheduling, RNG streams, or output merge
+//! ever diverge from the sequential reference, one of these comparisons
+//! trips.
 
 use proptest::prelude::*;
 use stratus_repro::prelude::*;
@@ -21,10 +20,6 @@ fn quick(protocol: Protocol, n: usize, rate: f64) -> ExperimentConfig {
 /// Runs `base` at `k` shards under both executors and asserts the runs
 /// are indistinguishable.
 fn assert_conformant(base: &ExperimentConfig, k: usize) {
-    // Exercise real worker threads even on single-core hosts (the
-    // parallel executor would otherwise degrade to inline execution
-    // there, making this suite vacuous).
-    stratus_repro::shard::force_parallel_workers(true);
     let seq = run_experiment(
         &base
             .clone()
@@ -91,7 +86,6 @@ fn telemetry_does_not_perturb_either_executor() {
     // simulated results stay byte-identical to a plain run, under both
     // executors, and the two executors stay byte-identical to each other
     // with telemetry live.
-    stratus_repro::shard::force_parallel_workers(true);
     let base = quick(Protocol::StratusHotStuff, 4, 2_000.0).with_shards(2);
     for kind in [ExecutorKind::Sequential, ExecutorKind::Parallel] {
         let plain = run_experiment(&base.clone().with_executor(kind));

@@ -124,7 +124,6 @@ fn parallel_and_sequential_wrappers_commit_identically_in_a_manual_sim() {
     // Same check as the conformance suite but through the hand-assembled
     // deployment path (no ExperimentConfig), at k = 2 where worker
     // threads are genuinely in play.
-    stratus_repro::shard::force_parallel_workers(true);
     let sys = SystemConfig::new(4).with_seed(11).with_shards(2);
     let seq = committed_in_manual_sim(&sys, |id| {
         ShardedMempool::sequential(&sys, 2, id.0 as u64, |_, shard_sys| {
