@@ -1,8 +1,10 @@
 //! Criterion micro-benchmarks of the discrete-event simulator itself:
-//! event throughput for broadcast-heavy workloads.
+//! event throughput for broadcast-heavy workloads, and the cost of a
+//! standing CPU backlog.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, BenchmarkId, Criterion};
 use simnet::{NetConfig, Node, NodeCtx, SimMessage, Simulation, TimerTag};
+use smp_bench::{BenchRecorder, Scale};
 use smp_types::ReplicaId;
 
 #[derive(Clone, Debug)]
@@ -52,5 +54,58 @@ fn bench_event_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_event_throughput);
-criterion_main!(benches);
+#[derive(Clone, Debug)]
+struct Job;
+impl SimMessage for Job {
+    fn wire_size(&self) -> usize {
+        256
+    }
+    fn kind(&self) -> &'static str {
+        "job"
+    }
+    fn cpu_cost_us(&self) -> f64 {
+        50.0
+    }
+}
+
+/// Every node but the first sends node 0 one job at boot.
+struct FanIn;
+impl Node for FanIn {
+    type Msg = Job;
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_, Job>) {
+        if ctx.id() != ReplicaId(0) {
+            ctx.send(ReplicaId(0), Job);
+        }
+    }
+    fn on_message(&mut self, _ctx: &mut NodeCtx<'_, Job>, _from: ReplicaId, _msg: Job) {}
+    fn on_timer(&mut self, _ctx: &mut NodeCtx<'_, Job>, _tag: TimerTag) {}
+}
+
+/// 64 senders into one receiver that spends 50 µs on each job: the jobs
+/// land within the LAN's 300 µs of jitter, so about 60 of them wait for
+/// its CPU and every one is re-presented each time it frees up.
+fn bench_backlog(c: &mut Criterion) {
+    let mut group = c.benchmark_group("simnet_backlog");
+    group.bench_function("fan_in_64", |b| {
+        b.iter(|| {
+            let nodes = (0..65).map(|_| FanIn).collect();
+            let mut sim = Simulation::new(nodes, NetConfig::lan(), 1);
+            sim.run_until(10_000_000);
+            sim.events_processed()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_event_throughput, bench_backlog);
+
+// Custom main, as in `micro_shard`: exports the measurements as a
+// `BENCH_micro_simnet.json` artifact when `--bench-out <path>` is passed.
+fn main() {
+    let mut rec = BenchRecorder::from_args("micro_simnet", Scale::from_args());
+    benches();
+    for r in criterion::take_reports() {
+        rec.metric(&r.id, "ns_per_iter", r.ns_per_iter);
+    }
+    rec.finish();
+}

@@ -35,6 +35,12 @@ pub enum EventKind<M> {
         /// Node whose link became free.
         node: ReplicaId,
     },
+    /// The head of `node`'s CPU inbox is due.  Bookkeeping: it stands in
+    /// the queue for the whole inbox, at the head's own `(time, seq)`.
+    CpuWake {
+        /// Node whose inbox is due.
+        node: ReplicaId,
+    },
 }
 
 /// A scheduled event.
@@ -89,8 +95,22 @@ impl<M> EventQueue<M> {
 
     /// Schedules `kind` to fire at `time`.
     pub fn push(&mut self, time: SimTime, kind: EventKind<M>) {
+        let seq = self.alloc_seq();
+        self.push_keyed(time, seq, kind);
+    }
+
+    /// Takes the sequence number the next [`push`](Self::push) would
+    /// have used, for an event that is kept outside the heap but must
+    /// order against it.
+    pub fn alloc_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `kind` at a `(time, seq)` key taken earlier with
+    /// [`alloc_seq`](Self::alloc_seq).
+    pub fn push_keyed(&mut self, time: SimTime, seq: u64, kind: EventKind<M>) {
         self.heap.push(Event { time, seq, kind });
     }
 
@@ -102,6 +122,11 @@ impl<M> EventQueue<M> {
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
+    }
+
+    /// `(time, seq)` of the earliest pending event.
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.heap.peek().map(|e| (e.time, e.seq))
     }
 
     /// Number of pending events.
@@ -143,6 +168,17 @@ mod tests {
             }
             _ => panic!("unexpected kinds"),
         }
+    }
+
+    #[test]
+    fn keyed_pushes_order_against_plain_ones_by_their_own_seq() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let held = q.alloc_seq();
+        q.push(5, EventKind::LinkFree { node: ReplicaId(1) });
+        q.push_keyed(5, held, EventKind::CpuWake { node: ReplicaId(0) });
+        assert_eq!(q.peek_key(), Some((5, held)));
+        assert!(matches!(q.pop().unwrap().kind, EventKind::CpuWake { .. }));
+        assert_eq!(q.peek_key(), Some((5, held + 1)));
     }
 
     #[test]

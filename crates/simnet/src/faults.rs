@@ -28,11 +28,21 @@
 //!   — severs every link between an island of nodes and the rest of the
 //!   cluster (deliveries crossing the cut are dropped); `Heal` restores
 //!   full connectivity.
-//! * [`DropBurst`](FaultAction::DropBurst) — every peer delivery landing
-//!   inside the window is dropped (client input is spared).
+//! * [`DropBurst`](FaultAction::DropBurst) — every peer delivery
+//!   *attempted* inside the window is dropped (client input is spared).
 //! * [`DelayBurst`](FaultAction::DelayBurst) — every peer delivery
-//!   landing inside the window is deferred by a uniform extra delay
+//!   attempted inside the window is deferred by a uniform extra delay
 //!   drawn from the fault RNG (network turbulence, Figure 8 style).
+//!
+//! Faults act on delivery **attempts**, not arrivals.  A delivery that
+//! landed before a window opened but is still waiting in the receiver's
+//! CPU inbox is filtered again each time the CPU frees up and it is
+//! re-presented: inside a drop burst or across a partition cut it is
+//! dropped then, inside a delay burst it goes back on the wire (and draws
+//! from the fault RNG), and a crash sends the whole inbox back to the dead
+//! NIC — where it is dropped when due, unless the node restarts first.
+//! A window as long as one message's CPU cost therefore empties a
+//! receiver's backlog, not just the traffic in flight.
 
 use smp_types::{ReplicaId, SimTime};
 
@@ -49,13 +59,13 @@ pub enum FaultAction {
     Partition(Vec<ReplicaId>),
     /// Restore full connectivity.
     Heal,
-    /// Drop every peer delivery arriving within `duration` of the
-    /// scheduled time.
+    /// Drop every peer delivery attempted within `duration` of the
+    /// scheduled time (arrivals, and retries of backlogged ones).
     DropBurst {
         /// Window length in simulated microseconds.
         duration: SimTime,
     },
-    /// Defer every peer delivery arriving within `duration` of the
+    /// Defer every peer delivery attempted within `duration` of the
     /// scheduled time by an extra uniform delay in `[min_us, max_us]`.
     DelayBurst {
         /// Window length in simulated microseconds.

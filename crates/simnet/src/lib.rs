@@ -11,7 +11,17 @@
 //! * **per-link propagation latency and jitter**, with injectable
 //!   asynchrony windows (Figure 8's "network fluctuation"),
 //! * **per-message CPU cost**, so small deployments are CPU-bound the way
-//!   the paper's 4-vCPU instances are,
+//!   the paper's 4-vCPU instances are: a delivery that finds the
+//!   receiver's CPU busy waits in that node's inbox, stamped with the time
+//!   the CPU frees up, and is *re-presented* then — through the fault
+//!   plane again, and back to the end of the inbox if something else got
+//!   the CPU first.  The inbox orders against the global event queue by
+//!   `(time, sequence number)` exactly as if every waiting delivery were
+//!   queued there (one `CpuWake` entry stands in for all of them), which
+//!   is a retry order, not arrival order: a fresh arrival scheduled for
+//!   the very microsecond the CPU frees can overtake the backlog.
+//!   [`Simulation::events_processed`] counts timers, link completions and
+//!   every delivery attempt, re-presentations included,
 //!
 //! while protocol logic runs as deterministic event-driven state machines
 //! implementing the [`Node`] trait.  All randomness flows from a single

@@ -12,7 +12,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use smp_telemetry::Telemetry;
 use smp_types::{ReplicaId, SimTime};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// A protocol participant driven by the simulation.
 pub trait Node {
@@ -98,12 +98,28 @@ impl TrafficStats {
     }
 }
 
+/// A delivery waiting in its receiver's CPU inbox, under the `(time, seq)`
+/// key it orders by against the event heap.
+struct Backlogged<M> {
+    time: SimTime,
+    seq: u64,
+    from: Option<ReplicaId>,
+    msg: M,
+}
+
 /// The discrete-event simulation of a replica network.
 pub struct Simulation<N: Node> {
     nodes: Vec<N>,
     rngs: Vec<SmallRng>,
     links: Vec<OutboundLink<N::Msg>>,
     cpu_free: Vec<SimTime>,
+    /// Per node, the deliveries that found its CPU busy, sorted by key:
+    /// each is stamped `(cpu_free, fresh seq)` when it joins the back.
+    inbox: Vec<VecDeque<Backlogged<N::Msg>>>,
+    /// Per node, the `seq` of the inbox head that its one live `CpuWake`
+    /// heap entry stands for (`None`: inbox empty or being drained).  A
+    /// wake carrying any other `seq` is stale and ignored.
+    wake_seq: Vec<Option<u64>>,
     queue: EventQueue<N::Msg>,
     cancelled_timers: HashSet<u64>,
     net: NetConfig,
@@ -123,10 +139,11 @@ pub struct Simulation<N: Node> {
     /// Jitter source for delay bursts.  Deliberately separate from the
     /// per-node RNGs so scripting faults never perturbs node streams.
     fault_rng: SmallRng,
-    crashed: HashSet<usize>,
+    crashed: Vec<bool>,
     incarnation: Vec<u32>,
-    /// Current partition island (empty = fully connected).
-    island: HashSet<usize>,
+    /// Membership of the current partition island, by node (nobody in it
+    /// = fully connected).
+    island: Vec<bool>,
     drop_until: SimTime,
     delay_until: SimTime,
     delay_min_us: SimTime,
@@ -146,6 +163,8 @@ impl<N: Node> Simulation<N> {
             rngs,
             links: (0..n).map(|_| OutboundLink::new()).collect(),
             cpu_free: vec![0; n],
+            inbox: (0..n).map(|_| VecDeque::new()).collect(),
+            wake_seq: vec![None; n],
             queue: EventQueue::new(),
             cancelled_timers: HashSet::new(),
             net,
@@ -162,9 +181,9 @@ impl<N: Node> Simulation<N> {
             faults: Vec::new(),
             fault_idx: 0,
             fault_rng: SmallRng::seed_from_u64(seed ^ 0xFAB1_7C0D_E5EE_D000),
-            crashed: HashSet::new(),
+            crashed: vec![false; n],
             incarnation: vec![0; n],
-            island: HashSet::new(),
+            island: vec![false; n],
             drop_until: 0,
             delay_until: 0,
             delay_min_us: 0,
@@ -238,7 +257,10 @@ impl<N: Node> Simulation<N> {
         &self.traffic
     }
 
-    /// Total number of events processed (diagnostics).
+    /// Total number of events processed (diagnostics): timers, link
+    /// completions and delivery *attempts*.  A delivery that finds the
+    /// CPU busy is attempted again each time the CPU frees up, and every
+    /// attempt counts, because every attempt runs the fault filter.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -299,14 +321,18 @@ impl<N: Node> Simulation<N> {
                 continue;
             }
             let event = self.queue.pop().expect("peeked event must exist");
-            self.events_processed += 1;
             match event.kind {
                 EventKind::Deliver { to, from, msg } => {
-                    let Some(msg) = self.fault_filter(to, from, msg) else {
-                        continue;
-                    };
-                    let _span = self.telemetry.span_at("simnet.deliver", self.now);
-                    self.handle_delivery(to, from, msg)
+                    self.attempt_delivery(to, from, msg);
+                    self.arm_wake(to.index());
+                }
+                EventKind::CpuWake { node } => {
+                    let idx = node.index();
+                    // Any other wake stood for an inbox a crash spilled.
+                    if self.wake_seq[idx] == Some(event.seq) {
+                        self.wake_seq[idx] = None;
+                        self.drain_inbox(idx);
+                    }
                 }
                 EventKind::Timer {
                     node,
@@ -314,19 +340,21 @@ impl<N: Node> Simulation<N> {
                     tag,
                     epoch,
                 } => {
+                    self.events_processed += 1;
                     if self.cancelled_timers.remove(&timer_id) {
                         continue;
                     }
                     let idx = node.index();
                     // A crashed node's timers never fire; a timer set by
                     // a previous incarnation is dead on arrival.
-                    if self.crashed.contains(&idx) || epoch != self.incarnation[idx] {
+                    if self.crashed[idx] || epoch != self.incarnation[idx] {
                         continue;
                     }
                     let _span = self.telemetry.span_at("simnet.timer", self.now);
                     self.invoke(idx, Invocation::Timer(tag));
                 }
                 EventKind::LinkFree { node } => {
+                    self.events_processed += 1;
                     let _span = self.telemetry.span_at("simnet.link_free", self.now);
                     self.links[node.index()].finish_current();
                     self.pump_link(node);
@@ -347,16 +375,32 @@ impl<N: Node> Simulation<N> {
         match action {
             FaultAction::Crash(id) => {
                 let idx = id.index();
-                if self.crashed.insert(idx) {
+                if !self.crashed[idx] {
+                    self.crashed[idx] = true;
                     // Queued outbound messages die with the process; one
                     // already serializing is on the wire and survives.
                     self.links[idx].clear_queue();
+                    // The backlog goes back to the heap under its own
+                    // keys, to be dropped at the dead NIC when due — or
+                    // to meet the next incarnation, if that boots first.
+                    // It cannot wait here: `Restart` rewinds `cpu_free`,
+                    // and later arrivals would be stamped before it.
+                    for b in self.inbox[idx].drain(..) {
+                        let kind = EventKind::Deliver {
+                            to: id,
+                            from: b.from,
+                            msg: b.msg,
+                        };
+                        self.queue.push_keyed(b.time, b.seq, kind);
+                    }
+                    self.wake_seq[idx] = None;
                     self.telemetry.instant_at("simnet.fault.crash", self.now);
                 }
             }
             FaultAction::Restart(id) => {
                 let idx = id.index();
-                if self.crashed.remove(&idx) {
+                if self.crashed[idx] {
+                    self.crashed[idx] = false;
                     // A fresh incarnation: old timers are dead, the RNG
                     // restarts exactly as a re-exec'd process's would,
                     // and the node's restart hook runs.
@@ -368,12 +412,14 @@ impl<N: Node> Simulation<N> {
                 }
             }
             FaultAction::Partition(island) => {
-                self.island = island.iter().map(|r| r.index()).collect();
+                for (i, member) in self.island.iter_mut().enumerate() {
+                    *member = island.contains(&ReplicaId(i as u32));
+                }
                 self.telemetry
                     .instant_at("simnet.fault.partition", self.now);
             }
             FaultAction::Heal => {
-                self.island.clear();
+                self.island.fill(false);
                 self.telemetry.instant_at("simnet.fault.heal", self.now);
             }
             FaultAction::DropBurst { duration } => {
@@ -404,7 +450,7 @@ impl<N: Node> Simulation<N> {
         msg: N::Msg,
     ) -> Option<N::Msg> {
         let idx = to.index();
-        if self.crashed.contains(&idx) {
+        if self.crashed[idx] {
             // Dropped at the dead NIC — client input included.
             return None;
         }
@@ -412,9 +458,7 @@ impl<N: Node> Simulation<N> {
             // Client input is otherwise exempt from network faults.
             return Some(msg);
         };
-        if !self.island.is_empty()
-            && self.island.contains(&from_id.index()) != self.island.contains(&idx)
-        {
+        if self.island[from_id.index()] != self.island[idx] {
             return None; // crosses the partition cut
         }
         if self.now < self.drop_until {
@@ -434,25 +478,73 @@ impl<N: Node> Simulation<N> {
 
     /// Whether node `i` is currently crashed by the fault plane.
     pub fn is_crashed(&self, i: usize) -> bool {
-        self.crashed.contains(&i)
+        self.crashed[i]
+    }
+
+    /// One delivery attempt, fresh from the heap or re-presented from
+    /// the inbox: through the active faults, then to the CPU.
+    fn attempt_delivery(&mut self, to: ReplicaId, from: Option<ReplicaId>, msg: N::Msg) {
+        self.events_processed += 1;
+        if let Some(msg) = self.fault_filter(to, from, msg) {
+            self.handle_delivery(to, from, msg);
+        }
     }
 
     fn handle_delivery(&mut self, to: ReplicaId, from: Option<ReplicaId>, msg: N::Msg) {
         let idx = to.index();
         // CPU model: if the receiver is still busy processing earlier
-        // messages, defer this delivery until its CPU frees up.
-        let cpu_free = self.cpu_free[idx];
-        if cpu_free > self.now {
-            self.queue
-                .push(cpu_free, EventKind::Deliver { to, from, msg });
+        // messages, the delivery waits in its inbox until the CPU frees
+        // up.  The caller arms the wake.
+        let time = self.cpu_free[idx];
+        if time > self.now {
+            let seq = self.queue.alloc_seq();
+            self.inbox[idx].push_back(Backlogged {
+                time,
+                seq,
+                from,
+                msg,
+            });
             return;
         }
+        let _span = self.telemetry.span_at("simnet.deliver", self.now);
         let cost = (msg.cpu_cost_us() / self.net.cpu_speed.max(1e-9)).ceil() as SimTime;
         self.cpu_free[idx] = self.now + cost;
         match from {
             Some(f) => self.invoke(idx, Invocation::Message(f, msg)),
             None => self.invoke(idx, Invocation::Client(msg)),
         }
+    }
+
+    /// Keeps one `CpuWake` in the heap for a non-empty inbox, under the
+    /// head's key.
+    fn arm_wake(&mut self, idx: usize) {
+        let Some(head) = self.inbox[idx].front() else {
+            return;
+        };
+        if self.wake_seq[idx] != Some(head.seq) {
+            self.wake_seq[idx] = Some(head.seq);
+            let node = ReplicaId(idx as u32);
+            self.queue
+                .push_keyed(head.time, head.seq, EventKind::CpuWake { node });
+        }
+    }
+
+    /// Re-presents the inbox entries due at `now`, each exactly when the
+    /// heap would have popped it had it been queued there under its key.
+    fn drain_inbox(&mut self, idx: usize) {
+        let to = ReplicaId(idx as u32);
+        while let Some(head) = self.inbox[idx].front() {
+            let key = (head.time, head.seq);
+            // Not due yet, or an older event at `now` goes first — possibly
+            // a fresh arrival for this very node, scheduled for exactly
+            // `cpu_free`.
+            if head.time > self.now || self.queue.peek_key().is_some_and(|k| k < key) {
+                break;
+            }
+            let b = self.inbox[idx].pop_front().expect("peeked head");
+            self.attempt_delivery(to, b.from, b.msg);
+        }
+        self.arm_wake(idx);
     }
 
     fn invoke(&mut self, idx: usize, invocation: Invocation<N::Msg>) {
@@ -775,19 +867,32 @@ mod tests {
 
     #[test]
     fn telemetry_records_dispatch_spans_and_net_counters() {
+        // Besides the echo, three client inputs land on node 1 in the
+        // same microsecond, so two of them wait for its CPU.
+        let build = || {
+            let mut sim = two_nodes(true);
+            for i in 0..3 {
+                sim.schedule_client_input(10_000, ReplicaId(1), TestMsg::Small(i));
+            }
+            sim
+        };
         let telemetry = Telemetry::new();
-        let mut sim = two_nodes(true).with_telemetry(telemetry.clone());
+        let mut sim = build().with_telemetry(telemetry.clone());
         sim.run_until(MICROS_PER_MS * 200);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("replica.0.net.bytes_out"), Some(100));
         assert_eq!(snap.counter("replica.0.net.msgs_out"), Some(1));
         assert_eq!(snap.counter("replica.1.net.msgs_out"), None);
         let profile = telemetry.profile();
-        assert!(profile.contains_key("simnet.deliver"));
-        assert!(profile.contains_key("simnet.link_free"));
+        assert_eq!(profile["simnet.link_free"].count, 1);
+        // A span per delivery served, not per attempt: the inputs took
+        // 1 + 2 + 3 attempts, the echo one.
+        assert_eq!(sim.node(1).received.len(), 4);
+        assert_eq!(profile["simnet.deliver"].count, 4);
+        assert_eq!(sim.events_processed(), 7 + 1);
         // Node handlers see their prefixed handle; results stay identical
         // to an uninstrumented run.
-        let mut plain = two_nodes(true);
+        let mut plain = build();
         plain.run_until(MICROS_PER_MS * 200);
         assert_eq!(plain.node(1).received, sim.node(1).received);
         assert_eq!(plain.observations(), sim.observations());
@@ -945,5 +1050,169 @@ mod tests {
             .with_faults(FaultSchedule::new().at(MICROS_PER_MS, FaultAction::Crash(ReplicaId(0))));
         sim.run_until(MICROS_PER_MS * 400);
         assert_eq!(sim.node(1).received, vec!["big"]);
+    }
+
+    // ----- the CPU inbox: the retry rules, by name -----
+
+    #[derive(Clone, Debug)]
+    struct Job {
+        id: u64,
+        cost: u32,
+    }
+
+    impl SimMessage for Job {
+        fn wire_size(&self) -> usize {
+            100
+        }
+        fn kind(&self) -> &'static str {
+            "job"
+        }
+        fn cpu_cost_us(&self) -> f64 {
+            self.cost as f64
+        }
+    }
+
+    /// Sends its `outbox` at boot and records every job it serves.
+    #[derive(Default)]
+    struct Worker {
+        outbox: Vec<(ReplicaId, Job)>,
+        served: Vec<(SimTime, u64)>,
+    }
+
+    impl Node for Worker {
+        type Msg = Job;
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_, Job>) {
+            for (to, job) in self.outbox.drain(..) {
+                ctx.send(to, job);
+            }
+        }
+        fn on_message(&mut self, ctx: &mut NodeCtx<'_, Job>, _: ReplicaId, job: Job) {
+            self.served.push((ctx.now(), job.id));
+        }
+        fn on_timer(&mut self, _: &mut NodeCtx<'_, Job>, _: TimerTag) {}
+    }
+
+    /// Node 0 sends `costs.len()` jobs (ids 1, 2, …) to node 1.  With no
+    /// jitter and 1 µs of serialization each they land at 2 001, 2 002, …
+    fn pipeline(costs: &[u32]) -> Simulation<Worker> {
+        let outbox = costs
+            .iter()
+            .zip(1..)
+            .map(|(&cost, id)| (ReplicaId(1), Job { id, cost }))
+            .collect();
+        let sender = Worker {
+            outbox,
+            ..Worker::default()
+        };
+        let mut net = NetConfig::lan();
+        net.jitter_us = 0;
+        Simulation::new(vec![sender, Worker::default()], net, 7)
+    }
+
+    fn client_job(sim: &mut Simulation<Worker>, at: SimTime, id: u64, cost: u32) {
+        sim.schedule_client_input(at, ReplicaId(0), Job { id, cost });
+    }
+
+    #[test]
+    fn fresh_arrival_at_cpu_free_with_an_older_seq_is_served_before_the_backlog() {
+        let mut sim = Simulation::new(vec![Worker::default()], NetConfig::lan(), 7);
+        client_job(&mut sim, 10, 1, 50); // served at 10, CPU busy until 60
+        client_job(&mut sim, 20, 2, 5); // waits, stamped (60, s)
+        client_job(&mut sim, 30, 3, 5); // waits, stamped (60, s + 2)
+        sim.run_until(25);
+        // Scheduled between the two stamps, for exactly `cpu_free`: it
+        // jumps job 3 — which arrived 30 µs earlier — but not job 2.
+        client_job(&mut sim, 60, 4, 5);
+        sim.run_until(1_000);
+        assert_eq!(sim.node(0).served, vec![(10, 1), (60, 2), (65, 4), (70, 3)]);
+        // Attempts: job 1 once, job 2 twice, job 4 twice (65), job 3 at
+        // 30, 60, 65 and 70.
+        assert_eq!(sim.events_processed(), 1 + 2 + 2 + 4);
+        assert_eq!(sim.queue.len(), 0);
+    }
+
+    #[test]
+    fn backlogged_delivery_inside_a_drop_burst_is_dropped() {
+        // Jobs 2 and 3 landed at 2 002 and 2 003, long before the burst,
+        // and are waiting for job 1 to finish at 3 001 — inside it.
+        let mut sim = pipeline(&[1_000, 10, 10]).with_faults(
+            FaultSchedule::new().at(2_500, FaultAction::DropBurst { duration: 1_000 }),
+        );
+        sim.run_until(20_000);
+        assert_eq!(sim.node(1).served, vec![(2_001, 1)]);
+    }
+
+    #[test]
+    fn backlogged_delivery_inside_a_delay_burst_is_re_delayed() {
+        let mut sim = pipeline(&[1_000, 10, 10]).with_faults(FaultSchedule::new().at(
+            2_500,
+            FaultAction::DelayBurst {
+                duration: 1_000,
+                min_us: 5_000,
+                max_us: 5_000,
+            },
+        ));
+        sim.run_until(20_000);
+        // Re-presented at 3 001, inside the burst: back on the wire for
+        // 5 ms, then one after the other.
+        assert_eq!(sim.node(1).served, vec![(2_001, 1), (8_001, 2), (8_011, 3)]);
+    }
+
+    #[test]
+    fn crash_with_backlog_then_early_restart_delivers_in_order_and_once() {
+        // Jobs 2–4 wait for the CPU until 3 001.  The node dies at 2 100
+        // and is back at 2 200, CPU idle: the backlog still arrives when
+        // it was due, in order, and meets the new incarnation.
+        let mut sim = pipeline(&[1_000, 100, 100, 100]).with_faults(
+            FaultSchedule::new()
+                .at(2_100, FaultAction::Crash(ReplicaId(1)))
+                .at(2_200, FaultAction::Restart(ReplicaId(1))),
+        );
+        sim.run_until(2_150);
+        // Spilled to the heap; the old wake is still there, stale.
+        assert!(sim.inbox[1].is_empty());
+        assert_eq!(sim.queue.len(), 3 + 1);
+        sim.run_until(20_000);
+        assert_eq!(
+            sim.node(1).served,
+            vec![(2_001, 1), (3_001, 2), (3_101, 3), (3_201, 4)]
+        );
+        assert_eq!(sim.queue.len(), 0);
+    }
+
+    #[test]
+    fn crash_with_backlog_and_late_restart_drops_it_at_the_dead_nic() {
+        let mut sim = pipeline(&[1_000, 100, 100, 100]).with_faults(
+            FaultSchedule::new()
+                .at(2_100, FaultAction::Crash(ReplicaId(1)))
+                .at(3_002, FaultAction::Restart(ReplicaId(1))),
+        );
+        sim.run_until(20_000);
+        assert_eq!(sim.node(1).served, vec![(2_001, 1)]);
+    }
+
+    #[test]
+    fn one_heap_entry_per_backlogged_node() {
+        // 64 senders, one job each to node 0, all landing at 2 001.
+        let mut nodes = vec![Worker::default()];
+        nodes.extend((1..=64).map(|id| Worker {
+            outbox: vec![(ReplicaId(0), Job { id, cost: 50 })],
+            ..Worker::default()
+        }));
+        let mut net = NetConfig::lan();
+        net.jitter_us = 0;
+        let mut sim = Simulation::new(nodes, net, 7);
+        for step in 0..64 {
+            sim.run_until(2_001 + 50 * step + 25);
+            // Nothing is in flight any more: the whole backlog stands
+            // behind one wake.
+            let waiting = 63 - step as usize;
+            assert_eq!(sim.inbox[0].len(), waiting);
+            assert_eq!(sim.queue.len(), waiting.min(1));
+        }
+        let served: Vec<_> = (0..64).map(|i| (2_001 + 50 * i, i + 1)).collect();
+        assert_eq!(sim.node(0).served, served);
+        // 64 link completions; job i was attempted i times.
+        assert_eq!(sim.events_processed(), 64 + 64 * 65 / 2);
     }
 }
