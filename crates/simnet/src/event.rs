@@ -1,7 +1,30 @@
-//! The event queue.
+//! The event queue: a heap of 24-byte [`Key`]s over a slab of events.
+//!
+//! The scheduler only ever needs to order events, never to look inside
+//! them, so what it moves is a [`Key`] — `(time, seq)` plus a handle to
+//! the event — while the [`EventKind`] (and the message inside a
+//! `Deliver`) sits still in a slab slot from [`EventQueue::push`] until
+//! the one [`EventQueue::take`] that serves or drops it.  A key that
+//! leaves the heap without being served — a delivery that finds the CPU
+//! busy and waits in its receiver's inbox, a delay burst putting it back
+//! on the wire, a crash spilling an inbox — keeps pointing at the same
+//! slot and goes back under a new `(time, seq)` through
+//! [`EventQueue::requeue`].
+//!
+//! Two things ride in the key besides the order:
+//!
+//! * `slot` — the slab index, or, with its top bit set, no slot at all:
+//!   the key is a *CPU wake* for the node in the low bits, standing in
+//!   the heap for that node's whole inbox at its head's `(time, seq)`.
+//!   Wakes carry no data, so they own no slab entry.
+//! * `from` — the sender of a `Deliver` ([`NO_SENDER`] for client input
+//!   and for every other kind).  The fault plane needs it on every
+//!   delivery attempt, retries included, and retries are 96–98 % of all
+//!   events: reading it from the key instead of the slab saves a cache
+//!   miss per retry.
 
 use smp_types::{ReplicaId, SimTime};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// What an event does when it fires.
@@ -35,52 +58,64 @@ pub enum EventKind<M> {
         /// Node whose link became free.
         node: ReplicaId,
     },
-    /// The head of `node`'s CPU inbox is due.  Bookkeeping: it stands in
-    /// the queue for the whole inbox, at the head's own `(time, seq)`.
-    CpuWake {
-        /// Node whose inbox is due.
-        node: ReplicaId,
-    },
 }
 
-/// A scheduled event.
-#[derive(Debug)]
-pub struct Event<M> {
+/// [`Key::from`] of anything that is not a delivery from a replica.
+pub const NO_SENDER: u32 = u32::MAX;
+
+/// Set in [`Key::slot`] of a CPU wake; the low bits are then the node.
+const WAKE_BIT: u32 = 1 << 31;
+
+/// What the heap and the CPU inboxes hold: when an event fires, and where
+/// it is.  Keys order (and compare equal) by `(time, seq)` alone.
+#[derive(Clone, Copy, Debug)]
+pub struct Key {
     /// When the event fires.
     pub time: SimTime,
     /// Monotonic sequence number breaking ties deterministically.
     pub seq: u64,
-    /// The action to perform.
-    pub kind: EventKind<M>,
+    /// Slab slot of the event, or top bit + node for a CPU wake (see
+    /// [`wake_node`](Self::wake_node)).
+    pub slot: u32,
+    /// Sender of a `Deliver`, else [`NO_SENDER`].
+    pub from: u32,
 }
 
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+impl Key {
+    /// The node whose inbox this key wakes, if it is a wake.
+    pub fn wake_node(&self) -> Option<usize> {
+        (self.slot & WAKE_BIT != 0).then_some((self.slot & !WAKE_BIT) as usize)
     }
 }
-impl<M> Eq for Event<M> {}
 
-impl<M> PartialOrd for Event<M> {
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Key {}
+
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<M> Ord for Event<M> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so earliest time pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        (self.time, self.seq).cmp(&(other.time, other.seq))
     }
 }
 
 /// A deterministic time-ordered event queue.
 #[derive(Debug, Default)]
 pub struct EventQueue<M> {
-    heap: BinaryHeap<Event<M>>,
+    /// `BinaryHeap` is a max-heap; `Reverse` pops the earliest key first.
+    heap: BinaryHeap<Reverse<Key>>,
+    /// The events the keys point at.  Freed slots are reused, so the slab
+    /// grows to the peak number of events alive at once and no further.
+    slab: Vec<Option<EventKind<M>>>,
+    free: Vec<u32>,
     next_seq: u64,
 }
 
@@ -89,18 +124,41 @@ impl<M> EventQueue<M> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
         }
     }
 
     /// Schedules `kind` to fire at `time`.
     pub fn push(&mut self, time: SimTime, kind: EventKind<M>) {
+        let from = match kind {
+            EventKind::Deliver { from: Some(f), .. } => f.0,
+            _ => NO_SENDER,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(kind);
+                slot
+            }
+            None => {
+                let slot = self.slab.len() as u32;
+                assert!(slot < WAKE_BIT, "event slab is full");
+                self.slab.push(Some(kind));
+                slot
+            }
+        };
         let seq = self.alloc_seq();
-        self.push_keyed(time, seq, kind);
+        self.requeue(Key {
+            time,
+            seq,
+            slot,
+            from,
+        });
     }
 
     /// Takes the sequence number the next [`push`](Self::push) would
-    /// have used, for an event that is kept outside the heap but must
+    /// have used, for a key that is re-stamped outside the heap but must
     /// order against it.
     pub fn alloc_seq(&mut self) -> u64 {
         let seq = self.next_seq;
@@ -108,33 +166,61 @@ impl<M> EventQueue<M> {
         seq
     }
 
-    /// Schedules `kind` at a `(time, seq)` key taken earlier with
-    /// [`alloc_seq`](Self::alloc_seq).
-    pub fn push_keyed(&mut self, time: SimTime, seq: u64, kind: EventKind<M>) {
-        self.heap.push(Event { time, seq, kind });
+    /// Puts a key that [`pop`](Self::pop) returned — its event still in
+    /// its slot — back into the heap, under whatever `(time, seq)` it now
+    /// carries.
+    pub fn requeue(&mut self, key: Key) {
+        self.heap.push(Reverse(key));
     }
 
-    /// Pops the earliest event, if any.
-    pub fn pop(&mut self) -> Option<Event<M>> {
-        self.heap.pop()
+    /// Schedules a CPU wake for `node` at `(time, seq)`.
+    pub fn push_wake(&mut self, time: SimTime, seq: u64, node: usize) {
+        self.requeue(Key {
+            time,
+            seq,
+            slot: WAKE_BIT | node as u32,
+            from: NO_SENDER,
+        });
+    }
+
+    /// Pops the earliest key, if any.  Unless it is a wake, its event
+    /// stays in its slot until [`take`](Self::take)n.
+    pub fn pop(&mut self) -> Option<Key> {
+        self.heap.pop().map(|Reverse(key)| key)
+    }
+
+    /// The event in `slot`.
+    pub fn kind(&self, slot: u32) -> &EventKind<M> {
+        self.slab[slot as usize]
+            .as_ref()
+            .expect("a live key points at an occupied slot")
+    }
+
+    /// Removes the event from `slot` and frees the slot for reuse.
+    pub fn take(&mut self, slot: u32) -> EventKind<M> {
+        let kind = self.slab[slot as usize]
+            .take()
+            .expect("a live key points at an occupied slot");
+        self.free.push(slot);
+        kind
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.peek_key().map(|key| key.time)
     }
 
-    /// `(time, seq)` of the earliest pending event.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|e| (e.time, e.seq))
+    /// Key of the earliest pending event.
+    pub fn peek_key(&self) -> Option<Key> {
+        self.heap.peek().map(|Reverse(key)| *key)
     }
 
-    /// Number of pending events.
+    /// Number of pending keys, wakes included.
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    /// Whether no events are pending.
+    /// Whether no keys are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
@@ -144,24 +230,50 @@ impl<M> EventQueue<M> {
 mod tests {
     use super::*;
 
+    fn link_free(node: u32) -> EventKind<u32> {
+        EventKind::LinkFree {
+            node: ReplicaId(node),
+        }
+    }
+
+    fn deliver(from: Option<u32>, msg: u32) -> EventKind<u32> {
+        EventKind::Deliver {
+            to: ReplicaId(0),
+            from: from.map(ReplicaId),
+            msg,
+        }
+    }
+
+    /// Pops the next key and takes its event.
+    fn pop_kind(q: &mut EventQueue<u32>) -> Option<(Key, EventKind<u32>)> {
+        let key = q.pop()?;
+        Some((key, q.take(key.slot)))
+    }
+
+    #[test]
+    fn a_key_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Key>(), 24);
+        assert_eq!(std::mem::size_of::<Reverse<Key>>(), 24);
+    }
+
     #[test]
     fn events_pop_in_time_order() {
         let mut q: EventQueue<u32> = EventQueue::new();
-        q.push(30, EventKind::LinkFree { node: ReplicaId(0) });
-        q.push(10, EventKind::LinkFree { node: ReplicaId(1) });
-        q.push(20, EventKind::LinkFree { node: ReplicaId(2) });
-        let order: Vec<SimTime> = std::iter::from_fn(|| q.pop().map(|e| e.time)).collect();
+        q.push(30, link_free(0));
+        q.push(10, link_free(1));
+        q.push(20, link_free(2));
+        let order: Vec<SimTime> = std::iter::from_fn(|| q.pop().map(|k| k.time)).collect();
         assert_eq!(order, vec![10, 20, 30]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
         let mut q: EventQueue<u32> = EventQueue::new();
-        q.push(5, EventKind::LinkFree { node: ReplicaId(7) });
-        q.push(5, EventKind::LinkFree { node: ReplicaId(8) });
-        let first = q.pop().unwrap();
-        let second = q.pop().unwrap();
-        match (first.kind, second.kind) {
+        q.push(5, link_free(7));
+        q.push(5, link_free(8));
+        let (_, first) = pop_kind(&mut q).unwrap();
+        let (_, second) = pop_kind(&mut q).unwrap();
+        match (first, second) {
             (EventKind::LinkFree { node: a }, EventKind::LinkFree { node: b }) => {
                 assert_eq!(a, ReplicaId(7));
                 assert_eq!(b, ReplicaId(8));
@@ -171,22 +283,122 @@ mod tests {
     }
 
     #[test]
+    fn ties_break_by_seq_whatever_slot_and_from_hold() {
+        // Free slots are handed out last-freed-first, so after this the
+        // slots run against the push order; the senders run against it
+        // too.  Neither may show in the pop order.
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for i in 0..8 {
+            q.push(1, deliver(None, i));
+        }
+        while pop_kind(&mut q).is_some() {}
+        for i in 0..8 {
+            q.push(5, deliver(Some(7 - i), i));
+        }
+        let popped: Vec<_> = std::iter::from_fn(|| pop_kind(&mut q)).collect();
+        let slots: Vec<u32> = popped.iter().map(|(k, _)| k.slot).collect();
+        let senders: Vec<u32> = popped.iter().map(|(k, _)| k.from).collect();
+        let msgs: Vec<u32> = popped
+            .iter()
+            .map(|(_, kind)| match kind {
+                EventKind::Deliver { msg, .. } => *msg,
+                _ => panic!("unexpected kind"),
+            })
+            .collect();
+        assert_eq!(msgs, (0..8).collect::<Vec<_>>());
+        assert_eq!(slots, (0..8).rev().collect::<Vec<_>>());
+        assert_eq!(senders, (0..8).rev().collect::<Vec<_>>());
+        // And as a bare comparison.
+        let key = |seq, slot, from| Key {
+            time: 5,
+            seq,
+            slot,
+            from,
+        };
+        assert!(key(1, 9, 9) < key(2, 0, 0));
+        assert_eq!(key(1, 9, 9), key(1, 0, NO_SENDER));
+    }
+
+    #[test]
+    fn the_key_carries_the_sender_of_a_delivery_and_of_nothing_else() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.push(1, deliver(Some(3), 0));
+        q.push(2, deliver(None, 0));
+        q.push(3, link_free(3));
+        let senders: Vec<u32> = std::iter::from_fn(|| q.pop().map(|k| k.from)).collect();
+        assert_eq!(senders, vec![3, NO_SENDER, NO_SENDER]);
+    }
+
+    #[test]
     fn keyed_pushes_order_against_plain_ones_by_their_own_seq() {
         let mut q: EventQueue<u32> = EventQueue::new();
         let held = q.alloc_seq();
-        q.push(5, EventKind::LinkFree { node: ReplicaId(1) });
-        q.push_keyed(5, held, EventKind::CpuWake { node: ReplicaId(0) });
-        assert_eq!(q.peek_key(), Some((5, held)));
-        assert!(matches!(q.pop().unwrap().kind, EventKind::CpuWake { .. }));
-        assert_eq!(q.peek_key(), Some((5, held + 1)));
+        q.push(5, link_free(1));
+        q.push_wake(5, held, 0);
+        assert_eq!(q.peek_key().map(|k| (k.time, k.seq)), Some((5, held)));
+        assert_eq!(q.pop().unwrap().wake_node(), Some(0));
+        assert_eq!(q.peek_key().map(|k| (k.time, k.seq)), Some((5, held + 1)));
+    }
+
+    #[test]
+    fn a_requeued_key_keeps_its_slot_and_orders_by_its_new_stamp() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.push(5, deliver(Some(1), 11));
+        q.push(6, deliver(Some(2), 22));
+        let first = q.pop().unwrap();
+        let seq = q.alloc_seq();
+        q.requeue(Key {
+            time: 9,
+            seq,
+            ..first
+        });
+        let msgs: Vec<_> = std::iter::from_fn(|| pop_kind(&mut q))
+            .map(|(key, kind)| match kind {
+                EventKind::Deliver { msg, .. } => (key.time, key.slot, key.from, msg),
+                _ => panic!("unexpected kind"),
+            })
+            .collect();
+        assert_eq!(msgs, vec![(6, 1, 2, 22), (9, first.slot, 1, 11)]);
+    }
+
+    #[test]
+    fn a_wake_round_trips_its_node_and_owns_no_slot() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for node in [0usize, 1, 99, (WAKE_BIT - 1) as usize] {
+            let seq = q.alloc_seq();
+            q.push_wake(7, seq, node);
+            let key = q.pop().unwrap();
+            assert_eq!(key.wake_node(), Some(node));
+            assert_eq!((key.time, key.seq, key.from), (7, seq, NO_SENDER));
+        }
+        assert!(q.slab.is_empty() && q.free.is_empty());
+        q.push(8, link_free(0));
+        assert_eq!(q.pop().unwrap().wake_node(), None);
+    }
+
+    #[test]
+    fn slots_are_reused() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut t = 0;
+        for _ in 0..64 {
+            q.push(t, deliver(Some(1), 0));
+            t += 1;
+        }
+        for _ in 0..1_000_000 {
+            pop_kind(&mut q).unwrap();
+            q.push(t, deliver(Some(1), 0));
+            t += 1;
+        }
+        assert_eq!(q.len(), 64);
+        assert!(q.slab.len() <= 64, "slab grew to {}", q.slab.len());
     }
 
     #[test]
     fn peek_time_reports_earliest() {
         let mut q: EventQueue<u32> = EventQueue::new();
         assert_eq!(q.peek_time(), None);
-        q.push(42, EventKind::LinkFree { node: ReplicaId(0) });
-        q.push(7, EventKind::LinkFree { node: ReplicaId(0) });
+        q.push(42, link_free(0));
+        q.push(7, link_free(0));
         assert_eq!(q.peek_time(), Some(7));
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());

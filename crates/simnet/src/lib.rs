@@ -15,11 +15,14 @@
 //!   receiver's CPU busy waits in that node's inbox, stamped with the time
 //!   the CPU frees up, and is *re-presented* then — through the fault
 //!   plane again, and back to the end of the inbox if something else got
-//!   the CPU first.  The inbox orders against the global event queue by
-//!   `(time, sequence number)` exactly as if every waiting delivery were
-//!   queued there (one `CpuWake` entry stands in for all of them), which
-//!   is a retry order, not arrival order: a fresh arrival scheduled for
-//!   the very microsecond the CPU frees can overtake the backlog.
+//!   the CPU first.  What waits and moves is a 24-byte [`event::Key`];
+//!   the message stays in the event queue's slab from the moment it is
+//!   scheduled until it is served or dropped.  The inbox orders against
+//!   the global event queue by `(time, sequence number)` exactly as if
+//!   every waiting delivery were queued there (one wake key per non-empty
+//!   inbox stands in for all of them), which is a retry order, not
+//!   arrival order: a fresh arrival scheduled for the very microsecond
+//!   the CPU frees can overtake the backlog.
 //!   [`Simulation::events_processed`] counts timers, link completions and
 //!   every delivery attempt, re-presentations included,
 //!
@@ -77,7 +80,7 @@ pub mod runner;
 
 pub use context::{NodeCtx, TimerHandle, TimerTag};
 pub use driver::{node_rng_seed, NodeAction, NodeDriver};
-pub use event::{Event, EventKind};
+pub use event::EventKind;
 pub use faults::{FaultAction, FaultSchedule};
 pub use link::{OutboundLink, Priority};
 pub use message::SimMessage;

@@ -2,7 +2,7 @@
 
 use crate::context::{Action, NodeCtx, TimerTag};
 use crate::driver::node_rng_seed;
-use crate::event::{EventKind, EventQueue};
+use crate::event::{EventKind, EventQueue, Key, NO_SENDER};
 use crate::faults::{FaultAction, FaultSchedule};
 use crate::link::{OutboundLink, Priority, QueuedMessage};
 use crate::message::SimMessage;
@@ -98,26 +98,18 @@ impl TrafficStats {
     }
 }
 
-/// A delivery waiting in its receiver's CPU inbox, under the `(time, seq)`
-/// key it orders by against the event heap.
-struct Backlogged<M> {
-    time: SimTime,
-    seq: u64,
-    from: Option<ReplicaId>,
-    msg: M,
-}
-
 /// The discrete-event simulation of a replica network.
 pub struct Simulation<N: Node> {
     nodes: Vec<N>,
     rngs: Vec<SmallRng>,
     links: Vec<OutboundLink<N::Msg>>,
     cpu_free: Vec<SimTime>,
-    /// Per node, the deliveries that found its CPU busy, sorted by key:
-    /// each is stamped `(cpu_free, fresh seq)` when it joins the back.
-    inbox: Vec<VecDeque<Backlogged<N::Msg>>>,
-    /// Per node, the `seq` of the inbox head that its one live `CpuWake`
-    /// heap entry stands for (`None`: inbox empty or being drained).  A
+    /// Per node, the keys of the deliveries that found its CPU busy,
+    /// sorted: each is stamped `(cpu_free, fresh seq)` when it joins the
+    /// back.  The messages stay in the queue's slab.
+    inbox: Vec<VecDeque<Key>>,
+    /// Per node, the `seq` of the inbox head that its one live wake key
+    /// in the queue stands for (`None`: inbox empty or being drained).  A
     /// wake carrying any other `seq` is stale and ignored.
     wake_seq: Vec<Option<u64>>,
     queue: EventQueue<N::Msg>,
@@ -320,19 +312,20 @@ impl<N: Node> Simulation<N> {
                 self.apply_fault(action);
                 continue;
             }
-            let event = self.queue.pop().expect("peeked event must exist");
-            match event.kind {
-                EventKind::Deliver { to, from, msg } => {
-                    self.attempt_delivery(to, from, msg);
-                    self.arm_wake(to.index());
+            let key = self.queue.pop().expect("peeked event must exist");
+            if let Some(idx) = key.wake_node() {
+                // Any other wake stood for an inbox a crash spilled.
+                if self.wake_seq[idx] == Some(key.seq) {
+                    self.wake_seq[idx] = None;
+                    self.drain_inbox(idx);
                 }
-                EventKind::CpuWake { node } => {
-                    let idx = node.index();
-                    // Any other wake stood for an inbox a crash spilled.
-                    if self.wake_seq[idx] == Some(event.seq) {
-                        self.wake_seq[idx] = None;
-                        self.drain_inbox(idx);
-                    }
+                continue;
+            }
+            match *self.queue.kind(key.slot) {
+                EventKind::Deliver { to, .. } => {
+                    let idx = to.index();
+                    self.attempt_delivery(key, idx);
+                    self.arm_wake(idx);
                 }
                 EventKind::Timer {
                     node,
@@ -340,6 +333,7 @@ impl<N: Node> Simulation<N> {
                     tag,
                     epoch,
                 } => {
+                    self.queue.take(key.slot);
                     self.events_processed += 1;
                     if self.cancelled_timers.remove(&timer_id) {
                         continue;
@@ -354,6 +348,7 @@ impl<N: Node> Simulation<N> {
                     self.invoke(idx, Invocation::Timer(tag));
                 }
                 EventKind::LinkFree { node } => {
+                    self.queue.take(key.slot);
                     self.events_processed += 1;
                     let _span = self.telemetry.span_at("simnet.link_free", self.now);
                     self.links[node.index()].finish_current();
@@ -361,7 +356,8 @@ impl<N: Node> Simulation<N> {
                 }
             }
         }
-        self.now = until;
+        // Never backwards: handlers must not see time rewind.
+        self.now = self.now.max(until);
     }
 
     /// Runs the simulation for `duration` more simulated time.
@@ -385,13 +381,8 @@ impl<N: Node> Simulation<N> {
                     // to meet the next incarnation, if that boots first.
                     // It cannot wait here: `Restart` rewinds `cpu_free`,
                     // and later arrivals would be stamped before it.
-                    for b in self.inbox[idx].drain(..) {
-                        let kind = EventKind::Deliver {
-                            to: id,
-                            from: b.from,
-                            msg: b.msg,
-                        };
-                        self.queue.push_keyed(b.time, b.seq, kind);
+                    for key in self.inbox[idx].drain(..) {
+                        self.queue.requeue(key);
                     }
                     self.wake_seq[idx] = None;
                     self.telemetry.instant_at("simnet.fault.crash", self.now);
@@ -441,71 +432,48 @@ impl<N: Node> Simulation<N> {
         }
     }
 
-    /// Routes a delivery through the active faults.  Returns the message
-    /// when it should proceed; `None` when it was dropped or deferred.
-    fn fault_filter(
-        &mut self,
-        to: ReplicaId,
-        from: Option<ReplicaId>,
-        msg: N::Msg,
-    ) -> Option<N::Msg> {
-        let idx = to.index();
-        if self.crashed[idx] {
-            // Dropped at the dead NIC — client input included.
-            return None;
-        }
-        let Some(from_id) = from else {
-            // Client input is otherwise exempt from network faults.
-            return Some(msg);
-        };
-        if self.island[from_id.index()] != self.island[idx] {
-            return None; // crosses the partition cut
-        }
-        if self.now < self.drop_until {
-            return None;
-        }
-        if self.now < self.delay_until {
-            let extra = self
-                .fault_rng
-                .gen_range(self.delay_min_us..=self.delay_max_us)
-                .max(1);
-            self.queue
-                .push(self.now + extra, EventKind::Deliver { to, from, msg });
-            return None;
-        }
-        Some(msg)
-    }
-
     /// Whether node `i` is currently crashed by the fault plane.
     pub fn is_crashed(&self, i: usize) -> bool {
         self.crashed[i]
     }
 
-    /// One delivery attempt, fresh from the heap or re-presented from
-    /// the inbox: through the active faults, then to the CPU.
-    fn attempt_delivery(&mut self, to: ReplicaId, from: Option<ReplicaId>, msg: N::Msg) {
+    /// One attempt to deliver the message in `key.slot` to node `idx`,
+    /// fresh from the heap or re-presented from the inbox: through the
+    /// active faults, then to the CPU.  The message leaves its slot only
+    /// to be served or dropped; deferred, its key alone moves.
+    fn attempt_delivery(&mut self, key: Key, idx: usize) {
         self.events_processed += 1;
-        if let Some(msg) = self.fault_filter(to, from, msg) {
-            self.handle_delivery(to, from, msg);
+        // A dead NIC drops everything; client input is otherwise exempt
+        // from network faults.
+        let peer = key.from != NO_SENDER;
+        let cut = peer && self.island[key.from as usize] != self.island[idx];
+        if self.crashed[idx] || cut || (peer && self.now < self.drop_until) {
+            self.queue.take(key.slot);
+            return;
         }
-    }
-
-    fn handle_delivery(&mut self, to: ReplicaId, from: Option<ReplicaId>, msg: N::Msg) {
-        let idx = to.index();
+        if peer && self.now < self.delay_until {
+            // Back on the wire: fault jitter first, then the new stamp.
+            let extra = self
+                .fault_rng
+                .gen_range(self.delay_min_us..=self.delay_max_us)
+                .max(1);
+            let time = self.now + extra;
+            let seq = self.queue.alloc_seq();
+            self.queue.requeue(Key { time, seq, ..key });
+            return;
+        }
         // CPU model: if the receiver is still busy processing earlier
         // messages, the delivery waits in its inbox until the CPU frees
         // up.  The caller arms the wake.
         let time = self.cpu_free[idx];
         if time > self.now {
             let seq = self.queue.alloc_seq();
-            self.inbox[idx].push_back(Backlogged {
-                time,
-                seq,
-                from,
-                msg,
-            });
+            self.inbox[idx].push_back(Key { time, seq, ..key });
             return;
         }
+        let EventKind::Deliver { from, msg, .. } = self.queue.take(key.slot) else {
+            unreachable!("only deliveries are attempted");
+        };
         let _span = self.telemetry.span_at("simnet.deliver", self.now);
         let cost = (msg.cpu_cost_us() / self.net.cpu_speed.max(1e-9)).ceil() as SimTime;
         self.cpu_free[idx] = self.now + cost;
@@ -515,34 +483,30 @@ impl<N: Node> Simulation<N> {
         }
     }
 
-    /// Keeps one `CpuWake` in the heap for a non-empty inbox, under the
-    /// head's key.
+    /// Keeps one wake in the queue for a non-empty inbox, under the
+    /// head's `(time, seq)`.
     fn arm_wake(&mut self, idx: usize) {
         let Some(head) = self.inbox[idx].front() else {
             return;
         };
         if self.wake_seq[idx] != Some(head.seq) {
             self.wake_seq[idx] = Some(head.seq);
-            let node = ReplicaId(idx as u32);
-            self.queue
-                .push_keyed(head.time, head.seq, EventKind::CpuWake { node });
+            self.queue.push_wake(head.time, head.seq, idx);
         }
     }
 
     /// Re-presents the inbox entries due at `now`, each exactly when the
     /// heap would have popped it had it been queued there under its key.
     fn drain_inbox(&mut self, idx: usize) {
-        let to = ReplicaId(idx as u32);
-        while let Some(head) = self.inbox[idx].front() {
-            let key = (head.time, head.seq);
+        while let Some(&head) = self.inbox[idx].front() {
             // Not due yet, or an older event at `now` goes first — possibly
             // a fresh arrival for this very node, scheduled for exactly
             // `cpu_free`.
-            if head.time > self.now || self.queue.peek_key().is_some_and(|k| k < key) {
+            if head.time > self.now || self.queue.peek_key().is_some_and(|k| k < head) {
                 break;
             }
-            let b = self.inbox[idx].pop_front().expect("peeked head");
-            self.attempt_delivery(to, b.from, b.msg);
+            self.inbox[idx].pop_front();
+            self.attempt_delivery(head, idx);
         }
         self.arm_wake(idx);
     }
@@ -857,12 +821,15 @@ mod tests {
     #[test]
     fn determinism_same_seed_same_outcome() {
         let run = |seed: u64| {
-            let mut sim = two_nodes(true);
-            let _ = seed;
+            let nodes = vec![Recorder::new(true), Recorder::new(false)];
+            let mut sim = Simulation::new(nodes, NetConfig::wan(), seed);
             sim.run_until(MICROS_PER_MS * 200);
             sim.node(1).received.clone()
         };
         assert_eq!(run(7), run(7));
+        // The WAN's jitter is drawn from the seed, so the echo lands at a
+        // different microsecond under another one.
+        assert_ne!(run(7)[0].0, run(8)[0].0);
     }
 
     #[test]
@@ -903,6 +870,14 @@ mod tests {
         let mut sim = two_nodes(false);
         sim.run_until(123_456);
         assert_eq!(sim.now(), 123_456);
+    }
+
+    #[test]
+    fn run_until_an_earlier_time_does_not_rewind_the_clock() {
+        let mut sim = two_nodes(false);
+        sim.run_until(100);
+        sim.run_until(50);
+        assert_eq!(sim.now(), 100);
     }
 
     #[test]
