@@ -13,8 +13,8 @@
 //! reports that consensus may continue.
 
 use serde::{Deserialize, Serialize};
-use smp_crypto::QuorumProof;
 use smp_types::{wire, BlockId, Payload, Proposal, ReplicaId, SimTime, View, WireSize};
+use std::collections::{BTreeSet, HashMap};
 
 /// Message destination (mirrors the mempool's `Dest`; kept separate so the
 /// consensus crate does not depend on the mempool crate).
@@ -219,61 +219,45 @@ pub trait ConsensusEngine {
     fn committed_count(&self) -> u64;
 }
 
-/// A quorum certificate: `2f + 1` votes over a block id.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct QuorumCert {
-    /// Certified block.
-    pub block: BlockId,
-    /// View in which the block was certified.
-    pub view: View,
-    /// Aggregated vote signatures (modelled, not re-verified on the hot
-    /// path — the wire cost is what matters to the evaluation).
-    pub proof: QuorumProof,
+/// Who has voted for one `(view, block)`, until the quorum fires.
+#[derive(Clone, Debug)]
+enum Tally {
+    Open(BTreeSet<ReplicaId>),
+    Done,
 }
 
-impl QuorumCert {
-    /// The genesis certificate.
-    pub fn genesis() -> Self {
-        QuorumCert {
-            block: BlockId::GENESIS,
-            view: View(0),
-            proof: QuorumProof::default(),
-        }
-    }
-}
-
-/// Tracks votes per (view, block) until a quorum is reached.
-#[derive(Clone, Debug, Default)]
-pub struct VoteAggregator {
-    votes: std::collections::HashMap<(View, BlockId), std::collections::BTreeSet<ReplicaId>>,
-    reached: std::collections::HashSet<(View, BlockId)>,
+/// Tracks votes per `(view, block)` until a quorum is reached.
+#[derive(Clone, Debug)]
+pub(crate) struct VoteAggregator {
+    quorum: usize,
+    tallies: HashMap<(View, BlockId), Tally>,
 }
 
 impl VoteAggregator {
-    /// Creates an empty aggregator.
-    pub fn new() -> Self {
-        VoteAggregator::default()
+    /// An empty aggregator that fires at `quorum` distinct voters.
+    pub(crate) fn new(quorum: usize) -> Self {
+        VoteAggregator {
+            quorum,
+            tallies: HashMap::new(),
+        }
     }
 
-    /// Records a vote; returns `true` exactly once, when `quorum` distinct
-    /// voters have been seen for `(view, block)`.
-    pub fn record(&mut self, view: View, block: BlockId, voter: ReplicaId, quorum: usize) -> bool {
-        if self.reached.contains(&(view, block)) {
+    /// Records a vote; returns `true` exactly once, when the quorum of
+    /// distinct voters has been seen for `(view, block)`.
+    pub(crate) fn record(&mut self, view: View, block: BlockId, voter: ReplicaId) -> bool {
+        let tally = self
+            .tallies
+            .entry((view, block))
+            .or_insert_with(|| Tally::Open(BTreeSet::new()));
+        let Tally::Open(voters) = tally else {
             return false;
+        };
+        voters.insert(voter);
+        let reached = voters.len() >= self.quorum;
+        if reached {
+            *tally = Tally::Done;
         }
-        let set = self.votes.entry((view, block)).or_default();
-        set.insert(voter);
-        if set.len() >= quorum {
-            self.reached.insert((view, block));
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Number of votes currently recorded for `(view, block)`.
-    pub fn count(&self, view: View, block: BlockId) -> usize {
-        self.votes.get(&(view, block)).map_or(0, |s| s.len())
+        reached
     }
 }
 
@@ -284,20 +268,23 @@ mod tests {
 
     #[test]
     fn vote_aggregator_reaches_quorum_once() {
-        let mut agg = VoteAggregator::new();
+        let mut agg = VoteAggregator::new(3);
         let b = BlockId(Digest::of_u64(1));
-        assert!(!agg.record(View(1), b, ReplicaId(0), 3));
+        assert!(!agg.record(View(1), b, ReplicaId(0)));
         assert!(
-            !agg.record(View(1), b, ReplicaId(0), 3),
+            !agg.record(View(1), b, ReplicaId(0)),
             "duplicate voter ignored"
         );
-        assert!(!agg.record(View(1), b, ReplicaId(1), 3));
-        assert!(agg.record(View(1), b, ReplicaId(2), 3));
+        assert!(!agg.record(View(1), b, ReplicaId(1)));
         assert!(
-            !agg.record(View(1), b, ReplicaId(3), 3),
+            !agg.record(View(2), b, ReplicaId(2)),
+            "each (view, block) has its own tally"
+        );
+        assert!(agg.record(View(1), b, ReplicaId(2)));
+        assert!(
+            !agg.record(View(1), b, ReplicaId(3)),
             "quorum reported only once"
         );
-        assert_eq!(agg.count(View(1), b), 3);
     }
 
     #[test]

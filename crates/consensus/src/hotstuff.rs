@@ -3,17 +3,15 @@
 //! This is the "Chained-HotStuff" configuration the paper bases its
 //! evaluation on (Section VII-A): pipelined proposals, a leader per view,
 //! votes sent to the *next* leader (linear message complexity), and a
-//! three-chain commit rule.  The view-change pacemaker is timeout-driven:
-//! a replica that makes no progress within the view timeout broadcasts a
-//! new-view message to the next leader, which proposes once it has heard
-//! from a quorum.
+//! three-chain commit rule.  The block table and the timeout-driven
+//! pacemaker are the shared `core.rs`; this file is the vote and the
+//! commit rule.
 
 use crate::api::{
-    CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict, QuorumCert, VoteAggregator,
+    CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict, VoteAggregator,
 };
-use smp_crypto::QuorumProof;
+use crate::core::{Chain, Pacemaker};
 use smp_types::{BlockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, View};
-use std::collections::{HashMap, HashSet};
 
 /// Timer-tag base for per-view pacemaker timers (`tag = base + view`).
 pub const VIEW_TAG_BASE: u64 = 0x4854_5300_0000_0000;
@@ -21,170 +19,71 @@ pub const VIEW_TAG_BASE: u64 = 0x4854_5300_0000_0000;
 /// Chained HotStuff engine.
 #[derive(Clone, Debug)]
 pub struct HotStuffEngine {
-    me: ReplicaId,
-    n: usize,
-    quorum: usize,
-    view: View,
-    view_timeout: SimTime,
-    high_qc: QuorumCert,
-    blocks: HashMap<BlockId, Proposal>,
+    pm: Pacemaker,
+    chain: Chain,
+    /// The highest quorum certificate known: the certified block and the
+    /// view whose votes certified it.
+    high_qc_block: BlockId,
+    high_qc_view: View,
     votes: VoteAggregator,
-    new_views: VoteAggregator,
-    committed: HashSet<BlockId>,
-    committed_count: u64,
-    proposed_in: HashSet<View>,
-    payload_requested_for: HashSet<View>,
-    view_changes: u64,
 }
 
 impl HotStuffEngine {
     /// Creates the engine for replica `me`.
     pub fn new(config: &SystemConfig, me: ReplicaId) -> Self {
         HotStuffEngine {
-            me,
-            n: config.n,
-            quorum: config.consensus_quorum(),
-            view: View(1),
-            view_timeout: config.view_change_timeout,
-            high_qc: QuorumCert::genesis(),
-            blocks: HashMap::new(),
-            votes: VoteAggregator::new(),
-            new_views: VoteAggregator::new(),
-            committed: HashSet::new(),
-            committed_count: 0,
-            proposed_in: HashSet::new(),
-            payload_requested_for: HashSet::new(),
-            view_changes: 0,
+            pm: Pacemaker::new(config, me, VIEW_TAG_BASE),
+            chain: Chain::default(),
+            high_qc_block: BlockId::GENESIS,
+            high_qc_view: View(0),
+            votes: VoteAggregator::new(config.consensus_quorum()),
         }
     }
 
     /// Number of view changes this replica initiated.
     pub fn view_changes(&self) -> u64 {
-        self.view_changes
+        self.pm.view_changes
     }
 
-    fn leader_of(&self, view: View) -> ReplicaId {
-        view.leader(self.n)
-    }
-
-    fn is_leader(&self, view: View) -> bool {
-        self.leader_of(view) == self.me
-    }
-
-    fn arm_view_timer(&self, effects: &mut CEffects) {
-        effects.timer(self.view_timeout, VIEW_TAG_BASE + self.view.0);
-    }
-
-    fn request_payload_if_leader(&mut self, view: View, effects: &mut CEffects) {
-        if self.is_leader(view)
-            && !self.proposed_in.contains(&view)
-            && self.payload_requested_for.insert(view)
-        {
-            effects.event(CEvent::NeedPayload { view });
+    /// The three-chain rule, applied after `parent` (the block a new
+    /// proposal extends) received a quorum certificate: three consecutive
+    /// views certify the oldest block of the chain.
+    fn try_commit(&mut self, parent: BlockId, fx: &mut CEffects) {
+        if let Some([_, _, oldest]) = self.chain.three_chain(&parent) {
+            self.chain.commit_through(oldest, fx);
         }
     }
 
-    fn advance_to(&mut self, view: View, effects: &mut CEffects) {
-        if view <= self.view {
-            return;
-        }
-        self.view = view;
-        self.arm_view_timer(effects);
-        // Note: entering a view does NOT by itself entitle the leader to
-        // propose — it must first hold a QC for the previous view (formed
-        // from votes) or a quorum of new-view messages.  Requesting the
-        // payload here would fork the chain off an outdated high QC.
-    }
-
-    fn height_of(&self, block: &BlockId) -> u64 {
-        if *block == BlockId::GENESIS {
-            0
-        } else {
-            self.blocks.get(block).map_or(0, |p| p.height)
-        }
-    }
-
-    /// Applies the three-chain commit rule after `parent` (the block the
-    /// newly accepted proposal extends) received a quorum certificate.
-    fn try_commit(&mut self, parent: BlockId, effects: &mut CEffects) {
-        let Some(b1) = self.blocks.get(&parent).cloned() else {
-            return;
-        };
-        let Some(b2) = self.blocks.get(&b1.parent).cloned() else {
-            return;
-        };
-        let Some(b3) = self.blocks.get(&b2.parent).cloned() else {
-            return;
-        };
-        // Three consecutive views certify the oldest block of the chain.
-        if b1.view.0 != b2.view.0 + 1 || b2.view.0 != b3.view.0 + 1 {
-            return;
-        }
-        self.commit_chain(b3, effects);
-    }
-
-    /// Commits `tip` and every uncommitted ancestor, oldest first.
-    fn commit_chain(&mut self, tip: Proposal, effects: &mut CEffects) {
-        let mut chain = Vec::new();
-        let mut cursor = Some(tip);
-        while let Some(p) = cursor {
-            if self.committed.contains(&p.id) {
-                break;
-            }
-            cursor = self.blocks.get(&p.parent).cloned();
-            chain.push(p);
-        }
-        for p in chain.into_iter().rev() {
-            self.committed.insert(p.id);
-            self.committed_count += 1;
-            effects.event(CEvent::Committed { proposal: p });
-        }
-    }
-
-    fn vote_for(&mut self, proposal: &Proposal, effects: &mut CEffects) {
-        let next_leader = self.leader_of(proposal.view.next());
-        effects.send(
-            next_leader,
-            ConsensusMsg::Vote {
-                view: proposal.view,
-                block: proposal.id,
-                voter: self.me,
-            },
-        );
-        // Receiving a valid proposal for view v is the signal to move to
-        // view v + 1 (optimistic responsiveness).
-        self.advance_to(proposal.view.next(), effects);
+    /// Votes go to the next leader; a valid proposal for view v is also the
+    /// signal to move to view v + 1 (optimistic responsiveness).
+    fn vote_for(&mut self, view: View, block: BlockId, fx: &mut CEffects) {
+        let (next, voter) = (view.next(), self.pm.me);
+        let vote = ConsensusMsg::Vote { view, block, voter };
+        fx.send(self.pm.leader_of(next), vote);
+        self.pm.enter(next, fx);
     }
 }
 
 impl ConsensusEngine for HotStuffEngine {
     fn on_start(&mut self, _now: SimTime) -> CEffects {
         let mut fx = CEffects::none();
-        self.arm_view_timer(&mut fx);
-        self.request_payload_if_leader(self.view, &mut fx);
+        self.pm.arm(&mut fx);
+        self.pm.request_payload_if_leader(self.pm.view, &mut fx);
         fx
     }
 
-    fn on_message(&mut self, _now: SimTime, from: ReplicaId, msg: ConsensusMsg) -> CEffects {
+    fn on_message(&mut self, _now: SimTime, _from: ReplicaId, msg: ConsensusMsg) -> CEffects {
         let mut fx = CEffects::none();
         match msg {
             ConsensusMsg::Propose(p) => {
-                // Only the legitimate leader of the proposal's view counts.
-                if p.proposer != self.leader_of(p.view) || p.view < self.view {
+                if !self.pm.accepts(&p) || !self.chain.insert(&p) {
                     return fx;
                 }
-                if self.blocks.contains_key(&p.id) {
-                    return fx;
-                }
-                self.blocks.insert(p.id, p.clone());
                 // The parent now has a quorum certificate (embedded in the
                 // proposal); remember it and try to commit the three-chain.
-                if self.height_of(&p.parent) + 1 == p.height && p.view > self.high_qc.view {
-                    self.high_qc = QuorumCert {
-                        block: p.parent,
-                        view: View(p.view.0.saturating_sub(1)),
-                        proof: QuorumProof::default(),
-                    };
+                if self.chain.height_of(&p.parent) + 1 == p.height && p.view > self.high_qc_view {
+                    self.high_qc_block = p.parent;
+                    self.high_qc_view = View(p.view.0.saturating_sub(1));
                 }
                 self.try_commit(p.parent, &mut fx);
                 // Hand the proposal to the mempool before voting.
@@ -192,94 +91,45 @@ impl ConsensusEngine for HotStuffEngine {
             }
             ConsensusMsg::Vote { view, block, voter } => {
                 // Votes for view v are collected by the leader of v + 1.
-                if !self.is_leader(view.next()) {
-                    return fx;
-                }
-                if self.votes.record(view, block, voter, self.quorum) {
-                    if view >= self.high_qc.view {
-                        self.high_qc = QuorumCert {
-                            block,
-                            view,
-                            proof: QuorumProof::default(),
-                        };
+                let next = view.next();
+                if self.pm.is_leader(next) && self.votes.record(view, block, voter) {
+                    if view >= self.high_qc_view {
+                        self.high_qc_block = block;
+                        self.high_qc_view = view;
                     }
-                    self.advance_to(view.next(), &mut fx);
-                    self.request_payload_if_leader(view.next(), &mut fx);
+                    self.pm.enter(next, &mut fx);
+                    self.pm.request_payload_if_leader(next, &mut fx);
                 }
             }
-            ConsensusMsg::NewView {
-                view,
-                voter,
-                high_qc_view: _,
-            } => {
-                if !self.is_leader(view) {
-                    return fx;
-                }
-                if self
-                    .new_views
-                    .record(view, BlockId::GENESIS, voter, self.quorum)
-                {
-                    self.advance_to(view, &mut fx);
-                    self.request_payload_if_leader(view, &mut fx);
-                }
+            ConsensusMsg::NewView { view, voter, .. } => {
+                self.pm.on_new_view(view, voter, &mut fx);
             }
-            ConsensusMsg::Prepare { .. } | ConsensusMsg::Commit { .. } => {
-                // Not used by HotStuff.
-            }
+            // Not used by HotStuff.
+            ConsensusMsg::Prepare { .. } | ConsensusMsg::Commit { .. } => {}
         }
-        let _ = from;
         fx
     }
 
     fn on_timer(&mut self, _now: SimTime, tag: u64) -> CEffects {
         let mut fx = CEffects::none();
-        if tag < VIEW_TAG_BASE {
-            return fx;
-        }
-        let timer_view = View(tag - VIEW_TAG_BASE);
-        if timer_view != self.view {
-            return fx; // Stale timer from a view we already left.
-        }
-        // No progress in this view: move on and tell the next leader.
-        let abandoned = self.view;
-        self.view_changes += 1;
-        fx.event(CEvent::ViewChange { abandoned });
-        self.view = self.view.next();
-        self.arm_view_timer(&mut fx);
-        let next_leader = self.leader_of(self.view);
-        let msg = ConsensusMsg::NewView {
-            view: self.view,
-            voter: self.me,
-            high_qc_view: self.high_qc.view,
-        };
-        if next_leader == self.me {
-            // Count our own new-view message immediately.
-            if self
-                .new_views
-                .record(self.view, BlockId::GENESIS, self.me, self.quorum)
-            {
-                self.request_payload_if_leader(self.view, &mut fx);
-            }
-        } else {
-            fx.send(next_leader, msg);
-        }
+        self.pm.on_timer(tag, self.high_qc_view, &mut fx);
         fx
     }
 
     fn on_payload(&mut self, _now: SimTime, view: View, payload: Payload) -> CEffects {
         let mut fx = CEffects::none();
-        if view != self.view || !self.is_leader(view) || self.proposed_in.contains(&view) {
+        if !self.pm.claim_proposal(view) {
             return fx;
         }
-        self.proposed_in.insert(view);
-        let parent = self.high_qc.block;
-        let height = self.height_of(&parent) + 1;
-        let proposal = Proposal::new(view, height, parent, self.me, payload, true);
-        self.blocks.insert(proposal.id, proposal.clone());
+        let parent = self.high_qc_block;
+        let height = self.chain.height_of(&parent) + 1;
+        let proposal = Proposal::new(view, height, parent, self.pm.me, payload, true);
+        let id = proposal.id;
+        self.chain.insert(&proposal);
         self.try_commit(parent, &mut fx);
-        fx.broadcast(ConsensusMsg::Propose(proposal.clone()));
+        fx.broadcast(ConsensusMsg::Propose(proposal));
         // The leader votes for its own proposal.
-        self.vote_for(&proposal, &mut fx);
+        self.vote_for(view, id, &mut fx);
         fx
     }
 
@@ -290,48 +140,30 @@ impl ConsensusEngine for HotStuffEngine {
         verdict: ProposalVerdict,
     ) -> CEffects {
         let mut fx = CEffects::none();
-        let Some(proposal) = self.blocks.get(&block).cloned() else {
+        let Some(view) = self.chain.get(&block).map(|p| p.view) else {
             return fx;
         };
         match verdict {
             ProposalVerdict::Accept => {
-                if proposal.view.0 + 1 >= self.view.0 {
-                    self.vote_for(&proposal, &mut fx);
+                if view.0 + 1 >= self.pm.view.0 {
+                    self.vote_for(view, block, &mut fx);
                 }
             }
-            ProposalVerdict::Reject => {
-                self.view_changes += 1;
-                fx.event(CEvent::ViewChange {
-                    abandoned: proposal.view,
-                });
-                let next = proposal.view.next();
-                if next > self.view {
-                    self.view = next;
-                    self.arm_view_timer(&mut fx);
-                }
-                fx.send(
-                    self.leader_of(self.view),
-                    ConsensusMsg::NewView {
-                        view: self.view,
-                        voter: self.me,
-                        high_qc_view: self.high_qc.view,
-                    },
-                );
-            }
+            ProposalVerdict::Reject => self.pm.reject(view, self.high_qc_view, &mut fx),
         }
         fx
     }
 
     fn id(&self) -> ReplicaId {
-        self.me
+        self.pm.me
     }
 
     fn current_view(&self) -> View {
-        self.view
+        self.pm.view
     }
 
     fn committed_count(&self) -> u64 {
-        self.committed_count
+        self.chain.committed_count()
     }
 }
 

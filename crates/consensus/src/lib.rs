@@ -8,25 +8,32 @@
 //! and hand incoming proposals back for verification/filling, exactly the
 //! interface the shared-mempool abstraction needs (paper Figure 1).
 //!
-//! * [`HotStuffEngine`] — chained HotStuff: pipelined, linear message
-//!   complexity, three-chain commit, timeout pacemaker.
-//! * [`PbftEngine`] — chained PBFT: pre-prepare/prepare/commit with
-//!   all-to-all votes.
-//! * [`StreamletEngine`] — epoch-based streamlined consensus.
-//! * [`MirBftEngine`] — MirBFT-style multi-leader operation (every replica
-//!   leads its own instance).
+//! All four run on one crate-private core (`core.rs`): `Chain` (the block
+//! table, the committed set and commit emission), `Pacemaker` (round-robin
+//! leader, current view, the once-per-view payload and proposal gate, the
+//! view timer, the timeout / `Reject` / `NewView` view change) and
+//! `TwoPhase` (prepare quorum → own commit vote → commit quorum).  An
+//! engine's file holds only its vote and commit rule, and this table is the
+//! whole difference between the files:
+//!
+//! | engine | proposes when | votes go to | commit rule | view change | state kept besides the core |
+//! |---|---|---|---|---|---|
+//! | [`HotStuffEngine`] | `2f + 1` votes for the previous view, or `2f + 1` `NewView`s | the next leader | three-chain on a QC | `Pacemaker` | `high_qc`, the vote tally |
+//! | [`PbftEngine`] | it leads the view entered on commit, or `2f + 1` `NewView`s | everyone, twice | `TwoPhase` commit quorum, one block | `Pacemaker` | `last_committed` |
+//! | [`StreamletEngine`] | the epoch clock reaches an epoch it leads | everyone, for blocks extending the longest notarized chain | three notarized blocks in consecutive epochs finalize the middle one | none: epochs tick regardless | the epoch clock, `notarized`, the longest notarized tip |
+//! | [`MirBftEngine`] | every 100 ms, every replica, if it has a payload | everyone, twice | `TwoPhase` commit quorum, one block | none | the cadence timer, `next_seq`, `instance_tips`, `awaiting_payload` |
+//!
+//! `tests/effects_golden.rs` pins every effect the engines emit.
 
 pub mod api;
+mod core;
 pub mod hotstuff;
 pub mod mirbft;
 pub mod pbft;
 pub mod streamlet;
 pub mod testkit;
 
-pub use api::{
-    CDest, CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict, QuorumCert,
-    VoteAggregator,
-};
+pub use api::{CDest, CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict};
 pub use hotstuff::HotStuffEngine;
 pub use mirbft::MirBftEngine;
 pub use pbft::PbftEngine;

@@ -8,15 +8,16 @@
 //! its own instance, proposing a batch from its local mempool at a fixed
 //! cadence, and each batch is agreed with the PBFT prepare/commit pattern
 //! (all-to-all votes, hence the `O(n²)` message complexity of Table I).
+//! The block table and the two tallies are the shared `core.rs`; there is no
+//! view to change, so no pacemaker.
 //!
 //! Cross-instance failure handling (MirBFT's epoch changes) is out of
 //! scope, as the paper's comparison runs it in the failure-free setting.
 
-use crate::api::{
-    CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict, VoteAggregator,
-};
+use crate::api::{CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict};
+use crate::core::{Chain, TwoPhase};
 use smp_types::{BlockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, View};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Timer tag for the per-replica proposal cadence.
 pub const PROPOSE_INTERVAL_TAG: u64 = 0x4d49_5242_0000_0001;
@@ -28,15 +29,10 @@ pub const DEFAULT_PROPOSE_INTERVAL: SimTime = 100 * smp_types::MICROS_PER_MS;
 #[derive(Clone, Debug)]
 pub struct MirBftEngine {
     me: ReplicaId,
-    quorum: usize,
-    propose_interval: SimTime,
     /// Next sequence number of this replica's own instance.
     next_seq: u64,
-    blocks: HashMap<BlockId, Proposal>,
-    prepares: VoteAggregator,
-    commits: VoteAggregator,
-    committed: HashSet<BlockId>,
-    committed_count: u64,
+    chain: Chain,
+    votes: TwoPhase,
     /// Last committed block per instance (parent pointer for that leader's
     /// next proposal).
     instance_tips: HashMap<ReplicaId, BlockId>,
@@ -48,14 +44,9 @@ impl MirBftEngine {
     pub fn new(config: &SystemConfig, me: ReplicaId) -> Self {
         MirBftEngine {
             me,
-            quorum: config.consensus_quorum(),
-            propose_interval: DEFAULT_PROPOSE_INTERVAL,
             next_seq: 1,
-            blocks: HashMap::new(),
-            prepares: VoteAggregator::new(),
-            commits: VoteAggregator::new(),
-            committed: HashSet::new(),
-            committed_count: 0,
+            chain: Chain::default(),
+            votes: TwoPhase::new(config, me),
             instance_tips: HashMap::new(),
             awaiting_payload: false,
         }
@@ -66,34 +57,16 @@ impl MirBftEngine {
         self.next_seq
     }
 
-    fn record_prepare(
-        &mut self,
-        view: View,
-        block: BlockId,
-        voter: ReplicaId,
-        instance: ReplicaId,
-        fx: &mut CEffects,
-    ) {
-        if self.prepares.record(view, block, voter, self.quorum) {
-            fx.broadcast(ConsensusMsg::Commit {
-                view,
-                block,
-                voter: self.me,
-                instance,
-            });
-            self.record_commit(view, block, self.me, fx);
-        }
+    fn request_payload(&mut self, fx: &mut CEffects) {
+        self.awaiting_payload = true;
+        let view = View(self.next_seq);
+        fx.event(CEvent::NeedPayload { view });
     }
 
-    fn record_commit(&mut self, view: View, block: BlockId, voter: ReplicaId, fx: &mut CEffects) {
-        if self.commits.record(view, block, voter, self.quorum) && !self.committed.contains(&block)
-        {
-            if let Some(p) = self.blocks.get(&block).cloned() {
-                self.committed.insert(block);
-                self.committed_count += 1;
-                self.instance_tips.insert(p.proposer, block);
-                fx.event(CEvent::Committed { proposal: p });
-            }
+    /// Commits `block` as the new tip of its proposer's instance.
+    fn on_commit_quorum(&mut self, block: BlockId, fx: &mut CEffects) {
+        if let Some(p) = self.chain.commit(&block, fx) {
+            self.instance_tips.insert(p.proposer, block);
         }
     }
 }
@@ -101,11 +74,8 @@ impl MirBftEngine {
 impl ConsensusEngine for MirBftEngine {
     fn on_start(&mut self, _now: SimTime) -> CEffects {
         let mut fx = CEffects::none();
-        fx.timer(self.propose_interval, PROPOSE_INTERVAL_TAG);
-        self.awaiting_payload = true;
-        fx.event(CEvent::NeedPayload {
-            view: View(self.next_seq),
-        });
+        fx.timer(DEFAULT_PROPOSE_INTERVAL, PROPOSE_INTERVAL_TAG);
+        self.request_payload(&mut fx);
         fx
     }
 
@@ -113,11 +83,9 @@ impl ConsensusEngine for MirBftEngine {
         let mut fx = CEffects::none();
         match msg {
             ConsensusMsg::Propose(p) => {
-                if self.blocks.contains_key(&p.id) {
-                    return fx;
+                if self.chain.insert(&p) {
+                    fx.event(CEvent::VerifyProposal { proposal: p });
                 }
-                self.blocks.insert(p.id, p.clone());
-                fx.event(CEvent::VerifyProposal { proposal: p });
             }
             ConsensusMsg::Prepare {
                 view,
@@ -125,14 +93,18 @@ impl ConsensusEngine for MirBftEngine {
                 voter,
                 instance,
             } => {
-                self.record_prepare(view, block, voter, instance, &mut fx);
+                if self.votes.prepare(view, block, voter, instance, &mut fx) {
+                    self.on_commit_quorum(block, &mut fx);
+                }
             }
             ConsensusMsg::Commit {
                 view, block, voter, ..
             } => {
-                self.record_commit(view, block, voter, &mut fx);
+                if self.votes.commit(view, block, voter) {
+                    self.on_commit_quorum(block, &mut fx);
+                }
             }
-            _ => {}
+            ConsensusMsg::Vote { .. } | ConsensusMsg::NewView { .. } => {}
         }
         fx
     }
@@ -142,43 +114,30 @@ impl ConsensusEngine for MirBftEngine {
         if tag != PROPOSE_INTERVAL_TAG {
             return fx;
         }
-        fx.timer(self.propose_interval, PROPOSE_INTERVAL_TAG);
+        fx.timer(DEFAULT_PROPOSE_INTERVAL, PROPOSE_INTERVAL_TAG);
         if !self.awaiting_payload {
-            self.awaiting_payload = true;
-            fx.event(CEvent::NeedPayload {
-                view: View(self.next_seq),
-            });
+            self.request_payload(&mut fx);
         }
         fx
     }
 
-    fn on_payload(&mut self, _now: SimTime, view: View, payload: Payload) -> CEffects {
+    fn on_payload(&mut self, now: SimTime, view: View, payload: Payload) -> CEffects {
         let mut fx = CEffects::none();
         self.awaiting_payload = false;
-        if view.0 != self.next_seq {
+        // An empty payload skips this cadence slot rather than flooding the
+        // network with empty per-leader proposals.
+        if view.0 != self.next_seq || payload.is_empty() {
             return fx;
         }
-        if payload.is_empty() {
-            // Nothing to order: skip this cadence slot rather than flooding
-            // the network with empty per-leader proposals.
-            return fx;
-        }
-        let parent = self
-            .instance_tips
-            .get(&self.me)
-            .copied()
-            .unwrap_or(BlockId::GENESIS);
+        let tip = self.instance_tips.get(&self.me);
+        let parent = tip.copied().unwrap_or(BlockId::GENESIS);
         let proposal = Proposal::new(view, self.next_seq, parent, self.me, payload, false);
+        let id = proposal.id;
         self.next_seq += 1;
-        self.blocks.insert(proposal.id, proposal.clone());
-        fx.broadcast(ConsensusMsg::Propose(proposal.clone()));
-        fx.broadcast(ConsensusMsg::Prepare {
-            view,
-            block: proposal.id,
-            voter: self.me,
-            instance: self.me,
-        });
-        self.record_prepare(view, proposal.id, self.me, self.me, &mut fx);
+        self.chain.insert(&proposal);
+        fx.broadcast(ConsensusMsg::Propose(proposal));
+        // The leader prepares its own proposal like everyone else.
+        fx.merge(self.on_proposal_verdict(now, id, ProposalVerdict::Accept));
         fx
     }
 
@@ -189,17 +148,20 @@ impl ConsensusEngine for MirBftEngine {
         verdict: ProposalVerdict,
     ) -> CEffects {
         let mut fx = CEffects::none();
-        let Some(p) = self.blocks.get(&block).cloned() else {
+        let Some((view, instance)) = self.chain.get(&block).map(|p| (p.view, p.proposer)) else {
             return fx;
         };
         if verdict == ProposalVerdict::Accept {
+            let voter = self.me;
             fx.broadcast(ConsensusMsg::Prepare {
-                view: p.view,
+                view,
                 block,
-                voter: self.me,
-                instance: p.proposer,
+                voter,
+                instance,
             });
-            self.record_prepare(p.view, block, self.me, p.proposer, &mut fx);
+            if self.votes.prepare(view, block, voter, instance, &mut fx) {
+                self.on_commit_quorum(block, &mut fx);
+            }
         }
         fx
     }
@@ -213,7 +175,7 @@ impl ConsensusEngine for MirBftEngine {
     }
 
     fn committed_count(&self) -> u64 {
-        self.committed_count
+        self.chain.committed_count()
     }
 }
 

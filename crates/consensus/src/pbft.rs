@@ -2,13 +2,13 @@
 //! commit) arranged on the same chained, rotating-leader structure as
 //! Chained-HotStuff, as the paper does for a fair comparison
 //! (Section VII-A).  Prepare and commit votes are broadcast all-to-all,
-//! giving the `O(n²)` message complexity of Table I.
+//! giving the `O(n²)` message complexity of Table I.  The block table, the
+//! pacemaker and the two tallies are the shared `core.rs`; this file builds
+//! each view's block on the last committed one and enters the next on commit.
 
-use crate::api::{
-    CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict, VoteAggregator,
-};
+use crate::api::{CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict};
+use crate::core::{Chain, Pacemaker, TwoPhase};
 use smp_types::{BlockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, View};
-use std::collections::{HashMap, HashSet};
 
 /// Timer-tag base for per-view pacemaker timers (`tag = base + view`).
 pub const PBFT_VIEW_TAG_BASE: u64 = 0x5042_4654_0000_0000;
@@ -16,111 +16,53 @@ pub const PBFT_VIEW_TAG_BASE: u64 = 0x5042_4654_0000_0000;
 /// Chained PBFT engine.
 #[derive(Clone, Debug)]
 pub struct PbftEngine {
-    me: ReplicaId,
-    n: usize,
-    quorum: usize,
-    view: View,
-    view_timeout: SimTime,
-    blocks: HashMap<BlockId, Proposal>,
-    prepares: VoteAggregator,
-    commits: VoteAggregator,
-    new_views: VoteAggregator,
-    prepared: HashSet<BlockId>,
-    committed: HashSet<BlockId>,
-    committed_count: u64,
+    pm: Pacemaker,
+    chain: Chain,
+    votes: TwoPhase,
     last_committed: BlockId,
-    proposed_in: HashSet<View>,
-    payload_requested_for: HashSet<View>,
-    view_changes: u64,
 }
 
 impl PbftEngine {
     /// Creates the engine for replica `me`.
     pub fn new(config: &SystemConfig, me: ReplicaId) -> Self {
         PbftEngine {
-            me,
-            n: config.n,
-            quorum: config.consensus_quorum(),
-            view: View(1),
-            view_timeout: config.view_change_timeout,
-            blocks: HashMap::new(),
-            prepares: VoteAggregator::new(),
-            commits: VoteAggregator::new(),
-            new_views: VoteAggregator::new(),
-            prepared: HashSet::new(),
-            committed: HashSet::new(),
-            committed_count: 0,
+            pm: Pacemaker::new(config, me, PBFT_VIEW_TAG_BASE),
+            chain: Chain::default(),
+            votes: TwoPhase::new(config, me),
             last_committed: BlockId::GENESIS,
-            proposed_in: HashSet::new(),
-            payload_requested_for: HashSet::new(),
-            view_changes: 0,
         }
     }
 
     /// Number of view changes this replica initiated.
     pub fn view_changes(&self) -> u64 {
-        self.view_changes
-    }
-
-    fn leader_of(&self, view: View) -> ReplicaId {
-        view.leader(self.n)
-    }
-
-    fn is_leader(&self, view: View) -> bool {
-        self.leader_of(view) == self.me
-    }
-
-    fn arm_view_timer(&self, fx: &mut CEffects) {
-        fx.timer(self.view_timeout, PBFT_VIEW_TAG_BASE + self.view.0);
-    }
-
-    fn request_payload_if_leader(&mut self, view: View, fx: &mut CEffects) {
-        if self.is_leader(view)
-            && !self.proposed_in.contains(&view)
-            && self.payload_requested_for.insert(view)
-        {
-            fx.event(CEvent::NeedPayload { view });
-        }
+        self.pm.view_changes
     }
 
     fn record_prepare(&mut self, view: View, block: BlockId, voter: ReplicaId, fx: &mut CEffects) {
-        if self.prepares.record(view, block, voter, self.quorum) {
-            self.prepared.insert(block);
-            fx.broadcast(ConsensusMsg::Commit {
-                view,
-                block,
-                voter: self.me,
-                instance: self.me,
-            });
-            self.record_commit(view, block, self.me, fx);
+        if self.votes.prepare(view, block, voter, self.pm.me, fx) {
+            self.on_commit_quorum(view, block, fx);
         }
     }
 
-    fn record_commit(&mut self, view: View, block: BlockId, voter: ReplicaId, fx: &mut CEffects) {
-        if self.commits.record(view, block, voter, self.quorum) && !self.committed.contains(&block)
-        {
-            if let Some(p) = self.blocks.get(&block).cloned() {
-                self.committed.insert(block);
-                self.committed_count += 1;
-                self.last_committed = block;
-                fx.event(CEvent::Committed { proposal: p });
-            }
-            // Sequential views: move to the next height after committing.
-            let next = view.next();
-            if next > self.view {
-                self.view = next;
-                self.arm_view_timer(fx);
-            }
-            self.request_payload_if_leader(self.view, fx);
+    /// Commits `block` if it is here, then — sequential views — moves to
+    /// the next height whether it was or not.
+    fn on_commit_quorum(&mut self, view: View, block: BlockId, fx: &mut CEffects) {
+        if self.chain.is_committed(&block) {
+            return;
         }
+        if self.chain.commit(&block, fx).is_some() {
+            self.last_committed = block;
+        }
+        self.pm.enter(view.next(), fx);
+        self.pm.request_payload_if_leader(self.pm.view, fx);
     }
 }
 
 impl ConsensusEngine for PbftEngine {
     fn on_start(&mut self, _now: SimTime) -> CEffects {
         let mut fx = CEffects::none();
-        self.arm_view_timer(&mut fx);
-        self.request_payload_if_leader(self.view, &mut fx);
+        self.pm.arm(&mut fx);
+        self.pm.request_payload_if_leader(self.pm.view, &mut fx);
         fx
     }
 
@@ -128,41 +70,24 @@ impl ConsensusEngine for PbftEngine {
         let mut fx = CEffects::none();
         match msg {
             ConsensusMsg::Propose(p) => {
-                if p.proposer != self.leader_of(p.view) || p.view < self.view {
+                if !self.pm.accepts(&p) || !self.chain.insert(&p) {
                     return fx;
                 }
-                if self.blocks.contains_key(&p.id) {
-                    return fx;
-                }
-                if p.view > self.view {
-                    self.view = p.view;
-                    self.arm_view_timer(&mut fx);
-                }
-                self.blocks.insert(p.id, p.clone());
+                self.pm.enter(p.view, &mut fx);
                 fx.event(CEvent::VerifyProposal { proposal: p });
             }
             ConsensusMsg::Prepare {
                 view, block, voter, ..
-            } => {
-                self.record_prepare(view, block, voter, &mut fx);
-            }
+            } => self.record_prepare(view, block, voter, &mut fx),
             ConsensusMsg::Commit {
                 view, block, voter, ..
             } => {
-                self.record_commit(view, block, voter, &mut fx);
+                if self.votes.commit(view, block, voter) {
+                    self.on_commit_quorum(view, block, &mut fx);
+                }
             }
             ConsensusMsg::NewView { view, voter, .. } => {
-                if self.is_leader(view)
-                    && self
-                        .new_views
-                        .record(view, BlockId::GENESIS, voter, self.quorum)
-                {
-                    if view > self.view {
-                        self.view = view;
-                        self.arm_view_timer(&mut fx);
-                    }
-                    self.request_payload_if_leader(view, &mut fx);
-                }
+                self.pm.on_new_view(view, voter, &mut fx);
             }
             ConsensusMsg::Vote { .. } => {}
         }
@@ -171,58 +96,22 @@ impl ConsensusEngine for PbftEngine {
 
     fn on_timer(&mut self, _now: SimTime, tag: u64) -> CEffects {
         let mut fx = CEffects::none();
-        if tag < PBFT_VIEW_TAG_BASE {
-            return fx;
-        }
-        let timer_view = View(tag - PBFT_VIEW_TAG_BASE);
-        if timer_view != self.view {
-            return fx;
-        }
-        self.view_changes += 1;
-        fx.event(CEvent::ViewChange {
-            abandoned: self.view,
-        });
-        self.view = self.view.next();
-        self.arm_view_timer(&mut fx);
-        let leader = self.leader_of(self.view);
-        if leader == self.me {
-            if self
-                .new_views
-                .record(self.view, BlockId::GENESIS, self.me, self.quorum)
-            {
-                self.request_payload_if_leader(self.view, &mut fx);
-            }
-        } else {
-            fx.send(
-                leader,
-                ConsensusMsg::NewView {
-                    view: self.view,
-                    voter: self.me,
-                    high_qc_view: View(0),
-                },
-            );
-        }
+        self.pm.on_timer(tag, View(0), &mut fx);
         fx
     }
 
-    fn on_payload(&mut self, _now: SimTime, view: View, payload: Payload) -> CEffects {
+    fn on_payload(&mut self, now: SimTime, view: View, payload: Payload) -> CEffects {
         let mut fx = CEffects::none();
-        if view != self.view || !self.is_leader(view) || self.proposed_in.contains(&view) {
+        if !self.pm.claim_proposal(view) {
             return fx;
         }
-        self.proposed_in.insert(view);
-        let height = view.0;
-        let proposal = Proposal::new(view, height, self.last_committed, self.me, payload, false);
-        self.blocks.insert(proposal.id, proposal.clone());
-        fx.broadcast(ConsensusMsg::Propose(proposal.clone()));
+        let parent = self.last_committed;
+        let proposal = Proposal::new(view, view.0, parent, self.pm.me, payload, false);
+        let id = proposal.id;
+        self.chain.insert(&proposal);
+        fx.broadcast(ConsensusMsg::Propose(proposal));
         // The leader's pre-prepare doubles as its prepare vote.
-        fx.broadcast(ConsensusMsg::Prepare {
-            view,
-            block: proposal.id,
-            voter: self.me,
-            instance: self.me,
-        });
-        self.record_prepare(view, proposal.id, self.me, &mut fx);
+        fx.merge(self.on_proposal_verdict(now, id, ProposalVerdict::Accept));
         fx
     }
 
@@ -233,50 +122,35 @@ impl ConsensusEngine for PbftEngine {
         verdict: ProposalVerdict,
     ) -> CEffects {
         let mut fx = CEffects::none();
-        let Some(p) = self.blocks.get(&block).cloned() else {
+        let Some((view, instance)) = self.chain.get(&block).map(|p| (p.view, p.proposer)) else {
             return fx;
         };
+        let voter = self.pm.me;
         match verdict {
             ProposalVerdict::Accept => {
                 fx.broadcast(ConsensusMsg::Prepare {
-                    view: p.view,
+                    view,
                     block,
-                    voter: self.me,
-                    instance: p.proposer,
+                    voter,
+                    instance,
                 });
-                self.record_prepare(p.view, block, self.me, &mut fx);
+                self.record_prepare(view, block, voter, &mut fx);
             }
-            ProposalVerdict::Reject => {
-                self.view_changes += 1;
-                fx.event(CEvent::ViewChange { abandoned: p.view });
-                let next = p.view.next();
-                if next > self.view {
-                    self.view = next;
-                    self.arm_view_timer(&mut fx);
-                }
-                fx.send(
-                    self.leader_of(self.view),
-                    ConsensusMsg::NewView {
-                        view: self.view,
-                        voter: self.me,
-                        high_qc_view: View(0),
-                    },
-                );
-            }
+            ProposalVerdict::Reject => self.pm.reject(view, View(0), &mut fx),
         }
         fx
     }
 
     fn id(&self) -> ReplicaId {
-        self.me
+        self.pm.me
     }
 
     fn current_view(&self) -> View {
-        self.view
+        self.pm.view
     }
 
     fn committed_count(&self) -> u64 {
-        self.committed_count
+        self.chain.committed_count()
     }
 }
 

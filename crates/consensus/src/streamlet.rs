@@ -6,13 +6,15 @@
 //! extending the longest notarized chain; every replica broadcasts its
 //! vote; a block with `2f + 1` votes is notarized; three adjacent
 //! notarized blocks with consecutive epoch numbers finalize the prefix up
-//! to the middle one.
+//! to the middle one.  The block table and the leader gate are the shared
+//! `core.rs`; the epoch clock, notarization and the vote rule are here.
 
 use crate::api::{
     CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict, VoteAggregator,
 };
+use crate::core::{Chain, Pacemaker};
 use smp_types::{BlockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, View};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Timer tag for the epoch clock.
 pub const EPOCH_TAG: u64 = 0x5354_524c_0000_0001;
@@ -20,21 +22,14 @@ pub const EPOCH_TAG: u64 = 0x5354_524c_0000_0001;
 /// Streamlet engine.
 #[derive(Clone, Debug)]
 pub struct StreamletEngine {
-    me: ReplicaId,
-    n: usize,
-    quorum: usize,
-    epoch: View,
+    /// Leadership by epoch (`pm.view` is the current epoch); the epoch
+    /// clock below stands in for the pacemaker's view timer.
+    pm: Pacemaker,
+    chain: Chain,
     epoch_duration: SimTime,
-    blocks: HashMap<BlockId, Proposal>,
     votes: VoteAggregator,
     notarized: HashSet<BlockId>,
-    finalized: HashSet<BlockId>,
-    committed_count: u64,
     longest_notarized_tip: BlockId,
-    longest_notarized_height: u64,
-    proposed_in: HashSet<View>,
-    payload_requested_for: HashSet<View>,
-    view_changes: u64,
 }
 
 impl StreamletEngine {
@@ -43,90 +38,43 @@ impl StreamletEngine {
     /// fit one proposal round trip).
     pub fn new(config: &SystemConfig, me: ReplicaId) -> Self {
         StreamletEngine {
-            me,
-            n: config.n,
-            quorum: config.consensus_quorum(),
-            epoch: View(1),
+            pm: Pacemaker::new(config, me, EPOCH_TAG),
+            chain: Chain::default(),
             epoch_duration: (config.view_change_timeout / 2).max(1),
-            blocks: HashMap::new(),
-            votes: VoteAggregator::new(),
+            votes: VoteAggregator::new(config.consensus_quorum()),
             notarized: HashSet::new(),
-            finalized: HashSet::new(),
-            committed_count: 0,
             longest_notarized_tip: BlockId::GENESIS,
-            longest_notarized_height: 0,
-            proposed_in: HashSet::new(),
-            payload_requested_for: HashSet::new(),
-            view_changes: 0,
         }
     }
 
-    /// Number of epochs that expired without this replica seeing a
-    /// proposal from the epoch leader.
+    /// Number of epochs that ended under another replica's leadership,
+    /// plus proposals the mempool rejected.
     pub fn view_changes(&self) -> u64 {
-        self.view_changes
+        self.pm.view_changes
     }
 
-    fn leader_of(&self, epoch: View) -> ReplicaId {
-        epoch.leader(self.n)
+    fn longest_notarized_height(&self) -> u64 {
+        self.chain.height_of(&self.longest_notarized_tip)
     }
 
-    fn request_payload_if_leader(&mut self, epoch: View, fx: &mut CEffects) {
-        if self.leader_of(epoch) == self.me
-            && !self.proposed_in.contains(&epoch)
-            && self.payload_requested_for.insert(epoch)
-        {
-            fx.event(CEvent::NeedPayload { view: epoch });
-        }
-    }
-
-    fn on_notarized(&mut self, block: BlockId, fx: &mut CEffects) {
-        if !self.notarized.insert(block) {
+    /// Counts a vote; at the quorum `block` is notarized, which may extend
+    /// the longest notarized chain and finalize a prefix.
+    fn record_vote(&mut self, epoch: View, block: BlockId, voter: ReplicaId, fx: &mut CEffects) {
+        if !self.votes.record(epoch, block, voter) || !self.notarized.insert(block) {
             return;
         }
-        let Some(p) = self.blocks.get(&block).cloned() else {
+        let Some(height) = self.chain.get(&block).map(|p| p.height) else {
             return;
         };
-        if p.height > self.longest_notarized_height {
-            self.longest_notarized_height = p.height;
+        if height > self.longest_notarized_height() {
             self.longest_notarized_tip = block;
         }
         // Finalization: three adjacent notarized blocks with consecutive
         // epochs finalize everything up to the middle one.
-        let Some(parent) = self.blocks.get(&p.parent).cloned() else {
-            return;
-        };
-        let Some(grandparent) = self.blocks.get(&parent.parent).cloned() else {
-            return;
-        };
-        if !self.notarized.contains(&parent.id) || !self.notarized.contains(&grandparent.id) {
-            return;
-        }
-        if p.view.0 == parent.view.0 + 1 && parent.view.0 == grandparent.view.0 + 1 {
-            self.finalize_chain(parent, fx);
-        }
-    }
-
-    fn finalize_chain(&mut self, tip: Proposal, fx: &mut CEffects) {
-        let mut chain = Vec::new();
-        let mut cursor = Some(tip);
-        while let Some(p) = cursor {
-            if self.finalized.contains(&p.id) {
-                break;
+        if let Some([_, parent, grandparent]) = self.chain.three_chain(&block) {
+            if self.notarized.contains(&parent) && self.notarized.contains(&grandparent) {
+                self.chain.commit_through(parent, fx);
             }
-            cursor = self.blocks.get(&p.parent).cloned();
-            chain.push(p);
-        }
-        for p in chain.into_iter().rev() {
-            self.finalized.insert(p.id);
-            self.committed_count += 1;
-            fx.event(CEvent::Committed { proposal: p });
-        }
-    }
-
-    fn record_vote(&mut self, epoch: View, block: BlockId, voter: ReplicaId, fx: &mut CEffects) {
-        if self.votes.record(epoch, block, voter, self.quorum) {
-            self.on_notarized(block, fx);
         }
     }
 }
@@ -135,7 +83,7 @@ impl ConsensusEngine for StreamletEngine {
     fn on_start(&mut self, _now: SimTime) -> CEffects {
         let mut fx = CEffects::none();
         fx.timer(self.epoch_duration, EPOCH_TAG);
-        self.request_payload_if_leader(self.epoch, &mut fx);
+        self.pm.request_payload_if_leader(self.pm.view, &mut fx);
         fx
     }
 
@@ -143,21 +91,16 @@ impl ConsensusEngine for StreamletEngine {
         let mut fx = CEffects::none();
         match msg {
             ConsensusMsg::Propose(p) => {
-                if p.proposer != self.leader_of(p.view) || self.blocks.contains_key(&p.id) {
+                if p.proposer != self.pm.leader_of(p.view) || !self.chain.insert(&p) {
                     return fx;
                 }
-                if p.view > self.epoch {
-                    // We are behind: adopt the later epoch.
-                    self.epoch = p.view;
-                }
-                self.blocks.insert(p.id, p.clone());
+                // If we are behind, adopt the later epoch.
+                self.pm.view = self.pm.view.max(p.view);
                 fx.event(CEvent::VerifyProposal { proposal: p });
             }
             ConsensusMsg::Prepare {
                 view, block, voter, ..
-            } => {
-                self.record_vote(view, block, voter, &mut fx);
-            }
+            } => self.record_vote(view, block, voter, &mut fx),
             _ => {}
         }
         fx
@@ -169,38 +112,29 @@ impl ConsensusEngine for StreamletEngine {
             return fx;
         }
         // The epoch clock ticks unconditionally.
-        if !self.proposed_in.contains(&self.epoch) && self.leader_of(self.epoch) != self.me {
-            // The leader of the finished epoch never reached us.
-            self.view_changes += 1;
+        let finished = self.pm.view;
+        if !self.pm.is_leader(finished) {
+            self.pm.view_changes += 1;
         }
-        self.epoch = self.epoch.next();
+        self.pm.view = finished.next();
         fx.timer(self.epoch_duration, EPOCH_TAG);
-        self.request_payload_if_leader(self.epoch, &mut fx);
+        self.pm.request_payload_if_leader(finished.next(), &mut fx);
         fx
     }
 
-    fn on_payload(&mut self, _now: SimTime, epoch: View, payload: Payload) -> CEffects {
+    fn on_payload(&mut self, now: SimTime, epoch: View, payload: Payload) -> CEffects {
         let mut fx = CEffects::none();
-        if epoch != self.epoch
-            || self.leader_of(epoch) != self.me
-            || self.proposed_in.contains(&epoch)
-        {
+        if !self.pm.claim_proposal(epoch) {
             return fx;
         }
-        self.proposed_in.insert(epoch);
         let parent = self.longest_notarized_tip;
-        let height = self.longest_notarized_height + 1;
-        let proposal = Proposal::new(epoch, height, parent, self.me, payload, false);
-        self.blocks.insert(proposal.id, proposal.clone());
-        fx.broadcast(ConsensusMsg::Propose(proposal.clone()));
+        let height = self.longest_notarized_height() + 1;
+        let proposal = Proposal::new(epoch, height, parent, self.pm.me, payload, false);
+        let id = proposal.id;
+        self.chain.insert(&proposal);
+        fx.broadcast(ConsensusMsg::Propose(proposal));
         // The leader votes for its own proposal.
-        fx.broadcast(ConsensusMsg::Prepare {
-            view: epoch,
-            block: proposal.id,
-            voter: self.me,
-            instance: self.me,
-        });
-        self.record_vote(epoch, proposal.id, self.me, &mut fx);
+        fx.merge(self.on_proposal_verdict(now, id, ProposalVerdict::Accept));
         fx
     }
 
@@ -211,43 +145,37 @@ impl ConsensusEngine for StreamletEngine {
         verdict: ProposalVerdict,
     ) -> CEffects {
         let mut fx = CEffects::none();
-        let Some(p) = self.blocks.get(&block).cloned() else {
+        let Some(p) = self.chain.get(&block) else {
             return fx;
         };
-        match verdict {
-            ProposalVerdict::Accept => {
-                // Streamlet votes only for proposals extending the longest
-                // notarized chain.
-                if p.parent == self.longest_notarized_tip
-                    || p.height > self.longest_notarized_height
-                {
-                    fx.broadcast(ConsensusMsg::Prepare {
-                        view: p.view,
-                        block,
-                        voter: self.me,
-                        instance: p.proposer,
-                    });
-                    self.record_vote(p.view, block, self.me, &mut fx);
-                }
-            }
-            ProposalVerdict::Reject => {
-                self.view_changes += 1;
-                fx.event(CEvent::ViewChange { abandoned: p.view });
-            }
+        let (view, instance, voter) = (p.view, p.proposer, self.pm.me);
+        let extends =
+            p.parent == self.longest_notarized_tip || p.height > self.longest_notarized_height();
+        if verdict == ProposalVerdict::Reject {
+            self.pm.abandon(view, &mut fx);
+        } else if extends {
+            // Only proposals extending the longest notarized chain get a vote.
+            fx.broadcast(ConsensusMsg::Prepare {
+                view,
+                block,
+                voter,
+                instance,
+            });
+            self.record_vote(view, block, voter, &mut fx);
         }
         fx
     }
 
     fn id(&self) -> ReplicaId {
-        self.me
+        self.pm.me
     }
 
     fn current_view(&self) -> View {
-        self.epoch
+        self.pm.view
     }
 
     fn committed_count(&self) -> u64 {
-        self.committed_count
+        self.chain.committed_count()
     }
 }
 

@@ -31,13 +31,13 @@
 
 use crate::api::{Effects, FillStatus, Mempool, MempoolEvent, MempoolStats, TimerTag};
 use crate::dissemination::{
-    certifiers, creators_then_proposer, unproven_ref, verify_certificates, Dissemination,
-    FetchWire, Missing,
+    certifiers, creators_then_proposer, unproven_ref, verify_certificates, CertificateBook,
+    Dissemination, FetchWire, Missing,
 };
 use crate::simple::DEFAULT_FETCH_TIMEOUT;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
-use smp_crypto::{Digest, Hasher, KeyPair, PublicKey, QuorumProof, SecretKey, Signature};
+use smp_crypto::{Digest, Hasher, SecretKey, Signature};
 use smp_telemetry::Telemetry;
 use smp_types::{
     wire, DagMode, Microblock, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime,
@@ -198,9 +198,8 @@ impl WireSize for DagMsg {
 #[derive(Clone, Debug)]
 pub struct DagMempool {
     core: Dissemination,
-    keys: Vec<PublicKey>,
-    my_key: KeyPair,
-    quorum: usize,
+    /// Support patterns: ack signatures per batch, a certificate at `2f + 1`.
+    support: CertificateBook,
     mode: DagMode,
     /// Sealed batches waiting for a block slot.
     pending_batches: VecDeque<Microblock>,
@@ -216,10 +215,6 @@ pub struct DagMempool {
     /// every replica can reconstruct identically — this is what keeps
     /// the socket commit sequence byte-identical to the simulator's.
     ledgers: HashMap<ReplicaId, CreatorLedger>,
-    /// Accumulating support patterns (ack signatures per batch).
-    support: HashMap<MicroblockId, QuorumProof>,
-    /// Batches whose support pattern reached `2f + 1`.
-    certified: HashMap<MicroblockId, QuorumProof>,
     /// Digests of accepted blocks (duplicate suppression that stays
     /// correct across crash-restart re-emissions).
     seen: HashSet<Digest>,
@@ -254,20 +249,15 @@ impl DagMempool {
 
     /// Creates the mempool with an explicit commit-derivation mode.
     pub fn with_mode(config: &SystemConfig, me: ReplicaId, mode: DagMode) -> Self {
-        let keypairs = KeyPair::derive_all(config.seed, config.n);
         DagMempool {
             core: Dissemination::new(config, me, DEFAULT_FETCH_TIMEOUT),
-            keys: keypairs.iter().map(|k| k.public).collect(),
-            my_key: keypairs[me.index()],
-            quorum: config.consensus_quorum(),
+            support: CertificateBook::new(config, me),
             mode,
             pending_batches: VecDeque::new(),
             unacked: Vec::new(),
             ledgers: HashMap::new(),
             my_seq: 0,
             my_acked: HashSet::new(),
-            support: HashMap::new(),
-            certified: HashMap::new(),
             seen: HashSet::new(),
             latest: BTreeMap::new(),
             emitted: false,
@@ -282,7 +272,7 @@ impl DagMempool {
 
     /// Whether `id`'s support pattern reached `2f + 1` locally.
     pub fn is_certified(&self, id: &MicroblockId) -> bool {
-        self.certified.contains_key(id)
+        self.support.is_certified(id)
     }
 
     /// The round of this replica's latest emitted block.
@@ -322,7 +312,7 @@ impl DagMempool {
             if !self.core.store().contains(id) {
                 break;
             }
-            if self.mode == DagMode::Certified && !self.certified.contains_key(id) {
+            if self.mode == DagMode::Certified && !self.support.is_certified(id) {
                 break;
             }
             let id = *id;
@@ -349,25 +339,9 @@ impl DagMempool {
         sig: Signature,
         effects: &mut Effects<DagMsg>,
     ) {
-        if !sig.verify(
-            &self.keys[sig.signer as usize % self.keys.len()],
-            &id.digest(),
-        ) {
+        let Ok(Some(_)) = self.support.add(id, sig) else {
             return;
-        }
-        if self.certified.contains_key(&id) {
-            return;
-        }
-        let proof = self
-            .support
-            .entry(id)
-            .or_insert_with(|| QuorumProof::new(id.digest()));
-        proof.add(sig);
-        if !proof.has_quorum(self.quorum) {
-            return;
-        }
-        let proof = self.support.remove(&id).expect("entry inserted above");
-        self.certified.insert(id, proof);
+        };
         self.core.telemetry().counter_inc("dag.certified");
         // Certificates that overtake their batch wait in the ledger.
         let Some(mb) = self.core.store().get(&id) else {
@@ -394,14 +368,15 @@ impl DagMempool {
         if self.seen.contains(&digest) {
             return;
         }
+        let keys = self.support.keys();
         if !block
             .sig
-            .verify(&self.keys[block.creator.index() % self.keys.len()], &digest)
+            .verify(&keys[block.creator.index() % keys.len()], &digest)
         {
             return;
         }
         // Only the genesis round may reference fewer than 2f + 1 parents.
-        if block.round > 0 && block.parents.len() < self.quorum {
+        if block.round > 0 && block.parents.len() < self.support.quorum() {
             return;
         }
         // A block may only introduce its own creator's batch.
@@ -432,7 +407,7 @@ impl DagMempool {
             if self.pending_batches.is_empty() && self.unacked.is_empty() {
                 return;
             }
-            let round = if self.latest.len() >= self.quorum {
+            let round = if self.latest.len() >= self.support.quorum() {
                 1 + self
                     .latest
                     .values()
@@ -454,7 +429,7 @@ impl DagMempool {
             for id in self.unacked.drain(..) {
                 acks.push(DagAck {
                     id,
-                    sig: Signature::sign(&self.my_key.secret, &id.digest()),
+                    sig: self.support.sign(&id.digest()),
                 });
             }
             if let Some(mb) = &batch {
@@ -462,7 +437,7 @@ impl DagMempool {
                 self.my_acked.insert(mb.id);
                 acks.push(DagAck {
                     id: mb.id,
-                    sig: Signature::sign(&self.my_key.secret, &mb.id.digest()),
+                    sig: self.support.sign(&mb.id.digest()),
                 });
             }
             let parents: Vec<DagParentRef> = self
@@ -488,7 +463,7 @@ impl DagMempool {
                 sig: Signature { signer: 0, tag: 0 },
             };
             let digest = block.digest();
-            block.sig = Signature::sign(&self.my_key.secret, &digest);
+            block.sig = self.support.sign(&digest);
             self.emitted = true;
             self.blocks_out += 1;
             self.seen.insert(digest);
@@ -557,7 +532,7 @@ impl Mempool for DagMempool {
 
     fn make_payload(&mut self, now: SimTime) -> Payload {
         let _span = self.core.telemetry().span_at("dag.make_payload", now);
-        let (mode, certified) = (self.mode, &self.certified);
+        let (mode, certified) = (self.mode, &self.support);
         let payload = self.core.drain_refs(|id, store| match mode {
             DagMode::Certified => {
                 let mb = store.get(&id)?;
@@ -584,7 +559,7 @@ impl Mempool for DagMempool {
     ) -> (FillStatus, Effects<DagMsg>) {
         let mut effects = Effects::none();
         let (me, proposer) = (self.core.me(), proposal.proposer);
-        let (keys, quorum) = (&self.keys, self.quorum);
+        let (keys, quorum) = (self.support.keys(), self.support.quorum());
         let status = match self.mode {
             // Every reference must carry a valid support certificate.
             // Supported batches are recoverable from their ackers:
@@ -633,6 +608,7 @@ mod tests {
     use super::*;
     use crate::api::Dest;
     use rand::SeedableRng;
+    use smp_crypto::{KeyPair, QuorumProof};
     use smp_types::{BlockId, ClientId, MempoolConfig, View};
 
     fn config() -> SystemConfig {
@@ -958,7 +934,7 @@ mod tests {
             let _ = net[3].on_message(22, ReplicaId(1), DagMsg::Block(ack_block.clone()), &mut r);
         }
         assert!(net[3].is_certified(&id));
-        assert_eq!(net[3].certified.get(&id).unwrap().signers().len(), 3);
+        assert_eq!(net[3].support.get(&id).unwrap().signers().len(), 3);
         let _ = cfg;
     }
 }

@@ -16,12 +16,13 @@ use crate::messages::{NarwhalMsg, SmpMsg};
 use crate::store::{FillTracker, MicroblockStore, ProposalQueue};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use smp_crypto::PublicKey;
+use smp_crypto::{Digest, KeyPair, ProofError, PublicKey, QuorumProof, Signature};
 use smp_telemetry::Telemetry;
 use smp_types::{
     Microblock, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime, SystemConfig,
     Transaction,
 };
+use std::collections::HashMap;
 
 /// The two fetch messages every wire family has, so the core can emit
 /// each family's own variants.
@@ -412,4 +413,126 @@ pub fn certifiers(
         pool.push(proposer);
     }
     pool
+}
+/// One quorum certificate per microblock, built from signatures over its
+/// id: Narwhal's echoes and readies, the certified DAG's acks.  Signatures
+/// accumulate until the `quorum`-th, which freezes the certificate —
+/// every replica that certifies an id from the same signatures holds the
+/// same bytes, whatever arrives later.
+#[derive(Clone, Debug)]
+pub(crate) struct CertificateBook {
+    keys: Vec<PublicKey>,
+    my_key: KeyPair,
+    quorum: usize,
+    /// Signatures collected per id; a certificate once `quorum` are held.
+    proofs: HashMap<MicroblockId, QuorumProof>,
+}
+
+impl CertificateBook {
+    /// An empty book for replica `me`, certifying at `2f + 1` signatures.
+    pub(crate) fn new(config: &SystemConfig, me: ReplicaId) -> Self {
+        let keypairs = KeyPair::derive_all(config.seed, config.n);
+        CertificateBook {
+            keys: keypairs.iter().map(|k| k.public).collect(),
+            my_key: keypairs[me.index()],
+            quorum: config.consensus_quorum(),
+            proofs: HashMap::new(),
+        }
+    }
+
+    /// Every replica's public key, by replica index.
+    pub(crate) fn keys(&self) -> &[PublicKey] {
+        &self.keys
+    }
+
+    /// Signatures a certificate takes.
+    pub(crate) fn quorum(&self) -> usize {
+        self.quorum
+    }
+
+    /// This replica's signature over `digest`.
+    pub(crate) fn sign(&self, digest: &Digest) -> Signature {
+        Signature::sign(&self.my_key.secret, digest)
+    }
+
+    /// Counts `sig` towards the certificate of `id`.  `Err` if it is not a
+    /// replica's signature over `id`; `Ok(Some(certificate))` if it was the
+    /// `quorum`-th, which happens once per id; `Ok(None)` otherwise (still
+    /// short, a repeated signer, or certified already).
+    pub(crate) fn add(
+        &mut self,
+        id: MicroblockId,
+        sig: Signature,
+    ) -> Result<Option<&QuorumProof>, ProofError> {
+        let digest = id.digest();
+        if !sig.verify(&self.keys[sig.signer as usize % self.keys.len()], &digest) {
+            return Err(ProofError::BadSignature(sig.signer));
+        }
+        let proof = self
+            .proofs
+            .entry(id)
+            .or_insert_with(|| QuorumProof::new(digest));
+        let completed =
+            !proof.has_quorum(self.quorum) && proof.add(sig) && proof.has_quorum(self.quorum);
+        Ok(completed.then_some(&*proof))
+    }
+
+    /// Whether `proof` is a valid certificate of `id`; if so, and `id` has
+    /// none yet, it becomes the one.
+    pub(crate) fn adopt(&mut self, id: MicroblockId, proof: QuorumProof) -> bool {
+        let valid = proof.digest == id.digest() && proof.verify(&self.keys, self.quorum).is_ok();
+        if valid && !self.is_certified(&id) {
+            self.proofs.insert(id, proof);
+        }
+        valid
+    }
+
+    /// The certificate of `id`, once it has one.
+    pub(crate) fn get(&self, id: &MicroblockId) -> Option<&QuorumProof> {
+        self.proofs.get(id).filter(|p| p.has_quorum(self.quorum))
+    }
+
+    /// Whether `id` is certified.
+    pub(crate) fn is_certified(&self, id: &MicroblockId) -> bool {
+        self.get(id).is_some()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn certificate_freezes_at_the_quorum_th_signature() {
+        let config = SystemConfig::new(4);
+        let books: Vec<CertificateBook> = (0..4)
+            .map(|i| CertificateBook::new(&config, ReplicaId(i)))
+            .collect();
+        let id = MicroblockId(Digest::of_u64(7));
+        let sigs: Vec<Signature> = books.iter().map(|b| b.sign(&id.digest())).collect();
+        let mut book = books[0].clone();
+        assert_eq!(book.add(id, sigs[0]), Ok(None));
+        assert_eq!(book.add(id, sigs[0]), Ok(None), "repeated signer");
+        assert_eq!(book.add(id, sigs[1]), Ok(None));
+        assert!(!book.is_certified(&id) && book.get(&id).is_none());
+        // A signature over another id is not a signature over this one.
+        let other = books[2].sign(&Digest::of_u64(8));
+        assert_eq!(book.add(id, other), Err(ProofError::BadSignature(2)));
+        let certificate = book.add(id, sigs[2]).unwrap().cloned();
+        assert_eq!(
+            certificate.as_ref().map(|c| c.signers()),
+            Some(vec![0, 1, 2])
+        );
+        assert_eq!(
+            book.add(id, sigs[3]),
+            Ok(None),
+            "frozen: a fourth adds nothing"
+        );
+        assert_eq!(book.get(&id), certificate.as_ref());
+        // Adopted whole: only a valid certificate over the same id.
+        let (mut fresh, certificate) = (books[3].clone(), certificate.unwrap());
+        assert!(!fresh.adopt(MicroblockId(Digest::of_u64(8)), certificate.clone()));
+        assert!(!fresh.adopt(id, QuorumProof::new(id.digest())));
+        assert!(fresh.adopt(id, certificate) && fresh.is_certified(&id));
+    }
 }

@@ -40,6 +40,9 @@
 //! | [`DagMempool`] fast path | DAG block + piggybacked acks | stored, in creator `seq` order | nothing | — | yes (`MustWait`) | creators, then the proposer |
 //! | `stratus::StratusMempool` | PAB push (or DLB forward to a proxy) | availability proof known | PAB proof (`f + 1 ..= 2f + 1` acks) | `PabEngine::verify_proof` | no | each signer with probability `α`, retried through the signers in turn |
 //!
+//! Narwhal (echoes, readies) and the certified DAG (acks) keep their
+//! signatures and certificates in one `dissemination::CertificateBook`,
+//! which freezes a batch's proof at the `2f + 1`-th signature.
 //! [`NativeMempool`] ships transactions inline, has no store and does not
 //! use the core.
 

@@ -18,11 +18,13 @@
 //!   leader embeds next to the batch id in its proposal.
 
 use crate::api::{Effects, FillStatus, Mempool, MempoolEvent, MempoolStats, TimerTag};
-use crate::dissemination::{certifiers, verify_certificates, Dissemination, Missing};
+use crate::dissemination::{
+    certifiers, verify_certificates, CertificateBook, Dissemination, Missing,
+};
 use crate::messages::NarwhalMsg;
 use crate::simple::DEFAULT_FETCH_TIMEOUT;
 use rand::rngs::SmallRng;
-use smp_crypto::{KeyPair, PublicKey, QuorumProof, Signature};
+use smp_crypto::Signature;
 use smp_telemetry::Telemetry;
 use smp_types::{
     Microblock, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime, SystemConfig,
@@ -34,60 +36,39 @@ use std::collections::{HashMap, HashSet};
 #[derive(Clone, Debug)]
 pub struct NarwhalMempool {
     core: Dissemination,
-    keys: Vec<PublicKey>,
-    my_key: KeyPair,
-    rb_quorum: usize,
-    echoes: HashMap<MicroblockId, QuorumProof>,
-    readies: HashMap<MicroblockId, QuorumProof>,
+    /// Echo signatures per batch; `2f + 1` of them make this replica ready.
+    echoes: CertificateBook,
+    /// Ready signatures per batch; `2f + 1` of them are its certificate.
+    readies: CertificateBook,
     ready_sent: HashSet<MicroblockId>,
-    certified: HashMap<MicroblockId, QuorumProof>,
     meta: HashMap<MicroblockId, (ReplicaId, u32, SimTime)>,
-}
-
-/// Adds `sig` to the signatures collected for `id`.
-fn collect(
-    proofs: &mut HashMap<MicroblockId, QuorumProof>,
-    id: MicroblockId,
-    sig: Signature,
-) -> &QuorumProof {
-    let proof = proofs
-        .entry(id)
-        .or_insert_with(|| QuorumProof::new(id.digest()));
-    proof.add(sig);
-    proof
 }
 
 impl NarwhalMempool {
     /// Creates the mempool for replica `me`.
     pub fn new(config: &SystemConfig, me: ReplicaId) -> Self {
-        let keypairs = KeyPair::derive_all(config.seed, config.n);
+        let readies = CertificateBook::new(config, me);
         NarwhalMempool {
             core: Dissemination::new(config, me, DEFAULT_FETCH_TIMEOUT),
-            keys: keypairs.iter().map(|k| k.public).collect(),
-            my_key: keypairs[me.index()],
-            rb_quorum: config.consensus_quorum(),
-            echoes: HashMap::new(),
-            readies: HashMap::new(),
+            // Same keys and quorum, derived once.
+            echoes: readies.clone(),
+            readies,
             ready_sent: HashSet::new(),
-            certified: HashMap::new(),
             meta: HashMap::new(),
         }
     }
 
     /// Whether `id` is certified locally.
     pub fn is_certified(&self, id: &MicroblockId) -> bool {
-        self.certified.contains_key(id)
+        self.readies.is_certified(id)
     }
 
-    fn sign_for(&self, id: &MicroblockId) -> Signature {
-        Signature::sign(&self.my_key.secret, &id.digest())
-    }
-
-    fn signed_by_a_replica(&self, id: &MicroblockId, sig: &Signature) -> bool {
-        sig.verify(
-            &self.keys[sig.signer as usize % self.keys.len()],
-            &id.digest(),
-        )
+    /// Signs and counts this replica's own echo of `id`.  It never sends
+    /// the ready by itself, even as the `2f + 1`-th: the next echo does.
+    fn echo(&mut self, id: MicroblockId) -> Signature {
+        let sig = self.echoes.sign(&id.digest());
+        let _ = self.echoes.add(id, sig);
+        sig
     }
 
     fn note_meta(&mut self, mb: &Microblock) {
@@ -99,8 +80,7 @@ impl NarwhalMempool {
         self.note_meta(&mb);
         self.core.hold(&mb);
         // Creator's own echo counts toward the quorum.
-        let own_echo = self.sign_for(&mb.id);
-        collect(&mut self.echoes, mb.id, own_echo);
+        self.echo(mb.id);
         effects.broadcast(NarwhalMsg::Batch(mb));
     }
 
@@ -111,15 +91,11 @@ impl NarwhalMempool {
         sig: Signature,
         effects: &mut Effects<NarwhalMsg>,
     ) {
-        if !self.signed_by_a_replica(&id, &sig) {
-            return;
-        }
-        let echoed = collect(&mut self.echoes, id, sig).has_quorum(self.rb_quorum);
+        let echoed = self.echoes.add(id, sig).is_ok() && self.echoes.is_certified(&id);
         if echoed && self.ready_sent.insert(id) {
-            let own_ready = self.sign_for(&id);
-            collect(&mut self.readies, id, own_ready);
+            let own_ready = self.readies.sign(&id.digest());
             effects.broadcast(NarwhalMsg::Ready { id, sig: own_ready });
-            self.maybe_certify(now, id, effects);
+            self.record_ready(now, id, own_ready, effects);
         }
     }
 
@@ -130,26 +106,11 @@ impl NarwhalMempool {
         sig: Signature,
         effects: &mut Effects<NarwhalMsg>,
     ) {
-        if !self.signed_by_a_replica(&id, &sig) {
-            return;
-        }
-        collect(&mut self.readies, id, sig);
-        self.maybe_certify(now, id, effects);
-    }
-
-    /// A batch becomes proposable once `2f + 1` readies certify it and its
-    /// data is stored.
-    fn maybe_certify(&mut self, now: SimTime, id: MicroblockId, effects: &mut Effects<NarwhalMsg>) {
-        if self.certified.contains_key(&id) {
-            return;
-        }
-        let Some(readies) = self.readies.get(&id) else {
+        // A batch becomes proposable once `2f + 1` readies certify it and
+        // its data is stored.
+        let Ok(Some(_)) = self.readies.add(id, sig) else {
             return;
         };
-        if !readies.has_quorum(self.rb_quorum) {
-            return;
-        }
-        self.certified.insert(id, readies.clone());
         if self.core.store().contains(&id) {
             self.core.make_proposable(id);
         }
@@ -194,10 +155,9 @@ impl Mempool for NarwhalMempool {
                 self.note_meta(&mb);
                 if self.core.absorb(now, mb, &mut effects) {
                     // Echo the batch to everyone (the O(n²) step).
-                    let sig = self.sign_for(&id);
-                    collect(&mut self.echoes, id, sig);
+                    let sig = self.echo(id);
                     effects.broadcast(NarwhalMsg::Echo { id, sig });
-                    if self.certified.contains_key(&id) {
+                    if self.readies.is_certified(&id) {
                         self.core.make_proposable(id);
                     }
                 }
@@ -210,9 +170,8 @@ impl Mempool for NarwhalMempool {
                 tx_count,
                 proof,
             } => {
-                if proof.verify(&self.keys, self.rb_quorum).is_ok() {
+                if self.readies.adopt(id, proof) {
                     self.meta.entry(id).or_insert((creator, tx_count, now));
-                    self.certified.entry(id).or_insert(proof);
                     if self.core.store().contains(&id) {
                         self.core.make_proposable(id);
                     }
@@ -238,7 +197,7 @@ impl Mempool for NarwhalMempool {
     }
 
     fn make_payload(&mut self, _now: SimTime) -> Payload {
-        let (certified, meta) = (&self.certified, &self.meta);
+        let (certified, meta) = (&self.readies, &self.meta);
         self.core.drain_refs(|id, _| {
             let (creator, tx_count, _) = meta.get(&id)?;
             let proof = certified.get(&id)?.clone();
@@ -256,7 +215,7 @@ impl Mempool for NarwhalMempool {
         // Every reference must carry a valid certificate.  Certified
         // batches are guaranteed recoverable: consensus proceeds and the
         // data is fetched in the background from the certifiers.
-        let (me, keys, quorum) = (self.core.me(), &self.keys, self.rb_quorum);
+        let (me, keys, quorum) = (self.core.me(), self.readies.keys(), self.readies.quorum());
         let status = self.core.fill(
             proposal,
             |refs| verify_certificates(refs, keys, quorum),
@@ -287,6 +246,7 @@ mod tests {
     #![allow(clippy::needless_range_loop)]
     use super::*;
     use rand::SeedableRng;
+    use smp_crypto::QuorumProof;
     use smp_types::{BlockId, ClientId, MempoolConfig, View};
 
     fn config() -> SystemConfig {
@@ -409,7 +369,7 @@ mod tests {
         let p = Proposal::new(View(5), 1, BlockId::GENESIS, ReplicaId(1), payload, true);
         let mut fresh = NarwhalMempool::new(&config(), ReplicaId(3));
         // Give the fresh node the certificate knowledge only.
-        let cert = nodes[0].certified.get(&id).unwrap().clone();
+        let cert = nodes[0].readies.get(&id).unwrap().clone();
         let mut r = rng();
         let _ = fresh.on_message(
             50,

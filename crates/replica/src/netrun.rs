@@ -1,10 +1,10 @@
 //! Running a replica under the real-socket runtime (`smp-net`).
 //!
-//! The same [`Replica`] state machines that [`experiment::run`]
-//! (crate::experiment::run) drives inside the simulator run here over
-//! real TCP: this module supplies the [`smp_net::WireMsg`] impl for
-//! [`ReplicaMsg`] (framing via [`wire::codec`](crate::wire::codec)), the
-//! visitor that assembles *one* replica for *this* process, and a
+//! The same [`Replica`] state machines that
+//! [`experiment::run`](crate::experiment::run) drives inside the simulator
+//! run here over real TCP: this module supplies the [`smp_net::WireMsg`]
+//! impl for [`ReplicaMsg`] (framing via [`wire::codec`](crate::wire::codec)),
+//! the visitor that assembles *one* replica for *this* process, and a
 //! simulator reference runner producing the commit log an `smp-net`
 //! cluster must reproduce byte-for-byte.
 

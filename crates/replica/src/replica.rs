@@ -6,9 +6,9 @@ use simnet::{Node, NodeCtx, ObsKind, TimerTag};
 use smp_consensus::{CDest, CEffects, CEvent, ConsensusEngine, ProposalVerdict};
 use smp_mempool::{Dest, Effects, FillStatus, Mempool, MempoolEvent};
 use smp_metrics::{LatencyHistogram, ThroughputMeter};
-use smp_types::{BlockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, TxId, View};
+use smp_types::{BlockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, TxId};
 use smp_workload::TxFactory;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Timer tag used for the client-workload tick.
 const TICK_TAG: TimerTag = u64::MAX;
@@ -86,8 +86,6 @@ where
     /// Proposals whose mempool verification is still pending
     /// (`FillStatus::MustWait`).
     pending_verdicts: HashSet<BlockId>,
-    /// Proposals indexed by id, needed when a deferred verdict resolves.
-    known_proposals: HashMap<BlockId, View>,
     /// Cap on the total client transactions this replica offers (used by
     /// the runtime-conformance harness to make workloads finite).
     tx_limit: Option<u64>,
@@ -133,7 +131,6 @@ where
             record_latencies,
             metrics: ReplicaMetrics::default(),
             pending_verdicts: HashSet::new(),
-            known_proposals: HashMap::new(),
             tx_limit: None,
             commit_log: None,
             recovering: false,
@@ -154,15 +151,14 @@ where
     }
 
     /// Epoch-style teardown for an in-process restart: abandons every
-    /// piece of volatile protocol state (pending verdicts, tracked
-    /// proposals, metrics — and the consensus/mempool rounds, which are
-    /// simply never consulted again) and re-enters as a recovering
-    /// observer with an empty commit log, exactly like a freshly exec'd
-    /// process.  This mirrors the teardown/respawn dance Narwhal-style
-    /// designs perform on an epoch change.
+    /// piece of volatile protocol state (pending verdicts, metrics — and
+    /// the consensus/mempool rounds, which are simply never consulted
+    /// again) and re-enters as a recovering observer with an empty commit
+    /// log, exactly like a freshly exec'd process.  This mirrors the
+    /// teardown/respawn dance Narwhal-style designs perform on an epoch
+    /// change.
     pub fn drain_and_restart(&mut self) {
         self.pending_verdicts.clear();
-        self.known_proposals.clear();
         self.metrics = ReplicaMetrics::default();
         if self.commit_log.is_some() {
             self.commit_log = Some(Vec::new());
@@ -246,7 +242,6 @@ where
                 self.apply_consensus_effects(ctx, fx);
             }
             CEvent::VerifyProposal { proposal } => {
-                self.known_proposals.insert(proposal.id, proposal.view);
                 let span = ctx.telemetry().span_at("replica.verify_proposal", now);
                 let (status, mfx) = self.mempool.on_proposal(now, &proposal, ctx.rng());
                 drop(span);

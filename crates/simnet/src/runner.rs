@@ -36,7 +36,7 @@ pub trait Node {
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_, Self::Msg>, tag: TimerTag);
 
     /// Called when the fault plane resurrects the node after a scripted
-    /// crash (see [`FaultAction::Restart`](crate::FaultAction::Restart)).
+    /// crash (see [`FaultAction::Restart`]).
     /// The default boots it like a fresh process.
     fn on_restart(&mut self, ctx: &mut NodeCtx<'_, Self::Msg>) {
         self.on_start(ctx);

@@ -1,8 +1,8 @@
 //! Flight recorder: a bounded ring of metrics time-series windows.
 //!
-//! A [`FlightRecorder`] turns the cumulative [`MetricsRegistry`]
-//! (crate::MetricsRegistry) into a *time series*: each call to
-//! [`sample`](FlightRecorder::sample) diffs the current snapshot against
+//! A [`FlightRecorder`] turns the cumulative
+//! [`MetricsRegistry`](crate::MetricsRegistry) into a *time series*: each
+//! call to [`sample`](FlightRecorder::sample) diffs the current snapshot against
 //! the previous one and stores the delta as one window — per-key counter
 //! increments, latest gauge levels, and latency-histogram percentiles for
 //! that interval.  Old windows fall off the ring, so a long-running
