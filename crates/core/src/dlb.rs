@@ -232,9 +232,11 @@ impl LoadBalancer {
         let best = round
             .replies
             .iter()
-            .filter_map(|(r, s)| s.map(|w| (*r, w)))
-            .min_by_key(|(_, w)| *w)
-            .map(|(r, _)| r);
+            .filter_map(|(r, s)| s.map(|w| (w, *r)))
+            // Equal loads go to the lowest id, not to whichever reply the
+            // map happens to iterate first.
+            .min()
+            .map(|(_, r)| r);
         match best {
             Some(proxy) => {
                 // Every chosen proxy goes on the banList until it returns a
@@ -488,6 +490,27 @@ mod tests {
         }
         assert_eq!(lb.forwarded_total(), 1);
         assert_eq!(lb.banned(), vec![targets[1]]);
+    }
+
+    #[test]
+    fn equal_loads_choose_the_lowest_replica_id() {
+        // Every `HashMap` hashes with its own keys: a tie broken by the
+        // reply map's iteration order would differ from round to round.
+        let mut rng = SmallRng::seed_from_u64(5);
+        for seq in 0..16 {
+            let mut lb = lb(4);
+            let (token, targets) = lb.start_sampling(mb(0, seq), &mut rng).unwrap();
+            let mut decision = None;
+            for t in &targets {
+                decision = lb.on_load_info(token, *t, Some(300));
+            }
+            match decision {
+                Some(ForwardDecision::Forward { proxy, .. }) => {
+                    assert_eq!(Some(&proxy), targets.iter().min())
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! application-level verification cost and never relies on cryptographic
 //! hardness: what matters to the reported numbers are the *sizes* of
 //! digests, signatures and availability proofs on the wire, and the
-//! (small) CPU cost of producing and verifying them.  This crate therefore
-//! provides deterministic, cheap stand-ins that preserve exactly those two
-//! aspects:
+//! (small) CPU cost of producing and verifying them.  This crate provides
+//! deterministic, cheap stand-ins that preserve the sizes:
 //!
 //! * [`hash`] — a 256-bit non-cryptographic digest used for transaction,
 //!   microblock and block identifiers.
@@ -15,19 +14,20 @@
 //! * [`proof`] — aggregated availability proofs made of `q` concatenated
 //!   signatures (the paper trivially concatenates `f+1` ECDSA signatures
 //!   instead of using a threshold scheme; footnote 4).
-//! * [`cost`] — a CPU cost model so that the discrete-event simulator can
-//!   charge realistic per-message processing time.
+//!
+//! The CPU cost is charged elsewhere, per message: the simulator bills a
+//! receiver `cpu_cost_us()` of every delivery, and those figures (a
+//! signature check, a proof check, per-transaction ingestion) live with
+//! the message types in `smp-replica`'s `wire` module.
 //!
 //! All operations are deterministic functions of their inputs, which keeps
 //! the whole simulation reproducible.
 
-pub mod cost;
 pub mod hash;
 pub mod keys;
 pub mod proof;
 pub mod signature;
 
-pub use cost::CostModel;
 pub use hash::{Digest, Hasher, DIGEST_BYTES};
 pub use keys::{KeyPair, PublicKey, SecretKey};
 pub use proof::{ProofError, QuorumProof, SIGNATURE_BYTES};

@@ -214,6 +214,8 @@ impl FillTracker {
                 completed.push(*pid);
             }
         }
+        // The map iterates in a per-process random order; the events must not.
+        completed.sort_unstable();
         for pid in completed {
             let pending = self
                 .pending
@@ -297,12 +299,16 @@ mod tests {
     }
 
     fn refs_proposal(mbs: &[&Microblock]) -> Proposal {
+        refs_proposal_in(View(1), mbs)
+    }
+
+    fn refs_proposal_in(view: View, mbs: &[&Microblock]) -> Proposal {
         let refs = mbs
             .iter()
             .map(|m| MicroblockRef::unproven(m.id, m.creator, m.len() as u32))
             .collect();
         Proposal::new(
-            View(1),
+            view,
             1,
             BlockId::GENESIS,
             ReplicaId(0),
@@ -441,6 +447,33 @@ mod tests {
         match &events[0] {
             MempoolEvent::Executed { tx_count, .. } => assert_eq!(*tx_count, 0),
             other => panic!("unexpected event {other:?}"),
+        }
+    }
+
+    #[test]
+    fn proposals_completed_by_one_microblock_finish_in_block_id_order() {
+        // Every `HashMap` hashes with its own keys, so an order taken from
+        // the map's iteration differs from tracker to tracker.
+        let mut store = MicroblockStore::new();
+        let m = mb(1, 0, 2);
+        let proposals: Vec<Proposal> = (1..=16).map(|v| refs_proposal_in(View(v), &[&m])).collect();
+        let mut sorted: Vec<BlockId> = proposals.iter().map(|p| p.id).collect();
+        sorted.sort_unstable();
+        store.insert(m.clone());
+        for _ in 0..4 {
+            let mut tracker = FillTracker::new();
+            for p in &proposals {
+                tracker.track(p, vec![m.id], true);
+            }
+            let ready: Vec<BlockId> = tracker
+                .on_microblock(m.id, &store, 50)
+                .into_iter()
+                .map(|e| match e {
+                    MempoolEvent::ProposalReady { proposal } => proposal,
+                    other => panic!("unexpected event {other:?}"),
+                })
+                .collect();
+            assert_eq!(ready, sorted);
         }
     }
 

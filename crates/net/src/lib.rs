@@ -6,8 +6,8 @@
 //! `std::net` TCP on the loopback or a LAN, and timers run on
 //! `std::time` wall-clock.  Protocol code is untouched — the same
 //! `Replica`/`Mempool`/consensus state machines run under either
-//! runtime, invoked through [`simnet::NodeDriver`] so their RNG streams
-//! match the simulator's exactly.
+//! runtime, hosted by the same [`simnet::NodeDriver`] the simulator holds
+//! per node, so their RNG streams match the simulator's exactly.
 //!
 //! Design points, mirroring the paper's prototype transport:
 //!

@@ -239,7 +239,6 @@ where
 {
     driver: NodeDriver<N>,
     spec: ClusterSpec,
-    telemetry: Telemetry,
     stats: Arc<NetStats>,
 }
 
@@ -247,9 +246,9 @@ impl<N: Node> NetRuntime<N>
 where
     N::Msg: WireMsg,
 {
-    /// Wraps `node` for the deployment described by `spec`.  The node's
-    /// RNG stream is seeded exactly as the reference simulation would
-    /// seed it ([`simnet::node_rng_seed`]).
+    /// Wraps `node` for the deployment described by `spec`, in the same
+    /// [`NodeDriver`] the reference simulation runs it in: same seed and
+    /// id, same RNG stream.
     pub fn new(node: N, spec: ClusterSpec, telemetry: Telemetry) -> Self {
         let n = spec.n();
         assert!(
@@ -257,11 +256,10 @@ where
             "me={} out of range for {n} addresses",
             spec.me.0
         );
-        let driver = NodeDriver::new(node, spec.me, n, spec.seed, telemetry.clone());
+        let driver = NodeDriver::new(node, spec.me, n, spec.seed, telemetry);
         NetRuntime {
             driver,
             spec,
-            telemetry,
             stats: Arc::new(NetStats::new(n)),
         }
     }
@@ -284,6 +282,7 @@ where
         let n = self.spec.n();
         let me = self.spec.me;
         let peers = n - 1;
+        let telemetry = self.driver.telemetry().clone();
 
         // A restarted process may find its old sockets still draining in
         // the kernel; re-bind with the shared backoff policy instead of
@@ -354,7 +353,7 @@ where
             }
             match rx.recv_timeout(left) {
                 Ok(Ev::PeerUp(from)) => {
-                    self.telemetry.instant(format!("net.peer.{}.up", from.0));
+                    telemetry.instant(format!("net.peer.{}.up", from.0));
                     up.insert(from);
                 }
                 Ok(Ev::DialUp(to)) => {
@@ -364,14 +363,13 @@ where
                 Ok(Ev::PeerGone { from, error }) => {
                     // A clean EOF is a peer shutting down; only codec
                     // failures are errors.
-                    self.telemetry.instant(format!("net.peer.{}.down", from.0));
+                    telemetry.instant(format!("net.peer.{}.down", from.0));
                     if let Some(e) = error {
                         peer_errors.push(format!("peer {}: {e}", from.0));
                     }
                 }
                 Ok(Ev::FrameError { from, error }) => {
-                    self.telemetry
-                        .instant(format!("net.peer.{}.frame_error", from.0));
+                    telemetry.instant(format!("net.peer.{}.frame_error", from.0));
                     frame_errors.push(format!("peer {}: {error}", from.0));
                 }
                 Err(RecvTimeoutError::Timeout) => continue,
@@ -383,7 +381,7 @@ where
         let epoch = Instant::now();
         let mut st = RunState {
             timers: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            timers_armed: 0,
             loopback: VecDeque::new(),
             observations: ObservationLog::new(),
             peer_txs,
@@ -393,15 +391,15 @@ where
             bytes_in: 0,
             bytes_out: 0,
         };
-        let now0 = now_us(epoch);
-        let actions = self.driver.start(now0);
-        st.apply(actions);
+        // Lent to the driver for each invocation, drained by `apply`.
+        let mut actions = Vec::new();
+        self.driver.start(now_us(epoch), &mut actions);
+        st.apply(&mut actions);
         for (from, msg, bytes) in pending.drain(..) {
             st.frames_in += 1;
             st.bytes_in += bytes as u64;
-            let now = now_us(epoch);
-            let actions = self.driver.deliver(now, from, msg);
-            st.apply(actions);
+            self.driver.deliver(now_us(epoch), from, msg, &mut actions);
+            st.apply(&mut actions);
         }
 
         loop {
@@ -411,21 +409,18 @@ where
                 if now >= horizon_us {
                     break;
                 }
-                let actions = self.driver.deliver(now, from, msg);
-                st.apply(actions);
+                self.driver.deliver(now, from, msg, &mut actions);
+                st.apply(&mut actions);
             }
             let mut now = now_us(epoch);
             // Fire every due timer.
-            while let Some(&Reverse((at, timer_id, tag))) = st.timers.peek() {
+            while let Some(&Reverse((at, _, tag))) = st.timers.peek() {
                 if at > now || now >= horizon_us {
                     break;
                 }
                 st.timers.pop();
-                if st.cancelled.remove(&timer_id) {
-                    continue;
-                }
-                let actions = self.driver.timer(now, tag);
-                st.apply(actions);
+                self.driver.timer(now, tag, &mut actions);
+                st.apply(&mut actions);
                 now = now_us(epoch);
             }
             if now >= horizon_us {
@@ -445,29 +440,27 @@ where
                 Ok(Ev::Msg { from, msg, bytes }) => {
                     st.frames_in += 1;
                     st.bytes_in += bytes as u64;
-                    let now = now_us(epoch);
-                    let actions = self.driver.deliver(now, from, msg);
-                    st.apply(actions);
+                    self.driver.deliver(now_us(epoch), from, msg, &mut actions);
+                    st.apply(&mut actions);
                 }
                 Ok(Ev::PeerGone { from, error }) => {
                     // A clean EOF is a peer shutting down; only codec
                     // failures are errors.
-                    self.telemetry.instant(format!("net.peer.{}.down", from.0));
+                    telemetry.instant(format!("net.peer.{}.down", from.0));
                     if let Some(e) = error {
                         peer_errors.push(format!("peer {}: {e}", from.0));
                     }
                 }
                 Ok(Ev::FrameError { from, error }) => {
-                    self.telemetry
-                        .instant(format!("net.peer.{}.frame_error", from.0));
+                    telemetry.instant(format!("net.peer.{}.frame_error", from.0));
                     frame_errors.push(format!("peer {}: {error}", from.0));
                 }
                 Ok(Ev::PeerUp(from)) => {
                     // A peer reconnected mid-run (crash-restart).
-                    self.telemetry.instant(format!("net.peer.{}.up", from.0));
+                    telemetry.instant(format!("net.peer.{}.up", from.0));
                 }
                 Ok(Ev::DialUp(to)) => {
-                    self.telemetry.instant(format!("net.peer.{}.redial", to.0));
+                    telemetry.instant(format!("net.peer.{}.redial", to.0));
                 }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => unreachable!("main keeps a sender"),
@@ -494,7 +487,7 @@ where
         // Final mirror of the lock-free counters into the registry, so
         // the post-run snapshot carries complete `net.*` totals even
         // when no sampler was attached.
-        self.stats.publish(&self.telemetry);
+        self.stats.publish(&telemetry);
 
         Ok(NetReport {
             node: self.driver.into_node(),
@@ -512,9 +505,10 @@ where
 
 /// Per-run mutable state the action applier needs.
 struct RunState<M> {
-    /// (fire-at, timer-id, tag), min-heap by fire time.
+    /// (fire-at, arming order, tag): a min-heap by fire time, equal times
+    /// in the order they were armed — the simulator's tie-break.
     timers: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    cancelled: HashSet<u64>,
+    timers_armed: u64,
     loopback: VecDeque<(ReplicaId, M)>,
     observations: ObservationLog,
     peer_txs: Vec<Option<Arc<PeerTx>>>,
@@ -526,8 +520,8 @@ struct RunState<M> {
 }
 
 impl<M: WireMsg> RunState<M> {
-    fn apply(&mut self, actions: Vec<NodeAction<M>>) {
-        for action in actions {
+    fn apply(&mut self, actions: &mut Vec<NodeAction<M>>) {
+        for action in actions.drain(..) {
             match action {
                 NodeAction::Send { to, msg } => {
                     if to.index() >= self.peer_txs.len() {
@@ -551,11 +545,9 @@ impl<M: WireMsg> RunState<M> {
                         }
                     }
                 }
-                NodeAction::SetTimer { at, timer_id, tag } => {
-                    self.timers.push(Reverse((at, timer_id, tag)));
-                }
-                NodeAction::CancelTimer { timer_id } => {
-                    self.cancelled.insert(timer_id);
+                NodeAction::SetTimer { at, tag } => {
+                    self.timers.push(Reverse((at, self.timers_armed, tag)));
+                    self.timers_armed += 1;
                 }
                 NodeAction::Observe(obs) => self.observations.push(obs),
             }

@@ -3,7 +3,7 @@
 
 use simnet::{Node, NodeCtx, ObsKind, SimMessage, Telemetry, TimerTag};
 use smp_net::{ClusterSpec, NetRuntime, WireError, WireMsg};
-use smp_types::ReplicaId;
+use smp_types::{ReplicaId, SimTime};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
@@ -163,9 +163,10 @@ fn token_ring_over_real_sockets() {
 }
 
 /// A node whose timer cadence generates work: checks real timers fire
-/// repeatedly and cancellation holds.
+/// repeatedly, at or after the instant they were armed for.
 struct Ticker {
     fired: Vec<TimerTag>,
+    armed_for: SimTime,
 }
 
 impl Node for Ticker {
@@ -173,16 +174,17 @@ impl Node for Ticker {
 
     fn on_start(&mut self, ctx: &mut NodeCtx<'_, Tok>) {
         ctx.set_timer(5_000, 1);
-        let doomed = ctx.set_timer(8_000, 99);
-        ctx.cancel_timer(doomed);
+        self.armed_for = ctx.now() + 5_000;
     }
 
     fn on_message(&mut self, _ctx: &mut NodeCtx<'_, Tok>, _from: ReplicaId, _msg: Tok) {}
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_, Tok>, tag: TimerTag) {
+        assert!(ctx.now() >= self.armed_for, "timer {tag} fired early");
         self.fired.push(tag);
         if self.fired.len() < 4 {
             ctx.set_timer(5_000, tag + 1);
+            self.armed_for = ctx.now() + 5_000;
         }
     }
 }
@@ -191,11 +193,50 @@ impl Node for Ticker {
 fn wall_clock_timers_fire_and_cancel() {
     let addrs = free_addrs(1);
     let spec = ClusterSpec::new(ReplicaId(0), addrs, 7);
-    let report = NetRuntime::new(Ticker { fired: Vec::new() }, spec, Telemetry::disabled())
+    let ticker = Ticker {
+        fired: Vec::new(),
+        armed_for: 0,
+    };
+    let report = NetRuntime::new(ticker, spec, Telemetry::disabled())
         .run(200_000)
         .expect("single-node run");
     assert_eq!(report.node.fired, vec![1, 2, 3, 4]);
     assert!(report.wall_us >= 200_000);
+}
+
+/// Arms eight timers for one instant, in an order that is neither that of
+/// their tags nor its reverse.
+struct SameInstant {
+    fired: Vec<TimerTag>,
+}
+
+const ARMING_ORDER: [TimerTag; 8] = [5, 2, 7, 0, 6, 1, 4, 3];
+
+impl Node for SameInstant {
+    type Msg = Tok;
+
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_, Tok>) {
+        for tag in ARMING_ORDER {
+            ctx.set_timer(5_000, tag);
+        }
+    }
+
+    fn on_message(&mut self, _ctx: &mut NodeCtx<'_, Tok>, _from: ReplicaId, _msg: Tok) {}
+
+    fn on_timer(&mut self, _ctx: &mut NodeCtx<'_, Tok>, tag: TimerTag) {
+        self.fired.push(tag);
+    }
+}
+
+#[test]
+fn timers_armed_for_one_instant_fire_in_arming_order() {
+    let addrs = free_addrs(1);
+    let spec = ClusterSpec::new(ReplicaId(0), addrs, 7);
+    let node = SameInstant { fired: Vec::new() };
+    let report = NetRuntime::new(node, spec, Telemetry::disabled())
+        .run(50_000)
+        .expect("single-node run");
+    assert_eq!(report.node.fired, ARMING_ORDER);
 }
 
 /// Records every value it receives; sends nothing.

@@ -13,7 +13,7 @@ use crate::protocols::Protocol;
 use crate::replica::Replica;
 use crate::wire::codec::WireCodec;
 use crate::wire::MempoolWire;
-use simnet::Telemetry;
+use simnet::{node_telemetry, Telemetry};
 use smp_consensus::{ConsensusEngine, HotStuffEngine, MirBftEngine, PbftEngine, StreamletEngine};
 use smp_mempool::{DagMempool, GossipSmp, Mempool, NarwhalMempool, NativeMempool, SimpleSmp};
 use smp_shard::ShardedMempool;
@@ -28,19 +28,12 @@ pub(crate) trait ProtocolVisitor {
     type Out;
 
     /// `build(i, telemetry)` assembles replica `i`, its metrics and spans
-    /// going to `telemetry` under [`node_telemetry`]'s prefix.
+    /// going to `telemetry` under [`simnet::node_telemetry`]'s prefix.
     fn visit<E, M>(self, build: &dyn Fn(usize, &Telemetry) -> Replica<E, M>) -> Self::Out
     where
         E: ConsensusEngine,
         M: Mempool + Send + 'static,
         M::Msg: MempoolWire + WireCodec + Send + 'static;
-}
-
-/// Replica `i`'s view of a run's telemetry sink.
-pub(crate) fn node_telemetry(telemetry: &Telemetry, i: usize) -> Telemetry {
-    telemetry
-        .with_prefix(&format!("replica.{i}"))
-        .with_track(i as u32)
 }
 
 /// Makes a replica's run comparable across runtimes: the commit log is

@@ -310,7 +310,6 @@ where
     let window = (config.warmup, horizon);
     let view_changes: u64 = sim
         .nodes()
-        .iter()
         .filter(|r| *r.behavior() == Behavior::Honest)
         .map(|r| r.metrics().view_changes)
         .sum();

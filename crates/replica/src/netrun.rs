@@ -8,7 +8,7 @@
 //! simulator reference runner producing the commit log an `smp-net`
 //! cluster must reproduce byte-for-byte.
 
-use crate::assembly::{self, comparable, dispatch, ProtocolVisitor};
+use crate::assembly::{comparable, dispatch, ProtocolVisitor};
 use crate::experiment::ExperimentConfig;
 use crate::replica::Replica;
 use crate::wire::codec::{self, WireCodec};
@@ -147,7 +147,7 @@ impl ProtocolVisitor for NetVisitor<'_> {
             Telemetry::disabled()
         };
         let i = self.me.index();
-        let node_telemetry = assembly::node_telemetry(&telemetry, i);
+        let node_telemetry = simnet::node_telemetry(&telemetry, i);
         let mut replica = comparable(build(i, &telemetry), self.opts.tx_limit);
         if self.opts.recover {
             replica.start_recovery();

@@ -1,10 +1,11 @@
 //! The context handed to node handlers.
 //!
 //! Handlers never touch the event queue or the network directly: they
-//! record *actions* (send, broadcast, set/cancel timer, observe) through a
-//! [`NodeCtx`], and the simulation applies them after the handler returns.
-//! This keeps protocol code free of simulator internals and makes handlers
-//! trivially unit-testable.
+//! record [`NodeAction`]s (send, set timer, observe) through a
+//! [`NodeCtx`], and whatever hosts the node applies them after the handler
+//! returns.  This keeps protocol code free of host internals and makes
+//! handlers trivially unit-testable.  The one place a `NodeCtx` is built
+//! is [`NodeDriver`](crate::NodeDriver).
 
 use crate::observation::{ObsKind, Observation};
 use rand::rngs::SmallRng;
@@ -14,25 +15,25 @@ use smp_types::{ReplicaId, SimTime};
 /// Application-defined timer tag delivered back in `on_timer`.
 pub type TimerTag = u64;
 
-/// Handle identifying a scheduled timer, usable for cancellation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct TimerHandle(pub(crate) u64);
-
-/// An action recorded by a handler.
+/// An effect requested by a node handler, applied by the node's host (the
+/// simulator's event queue, the socket runtime's writers and timer heap).
 #[derive(Debug)]
-pub(crate) enum Action<M> {
+pub enum NodeAction<M> {
+    /// Send `msg` to replica `to`.
     Send {
+        /// Destination replica.
         to: ReplicaId,
+        /// The message.
         msg: M,
     },
+    /// Arm a timer firing at absolute node-time `at`.
     SetTimer {
+        /// Absolute time (same unit as the `now` passed to the handlers).
         at: SimTime,
-        timer_id: u64,
+        /// Application tag delivered back in `on_timer`.
         tag: TimerTag,
     },
-    CancelTimer {
-        timer_id: u64,
-    },
+    /// An observation emitted by the node (commits, view changes, …).
     Observe(Observation),
 }
 
@@ -42,8 +43,7 @@ pub struct NodeCtx<'a, M> {
     pub(crate) n: usize,
     pub(crate) now: SimTime,
     pub(crate) rng: &'a mut SmallRng,
-    pub(crate) actions: &'a mut Vec<Action<M>>,
-    pub(crate) next_timer_id: &'a mut u64,
+    pub(crate) actions: &'a mut Vec<NodeAction<M>>,
     pub(crate) telemetry: &'a Telemetry,
 }
 
@@ -68,16 +68,17 @@ impl<'a, M> NodeCtx<'a, M> {
         self.rng
     }
 
-    /// This node's telemetry handle (prefixed `replica.<id>`).  Disabled
-    /// unless the simulation was built with
-    /// [`with_telemetry`](crate::Simulation::with_telemetry).
+    /// This node's telemetry handle (see
+    /// [`node_telemetry`](crate::node_telemetry)).  Disabled unless the
+    /// host was given a sink, e.g. through
+    /// [`Simulation::with_telemetry`](crate::Simulation::with_telemetry).
     pub fn telemetry(&self) -> &Telemetry {
         self.telemetry
     }
 
     /// Sends `msg` to `to` over the simulated network.
     pub fn send(&mut self, to: ReplicaId, msg: M) {
-        self.actions.push(Action::Send { to, msg });
+        self.actions.push(NodeAction::Send { to, msg });
     }
 
     /// Sends `msg` to every replica except this one.
@@ -103,28 +104,18 @@ impl<'a, M> NodeCtx<'a, M> {
         }
     }
 
-    /// Schedules a timer to fire after `delay`, returning a handle that can
-    /// cancel it.
-    pub fn set_timer(&mut self, delay: SimTime, tag: TimerTag) -> TimerHandle {
-        let timer_id = *self.next_timer_id;
-        *self.next_timer_id += 1;
-        self.actions.push(Action::SetTimer {
+    /// Schedules a timer to fire after `delay`.  It cannot be cancelled: a
+    /// handler that no longer wants it ignores it, by its tag, when it fires.
+    pub fn set_timer(&mut self, delay: SimTime, tag: TimerTag) {
+        self.actions.push(NodeAction::SetTimer {
             at: self.now.saturating_add(delay),
-            timer_id,
             tag,
         });
-        TimerHandle(timer_id)
     }
 
-    /// Cancels a previously set timer (a no-op if it already fired).
-    pub fn cancel_timer(&mut self, handle: TimerHandle) {
-        self.actions
-            .push(Action::CancelTimer { timer_id: handle.0 });
-    }
-
-    /// Emits an observation into the simulation's observation log.
+    /// Emits an observation into the host's observation log.
     pub fn observe(&mut self, kind: ObsKind) {
-        self.actions.push(Action::Observe(Observation {
+        self.actions.push(NodeAction::Observe(Observation {
             time: self.now,
             node: self.id,
             kind,
@@ -140,9 +131,8 @@ mod tests {
     static DISABLED: Telemetry = Telemetry::disabled();
 
     fn ctx_with<'a>(
-        actions: &'a mut Vec<Action<u32>>,
+        actions: &'a mut Vec<NodeAction<u32>>,
         rng: &'a mut SmallRng,
-        next_timer: &'a mut u64,
     ) -> NodeCtx<'a, u32> {
         NodeCtx {
             id: ReplicaId(1),
@@ -150,7 +140,6 @@ mod tests {
             now: 500,
             rng,
             actions,
-            next_timer_id: next_timer,
             telemetry: &DISABLED,
         }
     }
@@ -159,13 +148,12 @@ mod tests {
     fn broadcast_excludes_self() {
         let mut actions = Vec::new();
         let mut rng = SmallRng::seed_from_u64(0);
-        let mut next = 0;
-        let mut ctx = ctx_with(&mut actions, &mut rng, &mut next);
+        let mut ctx = ctx_with(&mut actions, &mut rng);
         ctx.broadcast(7u32);
         let targets: Vec<ReplicaId> = actions
             .iter()
             .map(|a| match a {
-                Action::Send { to, .. } => *to,
+                NodeAction::Send { to, .. } => *to,
                 _ => panic!("unexpected action"),
             })
             .collect();
@@ -176,17 +164,13 @@ mod tests {
     fn timers_get_unique_ids_and_absolute_times() {
         let mut actions = Vec::new();
         let mut rng = SmallRng::seed_from_u64(0);
-        let mut next = 0;
-        let mut ctx = ctx_with(&mut actions, &mut rng, &mut next);
-        let h1 = ctx.set_timer(100, 1);
-        let h2 = ctx.set_timer(200, 2);
-        assert_ne!(h1, h2);
-        match (&actions[0], &actions[1]) {
-            (Action::SetTimer { at: a1, .. }, Action::SetTimer { at: a2, .. }) => {
-                assert_eq!(*a1, 600);
-                assert_eq!(*a2, 700);
+        let mut ctx = ctx_with(&mut actions, &mut rng);
+        ctx.set_timer(100, 1);
+        ctx.set_timer(200, 2);
+        match actions[..] {
+            [NodeAction::SetTimer { at: 600, tag: 1 }, NodeAction::SetTimer { at: 700, tag: 2 }] => {
             }
-            _ => panic!("unexpected actions"),
+            _ => panic!("unexpected actions {actions:?}"),
         }
     }
 
@@ -194,8 +178,7 @@ mod tests {
     fn multicast_targets_exactly_requested_nodes() {
         let mut actions = Vec::new();
         let mut rng = SmallRng::seed_from_u64(0);
-        let mut next = 0;
-        let mut ctx = ctx_with(&mut actions, &mut rng, &mut next);
+        let mut ctx = ctx_with(&mut actions, &mut rng);
         ctx.multicast(&[ReplicaId(0), ReplicaId(3)], 9u32);
         assert_eq!(actions.len(), 2);
     }
@@ -204,14 +187,13 @@ mod tests {
     fn observe_records_node_and_time() {
         let mut actions = Vec::new();
         let mut rng = SmallRng::seed_from_u64(0);
-        let mut next = 0;
-        let mut ctx = ctx_with(&mut actions, &mut rng, &mut next);
+        let mut ctx = ctx_with(&mut actions, &mut rng);
         ctx.observe(ObsKind::Custom {
             label: "x".into(),
             value: 1.0,
         });
         match &actions[0] {
-            Action::Observe(o) => {
+            NodeAction::Observe(o) => {
                 assert_eq!(o.node, ReplicaId(1));
                 assert_eq!(o.time, 500);
             }

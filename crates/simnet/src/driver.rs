@@ -1,101 +1,70 @@
-//! A standalone single-node driver for alternative runtimes.
+//! How every host runs a node.
 //!
-//! [`Simulation`](crate::Simulation) owns every node of a deployment and
-//! advances a virtual clock.  A *real* runtime (e.g. `smp-net`'s
-//! socket-based one) owns exactly one node per process and advances on
-//! wall-clock time — but it must invoke the node's [`Node`] handlers
-//! through the very same [`NodeCtx`] contract, with the very same
-//! deterministic per-node RNG stream, or the two runtimes diverge.
+//! A [`Node`] is hosted twice in this workspace: [`Simulation`] owns every
+//! node of a deployment and advances a virtual clock; `smp-net`'s socket
+//! runtime owns one node per process and advances on wall-clock time.  The
+//! byte-identical sim ↔ socket conformance suite is only sound if both
+//! invoke the node's handlers through the very same [`NodeCtx`] contract,
+//! with the very same deterministic per-node RNG stream — so neither
+//! writes that contract.  Both hold a [`NodeDriver`] per node.
 //!
-//! [`NodeDriver`] is that contract, extracted: it wraps one node plus the
-//! per-node state the simulation would keep for it (RNG, timer-id
-//! counter, telemetry handle), and turns each handler invocation into a
-//! drained list of [`NodeAction`]s for the embedding runtime to apply
-//! however it likes (sockets, heaps of real timers, log files).
+//! A driver owns the node and what is the node's alone: its identity, its
+//! RNG (seeded from the deployment seed and the node's index, reseeded
+//! only by [`restart`](NodeDriver::restart)) and its telemetry handle.  Each
+//! handler invocation takes the host's clock reading and a buffer the host
+//! lends, builds the one `NodeCtx` in the workspace, and leaves the
+//! handler's [`NodeAction`]s in the buffer for the host to apply however
+//! it likes (event queue, sockets, a heap of real timers).  Nothing is
+//! allocated per invocation.
+//!
+//! [`Simulation`]: crate::Simulation
 
-use crate::context::{Action, NodeCtx, TimerTag};
-use crate::observation::Observation;
+use crate::context::{NodeAction, NodeCtx, TimerTag};
 use crate::runner::Node;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use smp_telemetry::Telemetry;
 use smp_types::{ReplicaId, SimTime};
 
-/// The per-node RNG seed used by [`Simulation::new`](crate::Simulation::new).
-///
-/// Exposed so other runtimes hand their node the exact same RNG stream
-/// the simulator would: same `seed`, same node index ⇒ byte-identical
-/// randomness everywhere.
-pub fn node_rng_seed(seed: u64, index: usize) -> u64 {
+/// The RNG seed of node `index` in a deployment seeded with `seed`: same
+/// seed, same index ⇒ the same stream under every host.
+fn node_rng_seed(seed: u64, index: usize) -> u64 {
     seed.wrapping_mul(0x9E37_79B9).wrapping_add(index as u64)
 }
 
-/// An effect requested by a node handler, to be applied by the embedding
-/// runtime.  Mirrors the simulator's internal action set.
-#[derive(Debug)]
-pub enum NodeAction<M> {
-    /// Send `msg` to replica `to`.
-    Send {
-        /// Destination replica.
-        to: ReplicaId,
-        /// The message.
-        msg: M,
-    },
-    /// Arm a timer firing at absolute node-time `at`.
-    SetTimer {
-        /// Absolute time (same unit as the `now` passed to the handlers).
-        at: SimTime,
-        /// Runtime-unique timer id (for cancellation matching).
-        timer_id: u64,
-        /// Application tag delivered back in `on_timer`.
-        tag: TimerTag,
-    },
-    /// Disarm the timer with the given id (no-op if already fired).
-    CancelTimer {
-        /// The id returned in a previous [`NodeAction::SetTimer`].
-        timer_id: u64,
-    },
-    /// An observation emitted by the node (commits, view changes, …).
-    Observe(Observation),
+/// Replica `i`'s view of a deployment's telemetry sink: metrics prefixed
+/// `replica.<i>`, spans on trace track `i`.
+pub fn node_telemetry(telemetry: &Telemetry, i: usize) -> Telemetry {
+    telemetry
+        .with_prefix(&format!("replica.{i}"))
+        .with_track(i as u32)
 }
 
-impl<M> From<Action<M>> for NodeAction<M> {
-    fn from(a: Action<M>) -> Self {
-        match a {
-            Action::Send { to, msg } => NodeAction::Send { to, msg },
-            Action::SetTimer { at, timer_id, tag } => NodeAction::SetTimer { at, timer_id, tag },
-            Action::CancelTimer { timer_id } => NodeAction::CancelTimer { timer_id },
-            Action::Observe(obs) => NodeAction::Observe(obs),
-        }
-    }
-}
-
-/// Drives one [`Node`] outside the simulator.
+/// Runs one [`Node`] for its host.
 ///
-/// The embedding runtime supplies `now` (its own clock, in microseconds)
-/// on every invocation and applies the returned actions.
+/// The host supplies `now` (its own clock, in microseconds) and an action
+/// buffer on every invocation, and applies what the handler left there.
 pub struct NodeDriver<N: Node> {
     node: N,
     id: ReplicaId,
     n: usize,
+    rng_seed: u64,
     rng: SmallRng,
-    actions: Vec<Action<N::Msg>>,
-    next_timer_id: u64,
     telemetry: Telemetry,
 }
 
 impl<N: Node> NodeDriver<N> {
     /// Wraps `node` as replica `id` of an `n`-replica deployment seeded
-    /// with the deployment-wide `seed` (the same value every replica and
-    /// the reference simulation use).
+    /// with the deployment-wide `seed` (the same value for every replica,
+    /// under every host).
     pub fn new(node: N, id: ReplicaId, n: usize, seed: u64, telemetry: Telemetry) -> Self {
+        let rng_seed = node_rng_seed(seed, id.index());
         NodeDriver {
             node,
             id,
             n,
-            rng: SmallRng::seed_from_u64(node_rng_seed(seed, id.index())),
-            actions: Vec::new(),
-            next_timer_id: 0,
+            rng_seed,
+            rng: SmallRng::seed_from_u64(rng_seed),
             telemetry,
         }
     }
@@ -115,14 +84,33 @@ impl<N: Node> NodeDriver<N> {
         self.node
     }
 
-    /// This driver's replica id.
-    pub fn id(&self) -> ReplicaId {
-        self.id
+    /// The node's telemetry handle — what its handlers see through
+    /// [`NodeCtx::telemetry`].
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.telemetry = telemetry;
+    }
+
+    /// The node's RNG, lent to the simulator between invocations: the
+    /// network model draws a message's propagation jitter from its
+    /// sender's stream.
+    pub(crate) fn rng(&mut self) -> &mut SmallRng {
+        &mut self.rng
     }
 
     /// Invokes `on_start` at time `now`.
-    pub fn start(&mut self, now: SimTime) -> Vec<NodeAction<N::Msg>> {
-        self.invoke(now, |node, ctx| node.on_start(ctx))
+    pub fn start(&mut self, now: SimTime, out: &mut Vec<NodeAction<N::Msg>>) {
+        self.invoke(now, out, |node, ctx| node.on_start(ctx))
+    }
+
+    /// Boots a fresh incarnation at time `now`: the RNG restarts exactly
+    /// as a re-exec'd process's would, then `on_restart` runs.
+    pub fn restart(&mut self, now: SimTime, out: &mut Vec<NodeAction<N::Msg>>) {
+        self.rng = SmallRng::seed_from_u64(self.rng_seed);
+        self.invoke(now, out, |node, ctx| node.on_restart(ctx))
     }
 
     /// Delivers a peer message at time `now`.
@@ -131,38 +119,36 @@ impl<N: Node> NodeDriver<N> {
         now: SimTime,
         from: ReplicaId,
         msg: N::Msg,
-    ) -> Vec<NodeAction<N::Msg>> {
-        self.invoke(now, |node, ctx| node.on_message(ctx, from, msg))
+        out: &mut Vec<NodeAction<N::Msg>>,
+    ) {
+        self.invoke(now, out, |node, ctx| node.on_message(ctx, from, msg))
     }
 
     /// Delivers external (client) input at time `now`.
-    pub fn client_input(&mut self, now: SimTime, msg: N::Msg) -> Vec<NodeAction<N::Msg>> {
-        self.invoke(now, |node, ctx| node.on_client_input(ctx, msg))
+    pub fn client_input(&mut self, now: SimTime, msg: N::Msg, out: &mut Vec<NodeAction<N::Msg>>) {
+        self.invoke(now, out, |node, ctx| node.on_client_input(ctx, msg))
     }
 
     /// Fires the timer with application tag `tag` at time `now`.
-    pub fn timer(&mut self, now: SimTime, tag: TimerTag) -> Vec<NodeAction<N::Msg>> {
-        self.invoke(now, |node, ctx| node.on_timer(ctx, tag))
+    pub fn timer(&mut self, now: SimTime, tag: TimerTag, out: &mut Vec<NodeAction<N::Msg>>) {
+        self.invoke(now, out, |node, ctx| node.on_timer(ctx, tag))
     }
 
-    fn invoke<F>(&mut self, now: SimTime, f: F) -> Vec<NodeAction<N::Msg>>
-    where
-        F: FnOnce(&mut N, &mut NodeCtx<'_, N::Msg>),
-    {
-        debug_assert!(self.actions.is_empty());
-        {
-            let mut ctx = NodeCtx {
-                id: self.id,
-                n: self.n,
-                now,
-                rng: &mut self.rng,
-                actions: &mut self.actions,
-                next_timer_id: &mut self.next_timer_id,
-                telemetry: &self.telemetry,
-            };
-            f(&mut self.node, &mut ctx);
-        }
-        self.actions.drain(..).map(NodeAction::from).collect()
+    fn invoke(
+        &mut self,
+        now: SimTime,
+        actions: &mut Vec<NodeAction<N::Msg>>,
+        handler: impl FnOnce(&mut N, &mut NodeCtx<'_, N::Msg>),
+    ) {
+        let mut ctx = NodeCtx {
+            id: self.id,
+            n: self.n,
+            now,
+            rng: &mut self.rng,
+            actions,
+            telemetry: &self.telemetry,
+        };
+        handler(&mut self.node, &mut ctx);
     }
 }
 
@@ -203,6 +189,16 @@ mod tests {
         }
     }
 
+    fn echo_driver() -> NodeDriver<RngEcho> {
+        NodeDriver::new(
+            RngEcho { draws: Vec::new() },
+            ReplicaId(1),
+            2,
+            42,
+            Telemetry::disabled(),
+        )
+    }
+
     #[test]
     fn driver_rng_stream_matches_simulation() {
         // Simulation reference: node 1 of 2, seed 42.
@@ -213,51 +209,48 @@ mod tests {
 
         // Driver: same node index, same seed, same invocation sequence
         // (on_start then the armed timer).
-        let mut driver = NodeDriver::new(
-            RngEcho { draws: Vec::new() },
-            ReplicaId(1),
-            2,
-            42,
-            Telemetry::disabled(),
-        );
-        let actions = driver.start(0);
-        let mut fired = Vec::new();
-        for a in actions {
-            if let NodeAction::SetTimer { at, tag, .. } = a {
-                fired.push((at, tag));
-            }
+        let mut driver = echo_driver();
+        let mut actions = Vec::new();
+        driver.start(0, &mut actions);
+        match actions[..] {
+            [NodeAction::SetTimer { at: 1_000, tag: 7 }] => {}
+            _ => panic!("unexpected actions {actions:?}"),
         }
-        assert_eq!(fired, vec![(1_000, 7)]);
-        driver.timer(1_000, 7);
+        driver.timer(1_000, 7, &mut actions);
         assert_eq!(driver.node().draws, sim_draws);
     }
 
     #[test]
-    fn driver_assigns_unique_timer_ids_and_reports_cancellation() {
+    fn restart_reseeds_the_node_rng() {
+        let mut driver = echo_driver();
+        let mut actions = Vec::new();
+        driver.start(0, &mut actions);
+        driver.timer(1_000, 7, &mut actions);
+        driver.restart(5_000, &mut actions);
+        let draws = &driver.node().draws;
+        assert_eq!(draws.len(), 3);
+        assert_ne!(draws[0], draws[1]);
+        assert_eq!(draws[0], draws[2], "a fresh incarnation replays the stream");
+    }
+
+    #[test]
+    fn driver_reports_timers_in_arming_order_with_absolute_times() {
         struct Timers;
         impl Node for Timers {
             type Msg = Tok;
             fn on_start(&mut self, ctx: &mut NodeCtx<'_, Tok>) {
-                let keep = ctx.set_timer(10, 1);
-                let drop_ = ctx.set_timer(20, 2);
-                let _ = keep;
-                ctx.cancel_timer(drop_);
+                ctx.set_timer(10, 1);
+                ctx.set_timer(20, 2);
             }
             fn on_message(&mut self, _: &mut NodeCtx<'_, Tok>, _: ReplicaId, _: Tok) {}
             fn on_timer(&mut self, _: &mut NodeCtx<'_, Tok>, _: TimerTag) {}
         }
         let mut driver = NodeDriver::new(Timers, ReplicaId(0), 1, 1, Telemetry::disabled());
-        let actions = driver.start(5);
-        let mut set = Vec::new();
-        let mut cancelled = Vec::new();
-        for a in &actions {
-            match a {
-                NodeAction::SetTimer { at, timer_id, tag } => set.push((*at, *timer_id, *tag)),
-                NodeAction::CancelTimer { timer_id } => cancelled.push(*timer_id),
-                _ => panic!("unexpected action {a:?}"),
-            }
+        let mut actions = Vec::new();
+        driver.start(5, &mut actions);
+        match actions[..] {
+            [NodeAction::SetTimer { at: 15, tag: 1 }, NodeAction::SetTimer { at: 25, tag: 2 }] => {}
+            _ => panic!("unexpected actions {actions:?}"),
         }
-        assert_eq!(set, vec![(15, 0, 1), (25, 1, 2)]);
-        assert_eq!(cancelled, vec![1]);
     }
 }

@@ -43,8 +43,6 @@ pub enum EventKind<M> {
     Timer {
         /// Node that set the timer.
         node: ReplicaId,
-        /// Unique timer id (used for cancellation).
-        timer_id: u64,
         /// Application-defined tag.
         tag: u64,
         /// Incarnation of the node when it set the timer.  A timer whose

@@ -32,7 +32,11 @@
 //!   *attempted* inside the window is dropped (client input is spared).
 //! * [`DelayBurst`](FaultAction::DelayBurst) — every peer delivery
 //!   attempted inside the window is deferred by a uniform extra delay
-//!   drawn from the fault RNG (network turbulence, Figure 8 style).
+//!   drawn from the fault RNG (network turbulence, Figure 8 style).  It
+//!   is not the Figure 8 experiment itself: that is a
+//!   [`FaultWindow`](crate::FaultWindow) of the network model, which acts
+//!   at send time on the sender's RNG — see [`netmodel`](crate::netmodel)
+//!   for why the two cannot be merged bit-identically.
 //!
 //! Faults act on delivery **attempts**, not arrivals.  A delivery that
 //! landed before a window opened but is still waiting in the receiver's

@@ -6,29 +6,39 @@
 //! models exactly the resources those experiments exercise —
 //!
 //! * **per-replica outbound bandwidth** — every message is serialized
-//!   through a FIFO (with an optional high-priority lane for consensus
-//!   messages, matching the Stratus prioritization optimization),
+//!   through a FIFO (with a strict-priority lane for consensus messages,
+//!   matching the Stratus prioritization optimization),
 //! * **per-link propagation latency and jitter**, with injectable
 //!   asynchrony windows (Figure 8's "network fluctuation"),
 //! * **per-message CPU cost**, so small deployments are CPU-bound the way
-//!   the paper's 4-vCPU instances are: a delivery that finds the
-//!   receiver's CPU busy waits in that node's inbox, stamped with the time
-//!   the CPU frees up, and is *re-presented* then — through the fault
-//!   plane again, and back to the end of the inbox if something else got
-//!   the CPU first.  What waits and moves is a 24-byte [`event::Key`];
-//!   the message stays in the event queue's slab from the moment it is
-//!   scheduled until it is served or dropped.  The inbox orders against
-//!   the global event queue by `(time, sequence number)` exactly as if
-//!   every waiting delivery were queued there (one wake key per non-empty
-//!   inbox stands in for all of them), which is a retry order, not
-//!   arrival order: a fresh arrival scheduled for the very microsecond
-//!   the CPU frees can overtake the backlog.
+//!   the paper's 4-vCPU instances are.  A delivery occupies its receiver's
+//!   CPU for [`SimMessage::cpu_cost_us`], rounded up to a whole
+//!   microsecond; there is no speed knob, the figures themselves are the
+//!   model.  A delivery that finds the CPU busy waits in that node's
+//!   inbox, stamped with the time the CPU frees up, and is *re-presented*
+//!   then — through the fault plane again, and back to the end of the
+//!   inbox if something else got the CPU first.  What waits and moves is a
+//!   24-byte [`event::Key`]; the message stays in the event queue's slab
+//!   from the moment it is scheduled until it is served or dropped.  The
+//!   inbox orders against the global event queue by `(time, sequence
+//!   number)` exactly as if every waiting delivery were queued there (one
+//!   wake key per non-empty inbox stands in for all of them), which is a
+//!   retry order, not arrival order: a fresh arrival scheduled for the
+//!   very microsecond the CPU frees can overtake the backlog.
 //!   [`Simulation::events_processed`] counts timers, link completions and
 //!   every delivery attempt, re-presentations included,
+//! * **timers** that fire once, at `now + delay`, equal times in arming
+//!   order, and cannot be cancelled (handlers ignore a stale one by its
+//!   tag); those of a crashed node or a previous incarnation never fire,
 //!
 //! while protocol logic runs as deterministic event-driven state machines
-//! implementing the [`Node`] trait.  All randomness flows from a single
-//! seed, so every run is reproducible.
+//! implementing the [`Node`] trait, each hosted by a [`NodeDriver`] — the
+//! same driver the socket runtime (`smp-net`) uses, so a node cannot tell
+//! the two hosts apart.  All randomness flows from a single seed, so every
+//! run is reproducible.
+//!
+//! Delay can be injected on two planes that differ in when they act and
+//! which RNG they draw from; [`netmodel`] says why both exist.
 //!
 //! # Example
 //!
@@ -78,8 +88,8 @@ pub mod netmodel;
 pub mod observation;
 pub mod runner;
 
-pub use context::{NodeCtx, TimerHandle, TimerTag};
-pub use driver::{node_rng_seed, NodeAction, NodeDriver};
+pub use context::{NodeAction, NodeCtx, TimerTag};
+pub use driver::{node_telemetry, NodeDriver};
 pub use event::EventKind;
 pub use faults::{FaultAction, FaultSchedule};
 pub use link::{OutboundLink, Priority};

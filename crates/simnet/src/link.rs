@@ -7,7 +7,7 @@
 //! transmission of consensus messages over bulk microblock data
 //! (Section VI, "Optimizations").
 
-use smp_types::{ReplicaId, SimTime};
+use smp_types::ReplicaId;
 use std::collections::VecDeque;
 
 /// Transmission priority of a queued message.
@@ -28,8 +28,6 @@ pub struct QueuedMessage<M> {
     pub msg: M,
     /// Serialized size in bytes.
     pub bytes: usize,
-    /// Time at which the message entered the queue.
-    pub enqueued_at: SimTime,
 }
 
 /// The outbound link of one replica.
@@ -39,10 +37,6 @@ pub struct OutboundLink<M> {
     normal: VecDeque<QueuedMessage<M>>,
     /// Whether the NIC is currently serializing a message.
     busy: bool,
-    /// Total bytes that have entered the queue (for diagnostics).
-    pub enqueued_bytes: u64,
-    /// Total bytes fully serialized onto the wire.
-    pub transmitted_bytes: u64,
 }
 
 impl<M> Default for OutboundLink<M> {
@@ -58,14 +52,11 @@ impl<M> OutboundLink<M> {
             high: VecDeque::new(),
             normal: VecDeque::new(),
             busy: false,
-            enqueued_bytes: 0,
-            transmitted_bytes: 0,
         }
     }
 
     /// Queues a message for transmission.
     pub fn enqueue(&mut self, item: QueuedMessage<M>, priority: Priority) {
-        self.enqueued_bytes += item.bytes as u64;
         match priority {
             Priority::High => self.high.push_back(item),
             Priority::Normal => self.normal.push_back(item),
@@ -83,10 +74,7 @@ impl<M> OutboundLink<M> {
     pub fn start_next(&mut self) -> Option<QueuedMessage<M>> {
         debug_assert!(!self.busy, "start_next called while busy");
         let next = self.high.pop_front().or_else(|| self.normal.pop_front());
-        if let Some(ref m) = next {
-            self.busy = true;
-            self.transmitted_bytes += m.bytes as u64;
-        }
+        self.busy = next.is_some();
         next
     }
 
@@ -96,29 +84,13 @@ impl<M> OutboundLink<M> {
         self.busy = false;
     }
 
-    /// Number of queued (not yet transmitting) messages.
-    pub fn queue_len(&self) -> usize {
-        self.high.len() + self.normal.len()
-    }
-
-    /// Discards every queued (not yet transmitting) message, returning
-    /// how many were lost.  A message already serializing is untouched:
-    /// it is on the wire and its `LinkFree` completion still fires.
-    /// Used by the fault plane when a node crashes.
-    pub fn clear_queue(&mut self) -> usize {
-        let lost = self.high.len() + self.normal.len();
+    /// Discards every queued (not yet transmitting) message.  A message
+    /// already serializing is untouched: it is on the wire and its
+    /// `LinkFree` completion still fires.  Used by the fault plane when a
+    /// node crashes.
+    pub fn clear_queue(&mut self) {
         self.high.clear();
         self.normal.clear();
-        lost
-    }
-
-    /// Bytes waiting in the queue (excluding the in-flight message).
-    pub fn queued_bytes(&self) -> usize {
-        self.high
-            .iter()
-            .chain(self.normal.iter())
-            .map(|m| m.bytes)
-            .sum()
     }
 }
 
@@ -131,7 +103,6 @@ mod tests {
             to: ReplicaId(to),
             msg: "m",
             bytes,
-            enqueued_at: 0,
         }
     }
 
@@ -140,7 +111,6 @@ mod tests {
         let mut link = OutboundLink::new();
         link.enqueue(qm(1, 10), Priority::Normal);
         link.enqueue(qm(2, 20), Priority::Normal);
-        assert_eq!(link.queue_len(), 2);
         let a = link.start_next().unwrap();
         assert_eq!(a.to, ReplicaId(1));
         link.finish_current();
@@ -172,17 +142,5 @@ mod tests {
         assert!(!link.is_busy());
         assert!(link.start_next().is_none());
         assert!(!link.is_busy());
-    }
-
-    #[test]
-    fn byte_accounting() {
-        let mut link = OutboundLink::new();
-        link.enqueue(qm(1, 10), Priority::Normal);
-        link.enqueue(qm(2, 30), Priority::High);
-        assert_eq!(link.enqueued_bytes, 40);
-        assert_eq!(link.queued_bytes(), 40);
-        let _ = link.start_next().unwrap();
-        assert_eq!(link.transmitted_bytes, 30);
-        assert_eq!(link.queued_bytes(), 10);
     }
 }

@@ -1,4 +1,25 @@
 //! Network environment model: bandwidth, latency, jitter, fault windows.
+//!
+//! # Two ways to inject delay, and why both stay
+//!
+//! A [`FaultWindow`] is part of the [`NetConfig`]: while one is open,
+//! [`NetConfig::propagation_us`] *replaces* base delay + jitter with one
+//! uniform draw, taken once, when the message leaves its sender's NIC, from
+//! the *sender's node RNG* — the stream the ordinary jitter draw uses.  It
+//! is the paper's NetEm experiment (Figure 8) and what `fig8_asynchrony`,
+//! `tests/end_to_end.rs` and one `golden_fingerprints` row run.
+//!
+//! A [`DelayBurst`](crate::FaultAction::DelayBurst) is an entry of a
+//! [`FaultSchedule`](crate::FaultSchedule), scripted among crashes and
+//! partitions: while one is open, every delivery *attempt* — arrivals and
+//! re-presentations of a CPU backlog alike — is put back on the wire for
+//! an *additional* delay drawn from the dedicated *fault RNG*, so that
+//! scripting faults never perturbs a node's stream.
+//!
+//! Replace-at-send from the node stream and add-at-delivery from the fault
+//! stream give different schedules for the same window, so neither can be
+//! rewritten as the other with outputs bit-identical; merging them is a
+//! behaviour change that re-records every figure using either.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -37,18 +58,8 @@ pub struct NetConfig {
     pub one_way_delay_us: SimTime,
     /// Uniform jitter added to each message's propagation delay.
     pub jitter_us: SimTime,
-    /// CPU speed factor: message CPU costs are divided by this (1.0 models
-    /// the paper's 4-vCPU instances; larger is faster hardware).
-    pub cpu_speed: f64,
     /// Asynchrony windows (Figure 8).
     pub fault_windows: Vec<FaultWindow>,
-    /// Per-replica bandwidth overrides (bits per second); used to model
-    /// heterogeneous capacity.
-    pub bandwidth_overrides: Vec<(ReplicaId, u64)>,
-    /// Fraction of outbound bandwidth reserved for the high-priority lane
-    /// when both lanes are backlogged (Stratus prioritization).  The
-    /// high-priority lane may always use idle capacity.
-    pub priority_share: f64,
 }
 
 impl NetConfig {
@@ -68,10 +79,7 @@ impl NetConfig {
             bandwidth_bps: preset.bandwidth_bps(),
             one_way_delay_us: preset.one_way_delay_us(),
             jitter_us: preset.jitter_us(),
-            cpu_speed: 1.0,
             fault_windows: Vec::new(),
-            bandwidth_overrides: Vec::new(),
-            priority_share: 0.1,
         }
     }
 
@@ -81,24 +89,9 @@ impl NetConfig {
         self
     }
 
-    /// Overrides the outbound bandwidth of one replica.
-    pub fn with_bandwidth_override(mut self, replica: ReplicaId, bps: u64) -> Self {
-        self.bandwidth_overrides.push((replica, bps));
-        self
-    }
-
-    /// Outbound bandwidth of `replica` in bits per second.
-    pub fn bandwidth_of(&self, replica: ReplicaId) -> u64 {
-        self.bandwidth_overrides
-            .iter()
-            .find(|(r, _)| *r == replica)
-            .map(|(_, b)| *b)
-            .unwrap_or(self.bandwidth_bps)
-    }
-
-    /// Time to push `bytes` bytes through `replica`'s outbound NIC.
-    pub fn serialization_us(&self, replica: ReplicaId, bytes: usize) -> SimTime {
-        let bps = self.bandwidth_of(replica).max(1);
+    /// Time to push `bytes` bytes through a replica's outbound NIC.
+    pub fn serialization_us(&self, bytes: usize) -> SimTime {
+        let bps = self.bandwidth_bps.max(1);
         // bytes * 8 bits / (bits per second) => seconds; scale to micros.
         let us = (bytes as f64 * 8.0 * 1_000_000.0) / bps as f64;
         us.ceil() as SimTime
@@ -154,20 +147,10 @@ mod tests {
     fn serialization_time_scales_with_size_and_bandwidth() {
         let wan = NetConfig::wan();
         // 100 Mb/s => 12.5 MB/s => 1 MB takes 80 ms.
-        let t = wan.serialization_us(ReplicaId(0), 1_000_000);
+        let t = wan.serialization_us(1_000_000);
         assert_eq!(t, 80_000);
         let lan = NetConfig::lan();
-        assert!(lan.serialization_us(ReplicaId(0), 1_000_000) < t);
-    }
-
-    #[test]
-    fn bandwidth_override_applies_to_specific_replica() {
-        let cfg = NetConfig::wan().with_bandwidth_override(ReplicaId(3), 10_000_000);
-        assert_eq!(cfg.bandwidth_of(ReplicaId(3)), 10_000_000);
-        assert_eq!(cfg.bandwidth_of(ReplicaId(4)), 100_000_000);
-        assert!(
-            cfg.serialization_us(ReplicaId(3), 1000) > cfg.serialization_us(ReplicaId(4), 1000)
-        );
+        assert!(lan.serialization_us(1_000_000) < t);
     }
 
     #[test]

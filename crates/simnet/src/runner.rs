@@ -1,18 +1,19 @@
-//! The simulation driver.
+//! The simulation: the event loop, the link and CPU models, the fault plane.
 
-use crate::context::{Action, NodeCtx, TimerTag};
-use crate::driver::node_rng_seed;
+use crate::context::{NodeAction, NodeCtx, TimerTag};
+use crate::driver::{node_telemetry, NodeDriver};
 use crate::event::{EventKind, EventQueue, Key, NO_SENDER};
 use crate::faults::{FaultAction, FaultSchedule};
 use crate::link::{OutboundLink, Priority, QueuedMessage};
 use crate::message::SimMessage;
 use crate::netmodel::NetConfig;
-use crate::observation::{Observation, ObservationLog};
+use crate::observation::ObservationLog;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use smp_telemetry::Telemetry;
+use smp_types::time::from_micros_f64;
 use smp_types::{ReplicaId, SimTime};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// A protocol participant driven by the simulation.
 pub trait Node {
@@ -43,65 +44,42 @@ pub trait Node {
     }
 }
 
-/// Per-(node, message-kind) byte and message counters.
+/// Outbound `(bytes, messages)` per (node, message kind).
 #[derive(Clone, Debug, Default)]
 pub struct TrafficStats {
-    bytes: HashMap<(u32, &'static str), u64>,
-    messages: HashMap<(u32, &'static str), u64>,
+    sent: HashMap<(u32, &'static str), (u64, u64)>,
 }
 
 impl TrafficStats {
     fn record(&mut self, node: ReplicaId, kind: &'static str, bytes: usize) {
-        *self.bytes.entry((node.0, kind)).or_default() += bytes as u64;
-        *self.messages.entry((node.0, kind)).or_default() += 1;
-    }
-
-    /// Outbound bytes sent by `node`, grouped by message kind.
-    pub fn bytes_by_kind(&self, node: ReplicaId) -> HashMap<&'static str, u64> {
-        self.bytes
-            .iter()
-            .filter(|((n, _), _)| *n == node.0)
-            .map(|((_, k), v)| (*k, *v))
-            .collect()
-    }
-
-    /// Total outbound bytes sent by `node`.
-    pub fn total_bytes(&self, node: ReplicaId) -> u64 {
-        self.bytes
-            .iter()
-            .filter(|((n, _), _)| *n == node.0)
-            .map(|(_, v)| *v)
-            .sum()
+        let (b, m) = self.sent.entry((node.0, kind)).or_default();
+        *b += bytes as u64;
+        *m += 1;
     }
 
     /// Total outbound bytes across all nodes, grouped by kind.
     pub fn total_by_kind(&self) -> HashMap<&'static str, u64> {
         let mut out: HashMap<&'static str, u64> = HashMap::new();
-        for ((_, k), v) in &self.bytes {
-            *out.entry(*k).or_default() += *v;
+        for ((_, k), (bytes, _)) in &self.sent {
+            *out.entry(*k).or_default() += *bytes;
         }
         out
     }
 
-    /// Number of messages sent by `node` of the given kind.
-    pub fn message_count(&self, node: ReplicaId, kind: &'static str) -> u64 {
-        self.messages.get(&(node.0, kind)).copied().unwrap_or(0)
-    }
-
     /// Total messages of `kind` sent by all nodes.
     pub fn total_messages_of_kind(&self, kind: &'static str) -> u64 {
-        self.messages
+        self.sent
             .iter()
             .filter(|((_, k), _)| *k == kind)
-            .map(|(_, v)| *v)
+            .map(|(_, (_, messages))| *messages)
             .sum()
     }
 }
 
 /// The discrete-event simulation of a replica network.
 pub struct Simulation<N: Node> {
-    nodes: Vec<N>,
-    rngs: Vec<SmallRng>,
+    /// Each node with its identity, RNG and telemetry handle.
+    drivers: Vec<NodeDriver<N>>,
     links: Vec<OutboundLink<N::Msg>>,
     cpu_free: Vec<SimTime>,
     /// Per node, the keys of the deliveries that found its CPU busy,
@@ -113,19 +91,16 @@ pub struct Simulation<N: Node> {
     /// wake carrying any other `seq` is stale and ignored.
     wake_seq: Vec<Option<u64>>,
     queue: EventQueue<N::Msg>,
-    cancelled_timers: HashSet<u64>,
     net: NetConfig,
     now: SimTime,
-    next_timer_id: u64,
     started: bool,
     observations: ObservationLog,
     traffic: TrafficStats,
     events_processed: u64,
-    action_buf: Vec<Action<N::Msg>>,
+    /// Lent to the driver for each invocation and drained after it.
+    action_buf: Vec<NodeAction<N::Msg>>,
     telemetry: Telemetry,
-    node_telemetry: Vec<Telemetry>,
     // --- fault plane (inert while `faults` is empty) ---
-    seed: u64,
     faults: Vec<(SimTime, FaultAction)>,
     fault_idx: usize,
     /// Jitter source for delay bursts.  Deliberately separate from the
@@ -147,29 +122,25 @@ impl<N: Node> Simulation<N> {
     /// and RNG seed.
     pub fn new(nodes: Vec<N>, net: NetConfig, seed: u64) -> Self {
         let n = nodes.len();
-        let rngs = (0..n)
-            .map(|i| SmallRng::seed_from_u64(node_rng_seed(seed, i)))
+        let drivers = (0u32..)
+            .zip(nodes)
+            .map(|(i, node)| NodeDriver::new(node, ReplicaId(i), n, seed, Telemetry::disabled()))
             .collect();
         Simulation {
-            nodes,
-            rngs,
+            drivers,
             links: (0..n).map(|_| OutboundLink::new()).collect(),
             cpu_free: vec![0; n],
             inbox: (0..n).map(|_| VecDeque::new()).collect(),
             wake_seq: vec![None; n],
             queue: EventQueue::new(),
-            cancelled_timers: HashSet::new(),
             net,
             now: 0,
-            next_timer_id: 0,
             started: false,
             observations: ObservationLog::new(),
             traffic: TrafficStats::default(),
             events_processed: 0,
             action_buf: Vec::new(),
             telemetry: Telemetry::disabled(),
-            node_telemetry: vec![Telemetry::disabled(); n],
-            seed,
             faults: Vec::new(),
             fault_idx: 0,
             fault_rng: SmallRng::seed_from_u64(seed ^ 0xFAB1_7C0D_E5EE_D000),
@@ -198,13 +169,9 @@ impl<N: Node> Simulation<N> {
     /// [`NodeCtx::telemetry`].  Telemetry never touches simulation RNG or
     /// event ordering, so results are byte-identical with it on or off.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.node_telemetry = (0..self.nodes.len())
-            .map(|i| {
-                telemetry
-                    .with_prefix(&format!("replica.{i}"))
-                    .with_track(i as u32)
-            })
-            .collect();
+        for (i, driver) in self.drivers.iter_mut().enumerate() {
+            driver.set_telemetry(node_telemetry(&telemetry, i));
+        }
         self.telemetry = telemetry;
         self
     }
@@ -216,7 +183,7 @@ impl<N: Node> Simulation<N> {
 
     /// Number of nodes.
     pub fn n(&self) -> usize {
-        self.nodes.len()
+        self.drivers.len()
     }
 
     /// Current simulated time.
@@ -226,17 +193,17 @@ impl<N: Node> Simulation<N> {
 
     /// Immutable access to node `i`.
     pub fn node(&self, i: usize) -> &N {
-        &self.nodes[i]
+        self.drivers[i].node()
     }
 
     /// Mutable access to node `i` (useful for post-run metric extraction).
     pub fn node_mut(&mut self, i: usize) -> &mut N {
-        &mut self.nodes[i]
+        self.drivers[i].node_mut()
     }
 
-    /// All nodes.
-    pub fn nodes(&self) -> &[N] {
-        &self.nodes
+    /// All nodes, in id order.
+    pub fn nodes(&self) -> impl Iterator<Item = &N> {
+        self.drivers.iter().map(NodeDriver::node)
     }
 
     /// The observation log accumulated so far.
@@ -283,8 +250,8 @@ impl<N: Node> Simulation<N> {
     pub fn run_until(&mut self, until: SimTime) {
         if !self.started {
             self.started = true;
-            for i in 0..self.nodes.len() {
-                self.invoke(i, Invocation::Start);
+            for i in 0..self.drivers.len() {
+                self.invoke(i, |d, now, out| d.start(now, out));
             }
         }
         loop {
@@ -327,17 +294,9 @@ impl<N: Node> Simulation<N> {
                     self.attempt_delivery(key, idx);
                     self.arm_wake(idx);
                 }
-                EventKind::Timer {
-                    node,
-                    timer_id,
-                    tag,
-                    epoch,
-                } => {
+                EventKind::Timer { node, tag, epoch } => {
                     self.queue.take(key.slot);
                     self.events_processed += 1;
-                    if self.cancelled_timers.remove(&timer_id) {
-                        continue;
-                    }
                     let idx = node.index();
                     // A crashed node's timers never fire; a timer set by
                     // a previous incarnation is dead on arrival.
@@ -345,7 +304,7 @@ impl<N: Node> Simulation<N> {
                         continue;
                     }
                     let _span = self.telemetry.span_at("simnet.timer", self.now);
-                    self.invoke(idx, Invocation::Timer(tag));
+                    self.invoke(idx, |d, now, out| d.timer(now, tag, out));
                 }
                 EventKind::LinkFree { node } => {
                     self.queue.take(key.slot);
@@ -392,14 +351,12 @@ impl<N: Node> Simulation<N> {
                 let idx = id.index();
                 if self.crashed[idx] {
                     self.crashed[idx] = false;
-                    // A fresh incarnation: old timers are dead, the RNG
-                    // restarts exactly as a re-exec'd process's would,
-                    // and the node's restart hook runs.
+                    // A fresh incarnation: old timers are dead, the CPU is
+                    // idle, and the driver reseeds and reboots the node.
                     self.incarnation[idx] += 1;
-                    self.rngs[idx] = SmallRng::seed_from_u64(node_rng_seed(self.seed, idx));
                     self.cpu_free[idx] = self.now;
                     self.telemetry.instant_at("simnet.fault.restart", self.now);
-                    self.invoke(idx, Invocation::Restart);
+                    self.invoke(idx, |d, now, out| d.restart(now, out));
                 }
             }
             FaultAction::Partition(island) => {
@@ -475,11 +432,10 @@ impl<N: Node> Simulation<N> {
             unreachable!("only deliveries are attempted");
         };
         let _span = self.telemetry.span_at("simnet.deliver", self.now);
-        let cost = (msg.cpu_cost_us() / self.net.cpu_speed.max(1e-9)).ceil() as SimTime;
-        self.cpu_free[idx] = self.now + cost;
+        self.cpu_free[idx] = self.now + from_micros_f64(msg.cpu_cost_us());
         match from {
-            Some(f) => self.invoke(idx, Invocation::Message(f, msg)),
-            None => self.invoke(idx, Invocation::Client(msg)),
+            Some(f) => self.invoke(idx, |d, now, out| d.deliver(now, f, msg, out)),
+            None => self.invoke(idx, |d, now, out| d.client_input(now, msg, out)),
         }
     }
 
@@ -511,28 +467,16 @@ impl<N: Node> Simulation<N> {
         self.arm_wake(idx);
     }
 
-    fn invoke(&mut self, idx: usize, invocation: Invocation<N::Msg>) {
+    /// Runs one handler of node `idx` through its driver, then applies
+    /// the actions it recorded.
+    fn invoke(
+        &mut self,
+        idx: usize,
+        handler: impl FnOnce(&mut NodeDriver<N>, SimTime, &mut Vec<NodeAction<N::Msg>>),
+    ) {
         debug_assert!(self.action_buf.is_empty());
         let mut actions = std::mem::take(&mut self.action_buf);
-        {
-            let mut ctx = NodeCtx {
-                id: ReplicaId(idx as u32),
-                n: self.nodes.len(),
-                now: self.now,
-                rng: &mut self.rngs[idx],
-                actions: &mut actions,
-                next_timer_id: &mut self.next_timer_id,
-                telemetry: &self.node_telemetry[idx],
-            };
-            let node = &mut self.nodes[idx];
-            match invocation {
-                Invocation::Start => node.on_start(&mut ctx),
-                Invocation::Restart => node.on_restart(&mut ctx),
-                Invocation::Message(from, msg) => node.on_message(&mut ctx, from, msg),
-                Invocation::Client(msg) => node.on_client_input(&mut ctx, msg),
-                Invocation::Timer(tag) => node.on_timer(&mut ctx, tag),
-            }
-        }
+        handler(&mut self.drivers[idx], self.now, &mut actions);
         let sender = ReplicaId(idx as u32);
         for action in actions.drain(..) {
             self.apply(sender, action);
@@ -540,35 +484,27 @@ impl<N: Node> Simulation<N> {
         self.action_buf = actions;
     }
 
-    fn apply(&mut self, sender: ReplicaId, action: Action<N::Msg>) {
+    fn apply(&mut self, sender: ReplicaId, action: NodeAction<N::Msg>) {
         match action {
-            Action::Send { to, msg } => self.send_message(sender, to, msg),
-            Action::SetTimer { at, timer_id, tag } => {
+            NodeAction::Send { to, msg } => self.send_message(sender, to, msg),
+            NodeAction::SetTimer { at, tag } => {
                 self.queue.push(
                     at,
                     EventKind::Timer {
                         node: sender,
-                        timer_id,
                         tag,
                         epoch: self.incarnation[sender.index()],
                     },
                 );
             }
-            Action::CancelTimer { timer_id } => {
-                self.cancelled_timers.insert(timer_id);
-            }
-            Action::Observe(obs) => self.push_observation(obs),
+            NodeAction::Observe(obs) => self.observations.push(obs),
         }
-    }
-
-    fn push_observation(&mut self, obs: Observation) {
-        self.observations.push(obs);
     }
 
     fn send_message(&mut self, from: ReplicaId, to: ReplicaId, msg: N::Msg) {
         let bytes = msg.wire_size();
         self.traffic.record(from, msg.kind(), bytes);
-        let t = &self.node_telemetry[from.index()];
+        let t = self.drivers[from.index()].telemetry();
         t.counter_add("net.bytes_out", bytes as u64);
         t.counter_inc("net.msgs_out");
         if from == to {
@@ -589,15 +525,7 @@ impl<N: Node> Simulation<N> {
             Priority::Normal
         };
         let link = &mut self.links[from.index()];
-        link.enqueue(
-            QueuedMessage {
-                to,
-                msg,
-                bytes,
-                enqueued_at: self.now,
-            },
-            priority,
-        );
+        link.enqueue(QueuedMessage { to, msg, bytes }, priority);
         if !link.is_busy() {
             self.pump_link(from);
         }
@@ -609,12 +537,12 @@ impl<N: Node> Simulation<N> {
         let Some(item) = self.links[idx].start_next() else {
             return;
         };
-        let ser = self.net.serialization_us(node, item.bytes);
+        let ser = self.net.serialization_us(item.bytes);
         let done = self.now + ser;
         self.queue.push(done, EventKind::LinkFree { node });
-        let prop = self
-            .net
-            .propagation_us(node, item.to, self.now, &mut self.rngs[idx]);
+        // Jitter comes out of the sender's own stream.
+        let rng = self.drivers[idx].rng();
+        let prop = self.net.propagation_us(node, item.to, self.now, rng);
         self.queue.push(
             done + prop,
             EventKind::Deliver {
@@ -624,14 +552,6 @@ impl<N: Node> Simulation<N> {
             },
         );
     }
-}
-
-enum Invocation<M> {
-    Start,
-    Restart,
-    Message(ReplicaId, M),
-    Client(M),
-    Timer(TimerTag),
 }
 
 #[cfg(test)]
@@ -781,10 +701,11 @@ mod tests {
     fn traffic_stats_account_outbound_bytes_by_kind() {
         let mut sim = two_nodes(true);
         sim.run_until(MICROS_PER_MS * 200);
-        let by_kind = sim.traffic().bytes_by_kind(ReplicaId(0));
+        let by_kind = sim.traffic().total_by_kind();
         assert_eq!(by_kind.get("small"), Some(&100));
-        assert_eq!(sim.traffic().total_bytes(ReplicaId(1)), 0);
-        assert_eq!(sim.traffic().message_count(ReplicaId(0), "small"), 1);
+        assert_eq!(by_kind.len(), 1);
+        assert_eq!(sim.traffic().total_messages_of_kind("small"), 1);
+        assert_eq!(sim.traffic().total_messages_of_kind("big"), 0);
     }
 
     #[test]
@@ -797,25 +718,23 @@ mod tests {
     #[test]
     fn timers_fire_and_cancel() {
         struct TimerNode {
-            fired: Vec<TimerTag>,
+            fired: Vec<(SimTime, TimerTag)>,
         }
         impl Node for TimerNode {
             type Msg = TestMsg;
             fn on_start(&mut self, ctx: &mut NodeCtx<'_, TestMsg>) {
-                let keep = ctx.set_timer(1_000, 1);
-                let cancel = ctx.set_timer(2_000, 2);
-                let _ = keep;
-                ctx.cancel_timer(cancel);
                 ctx.set_timer(3_000, 3);
+                ctx.set_timer(1_000, 1);
+                ctx.set_timer(3_000, 4);
             }
             fn on_message(&mut self, _: &mut NodeCtx<'_, TestMsg>, _: ReplicaId, _: TestMsg) {}
-            fn on_timer(&mut self, _: &mut NodeCtx<'_, TestMsg>, tag: TimerTag) {
-                self.fired.push(tag);
+            fn on_timer(&mut self, ctx: &mut NodeCtx<'_, TestMsg>, tag: TimerTag) {
+                self.fired.push((ctx.now(), tag));
             }
         }
         let mut sim = Simulation::new(vec![TimerNode { fired: Vec::new() }], NetConfig::lan(), 1);
         sim.run_until(10_000);
-        assert_eq!(sim.node(0).fired, vec![1, 3]);
+        assert_eq!(sim.node(0).fired, vec![(1_000, 1), (3_000, 3), (3_000, 4)]);
     }
 
     #[test]
@@ -992,6 +911,33 @@ mod tests {
         assert_eq!(sim.node(0).starts, 2);
         assert_eq!(sim.node(0).fired, vec![10, 11]);
         assert!(!sim.is_crashed(0));
+    }
+
+    #[test]
+    fn restart_reseeds_the_node_rng() {
+        /// Records its first RNG draw of every boot.
+        struct Dice(Vec<u64>);
+        impl Node for Dice {
+            type Msg = TestMsg;
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_, TestMsg>) {
+                self.0.push(ctx.rng().gen());
+                // Jitter on the way out advances the stream past that draw.
+                ctx.send(ReplicaId(1 - ctx.id().0), TestMsg::Small(0));
+            }
+            fn on_message(&mut self, _: &mut NodeCtx<'_, TestMsg>, _: ReplicaId, _: TestMsg) {}
+            fn on_timer(&mut self, _: &mut NodeCtx<'_, TestMsg>, _: TimerTag) {}
+        }
+        let nodes = vec![Dice(Vec::new()), Dice(Vec::new())];
+        let mut sim = Simulation::new(nodes, NetConfig::wan(), 7).with_faults(
+            FaultSchedule::new()
+                .at(2_000, FaultAction::Crash(ReplicaId(1)))
+                .at(10_000, FaultAction::Restart(ReplicaId(1))),
+        );
+        sim.run_until(30_000);
+        let draws = &sim.node(1).0;
+        assert_eq!(draws.len(), 2);
+        assert_eq!(draws[0], draws[1]);
+        assert_ne!(draws[0], sim.node(0).0[0], "each node has its own stream");
     }
 
     #[test]
