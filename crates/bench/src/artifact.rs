@@ -1,10 +1,12 @@
 //! Recorded benchmark artifacts (`BENCH_<name>.json`).
 //!
-//! Every harness binary and micro-benchmark can write a schema-versioned
-//! JSON artifact describing the run: configuration, git revision,
-//! wall-clock time, and a list of labelled measurement points.  The
-//! `bench_gate` binary compares two artifacts and fails on regressions,
-//! which is how CI keeps a perf trajectory (`bench/baselines/`) honest.
+//! Every harness binary can write a schema-versioned JSON artifact
+//! describing the run: configuration, git revision, wall-clock time, and
+//! a list of labelled measurement points.  The points are *simulated*
+//! model outputs, exact for a seed, so the `bench_gate` binary holds a
+//! candidate artifact to bit equality with the checked-in one
+//! (`bench/baselines/`); the one exception is [`is_host_time`].  Anything
+//! timed on the host is the `benchmark/` package's to measure.
 
 use crate::Scale;
 use smp_metrics::{JsonError, JsonValue};
@@ -16,20 +18,17 @@ use std::time::Instant;
 /// Version stamped into every artifact; bump on incompatible layout
 /// changes so the gate can refuse cross-schema comparisons.
 ///
-/// v2 added per-metric `directions` (`"lower"` / `"higher"`), making the
-/// gating direction explicit instead of inferred from the metric name.
+/// Older v2 writers also recorded a per-metric gating direction beside
+/// `metrics`; an exact gate has no use for one, and the reader skips keys
+/// it does not know.
 pub const BENCH_SCHEMA_VERSION: u64 = 2;
 
-/// The schema-1 fallback: infer the gating direction from the metric
-/// name.  Only used for artifacts that predate explicit directions —
-/// v2 artifacts record the direction per metric.
-pub fn inferred_lower_is_better(key: &str) -> bool {
-    key.contains("latency")
-        || key.contains("_ms")
-        || key.ends_with("ms")
-        || key.contains("ns_per_iter")
-        || key.contains("wall")
-        || key.contains("view_changes")
+/// The one naming rule of the artifact format: a metric whose key
+/// contains `wall` (`fig12`'s `*_wall_secs`, like the top-level
+/// `wall_secs`) is host time — `bench_gate` prints it and never compares
+/// it.  Every other metric must reproduce bit for bit.
+pub fn is_host_time(key: &str) -> bool {
+    key.contains("wall")
 }
 
 /// One labelled measurement point: a set of named scalar metrics.
@@ -39,11 +38,6 @@ pub struct BenchPoint {
     pub label: String,
     /// Metric name → value.
     pub metrics: BTreeMap<String, f64>,
-    /// Metric name → whether a smaller value is an improvement.  Written
-    /// for every metric since schema v2; may be missing entries (or be
-    /// empty) in older artifacts, where the gate falls back to
-    /// [`inferred_lower_is_better`].
-    pub directions: BTreeMap<String, bool>,
 }
 
 impl BenchPoint {
@@ -52,14 +46,7 @@ impl BenchPoint {
         BenchPoint {
             label: label.into(),
             metrics: BTreeMap::new(),
-            directions: BTreeMap::new(),
         }
-    }
-
-    /// The recorded direction for `key`, if any (`true` = lower is
-    /// better).
-    pub fn lower_is_better(&self, key: &str) -> Option<bool> {
-        self.directions.get(key).copied()
     }
 
     fn to_json(&self) -> JsonValue {
@@ -71,18 +58,6 @@ impl BenchPoint {
                     self.metrics
                         .iter()
                         .map(|(k, v)| (k.clone(), JsonValue::Number(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "directions".to_string(),
-                JsonValue::Object(
-                    self.directions
-                        .iter()
-                        .map(|(k, lower)| {
-                            let d = if *lower { "lower" } else { "higher" };
-                            (k.clone(), JsonValue::String(d.to_string()))
-                        })
                         .collect(),
                 ),
             ),
@@ -103,26 +78,7 @@ impl BenchPoint {
                 }
             }
         }
-        let mut directions = BTreeMap::new();
-        if let Some(obj) = v.get("directions").and_then(JsonValue::as_object) {
-            for (k, d) in obj {
-                // Accept the canonical strings and plain booleans.
-                let lower = match (d.as_str(), d.as_bool()) {
-                    (Some("lower"), _) => Some(true),
-                    (Some("higher"), _) => Some(false),
-                    (_, Some(b)) => Some(b),
-                    _ => None,
-                };
-                if let Some(lower) = lower {
-                    directions.insert(k.clone(), lower);
-                }
-            }
-        }
-        Ok(BenchPoint {
-            label,
-            metrics,
-            directions,
-        })
+        Ok(BenchPoint { label, metrics })
     }
 }
 
@@ -282,22 +238,9 @@ impl BenchRecorder {
         }
     }
 
-    /// Whether an artifact will be written.
-    pub fn enabled(&self) -> bool {
-        self.out.is_some()
-    }
-
-    /// Adds (or extends) the point `label` with one metric, inferring the
-    /// gating direction from the metric name.  Use
-    /// [`metric_directed`](Self::metric_directed) when the name does not
-    /// say which way is better.
+    /// Adds (or extends) the point `label` with one metric.  Name a
+    /// metric measured on the host so that [`is_host_time`] sees it.
     pub fn metric(&mut self, label: &str, key: &str, value: f64) {
-        self.metric_directed(label, key, value, inferred_lower_is_better(key));
-    }
-
-    /// Adds (or extends) the point `label` with one metric carrying an
-    /// explicit gating direction (`true` = lower is better).
-    pub fn metric_directed(&mut self, label: &str, key: &str, value: f64, lower_is_better: bool) {
         if self.out.is_none() {
             return;
         }
@@ -309,21 +252,17 @@ impl BenchRecorder {
             }
         };
         point.metrics.insert(key.to_string(), value);
-        point.directions.insert(key.to_string(), lower_is_better);
     }
 
     /// Records the standard summary metrics of one experiment result
     /// under `label`.
     pub fn result(&mut self, label: &str, r: &ExperimentResult) {
-        if self.out.is_none() {
-            return;
-        }
-        self.metric_directed(label, "throughput_ktps", r.summary.throughput_ktps, false);
-        self.metric_directed(label, "mean_latency_ms", r.summary.mean_latency_ms, true);
-        self.metric_directed(label, "p95_latency_ms", r.summary.p95_latency_ms, true);
-        self.metric_directed(label, "p99_latency_ms", r.summary.p99_latency_ms, true);
-        self.metric_directed(label, "committed_txs", r.committed_txs as f64, false);
-        self.metric_directed(label, "view_changes", r.view_changes as f64, true);
+        self.metric(label, "throughput_ktps", r.summary.throughput_ktps);
+        self.metric(label, "mean_latency_ms", r.summary.mean_latency_ms);
+        self.metric(label, "p95_latency_ms", r.summary.p95_latency_ms);
+        self.metric(label, "p99_latency_ms", r.summary.p99_latency_ms);
+        self.metric(label, "committed_txs", r.committed_txs as f64);
+        self.metric(label, "view_changes", r.view_changes as f64);
     }
 
     /// Stamps the wall-clock duration and writes the artifact (if
@@ -366,8 +305,9 @@ mod tests {
         let mut p = BenchPoint::new("n=16/S-HS");
         p.metrics.insert("throughput_ktps".to_string(), 42.5);
         p.metrics.insert("p95_latency_ms".to_string(), 8.0);
-        p.directions.insert("throughput_ktps".to_string(), false);
-        p.directions.insert("p95_latency_ms".to_string(), true);
+        // Shortest-round-trip printing: the bits survive, which is what
+        // lets the gate compare with `f64::to_bits`.
+        p.metrics.insert("mean_latency_ms".to_string(), 0.1 + 0.2);
         let a = BenchArtifact {
             schema: BENCH_SCHEMA_VERSION,
             name: "fig7_scalability".to_string(),
@@ -380,9 +320,11 @@ mod tests {
         let text = a.to_json().to_pretty();
         let back = BenchArtifact::parse(&text).unwrap();
         assert_eq!(a, back);
+        let metrics = &back.point("n=16/S-HS").unwrap().metrics;
+        assert_eq!(metrics["throughput_ktps"], 42.5);
         assert_eq!(
-            back.point("n=16/S-HS").unwrap().metrics["throughput_ktps"],
-            42.5
+            metrics["mean_latency_ms"].to_bits(),
+            (0.1f64 + 0.2).to_bits()
         );
     }
 
@@ -399,29 +341,29 @@ mod tests {
     fn v1_points_parse_without_directions() {
         let a = BenchArtifact::parse(
             r#"{"schema": 1, "name": "x",
-                "points": [{"label": "p", "metrics": {"ns_per_iter": 5.0}}]}"#,
+                "points": [{"label": "p", "metrics": {"p50_ms": 5.0}}]}"#,
         )
         .unwrap();
-        let p = a.point("p").unwrap();
-        assert_eq!(p.metrics["ns_per_iter"], 5.0);
-        assert_eq!(p.lower_is_better("ns_per_iter"), None);
-        // The name-based fallback still classifies the metric.
-        assert!(inferred_lower_is_better("ns_per_iter"));
-        assert!(!inferred_lower_is_better("throughput_ktps"));
+        assert_eq!(a.point("p").unwrap().metrics["p50_ms"], 5.0);
     }
 
     #[test]
-    fn directions_accept_strings_and_booleans() {
+    fn a_v2_artifact_carrying_directions_still_parses() {
+        // What the checked-in baselines look like: recorded when the
+        // writer still put a gating direction beside every metric.
         let a = BenchArtifact::parse(
             r#"{"schema": 2, "name": "x",
                 "points": [{"label": "p",
-                            "metrics": {"a": 1.0, "b": 2.0, "c": 3.0},
+                            "metrics": {"a": 1.0, "b": 2.5, "c": 0},
                             "directions": {"a": "lower", "b": "higher", "c": true}}]}"#,
         )
         .unwrap();
         let p = a.point("p").unwrap();
-        assert_eq!(p.lower_is_better("a"), Some(true));
-        assert_eq!(p.lower_is_better("b"), Some(false));
-        assert_eq!(p.lower_is_better("c"), Some(true));
+        assert_eq!(p.metrics.len(), 3);
+        assert_eq!(p.metrics["b"], 2.5);
+        // The writer no longer emits them, and nothing is lost by that.
+        let text = a.to_json().to_pretty();
+        assert!(!text.contains("directions"));
+        assert_eq!(BenchArtifact::parse(&text).unwrap(), a);
     }
 }

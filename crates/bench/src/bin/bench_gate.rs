@@ -1,113 +1,99 @@
-//! CI regression gate over recorded `BENCH_*.json` artifacts.
+//! The workspace's perf gate: `bench_gate <baseline.json> <candidate.json>`.
 //!
-//! Usage: `bench_gate <baseline.json> <candidate.json> [--threshold 0.15]
-//! [--gate-wall]`
+//! One rule, no options.  What the harness bins record is simulated, so a
+//! seed reproduces it bit for bit: every point and metric of the baseline
+//! must be in the candidate with the same `f64` bits.  Drift in either
+//! direction is a behaviour change — a refactor's licence is "the gate
+//! says equal", a deliberate change re-records the baseline and says so.
+//! Host-time metrics ([`is_host_time`]) are printed and never compared;
+//! points and metrics only the candidate has are new coverage, not drift.
 //!
-//! Compares every metric of every baseline point against the candidate
-//! artifact and exits non-zero when any metric regressed by more than the
-//! threshold (relative).  Since schema v2 the artifact records the gating
-//! direction per metric; for older (v1) artifacts the direction is
-//! inferred from the name (`latency`, `*_ms`, `ns_per_iter`, `wall` and
-//! `view_changes` are lower-is-better, everything else
-//! higher-is-better).  Wall-clock metrics are reported but not gated
-//! unless `--gate-wall` is passed — sim-time results are deterministic,
-//! wall time is hardware-dependent.
-//!
-//! A point or metric present in the baseline but missing from the
-//! candidate is itself a failure: a benchmark silently dropping coverage
-//! must not pass the gate.
+//! Exit codes: 0 equal, 1 drift, 2 usage / unreadable artifact / schema
+//! mismatch.
 
-use smp_bench::{inferred_lower_is_better, BenchArtifact, BenchPoint};
+use smp_bench::{is_host_time, BenchArtifact};
 
-fn is_wall(key: &str) -> bool {
-    key.contains("wall")
+const USAGE: &str = "usage: bench_gate <baseline.json> <candidate.json>";
+
+/// The two artifact paths.  Anything that looks like a flag is a usage
+/// error: the gate has no knobs.
+fn parse_args(args: &[String]) -> Result<(&str, &str), String> {
+    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
+        return Err(format!("unknown flag '{flag}'"));
+    }
+    match args {
+        [baseline, candidate] => Ok((baseline, candidate)),
+        _ => Err(format!(
+            "expected exactly 2 artifact paths, got {}",
+            args.len()
+        )),
+    }
 }
 
-/// Parsed command line: the two artifact paths, the relative regression
-/// threshold, and whether wall-clock metrics are gated.
-#[derive(Debug, PartialEq)]
-struct GateArgs {
-    baseline: String,
-    candidate: String,
-    threshold: f64,
-    gate_wall: bool,
+/// What comparing a candidate against a baseline found.
+#[derive(Debug, Default)]
+struct Verdict {
+    /// Metrics found bit-equal.
+    equal: usize,
+    /// Host-time metrics, as `label/key: baseline -> candidate`.
+    host_time: Vec<String>,
+    /// One line per baseline point or metric the candidate lacks or
+    /// reproduces with different bits.
+    drift: Vec<String>,
 }
 
-/// Single-pass parser over the argument list (without the program name).
-/// Each flag consumes its value in place, so positional paths are never
-/// confused with flag values — even when a path equals the threshold
-/// literal or when baseline and candidate are the same file.
-fn parse_args(args: &[String]) -> Result<GateArgs, String> {
-    let mut paths: Vec<String> = Vec::new();
-    let mut threshold = 0.15f64;
-    let mut gate_wall = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threshold" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--threshold takes a value".to_string())?;
-                threshold = v
-                    .parse()
-                    .map_err(|_| format!("--threshold takes a number, got '{v}'"))?;
+fn compare(baseline: &BenchArtifact, candidate: &BenchArtifact) -> Verdict {
+    let mut v = Verdict::default();
+    for bp in &baseline.points {
+        let Some(cp) = candidate.point(&bp.label) else {
+            v.drift
+                .push(format!("{}: point missing from candidate", bp.label));
+            continue;
+        };
+        for (key, base) in &bp.metrics {
+            let id = format!("{}/{key}", bp.label);
+            match cp.metrics.get(key) {
+                None => v.drift.push(format!("{id}: missing from candidate")),
+                Some(cand) if is_host_time(key) => {
+                    v.host_time.push(format!("{id}: {base} -> {cand}"));
+                }
+                Some(cand) if cand.to_bits() == base.to_bits() => v.equal += 1,
+                Some(cand) => v.drift.push(format!("{id}: {base} -> {cand}")),
             }
-            "--gate-wall" => gate_wall = true,
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag '{flag}'"));
-            }
-            _ => paths.push(arg.clone()),
         }
     }
-    if paths.len() != 2 {
-        return Err(format!(
-            "expected exactly 2 artifact paths, got {}",
-            paths.len()
-        ));
-    }
-    let candidate = paths.pop().expect("two paths");
-    let baseline = paths.pop().expect("two paths");
-    Ok(GateArgs {
-        baseline,
-        candidate,
-        threshold,
-        gate_wall,
-    })
+    v
 }
 
-/// The gating direction for `key`: the artifact's explicit record when
-/// present (baseline wins over candidate), the name-based inference
-/// otherwise (pre-v2 artifacts).
-fn lower_is_better(bp: &BenchPoint, cp: &BenchPoint, key: &str) -> bool {
-    bp.lower_is_better(key)
-        .or_else(|| cp.lower_is_better(key))
-        .unwrap_or_else(|| inferred_lower_is_better(key))
+/// The command that regenerates `baseline` in place, from the arguments
+/// the artifact says it was recorded with.
+fn rerecord_command(baseline: &BenchArtifact) -> String {
+    format!(
+        "cargo run --release -p smp-bench --bin {} -- {}",
+        baseline.name,
+        baseline.args.join(" ")
+    )
+}
+
+fn load(path: &str) -> BenchArtifact {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("bench_gate: cannot read {path}: {e}");
+        std::process::exit(2);
+    });
+    BenchArtifact::parse(&text).unwrap_or_else(|e| {
+        eprintln!("bench_gate: cannot parse {path}: {e:?}");
+        std::process::exit(2);
+    })
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = parse_args(&args).unwrap_or_else(|e| {
-        eprintln!("bench_gate: {e}");
-        eprintln!(
-            "usage: bench_gate <baseline.json> <candidate.json> [--threshold 0.15] [--gate-wall]"
-        );
+    let (baseline, candidate) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("bench_gate: {e}\n{USAGE}");
         std::process::exit(2);
     });
-    let threshold = parsed.threshold;
-
-    let load = |path: &str| -> BenchArtifact {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("bench_gate: cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        BenchArtifact::parse(&text).unwrap_or_else(|e| {
-            eprintln!("bench_gate: cannot parse {path}: {e:?}");
-            std::process::exit(2);
-        })
-    };
-    let baseline = load(&parsed.baseline);
-    let candidate = load(&parsed.candidate);
-
+    let baseline = load(baseline);
+    let candidate = load(candidate);
     if baseline.schema != candidate.schema {
         eprintln!(
             "bench_gate: schema mismatch (baseline v{}, candidate v{})",
@@ -117,158 +103,159 @@ fn main() {
     }
 
     println!(
-        "bench_gate: {} — baseline {} ({} points) vs candidate {} ({} points), threshold {:.0}%",
+        "bench_gate: {} — baseline {:?} ({} points) vs candidate {:?} ({} points)",
         baseline.name,
-        if baseline.git_rev.is_empty() {
-            "?"
-        } else {
-            &baseline.git_rev
-        },
+        baseline.git_rev,
         baseline.points.len(),
-        if candidate.git_rev.is_empty() {
-            "?"
-        } else {
-            &candidate.git_rev
-        },
-        candidate.points.len(),
-        threshold * 100.0
+        candidate.git_rev,
+        candidate.points.len()
     );
-
-    let mut failures: Vec<String> = Vec::new();
-    let mut compared = 0usize;
-    for bp in &baseline.points {
-        let Some(cp) = candidate.point(&bp.label) else {
-            failures.push(format!("point '{}' missing from candidate", bp.label));
-            continue;
-        };
-        for (key, base) in &bp.metrics {
-            let Some(cand) = cp.metrics.get(key).copied() else {
-                failures.push(format!(
-                    "metric '{}/{}' missing from candidate",
-                    bp.label, key
-                ));
-                continue;
-            };
-            let wall = is_wall(key);
-            if wall && !parsed.gate_wall {
-                println!(
-                    "  (info) {}/{}: {:.3} -> {:.3} (wall, not gated)",
-                    bp.label, key, base, cand
-                );
-                continue;
-            }
-            compared += 1;
-            if base.abs() < 1e-9 {
-                // No meaningful relative comparison against a zero
-                // baseline; report only.
-                println!(
-                    "  (info) {}/{}: {:.3} -> {:.3} (zero baseline)",
-                    bp.label, key, base, cand
-                );
-                continue;
-            }
-            let delta = if lower_is_better(bp, cp, key) {
-                (cand - base) / base
-            } else {
-                (base - cand) / base
-            };
-            if delta > threshold {
-                failures.push(format!(
-                    "{}/{} regressed {:.1}%: {:.4} -> {:.4}",
-                    bp.label,
-                    key,
-                    delta * 100.0,
-                    base,
-                    cand
-                ));
-            }
-        }
+    let verdict = compare(&baseline, &candidate);
+    for line in &verdict.host_time {
+        println!("  (host time, not compared) {line}");
     }
-
-    if failures.is_empty() {
-        println!(
-            "bench_gate: PASS ({compared} metrics within {:.0}%)",
-            threshold * 100.0
-        );
-    } else {
-        eprintln!("bench_gate: FAIL — {} regression(s):", failures.len());
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
+    if verdict.drift.is_empty() {
+        println!("bench_gate: PASS ({} metrics equal)", verdict.equal);
+        return;
     }
+    eprintln!(
+        "bench_gate: FAIL — {} of {} metrics drifted or went missing:",
+        verdict.drift.len(),
+        verdict.drift.len() + verdict.equal
+    );
+    for line in &verdict.drift {
+        eprintln!("  {line}");
+    }
+    eprintln!(
+        "a refactor must not move these; after a deliberate behaviour change re-record with\n  {}",
+        rerecord_command(&baseline)
+    );
+    std::process::exit(1);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smp_bench::BenchPoint;
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    /// An artifact with one fig7-like point.
+    fn artifact(metrics: &[(&str, f64)]) -> BenchArtifact {
+        let mut p = BenchPoint::new("lan/n=16/S-HS");
+        for (key, value) in metrics {
+            p.metrics.insert(key.to_string(), *value);
+        }
+        BenchArtifact {
+            name: "fig7_scalability".to_string(),
+            args: strs(&[
+                "--quick",
+                "--sizes",
+                "16,32",
+                "--bench-out",
+                "bench/baselines/",
+            ]),
+            points: vec![p],
+            ..BenchArtifact::default()
+        }
+    }
+
+    const ROW: [(&str, f64); 3] = [
+        ("throughput_ktps", 59.97),
+        ("view_changes", 0.0),
+        ("seq_wall_secs", 1.5),
+    ];
+
     #[test]
     fn identical_baseline_and_candidate_paths_both_survive() {
-        // The old positional filter deduplicated by value: comparing an
-        // artifact against itself (the obvious smoke test) was rejected
-        // as "one path".
-        let parsed = parse_args(&strs(&["a.json", "a.json"])).unwrap();
-        assert_eq!(parsed.baseline, "a.json");
-        assert_eq!(parsed.candidate, "a.json");
-    }
-
-    #[test]
-    fn path_equal_to_threshold_value_is_not_swallowed() {
-        // The old filter dropped any positional that happened to follow
-        // a `--threshold` occurrence *by value* — a file literally named
-        // `0.2` vanished when `--threshold 0.2` was also passed.
-        let parsed = parse_args(&strs(&["--threshold", "0.2", "base.json", "0.2"])).unwrap();
-        assert_eq!(parsed.baseline, "base.json");
-        assert_eq!(parsed.candidate, "0.2");
-        assert!((parsed.threshold - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn flags_parse_in_any_position() {
-        let parsed = parse_args(&strs(&[
-            "a.json",
-            "--gate-wall",
-            "b.json",
-            "--threshold",
-            "0.05",
-        ]))
-        .unwrap();
-        assert_eq!(
-            parsed,
-            GateArgs {
-                baseline: "a.json".to_string(),
-                candidate: "b.json".to_string(),
-                threshold: 0.05,
-                gate_wall: true,
-            }
-        );
+        // Comparing an artifact against itself is the obvious smoke test.
+        let args = strs(&["a.json", "a.json"]);
+        assert_eq!(parse_args(&args), Ok(("a.json", "a.json")));
     }
 
     #[test]
     fn bad_usage_is_rejected() {
         assert!(parse_args(&strs(&["a.json"])).is_err());
         assert!(parse_args(&strs(&["a.json", "b.json", "c.json"])).is_err());
-        assert!(parse_args(&strs(&["a.json", "b.json", "--threshold"])).is_err());
-        assert!(parse_args(&strs(&["a.json", "b.json", "--threshold", "x"])).is_err());
-        assert!(parse_args(&strs(&["a.json", "b.json", "--bogus"])).is_err());
+        assert!(parse_args(&[]).is_err());
     }
 
     #[test]
-    fn explicit_direction_overrides_the_name_heuristic() {
-        // A metric named like a lower-is-better one but recorded as
-        // higher-is-better must gate on the recorded direction.
-        let mut bp = BenchPoint::new("p");
-        bp.metrics.insert("settle_ms".to_string(), 10.0);
-        bp.directions.insert("settle_ms".to_string(), false);
-        let cp = BenchPoint::new("p");
-        assert!(!lower_is_better(&bp, &cp, "settle_ms"));
-        // Without a recorded direction the heuristic applies.
-        let bare = BenchPoint::new("p");
-        assert!(lower_is_better(&bare, &cp, "settle_ms"));
+    fn any_flag_is_a_usage_error() {
+        for flag in ["--tolerance", "--tolerance=0.15", "-v"] {
+            assert!(parse_args(&strs(&["a.json", "b.json", flag])).is_err());
+            assert!(parse_args(&strs(&[flag, "a.json", "b.json"])).is_err());
+            assert!(parse_args(&strs(&["a.json", flag])).is_err());
+        }
+    }
+
+    #[test]
+    fn an_artifact_equals_itself() {
+        let v = compare(&artifact(&ROW), &artifact(&ROW));
+        assert_eq!(v.equal, 2);
+        assert_eq!(v.host_time.len(), 1);
+        assert!(v.drift.is_empty(), "{:?}", v.drift);
+    }
+
+    #[test]
+    fn a_view_change_against_a_zero_baseline_is_drift() {
+        let mut row = ROW;
+        row[1].1 = 1.0;
+        let v = compare(&artifact(&ROW), &artifact(&row));
+        assert_eq!(v.drift, ["lan/n=16/S-HS/view_changes: 0 -> 1"]);
+    }
+
+    #[test]
+    fn one_ulp_is_drift_in_either_direction() {
+        let base = ROW[0].1;
+        for bits in [base.to_bits() + 1, base.to_bits() - 1] {
+            let mut row = ROW;
+            row[0].1 = f64::from_bits(bits);
+            let v = compare(&artifact(&ROW), &artifact(&row));
+            assert_eq!(v.equal, 1);
+            assert_eq!(v.drift.len(), 1, "{:?}", v.drift);
+            assert!(v.drift[0].starts_with("lan/n=16/S-HS/throughput_ktps: 59.97 -> 59.9"));
+        }
+    }
+
+    #[test]
+    fn host_time_is_reported_and_never_compared() {
+        let mut row = ROW;
+        row[2].1 = 150.0;
+        let v = compare(&artifact(&ROW), &artifact(&row));
+        assert!(v.drift.is_empty(), "{:?}", v.drift);
+        assert_eq!(v.host_time, ["lan/n=16/S-HS/seq_wall_secs: 1.5 -> 150"]);
+    }
+
+    #[test]
+    fn a_missing_point_or_metric_is_drift_and_an_extra_one_is_not() {
+        let v = compare(&artifact(&ROW), &artifact(&ROW[..1]));
+        // A dropped host-time metric is dropped coverage all the same.
+        assert_eq!(
+            v.drift,
+            [
+                "lan/n=16/S-HS/seq_wall_secs: missing from candidate",
+                "lan/n=16/S-HS/view_changes: missing from candidate"
+            ]
+        );
+
+        let mut renamed = artifact(&ROW);
+        renamed.points[0].label = "lan/n=32/S-HS".to_string();
+        let v = compare(&artifact(&ROW), &renamed);
+        assert_eq!(v.drift, ["lan/n=16/S-HS: point missing from candidate"]);
+
+        let v = compare(&artifact(&ROW[..1]), &artifact(&ROW));
+        assert_eq!((v.equal, v.drift.len()), (1, 0));
+    }
+
+    #[test]
+    fn the_rerecord_command_is_rebuilt_from_the_baseline() {
+        assert_eq!(
+            rerecord_command(&artifact(&ROW)),
+            "cargo run --release -p smp-bench --bin fig7_scalability -- \
+             --quick --sizes 16,32 --bench-out bench/baselines/"
+        );
     }
 }

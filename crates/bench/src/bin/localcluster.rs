@@ -11,7 +11,7 @@
 //! localcluster [--protocol N-HS] [--n 4] [--rate 4000] [--tx-limit 60]
 //!              [--horizon-us 2500000] [--seed 42] [--batch-bytes 16384]
 //!              [--source <replica index|even>] [--check-sim] [--chaos]
-//!              [--bench-out <path>] [--trace-out <dir>]
+//!              [--trace-out <dir>]
 //! ```
 //!
 //! With `--chaos` the parent SIGKILLs the last replica at 30% of the
@@ -42,7 +42,7 @@
 //! peer/frame errors, or an unresponsive admin endpoint), 2 usage/spawn
 //! failures.
 
-use smp_bench::{arg_value, BenchRecorder, Scale};
+use smp_bench::arg_value;
 use smp_crypto::Digest;
 use smp_metrics::JsonValue;
 use smp_replica::{
@@ -490,7 +490,6 @@ fn main() {
         run_child(me, &args);
     }
 
-    let mut rec = BenchRecorder::from_args("localcluster", Scale::from_args());
     let config = args.config();
     println!(
         "localcluster: {} n={} rate={} tx_limit={} horizon={}us seed={}",
@@ -657,16 +656,6 @@ fn main() {
             r.stats.get("bytes_in").copied().unwrap_or(0),
             r.stats.get("wall_us").copied().unwrap_or(0),
         );
-        rec.metric(
-            &format!("replica{i}"),
-            "committed_txs",
-            r.stats.get("committed_txs").copied().unwrap_or(0) as f64,
-        );
-        rec.metric(
-            &format!("replica{i}"),
-            "wall_us",
-            r.stats.get("wall_us").copied().unwrap_or(0) as f64,
-        );
     }
 
     // Agreement: every replica must report the same committed sequence.
@@ -732,15 +721,6 @@ fn main() {
             }
         }
     }
-
-    let total: u64 = reports
-        .iter()
-        .map(|r| r.stats.get("committed_txs").copied().unwrap_or(0))
-        .sum();
-    rec.metric("cluster", "committed_txs_total", total as f64);
-    rec.metric("cluster", "agreed_txs", reports[0].commits.len() as f64);
-    rec.metric("cluster", "agree", (agree && sim_ok) as u64 as f64);
-    rec.finish();
 
     if failed || !agree || !sim_ok {
         std::process::exit(1);

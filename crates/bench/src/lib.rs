@@ -9,8 +9,7 @@
 pub mod artifact;
 
 pub use artifact::{
-    inferred_lower_is_better, write_artifact, BenchArtifact, BenchPoint, BenchRecorder,
-    BENCH_SCHEMA_VERSION,
+    is_host_time, write_artifact, BenchArtifact, BenchPoint, BenchRecorder, BENCH_SCHEMA_VERSION,
 };
 
 use smp_replica::{ExperimentConfig, ExperimentResult};

@@ -14,7 +14,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use smp_telemetry::Telemetry;
 use smp_types::{Microblock, MicroblockId, ReplicaId, SimTime};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Decision produced when a sampling round completes.
 #[derive(Clone, Debug, PartialEq)]
@@ -137,24 +137,6 @@ impl LoadBalancer {
     /// Whether a peer is currently banned (owned or imposed).
     pub fn is_banned(&self, peer: ReplicaId) -> bool {
         self.banlist.contains(&peer) || self.imposed.contains(&peer)
-    }
-
-    /// Imposes a single ban (coordination input from a
-    /// [`ShardLoadCoordinator`], as opposed to the balancer's own
-    /// forward-in-flight bans).
-    pub fn ban(&mut self, peer: ReplicaId) {
-        if peer != self.me {
-            self.imposed.insert(peer);
-            self.telemetry.counter_inc("dlb.bans");
-        }
-    }
-
-    /// Lifts an imposed ban (owned bans are lifted by the proof
-    /// round-trip, `on_proof_received`).
-    pub fn unban(&mut self, peer: ReplicaId) {
-        if self.imposed.remove(&peer) {
-            self.telemetry.counter_inc("dlb.unbans");
-        }
     }
 
     /// Replaces the imposed ban view with a coordinator-supplied
@@ -310,42 +292,33 @@ impl LoadBalancer {
     }
 }
 
-/// Coordinates the per-shard [`LoadBalancer`]s of a sharded replica
-/// (`smp-shard`'s k dissemination pipelines) so DLB decisions are made
-/// from **aggregated** per-shard load samples rather than shard-local
-/// views.
+/// Merges the ban views of the per-shard [`LoadBalancer`]s of a sharded
+/// replica (`smp-shard`'s k dissemination pipelines).
 ///
-/// Without coordination, shard `a` may ban proxy `P` (forward in flight)
-/// while shard `b` — which never sampled `P` — happily forwards to it
-/// too, defeating the banList's purpose of never loading one proxy
-/// twice concurrently.  The coordinator folds every shard's samples and
-/// bans into one view and pushes that view back into each shard:
+/// Forward decisions stay shard-local ([`LoadBalancer`] samples and picks
+/// its own proxy); what the shards must share is the banList.  Without
+/// it, shard `a` may ban proxy `P` (forward in flight) while shard `b` —
+/// which never sampled `P` — happily forwards to it too, defeating the
+/// banList's purpose of never loading one proxy twice concurrently.  So
+/// after every event-handling round the sharded wrapper
 ///
-/// 1. each shard records the `LbInfo` replies it observes via
-///    [`record`](Self::record),
-/// 2. after a shard's balancer acts, its local bans are pulled in via
-///    [`absorb`](Self::absorb),
-/// 3. [`sync`](Self::sync) imposes the merged ban view on every shard's
-///    balancer, so no shard disagrees on `banned()` membership,
-/// 4. [`choose_proxy`](Self::choose_proxy) picks a forward target from
-///    the *aggregated* load picture (worst case across shards — a peer
-///    that is busy on any pipeline is busy, period).
+/// 1. hands each shard's *own* bans to [`absorb_bans`](Self::absorb_bans)
+///    (and calls [`reset_banlist`](Self::reset_banlist) if a shard's
+///    periodic reset fired), then
+/// 2. imposes the merged view, [`banned`](Self::banned), on every shard
+///    through [`LoadBalancer::apply_ban_view`], so no shard disagrees on
+///    `banned()` membership.
 ///
-/// Synchronisation points are the caller's choice; the sharded executor
-/// merges shard outputs deterministically, so running steps 2–3 at those
-/// merge points keeps coordination deterministic under both the
-/// sequential and the parallel executor.
+/// The sharded executor merges shard outputs deterministically, so
+/// running both steps at those merge points keeps coordination
+/// deterministic under both the sequential and the parallel executor.
 #[derive(Clone, Debug, Default)]
 pub struct ShardLoadCoordinator {
-    /// Latest load sample per peer and shard (`None` = peer said busy).
-    samples: HashMap<ReplicaId, HashMap<u16, Option<SimTime>>>,
     /// Each shard's own-ban contribution, **replaced** on every
-    /// [`absorb`](Self::absorb) so a ban lifted inside a shard (proof
-    /// returned) disappears from the merged view at the next round
+    /// [`absorb_bans`](Self::absorb_bans) so a ban lifted inside a shard
+    /// (proof returned) disappears from the merged view at the next round
     /// instead of sticking forever.
     shard_bans: HashMap<u16, HashSet<ReplicaId>>,
-    /// Bans imposed directly on the coordinator (operator / policy).
-    direct_bans: HashSet<ReplicaId>,
 }
 
 impl ShardLoadCoordinator {
@@ -354,101 +327,24 @@ impl ShardLoadCoordinator {
         ShardLoadCoordinator::default()
     }
 
-    /// Records the load status a shard observed for a peer.
-    pub fn record(&mut self, shard: u16, peer: ReplicaId, load: Option<SimTime>) {
-        self.samples.entry(peer).or_default().insert(shard, load);
-    }
-
-    fn merged_bans(&self) -> HashSet<ReplicaId> {
-        let mut merged = self.direct_bans.clone();
-        for bans in self.shard_bans.values() {
-            merged.extend(bans.iter().copied());
-        }
-        merged
-    }
-
-    /// The aggregated load of a peer across every shard that sampled it:
-    /// `None` if no shard has a sample, `Some(None)` if any shard saw it
-    /// busy, `Some(Some(w))` with the worst (largest) stable time
-    /// otherwise.
-    pub fn aggregated_load(&self, peer: ReplicaId) -> Option<Option<SimTime>> {
-        let per_shard = self.samples.get(&peer)?;
-        if per_shard.is_empty() {
-            return None;
-        }
-        let mut worst = 0;
-        for load in per_shard.values() {
-            match load {
-                None => return Some(None),
-                Some(w) => worst = worst.max(*w),
-            }
-        }
-        Some(Some(worst))
-    }
-
-    /// Bans a peer directly in the merged view (until
-    /// [`unban`](Self::unban) or [`reset_banlist`](Self::reset_banlist)).
-    pub fn ban(&mut self, peer: ReplicaId) {
-        self.direct_bans.insert(peer);
-    }
-
-    /// Lifts a direct ban (shard-contributed bans are lifted by the
-    /// owning shard returning a proof, observed at the next absorb).
-    pub fn unban(&mut self, peer: ReplicaId) {
-        self.direct_bans.remove(&peer);
-    }
-
-    /// The merged banList (sorted, for tests / reporting).
+    /// The merged banList, sorted.
     pub fn banned(&self) -> Vec<ReplicaId> {
-        let mut v: Vec<ReplicaId> = self.merged_bans().into_iter().collect();
-        v.sort();
-        v
+        let merged: BTreeSet<ReplicaId> = self.shard_bans.values().flatten().copied().collect();
+        merged.into_iter().collect()
     }
 
-    /// Clears the merged banList (the periodic reset, applied to every
-    /// shard on the next [`sync`](Self::sync)).
+    /// Clears the merged banList (the periodic reset, imposed on every
+    /// shard with the next merged view).
     pub fn reset_banlist(&mut self) {
-        self.direct_bans.clear();
         self.shard_bans.clear();
     }
 
-    /// Replaces `shard`'s contribution to the merged view with the
-    /// balancer's current *own* bans (forwards in flight).  Bans the
-    /// shard has since lifted drop out of the merged view here.
-    pub fn absorb(&mut self, shard: u16, lb: &LoadBalancer) {
-        self.absorb_bans(shard, lb.own_banned());
-    }
-
-    /// [`absorb`](Self::absorb) from a pre-extracted ban set — for
-    /// callers holding a drained `LoadSnapshot` instead of balancer
-    /// access (the sharded wrapper, whose instances may live on worker
-    /// threads).
+    /// Replaces `shard`'s contribution to the merged view with its
+    /// balancer's current *own* bans (forwards in flight or timed out —
+    /// [`LoadBalancer::own_banned`]).  Bans the shard has since lifted
+    /// drop out of the merged view here.
     pub fn absorb_bans(&mut self, shard: u16, bans: HashSet<ReplicaId>) {
         self.shard_bans.insert(shard, bans);
-    }
-
-    /// Imposes the merged ban view on a shard's balancer (its own bans
-    /// are kept separate and unaffected).
-    pub fn sync(&self, lb: &mut LoadBalancer) {
-        lb.apply_ban_view(&self.merged_bans());
-    }
-
-    /// Picks the forward target for the next microblock from the
-    /// aggregated view: the unbanned candidate with the smallest
-    /// worst-case load, skipping peers that are busy on any shard or
-    /// that no shard has sampled.  Ties break towards the lower replica
-    /// id so every shard reaches the same decision.
-    pub fn choose_proxy(&self, candidates: &[ReplicaId]) -> Option<ReplicaId> {
-        let banned = self.merged_bans();
-        candidates
-            .iter()
-            .filter(|r| !banned.contains(r))
-            .filter_map(|r| match self.aggregated_load(*r) {
-                Some(Some(w)) => Some((w, *r)),
-                _ => None,
-            })
-            .min()
-            .map(|(_, r)| r)
     }
 }
 
@@ -576,53 +472,21 @@ mod tests {
         assert_eq!(lb.on_proof_received(&m.id), None);
     }
 
-    #[test]
-    fn coordinator_aggregates_worst_case_load_across_shards() {
-        let mut coord = ShardLoadCoordinator::new();
-        assert_eq!(coord.aggregated_load(ReplicaId(1)), None);
-        coord.record(0, ReplicaId(1), Some(100));
-        coord.record(1, ReplicaId(1), Some(700));
-        coord.record(2, ReplicaId(1), Some(300));
-        assert_eq!(coord.aggregated_load(ReplicaId(1)), Some(Some(700)));
-        // Busy on one shard means busy for the whole replica.
-        coord.record(3, ReplicaId(1), None);
-        assert_eq!(coord.aggregated_load(ReplicaId(1)), Some(None));
-        // A fresh sample on the busy shard clears it.
-        coord.record(3, ReplicaId(1), Some(50));
-        assert_eq!(coord.aggregated_load(ReplicaId(1)), Some(Some(700)));
+    /// Imposes the coordinator's merged view on every shard.
+    fn impose(coord: &ShardLoadCoordinator, shards: &mut [LoadBalancer]) {
+        let view: HashSet<ReplicaId> = coord.banned().into_iter().collect();
+        for lb in shards {
+            lb.apply_ban_view(&view);
+        }
     }
 
-    #[test]
-    fn coordinator_chooses_one_proxy_from_aggregated_samples() {
-        // Shard-local views disagree: shard 0 thinks peer 2 is the least
-        // loaded, shard 1 thinks peer 1 is.  The aggregated (worst-case)
-        // view must produce ONE decision both shards share.
-        let mut coord = ShardLoadCoordinator::new();
-        coord.record(0, ReplicaId(1), Some(900));
-        coord.record(0, ReplicaId(2), Some(100));
-        coord.record(1, ReplicaId(1), Some(200));
-        coord.record(1, ReplicaId(2), Some(800));
-        let candidates = [ReplicaId(1), ReplicaId(2)];
-        // Worst case: peer 1 = 900, peer 2 = 800 → peer 2 wins.
-        assert_eq!(coord.choose_proxy(&candidates), Some(ReplicaId(2)));
-        // Banning the winner moves the decision to the runner-up.
-        coord.ban(ReplicaId(2));
-        assert_eq!(coord.choose_proxy(&candidates), Some(ReplicaId(1)));
-        // Unsampled and busy peers are never chosen.
-        coord.record(0, ReplicaId(1), None);
-        assert_eq!(coord.choose_proxy(&candidates), None);
-    }
-
-    #[test]
-    fn coordinator_ties_break_deterministically() {
-        let mut coord = ShardLoadCoordinator::new();
-        coord.record(0, ReplicaId(5), Some(100));
-        coord.record(0, ReplicaId(3), Some(100));
-        assert_eq!(
-            coord.choose_proxy(&[ReplicaId(5), ReplicaId(3)]),
-            Some(ReplicaId(3)),
-            "equal load must resolve to the lower replica id on every shard"
-        );
+    /// One coordination round, as the sharded wrapper runs it: absorb
+    /// every shard's own bans, then impose the merged view on every shard.
+    fn round(coord: &mut ShardLoadCoordinator, shards: &mut [LoadBalancer]) {
+        for (i, lb) in shards.iter().enumerate() {
+            coord.absorb_bans(i as u16, lb.own_banned());
+        }
+        impose(coord, shards);
     }
 
     #[test]
@@ -648,12 +512,7 @@ mod tests {
 
         // Coordination round: absorb every shard, sync every shard.
         let mut coord = ShardLoadCoordinator::new();
-        for (i, lb) in shards.iter().enumerate() {
-            coord.absorb(i as u16, lb);
-        }
-        for lb in &mut shards {
-            coord.sync(lb);
-        }
+        round(&mut coord, &mut shards);
         for (i, lb) in shards.iter().enumerate() {
             assert_eq!(
                 lb.banned(),
@@ -677,9 +536,7 @@ mod tests {
         // forwarding shard's own in-flight ban rightly survives until
         // its proof returns or its own periodic reset fires.
         coord.reset_banlist();
-        for lb in &mut shards {
-            coord.sync(lb);
-        }
+        impose(&coord, &mut shards);
         assert_eq!(shards[0].banned(), vec![proxy], "own ban survives");
         for (i, lb) in shards.iter().enumerate().skip(1) {
             assert!(lb.banned().is_empty(), "imposed ban on shard {i} cleared");
@@ -706,23 +563,13 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         };
         let mut coord = ShardLoadCoordinator::new();
-        for (i, lb) in shards.iter().enumerate() {
-            coord.absorb(i as u16, lb);
-        }
-        for lb in &mut shards {
-            coord.sync(lb);
-        }
+        round(&mut coord, &mut shards);
         assert!(shards.iter().all(|lb| lb.is_banned(proxy)));
 
         // The proof comes back: shard 0 lifts its own ban, and the next
         // coordination round propagates the lift everywhere.
         assert_eq!(shards[0].on_proof_received(&m.id), Some(proxy));
-        for (i, lb) in shards.iter().enumerate() {
-            coord.absorb(i as u16, lb);
-        }
-        for lb in &mut shards {
-            coord.sync(lb);
-        }
+        round(&mut coord, &mut shards);
         for (i, lb) in shards.iter().enumerate() {
             assert!(
                 !lb.is_banned(proxy),
@@ -751,20 +598,9 @@ mod tests {
         );
         assert_eq!(lb.on_proof_received(&m.id), Some(proxy));
         assert!(!lb.is_banned(proxy));
-    }
-
-    #[test]
-    fn direct_ban_api_protects_self_and_roundtrips() {
-        let mut lb = lb(2);
-        lb.ban(ReplicaId(0)); // self — ignored
-        assert!(!lb.is_banned(ReplicaId(0)));
-        lb.ban(ReplicaId(4));
-        assert!(lb.is_banned(ReplicaId(4)));
-        lb.unban(ReplicaId(4));
-        assert!(!lb.is_banned(ReplicaId(4)));
-        let view: HashSet<ReplicaId> = [ReplicaId(0), ReplicaId(2)].into_iter().collect();
-        lb.apply_ban_view(&view);
-        assert_eq!(lb.banned(), vec![ReplicaId(2)], "self is filtered out");
+        // An imposed view never bans the balancer's own replica.
+        lb.apply_ban_view(&[ReplicaId(0), ReplicaId(2)].into_iter().collect());
+        assert_eq!(lb.banned(), vec![ReplicaId(2)]);
     }
 
     #[test]

@@ -54,10 +54,8 @@ pub struct StratusMempool {
     limiter: Option<TokenBucket>,
     deferred: VecDeque<(Microblock, Option<ReplicaId>)>,
     started: bool,
-    /// `LbInfo` replies observed since the last [`Mempool::load_snapshot`]
-    /// drain, for cross-shard DLB coordination.
-    pending_load: Vec<(ReplicaId, Option<SimTime>)>,
-    /// Whether the periodic banList reset fired since the last drain.
+    /// Whether the periodic banList reset fired since the last
+    /// [`Mempool::load_snapshot`] drain, for cross-shard DLB coordination.
     pending_reset: bool,
 }
 
@@ -85,7 +83,6 @@ impl StratusMempool {
             limiter,
             deferred: VecDeque::new(),
             started: false,
-            pending_load: Vec::new(),
             pending_reset: false,
         }
     }
@@ -354,7 +351,6 @@ impl Mempool for StratusMempool {
                 token,
                 stable_time_us,
             } => {
-                self.pending_load.push((from, stable_time_us));
                 if let Some(decision) = self.lb.on_load_info(token, from, stable_time_us) {
                     self.handle_forward_decision(now, decision, &mut effects);
                 }
@@ -479,7 +475,6 @@ impl Mempool for StratusMempool {
         let mut own_bans: Vec<ReplicaId> = self.lb.own_banned().into_iter().collect();
         own_bans.sort();
         Some(LoadSnapshot {
-            samples: std::mem::take(&mut self.pending_load),
             own_bans,
             reset: std::mem::take(&mut self.pending_reset),
         })

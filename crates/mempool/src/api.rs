@@ -131,13 +131,10 @@ impl<M> Effects<M> {
 
 /// Load-coordination snapshot drained from one mempool instance so an
 /// external coordinator (the sharded wrapper's
-/// `stratus::ShardLoadCoordinator`) can merge per-shard DLB state into
-/// one coherent cross-shard view.
+/// `stratus::ShardLoadCoordinator`) can merge the per-shard DLB ban
+/// views into one coherent cross-shard view.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LoadSnapshot {
-    /// `LbInfo` load-status replies observed since the last snapshot, in
-    /// arrival order (`None` = the peer reported itself busy).
-    pub samples: Vec<(ReplicaId, Option<SimTime>)>,
     /// The instance's current *own* bans (forwards in flight / timed
     /// out), sorted for determinism.
     pub own_bans: Vec<ReplicaId>,

@@ -221,15 +221,44 @@ enum Ev<M> {
         msg: M,
         bytes: usize,
     },
-    PeerGone {
+    Fault(PeerFault),
+}
+
+/// What a reader thread reports besides frames.
+enum PeerFault {
+    /// The connection ended.  A clean EOF (`error: None`) is a peer
+    /// shutting down; only codec failures are errors.
+    Gone {
         from: ReplicaId,
         error: Option<WireError>,
     },
     /// A frame body failed to decode but the stream stayed aligned.
-    FrameError {
-        from: ReplicaId,
-        error: WireError,
-    },
+    Frame { from: ReplicaId, error: WireError },
+}
+
+/// The faults of one run, as [`NetReport`] lists them.  The formation
+/// barrier and the run loop both see faults and record them alike.
+#[derive(Default)]
+struct FaultLog {
+    peer_errors: Vec<String>,
+    frame_errors: Vec<String>,
+}
+
+impl FaultLog {
+    fn record(&mut self, fault: PeerFault, telemetry: &Telemetry) {
+        match fault {
+            PeerFault::Gone { from, error } => {
+                telemetry.instant(format!("net.peer.{}.down", from.0));
+                if let Some(e) = error {
+                    self.peer_errors.push(format!("peer {}: {e}", from.0));
+                }
+            }
+            PeerFault::Frame { from, error } => {
+                telemetry.instant(format!("net.peer.{}.frame_error", from.0));
+                self.frame_errors.push(format!("peer {}: {error}", from.0));
+            }
+        }
+    }
 }
 
 /// Drives one [`Node`] over real TCP connections and wall-clock timers.
@@ -333,8 +362,7 @@ where
         // Barrier: wait until every dial and every inbound hello is in;
         // buffer any early frames.
         let mut pending: VecDeque<(ReplicaId, N::Msg, usize)> = VecDeque::new();
-        let mut peer_errors = Vec::new();
-        let mut frame_errors = Vec::new();
+        let mut faults = FaultLog::default();
         let mut up: HashSet<ReplicaId> = HashSet::new();
         let mut dialed: HashSet<ReplicaId> = HashSet::new();
         let formation_deadline = Instant::now() + self.spec.connect_timeout;
@@ -360,18 +388,7 @@ where
                     dialed.insert(to);
                 }
                 Ok(Ev::Msg { from, msg, bytes }) => pending.push_back((from, msg, bytes)),
-                Ok(Ev::PeerGone { from, error }) => {
-                    // A clean EOF is a peer shutting down; only codec
-                    // failures are errors.
-                    telemetry.instant(format!("net.peer.{}.down", from.0));
-                    if let Some(e) = error {
-                        peer_errors.push(format!("peer {}: {e}", from.0));
-                    }
-                }
-                Ok(Ev::FrameError { from, error }) => {
-                    telemetry.instant(format!("net.peer.{}.frame_error", from.0));
-                    frame_errors.push(format!("peer {}: {error}", from.0));
-                }
+                Ok(Ev::Fault(fault)) => faults.record(fault, &telemetry),
                 Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => unreachable!("main keeps a sender"),
             }
@@ -443,18 +460,7 @@ where
                     self.driver.deliver(now_us(epoch), from, msg, &mut actions);
                     st.apply(&mut actions);
                 }
-                Ok(Ev::PeerGone { from, error }) => {
-                    // A clean EOF is a peer shutting down; only codec
-                    // failures are errors.
-                    telemetry.instant(format!("net.peer.{}.down", from.0));
-                    if let Some(e) = error {
-                        peer_errors.push(format!("peer {}: {e}", from.0));
-                    }
-                }
-                Ok(Ev::FrameError { from, error }) => {
-                    telemetry.instant(format!("net.peer.{}.frame_error", from.0));
-                    frame_errors.push(format!("peer {}: {error}", from.0));
-                }
+                Ok(Ev::Fault(fault)) => faults.record(fault, &telemetry),
                 Ok(Ev::PeerUp(from)) => {
                     // A peer reconnected mid-run (crash-restart).
                     telemetry.instant(format!("net.peer.{}.up", from.0));
@@ -497,8 +503,8 @@ where
             bytes_in: st.bytes_in,
             bytes_out: st.bytes_out,
             wall_us: now_us(epoch),
-            peer_errors,
-            frame_errors,
+            peer_errors: faults.peer_errors,
+            frame_errors: faults.frame_errors,
         })
     }
 }
@@ -687,28 +693,22 @@ fn accept_loop<M: WireMsg>(
 ) {
     // Runs for the whole life of the process: a peer that crashes and
     // restarts is re-admitted through a fresh hello, not locked out.
+    // The acceptor only accepts and spawns — the hello is read on the
+    // connection's own thread, so a client that connects and says nothing
+    // holds up neither the next accept nor shutdown.
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
                 stream.set_nonblocking(false).ok();
                 stream.set_nodelay(true).ok();
-                let Some(from) = read_hello(&stream) else {
-                    stats.record_handshake_failure();
+                // The registry's clone is what lets shutdown unblock the
+                // thread, whether it is waiting for a hello or a frame.
+                let Ok(clone) = stream.try_clone() else {
                     continue;
                 };
-                if from.index() >= n {
-                    stats.record_handshake_failure();
-                    continue;
-                }
-                stats.record_connect(from.index());
-                let clone = match stream.try_clone() {
-                    Ok(c) => c,
-                    Err(_) => continue,
-                };
-                let tx2 = tx.clone();
-                let stats2 = Arc::clone(&stats);
-                tx.send(Ev::PeerUp(from)).ok();
-                let handle = thread::spawn(move || reader_loop(stream, from, tx2, stats2));
+                let tx = tx.clone();
+                let stats = Arc::clone(&stats);
+                let handle = thread::spawn(move || inbound_loop(stream, n, tx, stats));
                 readers
                     .lock()
                     .expect("reader registry poisoned")
@@ -720,6 +720,19 @@ fn accept_loop<M: WireMsg>(
             Err(_) => break,
         }
     }
+}
+
+/// One inbound connection, from its hello to its end.
+fn inbound_loop<M: WireMsg>(stream: TcpStream, n: usize, tx: Sender<Ev<M>>, stats: Arc<NetStats>) {
+    let Some(from) = read_hello(&stream).filter(|from| from.index() < n) else {
+        stats.record_handshake_failure();
+        // Not just this fd — the registry holds a clone.
+        stream.shutdown(Shutdown::Both).ok();
+        return;
+    };
+    stats.record_connect(from.index());
+    tx.send(Ev::PeerUp(from)).ok();
+    reader_loop(stream, from, tx, stats);
 }
 
 fn read_hello(mut stream: &TcpStream) -> Option<ReplicaId> {
@@ -743,7 +756,8 @@ fn reader_loop<M: WireMsg>(
     loop {
         if stream.read_exact(&mut header).is_err() {
             stats.record_disconnect(from.index());
-            tx.send(Ev::PeerGone { from, error: None }).ok();
+            tx.send(Ev::Fault(PeerFault::Gone { from, error: None }))
+                .ok();
             return;
         }
         let body_len = match M::body_len(&header) {
@@ -756,10 +770,10 @@ fn reader_loop<M: WireMsg>(
                 stats.record_decode_error(e.kind);
                 stats.record_disconnect(from.index());
                 stream.shutdown(Shutdown::Both).ok();
-                tx.send(Ev::PeerGone {
+                tx.send(Ev::Fault(PeerFault::Gone {
                     from,
                     error: Some(e),
-                })
+                }))
                 .ok();
                 return;
             }
@@ -767,7 +781,8 @@ fn reader_loop<M: WireMsg>(
         let mut body = vec![0u8; body_len];
         if stream.read_exact(&mut body).is_err() {
             stats.record_disconnect(from.index());
-            tx.send(Ev::PeerGone { from, error: None }).ok();
+            tx.send(Ev::Fault(PeerFault::Gone { from, error: None }))
+                .ok();
             return;
         }
         match M::decode(&header, &body) {
@@ -782,7 +797,8 @@ fn reader_loop<M: WireMsg>(
                 // The length prefix kept the stream aligned: count the
                 // failure, skip the frame, keep the connection.
                 stats.record_decode_error(e.kind);
-                if tx.send(Ev::FrameError { from, error: e }).is_err() {
+                let fault = PeerFault::Frame { from, error: e };
+                if tx.send(Ev::Fault(fault)).is_err() {
                     return;
                 }
             }

@@ -162,6 +162,57 @@ fn token_ring_over_real_sockets() {
     assert_eq!(reports[0].frames_out, rounds as u64);
 }
 
+/// A client that connects and never says hello — a peer that died between
+/// `connect` and its first write, or a port scanner — must hold up neither
+/// the accepts queued behind it nor shutdown.
+#[test]
+fn silent_connection_blocks_neither_formation_nor_shutdown() {
+    let addrs = free_addrs(2);
+    let run = |i: u32, telemetry: Telemetry| {
+        let spec = ClusterSpec::new(ReplicaId(i), addrs.clone(), 23);
+        let ring = Ring {
+            rounds: 1,
+            seen: Vec::new(),
+        };
+        thread::spawn(move || NetRuntime::new(ring, spec, telemetry).run(300_000))
+    };
+    let telemetry = Telemetry::wall_clock();
+    let zero = run(0, telemetry.clone());
+
+    // Replica 1 is not started until the silent stream is connected, so
+    // replica 0's acceptor meets the silent stream first.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let silent = loop {
+        match TcpStream::connect(addrs[0]) {
+            Ok(s) => break s,
+            Err(_) if std::time::Instant::now() < deadline => {
+                thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => panic!("dial replica 0: {e}"),
+        }
+    };
+    let one = run(1, Telemetry::disabled());
+
+    let zero = zero
+        .join()
+        .expect("replica 0 thread")
+        .expect("replica 0 run");
+    let one = one
+        .join()
+        .expect("replica 1 thread")
+        .expect("replica 1 run");
+    // The cluster formed behind the silent stream and the token went round.
+    assert_eq!(one.node.seen, vec![1]);
+    assert_eq!(zero.node.seen, vec![2]);
+    assert!(zero.peer_errors.is_empty(), "{:?}", zero.peer_errors);
+    // Shutdown ended the wait for the hello, and it counts as a failed one.
+    assert_eq!(
+        telemetry.snapshot().counter("net.handshake.failed"),
+        Some(1)
+    );
+    drop(silent);
+}
+
 /// A node whose timer cadence generates work: checks real timers fire
 /// repeatedly, at or after the instant they were armed for.
 struct Ticker {
@@ -190,7 +241,7 @@ impl Node for Ticker {
 }
 
 #[test]
-fn wall_clock_timers_fire_and_cancel() {
+fn wall_clock_timers_fire_at_or_after_their_instant() {
     let addrs = free_addrs(1);
     let spec = ClusterSpec::new(ReplicaId(0), addrs, 7);
     let ticker = Ticker {

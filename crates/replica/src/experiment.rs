@@ -52,9 +52,6 @@ pub struct ExperimentConfig {
     /// How many extra replicas (besides the leader) Byzantine senders
     /// still serve.
     pub byzantine_extra: usize,
-    /// Number of silent (crashed) replicas, assigned just below the
-    /// Byzantine ones.
-    pub num_silent: usize,
     /// View-change / pacemaker timeout.
     pub view_timeout: SimTime,
     /// Number of shared-mempool dissemination shards per replica
@@ -89,7 +86,6 @@ impl ExperimentConfig {
             dlb_enabled: true,
             num_byzantine: 0,
             byzantine_extra: 0,
-            num_silent: 0,
             view_timeout: 1_000 * MICROS_PER_MS,
             shards: 1,
             executor: ExecutorKind::Sequential,
@@ -203,14 +199,10 @@ impl ExperimentConfig {
     }
 
     pub(crate) fn behavior_for(&self, i: usize) -> Behavior {
-        let byz_start = self.n.saturating_sub(self.num_byzantine);
-        let silent_start = byz_start.saturating_sub(self.num_silent);
-        if i >= byz_start {
+        if i >= self.n.saturating_sub(self.num_byzantine) {
             Behavior::ByzantineSender {
                 extra: self.byzantine_extra,
             }
-        } else if i >= silent_start {
-            Behavior::Silent
         } else {
             Behavior::Honest
         }

@@ -33,9 +33,6 @@ const SYNC_CHUNK: usize = 4_096;
 pub enum Behavior {
     /// Follows the protocol.
     Honest,
-    /// Crashed / silent: sends and processes nothing (the "up to one third
-    /// silent" setting of Section VII-B).
-    Silent,
     /// A Byzantine *sender* (Section VII-C): disseminates its microblocks
     /// only to the current leader plus `extra` additional replicas, so
     /// that honest replicas see proposals referencing data they never
@@ -207,10 +204,6 @@ where
     /// The behaviour assigned to this replica.
     pub fn behavior(&self) -> &Behavior {
         &self.behavior
-    }
-
-    fn is_silent(&self) -> bool {
-        self.behavior == Behavior::Silent
     }
 
     // ----- effect application ------------------------------------------------
@@ -451,9 +444,9 @@ where
     }
 }
 
-/// Appends every inline transaction id of `payload` to `log`, in payload
-/// order (shard groups in group order).  Referenced payloads contribute
-/// nothing: the conformance harness only runs inline-payload protocols.
+/// Appends what `payload` commits to `log`, in payload order (shard
+/// groups in group order): an inline transaction's id, or a referenced
+/// microblock's id standing in for its transactions.
 fn record_inline_txs(log: &mut Vec<TxId>, payload: &Payload) {
     match payload {
         Payload::Inline(txs) => log.extend(txs.iter().map(|t| t.id)),
@@ -493,9 +486,6 @@ where
     type Msg = ReplicaMsg<M::Msg>;
 
     fn on_start(&mut self, ctx: &mut NodeCtx<'_, Self::Msg>) {
-        if self.is_silent() {
-            return;
-        }
         if self.recovering {
             // Passive rejoin: don't boot the consensus engine or the
             // workload — ask peers for the committed sequence instead.
@@ -511,17 +501,11 @@ where
     }
 
     fn on_restart(&mut self, ctx: &mut NodeCtx<'_, Self::Msg>) {
-        if self.is_silent() {
-            return;
-        }
         self.drain_and_restart();
         self.on_start(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut NodeCtx<'_, Self::Msg>, from: ReplicaId, msg: Self::Msg) {
-        if self.is_silent() {
-            return;
-        }
         let now = ctx.now();
         match msg.payload {
             ReplicaPayload::Sync(sm) => self.handle_sync(ctx, from, sm),
@@ -545,9 +529,6 @@ where
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_, Self::Msg>, tag: TimerTag) {
-        if self.is_silent() {
-            return;
-        }
         let now = ctx.now();
         // SYNC_TAG has bit 63 set, so it must be matched before the
         // MEMPOOL_TAG_FLAG test below.

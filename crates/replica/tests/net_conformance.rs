@@ -251,10 +251,9 @@ fn instrumented_cluster_commits_identical_sequence() {
 #[test]
 fn socket_cluster_runs_stratus_end_to_end() {
     let _serial = serial();
-    // Stratus commits referenced payloads (no inline txs), so the commit
-    // log is empty by construction — this is a liveness smoke test of
-    // the full PAB/DLB stack over real sockets: microblocks, acks,
-    // proofs, and LbInfo all cross the codec.
+    // The full PAB/DLB stack over real sockets: microblocks, acks, proofs
+    // and LbInfo all cross the codec.  Stratus commits referenced
+    // payloads, so the commit log holds microblock ids.
     let config =
         ExperimentConfig::new(Protocol::StratusHotStuff, 4, 2_000.0).with_batch_size(16 * 1024);
     let reports = run_cluster(
@@ -271,10 +270,33 @@ fn socket_cluster_runs_stratus_end_to_end() {
             "replica {i} peer errors: {:?}",
             r.peer_errors
         );
+        assert!(
+            !r.commit_log.is_empty(),
+            "replica {i} committed nothing over sockets"
+        );
     }
-    let committed: u64 = reports.iter().map(|r| r.committed_txs).sum();
-    assert!(
-        committed > 0,
-        "Stratus cluster committed nothing over sockets"
-    );
+    // Safety, as the benchmark's ledger checks it: a replica may commit
+    // around a proposal it missed, so the logs need not be prefixes of one
+    // another, but what two of them both hold they hold in one order.  An
+    // id a replica committed twice has no one position and is left out.
+    let logs: Vec<Vec<TxId>> = reports
+        .iter()
+        .map(|r| {
+            let log = &r.commit_log;
+            let once = |id: &&TxId| log.iter().filter(|other| other == id).count() == 1;
+            log.iter().filter(once).copied().collect()
+        })
+        .collect();
+    let shared = |log: &[TxId], with: &[TxId]| -> Vec<TxId> {
+        log.iter().copied().filter(|id| with.contains(id)).collect()
+    };
+    for (i, a) in logs.iter().enumerate() {
+        for (j, b) in logs.iter().enumerate().skip(i + 1) {
+            assert_eq!(
+                shared(a, b),
+                shared(b, a),
+                "replicas {i} and {j} order their common commits differently"
+            );
+        }
+    }
 }

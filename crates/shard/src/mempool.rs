@@ -89,7 +89,7 @@ pub struct ShardedMempool<M: Mempool> {
     /// still outstanding.  The aggregated `ProposalReady` is emitted when
     /// the set drains.
     pending_fills: HashMap<BlockId, HashSet<u16>>,
-    /// Merges the per-shard DLB state (LbInfo samples, in-flight bans)
+    /// Merges the per-shard DLB bans (forwards in flight or timed out)
     /// into one coherent cross-shard view after every event-handling
     /// round, so no two shards disagree on banList membership.
     coordinator: stratus::ShardLoadCoordinator,
@@ -201,8 +201,8 @@ impl<M: Mempool> ShardedMempool<M> {
     }
 
     /// One coordination round: drain every shard's load snapshot, fold
-    /// samples and in-flight bans into the merged view, and impose that
-    /// view back on every shard.  Backends without load balancing are
+    /// its own bans into the merged view, and impose that view back on
+    /// every shard.  Backends without load balancing are
     /// detected on the first round and skipped forever after.
     fn coordinate_load(&mut self) {
         let k = self.executor.shard_count();
@@ -220,9 +220,6 @@ impl<M: Mempool> ShardedMempool<M> {
             any = true;
             if snap.reset {
                 self.coordinator.reset_banlist();
-            }
-            for (peer, load) in snap.samples {
-                self.coordinator.record(shard, peer, load);
             }
             self.coordinator
                 .absorb_bans(shard, snap.own_bans.into_iter().collect());

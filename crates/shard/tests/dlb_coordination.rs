@@ -7,7 +7,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use smp_crypto::{KeyPair, Signature};
 use smp_mempool::{Dest, Effects, Mempool};
-use smp_shard::{ShardedMempool, ShardedMsg};
+use smp_shard::{ShardedMempool, ShardedMsg, TimerMux};
 use smp_types::{ClientId, MempoolConfig, Microblock, ReplicaId, SystemConfig, Transaction};
 use stratus::{DlbConfig, StratusConfig, StratusMempool, StratusMsg};
 
@@ -258,72 +258,6 @@ fn banlist_reset_on_one_shard_clears_the_merged_view() {
             "shard {shard} still bans {proxy:?} after the reset"
         );
     }
-}
-
-// ---------------------------------------------------------------------
-// Dead-replica behavior: a crashed peer must fall out of the proxy
-// pool, and a recovered one must be able to rejoin it.
-// ---------------------------------------------------------------------
-
-use smp_shard::TimerMux;
-use stratus::ShardLoadCoordinator;
-
-/// A replica that dies stops answering load queries, so no shard holds
-/// a sample for it — `choose_proxy` must skip it no matter how good its
-/// pre-crash numbers were.
-#[test]
-fn dead_replica_without_samples_is_never_chosen_as_proxy() {
-    let mut coord = ShardLoadCoordinator::new();
-    // Shards 0 and 1 sampled peers 1 and 3; peer 2 is dead and answered
-    // nobody.
-    coord.record(0, ReplicaId(1), Some(50));
-    coord.record(1, ReplicaId(1), Some(70));
-    coord.record(0, ReplicaId(3), Some(20));
-    coord.record(1, ReplicaId(3), Some(90));
-    let candidates = [ReplicaId(1), ReplicaId(2), ReplicaId(3)];
-    // Peer 1's worst load (70) beats peer 3's (90); peer 2 is unsampled.
-    assert_eq!(coord.choose_proxy(&candidates), Some(ReplicaId(1)));
-    assert_eq!(coord.aggregated_load(ReplicaId(2)), None);
-}
-
-/// A peer that died *after* reporting attractive numbers is fenced by a
-/// direct ban (the policy layer's crash verdict) until it recovers, at
-/// which point fresh samples plus an unban restore it to the pool.
-#[test]
-fn crashed_proxy_is_fenced_by_ban_and_rejoins_after_recovery() {
-    let mut coord = ShardLoadCoordinator::new();
-    coord.record(0, ReplicaId(1), Some(10));
-    coord.record(0, ReplicaId(2), Some(500));
-    let candidates = [ReplicaId(1), ReplicaId(2)];
-    assert_eq!(coord.choose_proxy(&candidates), Some(ReplicaId(1)));
-
-    // Peer 1 crashes: its stale sample still looks best, so the crash
-    // verdict must fence it explicitly.
-    coord.ban(ReplicaId(1));
-    assert_eq!(coord.choose_proxy(&candidates), Some(ReplicaId(2)));
-    assert_eq!(coord.banned(), vec![ReplicaId(1)]);
-
-    // Recovery: the replica rejoins, reports fresh load, and the ban is
-    // lifted — it is immediately eligible again.
-    coord.unban(ReplicaId(1));
-    coord.record(0, ReplicaId(1), Some(30));
-    assert_eq!(coord.choose_proxy(&candidates), Some(ReplicaId(1)));
-}
-
-/// A peer that any shard saw busy is skipped even if another shard holds
-/// a healthy sample — the dying replica's last gasp must not keep it in
-/// the pool.
-#[test]
-fn peer_busy_on_any_shard_is_skipped() {
-    let mut coord = ShardLoadCoordinator::new();
-    coord.record(0, ReplicaId(1), Some(40));
-    coord.record(1, ReplicaId(1), None); // shard 1 saw it wedged
-    coord.record(0, ReplicaId(2), Some(400));
-    assert_eq!(coord.aggregated_load(ReplicaId(1)), Some(None));
-    assert_eq!(
-        coord.choose_proxy(&[ReplicaId(1), ReplicaId(2)]),
-        Some(ReplicaId(2))
-    );
 }
 
 /// Crash-recovery rebuilds the timer multiplexer from scratch: outer

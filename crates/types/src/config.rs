@@ -90,18 +90,6 @@ impl ExecutorKind {
     }
 }
 
-impl std::str::FromStr for ExecutorKind {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "sequential" | "seq" => Ok(ExecutorKind::Sequential),
-            "parallel" | "par" => Ok(ExecutorKind::Parallel),
-            _ => Err(()),
-        }
-    }
-}
-
 /// Commit-derivation mode of the DAG mempool (`smp-dag`, the D-HS rows).
 ///
 /// Both modes share the same DAG: blocks are consistently broadcast,
@@ -119,28 +107,6 @@ pub enum DagMode {
     /// first delivery; references carry no proof and replicas that miss
     /// the data must fetch it before consensus proceeds.
     FastPath,
-}
-
-impl DagMode {
-    /// Stable label for reporting.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DagMode::Certified => "certified",
-            DagMode::FastPath => "fast-path",
-        }
-    }
-}
-
-impl std::str::FromStr for DagMode {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "certified" | "cert" => Ok(DagMode::Certified),
-            "fast-path" | "fastpath" | "fast" => Ok(DagMode::FastPath),
-            _ => Err(()),
-        }
-    }
 }
 
 /// Batching parameters of the mempool (Figure 6).
@@ -353,25 +319,11 @@ mod tests {
     }
 
     #[test]
-    fn executor_kind_parses_and_defaults() {
-        assert_eq!("sequential".parse(), Ok(ExecutorKind::Sequential));
-        assert_eq!("PAR".parse(), Ok(ExecutorKind::Parallel));
-        assert_eq!(" parallel ".parse(), Ok(ExecutorKind::Parallel));
-        assert_eq!("bogus".parse::<ExecutorKind>(), Err(()));
+    fn executor_kind_defaults_to_sequential() {
         assert_eq!(ExecutorKind::default(), ExecutorKind::Sequential);
         assert_eq!(ExecutorKind::Parallel.label(), "parallel");
         let c = SystemConfig::new(4).with_executor(ExecutorKind::Parallel);
         assert_eq!(c.executor, ExecutorKind::Parallel);
-    }
-
-    #[test]
-    fn dag_mode_parses_and_defaults() {
-        assert_eq!("certified".parse(), Ok(DagMode::Certified));
-        assert_eq!("FAST".parse(), Ok(DagMode::FastPath));
-        assert_eq!(" fast-path ".parse(), Ok(DagMode::FastPath));
-        assert_eq!("bogus".parse::<DagMode>(), Err(()));
-        assert_eq!(DagMode::default(), DagMode::Certified);
-        assert_eq!(DagMode::FastPath.label(), "fast-path");
     }
 
     #[test]
