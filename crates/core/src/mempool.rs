@@ -231,7 +231,7 @@ impl StratusMempool {
         rng: &mut SmallRng,
         effects: &mut Effects<StratusMsg>,
     ) {
-        self.pab.store_proof(id, proof.clone());
+        self.pab.store_proof(id, &proof);
         self.core.make_proposable(id);
         if !self.core.store().contains(&id) && self.fetch_from_signers(id, &proof, rng, effects) {
             effects.event(MempoolEvent::FetchIssued { count: 1 });
@@ -440,7 +440,7 @@ impl Mempool for StratusMempool {
         }
         for r in refs {
             let proof = r.proof.as_ref().expect("verified above");
-            self.pab.store_proof(r.id, proof.clone());
+            self.pab.store_proof(r.id, proof);
         }
         let missing = self.core.missing(refs);
         if !missing.is_empty() {
@@ -465,6 +465,7 @@ impl Mempool for StratusMempool {
 
     fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.lb.set_telemetry(telemetry.clone());
+        self.pab.set_telemetry(telemetry.clone());
         self.core.set_telemetry(telemetry);
     }
 

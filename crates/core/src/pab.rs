@@ -11,18 +11,26 @@
 //! The engine is transport-agnostic: its methods return the signatures,
 //! proofs and fetch targets that the [`crate::mempool::StratusMempool`]
 //! turns into wire messages.
+//!
+//! A proof is held once and verified once: the engine keeps the first
+//! verified proof it learns for an id, and a proof presented later — in a
+//! `PabProof`, or on a reference of any proposal — that *equals* the held
+//! one is valid without a second signature check.  Equality with the held
+//! proof is the only shortcut; every other proof is verified in full.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 use smp_crypto::{KeyPair, ProofError, PublicKey, QuorumProof, Signature};
+use smp_telemetry::Telemetry;
 use smp_types::{Microblock, MicroblockId, ReplicaId, SimTime};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// State of one PAB instance on the disseminating replica.
+/// State of one PAB instance on the disseminating replica, from the
+/// broadcast until the proof is complete.
 #[derive(Clone, Debug)]
 struct PushState {
     acks: QuorumProof,
-    proof_done: bool,
     broadcast_at: SimTime,
     /// Original creator if this replica disseminates on behalf of someone
     /// else (DLB proxy), `None` when disseminating its own microblock.
@@ -38,7 +46,9 @@ pub struct PabEngine {
     quorum: usize,
     fetch_alpha: f64,
     push: HashMap<MicroblockId, PushState>,
+    /// The verified proof held per id: the first one learned.
     proofs: HashMap<MicroblockId, QuorumProof>,
+    telemetry: Telemetry,
 }
 
 /// Result of completing a push phase: the proof plus bookkeeping the
@@ -68,7 +78,14 @@ impl PabEngine {
             fetch_alpha: fetch_alpha.clamp(0.0, 1.0),
             push: HashMap::new(),
             proofs: HashMap::new(),
+            telemetry: Telemetry::disabled(),
         }
+    }
+
+    /// Installs the telemetry handle (`pab.proof_verified` and
+    /// `pab.proof_known` count [`PabEngine::verify_proof`]'s two paths).
+    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.telemetry = telemetry;
     }
 
     /// The configured availability quorum.
@@ -86,14 +103,14 @@ impl PabEngine {
             mb.id,
             PushState {
                 acks,
-                proof_done: false,
                 broadcast_at: now,
                 origin,
             },
         );
     }
 
-    /// Whether this replica is running the push phase for `id`.
+    /// Whether this replica is running the push phase for `id` (it ends
+    /// with the proof).
     pub fn is_pushing(&self, id: &MicroblockId) -> bool {
         self.push.contains_key(id)
     }
@@ -108,9 +125,6 @@ impl PabEngine {
     /// the completed proof exactly once, when the quorum is first reached.
     pub fn on_ack(&mut self, id: MicroblockId, sig: Signature, now: SimTime) -> Option<ProofReady> {
         let state = self.push.get_mut(&id)?;
-        if state.proof_done {
-            return None;
-        }
         let signer_key = self.keys.get(sig.signer as usize)?;
         if !sig.verify(signer_key, &id.digest()) {
             return None;
@@ -119,28 +133,38 @@ impl PabEngine {
         if !state.acks.has_quorum(self.quorum) {
             return None;
         }
-        state.proof_done = true;
-        let proof = state.acks.clone();
-        self.proofs.insert(id, proof.clone());
+        // The push phase is over: the collected acks are the proof.
+        let state = self.push.remove(&id)?;
+        self.proofs.insert(id, state.acks.clone());
         Some(ProofReady {
             id,
-            proof,
+            proof: state.acks,
             stable_time: now.saturating_sub(state.broadcast_at),
             origin: state.origin,
         })
     }
 
-    /// Verifies an availability proof against the configured quorum.
+    /// Verifies an availability proof against the configured quorum.  A
+    /// proof equal to the one held for `id` was verified when it was
+    /// stored and is not checked again.
     pub fn verify_proof(&self, id: &MicroblockId, proof: &QuorumProof) -> Result<(), ProofError> {
+        if self.proofs.get(id) == Some(proof) {
+            self.telemetry.counter_inc("pab.proof_known");
+            return Ok(());
+        }
+        self.telemetry.counter_inc("pab.proof_verified");
         if proof.digest != id.digest() {
             return Err(ProofError::BadSignature(u32::MAX));
         }
         proof.verify(&self.keys, self.quorum)
     }
 
-    /// Records a proof learned from the network (after verification).
-    pub fn store_proof(&mut self, id: MicroblockId, proof: QuorumProof) {
-        self.proofs.entry(id).or_insert(proof);
+    /// Records a proof learned from the network (after verification); the
+    /// first proof stored for an id is the one kept.
+    pub fn store_proof(&mut self, id: MicroblockId, proof: &QuorumProof) {
+        if let Entry::Vacant(slot) = self.proofs.entry(id) {
+            slot.insert(proof.clone());
+        }
     }
 
     /// Returns the locally known proof for `id`.
@@ -221,7 +245,9 @@ mod tests {
         assert_eq!(ready.stable_time, 4_000);
         assert_eq!(ready.proof.len(), 2);
         assert!(ready.origin.is_none());
-        // Further acks do not produce the proof again.
+        // The proof ends the push phase: its state is dropped, and
+        // further acks do not produce the proof again.
+        assert!(!engines[0].is_pushing(&mb.id));
         let ack2 = engines[2].ack_for(&mb.id);
         assert!(engines[0].on_ack(mb.id, ack2, 6_000).is_none());
     }

@@ -8,9 +8,12 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use smp_crypto::{KeyPair, QuorumProof, Signature};
 use smp_mempool::{Dest, Effects, FillStatus, Mempool, MempoolEvent};
+use smp_telemetry::Telemetry;
 use smp_types::{
-    BlockId, ClientId, MempoolConfig, Payload, Proposal, ReplicaId, SystemConfig, Transaction, View,
+    BlockId, ClientId, MempoolConfig, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId,
+    SystemConfig, Transaction, View,
 };
 use stratus::{DlbConfig, StratusConfig, StratusMempool, StratusMsg};
 
@@ -344,4 +347,142 @@ fn quorum_override_is_clamped_to_valid_range() {
     let high = StratusMempool::new(&sys, StratusConfig::default().with_quorum(99), ReplicaId(0));
     assert_eq!(low.pab_quorum(), 2); // f + 1
     assert_eq!(high.pab_quorum(), 3); // 2f + 1
+}
+
+// ---------------------------------------------------------------------
+// Held once, verified once: a proof equal to the one a replica already
+// holds for an id skips the signature check, and nothing else does.
+// ---------------------------------------------------------------------
+
+/// A replica that has seen nothing yet, with its own telemetry.
+fn observed() -> (StratusMempool, Telemetry) {
+    let telemetry = Telemetry::new();
+    let mut node = StratusMempool::new(&system(), StratusConfig::default(), ReplicaId(3));
+    node.set_telemetry(telemetry.clone());
+    (node, telemetry)
+}
+
+/// `(pab.proof_known, pab.proof_verified)`: memo hits and full checks.
+fn proof_checks(telemetry: &Telemetry) -> (u64, u64) {
+    let snapshot = telemetry.snapshot();
+    let counter = |name| snapshot.counter(name).unwrap_or(0);
+    (counter("pab.proof_known"), counter("pab.proof_verified"))
+}
+
+/// A valid availability proof of `id` signed by `signers`.
+fn proof_by(id: MicroblockId, signers: &[usize]) -> QuorumProof {
+    let keys = KeyPair::derive_all(system().seed, N);
+    QuorumProof::from_signatures(
+        id.digest(),
+        signers
+            .iter()
+            .map(|&i| Signature::sign(&keys[i].secret, &id.digest())),
+    )
+}
+
+/// `proof` with the tag of its first signature flipped.
+fn forged(proof: &QuorumProof) -> QuorumProof {
+    let mut sigs = proof.signatures().to_vec();
+    sigs[0].tag ^= 1;
+    QuorumProof::from_signatures(proof.digest, sigs)
+}
+
+fn proposal_of(id: MicroblockId, proof: QuorumProof) -> Proposal {
+    let payload = Payload::Refs(vec![MicroblockRef::proven(id, ReplicaId(0), 4, proof)]);
+    Proposal::new(View(7), 1, BlockId::GENESIS, ReplicaId(1), payload, true)
+}
+
+const ID: MicroblockId = MicroblockId(smp_crypto::Digest([1, 2, 3, 4]));
+
+#[test]
+fn held_proof_presented_again_is_not_verified_again() {
+    let (mut node, telemetry) = observed();
+    let mut rng = SmallRng::seed_from_u64(1);
+    let proof = proof_by(ID, &[0, 1]);
+    let msg = StratusMsg::PabProof {
+        id: ID,
+        proof: proof.clone(),
+    };
+    let _ = node.on_message(10, ReplicaId(0), msg.clone(), &mut rng);
+    assert_eq!(proof_checks(&telemetry), (0, 1), "first sight: verified");
+    assert_eq!(node.proofs_known(), 1);
+    // The same proof again, by broadcast and on a proposal reference.
+    let _ = node.on_message(20, ReplicaId(1), msg, &mut rng);
+    assert_eq!(proof_checks(&telemetry), (1, 1));
+    let (status, _) = node.on_proposal(30, &proposal_of(ID, proof), &mut rng);
+    assert_eq!(status, FillStatus::Ready);
+    assert_eq!(proof_checks(&telemetry), (2, 1));
+}
+
+#[test]
+fn forged_proof_for_a_held_id_is_refused_and_changes_nothing() {
+    let (mut node, telemetry) = observed();
+    let mut rng = SmallRng::seed_from_u64(1);
+    let proof = proof_by(ID, &[0, 1]);
+    let (status, _) = node.on_proposal(10, &proposal_of(ID, proof.clone()), &mut rng);
+    assert_eq!(status, FillStatus::Ready);
+    let bad = forged(&proof);
+    assert_ne!(bad, proof);
+    let (status, fx) = node.on_proposal(20, &proposal_of(ID, bad.clone()), &mut rng);
+    assert_eq!(status, FillStatus::Invalid("invalid availability proof"));
+    assert!(fx.msgs.is_empty() && fx.events.is_empty());
+    let fx = node.on_message(
+        30,
+        ReplicaId(2),
+        StratusMsg::PabProof { id: ID, proof: bad },
+        &mut rng,
+    );
+    assert!(
+        fx.msgs.is_empty() && fx.events.is_empty() && !node.is_proposable(&ID),
+        "silently dropped"
+    );
+    assert_eq!(proof_checks(&telemetry), (0, 3), "each one fully checked");
+    // The held proof is still the first one: it alone hits the memo.
+    let (status, _) = node.on_proposal(40, &proposal_of(ID, proof), &mut rng);
+    assert_eq!(status, FillStatus::Ready);
+    assert_eq!(proof_checks(&telemetry), (1, 3));
+    assert_eq!(node.proofs_known(), 1);
+}
+
+#[test]
+fn valid_proof_from_other_signers_is_verified_and_the_first_is_kept() {
+    let (mut node, telemetry) = observed();
+    let mut rng = SmallRng::seed_from_u64(1);
+    let (first, other) = (proof_by(ID, &[0, 1]), proof_by(ID, &[2, 3]));
+    let pab_proof = |proof: &QuorumProof| StratusMsg::PabProof {
+        id: ID,
+        proof: proof.clone(),
+    };
+    let _ = node.on_message(10, ReplicaId(0), pab_proof(&first), &mut rng);
+    // Accepted on both entry points, after a full check each time.
+    let (status, _) = node.on_proposal(20, &proposal_of(ID, other.clone()), &mut rng);
+    assert_eq!(status, FillStatus::Ready);
+    let _ = node.on_message(30, ReplicaId(2), pab_proof(&other), &mut rng);
+    assert!(node.is_proposable(&ID), "the PabProof was acted on");
+    assert_eq!(proof_checks(&telemetry), (0, 3));
+    // Only the first-stored proof is the held one.
+    let _ = node.on_message(40, ReplicaId(0), pab_proof(&first), &mut rng);
+    assert_eq!(proof_checks(&telemetry), (1, 3));
+    assert_eq!(node.proofs_known(), 1);
+}
+
+#[test]
+fn proposal_that_overtakes_its_pab_proof_is_the_one_verification() {
+    let (mut node, telemetry) = observed();
+    let mut rng = SmallRng::seed_from_u64(1);
+    let proof = proof_by(ID, &[0, 1]);
+    let (status, _) = node.on_proposal(10, &proposal_of(ID, proof.clone()), &mut rng);
+    assert_eq!(status, FillStatus::Ready);
+    assert_eq!(proof_checks(&telemetry), (0, 1));
+    let _ = node.on_message(
+        20,
+        ReplicaId(0),
+        StratusMsg::PabProof { id: ID, proof },
+        &mut rng,
+    );
+    assert_eq!(
+        proof_checks(&telemetry),
+        (1, 1),
+        "the late PabProof is known"
+    );
 }

@@ -5,12 +5,22 @@
 //! `f+1` and `2f+1`.  [`QuorumProof`] models exactly that: a set of
 //! [`Signature`]s from distinct signers over the same digest, with a wire
 //! size of `q * 64` bytes plus the digest.
+//!
+//! A proof is **held once and verified once**.  Its signatures sit behind
+//! one reference count, so the copies a replica makes of a certificate —
+//! one per broadcast recipient, per proposal reference, per chain entry —
+//! share one allocation; only [`QuorumProof::add`] on a shared proof
+//! copies.  A holder of verified proofs (Stratus's `PabEngine`) may accept
+//! a proof that is *equal* to the one it already holds for the same id
+//! without running [`QuorumProof::verify`] again; equality with a held
+//! certificate is the only shortcut, and everything else takes the full
+//! check.
 
 use crate::hash::Digest;
 use crate::keys::PublicKey;
 use crate::signature::Signature;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Wire size of a single signature in bytes (ECDSA-sized, per the paper).
 pub const SIGNATURE_BYTES: usize = 64;
@@ -52,12 +62,18 @@ impl std::error::Error for ProofError {}
 ///
 /// Used both as the PAB availability proof (quorum `q ∈ [f+1, 2f+1]`) and
 /// as consensus quorum certificates (quorum `2f+1`).
+///
+/// Cloning bumps a reference count.  `==` compares the digest, then the
+/// signatures: at once for two clones of one proof (`Arc`'s equality is
+/// pointer-first for `Eq` contents), signature by signature otherwise.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct QuorumProof {
     /// Digest the signatures cover.
     pub digest: Digest,
-    /// The aggregated signatures, kept sorted by signer for determinism.
-    pub signatures: Vec<Signature>,
+    /// The aggregated signatures.  Private so that "strictly increasing by
+    /// signer" holds for every proof: [`QuorumProof::add`] is the only
+    /// writer.
+    signatures: Arc<Vec<Signature>>,
 }
 
 impl QuorumProof {
@@ -65,7 +81,7 @@ impl QuorumProof {
     pub fn new(digest: Digest) -> Self {
         QuorumProof {
             digest,
-            signatures: Vec::new(),
+            signatures: Arc::default(),
         }
     }
 
@@ -79,16 +95,27 @@ impl QuorumProof {
         proof
     }
 
-    /// Adds a signature if the signer is not already present.
+    /// Adds a signature if the signer is not already present.  A proof
+    /// that shares its signatures with clones takes its own copy first, so
+    /// the clones never change.
     ///
     /// Returns `true` if the signature was added.
     pub fn add(&mut self, sig: Signature) -> bool {
-        if self.signatures.iter().any(|s| s.signer == sig.signer) {
+        let pos = self.signatures.partition_point(|s| s.signer < sig.signer);
+        if self
+            .signatures
+            .get(pos)
+            .is_some_and(|s| s.signer == sig.signer)
+        {
             return false;
         }
-        let pos = self.signatures.partition_point(|s| s.signer < sig.signer);
-        self.signatures.insert(pos, sig);
+        Arc::make_mut(&mut self.signatures).insert(pos, sig);
         true
+    }
+
+    /// The signatures, strictly increasing by signer.
+    pub fn signatures(&self) -> &[Signature] {
+        &self.signatures
     }
 
     /// Number of distinct signers.
@@ -120,11 +147,13 @@ impl QuorumProof {
                 need: quorum,
             });
         }
-        let mut seen = BTreeSet::new();
-        for sig in &self.signatures {
-            if !seen.insert(sig.signer) {
+        let mut previous = None;
+        for sig in self.signatures() {
+            // Sorted by signer, so a repeated signer is a neighbour.
+            if previous.is_some_and(|p: u32| p >= sig.signer) {
                 return Err(ProofError::DuplicateSigner(sig.signer));
             }
+            previous = Some(sig.signer);
             let pk = public_keys
                 .get(sig.signer as usize)
                 .ok_or(ProofError::UnknownSigner(sig.signer))?;
@@ -190,6 +219,25 @@ mod tests {
         assert!(proof.add(sig));
         assert!(!proof.add(sig));
         assert_eq!(proof.len(), 1);
+    }
+
+    #[test]
+    fn repeated_or_unsorted_signers_are_rejected() {
+        // Not constructible through `add`: written into the field, as a
+        // bug in this file would.
+        let (kps, pks) = setup(4);
+        let d = Digest::of_u64(9);
+        let sign = |i: usize| Signature::sign(&kps[i].secret, &d);
+        for (signers, repeated) in [([1, 1, 2], 1), ([0, 2, 1], 1), ([2, 0, 2], 0)] {
+            let proof = QuorumProof {
+                digest: d,
+                signatures: Arc::new(signers.map(sign).to_vec()),
+            };
+            assert_eq!(
+                proof.verify(&pks, 2),
+                Err(ProofError::DuplicateSigner(repeated))
+            );
+        }
     }
 
     #[test]

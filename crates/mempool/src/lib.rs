@@ -45,6 +45,14 @@
 //! which freezes a batch's proof at the `2f + 1`-th signature.
 //! [`NativeMempool`] ships transactions inline, has no store and does not
 //! use the core.
+//!
+//! A certificate is held once: `smp_crypto::QuorumProof` shares its
+//! signatures between clones, so the copy on every message and reference
+//! is a count bump.  Under Stratus it is also verified once —
+//! `PabEngine::verify_proof` accepts a proof *equal* to the one it holds
+//! for that id, the only shortcut.  [`dissemination::verify_certificates`]
+//! checks every certificate in full: Narwhal and D-HS make too few checks
+//! (about one per batch and replica) for a memo to pay.
 
 pub mod api;
 pub mod batcher;

@@ -325,13 +325,17 @@ impl WireCodec for Digest {
 }
 
 /// The one collection encoding: a `u32` count, then the elements.
+fn encode_slice<T: WireCodec>(items: &[T], buf: &mut Vec<u8>) {
+    (items.len() as u32).encode_into(buf);
+    for item in items {
+        item.encode_into(buf);
+    }
+}
+
 impl<T: WireCodec> WireCodec for Vec<T> {
     const MIN_BYTES: usize = u32::MIN_BYTES;
     fn encode_into(&self, buf: &mut Vec<u8>) {
-        (self.len() as u32).encode_into(buf);
-        for item in self {
-            item.encode_into(buf);
-        }
+        encode_slice(self, buf);
     }
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let n = r.count::<T>()?;
@@ -484,11 +488,23 @@ wire! { struct MicroblockId { 0: Digest } }
 wire! { struct TxId { 0: Digest } }
 wire! { struct Signature { signer: u32, tag: u64 } }
 
-wire! {
-    struct QuorumProof { digest: Digest, signatures: Vec<Signature> }
-    // Rebuilt through `from_signatures` so the sorted-by-signer invariant
-    // holds even if a peer encoded out of order.
-    => QuorumProof::from_signatures(digest, signatures)
+/// `{ digest: Digest, signatures: Vec<Signature> }`, written out because
+/// `signatures` is private to `smp-crypto`: read through its accessor, and
+/// rebuilt through `from_signatures` so the sorted-by-signer invariant
+/// holds even if a peer encoded out of order.
+impl WireCodec for QuorumProof {
+    const MIN_BYTES: usize = Digest::MIN_BYTES + Vec::<Signature>::MIN_BYTES;
+    #[inline]
+    fn encode_into(&self, buf: &mut Vec<u8>) {
+        self.digest.encode_into(buf);
+        encode_slice(self.signatures(), buf);
+    }
+    #[inline]
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let digest = r.field("QuorumProof.digest")?;
+        let signatures: Vec<Signature> = r.field("QuorumProof.signatures")?;
+        Ok(QuorumProof::from_signatures(digest, signatures))
+    }
 }
 
 wire! {

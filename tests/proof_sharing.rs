@@ -1,0 +1,91 @@
+//! Memory guard: an availability proof exists once in memory, however many
+//! messages, proposals and chain entries carry it.
+//!
+//! S-HS at n = 64 puts an `f + 1 = 22`-signature proof in every `PabProof`
+//! broadcast (63 recipients) and on every reference of every proposal
+//! (again 63 recipients, then each replica's chain).  `QuorumProof` shares
+//! its signatures between clones, so all of those are one allocation per
+//! holder; a change that goes back to copying the signature list per
+//! recipient multiplies the simulator's live heap and fails here, in plain
+//! `cargo test`, not only in the benchmark's `peak_rss_mb`.
+//!
+//! This file is its own test binary because it installs a counting global
+//! allocator; it must stay the only test in it (tests of one binary run on
+//! parallel threads and would count each other's allocations).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use stratus_repro::prelude::*;
+use stratus_repro::types::MICROS_PER_SEC;
+
+/// Bytes allocated and not yet freed, and the highest that has been.
+/// `Relaxed`: statistics that publish no other data.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// The system allocator, counting live bytes.
+struct Counting;
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters never touch the returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's obligations are `System.alloc`'s own.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc`/`realloc` above, i.e. from
+        // `System`, with this `layout`.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new.is_null() {
+            LIVE.fetch_sub(layout.size(), Relaxed);
+            grew(new_size);
+        }
+        new
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Peak live heap of the run below, in MiB.  Measured (the run is
+/// deterministic; debug and release builds read the same):
+///
+/// * with a signature list copied per clone (parent commit `1519e59`): 35.0;
+/// * with shared proofs (this change): 19.4.
+///
+/// The bound is 1.5 × the second figure, and the first is over it.
+const PEAK_BOUND_MIB: f64 = 29.1;
+
+#[test]
+fn shs_n64_heap_stays_under_the_shared_proof_bound() {
+    let config = ExperimentConfig::new(Protocol::StratusHotStuff, 64, 20_000.0)
+        .with_duration(0, MICROS_PER_SEC);
+    let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
+    let result = run_experiment(&config);
+    let peak_mib = (PEAK.load(Relaxed) - before) as f64 / (1024.0 * 1024.0);
+    assert!(result.committed_txs > 0, "the run committed nothing");
+    println!("peak live heap: {peak_mib:.1} MiB");
+    assert!(
+        peak_mib < PEAK_BOUND_MIB,
+        "peak live heap {peak_mib:.1} MiB is over the {PEAK_BOUND_MIB} MiB bound: \
+         is a quorum proof being copied per recipient or per reference again?"
+    );
+}
