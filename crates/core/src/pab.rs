@@ -15,8 +15,9 @@
 //! A proof is held once and verified once: the engine keeps the first
 //! verified proof it learns for an id, and a proof presented later — in a
 //! `PabProof`, or on a reference of any proposal — that *equals* the held
-//! one is valid without a second signature check.  Equality with the held
-//! proof is the only shortcut; every other proof is verified in full.
+//! one is valid without a second check.  Equality with the held proof is
+//! the only shortcut; every other proof is verified in full.  Every ack is
+//! verified singly before it is folded into the aggregate.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -154,7 +155,7 @@ impl PabEngine {
         }
         self.telemetry.counter_inc("pab.proof_verified");
         if proof.digest != id.digest() {
-            return Err(ProofError::BadSignature(u32::MAX));
+            return Err(ProofError::WrongDigest);
         }
         proof.verify(&self.keys, self.quorum)
     }
@@ -268,10 +269,49 @@ mod tests {
         }
         // A proof over a different microblock does not verify for this id.
         let other = make_mb(1, 2);
-        assert!(engines[3].verify_proof(&other.id, &ready.proof).is_err());
+        assert_eq!(
+            engines[3].verify_proof(&other.id, &ready.proof),
+            Err(ProofError::WrongDigest)
+        );
         // A truncated proof fails the quorum check.
         let weak = QuorumProof::new(mb.id.digest());
         assert!(engines[3].verify_proof(&mb.id, &weak).is_err());
+    }
+
+    #[test]
+    fn malformed_aggregates_are_refused_and_the_held_proof_stays() {
+        let mut engines = engines(4, 2);
+        let mb = make_mb(0, 2);
+        engines[0].start_push(&mb, 0, None);
+        let ack = engines[1].ack_for(&mb.id);
+        let held = engines[0].on_ack(mb.id, ack, 10).unwrap().proof;
+        assert_eq!(held.bitmap(), [0b0011]);
+        engines[3].store_proof(mb.id, &held);
+        let (digest, aggregate) = (held.digest, held.aggregate());
+        // What a decoder hands over for hostile bytes: set bits beyond n
+        // (in the counted byte, in a byte of their own), no bit at all,
+        // and a quorum of signers under an aggregate one bit off.
+        let cases = [
+            (vec![0b0101_0011], aggregate, ProofError::UnknownSigner(4)),
+            (vec![0b0011, 0b1], aggregate, ProofError::UnknownSigner(8)),
+            (
+                vec![0, 0],
+                aggregate,
+                ProofError::QuorumNotReached { have: 0, need: 2 },
+            ),
+            (
+                vec![0b0011],
+                aggregate ^ (1 << 40),
+                ProofError::BadAggregate,
+            ),
+            (vec![0b0111], aggregate, ProofError::BadAggregate),
+        ];
+        for (bitmap, aggregate, verdict) in cases {
+            let proof = QuorumProof::from_parts(digest, aggregate, &bitmap).unwrap();
+            assert_eq!(engines[3].verify_proof(&mb.id, &proof), Err(verdict));
+            assert_eq!(engines[3].proof_of(&mb.id), Some(&held));
+        }
+        assert_eq!(engines[3].verify_proof(&mb.id, &held), Ok(()));
     }
 
     #[test]

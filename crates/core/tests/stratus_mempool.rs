@@ -380,11 +380,9 @@ fn proof_by(id: MicroblockId, signers: &[usize]) -> QuorumProof {
     )
 }
 
-/// `proof` with the tag of its first signature flipped.
+/// `proof` with one signer's tag flipped, as it shows in the aggregate.
 fn forged(proof: &QuorumProof) -> QuorumProof {
-    let mut sigs = proof.signatures().to_vec();
-    sigs[0].tag ^= 1;
-    QuorumProof::from_signatures(proof.digest, sigs)
+    QuorumProof::from_parts(proof.digest, proof.aggregate() ^ 1, proof.bitmap()).unwrap()
 }
 
 fn proposal_of(id: MicroblockId, proof: QuorumProof) -> Proposal {

@@ -11,9 +11,10 @@
 //!   microblock and block identifiers.
 //! * [`keys`] / [`signature`] — per-replica key pairs and 64-byte
 //!   signatures (the paper uses ECDSA; Section VI).
-//! * [`proof`] — aggregated availability proofs made of `q` concatenated
-//!   signatures (the paper trivially concatenates `f+1` ECDSA signatures
-//!   instead of using a threshold scheme; footnote 4).
+//! * [`proof`] — aggregated availability proofs: a digest, a signer bitmap
+//!   and one aggregate signature, constant in the quorum `q` (a stated
+//!   deviation: the paper concatenates `f+1` ECDSA signatures instead of
+//!   using a threshold or multi-signature scheme; footnote 4).
 //!
 //! The CPU cost is charged elsewhere, per message: the simulator bills a
 //! receiver `cpu_cost_us()` of every delivery, and those figures (a

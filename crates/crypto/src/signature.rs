@@ -42,14 +42,16 @@ impl Signature {
     /// key-derivation used by [`crate::keys::KeyPair::derive`]; the public
     /// key only pins the signer identity and commitment.
     pub fn verify(&self, public: &PublicKey, digest: &Digest) -> bool {
-        if public.owner != self.signer {
-            return false;
-        }
-        // Recompute the tag using the key reconstructed from the owner's
-        // commitment; since commitments are digests of the MAC key, equal
-        // commitments imply equal keys for honest key generation.
-        let expected = Self::tag_for(self.signer, Self::key_from_commitment(public), digest);
-        expected == self.tag
+        public.owner == self.signer && Self::expected_tag(public, digest) == self.tag
+    }
+
+    /// The tag `public`'s owner puts on `digest`, recomputed from the key
+    /// reconstructed from the owner's commitment: since commitments are
+    /// digests of the MAC key, equal commitments imply equal keys for
+    /// honest key generation.  What [`Signature::verify`] compares with
+    /// and what an aggregate proof folds.
+    pub(crate) fn expected_tag(public: &PublicKey, digest: &Digest) -> u64 {
+        Self::tag_for(public.owner, Self::key_from_commitment(public), digest)
     }
 
     /// Wire size of one signature (matches an ECDSA signature).

@@ -2,34 +2,58 @@
 
 use proptest::prelude::*;
 use smp_crypto::{Digest, KeyPair, ProofError, PublicKey, QuorumProof, Signature};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// `QuorumProof::verify` as it was before the sorted-by-signer invariant
-/// let it drop its `BTreeSet`: the reference the current one is held to.
+/// The per-signature check a proof got when it was a list of signatures:
+/// the reference the aggregate `QuorumProof::verify` is held to.  `sigs`
+/// is what was folded into the proof, `digest` what the proof claims to
+/// cover.
 fn reference_verify(
-    proof: &QuorumProof,
+    sigs: &[Signature],
+    digest: &Digest,
     public_keys: &[PublicKey],
     quorum: usize,
 ) -> Result<(), ProofError> {
-    if proof.len() < quorum {
+    if sigs.len() < quorum {
         return Err(ProofError::QuorumNotReached {
-            have: proof.len(),
+            have: sigs.len(),
             need: quorum,
         });
     }
-    let mut seen = BTreeSet::new();
-    for sig in proof.signatures() {
-        if !seen.insert(sig.signer) {
-            return Err(ProofError::DuplicateSigner(sig.signer));
-        }
+    for sig in sigs {
         let pk = public_keys
             .get(sig.signer as usize)
             .ok_or(ProofError::UnknownSigner(sig.signer))?;
-        if !sig.verify(pk, &proof.digest) {
+        if !sig.verify(pk, digest) {
             return Err(ProofError::BadSignature(sig.signer));
         }
     }
     Ok(())
+}
+
+/// The verdict the aggregate owes for the reference's: the same, except
+/// that a bad signature cannot be named — it shows as a fold that does not
+/// match — and that every signer's key is looked up before the fold is
+/// judged, so an unknown signer is reported ahead of a bad tag.
+fn owed(reference: Result<(), ProofError>, sigs: &[Signature], n: usize) -> Result<(), ProofError> {
+    match reference {
+        Err(ProofError::BadSignature(_)) => Err(sigs
+            .iter()
+            .find(|s| s.signer as usize >= n)
+            .map_or(ProofError::BadAggregate, |s| {
+                ProofError::UnknownSigner(s.signer)
+            })),
+        verdict => verdict,
+    }
+}
+
+/// One signature per signer, increasing by signer: the list a proof used
+/// to hold.
+fn distinct(picks: &[(u32, bool)]) -> Vec<(u32, bool)> {
+    let mut seen = BTreeSet::new();
+    let mut kept: Vec<_> = picks.iter().copied().filter(|p| seen.insert(p.0)).collect();
+    kept.sort_unstable();
+    kept
 }
 
 proptest! {
@@ -92,11 +116,12 @@ proptest! {
         }
     }
 
-    // Arbitrary signature multisets get the verdict the `BTreeSet`
-    // implementation gave.  `from_signatures` drops repeated signers, so
-    // this covers the quorum, unknown-signer and bad-tag verdicts; the
-    // repeated-signer one is not constructible from outside the crate and
-    // is a unit test in `proof.rs`.
+    // Arbitrary signer sets, each signature good or bad, get the verdict
+    // the per-signature reference gives: the quorum, unknown-signer and
+    // bad-tag cases.  A bad tag is off in the signer's own bit, so two of
+    // them never cancel in the fold — the aggregate is no stronger than
+    // that, which is why every signature is checked singly before it is
+    // folded.
     #[test]
     fn verify_agrees_with_the_reference(
         seed in any::<u64>(),
@@ -108,18 +133,78 @@ proptest! {
         let kps = KeyPair::derive_all(seed, 12);
         let pks: Vec<PublicKey> = kps[..n].iter().map(|k| k.public).collect();
         let d = Digest::of_u64(msg);
-        let sigs = picks.iter().map(|&(signer, good)| {
+        let sigs: Vec<Signature> = distinct(&picks).into_iter().map(|(signer, good)| {
             let mut sig = Signature::sign(&kps[signer as usize].secret, &d);
-            sig.tag ^= u64::from(!good);
+            sig.tag ^= u64::from(!good) << signer;
             sig
-        });
-        let proof = QuorumProof::from_signatures(d, sigs);
-        prop_assert!(proof.signatures().windows(2).all(|w| w[0].signer < w[1].signer));
-        prop_assert_eq!(proof.verify(&pks, quorum), reference_verify(&proof, &pks, quorum));
+        }).collect();
+        let proof = QuorumProof::from_signatures(d, sigs.iter().copied());
+        prop_assert_eq!(proof.len(), sigs.len());
+        prop_assert_eq!(
+            proof.verify(&pks, quorum),
+            owed(reference_verify(&sigs, &d, &pks, quorum), &sigs, n)
+        );
     }
 
-    // Clones share one signature list until one of them is added to; the
-    // `add` copies, and the other clone keeps what it had.
+    // Good signatures under a proof that claims another digest, and a good
+    // proof whose aggregate is one bit off: the reference refuses both (a
+    // flipped aggregate is some signature's tag flipped), so does `verify`.
+    #[test]
+    fn wrong_digest_and_flipped_aggregate_are_refused(
+        seed in any::<u64>(),
+        n in 1usize..12,
+        msg in any::<u64>(),
+        bit in 0u32..64,
+    ) {
+        let kps = KeyPair::derive_all(seed, n);
+        let pks: Vec<PublicKey> = kps.iter().map(|k| k.public).collect();
+        let (d, other) = (Digest::of_u64(msg), Digest::of_u64(msg.wrapping_add(1)));
+        let mut sigs: Vec<Signature> = kps.iter().map(|k| Signature::sign(&k.secret, &d)).collect();
+        let good = QuorumProof::from_signatures(d, sigs.iter().copied());
+        prop_assert_eq!(good.verify(&pks, n), Ok(()));
+        prop_assert_eq!(good.verify(&pks, n), reference_verify(&sigs, &d, &pks, n));
+
+        let relabelled = QuorumProof::from_signatures(other, sigs.iter().copied());
+        prop_assert_eq!(reference_verify(&sigs, &other, &pks, n), Err(ProofError::BadSignature(0)));
+        prop_assert_eq!(relabelled.verify(&pks, n), Err(ProofError::BadAggregate));
+
+        let flipped = QuorumProof::from_parts(d, good.aggregate() ^ (1 << bit), good.bitmap()).unwrap();
+        sigs[0].tag ^= 1 << bit;
+        prop_assert_eq!(reference_verify(&sigs, &d, &pks, n), Err(ProofError::BadSignature(0)));
+        prop_assert_eq!(flipped.verify(&pks, n), Err(ProofError::BadAggregate));
+    }
+
+    // The list was order-independent because it was sorted; the fold is
+    // because it commutes.
+    #[test]
+    fn any_order_of_the_same_signatures_builds_an_equal_proof(
+        seed in any::<u64>(),
+        msg in any::<u64>(),
+        picks in proptest::collection::vec((0u32..40, any::<u64>()), 0..24),
+    ) {
+        let kps = KeyPair::derive_all(seed, 40);
+        let d = Digest::of_u64(msg);
+        // Signer -> sort key: sorting by the keys is an arbitrary permutation.
+        let keys: BTreeMap<u32, u64> = picks.into_iter().collect();
+        let sigs: Vec<Signature> = keys
+            .keys()
+            .map(|&signer| Signature::sign(&kps[signer as usize].secret, &d))
+            .collect();
+        let mut shuffled = sigs.clone();
+        shuffled.sort_by_key(|s| keys[&s.signer]);
+        let (a, b) = (
+            QuorumProof::from_signatures(d, sigs.iter().copied()),
+            QuorumProof::from_signatures(d, shuffled.iter().copied()),
+        );
+        prop_assert_eq!(&a, &b);
+        prop_assert_eq!(a.signers(), sigs.iter().map(|s| s.signer).collect::<Vec<_>>());
+        // A signer repeated anywhere in the sequence counts once.
+        let repeated = QuorumProof::from_signatures(d, shuffled.iter().chain(&sigs).copied());
+        prop_assert_eq!(&a, &repeated);
+    }
+
+    // Clones share one bitmap until one of them is added to; the `add`
+    // copies, and the other clone keeps what it had.
     #[test]
     fn clone_then_add_leaves_the_clone_untouched(
         seed in any::<u64>(),
@@ -127,31 +212,45 @@ proptest! {
         msg in any::<u64>(),
     ) {
         let kps = KeyPair::derive_all(seed, 13);
+        let pks: Vec<PublicKey> = kps.iter().map(|k| k.public).collect();
         let d = Digest::of_u64(msg);
         let sign = |i: u32| Signature::sign(&kps[i as usize].secret, &d);
         let mut proof = QuorumProof::from_signatures(d, (0..n).map(sign));
         let clone = proof.clone();
         prop_assert_eq!(&clone, &proof);
-        prop_assert!(std::ptr::eq(clone.signatures(), proof.signatures()), "shared storage");
-        // A signer already present: nothing to write, nothing copied.
+        prop_assert!(std::ptr::eq(clone.bitmap(), proof.bitmap()), "shared storage");
+        // A signer already present: refused, nothing folded twice, nothing
+        // copied.
         prop_assert!(!proof.add(sign(0)));
-        prop_assert!(std::ptr::eq(clone.signatures(), proof.signatures()));
+        prop_assert_eq!(&clone, &proof);
+        prop_assert!(std::ptr::eq(clone.bitmap(), proof.bitmap()));
         prop_assert!(proof.add(sign(12)));
-        prop_assert!(!std::ptr::eq(clone.signatures(), proof.signatures()));
+        prop_assert!(!std::ptr::eq(clone.bitmap(), proof.bitmap()));
         prop_assert_eq!(clone.len(), n as usize);
         prop_assert_eq!(clone.signers(), (0..n).collect::<Vec<_>>());
+        prop_assert_eq!(clone.verify(&pks, n as usize), Ok(()));
         prop_assert_eq!(proof.len(), n as usize + 1);
+        prop_assert_eq!(proof.verify(&pks, n as usize + 1), Ok(()));
         prop_assert_ne!(&clone, &proof);
     }
 
+    // Constant in the quorum, `⌈n / 8⌉` in the system size: the highest
+    // signer sets the bitmap's length, the number of signers nothing.
     #[test]
-    fn quorum_proof_wire_size_is_linear(seed in any::<u64>(), n in 1usize..12, msg in any::<u64>()) {
+    fn quorum_proof_wire_size_is_constant_in_q(
+        seed in any::<u64>(),
+        n in 1usize..200,
+        q in 1usize..200,
+        msg in any::<u64>(),
+    ) {
         let kps = KeyPair::derive_all(seed, n);
         let d = Digest::of_u64(msg);
+        // The last `q` replicas sign (all of them if `q > n`).
         let proof = QuorumProof::from_signatures(
             d,
-            kps.iter().map(|k| Signature::sign(&k.secret, &d)),
+            kps.iter().rev().take(q).map(|k| Signature::sign(&k.secret, &d)),
         );
-        prop_assert_eq!(proof.wire_size(), 32 + 64 * n);
+        prop_assert_eq!(proof.len(), q.min(n));
+        prop_assert_eq!(proof.wire_size(), 32 + 64 + n.div_ceil(8));
     }
 }

@@ -465,7 +465,11 @@ impl CertificateBook {
         sig: Signature,
     ) -> Result<Option<&QuorumProof>, ProofError> {
         let digest = id.digest();
-        if !sig.verify(&self.keys[sig.signer as usize % self.keys.len()], &digest) {
+        let key = self
+            .keys
+            .get(sig.signer as usize)
+            .ok_or(ProofError::UnknownSigner(sig.signer))?;
+        if !sig.verify(key, &digest) {
             return Err(ProofError::BadSignature(sig.signer));
         }
         let proof = self
@@ -534,5 +538,55 @@ mod tests {
         assert!(!fresh.adopt(MicroblockId(Digest::of_u64(8)), certificate.clone()));
         assert!(!fresh.adopt(id, QuorumProof::new(id.digest())));
         assert!(fresh.adopt(id, certificate) && fresh.is_certified(&id));
+    }
+
+    #[test]
+    fn signer_outside_the_replica_set_is_unknown_not_wrapped() {
+        let config = SystemConfig::new(4);
+        let mut book = CertificateBook::new(&config, ReplicaId(0));
+        let id = MicroblockId(Digest::of_u64(7));
+        // Replica 1's signature claiming signer 5 (5 % 4 == 1) and one of a
+        // key pair the system does not have.
+        let mut wrapped = CertificateBook::new(&config, ReplicaId(1)).sign(&id.digest());
+        wrapped.signer = 5;
+        let stranger = Signature::sign(&KeyPair::derive(config.seed, 9).secret, &id.digest());
+        for sig in [wrapped, stranger] {
+            assert_eq!(
+                book.add(id, sig),
+                Err(ProofError::UnknownSigner(sig.signer))
+            );
+        }
+        assert!(book.proofs.is_empty(), "nothing was counted");
+    }
+
+    #[test]
+    fn malformed_certificates_are_not_adopted_and_the_held_one_stays() {
+        let config = SystemConfig::new(4);
+        let mut book = CertificateBook::new(&config, ReplicaId(3));
+        let id = MicroblockId(Digest::of_u64(7));
+        let held = QuorumProof::from_signatures(
+            id.digest(),
+            (0..3).map(|i| CertificateBook::new(&config, ReplicaId(i)).sign(&id.digest())),
+        );
+        let (digest, aggregate) = (held.digest, held.aggregate());
+        // Set bits beyond n, no bits, a quorum under an aggregate one bit
+        // off, and an aggregate that does not cover a fourth named signer.
+        let malformed = [
+            (vec![0b1_0111], aggregate),
+            (vec![0b0111, 0b1], aggregate),
+            (vec![0, 0], aggregate),
+            (vec![0b0111], aggregate ^ 1),
+            (vec![0b1111], aggregate),
+        ];
+        for held_already in [false, true] {
+            if held_already {
+                assert!(book.adopt(id, held.clone()));
+            }
+            for (bitmap, aggregate) in &malformed {
+                let proof = QuorumProof::from_parts(digest, *aggregate, bitmap).unwrap();
+                assert!(!book.adopt(id, proof));
+                assert_eq!(book.get(&id), held_already.then_some(&held));
+            }
+        }
     }
 }

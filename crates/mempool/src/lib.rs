@@ -38,7 +38,7 @@
 //! | [`NarwhalMempool`] | reliable broadcast (batch, echo, ready) | `2f + 1` readies and stored | ready certificate | [`dissemination::verify_certificates`] | no | certificate signers, shuffled |
 //! | [`DagMempool`] certified | DAG block + piggybacked acks | `2f + 1` acks and stored, in creator `seq` order | ack certificate | [`dissemination::verify_certificates`] | no | certificate signers, shuffled |
 //! | [`DagMempool`] fast path | DAG block + piggybacked acks | stored, in creator `seq` order | nothing | — | yes (`MustWait`) | creators, then the proposer |
-//! | `stratus::StratusMempool` | PAB push (or DLB forward to a proxy) | availability proof known | PAB proof (`f + 1 ..= 2f + 1` acks) | `PabEngine::verify_proof` | no | each signer with probability `α`, retried through the signers in turn |
+//! | `stratus::StratusMempool` | PAB push (or DLB forward to a proxy) | availability proof known | PAB proof (`f + 1 ..= 2f + 1` acks, aggregated) | `PabEngine::verify_proof` | no | each signer with probability `α`, retried through the signers in turn |
 //!
 //! Narwhal (echoes, readies) and the certified DAG (acks) keep their
 //! signatures and certificates in one `dissemination::CertificateBook`,
@@ -46,9 +46,12 @@
 //! [`NativeMempool`] ships transactions inline, has no store and does not
 //! use the core.
 //!
-//! A certificate is held once: `smp_crypto::QuorumProof` shares its
-//! signatures between clones, so the copy on every message and reference
-//! is a count bump.  Under Stratus it is also verified once —
+//! Every certificate in the table is one `smp_crypto::QuorumProof` — a
+//! digest, a signer bitmap and one aggregate of signatures that were each
+//! verified singly on arrival — and costs the same on the wire whatever
+//! the backend and the quorum: 32 + 64 + `⌈n / 8⌉` bytes.  It is held
+//! once: the bitmap is shared between clones, so the copy on every message
+//! and reference is a count bump.  Under Stratus it is also verified once —
 //! `PabEngine::verify_proof` accepts a proof *equal* to the one it holds
 //! for that id, the only shortcut.  [`dissemination::verify_certificates`]
 //! checks every certificate in full: Narwhal and D-HS make too few checks

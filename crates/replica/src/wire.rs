@@ -116,7 +116,8 @@ impl MempoolWire for StratusMsg {
         match self {
             StratusMsg::PabMsg(mb) | StratusMsg::LbForward(mb) => 20.0 + 0.6 * mb.len() as f64,
             StratusMsg::PabAck { .. } => 60.0, // one signature verification
-            StratusMsg::PabProof { proof, .. } => 25.0 + 8.0 * proof.len() as f64,
+            // One aggregate check: what `NarwhalMsg::Certificate` pays.
+            StratusMsg::PabProof { .. } => 90.0,
             StratusMsg::PabRequest { .. } => 8.0,
             StratusMsg::PabResponse { mbs } => {
                 20.0 + 0.6 * mbs.iter().map(|m| m.len()).sum::<usize>() as f64

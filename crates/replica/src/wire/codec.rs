@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! [0..4)   magic  "SMPW"
-//! [4]      version (currently 1)
+//! [4]      version (currently 2)
 //! [5]      flags   (bit 0 = high-priority lane; other bits must be 0)
 //! [6..10)  body length, u32 big-endian (bounded by MAX_FRAME_BYTES)
 //! [10..]   body: family tag (0 = consensus, 1 = mempool, 2 = sync) + payload
@@ -57,7 +57,7 @@ use stratus::StratusMsg;
 pub const MAGIC: [u8; 4] = *b"SMPW";
 
 /// Current codec version, stamped into every frame header.
-pub const CODEC_VERSION: u8 = 1;
+pub const CODEC_VERSION: u8 = 2;
 
 /// Fixed frame-header size: magic + version + flags + body length.
 pub const FRAME_HEADER_BYTES: usize = 10;
@@ -488,22 +488,27 @@ wire! { struct MicroblockId { 0: Digest } }
 wire! { struct TxId { 0: Digest } }
 wire! { struct Signature { signer: u32, tag: u64 } }
 
-/// `{ digest: Digest, signatures: Vec<Signature> }`, written out because
-/// `signatures` is private to `smp-crypto`: read through its accessor, and
-/// rebuilt through `from_signatures` so the sorted-by-signer invariant
-/// holds even if a peer encoded out of order.
+/// `{ digest: Digest, aggregate: u64, bitmap: Vec<u8> }`, written out
+/// because the aggregate and the signer bitmap are private to
+/// `smp-crypto`: read through their accessors, and rebuilt through
+/// `from_parts`, which keeps one bitmap per signer set whatever padding a
+/// peer sent.  The bitmap is copied in one piece, like a payload; what its
+/// bits claim is `QuorumProof::verify`'s to judge.
 impl WireCodec for QuorumProof {
-    const MIN_BYTES: usize = Digest::MIN_BYTES + Vec::<Signature>::MIN_BYTES;
+    const MIN_BYTES: usize = Digest::MIN_BYTES + u64::MIN_BYTES + Vec::<u8>::MIN_BYTES;
     #[inline]
     fn encode_into(&self, buf: &mut Vec<u8>) {
         self.digest.encode_into(buf);
-        encode_slice(self.signatures(), buf);
+        self.aggregate().encode_into(buf);
+        (self.bitmap().len() as u32).encode_into(buf);
+        buf.extend_from_slice(self.bitmap());
     }
     #[inline]
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let digest = r.field("QuorumProof.digest")?;
-        let signatures: Vec<Signature> = r.field("QuorumProof.signatures")?;
-        Ok(QuorumProof::from_signatures(digest, signatures))
+        let aggregate = r.field("QuorumProof.aggregate")?;
+        let n = r.count::<u8>()?;
+        QuorumProof::from_parts(digest, aggregate, r.take(n)?).ok_or(DecodeError::OversizedFrame(n))
     }
 }
 
@@ -998,7 +1003,7 @@ mod tests {
             acks: vec![],
             sig: Signature { signer: 0, tag: 0 },
         };
-        let empty_proof = QuorumProof::from_signatures(Digest::ZERO, vec![]);
+        let empty_proof = QuorumProof::new(Digest::ZERO);
         let (id, sig, tx_tail) = (mb(0).id, Signature::MIN_BYTES, 8 + 8 + 1 + 1);
         let sync = SyncMsg::Response {
             from_index: 0,
@@ -1010,7 +1015,7 @@ mod tests {
             ("FetchResp.mbs", 0, 20, hostile_mempool_count(SmpMsg::FetchResp { mbs: vec![] }, 0)),
             ("Microblock.txs", 0, 34, hostile_mempool_count(NarwhalMsg::Batch(mb(0)), 0)),
             ("Transaction.payload", tx_tail, 1, hostile_mempool_count(SmpMsg::Microblock(mb(1)), tx_tail)),
-            ("QuorumProof.signatures", 0, 12, hostile_mempool_count(StratusMsg::PabProof { id, proof: empty_proof }, 0)),
+            ("QuorumProof.bitmap", 0, 1, hostile_mempool_count(StratusMsg::PabProof { id, proof: empty_proof }, 0)),
             ("Payload::Inline", 0, 34, hostile_payload_count(Payload::inline(vec![]))),
             ("Payload::Refs", 0, 41, hostile_payload_count(Payload::Refs(vec![]))),
             ("Payload::Sharded", 0, 3, hostile_payload_count(Payload::Sharded(vec![]))),
@@ -1022,6 +1027,27 @@ mod tests {
             let needed = u32::MAX as usize * floor;
             assert_eq!(err, DecodeError::Truncated { needed, have }, "{site}");
         }
+    }
+
+    #[test]
+    fn proof_bitmaps_decode_as_sent_and_padding_does_not_make_a_second_form() {
+        let sign = |signer, tag| Signature { signer, tag };
+        let proof = QuorumProof::from_signatures(Digest::of_u64(1), [sign(0, 5), sign(9, 7)]);
+        let mut bytes = Vec::new();
+        proof.encode_into(&mut bytes);
+        assert_eq!(bytes.len(), 32 + 8 + 4 + 2);
+        let decode = |bytes: &[u8]| QuorumProof::decode_from(&mut Reader::new(bytes));
+        assert_eq!(decode(&bytes), Ok(proof.clone()));
+        // Two bytes of zero padding: the same proof, not a rival of it.
+        let count = bytes.len() - 2 - 4;
+        bytes[count..count + 4].copy_from_slice(&4u32.to_be_bytes());
+        bytes.extend([0, 0]);
+        assert_eq!(decode(&bytes), Ok(proof.clone()));
+        // Garbage bits are kept for `verify` to refuse, not dropped here.
+        *bytes.last_mut().unwrap() = 0x80;
+        let garbage = decode(&bytes).unwrap();
+        assert_eq!(garbage.signers(), [0, 9, 31]);
+        assert_eq!(garbage.aggregate(), proof.aggregate());
     }
 
     #[test]

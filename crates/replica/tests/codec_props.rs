@@ -86,11 +86,15 @@ fn arb_signature() -> impl Strategy<Value = Signature> {
     (any::<u32>(), any::<u64>()).prop_map(|(signer, tag)| Signature { signer, tag })
 }
 
-/// Proofs in their canonical form (deduplicated by signer, sorted),
-/// which is what `from_signatures` rebuilds on decode.
+/// Proofs over arbitrary signer sets of systems up to n = 512, with the
+/// aggregate whatever the tags fold to.
 fn arb_proof() -> impl Strategy<Value = QuorumProof> {
-    (arb_digest(), vec(arb_signature(), 0..8))
-        .prop_map(|(digest, sigs)| QuorumProof::from_signatures(digest, sigs))
+    (arb_digest(), vec((0u32..512, any::<u64>()), 0..40)).prop_map(|(digest, sigs)| {
+        let sigs = sigs
+            .into_iter()
+            .map(|(signer, tag)| Signature { signer, tag });
+        QuorumProof::from_signatures(digest, sigs)
+    })
 }
 
 fn arb_mb_ref() -> impl Strategy<Value = MicroblockRef> {
