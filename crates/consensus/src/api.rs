@@ -14,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 use smp_types::{wire, BlockId, Payload, Proposal, ReplicaId, SimTime, View, WireSize};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Message destination (mirrors the mempool's `Dest`; kept separate so the
 /// consensus crate does not depend on the mempool crate).
@@ -217,6 +217,23 @@ pub trait ConsensusEngine {
 
     /// Number of proposals committed so far.
     fn committed_count(&self) -> u64;
+
+    /// Live sizes of the engine's tables, for gauges and the bounded-state
+    /// tests; an engine that keeps none reports zeros.
+    fn state_size(&self) -> StateSize {
+        StateSize::default()
+    }
+}
+
+/// What a consensus engine holds right now.  Both stay within a constant
+/// of the system size however long the engine runs (see `core.rs`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StateSize {
+    /// Proposals in the block table.
+    pub blocks: usize,
+    /// Vote tallies held (`NewView`, vote, prepare and commit), fired ones
+    /// included.
+    pub tallies: usize,
 }
 
 /// Who has voted for one `(view, block)`, until the quorum fires.
@@ -226,11 +243,14 @@ enum Tally {
     Done,
 }
 
-/// Tracks votes per `(view, block)` until a quorum is reached.
+/// Tracks votes per `(view, block)` until a quorum is reached, for the
+/// views at or above a floor the caller moves up.
 #[derive(Clone, Debug)]
 pub(crate) struct VoteAggregator {
     quorum: usize,
-    tallies: HashMap<(View, BlockId), Tally>,
+    /// Lowest view first, so that what falls below the floor pops off.
+    tallies: BTreeMap<(View, BlockId), Tally>,
+    floor: View,
 }
 
 impl VoteAggregator {
@@ -238,13 +258,37 @@ impl VoteAggregator {
     pub(crate) fn new(quorum: usize) -> Self {
         VoteAggregator {
             quorum,
-            tallies: HashMap::new(),
+            tallies: BTreeMap::new(),
+            floor: View(0),
         }
     }
 
+    /// Tallies held, fired ones included.
+    pub(crate) fn len(&self) -> usize {
+        self.tallies.len()
+    }
+
     /// Records a vote; returns `true` exactly once, when the quorum of
-    /// distinct voters has been seen for `(view, block)`.
-    pub(crate) fn record(&mut self, view: View, block: BlockId, voter: ReplicaId) -> bool {
+    /// distinct voters has been seen for `(view, block)`.  Tallies below
+    /// `floor` are dropped, and a vote for a view below it opens none: a
+    /// quorum that fired and was forgotten can not form again.
+    pub(crate) fn record(
+        &mut self,
+        floor: View,
+        view: View,
+        block: BlockId,
+        voter: ReplicaId,
+    ) -> bool {
+        self.floor = self.floor.max(floor);
+        while let Some(entry) = self.tallies.first_entry() {
+            if entry.key().0 >= self.floor {
+                break;
+            }
+            entry.remove();
+        }
+        if view < self.floor {
+            return false;
+        }
         let tally = self
             .tallies
             .entry((view, block))
@@ -270,21 +314,47 @@ mod tests {
     fn vote_aggregator_reaches_quorum_once() {
         let mut agg = VoteAggregator::new(3);
         let b = BlockId(Digest::of_u64(1));
-        assert!(!agg.record(View(1), b, ReplicaId(0)));
+        assert!(!agg.record(View(0), View(1), b, ReplicaId(0)));
         assert!(
-            !agg.record(View(1), b, ReplicaId(0)),
+            !agg.record(View(0), View(1), b, ReplicaId(0)),
             "duplicate voter ignored"
         );
-        assert!(!agg.record(View(1), b, ReplicaId(1)));
+        assert!(!agg.record(View(0), View(1), b, ReplicaId(1)));
         assert!(
-            !agg.record(View(2), b, ReplicaId(2)),
+            !agg.record(View(0), View(2), b, ReplicaId(2)),
             "each (view, block) has its own tally"
         );
-        assert!(agg.record(View(1), b, ReplicaId(2)));
+        assert!(agg.record(View(0), View(1), b, ReplicaId(2)));
         assert!(
-            !agg.record(View(1), b, ReplicaId(3)),
+            !agg.record(View(0), View(1), b, ReplicaId(3)),
             "quorum reported only once"
         );
+    }
+
+    #[test]
+    fn a_vote_below_the_floor_opens_no_tally_and_cannot_refire_a_quorum() {
+        let mut agg = VoteAggregator::new(2);
+        let block = |v: u64| BlockId(Digest::of_u64(v));
+        for v in 1..=40u64 {
+            let floor = View(v.saturating_sub(16));
+            assert!(!agg.record(floor, View(v), block(v), ReplicaId(0)));
+            assert!(agg.record(floor, View(v), block(v), ReplicaId(1)));
+            assert!(agg.len() <= 17, "{} tallies at view {v}", agg.len());
+        }
+        // View 3 fired and was forgotten: replayed, its votes count for
+        // nothing, and neither do votes for a block never tallied there.
+        let floor = View(24);
+        for voter in 0..4 {
+            assert!(!agg.record(floor, View(3), block(3), ReplicaId(voter)));
+            assert!(!agg.record(floor, View(23), block(99), ReplicaId(voter)));
+        }
+        assert_eq!(agg.len(), 17);
+        // At the floor itself a tally is still held (and done), above it a
+        // new one opens; a lower floor passed later does not bring views back.
+        assert!(!agg.record(floor, View(24), block(24), ReplicaId(2)));
+        assert!(!agg.record(View(0), View(23), block(23), ReplicaId(2)));
+        assert!(!agg.record(View(0), View(41), block(41), ReplicaId(2)));
+        assert_eq!(agg.len(), 18);
     }
 
     #[test]

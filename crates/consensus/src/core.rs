@@ -3,26 +3,86 @@
 //! vote and its commit rule.  Four known defects are *preserved here, not
 //! fixed*, each marked where it lives; ROADMAP direction 1 (commit gaps →
 //! block sync) owns them.
+//!
+//! # What is kept below the commit tip
+//!
+//! A short tail, [`KEPT_VIEWS`] views deep, and nothing else.  [`Chain`]
+//! drops every block — committed or not — whose view is more than that
+//! below the last committed block's, and refuses to take one back, so a
+//! block that left can not commit a second time.  The pacemaker's
+//! once-per-view sets and every [`VoteAggregator`] drop what lies that far
+//! below the *current* view and open nothing there, so a late or replayed
+//! vote can not re-create a quorum that fired.  The floors go by view
+//! because views are what every engine stamps in increasing order; heights
+//! repeat under the first defect below.  The tail is there for stragglers
+//! — the last votes of a quorum, a proposal a few views late — whose
+//! handling must not change; what the engines themselves read (the parent
+//! a new block extends, a three-chain, the last committed block a
+//! `commit_through` stops at) lies within three views of the tip.
+//!
+//! The four "Preserved defect" markers are untouched by this: each is about
+//! a block that was *never held* (dropped on arrival, never seen, below a
+//! gap, or later than its quorum), and the floor only lets go of blocks
+//! that were.  A replica behind by more than the tail is served by nobody
+//! today either — it needs the block sync that fixes those four.
 
 use crate::api::{CEffects, CEvent, ConsensusMsg, VoteAggregator};
 use smp_types::{BlockId, Proposal, ReplicaId, SimTime, SystemConfig, View};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
-/// The block table: every proposal seen, and which of them are committed.
+/// How many views below the commit tip (blocks) or the current view
+/// (pacemaker sets, vote tallies) state is kept.
+pub(crate) const KEPT_VIEWS: u64 = 16;
+
+/// The lowest view kept when the tip (or the current view) is `view`.
+pub(crate) fn floor_below(view: View) -> View {
+    View(view.0.saturating_sub(KEPT_VIEWS))
+}
+
+/// The block table: the proposals seen at or above the floor, and which of
+/// them are committed.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Chain {
     blocks: HashMap<BlockId, Proposal>,
     committed: HashSet<BlockId>,
+    /// Every block of `blocks`, lowest view first.
+    by_view: BTreeSet<(View, BlockId)>,
+    /// Blocks below this view are gone and are not taken back.
+    floor: View,
+    committed_count: u64,
 }
 
 impl Chain {
-    /// Stores a copy of `p`; `false` if it was already known.
+    /// Stores a copy of `p`; `false` if it was already known, or lies below
+    /// the floor.
     pub(crate) fn insert(&mut self, p: &Proposal) -> bool {
-        let new = !self.blocks.contains_key(&p.id);
+        let new = p.view >= self.floor && !self.blocks.contains_key(&p.id);
         if new {
             self.blocks.insert(p.id, p.clone());
+            self.by_view.insert((p.view, p.id));
         }
         new
+    }
+
+    /// Blocks held.
+    pub(crate) fn len(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// Marks the held block `id`, proposed in `view`, committed, and lets
+    /// go of everything [`KEPT_VIEWS`] below it.
+    fn mark_committed(&mut self, id: BlockId, view: View) {
+        self.committed.insert(id);
+        self.committed_count += 1;
+        self.floor = self.floor.max(floor_below(view));
+        while let Some(&(view, old)) = self.by_view.first() {
+            if view >= self.floor {
+                break;
+            }
+            self.by_view.pop_first();
+            self.blocks.remove(&old);
+            self.committed.remove(&old);
+        }
     }
 
     pub(crate) fn get(&self, id: &BlockId) -> Option<&Proposal> {
@@ -49,22 +109,27 @@ impl Chain {
         self.committed.contains(id)
     }
 
+    /// Blocks committed so far, whether still held or not.
     pub(crate) fn committed_count(&self) -> u64 {
-        self.committed.len() as u64
+        self.committed_count
     }
 
-    /// Commits the one block `id` and returns it, unless it is unknown or
-    /// already committed.  Preserved defect (ROADMAP direction 1): a PBFT /
-    /// MirBFT commit quorum that fires before its block arrives never
-    /// commits it.
-    pub(crate) fn commit(&mut self, id: &BlockId, fx: &mut CEffects) -> Option<&Proposal> {
-        let p = self.blocks.get(id)?;
-        if !self.committed.insert(p.id) {
-            return None;
-        }
+    /// Commits the one block `id`; `false` if it is unknown — never seen,
+    /// or gone below the floor — or already committed.  Preserved defect
+    /// (ROADMAP direction 1): a PBFT / MirBFT commit quorum that fires
+    /// before its block arrives never commits it.
+    pub(crate) fn commit(&mut self, id: &BlockId, fx: &mut CEffects) -> bool {
+        let Some(p) = self
+            .blocks
+            .get(id)
+            .filter(|p| !self.committed.contains(&p.id))
+        else {
+            return false;
+        };
         let proposal = p.clone();
+        self.mark_committed(proposal.id, proposal.view);
         fx.event(CEvent::Committed { proposal });
-        Some(p)
+        true
     }
 
     /// Commits `tip` and every uncommitted ancestor, oldest first.
@@ -74,12 +139,11 @@ impl Chain {
         let mut chain = Vec::new();
         let mut cursor = self.blocks.get(&tip);
         while let Some(p) = cursor.filter(|p| !self.committed.contains(&p.id)) {
-            chain.push(p);
+            chain.push(p.clone());
             cursor = self.blocks.get(&p.parent);
         }
-        for p in chain.into_iter().rev() {
-            self.committed.insert(p.id);
-            let proposal = p.clone();
+        for proposal in chain.into_iter().rev() {
+            self.mark_committed(proposal.id, proposal.view);
             fx.event(CEvent::Committed { proposal });
         }
     }
@@ -99,6 +163,8 @@ pub(crate) struct Pacemaker {
     timeout: SimTime,
     tag_base: u64,
     new_views: VoteAggregator,
+    /// Views led and proposed in, and views a payload was requested for:
+    /// those at or above [`Pacemaker::floor`].
     proposed_in: HashSet<View>,
     payload_requested_for: HashSet<View>,
     pub(crate) view_changes: u64,
@@ -127,9 +193,31 @@ impl Pacemaker {
         self.leader_of(view) == self.me
     }
 
-    /// Emits `NeedPayload`, once, if this replica leads `view`.
+    /// The lowest view the once-per-view sets and the vote tallies keep.
+    pub(crate) fn floor(&self) -> View {
+        floor_below(self.view)
+    }
+
+    /// Makes `view` the current one and forgets what fell below the floor.
+    /// No timer is armed: [`Pacemaker::enter`] and the timeout do that, and
+    /// Streamlet's epochs tick on their own clock.
+    pub(crate) fn set_view(&mut self, view: View) {
+        self.view = view;
+        let floor = self.floor();
+        self.proposed_in.retain(|v| *v >= floor);
+        self.payload_requested_for.retain(|v| *v >= floor);
+    }
+
+    /// Open `NewView` tallies.
+    pub(crate) fn tallies(&self) -> usize {
+        self.new_views.len()
+    }
+
+    /// Emits `NeedPayload`, once, if this replica leads `view` and `view`
+    /// is not below the floor.
     pub(crate) fn request_payload_if_leader(&mut self, view: View, fx: &mut CEffects) {
         if self.is_leader(view)
+            && view >= self.floor()
             && !self.proposed_in.contains(&view)
             && self.payload_requested_for.insert(view)
         {
@@ -158,7 +246,7 @@ impl Pacemaker {
     /// a payload here would fork the chain off a stale QC.
     pub(crate) fn enter(&mut self, view: View, fx: &mut CEffects) {
         if view > self.view {
-            self.view = view;
+            self.set_view(view);
             self.arm(fx);
         }
     }
@@ -183,7 +271,8 @@ impl Pacemaker {
 
     /// At a quorum of `NewView`s the leader of `view` enters it and proposes.
     pub(crate) fn on_new_view(&mut self, view: View, voter: ReplicaId, fx: &mut CEffects) {
-        if self.is_leader(view) && self.new_views.record(view, BlockId::GENESIS, voter) {
+        let floor = self.floor();
+        if self.is_leader(view) && self.new_views.record(floor, view, BlockId::GENESIS, voter) {
             self.enter(view, fx);
             self.request_payload_if_leader(view, fx);
         }
@@ -197,11 +286,15 @@ impl Pacemaker {
             return;
         }
         self.abandon(self.view, fx);
-        self.view = self.view.next();
+        self.set_view(self.view.next());
         self.arm(fx);
-        if !self.is_leader(self.view) {
+        let (floor, view) = (self.floor(), self.view);
+        if !self.is_leader(view) {
             self.send_new_view(high_qc_view, fx);
-        } else if self.new_views.record(self.view, BlockId::GENESIS, self.me) {
+        } else if self
+            .new_views
+            .record(floor, view, BlockId::GENESIS, self.me)
+        {
             self.request_payload_if_leader(self.view, fx);
         }
     }
@@ -232,17 +325,24 @@ impl TwoPhase {
         }
     }
 
-    /// Tallies a prepare; `true` if it completed the prepare quorum *and*
-    /// this replica's own `Commit` (sent with `instance`) the commit quorum.
+    /// Open prepare and commit tallies.
+    pub(crate) fn tallies(&self) -> usize {
+        self.prepares.len() + self.commits.len()
+    }
+
+    /// Tallies a prepare, unless `view` is below `floor`; `true` if it
+    /// completed the prepare quorum *and* this replica's own `Commit` (sent
+    /// with `instance`) the commit quorum.
     pub(crate) fn prepare(
         &mut self,
+        floor: View,
         view: View,
         block: BlockId,
         voter: ReplicaId,
         instance: ReplicaId,
         fx: &mut CEffects,
     ) -> bool {
-        if !self.prepares.record(view, block, voter) {
+        if !self.prepares.record(floor, view, block, voter) {
             return false;
         }
         let voter = self.me;
@@ -252,11 +352,144 @@ impl TwoPhase {
             voter,
             instance,
         });
-        self.commit(view, block, voter)
+        self.commit(floor, view, block, voter)
     }
 
-    /// Tallies a commit vote; `true` exactly once, at the quorum.
-    pub(crate) fn commit(&mut self, view: View, block: BlockId, voter: ReplicaId) -> bool {
-        self.commits.record(view, block, voter)
+    /// Tallies a commit vote, unless `view` is below `floor`; `true`
+    /// exactly once, at the quorum.
+    pub(crate) fn commit(
+        &mut self,
+        floor: View,
+        view: View,
+        block: BlockId,
+        voter: ReplicaId,
+    ) -> bool {
+        self.commits.record(floor, view, block, voter)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smp_types::Payload;
+
+    /// A chain of empty blocks, one a view from view 1 on; `parent` of the
+    /// first is genesis.
+    fn blocks(count: u64) -> Vec<Proposal> {
+        let mut parent = BlockId::GENESIS;
+        (1..=count)
+            .map(|v| {
+                let p = Proposal::new(View(v), v, parent, ReplicaId(0), Payload::Empty, true);
+                parent = p.id;
+                p
+            })
+            .collect()
+    }
+
+    fn committed(fx: &CEffects) -> Vec<BlockId> {
+        fx.events
+            .iter()
+            .map(|e| match e {
+                CEvent::Committed { proposal } => proposal.id,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_chain_keeps_a_tail_below_the_commit_tip_and_counts_everything() {
+        let (mut chain, blocks) = (Chain::default(), blocks(100));
+        let mut fx = CEffects::none();
+        for p in &blocks {
+            assert!(chain.insert(p));
+            chain.commit_through(p.id, &mut fx);
+            assert!(chain.len() as u64 <= KEPT_VIEWS + 1);
+        }
+        assert_eq!(
+            committed(&fx),
+            blocks.iter().map(|p| p.id).collect::<Vec<_>>()
+        );
+        assert_eq!(chain.committed_count(), 100);
+        // Views 84 ..= 100 are held, committed; what lies below is gone.
+        assert!(chain.get(&blocks[83].id).is_some() && chain.is_committed(&blocks[83].id));
+        assert!(chain.get(&blocks[82].id).is_none() && !chain.is_committed(&blocks[82].id));
+    }
+
+    #[test]
+    fn a_block_that_left_the_chain_cannot_commit_again() {
+        let (mut chain, blocks) = (Chain::default(), blocks(40));
+        let mut fx = CEffects::none();
+        for p in &blocks {
+            chain.insert(p);
+        }
+        chain.commit_through(blocks[39].id, &mut fx);
+        assert_eq!(committed(&fx).len(), 40);
+        let mut fx = CEffects::none();
+        // Replayed, the old blocks are refused; a commit quorum for one (PBFT,
+        // MirBFT) finds nothing, and a walk from the tip (HotStuff,
+        // Streamlet) stops at the held, committed tail.
+        for p in &blocks[..23] {
+            assert!(!chain.insert(p), "view {} is below the floor", p.view.0);
+            assert!(!chain.commit(&p.id, &mut fx));
+        }
+        chain.commit_through(blocks[39].id, &mut fx);
+        chain.commit_through(blocks[5].id, &mut fx);
+        // Nor does a held, committed one commit twice.
+        assert!(!chain.commit(&blocks[30].id, &mut fx));
+        assert!(fx.events.is_empty());
+        assert_eq!(chain.committed_count(), 40);
+    }
+
+    #[test]
+    fn uncommitted_blocks_below_the_kept_tail_go_with_it() {
+        let (mut chain, blocks) = (Chain::default(), blocks(60));
+        // An orphan of view 3: a sibling of the main chain's third block.
+        let orphan = Proposal::new(View(3), 3, blocks[1].id, ReplicaId(1), Payload::Empty, true);
+        let mut fx = CEffects::none();
+        chain.insert(&orphan);
+        for p in &blocks[..10] {
+            chain.insert(p);
+        }
+        chain.commit_through(blocks[9].id, &mut fx);
+        assert!(
+            chain.get(&orphan.id).is_some(),
+            "inside the tail of view 10"
+        );
+        for p in &blocks[10..] {
+            chain.insert(p);
+        }
+        chain.commit_through(blocks[59].id, &mut fx);
+        assert!(chain.get(&orphan.id).is_none());
+        assert_eq!(chain.len() as u64, KEPT_VIEWS + 1);
+    }
+
+    #[test]
+    fn the_pacemaker_forgets_and_refuses_views_below_its_floor() {
+        let config = SystemConfig::new(4);
+        // Replica 1 leads views 1, 5, 9, ...
+        let mut pm = Pacemaker::new(&config, ReplicaId(1), 0);
+        let mut fx = CEffects::none();
+        for v in (1..=101).step_by(4) {
+            pm.enter(View(v), &mut fx);
+            pm.request_payload_if_leader(View(v), &mut fx);
+            assert!(pm.claim_proposal(View(v)));
+            assert!(pm.proposed_in.len() as u64 <= KEPT_VIEWS / 4 + 1);
+            assert!(pm.payload_requested_for.len() as u64 <= KEPT_VIEWS / 4 + 1);
+        }
+        let asked = |fx: &CEffects| {
+            let need = |e: &&CEvent| matches!(e, CEvent::NeedPayload { .. });
+            fx.events.iter().filter(need).count()
+        };
+        assert_eq!(asked(&fx), 26);
+        // A payload for a view long left is not asked for again, and a
+        // `NewView` quorum there — fired once, forgotten since — does not
+        // form a second time.
+        pm.request_payload_if_leader(View(5), &mut fx);
+        for voter in 0..4 {
+            pm.on_new_view(View(9), ReplicaId(voter), &mut fx);
+        }
+        assert_eq!(asked(&fx), 26);
+        assert_eq!(pm.tallies(), 0);
+        assert_eq!(pm.view, View(101));
     }
 }

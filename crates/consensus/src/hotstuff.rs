@@ -8,7 +8,7 @@
 //! commit rule.
 
 use crate::api::{
-    CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict, VoteAggregator,
+    CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict, StateSize, VoteAggregator,
 };
 use crate::core::{Chain, Pacemaker};
 use smp_types::{BlockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, View};
@@ -92,7 +92,8 @@ impl ConsensusEngine for HotStuffEngine {
             ConsensusMsg::Vote { view, block, voter } => {
                 // Votes for view v are collected by the leader of v + 1.
                 let next = view.next();
-                if self.pm.is_leader(next) && self.votes.record(view, block, voter) {
+                let floor = self.pm.floor();
+                if self.pm.is_leader(next) && self.votes.record(floor, view, block, voter) {
                     if view >= self.high_qc_view {
                         self.high_qc_block = block;
                         self.high_qc_view = view;
@@ -164,6 +165,13 @@ impl ConsensusEngine for HotStuffEngine {
 
     fn committed_count(&self) -> u64 {
         self.chain.committed_count()
+    }
+
+    fn state_size(&self) -> StateSize {
+        StateSize {
+            blocks: self.chain.len(),
+            tallies: self.votes.len() + self.pm.tallies(),
+        }
     }
 }
 

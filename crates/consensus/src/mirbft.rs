@@ -8,16 +8,17 @@
 //! its own instance, proposing a batch from its local mempool at a fixed
 //! cadence, and each batch is agreed with the PBFT prepare/commit pattern
 //! (all-to-all votes, hence the `O(n²)` message complexity of Table I).
-//! The block table and the two tallies are the shared `core.rs`; there is no
-//! view to change, so no pacemaker.
+//! The block table and the two tallies are the shared `core.rs`, one of each
+//! per instance: an instance numbers its own views, so the floor below
+//! which `core.rs` lets state go is the instance's own.  There is no view
+//! to change, so no pacemaker.
 //!
 //! Cross-instance failure handling (MirBFT's epoch changes) is out of
 //! scope, as the paper's comparison runs it in the failure-free setting.
 
-use crate::api::{CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict};
-use crate::core::{Chain, TwoPhase};
+use crate::api::{CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict, StateSize};
+use crate::core::{floor_below, Chain, TwoPhase};
 use smp_types::{BlockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, View};
-use std::collections::HashMap;
 
 /// Timer tag for the per-replica proposal cadence.
 pub const PROPOSE_INTERVAL_TAG: u64 = 0x4d49_5242_0000_0001;
@@ -25,17 +26,33 @@ pub const PROPOSE_INTERVAL_TAG: u64 = 0x4d49_5242_0000_0001;
 /// Interval at which each leader proposes its next batch.
 pub const DEFAULT_PROPOSE_INTERVAL: SimTime = 100 * smp_types::MICROS_PER_MS;
 
+/// One leader's PBFT instance as this replica sees it.
+#[derive(Clone, Debug)]
+struct Instance {
+    chain: Chain,
+    votes: TwoPhase,
+    /// Last committed block (parent pointer for the leader's next
+    /// proposal) and its sequence number.
+    tip: BlockId,
+    tip_seq: View,
+}
+
+impl Instance {
+    /// The lowest sequence number whose votes are still tallied.
+    fn floor(&self) -> View {
+        floor_below(self.tip_seq)
+    }
+}
+
 /// MirBFT-style multi-leader engine.
 #[derive(Clone, Debug)]
 pub struct MirBftEngine {
     me: ReplicaId,
     /// Next sequence number of this replica's own instance.
     next_seq: u64,
-    chain: Chain,
-    votes: TwoPhase,
-    /// Last committed block per instance (parent pointer for that leader's
-    /// next proposal).
-    instance_tips: HashMap<ReplicaId, BlockId>,
+    /// The instance of every leader, by replica index.
+    instances: Vec<Instance>,
+    committed: u64,
     awaiting_payload: bool,
 }
 
@@ -45,9 +62,15 @@ impl MirBftEngine {
         MirBftEngine {
             me,
             next_seq: 1,
-            chain: Chain::default(),
-            votes: TwoPhase::new(config, me),
-            instance_tips: HashMap::new(),
+            instances: (0..config.n)
+                .map(|_| Instance {
+                    chain: Chain::default(),
+                    votes: TwoPhase::new(config, me),
+                    tip: BlockId::GENESIS,
+                    tip_seq: View(0),
+                })
+                .collect(),
+            committed: 0,
             awaiting_payload: false,
         }
     }
@@ -63,10 +86,47 @@ impl MirBftEngine {
         fx.event(CEvent::NeedPayload { view });
     }
 
-    /// Commits `block` as the new tip of its proposer's instance.
-    fn on_commit_quorum(&mut self, block: BlockId, fx: &mut CEffects) {
-        if let Some(p) = self.chain.commit(&block, fx) {
-            self.instance_tips.insert(p.proposer, block);
+    /// The instance led by `leader`, if the system has such a replica.
+    fn instance(&mut self, leader: ReplicaId) -> Option<&mut Instance> {
+        self.instances.get_mut(leader.index())
+    }
+
+    /// Tallies a prepare for `block` of `leader`'s instance and commits it,
+    /// as that instance's new tip, at the commit quorum.
+    fn prepare(
+        &mut self,
+        leader: ReplicaId,
+        view: View,
+        block: BlockId,
+        voter: ReplicaId,
+        fx: &mut CEffects,
+    ) {
+        let Some(instance) = self.instance(leader) else {
+            return;
+        };
+        let floor = instance.floor();
+        if instance
+            .votes
+            .prepare(floor, view, block, voter, leader, fx)
+        {
+            self.on_commit_quorum(leader, view, block, fx);
+        }
+    }
+
+    fn on_commit_quorum(
+        &mut self,
+        leader: ReplicaId,
+        view: View,
+        block: BlockId,
+        fx: &mut CEffects,
+    ) {
+        let Some(instance) = self.instance(leader) else {
+            return;
+        };
+        if instance.chain.commit(&block, fx) {
+            instance.tip = block;
+            instance.tip_seq = view;
+            self.committed += 1;
         }
     }
 }
@@ -83,7 +143,10 @@ impl ConsensusEngine for MirBftEngine {
         let mut fx = CEffects::none();
         match msg {
             ConsensusMsg::Propose(p) => {
-                if self.chain.insert(&p) {
+                if self
+                    .instance(p.proposer)
+                    .is_some_and(|i| i.chain.insert(&p))
+                {
                     fx.event(CEvent::VerifyProposal { proposal: p });
                 }
             }
@@ -92,16 +155,19 @@ impl ConsensusEngine for MirBftEngine {
                 block,
                 voter,
                 instance,
-            } => {
-                if self.votes.prepare(view, block, voter, instance, &mut fx) {
-                    self.on_commit_quorum(block, &mut fx);
-                }
-            }
+            } => self.prepare(instance, view, block, voter, &mut fx),
             ConsensusMsg::Commit {
-                view, block, voter, ..
+                view,
+                block,
+                voter,
+                instance: leader,
             } => {
-                if self.votes.commit(view, block, voter) {
-                    self.on_commit_quorum(block, &mut fx);
+                let fired = self.instance(leader).is_some_and(|i| {
+                    let floor = i.floor();
+                    i.votes.commit(floor, view, block, voter)
+                });
+                if fired {
+                    self.on_commit_quorum(leader, view, block, &mut fx);
                 }
             }
             ConsensusMsg::Vote { .. } | ConsensusMsg::NewView { .. } => {}
@@ -129,12 +195,11 @@ impl ConsensusEngine for MirBftEngine {
         if view.0 != self.next_seq || payload.is_empty() {
             return fx;
         }
-        let tip = self.instance_tips.get(&self.me);
-        let parent = tip.copied().unwrap_or(BlockId::GENESIS);
-        let proposal = Proposal::new(view, self.next_seq, parent, self.me, payload, false);
+        let own = &mut self.instances[self.me.index()];
+        let proposal = Proposal::new(view, self.next_seq, own.tip, self.me, payload, false);
         let id = proposal.id;
         self.next_seq += 1;
-        self.chain.insert(&proposal);
+        own.chain.insert(&proposal);
         fx.broadcast(ConsensusMsg::Propose(proposal));
         // The leader prepares its own proposal like everyone else.
         fx.merge(self.on_proposal_verdict(now, id, ProposalVerdict::Accept));
@@ -148,7 +213,9 @@ impl ConsensusEngine for MirBftEngine {
         verdict: ProposalVerdict,
     ) -> CEffects {
         let mut fx = CEffects::none();
-        let Some((view, instance)) = self.chain.get(&block).map(|p| (p.view, p.proposer)) else {
+        // The verdict names the block only: find the instance that holds it.
+        let held = self.instances.iter().find_map(|i| i.chain.get(&block));
+        let Some((view, instance)) = held.map(|p| (p.view, p.proposer)) else {
             return fx;
         };
         if verdict == ProposalVerdict::Accept {
@@ -159,9 +226,7 @@ impl ConsensusEngine for MirBftEngine {
                 voter,
                 instance,
             });
-            if self.votes.prepare(view, block, voter, instance, &mut fx) {
-                self.on_commit_quorum(block, &mut fx);
-            }
+            self.prepare(instance, view, block, voter, &mut fx);
         }
         fx
     }
@@ -175,7 +240,14 @@ impl ConsensusEngine for MirBftEngine {
     }
 
     fn committed_count(&self) -> u64 {
-        self.chain.committed_count()
+        self.committed
+    }
+
+    fn state_size(&self) -> StateSize {
+        StateSize {
+            blocks: self.instances.iter().map(|i| i.chain.len()).sum(),
+            tallies: self.instances.iter().map(|i| i.votes.tallies()).sum(),
+        }
     }
 }
 

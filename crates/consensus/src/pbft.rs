@@ -6,7 +6,7 @@
 //! pacemaker and the two tallies are the shared `core.rs`; this file builds
 //! each view's block on the last committed one and enters the next on commit.
 
-use crate::api::{CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict};
+use crate::api::{CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict, StateSize};
 use crate::core::{Chain, Pacemaker, TwoPhase};
 use smp_types::{BlockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, View};
 
@@ -39,7 +39,11 @@ impl PbftEngine {
     }
 
     fn record_prepare(&mut self, view: View, block: BlockId, voter: ReplicaId, fx: &mut CEffects) {
-        if self.votes.prepare(view, block, voter, self.pm.me, fx) {
+        let floor = self.pm.floor();
+        if self
+            .votes
+            .prepare(floor, view, block, voter, self.pm.me, fx)
+        {
             self.on_commit_quorum(view, block, fx);
         }
     }
@@ -50,7 +54,7 @@ impl PbftEngine {
         if self.chain.is_committed(&block) {
             return;
         }
-        if self.chain.commit(&block, fx).is_some() {
+        if self.chain.commit(&block, fx) {
             self.last_committed = block;
         }
         self.pm.enter(view.next(), fx);
@@ -82,7 +86,7 @@ impl ConsensusEngine for PbftEngine {
             ConsensusMsg::Commit {
                 view, block, voter, ..
             } => {
-                if self.votes.commit(view, block, voter) {
+                if self.votes.commit(self.pm.floor(), view, block, voter) {
                     self.on_commit_quorum(view, block, &mut fx);
                 }
             }
@@ -151,6 +155,13 @@ impl ConsensusEngine for PbftEngine {
 
     fn committed_count(&self) -> u64 {
         self.chain.committed_count()
+    }
+
+    fn state_size(&self) -> StateSize {
+        StateSize {
+            blocks: self.chain.len(),
+            tallies: self.votes.tallies() + self.pm.tallies(),
+        }
     }
 }
 

@@ -10,11 +10,11 @@
 //! `core.rs`; the epoch clock, notarization and the vote rule are here.
 
 use crate::api::{
-    CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict, VoteAggregator,
+    CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict, StateSize, VoteAggregator,
 };
 use crate::core::{Chain, Pacemaker};
 use smp_types::{BlockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, View};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Timer tag for the epoch clock.
 pub const EPOCH_TAG: u64 = 0x5354_524c_0000_0001;
@@ -28,7 +28,9 @@ pub struct StreamletEngine {
     chain: Chain,
     epoch_duration: SimTime,
     votes: VoteAggregator,
-    notarized: HashSet<BlockId>,
+    /// Notarized blocks by epoch, for the epochs at or above the
+    /// pacemaker's floor.
+    notarized: BTreeSet<(View, BlockId)>,
     longest_notarized_tip: BlockId,
 }
 
@@ -42,7 +44,7 @@ impl StreamletEngine {
             chain: Chain::default(),
             epoch_duration: (config.view_change_timeout / 2).max(1),
             votes: VoteAggregator::new(config.consensus_quorum()),
-            notarized: HashSet::new(),
+            notarized: BTreeSet::new(),
             longest_notarized_tip: BlockId::GENESIS,
         }
     }
@@ -60,7 +62,14 @@ impl StreamletEngine {
     /// Counts a vote; at the quorum `block` is notarized, which may extend
     /// the longest notarized chain and finalize a prefix.
     fn record_vote(&mut self, epoch: View, block: BlockId, voter: ReplicaId, fx: &mut CEffects) {
-        if !self.votes.record(epoch, block, voter) || !self.notarized.insert(block) {
+        let floor = self.pm.floor();
+        if !self.votes.record(floor, epoch, block, voter) {
+            return;
+        }
+        while self.notarized.first().is_some_and(|(e, _)| *e < floor) {
+            self.notarized.pop_first();
+        }
+        if !self.notarized.insert((epoch, block)) {
             return;
         }
         let Some(height) = self.chain.get(&block).map(|p| p.height) else {
@@ -72,7 +81,12 @@ impl StreamletEngine {
         // Finalization: three adjacent notarized blocks with consecutive
         // epochs finalize everything up to the middle one.
         if let Some([_, parent, grandparent]) = self.chain.three_chain(&block) {
-            if self.notarized.contains(&parent) && self.notarized.contains(&grandparent) {
+            // A three-chain's epochs are consecutive.
+            let notarized = |back: u64, id| {
+                let epoch = View(epoch.0.saturating_sub(back));
+                self.notarized.contains(&(epoch, id))
+            };
+            if notarized(1, parent) && notarized(2, grandparent) {
                 self.chain.commit_through(parent, fx);
             }
         }
@@ -95,7 +109,7 @@ impl ConsensusEngine for StreamletEngine {
                     return fx;
                 }
                 // If we are behind, adopt the later epoch.
-                self.pm.view = self.pm.view.max(p.view);
+                self.pm.set_view(self.pm.view.max(p.view));
                 fx.event(CEvent::VerifyProposal { proposal: p });
             }
             ConsensusMsg::Prepare {
@@ -116,7 +130,7 @@ impl ConsensusEngine for StreamletEngine {
         if !self.pm.is_leader(finished) {
             self.pm.view_changes += 1;
         }
-        self.pm.view = finished.next();
+        self.pm.set_view(finished.next());
         fx.timer(self.epoch_duration, EPOCH_TAG);
         self.pm.request_payload_if_leader(finished.next(), &mut fx);
         fx
@@ -176,6 +190,13 @@ impl ConsensusEngine for StreamletEngine {
 
     fn committed_count(&self) -> u64 {
         self.chain.committed_count()
+    }
+
+    fn state_size(&self) -> StateSize {
+        StateSize {
+            blocks: self.chain.len(),
+            tallies: self.votes.len() + self.notarized.len(),
+        }
     }
 }
 

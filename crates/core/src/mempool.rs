@@ -223,7 +223,8 @@ impl StratusMempool {
 
     /// Handles a verified availability proof that this replica should act
     /// on locally: record it, make the microblock proposable, and fetch the
-    /// data in the background if we do not have it.
+    /// data in the background if we do not have it.  A proof that comes
+    /// after its microblock executed here has nothing left to do.
     fn adopt_proof(
         &mut self,
         id: MicroblockId,
@@ -231,6 +232,9 @@ impl StratusMempool {
         rng: &mut SmallRng,
         effects: &mut Effects<StratusMsg>,
     ) {
+        if self.core.is_retired(&id) {
+            return;
+        }
         self.pab.store_proof(id, &proof);
         self.core.make_proposable(id);
         if !self.core.store().contains(&id) && self.fetch_from_signers(id, &proof, rng, effects) {
@@ -438,7 +442,7 @@ impl Mempool for StratusMempool {
                 return (FillStatus::Invalid("invalid availability proof"), effects);
             }
         }
-        for r in refs {
+        for r in refs.iter().filter(|r| !self.core.is_retired(&r.id)) {
             let proof = r.proof.as_ref().expect("verified above");
             self.pab.store_proof(r.id, proof);
         }
@@ -460,7 +464,17 @@ impl Mempool for StratusMempool {
     }
 
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<StratusMsg> {
-        self.core.on_commit(now, proposal)
+        let (pab, lb) = (&mut self.pab, &mut self.lb);
+        let effects = self.core.on_commit(now, proposal, |id| {
+            pab.forget(id);
+            // A forward still open for a microblock that committed: its
+            // proxy delivered.
+            lb.on_proof_received(id);
+        });
+        let telemetry = self.core.telemetry();
+        telemetry.gauge_set("pab.proofs.len", self.pab.proofs_known() as f64);
+        telemetry.gauge_set("pab.push.len", self.pab.pushing() as f64);
+        effects
     }
 
     fn set_telemetry(&mut self, telemetry: Telemetry) {

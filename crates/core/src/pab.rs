@@ -18,6 +18,13 @@
 //! one is valid without a second check.  Equality with the held proof is
 //! the only shortcut; every other proof is verified in full.  Every ack is
 //! verified singly before it is folded into the aggregate.
+//!
+//! An instance ends with its microblock: [`PabEngine::forget`] drops the
+//! push state and the held proof once the microblock has retired (executed
+//! one `δ` ago, see `smp_mempool`'s dissemination core).  A proof for the
+//! id that arrives later is verified in full like any proof not held, and
+//! the mempool then drops it — the engine never holds state for an id the
+//! core has retired.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -166,6 +173,17 @@ impl PabEngine {
         if let Entry::Vacant(slot) = self.proofs.entry(id) {
             slot.insert(proof.clone());
         }
+    }
+
+    /// Ends the instance of `id`: its microblock retired.
+    pub fn forget(&mut self, id: &MicroblockId) {
+        self.push.remove(id);
+        self.proofs.remove(id);
+    }
+
+    /// Push phases in progress.
+    pub fn pushing(&self) -> usize {
+        self.push.len()
     }
 
     /// Returns the locally known proof for `id`.

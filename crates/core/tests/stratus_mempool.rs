@@ -484,3 +484,88 @@ fn proposal_that_overtakes_its_pab_proof_is_the_one_verification() {
         "the late PabProof is known"
     );
 }
+
+#[test]
+fn a_proof_that_comes_after_its_microblock_retired_is_verified_and_dropped() {
+    let fetch_timeout = StratusConfig::default().fetch_timeout;
+    let (mut nodes, mut rng) = network(StratusConfig::default());
+    let telemetry = Telemetry::new();
+    nodes[1].set_telemetry(telemetry.clone());
+    let fx = nodes[0].on_client_txs(0, txs(0, 4), &mut rng);
+    let _ = route(&mut nodes, 0, fx, 10, &mut rng);
+    let payload = nodes[2].make_payload(20);
+    let (id, proof) = match &payload {
+        Payload::Refs(refs) => (refs[0].id, refs[0].proof.clone().expect("proven")),
+        other => panic!("unexpected payload {other:?}"),
+    };
+    let proposal = Proposal::new(View(1), 1, BlockId::GENESIS, ReplicaId(2), payload, true);
+    assert_eq!(
+        nodes[1].on_proposal(30, &proposal, &mut rng).0,
+        FillStatus::Ready
+    );
+    // It executes at 1 000 and is held for one fetch timeout …
+    let _ = nodes[1].on_commit(1_000, &proposal);
+    assert_eq!(nodes[1].proofs_known(), 1);
+    // … until the first commit after that, which retires body and proof.
+    let empty = |view| {
+        Proposal::new(
+            View(view),
+            view,
+            BlockId::GENESIS,
+            ReplicaId(2),
+            Payload::Empty,
+            true,
+        )
+    };
+    let _ = nodes[1].on_commit(1_000 + fetch_timeout, &empty(2));
+    let stats = nodes[1].stats();
+    assert_eq!(
+        (stats.stored_microblocks, stats.retired_microblocks),
+        (0, 1)
+    );
+    assert_eq!(nodes[1].proofs_known(), 0);
+
+    // The proof again, late (a slow link, a replay): no longer held, so it is
+    // verified in full — and then nothing is stored, queued or fetched.
+    let verified = |t: &Telemetry| t.snapshot().counter("pab.proof_verified").unwrap_or(0);
+    let before = verified(&telemetry);
+    let late = StratusMsg::PabProof { id, proof };
+    let fx = nodes[1].on_message(2_000_000, ReplicaId(0), late, &mut rng);
+    assert_eq!(verified(&telemetry), before + 1);
+    assert!(fx.is_empty(), "no fetch, no event: {fx:?}");
+    assert_eq!(nodes[1].proofs_known(), 0);
+    assert!(!nodes[1].is_proposable(&id));
+    assert_eq!(nodes[1].stats().stored_microblocks, 0);
+    // A forged proof for the retired id is still a forged proof: a proposal
+    // that carries it is invalid, whatever has been forgotten.
+    let forged = MicroblockRef::proven(id, ReplicaId(0), 4, QuorumProof::new(id.digest()));
+    let bad = Proposal::new(
+        View(3),
+        3,
+        BlockId::GENESIS,
+        ReplicaId(2),
+        Payload::Refs(vec![forged]),
+        true,
+    );
+    let (status, _) = nodes[1].on_proposal(2_000_001, &bad, &mut rng);
+    assert!(matches!(status, FillStatus::Invalid(_)));
+    // A second, honest proposal naming it is ready, fetches nothing and
+    // executes nothing twice.
+    let again = Proposal::new(
+        View(4),
+        4,
+        BlockId::GENESIS,
+        ReplicaId(2),
+        proposal.payload.clone(),
+        true,
+    );
+    let (status, fx) = nodes[1].on_proposal(2_000_002, &again, &mut rng);
+    assert_eq!(status, FillStatus::Ready);
+    assert!(fx.is_empty(), "{fx:?}");
+    let fx = nodes[1].on_commit(2_000_003, &again);
+    assert!(matches!(
+        fx.events[..],
+        [MempoolEvent::Executed { tx_count: 0, .. }]
+    ));
+    assert_eq!(nodes[1].proofs_known(), 0);
+}

@@ -53,12 +53,14 @@ pub enum MempoolEvent {
     },
     /// A committed proposal has all of its transaction data locally and has
     /// been handed to the executor.  Carries everything the metrics layer
-    /// needs: the number of ordered transactions and the first-reception
-    /// times of those whose provenance is known.
+    /// needs: the number of transactions it ordered *for the first time at
+    /// this replica* (a microblock referenced by two committed proposals
+    /// executes with the first) and the first-reception times of those
+    /// whose provenance is known.
     Executed {
         /// The executed proposal.
         proposal: BlockId,
-        /// Number of transactions ordered by the proposal.
+        /// Number of transactions the proposal is the first to order.
         tx_count: u32,
         /// First-reception times of the transactions (for latency).
         receive_times: Vec<SimTime>,
@@ -179,6 +181,9 @@ pub struct MempoolStats {
     pub forwarded_microblocks: u64,
     /// Fetch requests issued for missing microblocks.
     pub fetches_issued: u64,
+    /// Microblocks that have executed here (each leaves
+    /// `stored_microblocks` one fetch timeout later).
+    pub retired_microblocks: usize,
 }
 
 /// The shared-mempool interface (paper Section III-C).

@@ -215,9 +215,14 @@ pub struct DagMempool {
     /// every replica can reconstruct identically — this is what keeps
     /// the socket commit sequence byte-identical to the simulator's.
     ledgers: HashMap<ReplicaId, CreatorLedger>,
-    /// Digests of accepted blocks (duplicate suppression that stays
-    /// correct across crash-restart re-emissions).
+    /// Digests of the blocks accepted during the last `δ` (duplicate
+    /// suppression that stays correct across crash-restart re-emissions),
+    /// and the same digests in acceptance order.  Accepting a block twice
+    /// changes nothing — its batch is held or retired, its `seq` noted, its
+    /// acks counted — so forgetting a digest after `δ` costs a replayed
+    /// block's signature check, not correctness.
     seen: HashSet<Digest>,
+    seen_order: VecDeque<(SimTime, Digest)>,
     /// Latest known round per creator — the parent frontier.  A `BTreeMap`
     /// so parent lists are deterministically ordered.
     latest: BTreeMap<ReplicaId, u64>,
@@ -226,6 +231,12 @@ pub struct DagMempool {
     my_seq: u64,
     blocks_out: u64,
 }
+
+/// How far past a creator's next expected `seq` a block is still buffered.
+/// Delivery jitter reorders a creator's blocks by a handful of positions;
+/// this is two orders of magnitude above that and bounds each ledger's
+/// look-ahead at a few kilobytes.
+const AHEAD_WINDOW: u64 = 1_024;
 
 /// Receiver-side view of one creator's emission sequence: blocks are noted
 /// by `seq`, buffered while out of order, and their batches released to
@@ -259,6 +270,7 @@ impl DagMempool {
             my_seq: 0,
             my_acked: HashSet::new(),
             seen: HashSet::new(),
+            seen_order: VecDeque::new(),
             latest: BTreeMap::new(),
             emitted: false,
             blocks_out: 0,
@@ -284,10 +296,18 @@ impl DagMempool {
     /// in-order prefix.  A `seq` below the cursor (a crash-restarted
     /// creator re-emitting from zero) is ignored here: its batches still
     /// store, certify, and commit through peers' proposals — they just
-    /// stop entering this replica's own proposal queue.
+    /// stop entering this replica's own proposal queue.  The same holds for
+    /// a `seq` [`AHEAD_WINDOW`] or more past the cursor, which is not
+    /// buffered: a creator cannot park entries here by naming far-future
+    /// indices, and an honest one that far past a gap is waiting for block
+    /// sync either way.
     fn note_block(&mut self, creator: ReplicaId, seq: u64, batch: Option<MicroblockId>) {
         let ledger = self.ledgers.entry(creator).or_default();
         if seq < ledger.next {
+            return;
+        }
+        if seq - ledger.next >= AHEAD_WINDOW {
+            self.core.telemetry().counter_inc("dag.ahead_dropped");
             return;
         }
         ledger.ahead.insert(seq, batch);
@@ -309,6 +329,12 @@ impl DagMempool {
             return;
         };
         while let Some(id) = ledger.ready.front() {
+            // Committed through a peer's proposal before it was eligible
+            // here: nothing left to release, and nothing behind it waits.
+            if self.core.is_retired(id) {
+                ledger.ready.pop_front();
+                continue;
+            }
             if !self.core.store().contains(id) {
                 break;
             }
@@ -319,6 +345,19 @@ impl DagMempool {
             ledger.ready.pop_front();
             self.core.make_proposable(id);
         }
+    }
+
+    /// Remembers an accepted block's digest for `δ`.
+    fn note_seen(&mut self, now: SimTime, digest: Digest) {
+        while let Some((at, old)) = self.seen_order.front() {
+            if at + DEFAULT_FETCH_TIMEOUT > now {
+                break;
+            }
+            self.seen.remove(old);
+            self.seen_order.pop_front();
+        }
+        self.seen.insert(digest);
+        self.seen_order.push_back((now, digest));
     }
 
     fn ingest_payload(&mut self, now: SimTime, mb: Microblock, effects: &mut Effects<DagMsg>) {
@@ -339,6 +378,10 @@ impl DagMempool {
         sig: Signature,
         effects: &mut Effects<DagMsg>,
     ) {
+        // A straggler for a batch that executed: no tally is opened for it.
+        if self.core.is_retired(&id) {
+            return;
+        }
         let Ok(Some(_)) = self.support.add(id, sig) else {
             return;
         };
@@ -385,7 +428,7 @@ impl DagMempool {
                 return;
             }
         }
-        self.seen.insert(digest);
+        self.note_seen(now, digest);
         let frontier = self.latest.entry(block.creator).or_insert(block.round);
         *frontier = (*frontier).max(block.round);
         self.core.telemetry().counter_inc("dag.block_in");
@@ -466,7 +509,7 @@ impl DagMempool {
             block.sig = self.support.sign(&digest);
             self.emitted = true;
             self.blocks_out += 1;
-            self.seen.insert(digest);
+            self.note_seen(now, digest);
             let frontier = self.latest.entry(me).or_insert(round);
             *frontier = (*frontier).max(round);
             self.core.telemetry().counter_inc("dag.block_out");
@@ -585,7 +628,11 @@ impl Mempool for DagMempool {
     }
 
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<DagMsg> {
-        self.core.on_commit(now, proposal)
+        let (support, my_acked) = (&mut self.support, &mut self.my_acked);
+        self.core.on_commit(now, proposal, |id| {
+            support.forget(id);
+            my_acked.remove(id);
+        })
     }
 
     fn stats(&self) -> MempoolStats {
@@ -936,5 +983,178 @@ mod tests {
         assert!(net[3].is_certified(&id));
         assert_eq!(net[3].support.get(&id).unwrap().signers().len(), 3);
         let _ = cfg;
+    }
+
+    #[test]
+    fn a_far_future_seq_is_not_parked_and_the_honest_sequence_still_releases() {
+        let cfg = config();
+        let keys = KeyPair::derive_all(cfg.seed, cfg.n);
+        let telemetry = Telemetry::new();
+        let mut b = DagMempool::with_mode(&cfg, ReplicaId(1), DagMode::FastPath);
+        b.set_telemetry(telemetry.clone());
+        let mut r = rng();
+        // Replica 0 is hostile: well-formed, signed genesis-round blocks
+        // whose `seq` starts a million past anything it ever emitted.
+        let hostile = |seq: u64| {
+            let mb = Microblock::seal(ReplicaId(0), txs(1 + seq as usize % 3), seq);
+            DagBlock::signed(
+                ReplicaId(0),
+                0,
+                seq,
+                Some(mb),
+                vec![],
+                vec![],
+                &keys[0].secret,
+            )
+        };
+        for seq in 1_000_000..1_000_200 {
+            let _ = b.on_message(5, ReplicaId(0), DagMsg::Block(hostile(seq)), &mut r);
+        }
+        let ledger = &b.ledgers[&ReplicaId(0)];
+        assert!(ledger.ahead.is_empty() && ledger.next == 0);
+        let dropped = telemetry.snapshot().counter("dag.ahead_dropped");
+        assert_eq!(dropped, Some(200));
+        assert_eq!(b.stats().proposable_microblocks, 0);
+        // Inside the window blocks are buffered as before, and the in-order
+        // prefix releases when `seq` 0 arrives.
+        for seq in [2, 1, AHEAD_WINDOW - 1, AHEAD_WINDOW] {
+            let _ = b.on_message(6, ReplicaId(0), DagMsg::Block(hostile(seq)), &mut r);
+        }
+        assert_eq!(b.ledgers[&ReplicaId(0)].ahead.len(), 3);
+        let _ = b.on_message(7, ReplicaId(0), DagMsg::Block(hostile(0)), &mut r);
+        let ledger = &b.ledgers[&ReplicaId(0)];
+        assert_eq!((ledger.next, ledger.ahead.len()), (3, 1));
+        assert_eq!(b.stats().proposable_microblocks, 3);
+    }
+
+    fn commit_refs(node: &mut DagMempool, now: SimTime, view: u64, payload: Payload) {
+        let p = Proposal::new(
+            View(view),
+            view,
+            BlockId::GENESIS,
+            ReplicaId(1),
+            payload,
+            true,
+        );
+        let _ = node.on_commit(now, &p);
+    }
+
+    #[test]
+    fn a_retired_batch_leaves_no_support_behind_and_does_not_block_its_creator() {
+        let (mut net, id, _) = one_batch(DagMode::Certified);
+        let mut r = rng();
+        let payload = net[1].make_payload(100);
+        assert_eq!(payload.ref_count(), 1);
+        // Replica 3 executes the batch through replica 1's proposal, and
+        // retires it one fetch timeout later.
+        commit_refs(&mut net[3], 1_000, 1, payload);
+        assert!(net[3].is_certified(&id), "held for δ");
+        commit_refs(
+            &mut net[3],
+            1_000 + DEFAULT_FETCH_TIMEOUT,
+            2,
+            Payload::Empty,
+        );
+        assert!(!net[3].is_certified(&id) && !net[3].my_acked.contains(&id));
+        assert_eq!(net[3].stats().stored_microblocks, 0);
+        // A straggler ack for it — replica 2's, in a block replica 3 had not
+        // seen — opens no tally; the block itself is accepted as ever.
+        let keys = KeyPair::derive_all(config().seed, 4);
+        let sig = Signature::sign(&keys[2].secret, &id.digest());
+        let late = DagBlock::signed(
+            ReplicaId(2),
+            0,
+            7,
+            None,
+            vec![],
+            vec![DagAck { id, sig }],
+            &keys[2].secret,
+        );
+        let _ = net[3].on_message(2_000_000, ReplicaId(2), DagMsg::Block(late), &mut r);
+        assert!(net[3].support.get(&id).is_none() && !net[3].is_certified(&id));
+
+        // Replica 2 never certified the creator's next batch itself, yet sees
+        // it commit: the ledger skips it, and the one after is released.
+        let mut fresh = DagMempool::new(&config(), ReplicaId(2));
+        let mk = |seq: u64| {
+            let mb = Microblock::seal(ReplicaId(0), txs(2 + seq as usize), seq);
+            let ack = DagAck {
+                id: mb.id,
+                sig: Signature::sign(&keys[0].secret, &mb.id.digest()),
+            };
+            let block = DagBlock::signed(
+                ReplicaId(0),
+                0,
+                seq,
+                Some(mb.clone()),
+                vec![],
+                vec![ack],
+                &keys[0].secret,
+            );
+            (mb, block)
+        };
+        let ((first, b0), (second, b1)) = (mk(0), mk(1));
+        let _ = fresh.on_message(10, ReplicaId(0), DagMsg::Block(b0), &mut r);
+        let _ = fresh.on_message(11, ReplicaId(0), DagMsg::Block(b1), &mut r);
+        assert_eq!(
+            fresh.ledgers[&ReplicaId(0)].ready.len(),
+            2,
+            "neither certified"
+        );
+        let proven = |mb: &Microblock| {
+            let sigs = (0..3).map(|i| Signature::sign(&keys[i].secret, &mb.id.digest()));
+            let proof = QuorumProof::from_signatures(mb.id.digest(), sigs);
+            MicroblockRef::proven(mb.id, mb.creator, mb.len() as u32, proof)
+        };
+        commit_refs(&mut fresh, 1_000, 1, Payload::Refs(vec![proven(&first)]));
+        // Two more acks certify the second; it is released past the first.
+        for signer in [1usize, 3] {
+            let sig = Signature::sign(&keys[signer].secret, &second.id.digest());
+            let block = DagBlock::signed(
+                ReplicaId(signer as u32),
+                0,
+                0,
+                None,
+                vec![],
+                vec![DagAck { id: second.id, sig }],
+                &keys[signer].secret,
+            );
+            let from = ReplicaId(signer as u32);
+            let _ = fresh.on_message(1_100, from, DagMsg::Block(block), &mut r);
+        }
+        assert!(fresh.ledgers[&ReplicaId(0)].ready.is_empty());
+        match fresh.make_payload(1_200) {
+            Payload::Refs(refs) => assert_eq!(refs.len(), 1),
+            other => panic!("unexpected payload {other:?}"),
+        }
+    }
+
+    #[test]
+    fn block_digests_are_remembered_for_one_fetch_timeout() {
+        let mut net = nodes(DagMode::Certified);
+        let mut r = rng();
+        let block_of = |fx: &Effects<DagMsg>| match &fx.msgs[0].1 {
+            DagMsg::Block(b) => b.clone(),
+            other => panic!("unexpected {other:?}"),
+        };
+        let old = block_of(&net[0].on_client_txs(0, txs(4), &mut r));
+        let _ = net[3].on_message(10, ReplicaId(0), DagMsg::Block(old.clone()), &mut r);
+        // Its own ack block and the creator's.
+        assert_eq!((net[3].seen.len(), net[3].seen_order.len()), (2, 2));
+        // Inside δ a second copy is suppressed outright.
+        let fx = net[3].on_message(20, ReplicaId(0), DagMsg::Block(old.clone()), &mut r);
+        assert!(fx.is_empty() && net[3].seen.len() == 2);
+        // The next accepted block, δ later, sweeps both digests; a replay of
+        // the old block is then checked and accepted again, and changes
+        // nothing: its batch is held, its `seq` noted, its ack counted.
+        let now = DEFAULT_FETCH_TIMEOUT + 100;
+        let new = block_of(&net[1].on_client_txs(now, txs(4), &mut r));
+        let _ = net[3].on_message(now, ReplicaId(1), DagMsg::Block(new), &mut r);
+        assert!(net[3].seen.len() <= 2 && net[3].seen_order.len() == net[3].seen.len());
+        let id = old.batch.as_ref().expect("batch rides the block").id;
+        let before = (net[3].stats(), net[3].support.get(&id).cloned());
+        let fx = net[3].on_message(now + 1, ReplicaId(0), DagMsg::Block(old), &mut r);
+        assert!(fx.is_empty());
+        assert_eq!((net[3].stats(), net[3].support.get(&id).cloned()), before);
     }
 }

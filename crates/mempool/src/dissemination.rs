@@ -8,12 +8,36 @@
 //! fetches with their retry timers, commit handling and the counters.  A
 //! backend holds one `Dissemination` next to its policy state and calls
 //! into it; nothing here knows which backend it serves.
+//!
+//! # State ends at the commit frontier
+//!
+//! [`Dissemination::on_commit`] is also the retire step (the rule is in
+//! `store.rs`): a microblock that executed here `δ = fetch_timeout` ago
+//! leaves the store and is handed to the backend's `forget`, which drops
+//! the policy state it kept for the id (proofs, certificates, echo and ack
+//! sets).  From its execution on, this one place refuses the id:
+//! [`Dissemination::make_proposable`] does not queue it,
+//! [`Dissemination::missing`] does not report it, a copy of its body is not
+//! stored again, and a fetch that names it counts it as done.  A backend
+//! asks [`Dissemination::is_retired`] before it opens state of its own for
+//! an id — after it has verified whatever carried the id, never instead.
+//! No timer drives this: the step runs inside `on_commit`, which consensus
+//! calls for every block, empty ones included.
+//!
+//! **What a laggard gets.**  A peer serves a microblock until `δ` after it
+//! executed it.  A replica that learns of a reference no later than the
+//! serving peer executes it has its first request and its first retry (`δ`
+//! later) both land inside that window; one that learns of it up to `δ`
+//! later still has its first request served.  A replica further behind
+//! than that needs block sync (ROADMAP direction 3) and is no worse off
+//! than before, when it never learned the reference at all: proposals
+//! older than its view are dropped by the pacemaker.
 
 use crate::api::{Effects, FillStatus, MempoolEvent, MempoolStats, TimerTag};
 use crate::batcher::{TxBatcher, BATCH_TIMEOUT_TAG};
 use crate::fetcher::{FetchAction, FetchRetryState};
 use crate::messages::{NarwhalMsg, SmpMsg};
-use crate::store::{FillTracker, MicroblockStore, ProposalQueue};
+use crate::store::{FillTracker, MicroblockStore, ProposalQueue, Retired};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use smp_crypto::{Digest, KeyPair, ProofError, PublicKey, QuorumProof, Signature};
@@ -62,13 +86,15 @@ pub enum Missing {
     Recoverable,
 }
 
-/// Batcher, store, proposal queue, fill tracker and fetcher of one replica.
+/// Batcher, store, commit frontier, proposal queue, fill tracker and
+/// fetcher of one replica.
 #[derive(Clone, Debug)]
 pub struct Dissemination {
     me: ReplicaId,
     max_refs: usize,
     batcher: TxBatcher,
     store: MicroblockStore,
+    retired: Retired,
     queue: ProposalQueue,
     tracker: FillTracker,
     fetcher: FetchRetryState,
@@ -78,13 +104,15 @@ pub struct Dissemination {
 
 impl Dissemination {
     /// Creates the core for replica `me`; missing microblocks are
-    /// re-requested every `fetch_timeout` (the paper's `δ`).
+    /// re-requested every `fetch_timeout` (the paper's `δ`), and executed
+    /// ones are held that long.
     pub fn new(config: &SystemConfig, me: ReplicaId, fetch_timeout: SimTime) -> Self {
         Dissemination {
             me,
             max_refs: config.mempool.max_refs_per_proposal,
             batcher: TxBatcher::new(me, config.mempool),
             store: MicroblockStore::new(),
+            retired: Retired::new(fetch_timeout),
             queue: ProposalQueue::new(),
             tracker: FillTracker::new(),
             fetcher: FetchRetryState::new(fetch_timeout),
@@ -101,6 +129,12 @@ impl Dissemination {
     /// The microblocks available locally.
     pub fn store(&self) -> &MicroblockStore {
         &self.store
+    }
+
+    /// Whether `id` has executed here: nothing about it is stored, queued
+    /// or fetched any more.
+    pub fn is_retired(&self, id: &MicroblockId) -> bool {
+        self.retired.contains(id)
     }
 
     /// The telemetry handle, for the backend's own counters.
@@ -155,7 +189,8 @@ impl Dissemination {
             return Some(mb);
         }
         if FetchRetryState::owns_tag(tag) {
-            if let Some(action) = self.fetcher.on_timer(tag, &self.store) {
+            let settled = settled(&self.store, &self.retired);
+            if let Some(action) = self.fetcher.on_timer(tag, settled) {
                 self.telemetry.counter_inc("fetcher.retry");
                 effects.send(action.target, M::fetch(action.ids));
                 effects.timer(self.fetcher.timeout, action.tag);
@@ -172,22 +207,28 @@ impl Dissemination {
 
     fn admit<M>(&mut self, now: SimTime, mb: Microblock, effects: &mut Effects<M>) -> bool {
         let id = mb.id;
-        if !self.store.insert(mb) {
+        if self.retired.contains(&id) || !self.store.insert(mb) {
             return false;
         }
         self.telemetry.counter_inc("dissemination.mb_in");
-        effects
-            .events
-            .extend(self.tracker.on_microblock(id, &self.store, now));
+        effects.events.extend(
+            self.tracker
+                .on_microblock(id, &self.store, &mut self.retired, now),
+        );
         true
     }
 
+    fn prune_fetches(&mut self) {
+        self.fetcher.prune(settled(&self.store, &self.retired));
+    }
+
     /// Stores a microblock received from a peer, resuming the proposals
-    /// that waited for it.  Returns `false` for a duplicate.
+    /// that waited for it.  Returns `false` for a duplicate, and for a copy
+    /// of a microblock that has executed here already.
     pub fn absorb<M>(&mut self, now: SimTime, mb: Microblock, effects: &mut Effects<M>) -> bool {
         let new = self.admit(now, mb, effects);
         if new {
-            self.fetcher.prune(&self.store);
+            self.prune_fetches();
         }
         new
     }
@@ -202,10 +243,11 @@ impl Dissemination {
         for mb in mbs {
             self.admit(now, mb, effects);
         }
-        self.fetcher.prune(&self.store);
+        self.prune_fetches();
     }
 
-    /// Answers a fetch request with the requested microblocks held here.
+    /// Answers a fetch request with the requested microblocks held here —
+    /// every one that has not executed, or did less than `δ` ago.
     pub fn serve_fetch<M: FetchWire>(
         &self,
         from: ReplicaId,
@@ -221,9 +263,12 @@ impl Dissemination {
         }
     }
 
-    /// Makes `id` eligible for this replica's future proposals.
+    /// Makes `id` eligible for this replica's future proposals, unless it
+    /// has executed here: a committed microblock is not proposed again.
     pub fn make_proposable(&mut self, id: MicroblockId) {
-        self.queue.push(id);
+        if !self.retired.contains(&id) {
+            self.queue.push(id);
+        }
     }
 
     /// Whether `id` is waiting in the proposal queue.
@@ -269,12 +314,13 @@ impl Dissemination {
 
     /// Takes the referenced microblocks out of the proposal queue (they
     /// are no longer proposable by this replica) and returns the
-    /// references whose data is not held locally.
+    /// references whose data is still wanted: not held locally, and not
+    /// executed here already.
     pub fn missing<'p>(&mut self, refs: &'p [MicroblockRef]) -> Vec<&'p MicroblockRef> {
         let mut missing = Vec::new();
         for r in refs {
             self.queue.remove(&r.id);
-            if !self.store.contains(&r.id) {
+            if !self.store.contains(&r.id) && !self.retired.contains(&r.id) {
                 missing.push(r);
             }
         }
@@ -334,14 +380,35 @@ impl Dissemination {
 
     /// Consensus committed `proposal`: its references stop being
     /// proposable and it executes as soon as all of its data is local.
-    pub fn on_commit<M>(&mut self, now: SimTime, proposal: &Proposal) -> Effects<M> {
+    /// Then the retire step: every microblock that executed `δ` ago leaves
+    /// the store, and `forget` drops the backend's state for it.
+    pub fn on_commit<M>(
+        &mut self,
+        now: SimTime,
+        proposal: &Proposal,
+        mut forget: impl FnMut(&MicroblockId),
+    ) -> Effects<M> {
         if let Payload::Refs(refs) = &proposal.payload {
             for r in refs {
                 self.queue.remove(&r.id);
             }
         }
         let mut effects = Effects::none();
-        effects.events = self.tracker.on_commit(proposal, &self.store, now);
+        effects.events = self
+            .tracker
+            .on_commit(proposal, &self.store, &mut self.retired, now);
+        while let Some(id) = self.retired.pop_due(now) {
+            self.store.remove(&id);
+            forget(&id);
+        }
+        let t = &self.telemetry;
+        t.gauge_set("mempool.store.len", self.store.len() as f64);
+        t.gauge_set("mempool.retired.len", self.retired.len() as f64);
+        t.gauge_set("mempool.queue.slots", self.queue.slots() as f64);
+        t.gauge_set(
+            "mempool.fetch.outstanding",
+            self.fetcher.outstanding() as f64,
+        );
         effects
     }
 
@@ -355,8 +422,17 @@ impl Dissemination {
             created_microblocks: self.created,
             forwarded_microblocks: 0,
             fetches_issued: self.fetcher.issued(),
+            retired_microblocks: self.retired.len(),
         }
     }
+}
+
+/// Whether nothing more is to be fetched for an id: held, or retired.
+fn settled<'a>(
+    store: &'a MicroblockStore,
+    retired: &'a Retired,
+) -> impl Fn(&MicroblockId) -> bool + 'a {
+    |id| store.contains(id) || retired.contains(id)
 }
 
 /// The reference of a best-effort backend: no proof, metadata read from
@@ -491,6 +567,11 @@ impl CertificateBook {
         valid
     }
 
+    /// Drops whatever is held for `id` (it retired).
+    pub(crate) fn forget(&mut self, id: &MicroblockId) {
+        self.proofs.remove(id);
+    }
+
     /// The certificate of `id`, once it has one.
     pub(crate) fn get(&self, id: &MicroblockId) -> Option<&QuorumProof> {
         self.proofs.get(id).filter(|p| p.has_quorum(self.quorum))
@@ -505,6 +586,173 @@ impl CertificateBook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smp_types::{BlockId, ClientId, View};
+
+    /// The `δ` of the cores below.
+    const DELTA: SimTime = 500_000;
+
+    fn core(me: u32) -> Dissemination {
+        Dissemination::new(&SystemConfig::new(4), ReplicaId(me), DELTA)
+    }
+
+    fn mb(creator: u32, seq: u64) -> Microblock {
+        let mut tx = Transaction::synthetic(ClientId(creator), seq, 128, 0);
+        tx.mark_received(ReplicaId(creator), 10);
+        Microblock::seal(ReplicaId(creator), vec![tx], 0)
+    }
+
+    fn proposal(view: u64, mbs: &[&Microblock]) -> Proposal {
+        let payload = if mbs.is_empty() {
+            Payload::Empty
+        } else {
+            Payload::Refs(
+                mbs.iter()
+                    .map(|m| MicroblockRef::unproven(m.id, m.creator, m.len() as u32))
+                    .collect(),
+            )
+        };
+        Proposal::new(
+            View(view),
+            view,
+            BlockId::GENESIS,
+            ReplicaId(0),
+            payload,
+            true,
+        )
+    }
+
+    /// Commits `p` at `now`; the ids handed to the backend, and the
+    /// transactions reported executed.
+    fn commit(core: &mut Dissemination, now: SimTime, p: &Proposal) -> (Vec<MicroblockId>, u32) {
+        let mut forgotten = Vec::new();
+        let fx: Effects<SmpMsg> = core.on_commit(now, p, |id| forgotten.push(*id));
+        let executed = fx.events.iter().map(|e| match e {
+            MempoolEvent::Executed { tx_count, .. } => *tx_count,
+            other => panic!("unexpected event {other:?}"),
+        });
+        (forgotten, executed.sum())
+    }
+
+    fn served(core: &Dissemination, id: MicroblockId) -> bool {
+        let mut fx: Effects<SmpMsg> = Effects::none();
+        core.serve_fetch(ReplicaId(3), &[id], &mut fx);
+        !fx.msgs.is_empty()
+    }
+
+    #[test]
+    fn a_microblock_is_served_until_delta_after_it_executed_here() {
+        let (mut peer, x) = (core(1), mb(2, 0));
+        peer.hold(&x);
+        // A laggard that learns of the reference at 900, before the peer
+        // executes it at 1 000: its first request and — that one lost — its
+        // first retry, δ later, both land inside the peer's window.
+        assert!(served(&peer, x.id), "first request, at 900");
+        assert_eq!(commit(&mut peer, 1_000, &proposal(1, &[&x])), (vec![], 1));
+        assert!(peer.is_retired(&x.id) && peer.stats().stored_microblocks == 1);
+        assert_eq!(
+            commit(&mut peer, 900 + DELTA, &proposal(2, &[])),
+            (vec![], 0)
+        );
+        assert!(served(&peer, x.id), "first retry, at 900 + δ");
+        // The next commit at or after 1 000 + δ retires it, and hands the id
+        // to the backend: whoever asks from then on is not served.
+        assert_eq!(
+            commit(&mut peer, 1_000 + DELTA, &proposal(3, &[])),
+            (vec![x.id], 0)
+        );
+        assert!(!served(&peer, x.id));
+        let stats = peer.stats();
+        assert_eq!(
+            (stats.stored_microblocks, stats.retired_microblocks),
+            (0, 1)
+        );
+    }
+
+    #[test]
+    fn a_body_that_arrives_after_its_commit_is_held_delta_from_its_arrival() {
+        let (mut core, x) = (core(1), mb(2, 0));
+        let p = proposal(1, &[&x]);
+        let mut fx: Effects<SmpMsg> = Effects::none();
+        let status = core.fill(
+            &p,
+            |_| Ok(()),
+            |_| vec![ReplicaId(0)],
+            Missing::Recoverable,
+            &mut fx,
+        );
+        assert_eq!(status, FillStatus::Ready);
+        // Committed at 1 000 without its data: nothing executes yet.
+        assert_eq!(commit(&mut core, 1_000, &p), (vec![], 0));
+        assert!(!core.is_retired(&x.id));
+        // The body arrives at 400 000 and the proposal executes then.
+        let mut fx: Effects<SmpMsg> = Effects::none();
+        core.absorb_fetched(400_000, vec![x.clone()], &mut fx);
+        assert!(matches!(
+            fx.events[..],
+            [MempoolEvent::Executed { tx_count: 1, .. }]
+        ));
+        // δ after the commit it is still served; δ after the arrival it goes.
+        assert_eq!(
+            commit(&mut core, 1_000 + DELTA, &proposal(2, &[])),
+            (vec![], 0)
+        );
+        assert!(served(&core, x.id));
+        assert_eq!(
+            commit(&mut core, 400_000 + DELTA, &proposal(3, &[])),
+            (vec![x.id], 0)
+        );
+        assert!(!served(&core, x.id));
+    }
+
+    #[test]
+    fn a_retired_id_is_not_stored_queued_reported_missing_or_executed_again() {
+        let (mut core, x) = (core(1), mb(2, 0));
+        core.hold(&x);
+        core.make_proposable(x.id);
+        assert!(core.is_proposable(&x.id));
+        let p = proposal(1, &[&x]);
+        assert_eq!(commit(&mut core, 1_000, &p), (vec![], 1));
+        assert_eq!(
+            commit(&mut core, 1_000 + DELTA, &proposal(2, &[])),
+            (vec![x.id], 0)
+        );
+        // A late proof or certificate wants it proposable: refused.
+        core.make_proposable(x.id);
+        assert!(!core.is_proposable(&x.id));
+        // A late copy of the body is a duplicate, as it was while held.
+        let mut fx: Effects<SmpMsg> = Effects::none();
+        assert!(!core.absorb(2_000_000, x.clone(), &mut fx) && fx.is_empty());
+        // A second proposal that names it has nothing to fetch, waits for
+        // nothing, and executes with nothing new.
+        let again = proposal(3, &[&x]);
+        let refs = Dissemination::refs_of(&again).unwrap();
+        assert!(core.missing(refs).is_empty());
+        assert_eq!(commit(&mut core, 2_000_000, &again), (vec![], 0));
+        let stats = core.stats();
+        assert_eq!(
+            (stats.stored_microblocks, stats.retired_microblocks),
+            (0, 1)
+        );
+    }
+
+    #[test]
+    fn a_fetch_whose_ids_have_all_retired_completes() {
+        let (mut core, x) = (core(1), mb(2, 0));
+        // A proof made this replica fetch `x`; then a proposal it never
+        // filled (it had judged it invalid) commits and executes with `x`
+        // still absent, and a copy that arrives later is refused as retired.
+        let action = core.request(vec![x.id], vec![ReplicaId(2), ReplicaId(3)]);
+        assert_eq!(commit(&mut core, 1_000, &proposal(1, &[&x])), (vec![], 1));
+        let mut fx: Effects<SmpMsg> = Effects::none();
+        assert!(!core.absorb(2_000, x.clone(), &mut fx));
+        assert_eq!(core.fetcher.outstanding(), 1);
+        // Judged by the store alone the entry would ask for `x` again, every
+        // δ, for ever.
+        let mut fx: Effects<SmpMsg> = Effects::none();
+        assert!(core.on_timer(DELTA, action.tag, &mut fx).is_none());
+        assert!(fx.is_empty());
+        assert_eq!(core.fetcher.outstanding(), 0);
+    }
 
     #[test]
     fn certificate_freezes_at_the_quorum_th_signature() {

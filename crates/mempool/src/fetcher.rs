@@ -6,9 +6,12 @@
 //! `PAB-Fetch` procedure re-invokes itself after `δ`).  [`FetchRetryState`]
 //! owns that bookkeeping: it assigns timer tags, remembers which ids were
 //! requested from which candidates, and on timeout reports which ids are
-//! still missing together with the next candidate target to try.
+//! still missing together with the next candidate target to try.  The
+//! caller says which ids are `settled` — held, or already retired (see
+//! `store.rs`): the table itself never looks at the store, so a fetch of a
+//! microblock that executed and left the store completes instead of being
+//! re-requested every `δ` for ever.
 
-use crate::store::MicroblockStore;
 use smp_types::{MicroblockId, ReplicaId, SimTime};
 use std::collections::HashMap;
 
@@ -95,11 +98,15 @@ impl FetchRetryState {
     }
 
     /// Handles a retry timer.  Returns the next action if some of the ids
-    /// are still missing from `store`, or `None` if the fetch is complete
-    /// (the entry is dropped either way when complete).
-    pub fn on_timer(&mut self, tag: u64, store: &MicroblockStore) -> Option<FetchAction> {
+    /// are not `settled` yet, or `None` if the fetch is complete (the entry
+    /// is dropped when complete).
+    pub fn on_timer(
+        &mut self,
+        tag: u64,
+        settled: impl Fn(&MicroblockId) -> bool,
+    ) -> Option<FetchAction> {
         let entry = self.entries.get_mut(&tag)?;
-        entry.ids.retain(|id| !store.contains(id));
+        entry.ids.retain(|id| !settled(id));
         if entry.ids.is_empty() {
             self.entries.remove(&tag);
             return None;
@@ -115,11 +122,11 @@ impl FetchRetryState {
         })
     }
 
-    /// Drops entries whose ids are all present in `store` (called after a
-    /// batch of arrivals to keep the table small).
-    pub fn prune(&mut self, store: &MicroblockStore) {
+    /// Drops entries whose ids are all `settled` (called after a batch of
+    /// arrivals to keep the table small).
+    pub fn prune(&mut self, settled: impl Fn(&MicroblockId) -> bool) {
         self.entries.retain(|_, e| {
-            e.ids.retain(|id| !store.contains(id));
+            e.ids.retain(|id| !settled(id));
             !e.ids.is_empty()
         });
     }
@@ -128,6 +135,7 @@ impl FetchRetryState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::MicroblockStore;
     use smp_types::{ClientId, Microblock, Transaction};
 
     fn mb(creator: u32, seq: u64) -> Microblock {
@@ -153,12 +161,16 @@ mod tests {
         let a = mb(1, 0);
         let mut store = MicroblockStore::new();
         let action = f.register(vec![a.id], vec![ReplicaId(3), ReplicaId(4)]);
-        let retry = f.on_timer(action.tag, &store).expect("still missing");
+        let retry = f
+            .on_timer(action.tag, |id| store.contains(id))
+            .expect("still missing");
         assert_eq!(retry.target, ReplicaId(4));
-        let retry2 = f.on_timer(action.tag, &store).expect("still missing");
+        let retry2 = f
+            .on_timer(action.tag, |id| store.contains(id))
+            .expect("still missing");
         assert_eq!(retry2.target, ReplicaId(3));
         store.insert(a.clone());
-        assert!(f.on_timer(action.tag, &store).is_none());
+        assert!(f.on_timer(action.tag, |id| store.contains(id)).is_none());
         assert_eq!(f.outstanding(), 0);
     }
 
@@ -166,7 +178,7 @@ mod tests {
     fn unknown_tag_is_ignored() {
         let mut f = FetchRetryState::new(1000);
         let store = MicroblockStore::new();
-        assert!(f.on_timer(12345, &store).is_none());
+        assert!(f.on_timer(12345, |id| store.contains(id)).is_none());
     }
 
     #[test]
@@ -178,7 +190,7 @@ mod tests {
         f.register(vec![a.id], vec![ReplicaId(1)]);
         f.register(vec![b.id], vec![ReplicaId(2)]);
         store.insert(a);
-        f.prune(&store);
+        f.prune(|id| store.contains(id));
         assert_eq!(f.outstanding(), 1);
     }
 

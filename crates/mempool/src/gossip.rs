@@ -174,7 +174,8 @@ impl Mempool for GossipSmp {
     }
 
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<SmpMsg> {
-        self.core.on_commit(now, proposal)
+        // Nothing is kept per id outside the core.
+        self.core.on_commit(now, proposal, |_| {})
     }
 
     fn stats(&self) -> MempoolStats {

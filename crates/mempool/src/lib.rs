@@ -81,4 +81,4 @@ pub use messages::{NarwhalMsg, SmpMsg};
 pub use narwhal::NarwhalMempool;
 pub use native::{NativeMempool, NativeMsg};
 pub use simple::{SimpleSmp, DEFAULT_FETCH_TIMEOUT};
-pub use store::{FillTracker, MicroblockStore, ProposalQueue};
+pub use store::{FillTracker, MicroblockStore, ProposalQueue, Retired};

@@ -149,6 +149,18 @@ impl Mempool for NarwhalMempool {
         _rng: &mut SmallRng,
     ) -> Effects<NarwhalMsg> {
         let mut effects = Effects::none();
+        // A straggler for a batch that executed here — a copy of it, an echo,
+        // a ready, its certificate — opens no state: nothing is left to do.
+        let about = match &msg {
+            NarwhalMsg::Batch(mb) => Some(mb.id),
+            NarwhalMsg::Echo { id, .. }
+            | NarwhalMsg::Ready { id, .. }
+            | NarwhalMsg::Certificate { id, .. } => Some(*id),
+            NarwhalMsg::Fetch { .. } | NarwhalMsg::FetchResp { .. } => None,
+        };
+        if about.is_some_and(|id| self.core.is_retired(&id)) {
+            return effects;
+        }
         match msg {
             NarwhalMsg::Batch(mb) => {
                 let id = mb.id;
@@ -227,7 +239,14 @@ impl Mempool for NarwhalMempool {
     }
 
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<NarwhalMsg> {
-        self.core.on_commit(now, proposal)
+        let (echoes, readies) = (&mut self.echoes, &mut self.readies);
+        let (ready_sent, meta) = (&mut self.ready_sent, &mut self.meta);
+        self.core.on_commit(now, proposal, |id| {
+            echoes.forget(id);
+            readies.forget(id);
+            ready_sent.remove(id);
+            meta.remove(id);
+        })
     }
 
     fn stats(&self) -> MempoolStats {
@@ -439,5 +458,60 @@ mod tests {
             stable_seen,
             "creator should observe stability after certification"
         );
+    }
+
+    #[test]
+    fn a_retired_batch_leaves_no_echo_ready_or_meta_behind() {
+        let (mut nodes, id) = certify_one_batch();
+        let payload = nodes[1].make_payload(100);
+        let p = Proposal::new(View(5), 1, BlockId::GENESIS, ReplicaId(1), payload, true);
+        let mut r = rng();
+        let node = &mut nodes[2];
+        assert_eq!(node.on_proposal(200, &p, &mut r).0, FillStatus::Ready);
+        let _ = node.on_commit(1_000, &p);
+        assert!(
+            node.is_certified(&id) && node.meta.contains_key(&id),
+            "held for δ"
+        );
+        let empty = Proposal::new(
+            View(6),
+            2,
+            BlockId::GENESIS,
+            ReplicaId(2),
+            Payload::Empty,
+            true,
+        );
+        let _ = node.on_commit(1_000 + DEFAULT_FETCH_TIMEOUT, &empty);
+        let gone = |n: &NarwhalMempool| {
+            n.echoes.get(&id).is_none()
+                && !n.is_certified(&id)
+                && !n.ready_sent.contains(&id)
+                && !n.meta.contains_key(&id)
+                && n.stats().stored_microblocks == 0
+        };
+        assert!(gone(node));
+        // Stragglers — the fourth echo and ready, the batch itself, its
+        // certificate — are dropped: no tally, no meta, no echo, no fetch.
+        let cert = nodes[0].readies.get(&id).unwrap().clone();
+        let batch = nodes[0].core.store().get(&id).unwrap().clone();
+        let echo = nodes[3].echoes.sign(&id.digest());
+        let ready = nodes[3].readies.sign(&id.digest());
+        let node = &mut nodes[2];
+        for msg in [
+            NarwhalMsg::Echo { id, sig: echo },
+            NarwhalMsg::Ready { id, sig: ready },
+            NarwhalMsg::Batch(batch),
+            NarwhalMsg::Certificate {
+                id,
+                creator: ReplicaId(0),
+                tx_count: 4,
+                proof: cert,
+            },
+        ] {
+            let fx = node.on_message(2_000_000, ReplicaId(3), msg, &mut r);
+            assert!(fx.is_empty(), "{fx:?}");
+        }
+        assert!(gone(node));
+        assert_eq!(node.make_payload(2_000_001), Payload::Empty);
     }
 }

@@ -142,11 +142,7 @@ impl Mempool for NativeMempool {
     fn stats(&self) -> MempoolStats {
         MempoolStats {
             unbatched_txs: self.pending.len(),
-            stored_microblocks: 0,
-            proposable_microblocks: 0,
-            created_microblocks: 0,
-            forwarded_microblocks: 0,
-            fetches_issued: 0,
+            ..MempoolStats::default()
         }
     }
 }

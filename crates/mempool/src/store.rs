@@ -1,20 +1,40 @@
-//! Microblock storage and proposal fill tracking.
+//! Microblock storage, the commit frontier and proposal fill tracking.
 //!
-//! Every shared-mempool variant needs the same two pieces of bookkeeping:
+//! Every shared-mempool variant needs the same pieces of bookkeeping:
 //!
-//! * a content-addressed store of microblocks received so far
-//!   ([`MicroblockStore`]), and
+//! * a content-addressed store of microblocks received and not yet
+//!   retired ([`MicroblockStore`]),
+//! * the commit frontier ([`Retired`]): which microblocks have executed
+//!   here, and which of those are still held, and
 //! * a tracker of proposals whose referenced microblocks are not all
 //!   locally available yet ([`FillTracker`]) — when the last missing
 //!   microblock arrives, the tracker emits `ProposalReady` (if consensus
 //!   was blocked on it) and/or `Executed` (if the proposal had already
 //!   committed and was waiting for data before execution).
+//!
+//! # The retire rule
+//!
+//! State about a microblock ends one `δ` (the fetch retry period the core
+//! already holds) after the microblock *executes* at this replica: its body
+//! leaves the store, and the backend drops whatever it kept for the id.
+//! Execution needs the body, so a body that arrives after its commit is
+//! held for `δ` from its arrival.  What stays is the id's first 64-bit word
+//! in [`Retired`], so that a late proof, reference or copy of the body is
+//! recognised and dropped instead of being stored, queued or fetched anew.
+//! Eight bytes are enough because ids are digests: two of the `N` ids a
+//! replica ever retires share a first word with probability `≈ N² / 2⁶⁵`
+//! (`10⁻⁴` after 10⁸ microblocks), and the cost of a collision is one
+//! microblock this replica will not propose itself.  The words are the one
+//! thing that grows with the length of a run — 8 bytes a microblock where
+//! everything else was ≈ 400; a per-creator sequence watermark would make
+//! them `O(n)` and is left open.
 
 use crate::api::MempoolEvent;
 use smp_types::{BlockId, Microblock, MicroblockId, Payload, Proposal, SimTime};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
-/// Content-addressed store of microblocks.
+/// Content-addressed store of the microblocks held: received, and not yet
+/// retired.
 #[derive(Clone, Debug, Default)]
 pub struct MicroblockStore {
     mbs: HashMap<MicroblockId, Microblock>,
@@ -50,7 +70,7 @@ impl MicroblockStore {
         self.mbs.contains_key(id)
     }
 
-    /// Removes a microblock (garbage collection after commit).
+    /// Removes a microblock (it retired).
     pub fn remove(&mut self, id: &MicroblockId) -> Option<Microblock> {
         self.mbs.remove(id)
     }
@@ -78,15 +98,76 @@ impl MicroblockStore {
     }
 }
 
+/// The commit frontier of one replica: the first id word of every
+/// microblock that has executed here, and the executed microblocks that are
+/// still held, in execution order (see the module docs for the rule).
+#[derive(Clone, Debug)]
+pub struct Retired {
+    /// How long an executed microblock is held: the fetch retry period `δ`.
+    hold: SimTime,
+    words: HashSet<u64>,
+    /// `(time the hold ends, id)`; times never decrease.
+    held: VecDeque<(SimTime, MicroblockId)>,
+}
+
+impl Retired {
+    /// An empty frontier that holds an executed microblock for `hold`.
+    pub fn new(hold: SimTime) -> Self {
+        Retired {
+            hold,
+            words: HashSet::new(),
+            held: VecDeque::new(),
+        }
+    }
+
+    /// Whether `id` has executed here.
+    pub fn contains(&self, id: &MicroblockId) -> bool {
+        self.words.contains(&id.digest().short())
+    }
+
+    /// Records that `id` executes at `now`; `false` if it had before.
+    pub fn execute(&mut self, id: MicroblockId, now: SimTime) -> bool {
+        let first = self.words.insert(id.digest().short());
+        if first {
+            self.held.push_back((now + self.hold, id));
+        }
+        first
+    }
+
+    /// The next executed microblock whose hold has ended by `now`.
+    pub fn pop_due(&mut self, now: SimTime) -> Option<MicroblockId> {
+        let (due, id) = *self.held.front()?;
+        (due <= now).then(|| {
+            self.held.pop_front();
+            id
+        })
+    }
+
+    /// Number of microblocks that have executed here.
+    pub fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Whether nothing has executed here yet.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+}
+
 /// A FIFO of microblock ids eligible for inclusion in a future proposal —
 /// the paper's `avaQue`.
 #[derive(Clone, Debug, Default)]
 pub struct ProposalQueue {
+    /// Ids in arrival order; one that is no longer in `members` is a
+    /// tombstone, skipped by `pop` and swept by `remove`.
     queue: VecDeque<MicroblockId>,
     members: BTreeSet<MicroblockId>,
 }
 
 impl ProposalQueue {
+    /// Tombstones tolerated before the first sweep.
+    const SLACK: usize = 32;
+
     /// Creates an empty queue.
     pub fn new() -> Self {
         ProposalQueue::default()
@@ -110,10 +191,19 @@ impl ProposalQueue {
     }
 
     /// Removes an id wherever it is in the queue (e.g. it was proposed by
-    /// another leader).
+    /// another leader).  It stays in the `VecDeque` as a tombstone; once
+    /// tombstones outnumber members they are swept, so the slots stay within
+    /// `2 × members + 32` at an amortised `O(1)` a removal.
     pub fn remove(&mut self, id: &MicroblockId) {
-        self.members.remove(id);
-        // The id stays in the VecDeque but is skipped by `pop`.
+        if self.members.remove(id) && self.queue.len() > 2 * self.members.len() + Self::SLACK {
+            let members = &self.members;
+            self.queue.retain(|queued| members.contains(queued));
+        }
+    }
+
+    /// Slots in use: members plus tombstones.
+    pub fn slots(&self) -> usize {
+        self.queue.len()
     }
 
     /// Whether the queue currently contains `id`.
@@ -135,8 +225,8 @@ impl ProposalQueue {
 #[derive(Clone, Debug)]
 struct PendingProposal {
     missing: BTreeSet<MicroblockId>,
-    all_refs: Vec<MicroblockId>,
-    tx_count: u32,
+    /// Every reference of the proposal with its transaction count.
+    refs: Vec<(MicroblockId, u32)>,
     /// Consensus is blocked waiting for this proposal (`MustWait`).
     awaiting_ready: bool,
     /// The proposal has committed and will be executed once full.
@@ -174,19 +264,15 @@ impl FillTracker {
         if missing.is_empty() {
             return;
         }
-        let (all_refs, tx_count) = match &proposal.payload {
-            Payload::Refs(refs) => (
-                refs.iter().map(|r| r.id).collect::<Vec<_>>(),
-                refs.iter().map(|r| r.tx_count).sum(),
-            ),
-            _ => (Vec::new(), 0),
+        let refs = match &proposal.payload {
+            Payload::Refs(refs) => refs.iter().map(|r| (r.id, r.tx_count)).collect(),
+            _ => Vec::new(),
         };
         self.pending.insert(
             proposal.id,
             PendingProposal {
                 missing: missing.into_iter().collect(),
-                all_refs,
-                tx_count,
+                refs,
                 awaiting_ready,
                 committed: false,
             },
@@ -198,6 +284,34 @@ impl FillTracker {
         self.pending.contains_key(proposal)
     }
 
+    /// Executes `refs` at `now`, each microblock once: the event counts the
+    /// transactions and reception times of the references that execute for
+    /// the first time at this replica, which `retired` remembers.
+    fn execute(
+        &mut self,
+        proposal: BlockId,
+        refs: impl IntoIterator<Item = (MicroblockId, u32)>,
+        store: &MicroblockStore,
+        retired: &mut Retired,
+        now: SimTime,
+    ) -> MempoolEvent {
+        self.executed += 1;
+        let mut tx_count = 0;
+        let first = refs
+            .into_iter()
+            .filter(|(id, _)| retired.execute(*id, now))
+            .map(|(id, txs)| {
+                tx_count += txs;
+                id
+            });
+        let receive_times = store.receive_times(first);
+        MempoolEvent::Executed {
+            proposal,
+            tx_count,
+            receive_times,
+        }
+    }
+
     /// Records the arrival of a microblock; returns the notifications to
     /// emit (`ProposalReady` for proposals consensus was blocked on,
     /// `Executed` for committed proposals that just became full).
@@ -205,7 +319,8 @@ impl FillTracker {
         &mut self,
         id: MicroblockId,
         store: &MicroblockStore,
-        _now: SimTime,
+        retired: &mut Retired,
+        now: SimTime,
     ) -> Vec<MempoolEvent> {
         let mut events = Vec::new();
         let mut completed = Vec::new();
@@ -225,12 +340,7 @@ impl FillTracker {
                 events.push(MempoolEvent::ProposalReady { proposal: pid });
             }
             if pending.committed {
-                self.executed += 1;
-                events.push(MempoolEvent::Executed {
-                    proposal: pid,
-                    tx_count: pending.tx_count,
-                    receive_times: store.receive_times(pending.all_refs.iter().copied()),
-                });
+                events.push(self.execute(pid, pending.refs, store, retired, now));
             }
         }
         events
@@ -243,7 +353,8 @@ impl FillTracker {
         &mut self,
         proposal: &Proposal,
         store: &MicroblockStore,
-        _now: SimTime,
+        retired: &mut Retired,
+        now: SimTime,
     ) -> Vec<MempoolEvent> {
         match &proposal.payload {
             Payload::Refs(refs) => {
@@ -251,13 +362,8 @@ impl FillTracker {
                     pending.committed = true;
                     return Vec::new();
                 }
-                self.executed += 1;
-                let tx_count = refs.iter().map(|r| r.tx_count).sum();
-                vec![MempoolEvent::Executed {
-                    proposal: proposal.id,
-                    tx_count,
-                    receive_times: store.receive_times(refs.iter().map(|r| r.id)),
-                }]
+                let refs = refs.iter().map(|r| (r.id, r.tx_count));
+                vec![self.execute(proposal.id, refs, store, retired, now)]
             }
             Payload::Inline(txs) => {
                 self.executed += 1;
@@ -286,6 +392,9 @@ impl FillTracker {
 mod tests {
     use super::*;
     use smp_types::{ClientId, MicroblockRef, ReplicaId, Transaction, View};
+
+    /// The hold of an executed microblock in these tests.
+    const DELTA: SimTime = 500;
 
     fn mb(creator: u32, base: u64, n: usize) -> Microblock {
         let txs: Vec<Transaction> = (0..n)
@@ -353,10 +462,11 @@ mod tests {
         store.insert(m1.clone());
         let p = refs_proposal(&[&m1, &m2]);
         let mut tracker = FillTracker::new();
+        let mut retired = Retired::new(DELTA);
         tracker.track(&p, vec![m2.id], true);
         assert!(tracker.is_pending(&p.id));
         store.insert(m2.clone());
-        let events = tracker.on_microblock(m2.id, &store, 50);
+        let events = tracker.on_microblock(m2.id, &store, &mut retired, 50);
         assert_eq!(events, vec![MempoolEvent::ProposalReady { proposal: p.id }]);
         assert!(!tracker.is_pending(&p.id));
     }
@@ -369,11 +479,12 @@ mod tests {
         store.insert(m1.clone());
         let p = refs_proposal(&[&m1, &m2]);
         let mut tracker = FillTracker::new();
+        let mut retired = Retired::new(DELTA);
         tracker.track(&p, vec![m2.id], false);
         // Commit arrives while data is still missing: execution deferred.
-        assert!(tracker.on_commit(&p, &store, 40).is_empty());
+        assert!(tracker.on_commit(&p, &store, &mut retired, 40).is_empty());
         store.insert(m2.clone());
-        let events = tracker.on_microblock(m2.id, &store, 50);
+        let events = tracker.on_microblock(m2.id, &store, &mut retired, 50);
         assert_eq!(events.len(), 1);
         match &events[0] {
             MempoolEvent::Executed {
@@ -396,7 +507,8 @@ mod tests {
         store.insert(m1.clone());
         let p = refs_proposal(&[&m1]);
         let mut tracker = FillTracker::new();
-        let events = tracker.on_commit(&p, &store, 99);
+        let mut retired = Retired::new(DELTA);
+        let events = tracker.on_commit(&p, &store, &mut retired, 99);
         assert_eq!(events.len(), 1);
         match &events[0] {
             MempoolEvent::Executed { tx_count, .. } => assert_eq!(*tx_count, 4),
@@ -408,6 +520,7 @@ mod tests {
     fn inline_and_empty_payloads_execute_directly() {
         let store = MicroblockStore::new();
         let mut tracker = FillTracker::new();
+        let mut retired = Retired::new(DELTA);
         let txs: Vec<Transaction> = (0..3)
             .map(|i| {
                 let mut t = Transaction::synthetic(ClientId(0), i, 128, 0);
@@ -423,7 +536,7 @@ mod tests {
             Payload::inline(txs),
             true,
         );
-        let events = tracker.on_commit(&inline, &store, 10);
+        let events = tracker.on_commit(&inline, &store, &mut retired, 10);
         match &events[0] {
             MempoolEvent::Executed {
                 tx_count,
@@ -443,7 +556,7 @@ mod tests {
             Payload::Empty,
             true,
         );
-        let events = tracker.on_commit(&empty, &store, 10);
+        let events = tracker.on_commit(&empty, &store, &mut retired, 10);
         match &events[0] {
             MempoolEvent::Executed { tx_count, .. } => assert_eq!(*tx_count, 0),
             other => panic!("unexpected event {other:?}"),
@@ -462,11 +575,12 @@ mod tests {
         store.insert(m.clone());
         for _ in 0..4 {
             let mut tracker = FillTracker::new();
+            let mut retired = Retired::new(DELTA);
             for p in &proposals {
                 tracker.track(p, vec![m.id], true);
             }
             let ready: Vec<BlockId> = tracker
-                .on_microblock(m.id, &store, 50)
+                .on_microblock(m.id, &store, &mut retired, 50)
                 .into_iter()
                 .map(|e| match e {
                     MempoolEvent::ProposalReady { proposal } => proposal,
@@ -486,9 +600,94 @@ mod tests {
         store.insert(m1.clone());
         let p = refs_proposal(&[&m1, &m2]);
         let mut tracker = FillTracker::new();
+        let mut retired = Retired::new(DELTA);
         tracker.track(&p, vec![m2.id], true);
         store.insert(m3.clone());
-        assert!(tracker.on_microblock(m3.id, &store, 10).is_empty());
+        assert!(tracker
+            .on_microblock(m3.id, &store, &mut retired, 10)
+            .is_empty());
         assert!(tracker.is_pending(&p.id));
+    }
+
+    fn executed(events: &[MempoolEvent]) -> (u32, usize) {
+        match events {
+            [MempoolEvent::Executed {
+                tx_count,
+                receive_times,
+                ..
+            }] => (*tx_count, receive_times.len()),
+            other => panic!("unexpected events {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_reference_committed_twice_executes_once() {
+        let mut store = MicroblockStore::new();
+        let (m1, m2) = (mb(1, 0, 2), mb(2, 100, 3));
+        store.insert(m1.clone());
+        store.insert(m2.clone());
+        let mut tracker = FillTracker::new();
+        let mut retired = Retired::new(DELTA);
+        let first = refs_proposal_in(View(1), &[&m1]);
+        let second = refs_proposal_in(View(2), &[&m1, &m2]);
+        let again = refs_proposal_in(View(3), &[&m1, &m2]);
+        assert_eq!(
+            executed(&tracker.on_commit(&first, &store, &mut retired, 10)),
+            (2, 2)
+        );
+        // `m1` ran with the first proposal: the second orders `m2` only, and
+        // a third that names nothing new executes with nothing to report.
+        assert_eq!(
+            executed(&tracker.on_commit(&second, &store, &mut retired, 20)),
+            (3, 3)
+        );
+        assert_eq!(
+            executed(&tracker.on_commit(&again, &store, &mut retired, 30)),
+            (0, 0)
+        );
+        assert_eq!(tracker.executed_count(), 3);
+        assert_eq!(retired.len(), 2);
+    }
+
+    #[test]
+    fn executed_microblocks_come_due_one_hold_later_in_execution_order() {
+        let mut retired = Retired::new(DELTA);
+        let (a, b) = (mb(0, 0, 1).id, mb(0, 10, 1).id);
+        assert!(retired.is_empty() && !retired.contains(&a));
+        assert!(retired.execute(a, 100));
+        assert!(!retired.execute(a, 150), "once");
+        assert!(retired.execute(b, 200));
+        assert!(retired.contains(&a) && retired.contains(&b));
+        assert_eq!(retired.pop_due(100 + DELTA - 1), None);
+        assert_eq!(retired.pop_due(100 + DELTA), Some(a));
+        assert_eq!(retired.pop_due(100 + DELTA), None, "b is held until 700");
+        assert_eq!(retired.pop_due(10_000), Some(b));
+        assert_eq!(retired.pop_due(10_000), None);
+        // Leaving the hold does not un-retire an id.
+        assert!(retired.contains(&a) && retired.len() == 2);
+    }
+
+    #[test]
+    fn queue_slots_stay_within_twice_the_members_under_churn() {
+        let mut q = ProposalQueue::new();
+        let ids: Vec<MicroblockId> = (0..4_000).map(|i| mb(0, i * 10, 1).id).collect();
+        for (i, id) in ids.iter().enumerate() {
+            q.push(*id);
+            // All but the ten newest are removed out of band (a proposal of
+            // another leader named them): 3 990 tombstones in all.
+            if i >= 10 {
+                q.remove(&ids[i - 10]);
+            }
+            assert!(
+                q.slots() <= 2 * q.len() + ProposalQueue::SLACK + 1,
+                "{} slots for {} members",
+                q.slots(),
+                q.len()
+            );
+        }
+        // What is left pops in push order, each id once.
+        let popped: Vec<MicroblockId> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(popped, ids[ids.len() - 10..]);
+        assert!(q.is_empty() && q.slots() == 0);
     }
 }

@@ -81,6 +81,12 @@ impl LatencyHistogram {
         self.min = self.min.min(other.min);
     }
 
+    /// Number of `(value, repeat-count)` runs held: what the histogram's
+    /// memory grows with.
+    pub fn runs(&self) -> usize {
+        self.runs.len()
+    }
+
     /// Number of samples recorded.
     pub fn count(&self) -> usize {
         self.count as usize

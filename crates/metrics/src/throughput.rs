@@ -29,6 +29,16 @@ impl ThroughputMeter {
         self.total += count;
     }
 
+    /// Number of records held: one for every commit that ordered something.
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// Whether nothing has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
     /// Total transactions recorded.
     pub fn total(&self) -> u64 {
         self.total

@@ -9,8 +9,8 @@ use crate::replica::{Behavior, Replica};
 use crate::wire::codec::WireCodec;
 use crate::wire::MempoolWire;
 use simnet::{FaultWindow, NetConfig, Node, Simulation, Telemetry};
-use smp_consensus::ConsensusEngine;
-use smp_mempool::Mempool;
+use smp_consensus::{ConsensusEngine, StateSize};
+use smp_mempool::{Mempool, MempoolStats};
 use smp_metrics::{bytes_to_mbps, BandwidthBreakdown, RoleBandwidth, RunSummary};
 use smp_types::{
     ExecutorKind, MempoolConfig, NetworkPreset, ReplicaId, SimTime, SystemConfig, MICROS_PER_MS,
@@ -256,11 +256,48 @@ impl ExperimentResult {
 
 /// Runs a single experiment.
 pub fn run(config: &ExperimentConfig) -> ExperimentResult {
-    dispatch(config, SimRun(config))
+    run_sampled(config, config.warmup + config.duration, &mut |_, _, _| {})
+}
+
+/// What one replica holds at a sampling instant.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReplicaSizes {
+    /// The mempool's counters and live sizes.
+    pub mempool: MempoolStats,
+    /// The consensus engine's live sizes.
+    pub engine: StateSize,
+    /// Entries of the replica's throughput meter and runs of its latency
+    /// histogram — outputs, which grow with the run by design.
+    pub meter_entries: usize,
+    /// See `meter_entries`.
+    pub latency_runs: usize,
+}
+
+/// Runs a single experiment like [`run`], pausing every `every` of
+/// simulated time to hand `sample` the time, every replica's sizes and the
+/// length of the observation log so far.  Slicing the run changes nothing
+/// the simulation can see.
+pub fn run_sampled(
+    config: &ExperimentConfig,
+    every: SimTime,
+    sample: &mut dyn FnMut(SimTime, &[ReplicaSizes], usize),
+) -> ExperimentResult {
+    dispatch(
+        config,
+        SimRun {
+            config,
+            every: every.max(1),
+            sample,
+        },
+    )
 }
 
 /// The simulated deployment of one protocol, run to its horizon.
-struct SimRun<'a>(&'a ExperimentConfig);
+struct SimRun<'a> {
+    config: &'a ExperimentConfig,
+    every: SimTime,
+    sample: &'a mut dyn FnMut(SimTime, &[ReplicaSizes], usize),
+}
 
 impl ProtocolVisitor for SimRun<'_> {
     type Out = ExperimentResult;
@@ -271,7 +308,7 @@ impl ProtocolVisitor for SimRun<'_> {
         M: Mempool + Send + 'static,
         M::Msg: MempoolWire + WireCodec + Send + 'static,
     {
-        let config = self.0;
+        let config = self.config;
         let telemetry = if config.telemetry {
             Telemetry::new()
         } else {
@@ -281,7 +318,24 @@ impl ProtocolVisitor for SimRun<'_> {
         let mut sim = Simulation::new(nodes, config.net_config(), config.seed)
             .with_telemetry(telemetry.clone());
         let horizon = config.warmup + config.duration;
-        sim.run_until(horizon);
+        let mut now = 0;
+        loop {
+            now = horizon.min(now + self.every);
+            sim.run_until(now);
+            let sizes: Vec<ReplicaSizes> = sim
+                .nodes()
+                .map(|r| ReplicaSizes {
+                    mempool: r.mempool().stats(),
+                    engine: r.engine().state_size(),
+                    meter_entries: r.metrics().throughput.len(),
+                    latency_runs: r.metrics().latency.runs(),
+                })
+                .collect();
+            (self.sample)(now, &sizes, sim.observations().len());
+            if now >= horizon {
+                break;
+            }
+        }
         collect_results(config, sim, OBSERVER, horizon, telemetry)
     }
 }
@@ -477,6 +531,20 @@ mod tests {
             snap.counter("replica.0.batcher.sealed").unwrap_or(0) > 0,
             "mempool batcher counters missing"
         );
+        // The live sizes, published after every commit.
+        for gauge in [
+            "mempool.store.len",
+            "mempool.retired.len",
+            "mempool.queue.slots",
+            "mempool.fetch.outstanding",
+            "pab.proofs.len",
+            "pab.push.len",
+            "consensus.chain.blocks",
+            "consensus.tallies",
+        ] {
+            let key = format!("replica.0.{gauge}");
+            assert!(snap.get(&key).is_some(), "gauge {key} missing");
+        }
         assert!(traced.telemetry.trace_len() > 0, "no spans recorded");
         let profile = traced.telemetry.profile();
         assert!(profile.contains_key("simnet.deliver"));

@@ -15,7 +15,9 @@ pub mod protocols;
 pub mod replica;
 pub mod wire;
 
-pub use experiment::{run, saturation_sweep, ExperimentConfig, ExperimentResult};
+pub use experiment::{
+    run, run_sampled, saturation_sweep, ExperimentConfig, ExperimentResult, ReplicaSizes,
+};
 pub use netrun::{
     run_replica_over_net, sim_commit_logs, sim_commit_logs_with_faults, NetRunOptions,
     NetRunSummary,

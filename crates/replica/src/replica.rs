@@ -89,7 +89,11 @@ where
     /// When enabled, every inline transaction id of every committed
     /// proposal, in commit order.  This is the cross-runtime conformance
     /// artifact: a simnet run and an `smp-net` run of the same
-    /// configuration must produce byte-identical logs.
+    /// configuration must produce byte-identical logs.  It is an output,
+    /// not protocol state: the mempool and the engine let go of what has
+    /// committed, the log does not, so index-based `Sync` serves the same
+    /// entries as before.  Bounding it (a kept tail plus a snapshot for
+    /// whoever asks below it) is the part of ROADMAP direction 4 left open.
     commit_log: Option<Vec<TxId>>,
     /// Crash-recovery mode: the replica rejoined after losing its state
     /// and is replaying the committed sequence from live peers.  While
@@ -281,6 +285,12 @@ where
         let span = ctx.telemetry().span_at("replica.commit", now);
         let fx = self.mempool.on_commit(now, &proposal);
         drop(span);
+        if ctx.telemetry().is_enabled() {
+            let size = self.engine.state_size();
+            let telemetry = ctx.telemetry();
+            telemetry.gauge_set("consensus.chain.blocks", size.blocks as f64);
+            telemetry.gauge_set("consensus.tallies", size.tallies as f64);
+        }
         self.apply_mempool_effects(ctx, fx);
     }
 

@@ -717,6 +717,7 @@ impl<M: Mempool> Mempool for ShardedMempool<M> {
             total.created_microblocks += st.created_microblocks;
             total.forwarded_microblocks += st.forwarded_microblocks;
             total.fetches_issued += st.fetches_issued;
+            total.retired_microblocks += st.retired_microblocks;
         }
         total
     }
