@@ -4,24 +4,15 @@
 //! them, so what it moves is a [`Key`] — `(time, seq)` plus a handle to
 //! the event — while the [`EventKind`] (and the message inside a
 //! `Deliver`) sits still in a slab slot from [`EventQueue::push`] until
-//! the one [`EventQueue::take`] that serves or drops it.  A key that
-//! leaves the heap without being served — a delivery that finds the CPU
-//! busy and waits in its receiver's inbox, a delay burst putting it back
-//! on the wire, a crash spilling an inbox — keeps pointing at the same
-//! slot and goes back under a new `(time, seq)` through
-//! [`EventQueue::requeue`].
+//! the one [`EventQueue::take`] that serves or drops it.  A delivery that
+//! finds its receiver's CPU busy waits in that node's inbox as its bare
+//! slot; one a delay burst puts back on the wire goes back into the heap
+//! under a new `(time, seq)` through [`EventQueue::requeue`].
 //!
-//! Two things ride in the key besides the order:
-//!
-//! * `slot` — the slab index, or, with its top bit set, no slot at all:
-//!   the key is a *CPU wake* for the node in the low bits, standing in
-//!   the heap for that node's whole inbox at its head's `(time, seq)`.
-//!   Wakes carry no data, so they own no slab entry.
-//! * `from` — the sender of a `Deliver` ([`NO_SENDER`] for client input
-//!   and for every other kind).  The fault plane needs it on every
-//!   delivery attempt, retries included, and retries are 96–98 % of all
-//!   events: reading it from the key instead of the slab saves a cache
-//!   miss per retry.
+//! A key's `slot` with its top bit set names no slot at all: the key is a
+//! *CPU wake* for the node in the low bits, standing in the heap for that
+//! node's whole inbox at the time its CPU frees up.  Wakes carry no data,
+//! so they own no slab entry.
 
 use smp_types::{ReplicaId, SimTime};
 use std::cmp::{Ordering, Reverse};
@@ -58,14 +49,11 @@ pub enum EventKind<M> {
     },
 }
 
-/// [`Key::from`] of anything that is not a delivery from a replica.
-pub const NO_SENDER: u32 = u32::MAX;
-
 /// Set in [`Key::slot`] of a CPU wake; the low bits are then the node.
 const WAKE_BIT: u32 = 1 << 31;
 
-/// What the heap and the CPU inboxes hold: when an event fires, and where
-/// it is.  Keys order (and compare equal) by `(time, seq)` alone.
+/// What the heap holds: when an event fires, and where it is.  Keys order
+/// (and compare equal) by `(time, seq)` alone.
 #[derive(Clone, Copy, Debug)]
 pub struct Key {
     /// When the event fires.
@@ -75,8 +63,6 @@ pub struct Key {
     /// Slab slot of the event, or top bit + node for a CPU wake (see
     /// [`wake_node`](Self::wake_node)).
     pub slot: u32,
-    /// Sender of a `Deliver`, else [`NO_SENDER`].
-    pub from: u32,
 }
 
 impl Key {
@@ -130,10 +116,6 @@ impl<M> EventQueue<M> {
 
     /// Schedules `kind` to fire at `time`.
     pub fn push(&mut self, time: SimTime, kind: EventKind<M>) {
-        let from = match kind {
-            EventKind::Deliver { from: Some(f), .. } => f.0,
-            _ => NO_SENDER,
-        };
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = Some(kind);
@@ -146,39 +128,23 @@ impl<M> EventQueue<M> {
                 slot
             }
         };
-        let seq = self.alloc_seq();
-        self.requeue(Key {
-            time,
-            seq,
-            slot,
-            from,
-        });
+        self.requeue(slot, time);
     }
 
-    /// Takes the sequence number the next [`push`](Self::push) would
-    /// have used, for a key that is re-stamped outside the heap but must
-    /// order against it.
-    pub fn alloc_seq(&mut self) -> u64 {
+    /// Schedules the event held in `slot` — fresh, or one whose key
+    /// [`pop`](Self::pop) returned — to fire at `time`, after everything
+    /// already scheduled for that time.
+    pub fn requeue(&mut self, slot: u32, time: SimTime) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.heap.push(Reverse(Key { time, seq, slot }));
+    }
+
+    /// Schedules a CPU wake for `node` at `time` and returns its `seq`.
+    pub fn push_wake(&mut self, time: SimTime, node: usize) -> u64 {
+        let seq = self.next_seq;
+        self.requeue(WAKE_BIT | node as u32, time);
         seq
-    }
-
-    /// Puts a key that [`pop`](Self::pop) returned — its event still in
-    /// its slot — back into the heap, under whatever `(time, seq)` it now
-    /// carries.
-    pub fn requeue(&mut self, key: Key) {
-        self.heap.push(Reverse(key));
-    }
-
-    /// Schedules a CPU wake for `node` at `(time, seq)`.
-    pub fn push_wake(&mut self, time: SimTime, seq: u64, node: usize) {
-        self.requeue(Key {
-            time,
-            seq,
-            slot: WAKE_BIT | node as u32,
-            from: NO_SENDER,
-        });
     }
 
     /// Pops the earliest key, if any.  Unless it is a wake, its event
@@ -205,12 +171,7 @@ impl<M> EventQueue<M> {
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.peek_key().map(|key| key.time)
-    }
-
-    /// Key of the earliest pending event.
-    pub fn peek_key(&self) -> Option<Key> {
-        self.heap.peek().map(|Reverse(key)| *key)
+        self.heap.peek().map(|Reverse(key)| key.time)
     }
 
     /// Number of pending keys, wakes included.
@@ -295,47 +256,36 @@ mod tests {
         }
         let popped: Vec<_> = std::iter::from_fn(|| pop_kind(&mut q)).collect();
         let slots: Vec<u32> = popped.iter().map(|(k, _)| k.slot).collect();
-        let senders: Vec<u32> = popped.iter().map(|(k, _)| k.from).collect();
-        let msgs: Vec<u32> = popped
+        let (senders, msgs): (Vec<u32>, Vec<u32>) = popped
             .iter()
             .map(|(_, kind)| match kind {
-                EventKind::Deliver { msg, .. } => *msg,
+                EventKind::Deliver {
+                    from: Some(f), msg, ..
+                } => (f.0, *msg),
                 _ => panic!("unexpected kind"),
             })
-            .collect();
+            .unzip();
         assert_eq!(msgs, (0..8).collect::<Vec<_>>());
         assert_eq!(slots, (0..8).rev().collect::<Vec<_>>());
         assert_eq!(senders, (0..8).rev().collect::<Vec<_>>());
         // And as a bare comparison.
-        let key = |seq, slot, from| Key {
-            time: 5,
-            seq,
-            slot,
-            from,
-        };
-        assert!(key(1, 9, 9) < key(2, 0, 0));
-        assert_eq!(key(1, 9, 9), key(1, 0, NO_SENDER));
-    }
-
-    #[test]
-    fn the_key_carries_the_sender_of_a_delivery_and_of_nothing_else() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.push(1, deliver(Some(3), 0));
-        q.push(2, deliver(None, 0));
-        q.push(3, link_free(3));
-        let senders: Vec<u32> = std::iter::from_fn(|| q.pop().map(|k| k.from)).collect();
-        assert_eq!(senders, vec![3, NO_SENDER, NO_SENDER]);
+        let key = |seq, slot| Key { time: 5, seq, slot };
+        assert!(key(1, 9) < key(2, 0));
+        assert_eq!(key(1, 9), key(1, 0));
     }
 
     #[test]
     fn keyed_pushes_order_against_plain_ones_by_their_own_seq() {
+        // A wake takes the next seq like any push: behind what is already
+        // scheduled for its time, ahead of what comes later.
         let mut q: EventQueue<u32> = EventQueue::new();
-        let held = q.alloc_seq();
         q.push(5, link_free(1));
-        q.push_wake(5, held, 0);
-        assert_eq!(q.peek_key().map(|k| (k.time, k.seq)), Some((5, held)));
-        assert_eq!(q.pop().unwrap().wake_node(), Some(0));
-        assert_eq!(q.peek_key().map(|k| (k.time, k.seq)), Some((5, held + 1)));
+        let seq = q.push_wake(5, 0);
+        q.push(5, link_free(2));
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(popped[1].seq, seq);
+        let wakes: Vec<_> = popped.iter().map(Key::wake_node).collect();
+        assert_eq!(wakes, vec![None, Some(0), None]);
     }
 
     #[test]
@@ -343,31 +293,26 @@ mod tests {
         let mut q: EventQueue<u32> = EventQueue::new();
         q.push(5, deliver(Some(1), 11));
         q.push(6, deliver(Some(2), 22));
+        q.push(9, deliver(Some(3), 33));
         let first = q.pop().unwrap();
-        let seq = q.alloc_seq();
-        q.requeue(Key {
-            time: 9,
-            seq,
-            ..first
-        });
+        q.requeue(first.slot, 9);
         let msgs: Vec<_> = std::iter::from_fn(|| pop_kind(&mut q))
             .map(|(key, kind)| match kind {
-                EventKind::Deliver { msg, .. } => (key.time, key.slot, key.from, msg),
+                EventKind::Deliver { msg, .. } => (key.time, key.slot, msg),
                 _ => panic!("unexpected kind"),
             })
             .collect();
-        assert_eq!(msgs, vec![(6, 1, 2, 22), (9, first.slot, 1, 11)]);
+        assert_eq!(msgs, vec![(6, 1, 22), (9, 2, 33), (9, first.slot, 11)]);
     }
 
     #[test]
     fn a_wake_round_trips_its_node_and_owns_no_slot() {
         let mut q: EventQueue<u32> = EventQueue::new();
         for node in [0usize, 1, 99, (WAKE_BIT - 1) as usize] {
-            let seq = q.alloc_seq();
-            q.push_wake(7, seq, node);
+            let seq = q.push_wake(7, node);
             let key = q.pop().unwrap();
             assert_eq!(key.wake_node(), Some(node));
-            assert_eq!((key.time, key.seq, key.from), (7, seq, NO_SENDER));
+            assert_eq!((key.time, key.seq), (7, seq));
         }
         assert!(q.slab.is_empty() && q.free.is_empty());
         q.push(8, link_free(0));

@@ -17,36 +17,33 @@
 //! Supported faults:
 //!
 //! * [`Crash`](FaultAction::Crash) / [`Restart`](FaultAction::Restart) —
-//!   a crashed node stops executing: pending deliveries to it are
-//!   dropped at its NIC, its timers never fire, and its queued (not yet
-//!   transmitting) outbound messages are lost.  Restart resurrects it
-//!   with a fresh incarnation: the per-node RNG is reseeded exactly as a
-//!   freshly exec'd process would be, timers from the previous
-//!   incarnation are dead on arrival, and the node's
-//!   [`on_restart`](crate::Node::on_restart) hook runs.
+//!   a crashed node stops executing: the deliveries waiting for its CPU
+//!   are lost, later ones are dropped at its NIC, its timers never fire,
+//!   and its queued (not yet transmitting) outbound messages are lost.
+//!   Restart resurrects it with a fresh incarnation, CPU idle and inbox
+//!   empty: the per-node RNG is reseeded exactly as a freshly exec'd
+//!   process would be, timers from the previous incarnation are dead on
+//!   arrival, and the node's [`on_restart`](crate::Node::on_restart) hook
+//!   runs.
 //! * [`Partition`](FaultAction::Partition) / [`Heal`](FaultAction::Heal)
 //!   — severs every link between an island of nodes and the rest of the
 //!   cluster (deliveries crossing the cut are dropped); `Heal` restores
 //!   full connectivity.
 //! * [`DropBurst`](FaultAction::DropBurst) — every peer delivery
-//!   *attempted* inside the window is dropped (client input is spared).
+//!   *arriving* inside the window is dropped (client input is spared).
 //! * [`DelayBurst`](FaultAction::DelayBurst) — every peer delivery
-//!   attempted inside the window is deferred by a uniform extra delay
+//!   arriving inside the window is deferred by a uniform extra delay
 //!   drawn from the fault RNG (network turbulence, Figure 8 style).  It
 //!   is not the Figure 8 experiment itself: that is a
 //!   [`FaultWindow`](crate::FaultWindow) of the network model, which acts
 //!   at send time on the sender's RNG — see [`netmodel`](crate::netmodel)
 //!   for why the two cannot be merged bit-identically.
 //!
-//! Faults act on delivery **attempts**, not arrivals.  A delivery that
-//! landed before a window opened but is still waiting in the receiver's
-//! CPU inbox is filtered again each time the CPU frees up and it is
-//! re-presented: inside a drop burst or across a partition cut it is
-//! dropped then, inside a delay burst it goes back on the wire (and draws
-//! from the fault RNG), and a crash sends the whole inbox back to the dead
-//! NIC — where it is dropped when due, unless the node restarts first.
-//! A window as long as one message's CPU cost therefore empties a
-//! receiver's backlog, not just the traffic in flight.
+//! The network faults act on **arrivals**, once each.  A delivery that
+//! arrived before a window opened and is still waiting for the
+//! receiver's CPU is past the network and is served; only a crash
+//! reaches it.  A deferred delivery arrives again when its extra delay
+//! is up, and is filtered again then.
 
 use smp_types::{ReplicaId, SimTime};
 
@@ -63,13 +60,13 @@ pub enum FaultAction {
     Partition(Vec<ReplicaId>),
     /// Restore full connectivity.
     Heal,
-    /// Drop every peer delivery attempted within `duration` of the
-    /// scheduled time (arrivals, and retries of backlogged ones).
+    /// Drop every peer delivery arriving within `duration` of the
+    /// scheduled time.
     DropBurst {
         /// Window length in simulated microseconds.
         duration: SimTime,
     },
-    /// Defer every peer delivery attempted within `duration` of the
+    /// Defer every peer delivery arriving within `duration` of the
     /// scheduled time by an extra uniform delay in `[min_us, max_us]`.
     DelayBurst {
         /// Window length in simulated microseconds.

@@ -14,19 +14,16 @@
 //!   the paper's 4-vCPU instances are.  A delivery occupies its receiver's
 //!   CPU for [`SimMessage::cpu_cost_us`], rounded up to a whole
 //!   microsecond; there is no speed knob, the figures themselves are the
-//!   model.  A delivery that finds the CPU busy waits in that node's
-//!   inbox, stamped with the time the CPU frees up, and is *re-presented*
-//!   then — through the fault plane again, and back to the end of the
-//!   inbox if something else got the CPU first.  What waits and moves is a
-//!   24-byte [`event::Key`]; the message stays in the event queue's slab
-//!   from the moment it is scheduled until it is served or dropped.  The
-//!   inbox orders against the global event queue by `(time, sequence
-//!   number)` exactly as if every waiting delivery were queued there (one
-//!   wake key per non-empty inbox stands in for all of them), which is a
-//!   retry order, not arrival order: a fresh arrival scheduled for the
-//!   very microsecond the CPU frees can overtake the backlog.
-//!   [`Simulation::events_processed`] counts timers, link completions and
-//!   every delivery attempt, re-presentations included,
+//!   model.  A delivery passes the fault plane once, when it arrives; if
+//!   the CPU is busy or others are already waiting, it joins the back of
+//!   that node's inbox, a FIFO in arrival order, and is served when the
+//!   ones before it are done.  What waits is its slot in the event
+//!   queue's slab, where the message stays from the moment it is
+//!   scheduled until it is served or dropped; one wake key per non-empty
+//!   inbox, due when the CPU frees up, stands in the queue for all of
+//!   them.  A crash empties the inbox.  [`Simulation::events_processed`]
+//!   counts what the queue pops: arrivals, wakes, timers and link
+//!   completions,
 //! * **timers** that fire once, at `now + delay`, equal times in arming
 //!   order, and cannot be cancelled (handlers ignore a stale one by its
 //!   tag); those of a crashed node or a previous incarnation never fire,

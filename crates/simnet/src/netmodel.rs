@@ -11,10 +11,10 @@
 //!
 //! A [`DelayBurst`](crate::FaultAction::DelayBurst) is an entry of a
 //! [`FaultSchedule`](crate::FaultSchedule), scripted among crashes and
-//! partitions: while one is open, every delivery *attempt* — arrivals and
-//! re-presentations of a CPU backlog alike — is put back on the wire for
-//! an *additional* delay drawn from the dedicated *fault RNG*, so that
-//! scripting faults never perturbs a node's stream.
+//! partitions: while one is open, every delivery *arriving* at its
+//! receiver is put back on the wire for an *additional* delay drawn from
+//! the dedicated *fault RNG*, so that scripting faults never perturbs a
+//! node's stream.
 //!
 //! Replace-at-send from the node stream and add-at-delivery from the fault
 //! stream give different schedules for the same window, so neither can be

@@ -2,7 +2,7 @@
 
 use crate::context::{NodeAction, NodeCtx, TimerTag};
 use crate::driver::{node_telemetry, NodeDriver};
-use crate::event::{EventKind, EventQueue, Key, NO_SENDER};
+use crate::event::{EventKind, EventQueue};
 use crate::faults::{FaultAction, FaultSchedule};
 use crate::link::{OutboundLink, Priority, QueuedMessage};
 use crate::message::SimMessage;
@@ -82,14 +82,13 @@ pub struct Simulation<N: Node> {
     drivers: Vec<NodeDriver<N>>,
     links: Vec<OutboundLink<N::Msg>>,
     cpu_free: Vec<SimTime>,
-    /// Per node, the keys of the deliveries that found its CPU busy,
-    /// sorted: each is stamped `(cpu_free, fresh seq)` when it joins the
-    /// back.  The messages stay in the queue's slab.
-    inbox: Vec<VecDeque<Key>>,
-    /// Per node, the `seq` of the inbox head that its one live wake key
-    /// in the queue stands for (`None`: inbox empty or being drained).  A
-    /// wake carrying any other `seq` is stale and ignored.
-    wake_seq: Vec<Option<u64>>,
+    /// Per node, in arrival order, the slab slots of the deliveries that
+    /// found its CPU busy or others already waiting.
+    inbox: Vec<VecDeque<u32>>,
+    /// Per node, the `seq` of the one wake that stands in the queue for
+    /// its non-empty inbox, at `cpu_free`.  Any other wake was armed
+    /// before a crash emptied the inbox and is ignored.
+    wake_seq: Vec<u64>,
     queue: EventQueue<N::Msg>,
     net: NetConfig,
     now: SimTime,
@@ -131,7 +130,7 @@ impl<N: Node> Simulation<N> {
             links: (0..n).map(|_| OutboundLink::new()).collect(),
             cpu_free: vec![0; n],
             inbox: (0..n).map(|_| VecDeque::new()).collect(),
-            wake_seq: vec![None; n],
+            wake_seq: vec![0; n],
             queue: EventQueue::new(),
             net,
             now: 0,
@@ -216,10 +215,10 @@ impl<N: Node> Simulation<N> {
         &self.traffic
     }
 
-    /// Total number of events processed (diagnostics): timers, link
-    /// completions and delivery *attempts*.  A delivery that finds the
-    /// CPU busy is attempted again each time the CPU frees up, and every
-    /// attempt counts, because every attempt runs the fault filter.
+    /// Total number of events processed (diagnostics): every key popped
+    /// from the event queue — arrivals, CPU wakes, timers and link
+    /// completions.  A delivery that waits for the CPU costs its arrival
+    /// and the one wake that serves it.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -280,23 +279,17 @@ impl<N: Node> Simulation<N> {
                 continue;
             }
             let key = self.queue.pop().expect("peeked event must exist");
+            self.events_processed += 1;
             if let Some(idx) = key.wake_node() {
-                // Any other wake stood for an inbox a crash spilled.
-                if self.wake_seq[idx] == Some(key.seq) {
-                    self.wake_seq[idx] = None;
-                    self.drain_inbox(idx);
+                if self.wake_seq[idx] == key.seq {
+                    self.serve_next(idx);
                 }
                 continue;
             }
             match *self.queue.kind(key.slot) {
-                EventKind::Deliver { to, .. } => {
-                    let idx = to.index();
-                    self.attempt_delivery(key, idx);
-                    self.arm_wake(idx);
-                }
+                EventKind::Deliver { to, from, .. } => self.arrive(key.slot, to.index(), from),
                 EventKind::Timer { node, tag, epoch } => {
                     self.queue.take(key.slot);
-                    self.events_processed += 1;
                     let idx = node.index();
                     // A crashed node's timers never fire; a timer set by
                     // a previous incarnation is dead on arrival.
@@ -308,7 +301,6 @@ impl<N: Node> Simulation<N> {
                 }
                 EventKind::LinkFree { node } => {
                     self.queue.take(key.slot);
-                    self.events_processed += 1;
                     let _span = self.telemetry.span_at("simnet.link_free", self.now);
                     self.links[node.index()].finish_current();
                     self.pump_link(node);
@@ -335,15 +327,12 @@ impl<N: Node> Simulation<N> {
                     // Queued outbound messages die with the process; one
                     // already serializing is on the wire and survives.
                     self.links[idx].clear_queue();
-                    // The backlog goes back to the heap under its own
-                    // keys, to be dropped at the dead NIC when due — or
-                    // to meet the next incarnation, if that boots first.
-                    // It cannot wait here: `Restart` rewinds `cpu_free`,
-                    // and later arrivals would be stamped before it.
-                    for key in self.inbox[idx].drain(..) {
-                        self.queue.requeue(key);
+                    // So do the deliveries waiting for its CPU; the wake
+                    // that stood for them is left to pop, and finds the
+                    // inbox empty or owned by a later wake.
+                    for slot in self.inbox[idx].drain(..) {
+                        self.queue.take(slot);
                     }
-                    self.wake_seq[idx] = None;
                     self.telemetry.instant_at("simnet.fault.crash", self.now);
                 }
             }
@@ -394,42 +383,56 @@ impl<N: Node> Simulation<N> {
         self.crashed[i]
     }
 
-    /// One attempt to deliver the message in `key.slot` to node `idx`,
-    /// fresh from the heap or re-presented from the inbox: through the
-    /// active faults, then to the CPU.  The message leaves its slot only
-    /// to be served or dropped; deferred, its key alone moves.
-    fn attempt_delivery(&mut self, key: Key, idx: usize) {
-        self.events_processed += 1;
+    /// The arrival of the delivery in `slot` at node `idx`: through the
+    /// active faults, once, then to the CPU or the back of the inbox.
+    fn arrive(&mut self, slot: u32, idx: usize, from: Option<ReplicaId>) {
         // A dead NIC drops everything; client input is otherwise exempt
         // from network faults.
-        let peer = key.from != NO_SENDER;
-        let cut = peer && self.island[key.from as usize] != self.island[idx];
+        let peer = from.is_some();
+        let cut = from.is_some_and(|f| self.island[f.index()] != self.island[idx]);
         if self.crashed[idx] || cut || (peer && self.now < self.drop_until) {
-            self.queue.take(key.slot);
+            self.queue.take(slot);
             return;
         }
         if peer && self.now < self.delay_until {
-            // Back on the wire: fault jitter first, then the new stamp.
+            // Back on the wire, to arrive (and be filtered) again.
             let extra = self
                 .fault_rng
                 .gen_range(self.delay_min_us..=self.delay_max_us)
                 .max(1);
-            let time = self.now + extra;
-            let seq = self.queue.alloc_seq();
-            self.queue.requeue(Key { time, seq, ..key });
+            self.queue.requeue(slot, self.now + extra);
             return;
         }
-        // CPU model: if the receiver is still busy processing earlier
-        // messages, the delivery waits in its inbox until the CPU frees
-        // up.  The caller arms the wake.
-        let time = self.cpu_free[idx];
-        if time > self.now {
-            let seq = self.queue.alloc_seq();
-            self.inbox[idx].push_back(Key { time, seq, ..key });
-            return;
+        // CPU model: a delivery that finds the receiver still busy, or
+        // others already waiting, queues behind them.
+        let inbox = &mut self.inbox[idx];
+        if !inbox.is_empty() {
+            inbox.push_back(slot);
+        } else if self.cpu_free[idx] > self.now {
+            inbox.push_back(slot);
+            self.wake_seq[idx] = self.queue.push_wake(self.cpu_free[idx], idx);
+        } else {
+            self.serve(idx, slot);
         }
-        let EventKind::Deliver { from, msg, .. } = self.queue.take(key.slot) else {
-            unreachable!("only deliveries are attempted");
+    }
+
+    /// A CPU wake: serves the head of node `idx`'s inbox and re-arms for
+    /// the rest.
+    fn serve_next(&mut self, idx: usize) {
+        let Some(slot) = self.inbox[idx].pop_front() else {
+            return;
+        };
+        self.serve(idx, slot);
+        if !self.inbox[idx].is_empty() {
+            self.wake_seq[idx] = self.queue.push_wake(self.cpu_free[idx], idx);
+        }
+    }
+
+    /// Hands the delivery in `slot` to node `idx`, whose CPU it occupies
+    /// for the message's cost.
+    fn serve(&mut self, idx: usize, slot: u32) {
+        let EventKind::Deliver { from, msg, .. } = self.queue.take(slot) else {
+            unreachable!("only deliveries are served");
         };
         let _span = self.telemetry.span_at("simnet.deliver", self.now);
         self.cpu_free[idx] = self.now + from_micros_f64(msg.cpu_cost_us());
@@ -437,34 +440,6 @@ impl<N: Node> Simulation<N> {
             Some(f) => self.invoke(idx, |d, now, out| d.deliver(now, f, msg, out)),
             None => self.invoke(idx, |d, now, out| d.client_input(now, msg, out)),
         }
-    }
-
-    /// Keeps one wake in the queue for a non-empty inbox, under the
-    /// head's `(time, seq)`.
-    fn arm_wake(&mut self, idx: usize) {
-        let Some(head) = self.inbox[idx].front() else {
-            return;
-        };
-        if self.wake_seq[idx] != Some(head.seq) {
-            self.wake_seq[idx] = Some(head.seq);
-            self.queue.push_wake(head.time, head.seq, idx);
-        }
-    }
-
-    /// Re-presents the inbox entries due at `now`, each exactly when the
-    /// heap would have popped it had it been queued there under its key.
-    fn drain_inbox(&mut self, idx: usize) {
-        while let Some(&head) = self.inbox[idx].front() {
-            // Not due yet, or an older event at `now` goes first — possibly
-            // a fresh arrival for this very node, scheduled for exactly
-            // `cpu_free`.
-            if head.time > self.now || self.queue.peek_key().is_some_and(|k| k < head) {
-                break;
-            }
-            self.inbox[idx].pop_front();
-            self.attempt_delivery(head, idx);
-        }
-        self.arm_wake(idx);
     }
 
     /// Runs one handler of node `idx` through its driver, then applies
@@ -771,11 +746,11 @@ mod tests {
         assert_eq!(snap.counter("replica.1.net.msgs_out"), None);
         let profile = telemetry.profile();
         assert_eq!(profile["simnet.link_free"].count, 1);
-        // A span per delivery served, not per attempt: the inputs took
-        // 1 + 2 + 3 attempts, the echo one.
+        // A span per delivery served.  Events: the link completion, four
+        // arrivals and the two wakes that served the waiting inputs.
         assert_eq!(sim.node(1).received.len(), 4);
         assert_eq!(profile["simnet.deliver"].count, 4);
-        assert_eq!(sim.events_processed(), 7 + 1);
+        assert_eq!(sim.events_processed(), 1 + 4 + 2);
         // Node handlers see their prefixed handle; results stay identical
         // to an uninstrumented run.
         let mut plain = build();
@@ -973,7 +948,7 @@ mod tests {
         assert_eq!(sim.node(1).received, vec!["big"]);
     }
 
-    // ----- the CPU inbox: the retry rules, by name -----
+    // ----- the CPU inbox: the FIFO rules, by name -----
 
     #[derive(Clone, Debug)]
     struct Job {
@@ -1035,81 +1010,141 @@ mod tests {
     }
 
     #[test]
-    fn fresh_arrival_at_cpu_free_with_an_older_seq_is_served_before_the_backlog() {
+    fn fresh_arrival_at_cpu_free_joins_the_back_of_the_backlog() {
         let mut sim = Simulation::new(vec![Worker::default()], NetConfig::lan(), 7);
         client_job(&mut sim, 10, 1, 50); // served at 10, CPU busy until 60
-        client_job(&mut sim, 20, 2, 5); // waits, stamped (60, s)
-        client_job(&mut sim, 30, 3, 5); // waits, stamped (60, s + 2)
-        sim.run_until(25);
-        // Scheduled between the two stamps, for exactly `cpu_free`: it
-        // jumps job 3 — which arrived 30 µs earlier — but not job 2.
+        client_job(&mut sim, 20, 2, 5); // waits; arms the wake at 60
+        client_job(&mut sim, 30, 3, 5); // waits
+
+        // Due at exactly `cpu_free`, and scheduled before the wake was
+        // armed: it still queues behind jobs 2 and 3, which came first.
         client_job(&mut sim, 60, 4, 5);
         sim.run_until(1_000);
-        assert_eq!(sim.node(0).served, vec![(10, 1), (60, 2), (65, 4), (70, 3)]);
-        // Attempts: job 1 once, job 2 twice, job 4 twice (65), job 3 at
-        // 30, 60, 65 and 70.
-        assert_eq!(sim.events_processed(), 1 + 2 + 2 + 4);
+        assert_eq!(sim.node(0).served, vec![(10, 1), (60, 2), (65, 3), (70, 4)]);
+        // Four arrivals and one wake per waiting job.
+        assert_eq!(sim.events_processed(), 4 + 3);
         assert_eq!(sim.queue.len(), 0);
     }
 
     #[test]
-    fn backlogged_delivery_inside_a_drop_burst_is_dropped() {
-        // Jobs 2 and 3 landed at 2 002 and 2 003, long before the burst,
-        // and are waiting for job 1 to finish at 3 001 — inside it.
-        let mut sim = pipeline(&[1_000, 10, 10]).with_faults(
+    fn a_delivery_that_arrived_before_a_fault_window_is_still_served() {
+        // Jobs 2 and 3 land at 2 002 and 2 003 and wait for job 1 to
+        // finish at 3 001.  A window opening at 2 500 no longer reaches
+        // them: they passed the fault plane when they arrived.
+        let windows = [
             FaultSchedule::new().at(2_500, FaultAction::DropBurst { duration: 1_000 }),
+            FaultSchedule::new()
+                .at(2_500, FaultAction::Partition(vec![ReplicaId(1)]))
+                .at(3_500, FaultAction::Heal),
+            FaultSchedule::new().at(
+                2_500,
+                FaultAction::DelayBurst {
+                    duration: 1_000,
+                    min_us: 5_000,
+                    max_us: 5_000,
+                },
+            ),
+        ];
+        for faults in windows {
+            let mut sim = pipeline(&[1_000, 10, 10]).with_faults(faults.clone());
+            sim.run_until(20_000);
+            assert_eq!(
+                sim.node(1).served,
+                vec![(2_001, 1), (3_001, 2), (3_011, 3)],
+                "{faults:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn backlogged_delivery_inside_a_drop_burst_is_dropped() {
+        // Job 1 lands at 2 001 and keeps the CPU until 3 001.  Jobs 2 and
+        // 3 land at 2 002 and 2 003, inside the burst: dropped as they
+        // arrive, they never join the inbox.
+        let mut sim = pipeline(&[1_000, 10, 10]).with_faults(
+            FaultSchedule::new().at(2_002, FaultAction::DropBurst { duration: 1_000 }),
         );
+        sim.run_until(2_010);
+        assert!(sim.inbox[1].is_empty());
         sim.run_until(20_000);
         assert_eq!(sim.node(1).served, vec![(2_001, 1)]);
+        assert_eq!(sim.queue.len(), 0);
     }
 
     #[test]
     fn backlogged_delivery_inside_a_delay_burst_is_re_delayed() {
         let mut sim = pipeline(&[1_000, 10, 10]).with_faults(FaultSchedule::new().at(
-            2_500,
+            2_002,
             FaultAction::DelayBurst {
                 duration: 1_000,
                 min_us: 5_000,
                 max_us: 5_000,
             },
         ));
+        // Jobs 2 and 3 land inside the burst, CPU busy: back on the wire
+        // for 5 ms rather than into the inbox, then one after the other.
+        sim.run_until(2_010);
+        assert!(sim.inbox[1].is_empty());
         sim.run_until(20_000);
-        // Re-presented at 3 001, inside the burst: back on the wire for
-        // 5 ms, then one after the other.
-        assert_eq!(sim.node(1).served, vec![(2_001, 1), (8_001, 2), (8_011, 3)]);
+        assert_eq!(sim.node(1).served, vec![(2_001, 1), (7_002, 2), (7_012, 3)]);
     }
 
     #[test]
-    fn crash_with_backlog_then_early_restart_delivers_in_order_and_once() {
+    fn crash_empties_the_inbox_and_an_early_restart_starts_empty() {
         // Jobs 2–4 wait for the CPU until 3 001.  The node dies at 2 100
-        // and is back at 2 200, CPU idle: the backlog still arrives when
-        // it was due, in order, and meets the new incarnation.
+        // and is back at 2 200, CPU idle.
         let mut sim = pipeline(&[1_000, 100, 100, 100]).with_faults(
             FaultSchedule::new()
                 .at(2_100, FaultAction::Crash(ReplicaId(1)))
                 .at(2_200, FaultAction::Restart(ReplicaId(1))),
         );
         sim.run_until(2_150);
-        // Spilled to the heap; the old wake is still there, stale.
+        // The backlog died with the process; only the wake armed for it
+        // remains.
         assert!(sim.inbox[1].is_empty());
-        assert_eq!(sim.queue.len(), 3 + 1);
+        assert_eq!(sim.queue.len(), 1);
         sim.run_until(20_000);
+        assert_eq!(sim.node(1).served, vec![(2_001, 1)]);
+        assert_eq!(sim.queue.len(), 0);
+    }
+
+    #[test]
+    fn crash_with_backlog_then_early_restart_delivers_in_order_and_once() {
+        let mut sim = pipeline(&[1_000, 100, 100, 100]).with_faults(
+            FaultSchedule::new()
+                .at(2_100, FaultAction::Crash(ReplicaId(1)))
+                .at(2_200, FaultAction::Restart(ReplicaId(1))),
+        );
+        let input = |id, cost| Job { id, cost };
+        sim.schedule_client_input(2_500, ReplicaId(1), input(9, 1_000));
+        sim.schedule_client_input(2_600, ReplicaId(1), input(10, 10));
+        sim.schedule_client_input(2_700, ReplicaId(1), input(11, 10));
+        sim.run_until(20_000);
+        // Job 9 finds the new incarnation idle; jobs 10 and 11 wait for
+        // it, in arrival order, and the old wake at 3 001 serves neither
+        // early nor twice.
         assert_eq!(
             sim.node(1).served,
-            vec![(2_001, 1), (3_001, 2), (3_101, 3), (3_201, 4)]
+            vec![(2_001, 1), (2_500, 9), (3_500, 10), (3_510, 11)]
         );
         assert_eq!(sim.queue.len(), 0);
     }
 
     #[test]
     fn crash_with_backlog_and_late_restart_drops_it_at_the_dead_nic() {
+        // Job 2 waits for the CPU when the node dies at 2 003; jobs 3 and
+        // 4, still on the wire, land at the dead NIC.  The restart comes
+        // after the CPU would have freed up: none of them is served.
         let mut sim = pipeline(&[1_000, 100, 100, 100]).with_faults(
             FaultSchedule::new()
-                .at(2_100, FaultAction::Crash(ReplicaId(1)))
+                .at(2_003, FaultAction::Crash(ReplicaId(1)))
                 .at(3_002, FaultAction::Restart(ReplicaId(1))),
         );
+        sim.run_until(2_010);
+        assert!(sim.inbox[1].is_empty());
         sim.run_until(20_000);
         assert_eq!(sim.node(1).served, vec![(2_001, 1)]);
+        assert_eq!(sim.queue.len(), 0);
     }
 
     #[test]
@@ -1133,7 +1168,9 @@ mod tests {
         }
         let served: Vec<_> = (0..64).map(|i| (2_001 + 50 * i, i + 1)).collect();
         assert_eq!(sim.node(0).served, served);
-        // 64 link completions; job i was attempted i times.
-        assert_eq!(sim.events_processed(), 64 + 64 * 65 / 2);
+        // Linear in the backlog: 64 link completions, 64 arrivals and a
+        // wake for each of the 63 that waited — not a retry of every
+        // waiting job at every service, 64 · 65 / 2 in all.
+        assert_eq!(sim.events_processed(), 64 + 64 + 63);
     }
 }
