@@ -27,8 +27,9 @@
 //! today either — it needs the block sync that fixes those four.
 
 use crate::api::{CEffects, CEvent, ConsensusMsg, VoteAggregator};
+use smp_crypto::{DigestMap, DigestSet};
 use smp_types::{BlockId, Proposal, ReplicaId, SimTime, SystemConfig, View};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 
 /// How many views below the commit tip (blocks) or the current view
 /// (pacemaker sets, vote tallies) state is kept.
@@ -43,8 +44,8 @@ pub(crate) fn floor_below(view: View) -> View {
 /// them are committed.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Chain {
-    blocks: HashMap<BlockId, Proposal>,
-    committed: HashSet<BlockId>,
+    blocks: DigestMap<BlockId, Proposal>,
+    committed: DigestSet<BlockId>,
     /// Every block of `blocks`, lowest view first.
     by_view: BTreeSet<(View, BlockId)>,
     /// Blocks below this view are gone and are not taken back.

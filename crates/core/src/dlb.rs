@@ -12,6 +12,7 @@
 use crate::config::DlbConfig;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
+use smp_crypto::DigestMap;
 use smp_telemetry::Telemetry;
 use smp_types::{Microblock, MicroblockId, ReplicaId, SimTime};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -65,7 +66,7 @@ pub struct LoadBalancer {
     imposed: HashSet<ReplicaId>,
     samples: HashMap<u64, SampleRound>,
     forwards: HashMap<u64, PendingForward>,
-    forwarded_by_id: HashMap<MicroblockId, u64>,
+    forwarded_by_id: DigestMap<MicroblockId, u64>,
     next_token: u64,
     forwarded_total: u64,
     proxied_total: u64,
@@ -84,7 +85,7 @@ impl LoadBalancer {
             imposed: HashSet::new(),
             samples: HashMap::new(),
             forwards: HashMap::new(),
-            forwarded_by_id: HashMap::new(),
+            forwarded_by_id: DigestMap::default(),
             next_token: 1,
             forwarded_total: 0,
             proxied_total: 0,

@@ -28,11 +28,10 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use smp_crypto::{KeyPair, ProofError, PublicKey, QuorumProof, Signature};
+use smp_crypto::{DigestMap, KeyPair, ProofError, PublicKey, QuorumProof, Signature};
 use smp_telemetry::Telemetry;
 use smp_types::{Microblock, MicroblockId, ReplicaId, SimTime};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// State of one PAB instance on the disseminating replica, from the
 /// broadcast until the proof is complete.
@@ -53,9 +52,9 @@ pub struct PabEngine {
     my_key: KeyPair,
     quorum: usize,
     fetch_alpha: f64,
-    push: HashMap<MicroblockId, PushState>,
+    push: DigestMap<MicroblockId, PushState>,
     /// The verified proof held per id: the first one learned.
-    proofs: HashMap<MicroblockId, QuorumProof>,
+    proofs: DigestMap<MicroblockId, QuorumProof>,
     telemetry: Telemetry,
 }
 
@@ -84,8 +83,8 @@ impl PabEngine {
             my_key: keypairs[me.index()],
             quorum,
             fetch_alpha: fetch_alpha.clamp(0.0, 1.0),
-            push: HashMap::new(),
-            proofs: HashMap::new(),
+            push: DigestMap::default(),
+            proofs: DigestMap::default(),
             telemetry: Telemetry::disabled(),
         }
     }

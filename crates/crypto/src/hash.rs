@@ -1,12 +1,35 @@
-//! A fast, deterministic 256-bit digest.
+//! A fast, deterministic 256-bit digest, and a map hasher for keys that
+//! already are one.
 //!
 //! The digest is *not* cryptographically secure — it only needs to be
 //! collision-free in practice for simulation-scale inputs and cheap to
 //! compute, while occupying the same number of bytes on the wire as the
 //! SHA-256 digests a production deployment would use.
+//!
+//! [`DigestMap`] and [`DigestSet`] are the standard collections with
+//! [`DigestState`] in place of SipHash, for tables keyed by ids (or a word
+//! of one) that a lookup-heavy path touches.  Dropping SipHash is safe for
+//! those keys because:
+//!
+//! * a receiver never trusts the id of content it is sent: the codec
+//!   re-derives every microblock and block id from the content, so a peer
+//!   picks such an id only by picking content;
+//! * every map draws its own secret key from the standard library's
+//!   `RandomState`, so a peer — even one naming arbitrary ids in acks or
+//!   fetches — cannot tell which ids share a bucket in any replica's
+//!   table, or carry a collision from one table to another;
+//! * the digest itself is not cryptographic: a peer able to grind ids
+//!   into colliding buckets under an unknown key could far more cheaply
+//!   grind digest collisions, which break more than a hash table.
+//!
+//! Keys that are not digests — replica ids, views, tags — keep the
+//! standard hasher.
 
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// Number of bytes a digest occupies on the wire.
 pub const DIGEST_BYTES: usize = 32;
@@ -165,6 +188,77 @@ impl Default for Hasher {
     }
 }
 
+/// A `HashMap` keyed by digests, or by values derived from one.
+pub type DigestMap<K, V> = HashMap<K, V, DigestState>;
+
+/// A `HashSet` of digests, or of values derived from one.
+pub type DigestSet<K> = HashSet<K, DigestState>;
+
+/// The [`BuildHasher`] of [`DigestMap`] and [`DigestSet`]: keys whose
+/// words are already uniformly distributed need mixing with a secret, not
+/// SipHash's rounds.  Each 8-byte word costs one keyed 64 × 64 → 128-bit
+/// multiply, folded to 64 bits.  Every [`Default`] instance draws fresh
+/// keys (see the module docs for why this is safe).
+#[derive(Clone, Debug)]
+pub struct DigestState {
+    seed: u64,
+    key: u64,
+}
+
+impl Default for DigestState {
+    fn default() -> Self {
+        // Each `RandomState::new()` has keys of its own, so two hashes
+        // under it give this map two words no other map shares.
+        let keys = RandomState::new();
+        DigestState {
+            seed: keys.hash_one(0u64),
+            key: keys.hash_one(1u64),
+        }
+    }
+}
+
+impl BuildHasher for DigestState {
+    type Hasher = DigestHasher;
+
+    fn build_hasher(&self) -> DigestHasher {
+        DigestHasher {
+            acc: self.seed,
+            key: self.key,
+        }
+    }
+}
+
+/// The [`std::hash::Hasher`] a [`DigestState`] builds.
+#[derive(Clone, Debug)]
+pub struct DigestHasher {
+    acc: u64,
+    key: u64,
+}
+
+impl std::hash::Hasher for DigestHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.write_u64(u64::from_le_bytes(c.try_into().expect("an 8-byte chunk")));
+        }
+        let rem = chunks.remainder();
+        if !rem.is_empty() {
+            let mut buf = [0u8; 8];
+            buf[..rem.len()].copy_from_slice(rem);
+            self.write_u64(u64::from_le_bytes(buf));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let product = ((self.acc ^ word) as u128) * (self.key as u128);
+        self.acc = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.acc
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,6 +308,53 @@ mod tests {
     #[test]
     fn wire_size_matches_constant() {
         assert_eq!(Digest::of_u64(9).wire_size(), DIGEST_BYTES);
+    }
+
+    #[test]
+    fn every_digest_map_draws_its_own_keys() {
+        let a: DigestMap<Digest, ()> = DigestMap::default();
+        let b: DigestMap<Digest, ()> = DigestMap::default();
+        let id = Digest::of_u64(7);
+        assert_ne!(a.hasher().hash_one(id), b.hasher().hash_one(id));
+        assert_eq!(a.hasher().hash_one(id), a.hasher().hash_one(id));
+    }
+
+    /// The heaviest of `buckets` buckets, indexed by the hash's low bits
+    /// (where a table probes) or by its top 7 (a table's tag byte), over
+    /// the mean load.
+    fn worst_load(keys: impl Iterator<Item = Digest>, bits_from_top: bool) -> f64 {
+        let state = DigestState::default();
+        let buckets = if bits_from_top { 128 } else { 1024 };
+        let mut load = vec![0u32; buckets];
+        let mut n = 0;
+        for key in keys {
+            let h = state.hash_one(key);
+            let b = if bits_from_top {
+                h >> 57
+            } else {
+                h % buckets as u64
+            };
+            load[b as usize] += 1;
+            n += 1;
+        }
+        *load.iter().max().unwrap() as f64 / (n as f64 / buckets as f64)
+    }
+
+    #[test]
+    fn digest_state_spreads_near_identical_and_sequential_ids() {
+        let last_word = || (0..10_000u64).map(|i| Digest([1, 2, 3, i]));
+        let sequential = || (0..10_000u64).map(Digest::of_u64);
+        for top in [false, true] {
+            for (name, load) in [
+                ("last word", worst_load(last_word(), top)),
+                ("of_u64", worst_load(sequential(), top)),
+            ] {
+                assert!(
+                    load <= 4.0,
+                    "{name} ids (top bits: {top}): worst bucket at {load:.2}× the mean"
+                );
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod keys;
 pub mod proof;
 pub mod signature;
 
-pub use hash::{Digest, Hasher, DIGEST_BYTES};
+pub use hash::{Digest, DigestMap, DigestSet, DigestState, Hasher, DIGEST_BYTES};
 pub use keys::{KeyPair, PublicKey, SecretKey};
 pub use proof::{ProofError, QuorumProof, SIGNATURE_BYTES};
 pub use signature::Signature;

@@ -37,13 +37,13 @@ use crate::dissemination::{
 use crate::simple::DEFAULT_FETCH_TIMEOUT;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
-use smp_crypto::{Digest, Hasher, SecretKey, Signature};
+use smp_crypto::{Digest, DigestSet, Hasher, SecretKey, Signature};
 use smp_telemetry::Telemetry;
 use smp_types::{
     wire, DagMode, Microblock, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime,
     SystemConfig, Transaction, WireSize,
 };
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Reference to the latest known block of a peer (DAG edge).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -206,7 +206,7 @@ pub struct DagMempool {
     /// Delivered batches to ack on the next emitted block (insertion
     /// order; each id enters at most once, guarded by `my_acked`).
     unacked: Vec<MicroblockId>,
-    my_acked: HashSet<MicroblockId>,
+    my_acked: DigestSet<MicroblockId>,
     /// Per-creator emission ledgers.  Batches enter the proposal queue in
     /// their creator's emission (`seq`) order, never in arrival or
     /// certification-completion order: both transports reorder messages
@@ -221,7 +221,7 @@ pub struct DagMempool {
     /// changes nothing — its batch is held or retired, its `seq` noted, its
     /// acks counted — so forgetting a digest after `δ` costs a replayed
     /// block's signature check, not correctness.
-    seen: HashSet<Digest>,
+    seen: DigestSet<Digest>,
     seen_order: VecDeque<(SimTime, Digest)>,
     /// Latest known round per creator — the parent frontier.  A `BTreeMap`
     /// so parent lists are deterministically ordered.
@@ -268,8 +268,8 @@ impl DagMempool {
             unacked: Vec::new(),
             ledgers: HashMap::new(),
             my_seq: 0,
-            my_acked: HashSet::new(),
-            seen: HashSet::new(),
+            my_acked: DigestSet::default(),
+            seen: DigestSet::default(),
             seen_order: VecDeque::new(),
             latest: BTreeMap::new(),
             emitted: false,

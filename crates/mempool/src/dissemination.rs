@@ -40,13 +40,12 @@ use crate::messages::{NarwhalMsg, SmpMsg};
 use crate::store::{FillTracker, MicroblockStore, ProposalQueue, Retired};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use smp_crypto::{Digest, KeyPair, ProofError, PublicKey, QuorumProof, Signature};
+use smp_crypto::{Digest, DigestMap, KeyPair, ProofError, PublicKey, QuorumProof, Signature};
 use smp_telemetry::Telemetry;
 use smp_types::{
     Microblock, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime, SystemConfig,
     Transaction,
 };
-use std::collections::HashMap;
 
 /// The two fetch messages every wire family has, so the core can emit
 /// each family's own variants.
@@ -501,7 +500,7 @@ pub(crate) struct CertificateBook {
     my_key: KeyPair,
     quorum: usize,
     /// Signatures collected per id; a certificate once `quorum` are held.
-    proofs: HashMap<MicroblockId, QuorumProof>,
+    proofs: DigestMap<MicroblockId, QuorumProof>,
 }
 
 impl CertificateBook {
@@ -512,7 +511,7 @@ impl CertificateBook {
             keys: keypairs.iter().map(|k| k.public).collect(),
             my_key: keypairs[me.index()],
             quorum: config.consensus_quorum(),
-            proofs: HashMap::new(),
+            proofs: DigestMap::default(),
         }
     }
 

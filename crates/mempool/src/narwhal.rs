@@ -24,13 +24,12 @@ use crate::dissemination::{
 use crate::messages::NarwhalMsg;
 use crate::simple::DEFAULT_FETCH_TIMEOUT;
 use rand::rngs::SmallRng;
-use smp_crypto::Signature;
+use smp_crypto::{DigestMap, DigestSet, Signature};
 use smp_telemetry::Telemetry;
 use smp_types::{
     Microblock, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime, SystemConfig,
     Transaction,
 };
-use std::collections::{HashMap, HashSet};
 
 /// Narwhal-style reliable-broadcast mempool.
 #[derive(Clone, Debug)]
@@ -40,8 +39,8 @@ pub struct NarwhalMempool {
     echoes: CertificateBook,
     /// Ready signatures per batch; `2f + 1` of them are its certificate.
     readies: CertificateBook,
-    ready_sent: HashSet<MicroblockId>,
-    meta: HashMap<MicroblockId, (ReplicaId, u32, SimTime)>,
+    ready_sent: DigestSet<MicroblockId>,
+    meta: DigestMap<MicroblockId, (ReplicaId, u32, SimTime)>,
 }
 
 impl NarwhalMempool {
@@ -53,8 +52,8 @@ impl NarwhalMempool {
             // Same keys and quorum, derived once.
             echoes: readies.clone(),
             readies,
-            ready_sent: HashSet::new(),
-            meta: HashMap::new(),
+            ready_sent: DigestSet::default(),
+            meta: DigestMap::default(),
         }
     }
 

@@ -30,21 +30,22 @@
 //! them `O(n)` and is left open.
 
 use crate::api::MempoolEvent;
+use smp_crypto::{DigestMap, DigestSet};
 use smp_types::{BlockId, Microblock, MicroblockId, Payload, Proposal, SimTime};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Content-addressed store of the microblocks held: received, and not yet
 /// retired.
 #[derive(Clone, Debug, Default)]
 pub struct MicroblockStore {
-    mbs: HashMap<MicroblockId, Microblock>,
+    mbs: DigestMap<MicroblockId, Microblock>,
 }
 
 impl MicroblockStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         MicroblockStore {
-            mbs: HashMap::new(),
+            mbs: DigestMap::default(),
         }
     }
 
@@ -105,7 +106,7 @@ impl MicroblockStore {
 pub struct Retired {
     /// How long an executed microblock is held: the fetch retry period `δ`.
     hold: SimTime,
-    words: HashSet<u64>,
+    words: DigestSet<u64>,
     /// `(time the hold ends, id)`; times never decrease.
     held: VecDeque<(SimTime, MicroblockId)>,
 }
@@ -115,7 +116,7 @@ impl Retired {
     pub fn new(hold: SimTime) -> Self {
         Retired {
             hold,
-            words: HashSet::new(),
+            words: DigestSet::default(),
             held: VecDeque::new(),
         }
     }
@@ -236,7 +237,7 @@ struct PendingProposal {
 /// Tracks proposals whose referenced microblocks are not yet all local.
 #[derive(Clone, Debug, Default)]
 pub struct FillTracker {
-    pending: HashMap<BlockId, PendingProposal>,
+    pending: DigestMap<BlockId, PendingProposal>,
     executed: u64,
 }
 

@@ -229,9 +229,11 @@ impl<N: Node> Simulation<N> {
     }
 
     /// Schedules external (client) input to arrive at `to` at time `at`.
+    /// An `at` already in the past is clamped to [`now`](Self::now): the
+    /// input arrives next, and the clock does not run backwards for it.
     pub fn schedule_client_input(&mut self, at: SimTime, to: ReplicaId, msg: N::Msg) {
         self.queue.push(
-            at,
+            at.max(self.now),
             EventKind::Deliver {
                 to,
                 from: None,
@@ -772,6 +774,20 @@ mod tests {
         sim.run_until(100);
         sim.run_until(50);
         assert_eq!(sim.now(), 100);
+    }
+
+    #[test]
+    fn client_input_scheduled_in_the_past_arrives_now() {
+        let mut sim = two_nodes(true);
+        sim.run_until(MICROS_PER_MS * 100);
+        assert_eq!(sim.node(1).received.len(), 1, "the echo has been served");
+        sim.schedule_client_input(10, ReplicaId(1), TestMsg::Small(9));
+        sim.run_until(MICROS_PER_MS * 200);
+        let times: Vec<SimTime> = sim.node(1).received.iter().map(|r| r.0).collect();
+        assert_eq!(times.len(), 2);
+        assert!(times[0] < MICROS_PER_MS * 100);
+        assert_eq!(times[1], MICROS_PER_MS * 100);
+        assert_eq!(sim.now(), MICROS_PER_MS * 200);
     }
 
     #[test]
