@@ -1,14 +1,11 @@
 //! Figure 12 (extension): throughput vs. shard count for the sharded
-//! shared mempool (`smp-shard`), under both shard executors.
+//! shared mempool (`smp-shard`).
 //!
 //! Runs Stratus-HotStuff and Narwhal with k ∈ {1, 2, 4, 8} dissemination
 //! shards per replica at a saturating offered load and prints a
 //! throughput-vs-shards table.  One shard is the unwrapped backend
-//! (pass-through), so the k = 1 row doubles as the baseline.  Every
-//! point runs twice — sequential executor and parallel (one worker
-//! thread per shard) — and reports the parallel/sequential throughput
-//! ratio; the two are byte-identical in *simulated* results, so the
-//! ratio isolates the wall-clock speed-up of multi-core dissemination.
+//! (pass-through), so the k = 1 row doubles as the baseline.  Each
+//! point also records its wall-clock time (`seq_wall_secs`).
 //!
 //! `--quick` is a LAN sanity sweep at n = 8; `--full` is the
 //! paper-scale figure-12 setting: the WAN preset (100 Mb/s, 100 ms RTT)
@@ -16,7 +13,7 @@
 
 use smp_bench::{arg_value, header, print_point, rate_grid, saturated, BenchRecorder, Scale};
 use smp_replica::{ExperimentConfig, Protocol};
-use smp_types::{ExecutorKind, MICROS_PER_SEC};
+use smp_types::MICROS_PER_SEC;
 use std::time::Instant;
 
 fn main() {
@@ -27,7 +24,7 @@ fn main() {
     let wan = net == "wan";
     header(
         &format!(
-            "Figure 12 — sharded mempool scaling ({}, sequential vs parallel executor)",
+            "Figure 12 — sharded mempool scaling ({})",
             net.to_uppercase()
         ),
         scale,
@@ -48,30 +45,17 @@ fn main() {
                 cfg = cfg.wan();
             }
             let started = Instant::now();
-            let seq = saturated(&cfg.clone().with_executor(ExecutorKind::Sequential), &rates);
+            let seq = saturated(&cfg, &rates);
             let seq_wall = started.elapsed().as_secs_f64();
-            let started = Instant::now();
-            let par = saturated(&cfg.clone().with_executor(ExecutorKind::Parallel), &rates);
-            let par_wall = started.elapsed().as_secs_f64();
             print_point("shards", shards, &seq);
             let label = format!("{}/k={shards}", protocol.label());
             rec.result(&label, &seq);
-            rec.metric(&label, "par_throughput_ktps", par.summary.throughput_ktps);
             rec.metric(&label, "seq_wall_secs", seq_wall);
-            rec.metric(&label, "par_wall_secs", par_wall);
-            println!(
-                "             parallel: thr={:>9.2} KTx/s  parallel/sequential thr={:.3}  wall={:.3} (<1 = parallel faster)",
-                par.summary.throughput_ktps,
-                par.summary.throughput_ktps / seq.summary.throughput_ktps.max(f64::EPSILON),
-                par_wall / seq_wall.max(f64::EPSILON),
-            );
         }
     }
     rec.finish();
     println!("\nExpected shape: with one shard the sharded wrapper matches the unwrapped");
     println!("backend exactly; as k grows, dissemination work spreads over k independent");
     println!("pipelines per replica, so saturated throughput holds or improves while");
-    println!("per-pipeline batching latency rises slightly at low offered load.  The");
-    println!("parallel/sequential throughput ratio is 1.000 by construction (the executors");
-    println!("are byte-identical); the wall-clock ratio shows the multi-core gain.");
+    println!("per-pipeline batching latency rises slightly at low offered load.");
 }

@@ -1,8 +1,8 @@
 //! The chain-and-pacemaker core under the four engines: plain structs an
 //! engine owns and calls (no trait, no policy object), to which it adds its
 //! vote and its commit rule.  Four known defects are *preserved here, not
-//! fixed*, each marked where it lives; ROADMAP direction 1 (commit gaps →
-//! block sync) owns them.
+//! fixed*, each marked where it lives; ROADMAP's block-sync item (the one
+//! catch-up path) owns them.
 //!
 //! # What is kept below the commit tip
 //!
@@ -90,7 +90,7 @@ impl Chain {
         self.blocks.get(id)
     }
 
-    /// Preserved defect (ROADMAP direction 1): a block never seen answers 0,
+    /// Preserved defect (ROADMAP: block sync): a block never seen answers 0,
     /// like genesis, so a proposal built on a missed parent takes a height
     /// already in use.
     pub(crate) fn height_of(&self, id: &BlockId) -> u64 {
@@ -117,7 +117,7 @@ impl Chain {
 
     /// Commits the one block `id`; `false` if it is unknown — never seen,
     /// or gone below the floor — or already committed.  Preserved defect
-    /// (ROADMAP direction 1): a PBFT / MirBFT commit quorum that fires
+    /// (ROADMAP: block sync): a PBFT / MirBFT commit quorum that fires
     /// before its block arrives never commits it.
     pub(crate) fn commit(&mut self, id: &BlockId, fx: &mut CEffects) -> bool {
         let Some(p) = self
@@ -134,7 +134,7 @@ impl Chain {
     }
 
     /// Commits `tip` and every uncommitted ancestor, oldest first.
-    /// Preserved defect (ROADMAP direction 1): the walk stops at the first
+    /// Preserved defect (ROADMAP: block sync): the walk stops at the first
     /// missing ancestor, so whatever lies below a gap never executes here.
     pub(crate) fn commit_through(&mut self, tip: BlockId, fx: &mut CEffects) {
         let mut chain = Vec::new();
@@ -253,7 +253,7 @@ impl Pacemaker {
     }
 
     /// Whether `p` comes from the leader of its view and is not stale.
-    /// Preserved defect (ROADMAP direction 1): a `Propose` with
+    /// Preserved defect (ROADMAP: block sync): a `Propose` with
     /// `view < self.view` is dropped rather than kept as an ancestor, which
     /// is where the commit gaps start.
     pub(crate) fn accepts(&self, p: &Proposal) -> bool {

@@ -310,9 +310,8 @@ impl LoadBalancer {
 ///    through [`LoadBalancer::apply_ban_view`], so no shard disagrees on
 ///    `banned()` membership.
 ///
-/// The sharded executor merges shard outputs deterministically, so
-/// running both steps at those merge points keeps coordination
-/// deterministic under both the sequential and the parallel executor.
+/// The sharded wrapper calls its shards in a fixed order, so running
+/// both steps after each round keeps coordination deterministic.
 #[derive(Clone, Debug, Default)]
 pub struct ShardLoadCoordinator {
     /// Each shard's own-ban contribution, **replaced** on every

@@ -411,16 +411,30 @@ impl DagMempool {
         if self.seen.contains(&digest) {
             return;
         }
+        // A creator outside the replica set has no key: nothing it signs
+        // may enter the frontier or open a ledger.
         let keys = self.support.keys();
-        if !block
-            .sig
-            .verify(&keys[block.creator.index() % keys.len()], &digest)
-        {
+        let Some(key) = keys.get(block.creator.index()) else {
+            return;
+        };
+        if !block.sig.verify(key, &digest) {
             return;
         }
-        // Only the genesis round may reference fewer than 2f + 1 parents.
-        if block.round > 0 && block.parents.len() < self.support.quorum() {
-            return;
+        // Only the genesis round may reference fewer than 2f + 1 parents,
+        // counted as distinct creators inside the replica set.
+        if block.round > 0 {
+            let mut named = vec![false; keys.len()];
+            let distinct = block
+                .parents
+                .iter()
+                .filter(|p| {
+                    let slot = named.get_mut(p.creator.index());
+                    slot.is_some_and(|seen| !std::mem::replace(seen, true))
+                })
+                .count();
+            if distinct < self.support.quorum() {
+                return;
+            }
         }
         // A block may only introduce its own creator's batch.
         if let Some(mb) = &block.batch {
@@ -919,6 +933,60 @@ mod tests {
         let mut r = rng();
         let _ = b.on_message(5, ReplicaId(0), DagMsg::Block(thin), &mut r);
         assert_eq!(b.stats().stored_microblocks, 0, "thin block accepted");
+    }
+
+    #[test]
+    fn blocks_from_outside_the_replica_set_or_with_repeated_parents_are_dropped() {
+        let cfg = config();
+        let keys = KeyPair::derive_all(cfg.seed, cfg.n);
+        let parent = |creator: u32| DagParentRef {
+            creator: ReplicaId(creator),
+            round: 0,
+        };
+        let mut r = rng();
+        // Replica 1 signs genesis blocks in the name of creators 5, 9 and
+        // 13, which share its key index modulo n.
+        let mut b = DagMempool::new(&cfg, ReplicaId(0));
+        for creator in [5u32, 9, 13] {
+            let mb = Microblock::seal(ReplicaId(creator), txs(4), 0);
+            let forged = DagBlock::signed(
+                ReplicaId(creator),
+                0,
+                0,
+                Some(mb),
+                vec![],
+                vec![],
+                &keys[1].secret,
+            );
+            let _ = b.on_message(5, ReplicaId(1), DagMsg::Block(forged), &mut r);
+        }
+        assert!(
+            b.latest.keys().all(|c| c.index() < cfg.n),
+            "frontier holds invented creators: {:?}",
+            b.latest
+        );
+        assert!(b.ledgers.keys().all(|c| c.index() < cfg.n));
+        assert_eq!(b.stats().stored_microblocks, 0);
+        // Round-1 blocks whose parent lists reach three entries only by
+        // repeating a creator or naming one outside the replica set.
+        for (seq, parents) in [
+            (1, vec![parent(1), parent(1), parent(1)]),
+            (2, vec![parent(1), parent(5), parent(9)]),
+        ] {
+            let mut fresh = DagMempool::new(&cfg, ReplicaId(2));
+            let mb = Microblock::seal(ReplicaId(1), txs(4), seq);
+            let block = DagBlock::signed(
+                ReplicaId(1),
+                1,
+                seq,
+                Some(mb),
+                parents,
+                vec![],
+                &keys[1].secret,
+            );
+            let _ = fresh.on_message(5, ReplicaId(1), DagMsg::Block(block), &mut r);
+            assert_eq!(fresh.stats().stored_microblocks, 0, "thin block accepted");
+        }
     }
 
     #[test]

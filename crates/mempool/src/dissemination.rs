@@ -29,7 +29,7 @@
 //! serving peer executes it has its first request and its first retry (`δ`
 //! later) both land inside that window; one that learns of it up to `δ`
 //! later still has its first request served.  A replica further behind
-//! than that needs block sync (ROADMAP direction 3) and is no worse off
+//! than that needs block sync (a ROADMAP item) and is no worse off
 //! than before, when it never learned the reference at all: proposals
 //! older than its view are dropped by the pacemaker.
 

@@ -1,4 +1,4 @@
-//! One-hash-per-payload regression tests (ROADMAP item (b)).
+//! One-hash-per-payload regression tests (ROADMAP's digest-caching item).
 //!
 //! `MicroblockId::derive` is the only payload-proportional hash in the
 //! dissemination plane, and it must run exactly once per batch — at

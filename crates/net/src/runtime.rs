@@ -334,7 +334,10 @@ where
             let stop = Arc::clone(&stop);
             let readers = Arc::clone(&readers);
             let stats = Arc::clone(&self.stats);
-            thread::spawn(move || accept_loop::<N::Msg>(listener, n, tx, stop, readers, stats))
+            let hello_timeout = self.spec.connect_timeout;
+            thread::spawn(move || {
+                accept_loop::<N::Msg>(listener, n, hello_timeout, tx, stop, readers, stats)
+            })
         };
 
         // One reconnect supervisor per peer owns that peer's outbound
@@ -686,6 +689,7 @@ fn supervisor_loop<M>(
 fn accept_loop<M: WireMsg>(
     listener: TcpListener,
     n: usize,
+    hello_timeout: Duration,
     tx: Sender<Ev<M>>,
     stop: Arc<AtomicBool>,
     readers: ReaderRegistry,
@@ -708,11 +712,9 @@ fn accept_loop<M: WireMsg>(
                 };
                 let tx = tx.clone();
                 let stats = Arc::clone(&stats);
-                let handle = thread::spawn(move || inbound_loop(stream, n, tx, stats));
-                readers
-                    .lock()
-                    .expect("reader registry poisoned")
-                    .push((clone, handle));
+                let handle =
+                    thread::spawn(move || inbound_loop(stream, n, hello_timeout, tx, stats));
+                register_reader(&readers, clone, handle);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_millis(2));
@@ -722,14 +724,34 @@ fn accept_loop<M: WireMsg>(
     }
 }
 
-/// One inbound connection, from its hello to its end.
-fn inbound_loop<M: WireMsg>(stream: TcpStream, n: usize, tx: Sender<Ev<M>>, stats: Arc<NetStats>) {
+/// Adds a reader to the registry after dropping the readers that already
+/// ended, so a closed or cut-off connection gives its descriptor back now
+/// rather than at shutdown, and a client that keeps reconnecting cannot
+/// grow the registry without bound.
+fn register_reader(readers: &ReaderRegistry, stream: TcpStream, handle: JoinHandle<()>) {
+    let mut registry = readers.lock().expect("reader registry poisoned");
+    registry.retain(|(_, handle)| !handle.is_finished());
+    registry.push((stream, handle));
+}
+
+/// One inbound connection, from its hello to its end.  A client that says
+/// nothing within `hello_timeout` is cut off and counted as a failed
+/// handshake.
+fn inbound_loop<M: WireMsg>(
+    stream: TcpStream,
+    n: usize,
+    hello_timeout: Duration,
+    tx: Sender<Ev<M>>,
+    stats: Arc<NetStats>,
+) {
+    stream.set_read_timeout(Some(hello_timeout)).ok();
     let Some(from) = read_hello(&stream).filter(|from| from.index() < n) else {
         stats.record_handshake_failure();
         // Not just this fd — the registry holds a clone.
         stream.shutdown(Shutdown::Both).ok();
         return;
     };
+    stream.set_read_timeout(None).ok();
     stats.record_connect(from.index());
     tx.send(Ev::PeerUp(from)).ok();
     reader_loop(stream, from, tx, stats);
@@ -802,6 +824,37 @@ fn reader_loop<M: WireMsg>(
                     return;
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ended_readers_leave_the_registry_at_the_next_accept() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let dial = || TcpStream::connect(addr).expect("dial");
+        let readers: ReaderRegistry = Arc::new(Mutex::new(Vec::new()));
+
+        // A reader that is still running stays registered throughout.
+        let (release, hold) = mpsc::channel::<()>();
+        let live = thread::spawn(move || hold.recv().unwrap_or_default());
+        register_reader(&readers, dial(), live);
+        for _ in 0..8 {
+            let ended = thread::spawn(|| {});
+            while !ended.is_finished() {
+                thread::sleep(Duration::from_millis(1));
+            }
+            register_reader(&readers, dial(), ended);
+            assert_eq!(readers.lock().unwrap().len(), 2, "ended readers piled up");
+        }
+
+        release.send(()).expect("release the live reader");
+        for (_, handle) in std::mem::take(&mut *readers.lock().unwrap()) {
+            handle.join().expect("reader thread");
         }
     }
 }

@@ -7,7 +7,7 @@ use smp_types::{ReplicaId, SimTime};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Toy wire message: `[magic, priority, u32 value]`, 6-byte header, no body.
 #[derive(Clone, Debug, PartialEq)]
@@ -211,6 +211,57 @@ fn silent_connection_blocks_neither_formation_nor_shutdown() {
         Some(1)
     );
     drop(silent);
+}
+
+/// A silent client is cut off once `connect_timeout` passes without a
+/// hello, while the cluster is still running, instead of holding its
+/// reader thread until shutdown — and so is every silent client that
+/// dials after it.
+#[test]
+fn silent_connection_is_cut_off_after_the_hello_timeout() {
+    const SILENT_CLIENTS: u64 = 3;
+    let addrs = free_addrs(1);
+    let mut spec = ClusterSpec::new(ReplicaId(0), addrs.clone(), 31);
+    spec.connect_timeout = Duration::from_millis(200);
+    let telemetry = Telemetry::wall_clock();
+    let node = {
+        let telemetry = telemetry.clone();
+        let ticker = Ticker {
+            fired: Vec::new(),
+            armed_for: 0,
+        };
+        thread::spawn(move || NetRuntime::new(ticker, spec, telemetry).run(3_000_000))
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    for client in 0..SILENT_CLIENTS {
+        let mut silent = loop {
+            match TcpStream::connect(addrs[0]) {
+                Ok(s) => break s,
+                Err(_) if Instant::now() < deadline => thread::sleep(Duration::from_millis(5)),
+                Err(e) => panic!("dial replica 0: {e}"),
+            }
+        };
+        let connected = Instant::now();
+        // Timeout plus slack; all clients together stay inside the 3 s
+        // run.
+        silent
+            .set_read_timeout(Some(Duration::from_millis(900)))
+            .expect("read timeout");
+        let mut buf = [0u8; 1];
+        let read = silent.read(&mut buf);
+        let waited = connected.elapsed();
+        assert!(
+            matches!(read, Ok(0)),
+            "client {client}: expected EOF after {waited:?}, got {read:?}"
+        );
+    }
+    node.join()
+        .expect("replica 0 thread")
+        .expect("replica 0 run");
+    assert_eq!(
+        telemetry.snapshot().counter("net.handshake.failed"),
+        Some(SILENT_CLIENTS)
+    );
 }
 
 /// A node whose timer cadence generates work: checks real timers fire

@@ -17,7 +17,7 @@ use simnet::{node_telemetry, Telemetry};
 use smp_consensus::{ConsensusEngine, HotStuffEngine, MirBftEngine, PbftEngine, StreamletEngine};
 use smp_mempool::{DagMempool, GossipSmp, Mempool, NarwhalMempool, NativeMempool, SimpleSmp};
 use smp_shard::ShardedMempool;
-use smp_types::{DagMode, ExecutorKind, ReplicaId, SystemConfig};
+use smp_types::{DagMode, ReplicaId, SystemConfig};
 use stratus::StratusMempool;
 
 /// Index of the replica whose latencies and throughput a run reports.
@@ -78,10 +78,11 @@ pub(crate) fn dispatch<V: ProtocolVisitor>(config: &ExperimentConfig, v: V) -> V
 
 /// Applies the sharding wrap, if configured.  Every protocol of Table II
 /// composes with sharding this way (e.g. `StratusHotStuff` × k shards),
-/// under either executor: the backend constructor receives the per-shard
-/// configuration (batch budget divided by `k`), and the replica id salts
-/// the per-shard RNG streams so the sequential and parallel executors stay
-/// byte-identical while different replicas stay decorrelated.
+/// with the shard count and executor kind read by
+/// [`ShardedMempool::from_system`]: the backend constructor receives the
+/// per-shard configuration (batch budget divided by `k`), and the replica
+/// id salts the per-shard RNG streams so different replicas stay
+/// decorrelated.
 fn assemble<V, E, M>(
     config: &ExperimentConfig,
     sys: &SystemConfig,
@@ -95,16 +96,12 @@ where
     M: Mempool + Send + 'static,
     M::Msg: MempoolWire + WireCodec + Send + 'static,
 {
-    let k = config.shards;
-    match (k > 1, config.executor) {
-        (false, _) => visit(config, sys, v, make_engine, make_mempool),
-        (true, ExecutorKind::Sequential) => visit(config, sys, v, make_engine, |s, i| {
-            ShardedMempool::sequential(s, k, i.0 as u64, |_, shard_sys| make_mempool(shard_sys, i))
-        }),
-        (true, ExecutorKind::Parallel) => visit(config, sys, v, make_engine, |s, i| {
-            ShardedMempool::parallel(s, k, i.0 as u64, |_, shard_sys| make_mempool(shard_sys, i))
-        }),
+    if config.shards <= 1 {
+        return visit(config, sys, v, make_engine, make_mempool);
     }
+    visit(config, sys, v, make_engine, |s, i| {
+        ShardedMempool::from_system(s, i.0 as u64, |_, shard_sys| make_mempool(shard_sys, i))
+    })
 }
 
 /// Hands the visitor the builder of replica `i` over the final stack.

@@ -57,9 +57,8 @@ pub struct ExperimentConfig {
     /// Number of shared-mempool dissemination shards per replica
     /// (`smp-shard`); `1` runs the backend mempool unwrapped.
     pub shards: usize,
-    /// How the shards are driven: inline (`Sequential`, the default) or
-    /// one worker thread per shard (`Parallel`).  Byte-identical results
-    /// either way on the same seed; irrelevant when `shards == 1`.
+    /// How the shards are driven.  Both kinds run every shard on the
+    /// replica thread, so results are identical (see [`ExecutorKind`]).
     pub executor: ExecutorKind,
     /// Whether to attach a live [`Telemetry`] sink to the run (metrics
     /// registry + span tracer, exposed on [`ExperimentResult::telemetry`]).

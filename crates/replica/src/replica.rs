@@ -93,7 +93,7 @@ where
     /// not protocol state: the mempool and the engine let go of what has
     /// committed, the log does not, so index-based `Sync` serves the same
     /// entries as before.  Bounding it (a kept tail plus a snapshot for
-    /// whoever asks below it) is the part of ROADMAP direction 4 left open.
+    /// whoever asks below it) is ROADMAP's checkpointed-commit-log item.
     commit_log: Option<Vec<TxId>>,
     /// Crash-recovery mode: the replica rejoined after losing its state
     /// and is replaying the committed sequence from live peers.  While

@@ -34,25 +34,18 @@
 //! so a sharded run at one shard commits exactly what the unsharded
 //! backend commits on the same seed.
 //!
-//! How the `k` pipelines are *scheduled* is the [`executor`] module's
-//! job: [`SequentialExecutor`] runs them inline (deterministic default),
-//! [`ParallelExecutor`] gives each shard its own worker thread with a
-//! private inbox and merges outputs back in submission order — the two
-//! are byte-identical on the same seed (`SystemConfig::executor` picks
-//! one; `tests/conformance.rs` proves the equivalence across every
-//! Table II protocol).
+//! The shards are a plain `Vec` the wrapper calls directly, in job order,
+//! on the caller's thread; every shard draws from its own RNG stream
+//! ([`shard_rng_seed`]).  [`ShardedMempool::parallel`] and
+//! `ExecutorKind::Parallel` are names kept for the benchmark package:
+//! both build the same wrapper as [`ShardedMempool::sequential`].
 
 pub mod envelope;
-pub mod executor;
 pub mod mempool;
 pub mod mux;
 pub mod router;
 
 pub use envelope::ShardedMsg;
-pub use executor::{
-    shard_rng_seed, Executor, ParallelExecutor, SequentialExecutor, ShardExecutor, ShardOp,
-    ShardOutput,
-};
-pub use mempool::{per_shard_config, ShardedMempool};
+pub use mempool::{per_shard_config, shard_rng_seed, ShardedMempool};
 pub use mux::TimerMux;
 pub use router::ShardRouter;

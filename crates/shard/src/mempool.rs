@@ -1,15 +1,15 @@
 //! The sharded mempool wrapper.
 
 use crate::envelope::ShardedMsg;
-use crate::executor::{Executor, ParallelExecutor, SequentialExecutor, ShardExecutor, ShardOp};
 use crate::mux::TimerMux;
 use crate::router::ShardRouter;
 use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use smp_mempool::{Effects, FillStatus, Mempool, MempoolEvent, MempoolStats, TimerTag};
 use smp_telemetry::Telemetry;
 use smp_types::{
-    BlockId, ExecutorKind, MicroblockRef, Payload, Proposal, ReplicaId, SimTime, SystemConfig,
-    Transaction, WireSize, SHARD_GROUP_TAG_BYTES,
+    BlockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime, SystemConfig, Transaction,
+    WireSize, SHARD_GROUP_TAG_BYTES,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -36,6 +36,26 @@ impl PayloadItem {
             PayloadItem::Tx(_, t) => t.wire_size(),
         }
     }
+
+    /// Appends shard `shard`'s drained `payload` to `items`.
+    fn extend(items: &mut Vec<PayloadItem>, shard: u16, payload: Payload) {
+        match payload {
+            Payload::Empty => {}
+            Payload::Refs(refs) => {
+                items.extend(refs.into_iter().map(|r| PayloadItem::Ref(shard, r)))
+            }
+            Payload::Inline(txs) => {
+                items.extend(txs.iter().cloned().map(|t| PayloadItem::Tx(shard, t)))
+            }
+            // Backends never emit nested sharded payloads; fold the groups
+            // in defensively if one ever does.
+            Payload::Sharded(groups) => {
+                for (_, p) in groups {
+                    Self::extend(items, shard, p);
+                }
+            }
+        }
+    }
 }
 
 /// The per-shard system configuration: the microblock batch budget is
@@ -53,6 +73,21 @@ pub fn per_shard_config(config: &SystemConfig, shards: usize) -> SystemConfig {
     shard_config
 }
 
+/// Derives the RNG seed of one shard's private stream.
+///
+/// `seed` is the system seed, `salt` distinguishes replicas (the replica
+/// id in the standard wiring) so peers do not draw correlated streams,
+/// and `shard` separates the streams within one replica.
+pub fn shard_rng_seed(seed: u64, salt: u64, shard: usize) -> u64 {
+    let mut x = seed
+        ^ salt.rotate_left(17).wrapping_mul(0xd605_1c99_2958_9b1f)
+        ^ (shard as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    // splitmix64 finalizer.
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 /// A shared mempool running `k` independent dissemination pipelines.
 ///
 /// Wraps `k` instances of any backend mempool `M`.  Client transactions
@@ -63,13 +98,13 @@ pub fn per_shard_config(config: &SystemConfig, shards: usize) -> SystemConfig {
 /// configured byte budget, and incoming proposals are filled by fanning
 /// per-shard groups back out to the owning instances.
 ///
-/// The instances are driven by a [`ShardExecutor`]: inline on the
-/// replica's thread ([`SequentialExecutor`], the default) or one worker
-/// thread per shard ([`ParallelExecutor`]).  The two are byte-identical
-/// on the same seed (see the executor module docs for the determinism
-/// contract), so the choice is purely about hardware parallelism.
+/// The instances are called directly, in job order, on the caller's
+/// thread; each draws from its own RNG stream ([`shard_rng_seed`]).
 pub struct ShardedMempool<M: Mempool> {
-    executor: Executor<M>,
+    shards: Vec<M>,
+    /// Each shard's private RNG stream.  At `k == 1` the caller's RNG is
+    /// used instead, keeping one shard a byte-transparent pass-through.
+    rngs: Vec<SmallRng>,
     router: ShardRouter,
     mux: TimerMux,
     /// Round-robin start offset for payload assembly, advanced once per
@@ -97,15 +132,15 @@ pub struct ShardedMempool<M: Mempool> {
     /// lazily on the first round ([`Mempool::load_snapshot`] returning
     /// `None` everywhere means never coordinate again).
     load_coordinated: Option<bool>,
-    /// Observability only; also pushed into the executor (per shard,
-    /// re-prefixed `shard.<i>`) by [`Mempool::set_telemetry`].
+    /// Observability only; also handed to every shard (re-prefixed
+    /// `shard.<i>`) by [`Mempool::set_telemetry`].
     telemetry: Telemetry,
 }
 
 impl<M: Mempool> ShardedMempool<M> {
-    /// Builds a sequentially executed sharded mempool with `shards`
-    /// instances produced by `make`, which receives the shard index and
-    /// the per-shard configuration (batch budget divided by `k`, see
+    /// Builds a sharded mempool with `shards` instances produced by
+    /// `make`, which receives the shard index and the per-shard
+    /// configuration (batch budget divided by `k`, see
     /// [`per_shard_config`]).  Uses RNG salt 0 — in a multi-replica
     /// deployment use [`Self::sequential`] with the replica id so peers
     /// do not draw correlated per-shard streams.
@@ -117,29 +152,22 @@ impl<M: Mempool> ShardedMempool<M> {
         Self::sequential(config, shards, 0, make)
     }
 
-    /// Builds a sequentially executed sharded mempool.  `salt`
-    /// distinguishes the per-shard RNG streams of different replicas
-    /// (pass the replica id).
+    /// Builds a sharded mempool that calls every shard on the caller's
+    /// thread.  `salt` distinguishes the per-shard RNG streams of
+    /// different replicas (pass the replica id).
     pub fn sequential<F: FnMut(usize, &SystemConfig) -> M>(
         config: &SystemConfig,
         shards: usize,
         salt: u64,
-        make: F,
+        mut make: F,
     ) -> Self {
         let k = shards.max(1);
-        let executor = Executor::Sequential(SequentialExecutor::new(
-            Self::instances(config, k, make),
-            config.seed,
-            salt,
-        ));
-        Self::with_executor(config, executor)
-    }
-
-    /// Wraps a pre-built executor.
-    pub fn with_executor(config: &SystemConfig, executor: Executor<M>) -> Self {
-        let k = executor.shard_count();
+        let shard_config = per_shard_config(config, k);
         ShardedMempool {
-            executor,
+            shards: (0..k).map(|s| make(s, &shard_config)).collect(),
+            rngs: (0..k)
+                .map(|s| SmallRng::seed_from_u64(shard_rng_seed(config.seed, salt, s)))
+                .collect(),
             router: ShardRouter::new(k),
             mux: TimerMux::new(),
             cursor: 0,
@@ -153,18 +181,38 @@ impl<M: Mempool> ShardedMempool<M> {
         }
     }
 
-    fn instances<F: FnMut(usize, &SystemConfig) -> M>(
+    /// The same as [`Self::sequential`].  Running shards on threads of
+    /// their own made every measured call slower for byte-identical
+    /// output, so the thread fan-out is gone; the name stays only while
+    /// the benchmark package still calls it.
+    pub fn parallel<F: FnMut(usize, &SystemConfig) -> M>(
         config: &SystemConfig,
-        k: usize,
-        mut make: F,
-    ) -> Vec<M> {
-        let shard_config = per_shard_config(config, k);
-        (0..k).map(|s| make(s, &shard_config)).collect()
+        shards: usize,
+        salt: u64,
+        make: F,
+    ) -> Self {
+        Self::sequential(config, shards, salt, make)
+    }
+
+    /// Builds a sharded mempool with the shard count from
+    /// [`SystemConfig::shards`].  [`SystemConfig::executor`] does not
+    /// change the result: both kinds build [`Self::sequential`].
+    ///
+    /// `salt` distinguishes the per-shard RNG streams of different
+    /// replicas — pass the replica id.  Two replicas built with the same
+    /// salt draw identical per-shard streams and make correlated random
+    /// choices.
+    pub fn from_system<F: FnMut(usize, &SystemConfig) -> M>(
+        config: &SystemConfig,
+        salt: u64,
+        make: F,
+    ) -> Self {
+        Self::sequential(config, config.shards, salt, make)
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.executor.shard_count()
+        self.shards.len()
     }
 
     /// The router assigning transactions to shards.
@@ -172,14 +220,9 @@ impl<M: Mempool> ShardedMempool<M> {
         &self.router
     }
 
-    /// Whether the shards run on worker threads.
-    pub fn is_parallel(&self) -> bool {
-        matches!(self.executor, Executor::Parallel(_))
-    }
-
     /// Per-shard counters (the [`Mempool::stats`] roll-up, unaggregated).
     pub fn shard_stats(&self) -> Vec<MempoolStats> {
-        self.executor.shard_stats()
+        self.shards.iter().map(Mempool::stats).collect()
     }
 
     /// Content drained from shards but not yet placed into a payload.
@@ -187,11 +230,9 @@ impl<M: Mempool> ShardedMempool<M> {
         self.carry.len()
     }
 
-    /// A specific backend instance, when it lives on the calling thread
-    /// (sequential or inline-parallel execution); `None` for worker-owned
-    /// shards.  For inspection and tests.
-    pub fn shard(&self, index: usize) -> Option<&M> {
-        self.executor.shard(index)
+    /// A specific backend instance (for inspection and tests).
+    pub fn shard(&self, index: usize) -> &M {
+        &self.shards[index]
     }
 
     /// The cross-shard load coordinator's merged ban view (for
@@ -205,16 +246,12 @@ impl<M: Mempool> ShardedMempool<M> {
     /// every shard.  Backends without load balancing are
     /// detected on the first round and skipped forever after.
     fn coordinate_load(&mut self) {
-        let k = self.executor.shard_count();
-        if k == 1 || self.load_coordinated == Some(false) {
+        if self.shards.len() == 1 || self.load_coordinated == Some(false) {
             return;
         }
-        let ops: Vec<(u16, ShardOp<M>)> =
-            (0..k as u16).map(|s| (s, ShardOp::LoadSnapshot)).collect();
-        let outputs = self.executor.run(ops, None);
         let mut any = false;
-        for (shard, output) in (0..k as u16).zip(outputs) {
-            let Some(snap) = output.into_snapshot() else {
+        for (shard, mp) in self.shards.iter_mut().enumerate() {
+            let Some(snap) = mp.load_snapshot() else {
                 continue;
             };
             any = true;
@@ -222,7 +259,7 @@ impl<M: Mempool> ShardedMempool<M> {
                 self.coordinator.reset_banlist();
             }
             self.coordinator
-                .absorb_bans(shard, snap.own_bans.into_iter().collect());
+                .absorb_bans(shard as u16, snap.own_bans.into_iter().collect());
         }
         if self.load_coordinated.is_none() {
             self.load_coordinated = Some(any);
@@ -231,17 +268,9 @@ impl<M: Mempool> ShardedMempool<M> {
             return;
         }
         let banned = self.coordinator.banned();
-        let ops: Vec<(u16, ShardOp<M>)> = (0..k as u16)
-            .map(|s| {
-                (
-                    s,
-                    ShardOp::ApplyLoadView {
-                        banned: banned.clone(),
-                    },
-                )
-            })
-            .collect();
-        let _ = self.executor.run(ops, None);
+        for mp in &mut self.shards {
+            mp.apply_load_view(&banned);
+        }
     }
 
     /// Re-tags effects coming out of shard `shard`: messages get the
@@ -275,31 +304,6 @@ impl<M: Mempool> ShardedMempool<M> {
                 other => out.event(other),
             }
         }
-        out
-    }
-
-    /// Runs a batch of per-shard operations and merges the lifted effects
-    /// in submission order.
-    fn run_effects(
-        &mut self,
-        ops: Vec<(u16, ShardOp<M>)>,
-        rng: Option<&mut SmallRng>,
-    ) -> Effects<ShardedMsg<M::Msg>> {
-        if ops.is_empty() {
-            return Effects::none();
-        }
-        let shards: Vec<u16> = ops.iter().map(|(s, _)| *s).collect();
-        let _span = self.telemetry.span("sharded.exec");
-        let outputs = self.executor.run(ops, rng);
-        drop(_span);
-        let mut out = Effects::none();
-        for (shard, output) in shards.into_iter().zip(outputs) {
-            out.merge(self.lift(shard, output.into_effects()));
-        }
-        // Event handling may have changed a shard's DLB state (an LbInfo
-        // reply arrived, a forward went out, the reset fired): fold it
-        // into the merged view before control returns to the replica.
-        self.coordinate_load();
         out
     }
 
@@ -348,60 +352,6 @@ impl<M: Mempool> ShardedMempool<M> {
             PayloadItem::Tx(..) => true,
         });
         self.carry_bytes = self.carry.iter().map(PayloadItem::wire_size).sum();
-    }
-
-    /// Drains every shard's proposable content (round-robin from the
-    /// current cursor) into the item queue, after any carried-over items.
-    ///
-    /// When the carry queue already holds a full budget's worth of
-    /// content, shards are left untouched: their content stays inside the
-    /// backend (which deduplicates against committed proposals) instead
-    /// of accumulating without bound in the carry queue under sustained
-    /// overload.
-    fn drain_shards(&mut self, now: SimTime) -> Vec<PayloadItem> {
-        let k = self.executor.shard_count();
-        let backlogged = self.carry_bytes >= self.budget;
-        let mut items: Vec<PayloadItem> = self.carry.drain(..).collect();
-        self.carry_bytes = 0;
-        if backlogged {
-            return items;
-        }
-        let ops: Vec<(u16, ShardOp<M>)> = (0..k)
-            .map(|off| {
-                let s = (self.cursor + off) % k;
-                (s as u16, ShardOp::MakePayload { now })
-            })
-            .collect();
-        let shards: Vec<u16> = ops.iter().map(|(s, _)| *s).collect();
-        let payloads = self.executor.run(ops, None);
-        for (s, output) in shards.into_iter().zip(payloads) {
-            match output.into_payload() {
-                Payload::Empty => {}
-                Payload::Refs(refs) => {
-                    items.extend(refs.into_iter().map(|r| PayloadItem::Ref(s, r)));
-                }
-                Payload::Inline(txs) => {
-                    items.extend(txs.iter().cloned().map(|t| PayloadItem::Tx(s, t)));
-                }
-                // Backends never emit nested sharded payloads; fold the
-                // groups in defensively if one ever does.
-                Payload::Sharded(groups) => {
-                    for (_, p) in groups {
-                        match p {
-                            Payload::Refs(refs) => {
-                                items.extend(refs.into_iter().map(|r| PayloadItem::Ref(s, r)))
-                            }
-                            Payload::Inline(txs) => {
-                                items.extend(txs.iter().cloned().map(|t| PayloadItem::Tx(s, t)))
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-        }
-        self.cursor = (self.cursor + 1) % k;
-        items
     }
 
     /// Assembles items into per-shard groups under the byte budget; what
@@ -453,48 +403,78 @@ impl<M: Mempool> ShardedMempool<M> {
         }
         Payload::sharded(groups)
     }
-}
 
-impl<M> ShardedMempool<M>
-where
-    M: Mempool + Send + 'static,
-    M::Msg: Send,
-{
-    /// Builds a sharded mempool whose shards run on worker threads.
-    /// `salt` distinguishes the per-shard RNG streams of different
-    /// replicas (pass the replica id); on the same `(config, salt)` the
-    /// parallel mempool is byte-identical to the sequential one.
-    pub fn parallel<F: FnMut(usize, &SystemConfig) -> M>(
-        config: &SystemConfig,
-        shards: usize,
-        salt: u64,
-        make: F,
-    ) -> Self {
-        let k = shards.max(1);
-        let executor = Executor::Parallel(ParallelExecutor::new(
-            Self::instances(config, k, make),
-            config.seed,
-            salt,
-        ));
-        Self::with_executor(config, executor)
+    /// Runs `f` on each job's shard, in job order on the caller's thread,
+    /// and returns `(shard, output)` in the same order.  At `k == 1` the
+    /// job draws from `caller_rng` (when given); otherwise every shard
+    /// draws from its own stream.
+    fn each<J, R>(
+        &mut self,
+        jobs: Vec<(u16, J)>,
+        mut caller_rng: Option<&mut SmallRng>,
+        mut f: impl FnMut(&mut M, &mut SmallRng, J) -> R,
+    ) -> Vec<(u16, R)> {
+        let k = self.shards.len();
+        let mut out = Vec::with_capacity(jobs.len());
+        for (s, job) in jobs {
+            let rng = match caller_rng.as_deref_mut() {
+                Some(rng) if k == 1 => rng,
+                _ => &mut self.rngs[s as usize],
+            };
+            out.push((s, f(&mut self.shards[s as usize], rng, job)));
+        }
+        out
     }
 
-    /// Builds a sharded mempool with the shard count and executor kind
-    /// from [`SystemConfig::shards`] / [`SystemConfig::executor`].
-    ///
-    /// `salt` distinguishes the per-shard RNG streams of different
-    /// replicas — pass the replica id.  Two replicas built with the same
-    /// salt draw identical per-shard streams and make correlated random
-    /// choices.
-    pub fn from_system<F: FnMut(usize, &SystemConfig) -> M>(
-        config: &SystemConfig,
-        salt: u64,
-        make: F,
-    ) -> Self {
-        match config.executor {
-            ExecutorKind::Sequential => Self::sequential(config, config.shards, salt, make),
-            ExecutorKind::Parallel => Self::parallel(config, config.shards, salt, make),
+    /// Runs event-handler jobs, lifts their effects in job order, and
+    /// then runs a load-coordination round.
+    fn run_effects<J>(
+        &mut self,
+        jobs: Vec<(u16, J)>,
+        rng: Option<&mut SmallRng>,
+        f: impl FnMut(&mut M, &mut SmallRng, J) -> Effects<M::Msg>,
+    ) -> Effects<ShardedMsg<M::Msg>> {
+        if jobs.is_empty() {
+            return Effects::none();
         }
+        let _span = self.telemetry.span("sharded.exec");
+        let outputs = self.each(jobs, rng, f);
+        drop(_span);
+        let mut out = Effects::none();
+        for (shard, fx) in outputs {
+            out.merge(self.lift(shard, fx));
+        }
+        // Event handling may have changed a shard's DLB state (an LbInfo
+        // reply arrived, a forward went out, the reset fired): fold it
+        // into the merged view before control returns to the replica.
+        self.coordinate_load();
+        out
+    }
+
+    /// Drains every shard's proposable content (round-robin from the
+    /// current cursor) into the item queue, after any carried-over items.
+    ///
+    /// When the carry queue already holds a full budget's worth of
+    /// content, shards are left untouched: their content stays inside the
+    /// backend (which deduplicates against committed proposals) instead
+    /// of accumulating without bound in the carry queue under sustained
+    /// overload.
+    fn drain_shards(&mut self, now: SimTime) -> Vec<PayloadItem> {
+        let k = self.shards.len();
+        let backlogged = self.carry_bytes >= self.budget;
+        let mut items: Vec<PayloadItem> = self.carry.drain(..).collect();
+        self.carry_bytes = 0;
+        if backlogged {
+            return items;
+        }
+        let jobs = (0..k)
+            .map(|off| (((self.cursor + off) % k) as u16, ()))
+            .collect();
+        for (s, payload) in self.each(jobs, None, |mp, _, ()| mp.make_payload(now)) {
+            PayloadItem::extend(&mut items, s, payload);
+        }
+        self.cursor = (self.cursor + 1) % k;
+        items
     }
 }
 
@@ -507,13 +487,15 @@ impl<M: Mempool> Mempool for ShardedMempool<M> {
         txs: Vec<Transaction>,
         rng: &mut SmallRng,
     ) -> Effects<Self::Msg> {
-        let ops: Vec<(u16, ShardOp<M>)> = self
+        let jobs = self
             .router
             .partition(txs)
             .into_iter()
-            .map(|(shard, group)| (shard as u16, ShardOp::ClientTxs { now, txs: group }))
+            .map(|(shard, group)| (shard as u16, group))
             .collect();
-        self.run_effects(ops, Some(rng))
+        self.run_effects(jobs, Some(rng), |mp, rng, txs| {
+            mp.on_client_txs(now, txs, rng)
+        })
     }
 
     fn on_message(
@@ -523,45 +505,33 @@ impl<M: Mempool> Mempool for ShardedMempool<M> {
         msg: Self::Msg,
         rng: &mut SmallRng,
     ) -> Effects<Self::Msg> {
-        let shard = msg.shard;
-        if shard as usize >= self.executor.shard_count() {
+        if msg.shard as usize >= self.shards.len() {
             // A peer with a different shard count is misconfigured (or
             // Byzantine); drop the message rather than panic.
             return Effects::none();
         }
-        let ops = vec![(
-            shard,
-            ShardOp::Message {
-                now,
-                from,
-                msg: msg.inner,
-            },
-        )];
-        self.run_effects(ops, Some(rng))
+        let jobs = vec![(msg.shard, msg.inner)];
+        self.run_effects(jobs, Some(rng), |mp, rng, inner| {
+            mp.on_message(now, from, inner, rng)
+        })
     }
 
     fn on_timer(&mut self, now: SimTime, tag: TimerTag, rng: &mut SmallRng) -> Effects<Self::Msg> {
         match self.mux.fire(tag) {
             Some((shard, inner)) => {
-                let ops = vec![(shard, ShardOp::Timer { now, tag: inner })];
-                self.run_effects(ops, Some(rng))
+                self.run_effects(vec![(shard, inner)], Some(rng), |mp, rng, tag| {
+                    mp.on_timer(now, tag, rng)
+                })
             }
             None => Effects::none(),
         }
     }
 
     fn make_payload(&mut self, now: SimTime) -> Payload {
-        if self.executor.shard_count() == 1 && self.carry.is_empty() {
+        if self.shards.len() == 1 && self.carry.is_empty() {
             // Transparent fast path: one shard proposes exactly what the
             // unwrapped backend would.
-            let outputs = self
-                .executor
-                .run(vec![(0, ShardOp::MakePayload { now })], None);
-            return outputs
-                .into_iter()
-                .next()
-                .expect("one output")
-                .into_payload();
+            return self.shards[0].make_payload(now);
         }
         let _span = self.telemetry.span_at("sharded.make_payload", now);
         let items = self.drain_shards(now);
@@ -580,137 +550,95 @@ impl<M: Mempool> Mempool for ShardedMempool<M> {
         rng: &mut SmallRng,
     ) -> (FillStatus, Effects<Self::Msg>) {
         self.prune_carry(proposal);
-        match &proposal.payload {
-            Payload::Sharded(groups) => {
-                let k = self.executor.shard_count();
-                if groups.iter().any(|(shard, _)| *shard as usize >= k) {
-                    return (
-                        FillStatus::Invalid("unknown shard in proposal"),
-                        Effects::none(),
-                    );
-                }
-                // Every referenced shard verifies its group; the verdicts
-                // are aggregated afterwards so the executor can fan the
-                // sub-proposals out concurrently.
-                let ops: Vec<(u16, ShardOp<M>)> = groups
-                    .iter()
-                    .map(|(shard, sub)| {
-                        (
-                            *shard,
-                            ShardOp::Proposal {
-                                now,
-                                proposal: Self::sub_proposal(proposal, sub.clone()),
-                            },
-                        )
-                    })
-                    .collect();
-                let shards: Vec<u16> = ops.iter().map(|(s, _)| *s).collect();
-                let outputs = self.executor.run(ops, Some(rng));
-                let mut out = Effects::none();
-                let mut missing = Vec::new();
-                let mut waiting: HashSet<u16> = HashSet::new();
-                let mut invalid: Option<&'static str> = None;
-                for (shard, output) in shards.into_iter().zip(outputs) {
-                    let (status, fx) = output.into_fill();
-                    out.merge(self.lift(shard, fx));
-                    match status {
-                        FillStatus::Ready => {}
-                        FillStatus::MustWait(ids) => {
-                            missing.extend(ids);
-                            waiting.insert(shard);
-                        }
-                        FillStatus::Invalid(reason) => {
-                            invalid.get_or_insert(reason);
-                        }
-                    }
-                }
-                if let Some(reason) = invalid {
-                    // Waiting shards are deliberately NOT registered in
-                    // `pending_fills`: consensus rejects the proposal, so
-                    // a shard's later per-shard `ProposalReady` is
-                    // forwarded untracked and dropped by the replica's
-                    // `pending_verdicts` guard (same as a backend
-                    // re-announce), while registering it here would leak
-                    // an entry for a proposal that never commits.
-                    return (FillStatus::Invalid(reason), out);
-                }
-                if waiting.is_empty() {
-                    (FillStatus::Ready, out)
-                } else {
-                    self.pending_fills.insert(proposal.id, waiting);
-                    (FillStatus::MustWait(missing), out)
-                }
-            }
+        let Payload::Sharded(groups) = &proposal.payload else {
             // Empty / inline / single-shard payloads belong to shard 0.
-            // The clone is shallow: transaction payloads are `Bytes`
-            // (refcounted), so it costs O(items), not O(payload bytes).
-            _ => {
-                let ops = vec![(
-                    0u16,
-                    ShardOp::Proposal {
-                        now,
-                        proposal: proposal.clone(),
-                    },
-                )];
-                let output = self
-                    .executor
-                    .run(ops, Some(rng))
-                    .into_iter()
-                    .next()
-                    .expect("one output");
-                let (status, fx) = output.into_fill();
-                if matches!(status, FillStatus::MustWait(_)) {
-                    self.pending_fills
-                        .insert(proposal.id, HashSet::from([0u16]));
-                }
-                let out = self.lift(0, fx);
-                (status, out)
+            let (_, (status, fx)) = self
+                .each(vec![(0, ())], Some(rng), |mp, rng, ()| {
+                    mp.on_proposal(now, proposal, rng)
+                })
+                .remove(0);
+            if matches!(status, FillStatus::MustWait(_)) {
+                self.pending_fills
+                    .insert(proposal.id, HashSet::from([0u16]));
             }
+            return (status, self.lift(0, fx));
+        };
+        if groups
+            .iter()
+            .any(|(shard, _)| *shard as usize >= self.shards.len())
+        {
+            return (
+                FillStatus::Invalid("unknown shard in proposal"),
+                Effects::none(),
+            );
+        }
+        // Every referenced shard verifies its group; the verdicts are
+        // aggregated afterwards.
+        let jobs = groups
+            .iter()
+            .map(|(shard, sub)| (*shard, Self::sub_proposal(proposal, sub.clone())))
+            .collect();
+        let outputs = self.each(jobs, Some(rng), |mp, rng, sub| {
+            mp.on_proposal(now, &sub, rng)
+        });
+        let mut out = Effects::none();
+        let mut missing = Vec::new();
+        let mut waiting: HashSet<u16> = HashSet::new();
+        let mut invalid: Option<&'static str> = None;
+        for (shard, (status, fx)) in outputs {
+            out.merge(self.lift(shard, fx));
+            match status {
+                FillStatus::Ready => {}
+                FillStatus::MustWait(ids) => {
+                    missing.extend(ids);
+                    waiting.insert(shard);
+                }
+                FillStatus::Invalid(reason) => {
+                    invalid.get_or_insert(reason);
+                }
+            }
+        }
+        if let Some(reason) = invalid {
+            // Waiting shards are deliberately NOT registered in
+            // `pending_fills`: consensus rejects the proposal, so a shard's
+            // later per-shard `ProposalReady` is forwarded untracked and
+            // dropped by the replica's `pending_verdicts` guard (same as a
+            // backend re-announce), while registering it here would leak
+            // an entry for a proposal that never commits.
+            return (FillStatus::Invalid(reason), out);
+        }
+        if waiting.is_empty() {
+            (FillStatus::Ready, out)
+        } else {
+            self.pending_fills.insert(proposal.id, waiting);
+            (FillStatus::MustWait(missing), out)
         }
     }
 
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<Self::Msg> {
         self.pending_fills.remove(&proposal.id);
         self.prune_carry(proposal);
-        match &proposal.payload {
-            Payload::Sharded(groups) => {
-                let k = self.executor.shard_count();
-                let ops: Vec<(u16, ShardOp<M>)> = groups
-                    .iter()
-                    .filter(|(shard, _)| (*shard as usize) < k)
-                    .map(|(shard, sub)| {
-                        (
-                            *shard,
-                            ShardOp::Commit {
-                                now,
-                                proposal: Self::sub_proposal(proposal, sub.clone()),
-                            },
-                        )
-                    })
-                    .collect();
-                self.run_effects(ops, None)
-            }
-            _ => {
-                let ops = vec![(
-                    0u16,
-                    ShardOp::Commit {
-                        now,
-                        proposal: proposal.clone(),
-                    },
-                )];
-                self.run_effects(ops, None)
-            }
-        }
+        let jobs = match &proposal.payload {
+            Payload::Sharded(groups) => groups
+                .iter()
+                .filter(|(shard, _)| (*shard as usize) < self.shards.len())
+                .map(|(shard, sub)| (*shard, Self::sub_proposal(proposal, sub.clone())))
+                .collect(),
+            _ => vec![(0, proposal.clone())],
+        };
+        self.run_effects(jobs, None, |mp, _, sub| mp.on_commit(now, &sub))
     }
 
     fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.executor.set_telemetry(telemetry.clone());
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            shard.set_telemetry(telemetry.with_prefix(&format!("shard.{i}")));
+        }
         self.telemetry = telemetry;
     }
 
     fn stats(&self) -> MempoolStats {
         let mut total = MempoolStats::default();
-        for st in self.executor.shard_stats() {
+        for st in self.shard_stats() {
             total.unbatched_txs += st.unbatched_txs;
             total.stored_microblocks += st.stored_microblocks;
             total.proposable_microblocks += st.proposable_microblocks;
@@ -720,5 +648,20 @@ impl<M: Mempool> Mempool for ShardedMempool<M> {
             total.retired_microblocks += st.retired_microblocks;
         }
         total
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shard_rng_seeds_are_distinct() {
+        let mut seen = HashSet::new();
+        for salt in 0..8u64 {
+            for shard in 0..8usize {
+                assert!(seen.insert(shard_rng_seed(42, salt, shard)));
+            }
+        }
     }
 }

@@ -122,7 +122,7 @@ fn drive_shard_busy(
         }
     }
     assert!(
-        mp.shard(shard).expect("sequential").estimator().is_busy(),
+        mp.shard(shard).estimator().is_busy(),
         "shard {shard} estimator should report busy after ST inflation"
     );
 }
@@ -155,7 +155,7 @@ fn load_shift_produces_one_coherent_ban_view_across_shards() {
             &mut rng,
         );
     }
-    let bans0 = mp.shard(0).expect("sequential").load_balancer().banned();
+    let bans0 = mp.shard(0).load_balancer().banned();
     assert_eq!(bans0.len(), 1, "exactly the chosen proxy is banned");
     let proxy = bans0[0];
 
@@ -164,10 +164,7 @@ fn load_shift_produces_one_coherent_ban_view_across_shards() {
     // view) within the same event-handling round — no second event is
     // needed to propagate it.
     assert!(
-        mp.shard(1)
-            .expect("sequential")
-            .load_balancer()
-            .is_banned(proxy),
+        mp.shard(1).load_balancer().is_banned(proxy),
         "shard 1 must share shard 0's ban of {proxy:?}"
     );
     assert!(
@@ -233,11 +230,7 @@ fn banlist_reset_on_one_shard_clears_the_merged_view() {
         .coordinated_bans()
         .first()
         .expect("forwarding banned the proxy");
-    assert!(mp
-        .shard(1)
-        .expect("sequential")
-        .load_balancer()
-        .is_banned(proxy));
+    assert!(mp.shard(1).load_balancer().is_banned(proxy));
 
     // The reset must clear the merged view and every shard's imposed
     // bans, or stale cross-shard bans would linger beyond the paper's
@@ -251,10 +244,7 @@ fn banlist_reset_on_one_shard_clears_the_merged_view() {
     );
     for shard in 0..K {
         assert!(
-            !mp.shard(shard)
-                .expect("sequential")
-                .load_balancer()
-                .is_banned(proxy),
+            !mp.shard(shard).load_balancer().is_banned(proxy),
             "shard {shard} still bans {proxy:?} after the reset"
         );
     }

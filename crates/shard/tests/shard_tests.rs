@@ -1,7 +1,7 @@
 //! Tests of the sharded mempool: router determinism and coverage (uniform
 //! and Zipf workloads), cross-shard payload assembly under the byte
 //! budget, fill aggregation, the single-shard pass-through, shard-aware
-//! batch sizing, and sequential/parallel executor equivalence.
+//! batch sizing, and sequential/parallel wrapper equivalence.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -343,33 +343,20 @@ fn per_shard_batch_budgets_sum_to_the_configured_total() {
 }
 
 #[test]
-fn timer_mux_never_collides_under_concurrent_shard_arms() {
-    // Parallel shard workers arm timers concurrently (serialised at the
-    // wrapper, but interleaved in arbitrary order).  Hammer the mux from
-    // four threads and verify global outer-tag uniqueness plus exact
-    // (shard, inner-tag) resolution afterwards.
-    use std::sync::{Arc, Mutex};
-    let mux = Arc::new(Mutex::new(TimerMux::new()));
-    let handles: Vec<_> = (0..4u16)
-        .map(|shard| {
-            let mux = Arc::clone(&mux);
-            std::thread::spawn(move || {
-                (0..1_000u64)
-                    .map(|inner| (mux.lock().unwrap().arm(shard, inner), inner))
-                    .collect::<Vec<(u64, u64)>>()
-            })
-        })
-        .collect();
+fn timer_mux_never_collides_under_interleaved_shard_arms() {
+    // The wrapper arms every shard's timers on the caller's thread, in
+    // whatever order the shards' effects are lifted.  Interleave four
+    // shards that reuse the same inner tags and verify global outer-tag
+    // uniqueness plus exact (shard, inner-tag) resolution afterwards.
+    let mut mux = TimerMux::new();
     let mut armed: Vec<(u64, u16, u64)> = Vec::new();
-    for (shard, handle) in handles.into_iter().enumerate() {
-        for (outer, inner) in handle.join().expect("arm thread panicked") {
-            armed.push((outer, shard as u16, inner));
+    for inner in 0..1_000u64 {
+        for shard in [2u16, 0, 3, 1] {
+            armed.push((mux.arm(shard, inner), shard, inner));
         }
     }
     let unique: HashSet<u64> = armed.iter().map(|(outer, ..)| *outer).collect();
     assert_eq!(unique.len(), armed.len(), "outer timer tags collided");
-    let mux = Arc::try_unwrap(mux).expect("all threads joined");
-    let mut mux = mux.into_inner().expect("mux lock poisoned");
     assert_eq!(mux.armed(), 4_000);
     for (outer, shard, inner) in armed {
         assert_eq!(
@@ -424,12 +411,11 @@ fn parallel_wrapper_is_byte_identical_to_sequential_wrapper() {
         let mut par = ShardedMempool::parallel(&sys, k, salt, |_, shard_sys| {
             SimpleSmp::new(shard_sys, ReplicaId(0))
         });
-        assert!(k == 1 || par.is_parallel());
         let mut rng_a = SmallRng::seed_from_u64(9);
         let mut rng_b = SmallRng::seed_from_u64(9);
         let (log_a, payloads_a) = drive_wrapper(&mut seq, &mut rng_a);
         let (log_b, payloads_b) = drive_wrapper(&mut par, &mut rng_b);
-        assert_eq!(log_a, log_b, "k={k}: executor effects diverged");
+        assert_eq!(log_a, log_b, "k={k}: effects diverged");
         assert_eq!(payloads_a, payloads_b, "k={k}: proposals diverged");
         assert_eq!(
             seq.shard_stats(),

@@ -1,8 +1,8 @@
 //! Observability layer for the Stratus reproduction.
 //!
 //! A [`Telemetry`] handle is threaded through the simulation, replicas,
-//! mempools, shard executors, and the distributed load balancer.  It
-//! fans into two sinks:
+//! mempools, the sharded mempool wrapper, and the distributed load
+//! balancer.  It fans into two sinks:
 //!
 //! * a hierarchical [`MetricsRegistry`] of counters, gauges, and latency
 //!   histograms addressed by dotted keys such as

@@ -62,8 +62,7 @@ pub struct PhaseProfile {
 
 /// Records spans into a bounded ring buffer.  Each OS thread gets its own
 /// open-span stack (drop-guard discipline makes begin/end LIFO per
-/// thread), so parallel shard workers can trace concurrently under one
-/// tracer.
+/// thread), so several threads can trace concurrently under one tracer.
 pub struct Tracer {
     events: VecDeque<TraceEvent>,
     capacity: usize,

@@ -64,19 +64,16 @@ impl NetworkPreset {
 /// How the per-shard dissemination pipelines of a sharded mempool are
 /// driven (`smp-shard`).
 ///
-/// The sequential executor runs every shard inline on the replica's
-/// thread (the deterministic default, and what the discrete-event
-/// simulator uses).  The parallel executor gives each shard its own
-/// worker thread with a private inbox, merging outputs back in a
-/// deterministic order — the two are byte-identical on the same seed
-/// (proven by the cross-executor conformance suite in
-/// `tests/conformance.rs`).
+/// Both kinds call every shard on the replica's thread.  `Parallel` once
+/// ran shards on threads of their own, which was slower for
+/// byte-identical output; it now behaves as `Sequential` and is kept
+/// only while the benchmark package still names the knob.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecutorKind {
-    /// All shards run inline on the calling thread.
+    /// All shards run on the calling thread.
     #[default]
     Sequential,
-    /// One worker thread per shard (true multi-core dissemination).
+    /// The same as `Sequential`.
     Parallel,
 }
 
@@ -172,9 +169,8 @@ pub struct SystemConfig {
     /// (`smp-shard`).  `1` disables sharding and runs the backend mempool
     /// unwrapped.
     pub shards: usize,
-    /// How the shards are driven: inline on the replica thread
-    /// (sequential) or on one worker thread each (parallel).  Irrelevant
-    /// when `shards == 1`.
+    /// How the shards are driven.  Both kinds run every shard on the
+    /// replica thread (see [`ExecutorKind`]).
     pub executor: ExecutorKind,
 }
 

@@ -47,10 +47,7 @@ pub mod prelude {
     pub use smp_replica::{
         saturation_sweep, Behavior, ExperimentConfig, ExperimentResult, Protocol, Replica,
     };
-    pub use smp_shard::{
-        ParallelExecutor, SequentialExecutor, ShardExecutor, ShardRouter, ShardedMempool,
-        ShardedMsg,
-    };
+    pub use smp_shard::{ShardRouter, ShardedMempool, ShardedMsg};
     pub use smp_telemetry::Telemetry;
     pub use smp_types::{
         DagMode, ExecutorKind, MempoolConfig, NetworkPreset, Payload, Proposal, ReplicaId,

@@ -1,11 +1,12 @@
-//! Cross-executor conformance suite: the parallel shard executor must be
-//! **byte-identical** to the sequential one on the same seed — same
-//! proposals, same commits, same `ObservationLog`, same throughput
-//! series — for every Table II protocol and k ∈ {1, 2, 4} shards.
+//! Cross-executor conformance suite: a sharded run configured with
+//! `ExecutorKind::Parallel` must be **byte-identical** to a sequential
+//! one on the same seed — same proposals, same commits, same
+//! `ObservationLog`, same throughput series — for every Table II
+//! protocol and k ∈ {1, 2, 4} shards.
 //!
-//! If the parallel executor's scheduling, RNG streams, or output merge
-//! ever diverge from the sequential reference, one of these comparisons
-//! trips.
+//! `Parallel` currently builds the same wrapper as `Sequential`, so these
+//! comparisons pin two things: the knob stays behaviour-neutral, and two
+//! runs on one seed reproduce each other exactly.
 
 use proptest::prelude::*;
 use stratus_repro::prelude::*;

@@ -1,7 +1,7 @@
 //! The paper's shape, stated once: the claims of its evaluation that this
 //! reproduction makes true, each as one short simulation with the number
 //! it was measured at.  A claim is added here by the change that makes it
-//! hold (ROADMAP direction 1 (d)); a change that breaks one fails plain
+//! hold (ROADMAP's gated-figure item); a change that breaks one fails plain
 //! `cargo test` with the claim's name.
 //!
 //! Every run is 0.5 s of warm-up and 2 s measured, 128 KiB batches, seed 42.
@@ -87,7 +87,8 @@ fn stratus_wan_latency_is_flat_from_n16_to_n64() {
 /// measured 2.25 × SMP-HS's leader `proposal` Mb/s at n = 16 and 2.9 × at
 /// n = 64 (a proven reference is 144 B at n = 64, a bare one 40 B, and
 /// both ride under the same 216 B header).  So references need no further
-/// compression (ROADMAP direction 2, step (c), is closed as unnecessary).
+/// compression (ROADMAP's reference-compression step is closed as
+/// unnecessary).
 #[test]
 fn stratus_proposals_cost_a_constant_factor_of_bare_ids() {
     for n in [16, 64] {

@@ -122,8 +122,8 @@ fn wrapped_single_shard_pipeline_matches_the_bare_backend() {
 #[test]
 fn parallel_and_sequential_wrappers_commit_identically_in_a_manual_sim() {
     // Same check as the conformance suite but through the hand-assembled
-    // deployment path (no ExperimentConfig), at k = 2 where worker
-    // threads are genuinely in play.
+    // deployment path (no ExperimentConfig), at k = 2 where the wrapper
+    // uses its per-shard RNG streams.
     let sys = SystemConfig::new(4).with_seed(11).with_shards(2);
     let seq = committed_in_manual_sim(&sys, |id| {
         ShardedMempool::sequential(&sys, 2, id.0 as u64, |_, shard_sys| {
@@ -138,7 +138,7 @@ fn parallel_and_sequential_wrappers_commit_identically_in_a_manual_sim() {
     assert!(seq > 0, "sequential baseline committed nothing");
     assert_eq!(
         seq, par,
-        "worker-thread execution must commit exactly what inline execution commits"
+        "the parallel constructor must commit exactly what the sequential one commits"
     );
 }
 
