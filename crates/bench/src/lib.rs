@@ -87,9 +87,10 @@ pub fn rate_grid(scale: Scale, wan: bool) -> Vec<f64> {
     }
 }
 
-/// Convenience: runs a saturation sweep and returns the best point.
+/// Convenience: runs a saturation sweep and returns the point of highest
+/// throughput (the first one on ties).
 pub fn saturated(base: &ExperimentConfig, rates: &[f64]) -> ExperimentResult {
-    let (best, results) = smp_replica::saturation_sweep(base, rates, 20_000.0);
+    let (best, results) = smp_replica::saturation_sweep(base, rates);
     results
         .into_iter()
         .nth(best)

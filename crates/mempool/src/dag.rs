@@ -310,7 +310,10 @@ impl DagMempool {
             self.core.telemetry().counter_inc("dag.ahead_dropped");
             return;
         }
-        ledger.ahead.insert(seq, batch);
+        // An equivocating creator's second block for a `seq` does not
+        // replace the first: its batch is stored and acked like any other,
+        // but it cannot choose which one this replica releases.
+        ledger.ahead.entry(seq).or_insert(batch);
         while let Some(batch) = ledger.ahead.remove(&ledger.next) {
             if let Some(id) = batch {
                 ledger.ready.push_back(id);
@@ -1093,6 +1096,81 @@ mod tests {
         let ledger = &b.ledgers[&ReplicaId(0)];
         assert_eq!((ledger.next, ledger.ahead.len()), (3, 1));
         assert_eq!(b.stats().proposable_microblocks, 3);
+    }
+
+    #[test]
+    fn an_equivocating_creator_cannot_swap_the_batch_it_released() {
+        let cfg = config();
+        let keys = KeyPair::derive_all(cfg.seed, cfg.n);
+        let mut node = DagMempool::with_mode(&cfg, ReplicaId(1), DagMode::FastPath);
+        let mut r = rng();
+        // Replica 0 signs two genesis-round blocks for `seq` 1, carrying
+        // batches A and B, before its `seq` 0 arrives.
+        let block = |seq: u64, batch: Option<Microblock>| {
+            DagBlock::signed(ReplicaId(0), 0, seq, batch, vec![], vec![], &keys[0].secret)
+        };
+        let a = Microblock::seal(ReplicaId(0), txs(1), 1);
+        let b = Microblock::seal(ReplicaId(0), txs(2), 1);
+        for blk in [block(1, Some(a.clone())), block(1, Some(b)), block(0, None)] {
+            let _ = node.on_message(5, ReplicaId(0), DagMsg::Block(blk), &mut r);
+        }
+        assert_eq!(node.stats().stored_microblocks, 2, "both batches are held");
+        match node.make_payload(10) {
+            Payload::Refs(refs) => {
+                let ids: Vec<MicroblockId> = refs.iter().map(|r| r.id).collect();
+                assert_eq!(ids, vec![a.id], "the first block for seq 1 is released");
+            }
+            other => panic!("unexpected payload {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_ack_whose_tag_is_not_its_signers_opens_no_certificate() {
+        let cfg = config();
+        let keys = KeyPair::derive_all(cfg.seed, cfg.n);
+        let mut b = DagMempool::new(&cfg, ReplicaId(3));
+        let mut r = rng();
+        // Creator 0's batch with its self-ack; replica 3 adds its own: two of
+        // the three signatures a certificate takes.
+        let mb = Microblock::seal(ReplicaId(0), txs(4), 0);
+        let ack = |signer: usize| DagAck {
+            id: mb.id,
+            sig: Signature::sign(&keys[signer].secret, &mb.id.digest()),
+        };
+        let genesis = |creator: usize, batch, acks| {
+            DagBlock::signed(
+                ReplicaId(creator as u32),
+                0,
+                0,
+                batch,
+                vec![],
+                acks,
+                &keys[creator].secret,
+            )
+        };
+        let first = genesis(0, Some(mb.clone()), vec![ack(0)]);
+        let _ = b.on_message(5, ReplicaId(0), DagMsg::Block(first), &mut r);
+        assert!(!b.is_certified(&mb.id));
+        // Replica 2 signs a valid block carrying an ack that claims replica
+        // 1 as its signer but bears replica 2's tag.
+        let mut forged = ack(2);
+        forged.sig.signer = 1;
+        let _ = b.on_message(
+            6,
+            ReplicaId(2),
+            DagMsg::Block(genesis(2, None, vec![forged])),
+            &mut r,
+        );
+        assert!(!b.is_certified(&mb.id), "a forged ack counted");
+        // Replica 1's genuine ack is the third signature, not a repeat.
+        let _ = b.on_message(
+            7,
+            ReplicaId(1),
+            DagMsg::Block(genesis(1, None, vec![ack(1)])),
+            &mut r,
+        );
+        assert!(b.is_certified(&mb.id));
+        assert_eq!(b.support.get(&mb.id).unwrap().signers(), vec![0, 1, 3]);
     }
 
     fn commit_refs(node: &mut DagMempool, now: SimTime, view: u64, payload: Payload) {

@@ -2,8 +2,8 @@
 //!
 //! The paper reports outbound bandwidth consumption, in Mb/s, split by
 //! role (leader vs. non-leader) and by message kind (proposals,
-//! microblocks, votes, acks).  [`BandwidthBreakdown`] converts raw
-//! per-kind byte counters into those rows.
+//! microblocks, votes, acks).  [`BandwidthBreakdown::from_totals`] turns a
+//! run's per-kind byte totals into those rows.
 
 use serde::Serialize;
 use smp_types::{SimTime, MICROS_PER_SEC};
@@ -46,33 +46,29 @@ pub fn bytes_to_mbps(bytes: u64, window: SimTime) -> f64 {
 }
 
 impl BandwidthBreakdown {
-    /// Builds a breakdown from per-kind outbound byte counters.
-    ///
-    /// * `leader_bytes` — bytes sent by replicas while acting as leader
-    ///   (averaged over `leader_count` replicas);
-    /// * `non_leader_bytes` — bytes sent by the remaining replicas
-    ///   (averaged over `non_leader_count`);
-    /// * `window` — measurement window in simulated microseconds.
-    pub fn from_bytes(
-        leader_bytes: &HashMap<&'static str, u64>,
-        leader_count: usize,
-        non_leader_bytes: &HashMap<&'static str, u64>,
-        non_leader_count: usize,
+    /// Table III's rule, applied to `bytes_by_kind`: the bytes of each
+    /// message kind sent by all `n` replicas over `window` simulated
+    /// microseconds.  Proposals are charged to the leader in full (exactly
+    /// one leader transmits proposals at a time).  Every other kind is
+    /// averaged over the `n` replicas and charged to both roles, because the
+    /// leader also behaves as an ordinary replica for those kinds.
+    pub fn from_totals(
+        bytes_by_kind: &HashMap<&'static str, u64>,
+        n: usize,
         window: SimTime,
     ) -> Self {
-        let to_role = |bytes: &HashMap<&'static str, u64>, count: usize| {
-            let mut role = RoleBandwidth::default();
-            for (kind, b) in bytes {
-                let per_replica = if count == 0 { 0 } else { b / count as u64 };
-                role.mbps_by_kind
-                    .insert((*kind).to_string(), bytes_to_mbps(per_replica, window));
+        let mut b = BandwidthBreakdown::default();
+        for (&kind, &bytes) in bytes_by_kind {
+            let total_mbps = bytes_to_mbps(bytes, window);
+            if kind == "proposal" {
+                b.leader.mbps_by_kind.insert(kind.into(), total_mbps);
+            } else {
+                let per_replica = total_mbps / n as f64;
+                b.non_leader.mbps_by_kind.insert(kind.into(), per_replica);
+                b.leader.mbps_by_kind.insert(kind.into(), per_replica);
             }
-            role
-        };
-        BandwidthBreakdown {
-            leader: to_role(leader_bytes, leader_count),
-            non_leader: to_role(non_leader_bytes, non_leader_count),
         }
+        b
     }
 
     /// Formats the breakdown as paper-style table rows.
@@ -112,25 +108,23 @@ mod tests {
 
     #[test]
     fn breakdown_averages_per_replica() {
-        let mut leader = HashMap::new();
-        leader.insert("proposal", 25_000_000u64);
-        let mut non_leader = HashMap::new();
-        non_leader.insert("microblock", 12_500_000u64 * 3);
-        let b = BandwidthBreakdown::from_bytes(&leader, 2, &non_leader, 3, MICROS_PER_SEC);
-        // 25 MB over two leaders => 12.5 MB each => 100 Mb/s.
+        // Four replicas: 12.5 MB of proposals in all, 12.5 MB of microblocks
+        // each, over one second.
+        let totals = HashMap::from([("proposal", 12_500_000u64), ("microblock", 4 * 12_500_000)]);
+        let b = BandwidthBreakdown::from_totals(&totals, 4, MICROS_PER_SEC);
+        // Proposals are the leader's alone, at 100 Mb/s.
         assert!((b.leader.mbps("proposal") - 100.0).abs() < 1e-9);
-        // 37.5 MB over three non-leaders => 12.5 MB each => 100 Mb/s.
+        assert_eq!(b.non_leader.mbps("proposal"), 0.0);
+        // Microblocks average to 100 Mb/s a replica, in both roles.
         assert!((b.non_leader.mbps("microblock") - 100.0).abs() < 1e-9);
-        assert!((b.leader.total_mbps() - 100.0).abs() < 1e-9);
+        assert!((b.leader.mbps("microblock") - 100.0).abs() < 1e-9);
+        assert!((b.leader.total_mbps() - 200.0).abs() < 1e-9);
     }
 
     #[test]
     fn rows_include_sums() {
-        let mut leader = HashMap::new();
-        leader.insert("proposal", 1_000_000u64);
-        leader.insert("vote", 500_000u64);
-        let non_leader = HashMap::new();
-        let b = BandwidthBreakdown::from_bytes(&leader, 1, &non_leader, 1, MICROS_PER_SEC);
+        let totals = HashMap::from([("proposal", 1_000_000u64), ("vote", 500_000)]);
+        let b = BandwidthBreakdown::from_totals(&totals, 1, MICROS_PER_SEC);
         let rows = b.rows();
         assert!(rows
             .iter()

@@ -1,21 +1,17 @@
 //! Per-run summaries: the numbers a single experiment point reports.
 
-use crate::bandwidth::{BandwidthBreakdown, RoleBandwidth};
-use crate::json::{JsonError, JsonValue};
-use crate::throughput::ThroughputMeter;
 use crate::LatencyHistogram;
 use serde::Serialize;
-use smp_types::SimTime;
+use smp_types::{SimTime, MICROS_PER_SEC};
 
-/// The outcome of one experiment run (one point in a paper figure).
+/// The throughput and latency of one experiment run (one point in a paper
+/// figure).
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct RunSummary {
     /// Human-readable label of the protocol/config (e.g. `"S-HS"`).
     pub label: String,
     /// Number of replicas.
     pub n: usize,
-    /// Measurement window length (microseconds).
-    pub window_us: SimTime,
     /// Committed throughput in KTx/s.
     pub throughput_ktps: f64,
     /// Mean commit latency in milliseconds.
@@ -26,248 +22,77 @@ pub struct RunSummary {
     pub p95_latency_ms: f64,
     /// 99th-percentile commit latency in milliseconds.
     pub p99_latency_ms: f64,
-    /// Number of view changes observed during the window.
-    pub view_changes: u64,
-    /// Total transactions committed in the window.
-    pub committed_txs: u64,
-    /// Optional bandwidth breakdown (Table III runs).
-    pub bandwidth: Option<BandwidthBreakdown>,
 }
 
 impl RunSummary {
-    /// Builds a summary from raw accumulators over the window
-    /// `[from, to)`.
+    /// Builds a summary from `committed_txs` transactions committed in the
+    /// window `[from, to)` and the commit latencies recorded.
     pub fn from_measurements(
         label: impl Into<String>,
         n: usize,
-        throughput: &ThroughputMeter,
+        committed_txs: u64,
         latency: &mut LatencyHistogram,
-        view_changes: u64,
         from: SimTime,
         to: SimTime,
     ) -> Self {
+        let throughput_ktps = if to <= from {
+            0.0
+        } else {
+            committed_txs as f64 * MICROS_PER_SEC as f64 / (to - from) as f64 / 1_000.0
+        };
         RunSummary {
             label: label.into(),
             n,
-            window_us: to.saturating_sub(from),
-            throughput_ktps: throughput.ktps_in(from, to),
+            throughput_ktps,
             mean_latency_ms: latency.mean_ms().unwrap_or(0.0),
             p50_latency_ms: latency.percentile_ms(50.0).unwrap_or(0.0),
             p95_latency_ms: latency.percentile_ms(95.0).unwrap_or(0.0),
             p99_latency_ms: latency.percentile_ms(99.0).unwrap_or(0.0),
-            view_changes,
-            committed_txs: throughput.total_in(from, to),
-            bandwidth: None,
         }
-    }
-
-    /// Attaches a bandwidth breakdown.
-    pub fn with_bandwidth(mut self, bandwidth: BandwidthBreakdown) -> Self {
-        self.bandwidth = Some(bandwidth);
-        self
-    }
-
-    /// Serializes the summary as a [`JsonValue`] object (the shape used
-    /// inside `BENCH_*.json` artifacts).
-    pub fn to_json(&self) -> JsonValue {
-        let role_json = |role: &RoleBandwidth| {
-            JsonValue::Object(
-                role.mbps_by_kind
-                    .iter()
-                    .map(|(kind, mbps)| (kind.clone(), JsonValue::Number(*mbps)))
-                    .collect(),
-            )
-        };
-        let mut pairs = vec![
-            ("label".to_string(), JsonValue::String(self.label.clone())),
-            ("n".to_string(), JsonValue::Number(self.n as f64)),
-            (
-                "window_us".to_string(),
-                JsonValue::Number(self.window_us as f64),
-            ),
-            (
-                "throughput_ktps".to_string(),
-                JsonValue::Number(self.throughput_ktps),
-            ),
-            (
-                "mean_latency_ms".to_string(),
-                JsonValue::Number(self.mean_latency_ms),
-            ),
-            (
-                "p50_latency_ms".to_string(),
-                JsonValue::Number(self.p50_latency_ms),
-            ),
-            (
-                "p95_latency_ms".to_string(),
-                JsonValue::Number(self.p95_latency_ms),
-            ),
-            (
-                "p99_latency_ms".to_string(),
-                JsonValue::Number(self.p99_latency_ms),
-            ),
-            (
-                "view_changes".to_string(),
-                JsonValue::Number(self.view_changes as f64),
-            ),
-            (
-                "committed_txs".to_string(),
-                JsonValue::Number(self.committed_txs as f64),
-            ),
-        ];
-        if let Some(bw) = &self.bandwidth {
-            pairs.push((
-                "bandwidth".to_string(),
-                JsonValue::Object(vec![
-                    ("leader".to_string(), role_json(&bw.leader)),
-                    ("non_leader".to_string(), role_json(&bw.non_leader)),
-                ]),
-            ));
-        }
-        JsonValue::Object(pairs)
-    }
-
-    /// Reconstructs a summary from the object shape [`to_json`](Self::to_json)
-    /// emits.  Missing numeric fields default to zero.
-    pub fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let field = |key: &str| value.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
-        let role_from = |value: Option<&JsonValue>| {
-            let mut role = RoleBandwidth::default();
-            if let Some(pairs) = value.and_then(JsonValue::as_object) {
-                for (kind, mbps) in pairs {
-                    if let Some(mbps) = mbps.as_f64() {
-                        role.mbps_by_kind.insert(kind.clone(), mbps);
-                    }
-                }
-            }
-            role
-        };
-        Ok(RunSummary {
-            label: value
-                .get("label")
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            n: field("n") as usize,
-            window_us: field("window_us") as SimTime,
-            throughput_ktps: field("throughput_ktps"),
-            mean_latency_ms: field("mean_latency_ms"),
-            p50_latency_ms: field("p50_latency_ms"),
-            p95_latency_ms: field("p95_latency_ms"),
-            p99_latency_ms: field("p99_latency_ms"),
-            view_changes: field("view_changes") as u64,
-            committed_txs: field("committed_txs") as u64,
-            bandwidth: value.get("bandwidth").map(|bw| BandwidthBreakdown {
-                leader: role_from(bw.get("leader")),
-                non_leader: role_from(bw.get("non_leader")),
-            }),
-        })
-    }
-
-    /// One-line, figure-style rendering:
-    /// `label  n=..  thr=..KTx/s  lat=..ms (p95=..)  vc=..`.
-    pub fn to_row(&self) -> String {
-        format!(
-            "{:<14} n={:<4} thr={:>9.2} KTx/s  lat={:>9.1} ms (p50={:.1} p95={:.1} p99={:.1})  vc={}",
-            self.label,
-            self.n,
-            self.throughput_ktps,
-            self.mean_latency_ms,
-            self.p50_latency_ms,
-            self.p95_latency_ms,
-            self.p99_latency_ms,
-            self.view_changes
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smp_types::MICROS_PER_SEC;
+
+    fn ktps(committed_txs: u64, from: SimTime, to: SimTime) -> f64 {
+        let mut lat = LatencyHistogram::new();
+        RunSummary::from_measurements("x", 4, committed_txs, &mut lat, from, to).throughput_ktps
+    }
 
     #[test]
     fn summary_computes_rates_and_percentiles() {
-        let mut tput = ThroughputMeter::new();
-        tput.record(500_000, 30_000);
         let mut lat = LatencyHistogram::new();
         for v in [1_000, 2_000, 3_000, 100_000] {
             lat.record(v);
         }
-        let s = RunSummary::from_measurements("S-HS", 64, &tput, &mut lat, 2, 0, MICROS_PER_SEC);
-        assert_eq!(s.committed_txs, 30_000);
+        let s = RunSummary::from_measurements("S-HS", 64, 30_000, &mut lat, 0, MICROS_PER_SEC);
+        assert_eq!((s.label.as_str(), s.n), ("S-HS", 64));
         assert!((s.throughput_ktps - 30.0).abs() < 1e-9);
         assert!(s.p99_latency_ms >= s.p50_latency_ms);
-        assert_eq!(s.view_changes, 2);
-        assert!(s.to_row().contains("S-HS"));
+        assert_eq!(s.p50_latency_ms, 2.0);
     }
 
     #[test]
     fn empty_measurements_produce_zeroes() {
-        let tput = ThroughputMeter::new();
         let mut lat = LatencyHistogram::new();
-        let s = RunSummary::from_measurements("x", 4, &tput, &mut lat, 0, 0, MICROS_PER_SEC);
+        let s = RunSummary::from_measurements("x", 4, 0, &mut lat, 0, MICROS_PER_SEC);
         assert_eq!(s.throughput_ktps, 0.0);
         assert_eq!(s.mean_latency_ms, 0.0);
     }
 
     #[test]
-    fn json_round_trip_preserves_every_field() {
-        let mut tput = ThroughputMeter::new();
-        tput.record(500_000, 30_000);
-        let mut lat = LatencyHistogram::new();
-        for v in [1_000, 2_000, 3_000, 100_000] {
-            lat.record(v);
-        }
-        let mut leader = std::collections::HashMap::new();
-        leader.insert("proposal", 12_500_000u64);
-        let non_leader = std::collections::HashMap::new();
-        let s = RunSummary::from_measurements("S-HS", 64, &tput, &mut lat, 2, 0, MICROS_PER_SEC)
-            .with_bandwidth(BandwidthBreakdown::from_bytes(
-                &leader,
-                1,
-                &non_leader,
-                63,
-                MICROS_PER_SEC,
-            ));
-        let text = s.to_json().to_pretty();
-        let back = RunSummary::from_json(&crate::json::JsonValue::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.label, s.label);
-        assert_eq!(back.n, s.n);
-        assert_eq!(back.window_us, s.window_us);
-        assert_eq!(back.throughput_ktps, s.throughput_ktps);
-        assert_eq!(back.mean_latency_ms, s.mean_latency_ms);
-        assert_eq!(back.p50_latency_ms, s.p50_latency_ms);
-        assert_eq!(back.p95_latency_ms, s.p95_latency_ms);
-        assert_eq!(back.p99_latency_ms, s.p99_latency_ms);
-        assert_eq!(back.view_changes, s.view_changes);
-        assert_eq!(back.committed_txs, s.committed_txs);
-        let bw = back.bandwidth.as_ref().unwrap();
-        assert_eq!(
-            bw.leader.mbps("proposal"),
-            s.bandwidth.as_ref().unwrap().leader.mbps("proposal")
-        );
-        assert!(bw.non_leader.mbps_by_kind.is_empty());
+    fn tps_normalizes_by_window_length() {
+        // 50K txs over a 1-second window => 50 KTx/s.
+        assert!((ktps(50_000, 0, MICROS_PER_SEC) - 50.0).abs() < 1e-9);
+        // Over 2 seconds the rate halves.
+        assert!((ktps(50_000, 0, 2 * MICROS_PER_SEC) - 25.0).abs() < 1e-9);
     }
 
     #[test]
-    fn json_round_trip_without_bandwidth() {
-        let tput = ThroughputMeter::new();
-        let mut lat = LatencyHistogram::new();
-        let s = RunSummary::from_measurements("x", 4, &tput, &mut lat, 0, 0, MICROS_PER_SEC);
-        let back = RunSummary::from_json(
-            &crate::json::JsonValue::parse(&s.to_json().to_compact()).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(back.label, "x");
-        assert!(back.bandwidth.is_none());
-    }
-
-    #[test]
-    fn with_bandwidth_attaches() {
-        let tput = ThroughputMeter::new();
-        let mut lat = LatencyHistogram::new();
-        let s = RunSummary::from_measurements("x", 4, &tput, &mut lat, 0, 0, 1)
-            .with_bandwidth(BandwidthBreakdown::default());
-        assert!(s.bandwidth.is_some());
+    fn degenerate_window_is_zero() {
+        assert_eq!(ktps(5, 100, 100), 0.0);
+        assert_eq!(ktps(5, 200, 100), 0.0);
     }
 }

@@ -11,7 +11,7 @@ use crate::wire::MempoolWire;
 use simnet::{FaultWindow, NetConfig, Node, Simulation, Telemetry};
 use smp_consensus::{ConsensusEngine, StateSize};
 use smp_mempool::{Mempool, MempoolStats};
-use smp_metrics::{bytes_to_mbps, BandwidthBreakdown, RoleBandwidth, RunSummary};
+use smp_metrics::{BandwidthBreakdown, RunSummary};
 use smp_types::{
     ExecutorKind, MempoolConfig, NetworkPreset, ReplicaId, SimTime, SystemConfig, MICROS_PER_MS,
     MICROS_PER_SEC,
@@ -222,7 +222,7 @@ impl ExperimentConfig {
 /// Everything measured in one run.
 #[derive(Clone, Debug)]
 pub struct ExperimentResult {
-    /// Headline numbers (throughput, latency percentiles, view changes).
+    /// Headline numbers (throughput, latency percentiles).
     pub summary: RunSummary,
     /// Outbound bandwidth split by role and message kind (Table III).
     pub bandwidth: BandwidthBreakdown,
@@ -247,9 +247,21 @@ pub struct ExperimentResult {
 }
 
 impl ExperimentResult {
-    /// One-line rendering used by the harness binaries.
+    /// One-line, figure-style rendering used by the harness binaries:
+    /// `label  n=..  thr=..KTx/s  lat=..ms (p50=.. p95=.. p99=..)  vc=..`.
     pub fn row(&self) -> String {
-        self.summary.to_row()
+        let s = &self.summary;
+        format!(
+            "{:<14} n={:<4} thr={:>9.2} KTx/s  lat={:>9.1} ms (p50={:.1} p95={:.1} p99={:.1})  vc={}",
+            s.label,
+            s.n,
+            s.throughput_ktps,
+            s.mean_latency_ms,
+            s.p50_latency_ms,
+            s.p95_latency_ms,
+            s.p99_latency_ms,
+            self.view_changes
+        )
     }
 }
 
@@ -265,10 +277,8 @@ pub struct ReplicaSizes {
     pub mempool: MempoolStats,
     /// The consensus engine's live sizes.
     pub engine: StateSize,
-    /// Entries of the replica's throughput meter and runs of its latency
-    /// histogram — outputs, which grow with the run by design.
-    pub meter_entries: usize,
-    /// See `meter_entries`.
+    /// Runs of the replica's latency histogram — an output, which grows
+    /// with the run by design.
     pub latency_runs: usize,
 }
 
@@ -326,7 +336,6 @@ impl ProtocolVisitor for SimRun<'_> {
                 .map(|r| ReplicaSizes {
                     mempool: r.mempool().stats(),
                     engine: r.engine().state_size(),
-                    meter_entries: r.metrics().throughput.len(),
                     latency_runs: r.metrics().latency.runs(),
                 })
                 .collect();
@@ -335,14 +344,13 @@ impl ProtocolVisitor for SimRun<'_> {
                 break;
             }
         }
-        collect_results(config, sim, OBSERVER, horizon, telemetry)
+        collect_results(config, sim, horizon, telemetry)
     }
 }
 
 fn collect_results<E, M>(
     config: &ExperimentConfig,
-    mut sim: Simulation<Replica<E, M>>,
-    observer: usize,
+    sim: Simulation<Replica<E, M>>,
     horizon: SimTime,
     telemetry: Telemetry,
 ) -> ExperimentResult
@@ -352,76 +360,44 @@ where
     M::Msg: MempoolWire,
     Replica<E, M>: Node,
 {
-    let window = (config.warmup, horizon);
-    let view_changes: u64 = sim
-        .nodes()
-        .filter(|r| *r.behavior() == Behavior::Honest)
-        .map(|r| r.metrics().view_changes)
-        .sum();
-
-    // Bandwidth breakdown (Table III): attribute proposal traffic to the
-    // leader role (exactly one leader transmits proposals at a time) and
-    // average the remaining kinds over all replicas.
-    let traffic = sim.traffic();
-    let mut leader = RoleBandwidth::default();
-    let mut non_leader = RoleBandwidth::default();
-    let totals = traffic.total_by_kind();
-    let duration = horizon.max(1);
-    for (kind, bytes) in &totals {
-        let total_mbps = bytes_to_mbps(*bytes, duration);
-        if *kind == "proposal" {
-            leader.mbps_by_kind.insert((*kind).to_string(), total_mbps);
-        } else {
-            let per_replica = total_mbps / config.n as f64;
-            non_leader
-                .mbps_by_kind
-                .insert((*kind).to_string(), per_replica);
-            // The leader also behaves as an ordinary replica for these kinds.
-            leader.mbps_by_kind.insert((*kind).to_string(), per_replica);
-        }
-    }
-    let bandwidth = BandwidthBreakdown { leader, non_leader };
-
-    let throughput_series =
-        sim.observations()
-            .throughput_series(ReplicaId(observer as u32), MICROS_PER_SEC, horizon);
-    let observations = sim.observations().clone();
-
-    let obs_metrics = sim.node_mut(observer);
-    let committed = obs_metrics
-        .metrics()
-        .throughput
-        .total_in(window.0, window.1);
-    let mut latency = obs_metrics.metrics().latency.clone();
+    let observer = ReplicaId(OBSERVER as u32);
+    let log = sim.observations();
+    let committed_txs = log
+        .tally(|r| r == observer, config.warmup..horizon)
+        .committed_txs;
+    let view_changes = log
+        .tally(|r| config.behavior_for(r.index()) == Behavior::Honest, ..)
+        .view_changes;
     let summary = RunSummary::from_measurements(
         config.protocol.label(),
         config.n,
-        &obs_metrics.metrics().throughput,
-        &mut latency,
-        view_changes,
-        window.0,
-        window.1,
+        committed_txs,
+        &mut sim.node(OBSERVER).metrics().latency.clone(),
+        config.warmup,
+        horizon,
     );
-
     ExperimentResult {
         summary,
-        bandwidth,
-        throughput_series,
+        bandwidth: BandwidthBreakdown::from_totals(
+            &sim.traffic().total_by_kind(),
+            config.n,
+            horizon.max(1),
+        ),
+        throughput_series: log.throughput_series(observer, MICROS_PER_SEC, horizon),
         view_changes,
-        committed_txs: committed,
+        committed_txs,
         offered_tps: config.workload.total_rate_tps,
-        observations,
+        observations: log.clone(),
         telemetry,
     }
 }
 
 /// Runs the experiment at each offered load in `rates_tps` and returns all
-/// results together with the index of the saturation point (the highest
-/// throughput whose latency has not yet exploded past `latency_cap_ms`).
+/// results together with the index of the saturation point: the highest
+/// throughput, the first one on ties.
 pub fn saturation_sweep(
     base: &ExperimentConfig,
     rates_tps: &[f64],
-    latency_cap_ms: f64,
 ) -> (usize, Vec<ExperimentResult>) {
     let results: Vec<ExperimentResult> = std::thread::scope(|scope| {
         let handles: Vec<_> = rates_tps
@@ -438,8 +414,7 @@ pub fn saturation_sweep(
     });
     let mut best = 0;
     for (i, r) in results.iter().enumerate() {
-        let ok_latency = r.summary.p95_latency_ms <= latency_cap_ms || latency_cap_ms <= 0.0;
-        if ok_latency && r.summary.throughput_ktps > results[best].summary.throughput_ktps {
+        if r.summary.throughput_ktps > results[best].summary.throughput_ktps {
             best = i;
         }
     }
@@ -553,8 +528,11 @@ mod tests {
     #[test]
     fn saturation_sweep_returns_all_points() {
         let base = quick(Protocol::StratusHotStuff, 4, 1_000.0);
-        let (best, results) = saturation_sweep(&base, &[500.0, 2_000.0], 10_000.0);
+        let (best, results) = saturation_sweep(&base, &[500.0, 2_000.0]);
         assert_eq!(results.len(), 2);
-        assert!(best < 2);
+        // The highest throughput, the first one on ties.
+        let ktps: Vec<f64> = results.iter().map(|r| r.summary.throughput_ktps).collect();
+        assert!(ktps[..best].iter().all(|k| *k < ktps[best]));
+        assert!(ktps[best..].iter().all(|k| *k <= ktps[best]));
     }
 }

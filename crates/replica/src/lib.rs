@@ -3,8 +3,8 @@
 //! This crate glues the pieces together the way the paper's Bamboo-based
 //! prototype does: a [`Replica`] owns a consensus engine and a mempool,
 //! routes their messages over the [`simnet`] simulator, generates its
-//! share of the client workload, and records the measurements
-//! (throughput, latency, view changes, bandwidth).  The
+//! share of the client workload, and emits the observations (commits,
+//! view changes, fetches) that a run's numbers are counted from.  The
 //! [`experiment`] module exposes the protocol matrix of Table II and a
 //! runner that produces one figure/table data point per call.
 

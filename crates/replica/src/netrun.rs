@@ -92,7 +92,7 @@ pub struct NetRunSummary {
     pub committed_txs: u64,
     /// Client transactions this replica offered.
     pub client_txs: u64,
-    /// View changes observed.
+    /// View changes observed (from the observation log).
     pub view_changes: u64,
     /// Frames received from peers.
     pub frames_in: u64,
@@ -197,13 +197,13 @@ impl ProtocolVisitor for NetVisitor<'_> {
         });
         drop(admin);
 
-        let committed = report.observations.committed_txs(Some(self.me));
+        let tally = report.observations.tally(|r| r == self.me, ..);
         let node = report.node;
         Ok(NetRunSummary {
             commit_log: node.commit_log().unwrap_or(&[]).to_vec(),
-            committed_txs: committed,
+            committed_txs: tally.committed_txs,
             client_txs: node.metrics().client_txs,
-            view_changes: node.metrics().view_changes,
+            view_changes: tally.view_changes,
             frames_in: report.frames_in,
             frames_out: report.frames_out,
             bytes_in: report.bytes_in,

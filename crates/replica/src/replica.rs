@@ -5,7 +5,7 @@ use crate::wire::{MempoolWire, ReplicaMsg, ReplicaPayload, SyncMsg};
 use simnet::{Node, NodeCtx, ObsKind, TimerTag};
 use smp_consensus::{CDest, CEffects, CEvent, ConsensusEngine, ProposalVerdict};
 use smp_mempool::{Dest, Effects, FillStatus, Mempool, MempoolEvent};
-use smp_metrics::{LatencyHistogram, ThroughputMeter};
+use smp_metrics::LatencyHistogram;
 use smp_types::{BlockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, TxId};
 use smp_workload::TxFactory;
 use std::collections::HashSet;
@@ -45,19 +45,15 @@ pub enum Behavior {
     },
 }
 
-/// Per-replica measurement state.
+/// Per-replica measurement state that the observation log does not carry.
+/// Commits, view changes and fetches are observations (`ObsKind`), emitted
+/// once, and counted from the log.
 #[derive(Clone, Debug, Default)]
 pub struct ReplicaMetrics {
-    /// Committed-transaction throughput (recorded at execution time).
-    pub throughput: ThroughputMeter,
     /// Commit latency histogram (only populated when `record_latencies`).
     pub latency: LatencyHistogram,
-    /// View changes observed by the consensus engine.
-    pub view_changes: u64,
     /// Total transactions this replica received from clients.
     pub client_txs: u64,
-    /// Fetches for missing microblocks issued by the mempool.
-    pub missing_fetches: u64,
 }
 
 /// A full replica node: consensus + mempool + client workload.
@@ -271,7 +267,6 @@ where
                 self.handle_commit(ctx, proposal);
             }
             CEvent::ViewChange { abandoned } => {
-                self.metrics.view_changes += 1;
                 ctx.observe(ObsKind::ViewChange { view: abandoned.0 });
             }
         }
@@ -367,7 +362,6 @@ where
                 receive_times,
                 ..
             } => {
-                self.metrics.throughput.record(now, tx_count as u64);
                 ctx.telemetry().counter_add("commit.txs", tx_count as u64);
                 let mut latency_sum = 0u64;
                 let mut latency_count = 0u32;
@@ -387,7 +381,6 @@ where
                 });
             }
             MempoolEvent::FetchIssued { count } => {
-                self.metrics.missing_fetches += count as u64;
                 ctx.observe(ObsKind::MissingFetch { count });
             }
         }

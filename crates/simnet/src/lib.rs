@@ -92,6 +92,6 @@ pub use faults::{FaultAction, FaultSchedule};
 pub use link::{OutboundLink, Priority};
 pub use message::SimMessage;
 pub use netmodel::{FaultWindow, NetConfig};
-pub use observation::{ObsKind, Observation, ObservationLog};
+pub use observation::{ObsKind, Observation, ObservationLog, Tally};
 pub use runner::{Node, Simulation};
 pub use smp_telemetry::Telemetry;

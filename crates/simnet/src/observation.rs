@@ -4,6 +4,7 @@
 use serde::Serialize;
 use smp_types::{ReplicaId, SimTime, MICROS_PER_SEC};
 use std::borrow::Cow;
+use std::ops::RangeBounds;
 
 /// What happened.
 #[derive(Clone, Debug, PartialEq, Serialize)]
@@ -55,7 +56,18 @@ pub struct Observation {
     pub kind: ObsKind,
 }
 
-/// An append-only log of observations with aggregation helpers.
+/// What [`ObservationLog::tally`] counts for a set of nodes over a window.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Transactions committed.
+    pub committed_txs: u64,
+    /// View changes started.
+    pub view_changes: u64,
+}
+
+/// An append-only log of observations with aggregation helpers.  It is the
+/// one record of what a run measured: commit totals, view changes and the
+/// throughput series are all queried from it.
 #[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct ObservationLog {
     entries: Vec<Observation>,
@@ -89,25 +101,26 @@ impl ObservationLog {
         self.entries.is_empty()
     }
 
-    /// Total transactions committed on `node` (or on all nodes if `None`).
-    pub fn committed_txs(&self, node: Option<ReplicaId>) -> u64 {
-        self.entries
-            .iter()
-            .filter(|o| node.is_none_or(|n| o.node == n))
-            .map(|o| match o.kind {
-                ObsKind::Committed { txs, .. } => txs as u64,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Number of view changes observed on `node` (or all nodes).
-    pub fn view_changes(&self, node: Option<ReplicaId>) -> u64 {
-        self.entries
-            .iter()
-            .filter(|o| node.is_none_or(|n| o.node == n))
-            .filter(|o| matches!(o.kind, ObsKind::ViewChange { .. }))
-            .count() as u64
+    /// Transactions committed and view changes started on the nodes `of`
+    /// accepts, at times inside `window` — half-open as `from..to`, or `..`
+    /// for the whole run.
+    pub fn tally(
+        &self,
+        of: impl Fn(ReplicaId) -> bool,
+        window: impl RangeBounds<SimTime>,
+    ) -> Tally {
+        let mut tally = Tally::default();
+        for o in &self.entries {
+            if !of(o.node) || !window.contains(&o.time) {
+                continue;
+            }
+            match o.kind {
+                ObsKind::Committed { txs, .. } => tally.committed_txs += txs as u64,
+                ObsKind::ViewChange { .. } => tally.view_changes += 1,
+                _ => {}
+            }
+        }
+        tally
     }
 
     /// Throughput time series for `node`: committed transactions per
@@ -132,27 +145,6 @@ impl ObservationLog {
         let scale = MICROS_PER_SEC as f64 / bucket_us as f64;
         counts.into_iter().map(|c| c as f64 * scale).collect()
     }
-
-    /// Mean commit latency (milliseconds) over every `Committed`
-    /// observation on `node` (or all nodes).
-    pub fn mean_commit_latency_ms(&self, node: Option<ReplicaId>) -> Option<f64> {
-        let (mut sum, mut count) = (0u64, 0u64);
-        for o in &self.entries {
-            if node.is_some_and(|n| o.node != n) {
-                continue;
-            }
-            if let ObsKind::Committed {
-                latency_sum_us,
-                latency_count,
-                ..
-            } = o.kind
-            {
-                sum += latency_sum_us;
-                count += latency_count as u64;
-            }
-        }
-        (count > 0).then(|| sum as f64 / count as f64 / 1_000.0)
-    }
 }
 
 #[cfg(test)]
@@ -171,51 +163,106 @@ mod tests {
         }
     }
 
+    fn log_of(entries: impl IntoIterator<Item = Observation>) -> ObservationLog {
+        let mut log = ObservationLog::new();
+        for o in entries {
+            log.push(o);
+        }
+        log
+    }
+
+    fn node(i: u32) -> impl Fn(ReplicaId) -> bool {
+        move |r| r == ReplicaId(i)
+    }
+
     #[test]
     fn committed_txs_filters_by_node() {
-        let mut log = ObservationLog::new();
-        log.push(committed(0, 10, 100));
-        log.push(committed(1, 20, 50));
-        assert_eq!(log.committed_txs(None), 150);
-        assert_eq!(log.committed_txs(Some(ReplicaId(0))), 100);
-        assert_eq!(log.committed_txs(Some(ReplicaId(2))), 0);
+        let log = log_of([committed(0, 10, 100), committed(1, 20, 50)]);
+        assert_eq!(log.tally(|_| true, ..).committed_txs, 150);
+        assert_eq!(log.tally(node(0), ..).committed_txs, 100);
+        assert_eq!(log.tally(node(2), ..).committed_txs, 0);
+    }
+
+    #[test]
+    fn totals_and_windows() {
+        let log = log_of([
+            committed(0, 100_000, 10),
+            committed(0, 600_000, 20),
+            committed(0, 1_600_000, 40),
+            committed(0, 2_000_000, 0),
+        ]);
+        assert_eq!(log.tally(node(0), ..).committed_txs, 70);
+        assert_eq!(log.tally(node(0), 0..1_000_000).committed_txs, 30);
+        assert_eq!(log.tally(node(0), 1_000_000..2_000_000).committed_txs, 40);
+    }
+
+    #[test]
+    fn window_boundaries_are_half_open() {
+        let log = log_of([committed(0, 1_000_000, 7)]);
+        // `from` is inclusive, `to` is exclusive.
+        assert_eq!(log.tally(node(0), 1_000_000..1_000_001).committed_txs, 7);
+        assert_eq!(log.tally(node(0), 0..1_000_000).committed_txs, 0);
+        assert_eq!(log.tally(node(0), 1_000_001..2_000_000).committed_txs, 0);
     }
 
     #[test]
     fn throughput_series_buckets_commits() {
-        let mut log = ObservationLog::new();
-        log.push(committed(0, 100_000, 10));
-        log.push(committed(0, 900_000, 20));
-        log.push(committed(0, 1_100_000, 40));
-        let series = log.throughput_series(ReplicaId(0), MICROS_PER_SEC, 2 * MICROS_PER_SEC);
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0], 30.0);
-        assert_eq!(series[1], 40.0);
+        let log = log_of([
+            committed(0, 100_000, 10),
+            committed(0, 900_000, 20),
+            committed(0, 1_100_000, 40),
+            committed(1, 1_200_000, 80),
+        ]);
+        let series = log.throughput_series(ReplicaId(0), MICROS_PER_SEC, 3 * MICROS_PER_SEC);
+        assert_eq!(series, vec![30.0, 40.0, 0.0]);
+    }
+
+    #[test]
+    fn series_buckets_events() {
+        let log = log_of([committed(0, 100_000, 10), committed(0, 1_200_000, 30)]);
+        let s = log.throughput_series(ReplicaId(0), MICROS_PER_SEC, 3 * MICROS_PER_SEC);
+        assert_eq!(s, vec![10.0, 30.0, 0.0]);
+    }
+
+    #[test]
+    fn series_bucket_boundaries() {
+        let log = log_of([
+            committed(0, 0, 1),          // first instant of bucket 0
+            committed(0, 999_999, 2),    // last instant of bucket 0
+            committed(0, 1_000_000, 4),  // first instant of bucket 1
+            committed(0, 2_999_999, 8),  // last instant inside the horizon
+            committed(0, 3_000_000, 16), // at the horizon: excluded
+        ]);
+        let s = log.throughput_series(ReplicaId(0), MICROS_PER_SEC, 3 * MICROS_PER_SEC);
+        assert_eq!(s, vec![3.0, 4.0, 8.0]);
+        // A horizon that is not a bucket multiple rounds the bucket count up,
+        // and the commit sitting exactly at 3 s now falls inside it.
+        let s = log.throughput_series(ReplicaId(0), MICROS_PER_SEC, 3 * MICROS_PER_SEC + 1);
+        assert_eq!(s.len(), 4);
+        assert_eq!(s[3], 16.0);
     }
 
     #[test]
     fn view_changes_are_counted() {
-        let mut log = ObservationLog::new();
-        log.push(Observation {
-            time: 5,
-            node: ReplicaId(0),
-            kind: ObsKind::ViewChange { view: 1 },
-        });
-        log.push(Observation {
-            time: 9,
-            node: ReplicaId(1),
-            kind: ObsKind::ViewChange { view: 2 },
-        });
-        assert_eq!(log.view_changes(None), 2);
-        assert_eq!(log.view_changes(Some(ReplicaId(1))), 1);
-    }
-
-    #[test]
-    fn mean_latency_uses_weighted_sum() {
-        let mut log = ObservationLog::new();
-        log.push(committed(0, 10, 4)); // 4 txs at 1 ms each
-        assert_eq!(log.mean_commit_latency_ms(None), Some(1.0));
-        assert_eq!(log.mean_commit_latency_ms(Some(ReplicaId(3))), None);
+        let view_change = |time, node, view| Observation {
+            time,
+            node: ReplicaId(node),
+            kind: ObsKind::ViewChange { view },
+        };
+        let log = log_of([
+            view_change(5, 0, 1),
+            committed(1, 7, 3),
+            view_change(9, 1, 2),
+        ]);
+        assert_eq!(
+            log.tally(|_| true, ..),
+            Tally {
+                committed_txs: 3,
+                view_changes: 2
+            }
+        );
+        assert_eq!(log.tally(node(1), ..).view_changes, 1);
+        assert_eq!(log.tally(|r| r != ReplicaId(1), 6..).view_changes, 0);
     }
 
     #[test]
@@ -223,6 +270,6 @@ mod tests {
         let log = ObservationLog::new();
         assert!(log.is_empty());
         assert_eq!(log.len(), 0);
-        assert_eq!(log.mean_commit_latency_ms(None), None);
+        assert_eq!(log.tally(|_| true, ..), Tally::default());
     }
 }

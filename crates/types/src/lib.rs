@@ -3,12 +3,11 @@
 //! This crate defines the vocabulary of the system described in
 //! *"Scaling Blockchain Consensus via a Robust Shared Mempool"*:
 //! transactions, microblocks (batches of transactions disseminated by the
-//! shared mempool), proposals (which reference microblocks by id), blocks,
+//! shared mempool), proposals (which reference microblocks by id),
 //! replica/client identifiers, logical time, wire-size modelling, and the
 //! system configuration (`N`, `f`, quorum sizes, batch sizes, timeouts and
 //! network presets).
 
-pub mod block;
 pub mod config;
 pub mod ids;
 pub mod microblock;
@@ -17,7 +16,6 @@ pub mod time;
 pub mod transaction;
 pub mod wire;
 
-pub use block::Block;
 pub use config::{DagMode, ExecutorKind, MempoolConfig, NetworkPreset, SystemConfig};
 pub use ids::{mb_id_derivations, BlockId, ClientId, MicroblockId, ReplicaId, TxId, View};
 pub use microblock::Microblock;

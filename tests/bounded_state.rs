@@ -14,10 +14,10 @@
 //!   fetch entries, the simulator's own queues.
 //!
 //! Outputs are not state and are taken out of the heap figure before it is
-//! compared: the `ObservationLog`, each replica's `ThroughputMeter` and the
-//! observer's `LatencyHistogram` keep one entry per event by design (all
-//! three are `Vec`s pushed one entry at a time, so each holds its length
-//! rounded up to a power of two).  The one thing left that grows with the
+//! compared: the `ObservationLog` — the one record of commits and view
+//! changes — and the observer's `LatencyHistogram` keep one entry per event
+//! by design (both are `Vec`s pushed one entry at a time, so each holds its
+//! length rounded up to a power of two).  The one thing left that grows with the
 //! run is the retired filter of `store.rs` — an 8-byte word a microblock a
 //! replica, in a hash set that spends at most [`FILTER_BYTES`] on an entry
 //! (right after it doubles) — and the heap bound allows for exactly that
@@ -83,14 +83,12 @@ fn soak(protocol: Protocol, seconds: u64) -> Vec<Sample> {
         MICROS_PER_SEC,
         &mut |_, sizes: &[ReplicaSizes], observations| {
             let sum = |f: fn(&ReplicaSizes) -> usize| sizes.iter().map(f).sum::<usize>();
-            let meters: usize = sizes
+            let histograms: usize = sizes
                 .iter()
-                .map(|s| {
-                    pushed_vec_bytes(s.meter_entries, 16) + pushed_vec_bytes(s.latency_runs, 16)
-                })
+                .map(|s| pushed_vec_bytes(s.latency_runs, 16))
                 .sum();
             let outputs =
-                pushed_vec_bytes(observations, std::mem::size_of::<Observation>()) + meters;
+                pushed_vec_bytes(observations, std::mem::size_of::<Observation>()) + histograms;
             samples.push(Sample {
                 tables: [
                     sum(|s| s.mempool.stored_microblocks),

@@ -91,9 +91,7 @@ where
         .collect();
     let mut sim = Simulation::new(nodes, NetConfig::lan(), sys.seed);
     sim.run_until(horizon);
-    (0..sys.n)
-        .map(|i| sim.node(i).metrics().throughput.total_in(0, horizon))
-        .sum()
+    sim.observations().tally(|_| true, 0..horizon).committed_txs
 }
 
 #[test]
