@@ -3,7 +3,8 @@
 //! Keys are deterministic functions of `(system seed, replica index)` so
 //! that experiments are reproducible and any component can reconstruct the
 //! public key set from the configuration alone.  The secret key is a
-//! 64-bit value used as a MAC key by [`crate::signature::Signature`].
+//! 64-bit value; the first word of its digest, forced odd, is the key word
+//! a [`crate::signature::Signature`] tag multiplies by.
 
 use crate::hash::{Digest, Hasher};
 use serde::{Deserialize, Serialize};
@@ -11,8 +12,8 @@ use serde::{Deserialize, Serialize};
 /// Public half of a replica key pair.
 ///
 /// In the simulated scheme the public key is a digest of the secret key;
-/// verification recomputes the expected signature tag from the public key
-/// material (see [`crate::signature`] for the trust argument).
+/// verification recomputes the expected signature tag from its first word
+/// (see [`crate::signature`] for the trust argument).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PublicKey {
     /// Index of the replica owning this key.
@@ -66,7 +67,7 @@ impl KeyPair {
 }
 
 impl PublicKey {
-    /// Recovers the MAC key from the public commitment.
+    /// The MAC key, read off the public commitment.
     ///
     /// This is obviously not possible for a real signature scheme; the
     /// simulated scheme accepts it because no experiment in the paper
@@ -74,9 +75,9 @@ impl PublicKey {
     /// explicitly in the protocol logic rather than through forged
     /// messages.
     pub(crate) fn mac_key(&self) -> u64 {
-        // The commitment is Digest::of_u64(secret); we cannot invert the
-        // digest, so instead verification re-derives the commitment from a
-        // claimed tag.  See `Signature::verify`.
+        // The commitment is `Digest::of_u64(secret)`, and the signer keys
+        // its tags with that digest's first word — the word returned here,
+        // so sign and verify agree without inverting anything.
         self.commitment.0[0]
     }
 }

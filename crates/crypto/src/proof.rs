@@ -25,13 +25,16 @@
 //! against 95 MiB with a `Vec` per clone.)
 //!
 //! Every signature is verified singly where it arrives (an ack, an echo, a
-//! ready) *before* it is folded; [`QuorumProof::verify`] then recomputes
-//! each signer's tag from its public key and holds their fold to the
-//! aggregate — `q` keyed hashes, the work of checking `q` signatures.  A
-//! holder of verified proofs (Stratus's `PabEngine`) may accept a proof
-//! that is *equal* to the one it already holds for the same id without
-//! running `verify` again; equality with a held certificate is the only
-//! shortcut, and everything else takes the full check.
+//! ready) *before* it is folded; [`QuorumProof::verify`] then sums the
+//! signers' key words into an aggregate key, multiplies it once by the
+//! digest's message word and holds the product to the aggregate — one
+//! message hash and `q` additions, as a BLS multi-signature is checked
+//! against its signers' aggregate public key with one pairing (see
+//! [`crate::signature`]).  A holder of verified proofs (Stratus's
+//! `PabEngine`) may accept a proof that is *equal* to the one it already
+//! holds for the same id without running `verify` again; equality with a
+//! held certificate is the only shortcut, and everything else takes the
+//! full check.
 
 use crate::hash::Digest;
 use crate::keys::PublicKey;
@@ -189,12 +192,15 @@ impl QuorumProof {
     }
 
     fn set_bits(&self) -> impl Iterator<Item = u32> + '_ {
-        self.bitmap.iter().enumerate().flat_map(|(i, byte)| {
+        self.bitmap.iter().enumerate().flat_map(|(i, &byte)| {
             // No overflow: `i < MAX_BITMAP_BYTES`.
             let base = i as u32 * 8;
-            (0..8)
-                .filter(move |bit| byte >> bit & 1 != 0)
-                .map(move |bit| base + bit)
+            let mut rest = byte;
+            std::iter::from_fn(move || {
+                let bit = rest.trailing_zeros();
+                rest &= rest.wrapping_sub(1);
+                (bit < 8).then_some(base + bit)
+            })
         })
     }
 
@@ -205,13 +211,14 @@ impl QuorumProof {
 
     /// Verifies the proof: at least `quorum` signers, each a known
     /// replica, and the aggregate equal to the fold of the tags those
-    /// replicas put on `self.digest`, recomputed from their public keys.
+    /// replicas put on `self.digest` — checked as their summed key words
+    /// times the digest's message word, which is that fold.
     pub fn verify(&self, public_keys: &[PublicKey], quorum: usize) -> Result<(), ProofError> {
         let have = self.len();
         if have < quorum {
             return Err(ProofError::QuorumNotReached { have, need: quorum });
         }
-        let mut expected = 0u64;
+        let mut aggregate_key = 0u64;
         for signer in self.set_bits() {
             let pk = public_keys
                 .get(signer as usize)
@@ -219,9 +226,9 @@ impl QuorumProof {
             if pk.owner != signer {
                 return Err(ProofError::BadAggregate);
             }
-            expected = expected.wrapping_add(Signature::expected_tag(pk, &self.digest));
+            aggregate_key = aggregate_key.wrapping_add(Signature::key_word(pk));
         }
-        if expected != self.aggregate {
+        if Signature::tag_for(aggregate_key, &self.digest) != self.aggregate {
             return Err(ProofError::BadAggregate);
         }
         Ok(())

@@ -1,13 +1,35 @@
 //! Simulated 64-byte signatures.
 //!
-//! A signature is a deterministic MAC-style tag over a digest computed with
-//! the signer's secret key.  Verification recomputes the tag from the
-//! signer's key material.  The scheme is *not* unforgeable — the threat
-//! model of the reproduction injects Byzantine behaviour directly into the
-//! protocol state machines instead of relying on forged messages — but it
-//! preserves the two properties the evaluation depends on: signatures from
-//! different replicas (or over different messages) differ, and each
-//! signature occupies [`crate::proof::SIGNATURE_BYTES`] bytes on the wire.
+//! A signature is a deterministic MAC-style tag over a digest, shaped like
+//! a BLS signature so that an aggregate verifies against summed keys:
+//!
+//! * the **message word** `m(d)` is one domain-separated [`Hasher`] pass
+//!   over the digest, forced odd — the per-message work, done once however
+//!   many signers a proof names;
+//! * the **key word** `k_i` is the first word of the signer's public
+//!   commitment ([`PublicKey`]), forced odd;
+//! * the tag is `σ_i(d) = k_i · m(d) mod 2⁶⁴` — the per-signer work, one
+//!   multiply.
+//!
+//! The tag is linear in the key, so a fold of tags over one digest is the
+//! summed key times `m(d)`: [`crate::proof::QuorumProof::verify`] sums the
+//! signers' key words (q additions) and multiplies once, as BLS checks a
+//! multi-signature against the signers' aggregate public key with one
+//! pairing (Boneh–Drijvers–Neven, ASIACRYPT 2018).
+//!
+//! The scheme is *not* unforgeable — the key word is read off the public
+//! key, and the threat model of the reproduction injects Byzantine
+//! behaviour directly into the protocol state machines instead of relying
+//! on forged messages — but it keeps the two properties the evaluation
+//! depends on.  Multiplying by an odd word is a bijection on `u64`, so:
+//!
+//! * two signers with different key words put different tags on one
+//!   digest;
+//! * one signer's tags over two digests differ unless the digests' message
+//!   words collide (a chance of about 2⁻⁶³ per pair).
+//!
+//! Each signature occupies [`crate::proof::SIGNATURE_BYTES`] bytes on the
+//! wire.
 
 use crate::hash::{Digest, Hasher};
 use crate::keys::{PublicKey, SecretKey};
@@ -26,32 +48,18 @@ pub struct Signature {
 impl Signature {
     /// Signs `digest` with `secret`.
     pub fn sign(secret: &SecretKey, digest: &Digest) -> Self {
-        // The MAC is keyed by the commitment word derived from the secret
-        // key, which is exactly what verifiers can recompute from the
-        // public key (see `key_from_commitment`).
-        let key_material = Digest::of_u64(secret.key).0[0];
+        // The commitment word derived from the secret key is exactly what
+        // verifiers read off the public key (`PublicKey::mac_key`).
+        let key_word = Digest::of_u64(secret.key).0[0] | 1;
         Signature {
             signer: secret.owner,
-            tag: Self::tag_for(secret.owner, key_material, digest),
+            tag: Self::tag_for(key_word, digest),
         }
     }
 
     /// Verifies this signature against `public` and `digest`.
-    ///
-    /// The verifier re-derives the signer's MAC key from the deterministic
-    /// key-derivation used by [`crate::keys::KeyPair::derive`]; the public
-    /// key only pins the signer identity and commitment.
     pub fn verify(&self, public: &PublicKey, digest: &Digest) -> bool {
-        public.owner == self.signer && Self::expected_tag(public, digest) == self.tag
-    }
-
-    /// The tag `public`'s owner puts on `digest`, recomputed from the key
-    /// reconstructed from the owner's commitment: since commitments are
-    /// digests of the MAC key, equal commitments imply equal keys for
-    /// honest key generation.  What [`Signature::verify`] compares with
-    /// and what an aggregate proof folds.
-    pub(crate) fn expected_tag(public: &PublicKey, digest: &Digest) -> u64 {
-        Self::tag_for(public.owner, Self::key_from_commitment(public), digest)
+        public.owner == self.signer && Self::tag_for(Self::key_word(public), digest) == self.tag
     }
 
     /// Wire size of one signature (matches an ECDSA signature).
@@ -59,29 +67,20 @@ impl Signature {
         SIGNATURE_BYTES
     }
 
-    fn key_from_commitment(public: &PublicKey) -> u64 {
-        // For the simulated scheme the verification key *is* derivable from
-        // the commitment word (the commitment is a digest of the MAC key and
-        // the MAC itself folds the commitment back in), so honest and
-        // simulated-Byzantine replicas verify consistently.
-        public.mac_key()
+    /// The key word `k_i` of `public`'s owner: odd, so that multiplying by
+    /// it loses nothing.  Key words add up to an aggregate key.
+    pub(crate) fn key_word(public: &PublicKey) -> u64 {
+        public.mac_key() | 1
     }
 
-    fn tag_for(signer: u32, key_material: u64, digest: &Digest) -> u64 {
+    /// The tag `key_word · m(digest)`.  Linear in the key: under the sum of
+    /// several signers' key words it is the sum of their tags.
+    pub(crate) fn tag_for(key_word: u64, digest: &Digest) -> u64 {
         let mut h = Hasher::with_domain(0x5349_474e); // "SIGN"
-        h.update_u64(signer as u64);
-        h.update_u64(key_material);
         h.update_digest(digest);
-        h.finalize().0[0]
+        let message_word = h.finalize().0[0] | 1;
+        key_word.wrapping_mul(message_word)
     }
-}
-
-/// Signs a digest and immediately checks the result against the matching
-/// public key; useful in tests and assertions.
-pub fn sign_and_check(secret: &SecretKey, public: &PublicKey, digest: &Digest) -> Signature {
-    let sig = Signature::sign(secret, digest);
-    debug_assert!(sig.verify(public, digest));
-    sig
 }
 
 #[cfg(test)]
@@ -131,13 +130,5 @@ mod tests {
         let kp = &keys(1)[0];
         let sig = Signature::sign(&kp.secret, &Digest::of_u64(1));
         assert_eq!(sig.wire_size(), 64);
-    }
-
-    #[test]
-    fn sign_and_check_helper() {
-        let kp = &keys(1)[0];
-        let d = Digest::of_u64(77);
-        let sig = sign_and_check(&kp.secret, &kp.public, &d);
-        assert_eq!(sig.signer, 0);
     }
 }

@@ -253,4 +253,78 @@ proptest! {
         prop_assert_eq!(proof.len(), q.min(n));
         prop_assert_eq!(proof.wire_size(), 32 + 64 + n.div_ceil(8));
     }
+
+    // A tag is the signer's odd key word times the digest's odd message
+    // word, and multiplying by an odd word is a bijection on `u64`: the
+    // signers of one digest all put different tags on it.
+    #[test]
+    fn distinct_signers_tag_one_digest_differently(
+        seed in any::<u64>(),
+        n in 2usize..129,
+        msg in any::<u64>(),
+    ) {
+        let d = Digest::of_u64(msg);
+        let tags: BTreeSet<u64> = KeyPair::derive_all(seed, n)
+            .iter()
+            .map(|k| Signature::sign(&k.secret, &d).tag)
+            .collect();
+        prop_assert_eq!(tags.len(), n);
+    }
+
+    // The same bijection in the other factor: one signer's tags over
+    // distinct digests differ unless their message words collide (a chance
+    // of about 2⁻⁶³ per pair).
+    #[test]
+    fn one_signer_tags_distinct_digests_differently(
+        seed in any::<u64>(),
+        signer in 0u32..128,
+        msgs in proptest::collection::vec(any::<u64>(), 2..64),
+    ) {
+        let kp = KeyPair::derive(seed, signer);
+        let digests: BTreeSet<Digest> = msgs.iter().map(|&m| Digest::of_u64(m)).collect();
+        let tags: BTreeSet<u64> = digests
+            .iter()
+            .map(|d| Signature::sign(&kp.secret, d).tag)
+            .collect();
+        prop_assert_eq!(tags.len(), digests.len());
+    }
+
+    // Any signer subset of a system of up to 128 replicas: its proof
+    // verifies at every quorum up to its size, and a signer bit set
+    // without that signer's tag folded in is refused at every quorum.
+    #[test]
+    fn a_subset_verifies_and_an_untagged_signer_bit_is_refused(
+        seed in any::<u64>(),
+        msg in any::<u64>(),
+        members in proptest::collection::vec(any::<bool>(), 1..129),
+        pick in any::<u32>(),
+    ) {
+        let n = members.len();
+        let kps = KeyPair::derive_all(seed, n);
+        let pks: Vec<PublicKey> = kps.iter().map(|k| k.public).collect();
+        let d = Digest::of_u64(msg);
+        let (signers, outsiders): (Vec<usize>, Vec<usize>) = (0..n).partition(|&i| members[i]);
+        let proof = QuorumProof::from_signatures(
+            d,
+            signers.iter().map(|&i| Signature::sign(&kps[i].secret, &d)),
+        );
+        let have = signers.len();
+        for quorum in 0..=have {
+            prop_assert_eq!(proof.verify(&pks, quorum), Ok(()));
+        }
+        prop_assert_eq!(
+            proof.verify(&pks, have + 1),
+            Err(ProofError::QuorumNotReached { have, need: have + 1 })
+        );
+        prop_assume!(!outsiders.is_empty());
+        let extra = outsiders[pick as usize % outsiders.len()];
+        let mut bitmap = proof.bitmap().to_vec();
+        bitmap.resize(bitmap.len().max(extra / 8 + 1), 0);
+        bitmap[extra / 8] |= 1 << (extra % 8);
+        let widened = QuorumProof::from_parts(d, proof.aggregate(), &bitmap).unwrap();
+        prop_assert_eq!(widened.len(), have + 1);
+        for quorum in 0..=have + 1 {
+            prop_assert_eq!(widened.verify(&pks, quorum), Err(ProofError::BadAggregate));
+        }
+    }
 }

@@ -335,8 +335,9 @@ where
             let readers = Arc::clone(&readers);
             let stats = Arc::clone(&self.stats);
             let hello_timeout = self.spec.connect_timeout;
+            let accept = move || listener.accept().map(|(stream, _)| stream);
             thread::spawn(move || {
-                accept_loop::<N::Msg>(listener, n, hello_timeout, tx, stop, readers, stats)
+                accept_loop::<N::Msg>(accept, n, hello_timeout, tx, stop, readers, stats)
             })
         };
 
@@ -686,8 +687,10 @@ fn supervisor_loop<M>(
     }
 }
 
+/// Accepts inbound connections until `stop` is set, from `accept` — a
+/// nonblocking listener's `accept`.
 fn accept_loop<M: WireMsg>(
-    listener: TcpListener,
+    mut accept: impl FnMut() -> io::Result<TcpStream>,
     n: usize,
     hello_timeout: Duration,
     tx: Sender<Ev<M>>,
@@ -701,8 +704,8 @@ fn accept_loop<M: WireMsg>(
     // connection's own thread, so a client that connects and says nothing
     // holds up neither the next accept nor shutdown.
     while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+        match accept() {
+            Ok(stream) => {
                 stream.set_nonblocking(false).ok();
                 stream.set_nodelay(true).ok();
                 // The registry's clone is what lets shutdown unblock the
@@ -716,10 +719,16 @@ fn accept_loop<M: WireMsg>(
                     thread::spawn(move || inbound_loop(stream, n, hello_timeout, tx, stats));
                 register_reader(&readers, clone, handle);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+            Err(e) => {
+                // Only `stop` ends the loop.  Running out of descriptors
+                // (EMFILE) or a connection aborted before it was accepted
+                // fails one accept, not the acceptor: counted, then
+                // retried like an empty backlog.
+                if e.kind() != io::ErrorKind::WouldBlock {
+                    stats.record_accept_error();
+                }
                 thread::sleep(Duration::from_millis(2));
             }
-            Err(_) => break,
         }
     }
 }
@@ -853,6 +862,77 @@ mod tests {
         }
 
         release.send(()).expect("release the live reader");
+        for (_, handle) in std::mem::take(&mut *readers.lock().unwrap()) {
+            handle.join().expect("reader thread");
+        }
+    }
+
+    /// A frame type for an acceptor that only ever sees hellos.
+    #[derive(Clone, Debug)]
+    struct Silent;
+
+    impl simnet::SimMessage for Silent {
+        fn wire_size(&self) -> usize {
+            1
+        }
+        fn kind(&self) -> &'static str {
+            "silent"
+        }
+    }
+
+    impl WireMsg for Silent {
+        const HEADER_BYTES: usize = 1;
+        fn encode(&self) -> Vec<u8> {
+            vec![0]
+        }
+        fn body_len(_: &[u8]) -> Result<usize, WireError> {
+            Ok(0)
+        }
+        fn decode(_: &[u8], _: &[u8]) -> Result<Self, WireError> {
+            Ok(Silent)
+        }
+    }
+
+    #[test]
+    fn accept_errors_are_counted_and_the_next_connection_is_admitted() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let addr = listener.local_addr().expect("local addr");
+        // Out of descriptors, then a connection aborted before its accept,
+        // then the real listener.
+        let mut failures = VecDeque::from([
+            io::Error::from_raw_os_error(24),
+            io::Error::from(io::ErrorKind::ConnectionAborted),
+        ]);
+        let accept = move || match failures.pop_front() {
+            Some(e) => Err(e),
+            None => listener.accept().map(|(stream, _)| stream),
+        };
+        let (tx, rx) = mpsc::channel::<Ev<Silent>>();
+        let stop = Arc::new(AtomicBool::new(false));
+        let readers: ReaderRegistry = Arc::new(Mutex::new(Vec::new()));
+        let stats = Arc::new(NetStats::new(2));
+        let acceptor = {
+            let (stop, readers, stats) = (stop.clone(), readers.clone(), stats.clone());
+            thread::spawn(move || {
+                accept_loop(accept, 2, Duration::from_secs(5), tx, stop, readers, stats)
+            })
+        };
+
+        let mut dialer = TcpStream::connect(addr).expect("dial");
+        dialer.write_all(&HELLO_MAGIC).expect("hello");
+        dialer.write_all(&1u32.to_be_bytes()).expect("hello");
+        match rx.recv_timeout(Duration::from_secs(5)) {
+            Ok(Ev::PeerUp(from)) => assert_eq!(from, ReplicaId(1)),
+            _ => panic!("the connection after the accept errors was not admitted"),
+        }
+        let telemetry = Telemetry::new();
+        stats.publish(&telemetry);
+        assert_eq!(telemetry.snapshot().counter("net.accept.errors"), Some(2));
+
+        stop.store(true, Ordering::Relaxed);
+        acceptor.join().expect("the acceptor ends at stop");
+        drop(dialer);
         for (_, handle) in std::mem::take(&mut *readers.lock().unwrap()) {
             handle.join().expect("reader thread");
         }

@@ -80,6 +80,7 @@ pub struct NetStats {
     peers: Vec<PeerStats>,
     handshakes_ok: AtomicU64,
     handshakes_failed: AtomicU64,
+    accept_errors: AtomicU64,
     decode_errors: Vec<AtomicU64>,
 }
 
@@ -90,6 +91,7 @@ impl NetStats {
             peers: (0..n).map(|_| PeerStats::default()).collect(),
             handshakes_ok: AtomicU64::new(0),
             handshakes_failed: AtomicU64::new(0),
+            accept_errors: AtomicU64::new(0),
             decode_errors: DECODE_TAXONOMY.iter().map(|_| AtomicU64::new(0)).collect(),
         }
     }
@@ -139,6 +141,12 @@ impl NetStats {
     /// Records an inbound connection whose hello was rejected.
     pub fn record_handshake_failure(&self) {
         self.handshakes_failed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a failed `accept` other than an empty backlog (EMFILE, an
+    /// aborted connection, …); the acceptor retries.
+    pub fn record_accept_error(&self) {
+        self.accept_errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records losing the inbound connection from peer `i`.
@@ -274,6 +282,7 @@ impl NetStats {
         }
         t.counter_store("net.handshake.ok", load(&self.handshakes_ok));
         t.counter_store("net.handshake.failed", load(&self.handshakes_failed));
+        t.counter_store("net.accept.errors", load(&self.accept_errors));
         for (kind, count) in DECODE_TAXONOMY.iter().zip(&self.decode_errors) {
             t.counter_store(&format!("net.decode_error.{kind}"), load(count));
         }
