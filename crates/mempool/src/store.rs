@@ -92,7 +92,7 @@ impl MicroblockStore {
         let mut out = Vec::new();
         for id in ids {
             if let Some(mb) = self.get(&id) {
-                out.extend(mb.txs.iter().filter_map(|t| t.received_at));
+                out.extend_from_slice(mb.receive_times());
             }
         }
         out
@@ -425,6 +425,45 @@ mod tests {
             Payload::Refs(refs),
             true,
         )
+    }
+
+    #[test]
+    fn receive_times_are_the_stamps_of_the_held_transactions() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(5);
+        for _ in 0..50 {
+            let mut store = MicroblockStore::new();
+            let mut ids = Vec::new();
+            for creator in 0..rng.gen_range(1..8u32) {
+                let txs: Vec<Transaction> = (0..rng.gen_range(0..20u64))
+                    .map(|seq| {
+                        let mut t = Transaction::synthetic(ClientId(creator), seq, 128, 0);
+                        if rng.gen_bool(0.7) {
+                            t.mark_received(ReplicaId(creator), rng.gen_range(0..1_000));
+                        }
+                        t
+                    })
+                    .collect();
+                let m = Microblock::seal(ReplicaId(creator), txs, 0);
+                ids.push(m.id);
+                if rng.gen_bool(0.8) {
+                    store.insert(m);
+                }
+            }
+            // Ask in a random order, with repeats and unknown ids.
+            let asked: Vec<MicroblockId> = (0..rng.gen_range(0..12))
+                .map(|_| match rng.gen_range(0..=ids.len()) {
+                    i if i < ids.len() => ids[i],
+                    _ => mb(99, 0, 1).id,
+                })
+                .collect();
+            let expected: Vec<SimTime> = asked
+                .iter()
+                .filter_map(|id| store.get(id))
+                .flat_map(|m| m.txs.iter().filter_map(|t| t.received_at))
+                .collect();
+            assert_eq!(store.receive_times(asked), expected);
+        }
     }
 
     #[test]

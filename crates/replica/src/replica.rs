@@ -362,22 +362,23 @@ where
                 receive_times,
                 ..
             } => {
-                ctx.telemetry().counter_add("commit.txs", tx_count as u64);
-                let mut latency_sum = 0u64;
-                let mut latency_count = 0u32;
-                for t in &receive_times {
-                    let lat = now.saturating_sub(*t);
-                    latency_sum += lat;
-                    latency_count += 1;
-                    ctx.telemetry().observe_us("commit.latency", lat);
-                    if self.record_latencies {
+                let latencies = || receive_times.iter().map(|t| now.saturating_sub(*t));
+                let telemetry = ctx.telemetry();
+                telemetry.counter_add("commit.txs", tx_count as u64);
+                if telemetry.is_enabled() {
+                    for lat in latencies() {
+                        telemetry.observe_us("commit.latency", lat);
+                    }
+                }
+                if self.record_latencies {
+                    for lat in latencies() {
                         self.metrics.latency.record(lat);
                     }
                 }
                 ctx.observe(ObsKind::Committed {
                     txs: tx_count,
-                    latency_sum_us: latency_sum,
-                    latency_count,
+                    latency_sum_us: latencies().sum(),
+                    latency_count: receive_times.len() as u32,
                 });
             }
             MempoolEvent::FetchIssued { count } => {
@@ -426,7 +427,9 @@ where
                 from_index,
                 entries,
             } => {
-                if !self.recovering {
+                // An honest server sends at most `SYNC_CHUNK` entries; a
+                // longer chunk can only come from a hostile peer.
+                if !self.recovering || entries.len() > SYNC_CHUNK {
                     return;
                 }
                 let Some(log) = self.commit_log.as_mut() else {
@@ -567,5 +570,83 @@ where
             let fx = self.engine.on_timer(now, tag);
             self.apply_consensus_effects(ctx, fx);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::{NodeDriver, Telemetry};
+    use smp_consensus::HotStuffEngine;
+    use smp_mempool::NativeMempool;
+    use smp_types::ClientId;
+
+    type Recovering = NodeDriver<Replica<HotStuffEngine, NativeMempool>>;
+
+    /// Replica 3 of 4, rejoining with an empty commit log.
+    fn recovering() -> Recovering {
+        let config = SystemConfig::new(4);
+        let me = ReplicaId(3);
+        let mut replica = Replica::new(
+            &config,
+            me,
+            HotStuffEngine::new(&config, me),
+            NativeMempool::new(&config, me),
+            Behavior::Honest,
+            0.0,
+            false,
+            false,
+        );
+        replica.enable_commit_log();
+        replica.start_recovery();
+        let mut driver = NodeDriver::new(replica, me, config.n, 1, Telemetry::disabled());
+        driver.start(0, &mut Vec::new());
+        driver
+    }
+
+    fn ids(client: u32, range: std::ops::Range<u64>) -> Vec<TxId> {
+        range
+            .map(|seq| TxId::derive(ClientId(client), seq))
+            .collect()
+    }
+
+    fn respond(driver: &mut Recovering, from: u32, from_index: u64, entries: Vec<TxId>) {
+        let msg = ReplicaMsg::sync(SyncMsg::Response {
+            from_index,
+            entries,
+        });
+        driver.deliver(1_000, ReplicaId(from), msg, &mut Vec::new());
+    }
+
+    fn log(driver: &Recovering) -> &[TxId] {
+        driver.node().commit_log().unwrap()
+    }
+
+    #[test]
+    fn an_oversize_sync_chunk_is_dropped_and_the_next_valid_one_adopted() {
+        let mut driver = recovering();
+        let n = SYNC_CHUNK as u64;
+        respond(&mut driver, 0, 0, ids(9, 0..n + 1));
+        assert!(
+            log(&driver).is_empty(),
+            "a chunk past SYNC_CHUNK was adopted"
+        );
+        respond(&mut driver, 1, 0, ids(1, 0..n));
+        assert_eq!(log(&driver), &ids(1, 0..n)[..]);
+    }
+
+    /// Pins today's gap: a recovering replica adopts whichever chunk for
+    /// an index arrives first, from any one peer.  The f + 1 agreement on
+    /// a checkpoint in ROADMAP's checkpointed commit log closes it.
+    #[test]
+    fn conflicting_sync_chunks_are_adopted_first_wins() {
+        let mut driver = recovering();
+        respond(&mut driver, 0, 0, ids(1, 0..8));
+        respond(&mut driver, 1, 0, ids(2, 0..8));
+        assert_eq!(log(&driver), &ids(1, 0..8)[..]);
+        // An overlapping chunk only appends past the current tail.
+        respond(&mut driver, 2, 4, ids(2, 0..8));
+        assert_eq!(log(&driver)[..8], ids(1, 0..8)[..]);
+        assert_eq!(log(&driver)[8..], ids(2, 4..8)[..]);
     }
 }

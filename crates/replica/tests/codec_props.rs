@@ -390,6 +390,22 @@ proptest! {
         let (back, _) = decode_frame::<StratusMsg>(&frame).expect("sync frame decodes");
         prop_assert_eq!(back.priority, matches!(msg, SyncMsg::Request { .. }));
     }
+
+    // A microblock's sealed receive times are not on the wire: the decoder
+    // reseals, and must arrive at the stamps of the decoded transactions.
+    #[test]
+    fn sealed_receive_times_survive_a_round_trip(mb in arb_microblock()) {
+        let expected: Vec<u64> = mb.txs.iter().filter_map(|t| t.received_at).collect();
+        prop_assert_eq!(mb.receive_times(), &expected[..]);
+        let frame = encode_frame(&ReplicaMsg::mempool(StratusMsg::PabMsg(mb), false));
+        let (back, _) = decode_frame::<StratusMsg>(&frame).expect("valid frame must decode");
+        match back.payload {
+            ReplicaPayload::Mempool(StratusMsg::PabMsg(back)) => {
+                prop_assert_eq!(back.receive_times(), &expected[..]);
+            }
+            other => panic!("decoded {other:?}"),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

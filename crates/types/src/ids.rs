@@ -47,8 +47,38 @@ impl TxId {
     /// Derives a transaction id from the issuing client and a per-client
     /// sequence number.
     pub fn derive(client: ClientId, seq: u64) -> Self {
-        let mut h = smp_crypto::Hasher::with_domain(0x5458_4944); // "TXID"
-        h.update_u64(client.0 as u64);
+        TxIdPrefix::new(client).derive(seq)
+    }
+}
+
+/// The part of [`TxId::derive`] that depends on the client alone: the
+/// hasher state after the domain word and the client word.
+///
+/// A client that issues many transactions builds its prefix once and pays
+/// only for the sequence number per id; `prefix.derive(seq)` equals
+/// `TxId::derive(prefix.client(), seq)`.
+#[derive(Clone, Debug)]
+pub struct TxIdPrefix {
+    client: ClientId,
+    state: smp_crypto::Hasher,
+}
+
+impl TxIdPrefix {
+    /// Absorbs the domain and `client`.
+    pub fn new(client: ClientId) -> Self {
+        let mut state = smp_crypto::Hasher::with_domain(0x5458_4944); // "TXID"
+        state.update_u64(client.0 as u64);
+        TxIdPrefix { client, state }
+    }
+
+    /// The client whose ids this prefix derives.
+    pub fn client(&self) -> ClientId {
+        self.client
+    }
+
+    /// The id of the client's transaction number `seq`.
+    pub fn derive(&self, seq: u64) -> TxId {
+        let mut h = self.state.clone();
         h.update_u64(seq);
         TxId(h.finalize())
     }
@@ -83,6 +113,12 @@ impl MicroblockId {
     /// Derives a microblock id from the ids of the transactions it contains
     /// and its creator, as described in Section III-D of the paper.
     pub fn derive(creator: ReplicaId, tx_ids: &[TxId]) -> Self {
+        Self::derive_from(creator, tx_ids.iter().copied())
+    }
+
+    /// [`derive`](Self::derive) over ids as they are read, so sealing a
+    /// batch does not first copy its ids out.
+    pub(crate) fn derive_from(creator: ReplicaId, tx_ids: impl IntoIterator<Item = TxId>) -> Self {
         MB_ID_DERIVATIONS.with(|c| c.set(c.get() + 1));
         let mut h = smp_crypto::Hasher::with_domain(0x4d42_4944); // "MBID"
         h.update_u64(creator.0 as u64);

@@ -17,7 +17,9 @@ pub mod transaction;
 pub mod wire;
 
 pub use config::{DagMode, ExecutorKind, MempoolConfig, NetworkPreset, SystemConfig};
-pub use ids::{mb_id_derivations, BlockId, ClientId, MicroblockId, ReplicaId, TxId, View};
+pub use ids::{
+    mb_id_derivations, BlockId, ClientId, MicroblockId, ReplicaId, TxId, TxIdPrefix, View,
+};
 pub use microblock::Microblock;
 pub use proposal::{MicroblockRef, Payload, Proposal, SHARD_GROUP_TAG_BYTES};
 pub use time::{SimTime, MICROS_PER_MS, MICROS_PER_SEC};

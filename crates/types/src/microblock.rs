@@ -1,10 +1,9 @@
 //! Microblocks: batches of transactions disseminated by the shared mempool.
 
-use crate::ids::{MicroblockId, ReplicaId, TxId};
+use crate::ids::{MicroblockId, ReplicaId};
 use crate::time::SimTime;
 use crate::transaction::Transaction;
 use crate::wire::{WireSize, MICROBLOCK_HEADER_BYTES};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A batch of transactions created by one replica (Section III-D).
@@ -12,7 +11,7 @@ use std::sync::Arc;
 /// Because each client sends every transaction to exactly one replica, the
 /// microblocks produced by different replicas are disjoint; the microblock
 /// id is derived from the contained transaction ids and the creator.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Microblock {
     /// Content-derived identifier.
     pub id: MicroblockId,
@@ -26,19 +25,32 @@ pub struct Microblock {
     /// Replica that actually disseminated the batch (differs from
     /// `creator` when a DLB proxy forwarded it on the creator's behalf).
     pub disseminator: ReplicaId,
+    /// The stamped `received_at` of `txs`, in order (see
+    /// [`receive_times`](Self::receive_times)).
+    receive_times: Arc<[SimTime]>,
 }
 
 impl Microblock {
     /// Seals a batch of transactions into a microblock.
     pub fn seal(creator: ReplicaId, txs: Vec<Transaction>, created_at: SimTime) -> Self {
-        let tx_ids: Vec<TxId> = txs.iter().map(|t| t.id).collect();
+        let mut receive_times = Vec::with_capacity(txs.len());
+        receive_times.extend(txs.iter().filter_map(|t| t.received_at));
         Microblock {
-            id: MicroblockId::derive(creator, &tx_ids),
+            id: MicroblockId::derive_from(creator, txs.iter().map(|t| t.id)),
             creator,
             txs: Arc::new(txs),
             created_at,
             disseminator: creator,
+            receive_times: receive_times.into(),
         }
+    }
+
+    /// The stamped `received_at` of the batch's transactions, in order:
+    /// what every replica that executes the batch reports as its commit
+    /// latencies, read once at seal instead of once per transaction per
+    /// replica.  Derived from `txs`, so it is not encoded; decoding reseals.
+    pub fn receive_times(&self) -> &[SimTime] {
+        &self.receive_times
     }
 
     /// Number of transactions in the batch.
@@ -49,11 +61,6 @@ impl Microblock {
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
         self.txs.is_empty()
-    }
-
-    /// Ids of the contained transactions.
-    pub fn tx_ids(&self) -> impl Iterator<Item = TxId> + '_ {
-        self.txs.iter().map(|t| t.id)
     }
 
     /// Total payload bytes carried by the batch (excluding framing).

@@ -1,6 +1,6 @@
 //! Client transactions.
 
-use crate::ids::{ClientId, ReplicaId, TxId};
+use crate::ids::{ClientId, ReplicaId, TxId, TxIdPrefix};
 use crate::time::SimTime;
 use crate::wire::{WireSize, TX_OVERHEAD_BYTES};
 use bytes::Bytes;
@@ -56,9 +56,20 @@ impl Transaction {
     /// Creates a synthetic transaction of `payload_len` bytes without
     /// allocating the payload (used by the workload generators).
     pub fn synthetic(client: ClientId, seq: u64, payload_len: usize, created_at: SimTime) -> Self {
+        Transaction::synthetic_from(&TxIdPrefix::new(client), seq, payload_len, created_at)
+    }
+
+    /// [`synthetic`](Self::synthetic) for the client of `ids`, whose
+    /// prefix a generator builds once rather than once per transaction.
+    pub fn synthetic_from(
+        ids: &TxIdPrefix,
+        seq: u64,
+        payload_len: usize,
+        created_at: SimTime,
+    ) -> Self {
         Transaction {
-            id: TxId::derive(client, seq),
-            client,
+            id: ids.derive(seq),
+            client: ids.client(),
             seq,
             payload: Bytes::new(),
             payload_len,
@@ -75,12 +86,6 @@ impl Transaction {
             self.received_at = Some(now);
             self.entry_replica = Some(replica);
         }
-    }
-
-    /// Commit latency relative to first reception, if the reception time is
-    /// known.
-    pub fn latency_at_commit(&self, commit_time: SimTime) -> Option<SimTime> {
-        self.received_at.map(|r| commit_time.saturating_sub(r))
     }
 }
 
@@ -116,15 +121,5 @@ mod tests {
         tx.mark_received(ReplicaId(3), 90);
         assert_eq!(tx.received_at, Some(50));
         assert_eq!(tx.entry_replica, Some(ReplicaId(2)));
-    }
-
-    #[test]
-    fn latency_is_relative_to_reception() {
-        let mut tx = Transaction::synthetic(ClientId(1), 0, 128, 0);
-        assert_eq!(tx.latency_at_commit(100), None);
-        tx.mark_received(ReplicaId(0), 40);
-        assert_eq!(tx.latency_at_commit(100), Some(60));
-        // Saturates rather than underflowing.
-        assert_eq!(tx.latency_at_commit(10), Some(0));
     }
 }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use smp_types::{
-    ids::{ClientId, MicroblockId, ReplicaId, TxId, View},
+    ids::{ClientId, MicroblockId, ReplicaId, TxId, TxIdPrefix, View},
     Microblock, Payload, Proposal, SystemConfig, Transaction, WireSize, TX_OVERHEAD_BYTES,
 };
 
@@ -28,6 +28,34 @@ proptest! {
         prop_assert_eq!(a.id, b.id);
         let ids: Vec<TxId> = txs.iter().map(|t| t.id).collect();
         prop_assert_eq!(a.id, MicroblockId::derive(ReplicaId(creator), &ids));
+    }
+
+    #[test]
+    fn id_prefix_derives_the_reference_ids(c in any::<u32>(), seqs in proptest::collection::vec(any::<u64>(), 1..16)) {
+        let prefix = TxIdPrefix::new(ClientId(c));
+        for s in seqs {
+            prop_assert_eq!(prefix.derive(s), TxId::derive(ClientId(c), s));
+        }
+    }
+
+    #[test]
+    fn sealed_receive_times_are_the_stamps_in_order(
+        txs in arb_txs(32),
+        stamps in proptest::collection::vec(proptest::option::of(any::<u64>()), 32..33),
+    ) {
+        let txs: Vec<Transaction> = txs
+            .into_iter()
+            .zip(stamps)
+            .map(|(mut t, stamp)| {
+                if let Some(at) = stamp {
+                    t.mark_received(ReplicaId(1), at);
+                }
+                t
+            })
+            .collect();
+        let mb = Microblock::seal(ReplicaId(0), txs.clone(), 0);
+        let expected: Vec<u64> = txs.iter().filter_map(|t| t.received_at).collect();
+        prop_assert_eq!(mb.receive_times(), &expected[..]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::distribution::LoadDistribution;
 use serde::{Deserialize, Serialize};
-use smp_types::{ClientId, ReplicaId, SimTime, Transaction};
+use smp_types::{ClientId, ReplicaId, SimTime, Transaction, TxIdPrefix};
 
 /// Description of the offered load for one experiment.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -81,9 +81,10 @@ impl WorkloadSpec {
 /// replica index), so transaction ids never collide across replicas —
 /// mirroring the paper's assumption that each client submits every
 /// transaction to exactly one replica.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TxFactory {
-    client: ClientId,
+    /// The replica's client, its id prefix hashed once.
+    ids: TxIdPrefix,
     next_seq: u64,
     payload_bytes: usize,
     /// Fractional transaction accumulator for rate-based generation.
@@ -94,7 +95,7 @@ impl TxFactory {
     /// Creates the factory for `replica`.
     pub fn new(replica: ReplicaId, payload_bytes: usize) -> Self {
         TxFactory {
-            client: ClientId(replica.0),
+            ids: TxIdPrefix::new(ClientId(replica.0)),
             next_seq: 0,
             payload_bytes,
             carry: 0.0,
@@ -103,7 +104,7 @@ impl TxFactory {
 
     /// Produces the next transaction, created at time `now`.
     pub fn next_tx(&mut self, now: SimTime) -> Transaction {
-        let tx = Transaction::synthetic(self.client, self.next_seq, self.payload_bytes, now);
+        let tx = Transaction::synthetic_from(&self.ids, self.next_seq, self.payload_bytes, now);
         self.next_seq += 1;
         tx
     }
@@ -117,16 +118,12 @@ impl TxFactory {
         self.carry = expected - count as f64;
         (0..count).map(|_| self.next_tx(now)).collect()
     }
-
-    /// Total transactions produced so far.
-    pub fn produced(&self) -> u64 {
-        self.next_seq
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smp_types::TxId;
 
     #[test]
     fn rate_split_follows_distribution() {
@@ -154,7 +151,6 @@ mod tests {
         let tb1 = b.next_tx(0);
         assert_ne!(ta1.id, ta2.id);
         assert_ne!(ta1.id, tb1.id);
-        assert_eq!(a.produced(), 2);
     }
 
     #[test]
@@ -166,6 +162,23 @@ mod tests {
             total += f.tick(i * 1_000, 1_000, 12_345.0).len();
         }
         assert!((total as i64 - 12_345).abs() <= 1, "generated {total}");
+    }
+
+    #[test]
+    fn tick_ids_are_the_reference_derivation_in_order() {
+        let mut f = TxFactory::new(ReplicaId(7), 128);
+        let mut txs = Vec::new();
+        for i in 0..20u64 {
+            txs.extend(f.tick(i * 1_000, 1_000, 3_333.0));
+        }
+        assert!(txs.len() > 50);
+        for (seq, tx) in txs.iter().enumerate() {
+            assert_eq!(tx.id, TxId::derive(ClientId(7), seq as u64));
+            assert_eq!(
+                tx,
+                &Transaction::synthetic(ClientId(7), seq as u64, 128, tx.created_at)
+            );
+        }
     }
 
     #[test]
