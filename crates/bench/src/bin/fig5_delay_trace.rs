@@ -14,7 +14,6 @@ fn main() {
     let config = TraceConfig {
         minutes: scale.pick(120, 1_440),
         samples_per_minute: scale.pick(1_000, 4_000),
-        ..TraceConfig::default()
     };
     let trace = DelayTrace::generate(config, 2023);
 

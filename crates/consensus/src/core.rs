@@ -28,8 +28,12 @@
 
 use crate::api::{CEffects, CEvent, ConsensusMsg, VoteAggregator};
 use smp_crypto::{DigestMap, DigestSet};
-use smp_types::{BlockId, Proposal, ReplicaId, SimTime, SystemConfig, View};
+use smp_types::{BlockId, Proposal, ReplicaId, SimTime, SystemConfig, View, MICROS_PER_MS};
 use std::collections::{BTreeSet, HashSet};
+
+/// How long a view may last before its replicas give up on it and move to
+/// the next one (HotStuff and PBFT); a Streamlet epoch lasts half of it.
+pub const VIEW_TIMEOUT: SimTime = 1_000 * MICROS_PER_MS;
 
 /// How many views below the commit tip (blocks) or the current view
 /// (pacemaker sets, vote tallies) state is kept.
@@ -161,7 +165,6 @@ pub(crate) struct Pacemaker {
     pub(crate) me: ReplicaId,
     n: usize,
     pub(crate) view: View,
-    timeout: SimTime,
     tag_base: u64,
     new_views: VoteAggregator,
     /// Views led and proposed in, and views a payload was requested for:
@@ -177,7 +180,6 @@ impl Pacemaker {
             me,
             n: config.n,
             view: View(1),
-            timeout: config.view_change_timeout,
             tag_base,
             new_views: VoteAggregator::new(config.consensus_quorum()),
             proposed_in: HashSet::new(),
@@ -239,7 +241,7 @@ impl Pacemaker {
 
     /// Arms the current view's timer.
     pub(crate) fn arm(&self, fx: &mut CEffects) {
-        fx.timer(self.timeout, self.tag_base + self.view.0);
+        fx.timer(VIEW_TIMEOUT, self.tag_base + self.view.0);
     }
 
     /// Moves forward to `view`, if it is ahead.  That does not entitle its

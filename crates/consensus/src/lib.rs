@@ -33,6 +33,7 @@ pub mod pbft;
 pub mod streamlet;
 pub mod testkit;
 
+pub use self::core::VIEW_TIMEOUT;
 pub use api::{CDest, CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict, StateSize};
 pub use hotstuff::HotStuffEngine;
 pub use mirbft::MirBftEngine;

@@ -12,12 +12,16 @@
 use crate::api::{
     CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict, StateSize, VoteAggregator,
 };
-use crate::core::{Chain, Pacemaker};
+use crate::core::{Chain, Pacemaker, VIEW_TIMEOUT};
 use smp_types::{BlockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, View};
 use std::collections::BTreeSet;
 
 /// Timer tag for the epoch clock.
 pub const EPOCH_TAG: u64 = 0x5354_524c_0000_0001;
+
+/// Length of an epoch: half the view timeout, which comfortably fits one
+/// proposal round trip.
+pub const EPOCH_DURATION: SimTime = VIEW_TIMEOUT / 2;
 
 /// Streamlet engine.
 #[derive(Clone, Debug)]
@@ -26,7 +30,6 @@ pub struct StreamletEngine {
     /// clock below stands in for the pacemaker's view timer.
     pm: Pacemaker,
     chain: Chain,
-    epoch_duration: SimTime,
     votes: VoteAggregator,
     /// Notarized blocks by epoch, for the epochs at or above the
     /// pacemaker's floor.
@@ -35,14 +38,11 @@ pub struct StreamletEngine {
 }
 
 impl StreamletEngine {
-    /// Creates the engine for replica `me`.  The epoch duration is derived
-    /// from the configured view-change timeout (an epoch must comfortably
-    /// fit one proposal round trip).
+    /// Creates the engine for replica `me`.
     pub fn new(config: &SystemConfig, me: ReplicaId) -> Self {
         StreamletEngine {
             pm: Pacemaker::new(config, me, EPOCH_TAG),
             chain: Chain::default(),
-            epoch_duration: (config.view_change_timeout / 2).max(1),
             votes: VoteAggregator::new(config.consensus_quorum()),
             notarized: BTreeSet::new(),
             longest_notarized_tip: BlockId::GENESIS,
@@ -96,7 +96,7 @@ impl StreamletEngine {
 impl ConsensusEngine for StreamletEngine {
     fn on_start(&mut self, _now: SimTime) -> CEffects {
         let mut fx = CEffects::none();
-        fx.timer(self.epoch_duration, EPOCH_TAG);
+        fx.timer(EPOCH_DURATION, EPOCH_TAG);
         self.pm.request_payload_if_leader(self.pm.view, &mut fx);
         fx
     }
@@ -131,7 +131,7 @@ impl ConsensusEngine for StreamletEngine {
             self.pm.view_changes += 1;
         }
         self.pm.set_view(finished.next());
-        fx.timer(self.epoch_duration, EPOCH_TAG);
+        fx.timer(EPOCH_DURATION, EPOCH_TAG);
         self.pm.request_payload_if_leader(finished.next(), &mut fx);
         fx
     }

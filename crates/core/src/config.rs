@@ -1,9 +1,11 @@
 //! Stratus configuration knobs.
 
 use serde::{Deserialize, Serialize};
-use smp_types::{SimTime, MICROS_PER_MS, MICROS_PER_SEC};
 
-/// Configuration of the distributed load balancer (Section V).
+/// Configuration of the distributed load balancer (Section V).  Its
+/// timeouts `τ` and `τ'` and the banList reset period are constants of
+/// [`crate::dlb`]; the estimator's window and busy margin `β` are
+/// constants of [`crate::estimator`].
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DlbConfig {
     /// Whether load balancing is enabled at all.
@@ -11,20 +13,6 @@ pub struct DlbConfig {
     /// Power-of-d-choices sample size (the paper evaluates d ∈ {1, 2, 3};
     /// d = 1 is the default, d = 3 performs best under skew).
     pub d: usize,
-    /// Timeout `τ` for collecting load-status samples.
-    pub sample_timeout: SimTime,
-    /// Timeout `τ'` for the proxy to return an availability proof before
-    /// the microblock is re-forwarded.
-    pub forward_timeout: SimTime,
-    /// Sliding-window size of the stable-time estimator (100 by default).
-    pub estimator_window: usize,
-    /// Percentile of the window used as the ST estimate (95 by default).
-    pub estimator_percentile: f64,
-    /// A replica considers itself busy when its ST estimate exceeds the
-    /// baseline by this factor (the paper's `β` margin over `α + ε`).
-    pub busy_factor: f64,
-    /// Interval after which the banList is cleared.
-    pub banlist_reset_interval: SimTime,
 }
 
 impl Default for DlbConfig {
@@ -32,12 +20,6 @@ impl Default for DlbConfig {
         DlbConfig {
             enabled: true,
             d: 1,
-            sample_timeout: 30 * MICROS_PER_MS,
-            forward_timeout: 800 * MICROS_PER_MS,
-            estimator_window: 100,
-            estimator_percentile: 95.0,
-            busy_factor: 2.0,
-            banlist_reset_interval: 10 * MICROS_PER_SEC,
         }
     }
 }
@@ -59,60 +41,32 @@ impl DlbConfig {
     }
 }
 
-/// Configuration of the Stratus mempool.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+/// Configuration of the Stratus mempool.  The fetch probability `α` is
+/// [`crate::pab::FETCH_ALPHA`], the retry period `δ` is
+/// [`smp_mempool::FETCH_TIMEOUT`], and the data limiter always runs at
+/// [`crate::limiter::DATA_BANDWIDTH_SHARE`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct StratusConfig {
-    /// PAB availability quorum `q ∈ [f+1, 2f+1]`; `None` uses the value
-    /// from the system configuration.
+    /// PAB availability quorum `q ∈ [f+1, 2f+1]` (Section IV-A); `None`
+    /// is the minimum, `f + 1`.  [`StratusConfig::pab_quorum`] clamps it.
     pub pab_quorum_override: Option<usize>,
-    /// Probability of requesting a given proof signer during `PAB-Fetch`
-    /// (the paper's `α` parameter, Algorithm 2).
-    pub fetch_alpha: f64,
-    /// Fetch retry timeout `δ`.
-    pub fetch_timeout: SimTime,
     /// Load-balancing configuration.
     pub dlb: DlbConfig,
-    /// Token-bucket rate limit on outgoing bulk data, expressed as a
-    /// fraction of the replica's bandwidth that data messages may consume
-    /// (Section VI, optimization 2).  `None` disables the limiter.
-    pub data_bandwidth_share: Option<f64>,
-}
-
-impl Default for StratusConfig {
-    fn default() -> Self {
-        StratusConfig {
-            pab_quorum_override: None,
-            fetch_alpha: 0.5,
-            fetch_timeout: 500 * MICROS_PER_MS,
-            dlb: DlbConfig::default(),
-            data_bandwidth_share: Some(0.9),
-        }
-    }
 }
 
 impl StratusConfig {
-    /// Uses the minimum availability quorum `f + 1`.
-    pub fn with_min_quorum(mut self) -> Self {
-        self.pab_quorum_override = None;
-        self
-    }
-
-    /// Overrides the PAB quorum (clamped later against `[f+1, 2f+1]`).
-    pub fn with_quorum(mut self, q: usize) -> Self {
-        self.pab_quorum_override = Some(q);
-        self
-    }
-
     /// Sets the DLB configuration.
     pub fn with_dlb(mut self, dlb: DlbConfig) -> Self {
         self.dlb = dlb;
         self
     }
 
-    /// Disables the token-bucket data limiter.
-    pub fn without_limiter(mut self) -> Self {
-        self.data_bandwidth_share = None;
-        self
+    /// The PAB quorum for a system tolerating `f` faults: the override, or
+    /// `f + 1`, clamped to `[f + 1, 2f + 1]`.
+    pub fn pab_quorum(&self, f: usize) -> usize {
+        self.pab_quorum_override
+            .unwrap_or(f + 1)
+            .clamp(f + 1, 2 * f + 1)
     }
 }
 
@@ -125,19 +79,27 @@ mod tests {
         let c = StratusConfig::default();
         assert!(c.dlb.enabled);
         assert_eq!(c.dlb.d, 1);
-        assert!(c.fetch_alpha > 0.0 && c.fetch_alpha <= 1.0);
-        assert!(c.data_bandwidth_share.unwrap() <= 1.0);
+        assert_eq!(c.pab_quorum_override, None);
     }
 
     #[test]
     fn builders_apply() {
-        let c = StratusConfig::default()
-            .with_quorum(7)
-            .with_dlb(DlbConfig::disabled())
-            .without_limiter();
-        assert_eq!(c.pab_quorum_override, Some(7));
+        let c = StratusConfig::default().with_dlb(DlbConfig::disabled().with_d(3));
         assert!(!c.dlb.enabled);
-        assert!(c.data_bandwidth_share.is_none());
+        assert_eq!(c.dlb.d, 3);
+    }
+
+    #[test]
+    fn pab_quorum_is_clamped() {
+        let f = 3; // n = 10
+        assert_eq!(StratusConfig::default().pab_quorum(f), 4); // f + 1
+        let q = |q| StratusConfig {
+            pab_quorum_override: Some(q),
+            ..StratusConfig::default()
+        };
+        assert_eq!(q(1).pab_quorum(f), 4); // f + 1
+        assert_eq!(q(5).pab_quorum(f), 5);
+        assert_eq!(q(100).pab_quorum(f), 7); // 2f + 1
     }
 
     #[test]

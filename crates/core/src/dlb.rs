@@ -14,8 +14,16 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use smp_crypto::DigestMap;
 use smp_telemetry::Telemetry;
-use smp_types::{Microblock, MicroblockId, ReplicaId, SimTime};
+use smp_types::{Microblock, MicroblockId, ReplicaId, SimTime, MICROS_PER_MS, MICROS_PER_SEC};
 use std::collections::{BTreeSet, HashMap, HashSet};
+
+/// Timeout `τ` for collecting load-status samples.
+pub const SAMPLE_TIMEOUT: SimTime = 30 * MICROS_PER_MS;
+/// Timeout `τ'` for a proxy to return an availability proof before the
+/// microblock is re-forwarded.
+pub const FORWARD_TIMEOUT: SimTime = 800 * MICROS_PER_MS;
+/// Period after which the banList is cleared (Algorithm 4 line 33).
+pub const BANLIST_RESET_INTERVAL: SimTime = 10 * MICROS_PER_SEC;
 
 /// Decision produced when a sampling round completes.
 #[derive(Clone, Debug, PartialEq)]
@@ -275,21 +283,6 @@ impl LoadBalancer {
         self.banlist.clear();
         self.imposed.clear();
         self.telemetry.counter_inc("dlb.banlist_reset");
-    }
-
-    /// The banList reset interval from the configuration.
-    pub fn banlist_reset_interval(&self) -> SimTime {
-        self.config.banlist_reset_interval
-    }
-
-    /// The sampling timeout `τ`.
-    pub fn sample_timeout(&self) -> SimTime {
-        self.config.sample_timeout
-    }
-
-    /// The forward timeout `τ'`.
-    pub fn forward_timeout(&self) -> SimTime {
-        self.config.forward_timeout
     }
 }
 

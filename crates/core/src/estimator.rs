@@ -5,12 +5,22 @@
 //! available (received `f + 1` acks).  Because inter-datacenter delays are
 //! stable and predictable (Figure 5), a rising ST is a reliable signal
 //! that the replica's outbound link or CPU is saturated.  The estimator
-//! keeps a sliding window of the most recent ST samples and reports the
-//! configured percentile; a replica considers itself busy when that
-//! estimate exceeds the observed baseline by a configurable factor.
+//! keeps a sliding window of the most recent ST samples and reports a
+//! percentile of it; a replica considers itself busy when that estimate
+//! exceeds the observed baseline by a factor.  A Stratus replica runs the
+//! [`Default`] estimator, built from the three constants below; unit tests
+//! drive smaller windows through [`StableTimeEstimator::new`].
 
 use smp_types::SimTime;
 use std::collections::VecDeque;
+
+/// Stable-time samples in the sliding window.
+pub const ESTIMATOR_WINDOW: usize = 100;
+/// Percentile of the window used as the ST estimate.
+pub const ESTIMATOR_PERCENTILE: f64 = 95.0;
+/// A replica is busy when its ST estimate exceeds the baseline by this
+/// factor (the paper's `β` margin over `α + ε`).
+pub const BUSY_FACTOR: f64 = 2.0;
 
 /// Sliding-window stable-time estimator.
 #[derive(Clone, Debug)]
@@ -102,7 +112,7 @@ impl StableTimeEstimator {
 
 impl Default for StableTimeEstimator {
     fn default() -> Self {
-        StableTimeEstimator::new(100, 95.0, 2.0)
+        StableTimeEstimator::new(ESTIMATOR_WINDOW, ESTIMATOR_PERCENTILE, BUSY_FACTOR)
     }
 }
 

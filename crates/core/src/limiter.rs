@@ -10,6 +10,9 @@
 
 use smp_types::SimTime;
 
+/// Share of a replica's bandwidth that bulk data messages may consume.
+pub const DATA_BANDWIDTH_SHARE: f64 = 0.9;
+
 /// A byte-granularity token bucket.
 #[derive(Clone, Debug)]
 pub struct TokenBucket {
@@ -110,7 +113,7 @@ mod tests {
     #[test]
     fn bandwidth_share_constructor() {
         // 100 Mb/s at 90% => 11.25 MB/s.
-        let mut b = TokenBucket::for_bandwidth_share(100_000_000, 0.9);
+        let mut b = TokenBucket::for_bandwidth_share(100_000_000, DATA_BANDWIDTH_SHARE);
         assert!(b.try_consume(0, 11_000_000));
         assert!(!b.try_consume(0, 1_000_000));
     }

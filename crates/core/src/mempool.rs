@@ -3,16 +3,18 @@
 //! [`smp_mempool::Mempool`] interface.
 
 use crate::config::StratusConfig;
-use crate::dlb::{ForwardDecision, LoadBalancer};
+use crate::dlb::{
+    ForwardDecision, LoadBalancer, BANLIST_RESET_INTERVAL, FORWARD_TIMEOUT, SAMPLE_TIMEOUT,
+};
 use crate::estimator::StableTimeEstimator;
-use crate::limiter::TokenBucket;
+use crate::limiter::{TokenBucket, DATA_BANDWIDTH_SHARE};
 use crate::messages::StratusMsg;
-use crate::pab::PabEngine;
+use crate::pab::{PabEngine, FETCH_ALPHA};
 use rand::rngs::SmallRng;
 use smp_crypto::QuorumProof;
 use smp_mempool::{
     Dissemination, Effects, FetchWire, FillStatus, LoadSnapshot, Mempool, MempoolEvent,
-    MempoolStats, Missing, TimerTag,
+    MempoolStats, Missing, TimerTag, FETCH_TIMEOUT,
 };
 use smp_telemetry::Telemetry;
 use smp_types::{
@@ -47,11 +49,10 @@ pub struct StratusMempool {
     /// which have not yet been referenced by a proposal.
     core: Dissemination,
     n: usize,
-    config: StratusConfig,
     pab: PabEngine,
     lb: LoadBalancer,
     estimator: StableTimeEstimator,
-    limiter: Option<TokenBucket>,
+    limiter: TokenBucket,
     deferred: VecDeque<(Microblock, Option<ReplicaId>)>,
     started: bool,
     /// Whether the periodic banList reset fired since the last
@@ -62,25 +63,15 @@ pub struct StratusMempool {
 impl StratusMempool {
     /// Creates the Stratus mempool for replica `me`.
     pub fn new(system: &SystemConfig, config: StratusConfig, me: ReplicaId) -> Self {
-        let quorum = config
-            .pab_quorum_override
-            .unwrap_or(system.pab_quorum)
-            .clamp(system.f + 1, 2 * system.f + 1);
-        let limiter = config
-            .data_bandwidth_share
-            .map(|share| TokenBucket::for_bandwidth_share(system.network.bandwidth_bps(), share));
+        let quorum = config.pab_quorum(system.f);
+        let bandwidth_bps = system.network.bandwidth_bps();
         StratusMempool {
-            core: Dissemination::new(system, me, config.fetch_timeout),
+            core: Dissemination::new(system, me),
             n: system.n,
-            config,
-            pab: PabEngine::new(system.seed, system.n, me, quorum, config.fetch_alpha),
+            pab: PabEngine::new(system.seed, system.n, me, quorum, FETCH_ALPHA),
             lb: LoadBalancer::new(me, system.n, config.dlb),
-            estimator: StableTimeEstimator::new(
-                config.dlb.estimator_window,
-                config.dlb.estimator_percentile,
-                config.dlb.busy_factor,
-            ),
-            limiter,
+            estimator: StableTimeEstimator::default(),
+            limiter: TokenBucket::for_bandwidth_share(bandwidth_bps, DATA_BANDWIDTH_SHARE),
             deferred: VecDeque::new(),
             started: false,
             pending_reset: false,
@@ -117,7 +108,7 @@ impl StratusMempool {
         if !self.started {
             self.started = true;
             if self.lb.enabled() {
-                effects.timer(self.lb.banlist_reset_interval(), BANLIST_RESET_TAG);
+                effects.timer(BANLIST_RESET_INTERVAL, BANLIST_RESET_TAG);
             }
         }
     }
@@ -139,7 +130,7 @@ impl StratusMempool {
                 for t in &targets {
                     effects.send(*t, StratusMsg::LbQuery { token });
                 }
-                effects.timer(self.lb.sample_timeout(), SAMPLE_TAG_BASE + token);
+                effects.timer(SAMPLE_TIMEOUT, SAMPLE_TAG_BASE + token);
                 return;
             }
             // No eligible proxy: fall through to self-broadcast.
@@ -160,11 +151,12 @@ impl StratusMempool {
     ) -> Result<(), (Microblock, SimTime)> {
         mb.disseminator = self.core.me();
         let broadcast_bytes = mb.wire_size() * self.n.saturating_sub(1);
-        if let Some(limiter) = &mut self.limiter {
-            if !limiter.try_consume(now, broadcast_bytes) {
-                let delay = limiter.time_until_available(now, broadcast_bytes).max(1);
-                return Err((mb, delay));
-            }
+        if !self.limiter.try_consume(now, broadcast_bytes) {
+            let delay = self
+                .limiter
+                .time_until_available(now, broadcast_bytes)
+                .max(1);
+            return Err((mb, delay));
         }
         self.core.telemetry().counter_inc("pab.push");
         self.pab.start_push(&mb, now, origin);
@@ -207,7 +199,7 @@ impl StratusMempool {
         rng: &mut SmallRng,
         effects: &mut Effects<StratusMsg>,
     ) -> bool {
-        let targets = self.pab.fetch_targets(proof, &[], rng);
+        let targets = self.pab.fetch_targets(proof, rng);
         if targets.is_empty() {
             return false;
         }
@@ -217,7 +209,7 @@ impl StratusMempool {
             .core
             .request(vec![id], signers.filter(|r| *r != me).collect());
         effects.multicast(targets, StratusMsg::PabRequest { ids: action.ids });
-        effects.timer(self.config.fetch_timeout, action.tag);
+        effects.timer(FETCH_TIMEOUT, action.tag);
         true
     }
 
@@ -251,7 +243,7 @@ impl StratusMempool {
         match decision {
             ForwardDecision::Forward { proxy, mb, token } => {
                 effects.send(proxy, StratusMsg::LbForward(mb));
-                effects.timer(self.lb.forward_timeout(), FORWARD_TAG_BASE + token);
+                effects.timer(FORWARD_TIMEOUT, FORWARD_TAG_BASE + token);
             }
             ForwardDecision::SelfBroadcast { mb } => {
                 self.start_pab_broadcast(now, mb, None, effects);
@@ -376,7 +368,7 @@ impl Mempool for StratusMempool {
         if tag == BANLIST_RESET_TAG {
             self.lb.reset_banlist();
             self.pending_reset = true;
-            effects.timer(self.lb.banlist_reset_interval(), BANLIST_RESET_TAG);
+            effects.timer(BANLIST_RESET_INTERVAL, BANLIST_RESET_TAG);
         } else if tag == LIMITER_TAG {
             self.drain_deferred(now, &mut effects);
         } else if tag >= FORWARD_TAG_BASE {

@@ -33,6 +33,10 @@ use smp_telemetry::Telemetry;
 use smp_types::{Microblock, MicroblockId, ReplicaId, SimTime};
 use std::collections::hash_map::Entry;
 
+/// Probability `α` of requesting a given proof signer during `PAB-Fetch`
+/// (Algorithm 2).
+pub const FETCH_ALPHA: f64 = 0.5;
+
 /// State of one PAB instance on the disseminating replica, from the
 /// broadcast until the proof is complete.
 #[derive(Clone, Debug)]
@@ -197,20 +201,16 @@ impl PabEngine {
 
     /// Selects the replicas to ask for a missing microblock during the
     /// recovery phase (Algorithm 2, `PAB-Fetch`): each signer of the proof
-    /// is requested with probability `α`, excluding this replica and
-    /// already-`requested` peers; at least one target is always returned
-    /// so the fetch makes progress.
-    pub fn fetch_targets(
-        &self,
-        proof: &QuorumProof,
-        requested: &[ReplicaId],
-        rng: &mut SmallRng,
-    ) -> Vec<ReplicaId> {
+    /// other than this replica is requested with probability `α`; at least
+    /// one target is returned whenever there is such a signer, so the
+    /// fetch makes progress.  Retries walk the signers through the fetch
+    /// core's candidate list, not through here.
+    pub fn fetch_targets(&self, proof: &QuorumProof, rng: &mut SmallRng) -> Vec<ReplicaId> {
         let candidates: Vec<ReplicaId> = proof
             .signers()
             .into_iter()
             .map(ReplicaId)
-            .filter(|r| *r != self.me && !requested.contains(r))
+            .filter(|r| *r != self.me)
             .collect();
         if candidates.is_empty() {
             return Vec::new();
@@ -245,7 +245,7 @@ mod tests {
 
     fn engines(n: usize, quorum: usize) -> Vec<PabEngine> {
         (0..n as u32)
-            .map(|i| PabEngine::new(SEED, n, ReplicaId(i), quorum, 0.5))
+            .map(|i| PabEngine::new(SEED, n, ReplicaId(i), quorum, FETCH_ALPHA))
             .collect()
     }
 
@@ -374,7 +374,7 @@ mod tests {
     }
 
     #[test]
-    fn fetch_targets_come_from_signers_and_exclude_requested() {
+    fn fetch_targets_are_signers_other_than_self() {
         let mut engines = engines(10, 5);
         let mb = make_mb(0, 1);
         engines[0].start_push(&mb, 0, None);
@@ -384,27 +384,21 @@ mod tests {
         }
         let proof = engines[0].proof_of(&mb.id).unwrap().clone();
         let mut rng = SmallRng::seed_from_u64(9);
-        for _ in 0..20 {
-            let targets = engines[7].fetch_targets(&proof, &[ReplicaId(1)], &mut rng);
-            assert!(!targets.is_empty());
-            for t in &targets {
-                assert!(proof.signers().contains(&t.0));
-                assert_ne!(*t, ReplicaId(7));
-                assert_ne!(*t, ReplicaId(1));
+        // Replica 1 signed the proof, so it must never ask itself; replica
+        // 7 did not, so every signer is a candidate.
+        for me in [1, 7] {
+            let mut seen = std::collections::BTreeSet::new();
+            for _ in 0..20 {
+                let targets = engines[me].fetch_targets(&proof, &mut rng);
+                assert!(!targets.is_empty());
+                for t in &targets {
+                    assert!(proof.signers().contains(&t.0));
+                    assert_ne!(t.index(), me);
+                    seen.insert(t.0);
+                }
             }
+            let expected = proof.signers().into_iter().filter(|s| *s as usize != me);
+            assert_eq!(seen, expected.collect());
         }
-    }
-
-    #[test]
-    fn fetch_targets_empty_when_all_requested() {
-        let mut engines = engines(4, 2);
-        let mb = make_mb(0, 1);
-        engines[0].start_push(&mb, 0, None);
-        let ack = engines[1].ack_for(&mb.id);
-        let ready = engines[0].on_ack(mb.id, ack, 1).unwrap();
-        let mut rng = SmallRng::seed_from_u64(9);
-        let all: Vec<ReplicaId> = ready.proof.signers().into_iter().map(ReplicaId).collect();
-        let targets = engines[2].fetch_targets(&ready.proof, &all, &mut rng);
-        assert!(targets.is_empty());
     }
 }

@@ -209,23 +209,13 @@ fn duplicate_proposal_references_are_not_reproposed() {
 
 #[test]
 fn busy_replica_forwards_load_to_proxy_and_proxy_disseminates() {
-    // Disable the limiter so the forwarding path is exercised in isolation,
-    // and make the estimator tiny so it is easy to drive into the busy state.
-    let cfg = StratusConfig {
-        dlb: DlbConfig {
-            estimator_window: 4,
-            busy_factor: 2.0,
-            d: 2,
-            ..DlbConfig::default()
-        },
-        data_bandwidth_share: None,
-        ..StratusConfig::default()
-    };
+    let cfg = StratusConfig::default().with_dlb(DlbConfig::default().with_d(2));
     let (mut nodes, mut rng) = network(cfg);
 
     // Drive replica 0 busy: first a normal baseline, then inflated stable
-    // times by delaying the acks.
-    for round in 0..6u64 {
+    // times by delaying the acks.  The estimator judges only once its
+    // window holds a tenth of its capacity plus one sample (11).
+    for round in 0..12u64 {
         let fx = nodes[0].on_client_txs(round * 1_000_000, txs(round * 100, 4), &mut rng);
         // Deliver PabMsg manually and return only one ack, late, so the
         // stable time grows round after round.
@@ -294,7 +284,7 @@ fn limiter_defers_bulk_broadcasts_under_a_tight_budget() {
     // A tiny data budget: the second microblock must wait for tokens.
     let sys = SystemConfig::new(N)
         .with_network(smp_types::NetworkPreset::Custom {
-            bandwidth_bps: 240_000, // data budget ~3 KB burst at a 10% share
+            bandwidth_bps: 26_667, // data budget ~3 KB burst at the 90% share
             one_way_delay_us: 1000,
             jitter_us: 0,
         })
@@ -302,11 +292,7 @@ fn limiter_defers_bulk_broadcasts_under_a_tight_budget() {
             batch_size_bytes: 168 * 4,
             ..MempoolConfig::default()
         });
-    let cfg = StratusConfig {
-        data_bandwidth_share: Some(0.1),
-        ..StratusConfig::default()
-    };
-    let mut node = StratusMempool::new(&sys, cfg, ReplicaId(0));
+    let mut node = StratusMempool::new(&sys, StratusConfig::default(), ReplicaId(0));
     let mut rng = SmallRng::seed_from_u64(5);
     let fx1 = node.on_client_txs(0, txs(0, 4), &mut rng);
     let first_broadcasts = fx1
@@ -342,11 +328,23 @@ fn limiter_defers_bulk_broadcasts_under_a_tight_budget() {
 
 #[test]
 fn quorum_override_is_clamped_to_valid_range() {
-    let sys = system(); // N = 4, f = 1
-    let low = StratusMempool::new(&sys, StratusConfig::default().with_quorum(0), ReplicaId(0));
-    let high = StratusMempool::new(&sys, StratusConfig::default().with_quorum(99), ReplicaId(0));
-    assert_eq!(low.pab_quorum(), 2); // f + 1
-    assert_eq!(high.pab_quorum(), 3); // 2f + 1
+    for n in [4, 7, 10, 100, 499] {
+        let sys = SystemConfig::new(n);
+        let f = sys.f;
+        let quorum = |q| {
+            let cfg = StratusConfig {
+                pab_quorum_override: q,
+                ..StratusConfig::default()
+            };
+            StratusMempool::new(&sys, cfg, ReplicaId(0)).pab_quorum()
+        };
+        assert_eq!(quorum(None), f + 1, "n = {n}: the default is f + 1");
+        for q in [0, f, f + 1, 2 * f + 1, 2 * f + 2, 2_000] {
+            let expected = q.clamp(f + 1, 2 * f + 1);
+            assert_eq!(quorum(Some(q)), expected, "n = {n}, q = {q}");
+            assert!(f < expected && expected <= 2 * f + 1 && expected < n);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -487,7 +485,7 @@ fn proposal_that_overtakes_its_pab_proof_is_the_one_verification() {
 
 #[test]
 fn a_proof_that_comes_after_its_microblock_retired_is_verified_and_dropped() {
-    let fetch_timeout = StratusConfig::default().fetch_timeout;
+    let fetch_timeout = smp_mempool::FETCH_TIMEOUT;
     let (mut nodes, mut rng) = network(StratusConfig::default());
     let telemetry = Telemetry::new();
     nodes[1].set_telemetry(telemetry.clone());

@@ -2,10 +2,16 @@
 //!
 //! Transactions are collected from clients and batched into microblocks
 //! for dissemination (Section III-D): a batch is sealed as soon as the
-//! configured byte size is reached, or after a timeout (200 ms by default)
-//! so lightly loaded replicas still make progress (Section VII-B).
+//! configured byte size is reached, or after [`BATCH_TIMEOUT`] so lightly
+//! loaded replicas still make progress (Section VII-B).
 
-use smp_types::{MempoolConfig, Microblock, ReplicaId, SimTime, Transaction, WireSize};
+use smp_types::{
+    MempoolConfig, Microblock, ReplicaId, SimTime, Transaction, WireSize, MICROS_PER_MS,
+};
+
+/// A partial batch is sealed this long after its first transaction
+/// arrived, even if the target size has not been reached (Section VII-B).
+pub const BATCH_TIMEOUT: SimTime = 200 * MICROS_PER_MS;
 
 /// Timer tag used by the batcher for its seal timeout.
 pub const BATCH_TIMEOUT_TAG: u64 = 0x42_41_54_43; // "BATC"
@@ -80,11 +86,6 @@ impl TxBatcher {
     /// Total microblocks sealed so far.
     pub fn sealed_count(&self) -> u64 {
         self.sealed_count
-    }
-
-    /// The configured batch timeout.
-    pub fn timeout(&self) -> SimTime {
-        self.config.batch_timeout
     }
 
     fn seal(&mut self, now: SimTime) -> Microblock {

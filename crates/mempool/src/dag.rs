@@ -34,7 +34,7 @@ use crate::dissemination::{
     certifiers, creators_then_proposer, unproven_ref, verify_certificates, CertificateBook,
     Dissemination, FetchWire, Missing,
 };
-use crate::simple::DEFAULT_FETCH_TIMEOUT;
+use crate::fetcher::FETCH_TIMEOUT;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 use smp_crypto::{Digest, DigestSet, Hasher, SecretKey, Signature};
@@ -261,7 +261,7 @@ impl DagMempool {
     /// Creates the mempool with an explicit commit-derivation mode.
     pub fn with_mode(config: &SystemConfig, me: ReplicaId, mode: DagMode) -> Self {
         DagMempool {
-            core: Dissemination::new(config, me, DEFAULT_FETCH_TIMEOUT),
+            core: Dissemination::new(config, me),
             support: CertificateBook::new(config, me),
             mode,
             pending_batches: VecDeque::new(),
@@ -353,7 +353,7 @@ impl DagMempool {
     /// Remembers an accepted block's digest for `δ`.
     fn note_seen(&mut self, now: SimTime, digest: Digest) {
         while let Some((at, old)) = self.seen_order.front() {
-            if at + DEFAULT_FETCH_TIMEOUT > now {
+            if at + FETCH_TIMEOUT > now {
                 break;
             }
             self.seen.remove(old);
@@ -1195,12 +1195,7 @@ mod tests {
         // retires it one fetch timeout later.
         commit_refs(&mut net[3], 1_000, 1, payload);
         assert!(net[3].is_certified(&id), "held for δ");
-        commit_refs(
-            &mut net[3],
-            1_000 + DEFAULT_FETCH_TIMEOUT,
-            2,
-            Payload::Empty,
-        );
+        commit_refs(&mut net[3], 1_000 + FETCH_TIMEOUT, 2, Payload::Empty);
         assert!(!net[3].is_certified(&id) && !net[3].my_acked.contains(&id));
         assert_eq!(net[3].stats().stored_microblocks, 0);
         // A straggler ack for it — replica 2's, in a block replica 3 had not
@@ -1293,7 +1288,7 @@ mod tests {
         // The next accepted block, δ later, sweeps both digests; a replay of
         // the old block is then checked and accepted again, and changes
         // nothing: its batch is held, its `seq` noted, its ack counted.
-        let now = DEFAULT_FETCH_TIMEOUT + 100;
+        let now = FETCH_TIMEOUT + 100;
         let new = block_of(&net[1].on_client_txs(now, txs(4), &mut r));
         let _ = net[3].on_message(now, ReplicaId(1), DagMsg::Block(new), &mut r);
         assert!(net[3].seen.len() <= 2 && net[3].seen_order.len() == net[3].seen.len());

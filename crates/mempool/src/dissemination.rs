@@ -12,7 +12,7 @@
 //! # State ends at the commit frontier
 //!
 //! [`Dissemination::on_commit`] is also the retire step (the rule is in
-//! `store.rs`): a microblock that executed here `δ = fetch_timeout` ago
+//! `store.rs`): a microblock that executed here `δ` ([`FETCH_TIMEOUT`]) ago
 //! leaves the store and is handed to the backend's `forget`, which drops
 //! the policy state it kept for the id (proofs, certificates, echo and ack
 //! sets).  From its execution on, this one place refuses the id:
@@ -34,8 +34,8 @@
 //! older than its view are dropped by the pacemaker.
 
 use crate::api::{Effects, FillStatus, MempoolEvent, MempoolStats, TimerTag};
-use crate::batcher::{TxBatcher, BATCH_TIMEOUT_TAG};
-use crate::fetcher::{FetchAction, FetchRetryState};
+use crate::batcher::{TxBatcher, BATCH_TIMEOUT, BATCH_TIMEOUT_TAG};
+use crate::fetcher::{FetchAction, FetchRetryState, FETCH_TIMEOUT};
 use crate::messages::{NarwhalMsg, SmpMsg};
 use crate::store::{FillTracker, MicroblockStore, ProposalQueue, Retired};
 use rand::rngs::SmallRng;
@@ -90,7 +90,6 @@ pub enum Missing {
 #[derive(Clone, Debug)]
 pub struct Dissemination {
     me: ReplicaId,
-    max_refs: usize,
     batcher: TxBatcher,
     store: MicroblockStore,
     retired: Retired,
@@ -103,18 +102,17 @@ pub struct Dissemination {
 
 impl Dissemination {
     /// Creates the core for replica `me`; missing microblocks are
-    /// re-requested every `fetch_timeout` (the paper's `δ`), and executed
+    /// re-requested every [`FETCH_TIMEOUT`] (the paper's `δ`), and executed
     /// ones are held that long.
-    pub fn new(config: &SystemConfig, me: ReplicaId, fetch_timeout: SimTime) -> Self {
+    pub fn new(config: &SystemConfig, me: ReplicaId) -> Self {
         Dissemination {
             me,
-            max_refs: config.mempool.max_refs_per_proposal,
             batcher: TxBatcher::new(me, config.mempool),
             store: MicroblockStore::new(),
-            retired: Retired::new(fetch_timeout),
+            retired: Retired::new(FETCH_TIMEOUT),
             queue: ProposalQueue::new(),
             tracker: FillTracker::new(),
-            fetcher: FetchRetryState::new(fetch_timeout),
+            fetcher: FetchRetryState::new(FETCH_TIMEOUT),
             created: 0,
             telemetry: Telemetry::disabled(),
         }
@@ -165,7 +163,7 @@ impl Dissemination {
         let _span = self.telemetry.span_at("batcher.add", now);
         let outcome = self.batcher.add(now, txs);
         if outcome.arm_timer {
-            effects.timer(self.batcher.timeout(), BATCH_TIMEOUT_TAG);
+            effects.timer(BATCH_TIMEOUT, BATCH_TIMEOUT_TAG);
         }
         for mb in &outcome.sealed {
             self.note_sealed(mb);
@@ -275,16 +273,16 @@ impl Dissemination {
         self.queue.contains(id)
     }
 
-    /// `MakeProposal`: pops queued ids until the payload holds
-    /// `max_refs_per_proposal` references.  `make_ref` builds the
-    /// backend's reference for an id, or drops the id by returning `None`.
+    /// `MakeProposal`: drains the whole queue into one payload, as the
+    /// paper leaves a proposal's reference count unbounded.  `make_ref`
+    /// builds the backend's reference for an id, or drops the id by
+    /// returning `None`.
     pub fn drain_refs(
         &mut self,
         mut make_ref: impl FnMut(MicroblockId, &MicroblockStore) -> Option<MicroblockRef>,
     ) -> Payload {
         let mut refs = Vec::new();
-        while refs.len() < self.max_refs {
-            let Some(id) = self.queue.pop() else { break };
+        while let Some(id) = self.queue.pop() {
             if let Some(r) = make_ref(id, &self.store) {
                 refs.push(r);
             }
@@ -588,10 +586,10 @@ mod tests {
     use smp_types::{BlockId, ClientId, View};
 
     /// The `δ` of the cores below.
-    const DELTA: SimTime = 500_000;
+    const DELTA: SimTime = FETCH_TIMEOUT;
 
     fn core(me: u32) -> Dissemination {
-        Dissemination::new(&SystemConfig::new(4), ReplicaId(me), DELTA)
+        Dissemination::new(&SystemConfig::new(4), ReplicaId(me))
     }
 
     fn mb(creator: u32, seq: u64) -> Microblock {

@@ -12,8 +12,13 @@
 //! microblock that executed and left the store completes instead of being
 //! re-requested every `δ` for ever.
 
-use smp_types::{MicroblockId, ReplicaId, SimTime};
+use smp_types::{MicroblockId, ReplicaId, SimTime, MICROS_PER_MS};
 use std::collections::HashMap;
+
+/// The fetch retry period, the paper's `δ`: a missing microblock is
+/// re-requested this long after the last request, and an executed one is
+/// still served for this long (see `store.rs`).
+pub const FETCH_TIMEOUT: SimTime = 500 * MICROS_PER_MS;
 
 /// Base value for fetch timer tags (so they never collide with the batch
 /// timer tag).

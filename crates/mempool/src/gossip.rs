@@ -10,7 +10,6 @@
 use crate::api::{Effects, FillStatus, Mempool, MempoolStats, TimerTag};
 use crate::dissemination::{creators_then_proposer, unproven_ref, Dissemination, Missing};
 use crate::messages::SmpMsg;
-use crate::simple::DEFAULT_FETCH_TIMEOUT;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use smp_telemetry::Telemetry;
@@ -41,7 +40,7 @@ impl GossipSmp {
     /// Creates the mempool with an explicit fan-out.
     pub fn with_fanout(config: &SystemConfig, me: ReplicaId, fanout: usize) -> Self {
         GossipSmp {
-            core: Dissemination::new(config, me, DEFAULT_FETCH_TIMEOUT),
+            core: Dissemination::new(config, me),
             n: config.n,
             fanout: fanout.max(1),
             relayed: 0,

@@ -72,13 +72,13 @@ pub mod store;
 pub use api::{
     Dest, Effects, FillStatus, LoadSnapshot, Mempool, MempoolEvent, MempoolStats, TimerTag,
 };
-pub use batcher::{BatchOutcome, TxBatcher, BATCH_TIMEOUT_TAG};
+pub use batcher::{BatchOutcome, TxBatcher, BATCH_TIMEOUT, BATCH_TIMEOUT_TAG};
 pub use dag::{DagAck, DagBlock, DagMempool, DagMsg, DagParentRef};
 pub use dissemination::{Dissemination, FetchWire, Missing};
-pub use fetcher::{FetchAction, FetchRetryState, FETCH_TAG_BASE};
+pub use fetcher::{FetchAction, FetchRetryState, FETCH_TAG_BASE, FETCH_TIMEOUT};
 pub use gossip::GossipSmp;
 pub use messages::{NarwhalMsg, SmpMsg};
 pub use narwhal::NarwhalMempool;
 pub use native::{NativeMempool, NativeMsg};
-pub use simple::{SimpleSmp, DEFAULT_FETCH_TIMEOUT};
+pub use simple::SimpleSmp;
 pub use store::{FillTracker, MicroblockStore, ProposalQueue, Retired};

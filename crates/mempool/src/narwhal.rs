@@ -22,7 +22,6 @@ use crate::dissemination::{
     certifiers, verify_certificates, CertificateBook, Dissemination, Missing,
 };
 use crate::messages::NarwhalMsg;
-use crate::simple::DEFAULT_FETCH_TIMEOUT;
 use rand::rngs::SmallRng;
 use smp_crypto::{DigestMap, DigestSet, Signature};
 use smp_telemetry::Telemetry;
@@ -48,7 +47,7 @@ impl NarwhalMempool {
     pub fn new(config: &SystemConfig, me: ReplicaId) -> Self {
         let readies = CertificateBook::new(config, me);
         NarwhalMempool {
-            core: Dissemination::new(config, me, DEFAULT_FETCH_TIMEOUT),
+            core: Dissemination::new(config, me),
             // Same keys and quorum, derived once.
             echoes: readies.clone(),
             readies,
@@ -263,6 +262,7 @@ mod tests {
     // node array and as the replica identity.
     #![allow(clippy::needless_range_loop)]
     use super::*;
+    use crate::fetcher::FETCH_TIMEOUT;
     use rand::SeedableRng;
     use smp_crypto::QuorumProof;
     use smp_types::{BlockId, ClientId, MempoolConfig, View};
@@ -480,7 +480,7 @@ mod tests {
             Payload::Empty,
             true,
         );
-        let _ = node.on_commit(1_000 + DEFAULT_FETCH_TIMEOUT, &empty);
+        let _ = node.on_commit(1_000 + FETCH_TIMEOUT, &empty);
         let gone = |n: &NarwhalMempool| {
             n.echoes.get(&id).is_none()
                 && !n.is_certified(&id)

@@ -9,8 +9,11 @@
 
 use crate::api::{Effects, FillStatus, Mempool, MempoolStats, TimerTag};
 use rand::rngs::SmallRng;
-use smp_types::{MempoolConfig, Payload, Proposal, ReplicaId, SimTime, SystemConfig, Transaction};
+use smp_types::{Payload, Proposal, ReplicaId, SimTime, SystemConfig, Transaction};
 use std::collections::VecDeque;
+
+/// Most transactions a leader carries inline in one native proposal.
+pub const MAX_INLINE_TXS_PER_PROPOSAL: usize = 8_000;
 
 /// Marker message type: the native mempool never talks to its peers.
 #[derive(Clone, Debug, PartialEq)]
@@ -26,17 +29,17 @@ impl smp_types::WireSize for NativeMsg {
 #[derive(Clone, Debug)]
 pub struct NativeMempool {
     me: ReplicaId,
-    config: MempoolConfig,
     pending: VecDeque<Transaction>,
     executed_txs: u64,
 }
 
 impl NativeMempool {
-    /// Creates the native mempool for replica `me`.
-    pub fn new(config: &SystemConfig, me: ReplicaId) -> Self {
+    /// Creates the native mempool for replica `me`.  It reads nothing from
+    /// the system configuration; the parameter keeps the constructor
+    /// signature every mempool shares.
+    pub fn new(_config: &SystemConfig, me: ReplicaId) -> Self {
         NativeMempool {
             me,
-            config: config.mempool,
             pending: VecDeque::new(),
             executed_txs: 0,
         }
@@ -87,10 +90,7 @@ impl Mempool for NativeMempool {
         if self.pending.is_empty() {
             return Payload::Empty;
         }
-        let take = self
-            .config
-            .max_inline_txs_per_proposal
-            .min(self.pending.len());
+        let take = MAX_INLINE_TXS_PER_PROPOSAL.min(self.pending.len());
         let txs: Vec<Transaction> = self.pending.drain(..take).collect();
         Payload::inline(txs)
     }
@@ -181,15 +181,13 @@ mod tests {
 
     #[test]
     fn proposal_size_is_capped() {
-        let cfg = SystemConfig::new(4).with_mempool(MempoolConfig {
-            max_inline_txs_per_proposal: 4,
-            ..MempoolConfig::default()
-        });
-        let mut mp = NativeMempool::new(&cfg, ReplicaId(0));
-        let mut rng = SmallRng::seed_from_u64(0);
-        mp.on_client_txs(0, txs(10), &mut rng);
-        assert_eq!(mp.make_payload(1).inline_tx_count(), 4);
-        assert_eq!(mp.stats().unbatched_txs, 6);
+        let (mut mp, mut rng) = setup();
+        mp.on_client_txs(0, txs(MAX_INLINE_TXS_PER_PROPOSAL + 10), &mut rng);
+        assert_eq!(
+            mp.make_payload(1).inline_tx_count(),
+            MAX_INLINE_TXS_PER_PROPOSAL
+        );
+        assert_eq!(mp.stats().unbatched_txs, 10);
     }
 
     #[test]

@@ -16,9 +16,6 @@ use rand::rngs::SmallRng;
 use smp_telemetry::Telemetry;
 use smp_types::{Microblock, Payload, Proposal, ReplicaId, SimTime, SystemConfig, Transaction};
 
-/// Default fetch retry timeout (the paper's `δ`).
-pub const DEFAULT_FETCH_TIMEOUT: SimTime = 500 * smp_types::MICROS_PER_MS;
-
 /// Best-effort shared mempool.
 #[derive(Clone, Debug)]
 pub struct SimpleSmp {
@@ -29,7 +26,7 @@ impl SimpleSmp {
     /// Creates the mempool for replica `me`.
     pub fn new(config: &SystemConfig, me: ReplicaId) -> Self {
         SimpleSmp {
-            core: Dissemination::new(config, me, DEFAULT_FETCH_TIMEOUT),
+            core: Dissemination::new(config, me),
         }
     }
 
@@ -140,6 +137,7 @@ mod tests {
     use super::*;
     use crate::api::MempoolEvent;
     use crate::batcher::BATCH_TIMEOUT_TAG;
+    use crate::fetcher::FETCH_TIMEOUT;
     use rand::SeedableRng;
     use smp_types::{BlockId, ClientId, MempoolConfig, View};
 
@@ -264,7 +262,7 @@ mod tests {
         let (_, fx) = b.on_proposal(10, &proposal, &mut rng());
         let (_, tag) = fx.timers[0];
         // Timer fires with the microblock still missing: a retry is issued.
-        let retry_fx = b.on_timer(10 + DEFAULT_FETCH_TIMEOUT, tag, &mut rng());
+        let retry_fx = b.on_timer(10 + FETCH_TIMEOUT, tag, &mut rng());
         assert!(retry_fx
             .msgs
             .iter()

@@ -10,41 +10,23 @@
 
 use std::time::Duration;
 
-/// Exponential backoff with deterministic half-width jitter.
+/// First-attempt delay ceiling, in milliseconds.
+pub const BASE_MS: u64 = 10;
+/// Ceiling every attempt's delay is clamped to, in milliseconds.
+pub const CAP_MS: u64 = 1_000;
+
+/// The delay before retry number `attempt` (0-based) to `peer`:
+/// exponential backoff with deterministic half-width jitter.
 ///
-/// Attempt `k` waits between `min(base << k, cap) / 2` and
-/// `min(base << k, cap)` milliseconds; where in that band is fixed by
-/// hashing `(seed, peer, attempt)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BackoffPolicy {
-    /// First-attempt delay ceiling, in milliseconds.
-    pub base_ms: u64,
-    /// Ceiling every attempt's delay is clamped to, in milliseconds.
-    pub cap_ms: u64,
-}
-
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        BackoffPolicy {
-            base_ms: 10,
-            cap_ms: 1_000,
-        }
-    }
-}
-
-impl BackoffPolicy {
-    /// The delay before retry number `attempt` (0-based) to `peer`.
-    pub fn delay(&self, seed: u64, peer: u32, attempt: u32) -> Duration {
-        let exp = self
-            .base_ms
-            .max(1)
-            .saturating_mul(1u64 << attempt.min(20))
-            .min(self.cap_ms.max(1));
-        // Jitter spans the upper half of the band: [exp/2, exp].
-        let h = splitmix64(seed ^ ((u64::from(peer)) << 32) ^ u64::from(attempt));
-        let jitter = h % (exp / 2 + 1);
-        Duration::from_millis(exp - exp / 2 + jitter.min(exp / 2))
-    }
+/// Attempt `k` waits between `min(BASE_MS << k, CAP_MS) / 2` and
+/// `min(BASE_MS << k, CAP_MS)` milliseconds; where in that band is fixed
+/// by hashing `(seed, peer, attempt)`.
+pub fn delay(seed: u64, peer: u32, attempt: u32) -> Duration {
+    let exp = BASE_MS.saturating_mul(1u64 << attempt.min(20)).min(CAP_MS);
+    // Jitter spans the upper half of the band: [exp/2, exp].
+    let h = splitmix64(seed ^ ((u64::from(peer)) << 32) ^ u64::from(attempt));
+    let jitter = h % (exp / 2 + 1);
+    Duration::from_millis(exp - exp / 2 + jitter.min(exp / 2))
 }
 
 /// SplitMix64 finalizer: a cheap, well-mixed 64-bit hash.
@@ -61,41 +43,30 @@ mod tests {
 
     #[test]
     fn delays_are_deterministic_per_inputs() {
-        let p = BackoffPolicy::default();
         for attempt in 0u32..8 {
-            assert_eq!(p.delay(42, 3, attempt), p.delay(42, 3, attempt));
+            assert_eq!(delay(42, 3, attempt), delay(42, 3, attempt));
         }
         // Different peers / seeds jitter differently somewhere in range.
-        let distinct = (0u32..8).any(|a| p.delay(42, 3, a) != p.delay(43, 3, a));
+        let distinct = (0u32..8).any(|a| delay(42, 3, a) != delay(43, 3, a));
         assert!(distinct, "seed must influence jitter");
     }
 
     #[test]
     fn delays_grow_exponentially_and_cap() {
-        let p = BackoffPolicy {
-            base_ms: 10,
-            cap_ms: 200,
-        };
+        let mut capped = false;
         for attempt in 0u32..32 {
-            let d = p.delay(7, 0, attempt);
-            let exp = 10u64.saturating_mul(1 << attempt.min(20)).min(200);
+            let d = delay(7, 0, attempt);
+            let exp = BASE_MS.saturating_mul(1 << attempt.min(20)).min(CAP_MS);
+            capped |= exp == CAP_MS;
             let lo = exp - exp / 2;
             assert!(
                 d >= Duration::from_millis(lo) && d <= Duration::from_millis(exp),
                 "attempt {attempt}: {d:?} outside [{lo}, {exp}] ms"
             );
         }
+        assert!(capped, "the attempts must reach the cap");
         // Past the cap, the band stops growing.
-        assert!(p.delay(7, 0, 30) <= Duration::from_millis(200));
-    }
-
-    #[test]
-    fn zero_base_is_clamped_not_a_panic() {
-        let p = BackoffPolicy {
-            base_ms: 0,
-            cap_ms: 0,
-        };
-        let d = p.delay(0, 0, 0);
-        assert!(d <= Duration::from_millis(1));
+        assert!(delay(7, 0, 30) <= Duration::from_millis(CAP_MS));
+        assert!(delay(7, 0, 0) <= Duration::from_millis(BASE_MS));
     }
 }

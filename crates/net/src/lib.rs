@@ -33,7 +33,7 @@
 //!
 //! Connections are *supervised*: a per-peer supervisor thread owns the
 //! outbound connection and redials with deterministic exponential
-//! backoff ([`backoff::BackoffPolicy`]) whenever it drops, bumping a
+//! backoff ([`backoff::delay`]) whenever it drops, bumping a
 //! connection epoch each time it re-establishes.  While a peer is down,
 //! outbound frames keep queueing up to [`DISCONNECTED_QUEUE_CAP`]; the
 //! overflow is counted (`frames_dropped_disconnected`), never lost
@@ -48,7 +48,6 @@ pub mod stats;
 use std::fmt;
 
 pub use admin::{spawn_admin, AdminHandle, AdminState};
-pub use backoff::BackoffPolicy;
 pub use runtime::{ClusterSpec, NetReport, NetRuntime, DISCONNECTED_QUEUE_CAP};
 pub use stats::{NetStats, PeerStats, DECODE_TAXONOMY, STALL_QUEUE_DEPTH};
 

@@ -3,7 +3,7 @@
 //!
 //! Every outbound connection is owned by a *reconnect supervisor*: a
 //! per-peer thread that dials with deterministic exponential backoff
-//! ([`BackoffPolicy`]), pumps the two-lane queue while the connection
+//! ([`backoff::delay`]), pumps the two-lane queue while the connection
 //! is healthy, and on a write failure bumps the connection epoch,
 //! requeues the priority frame it was holding, and redials.  The accept
 //! loop runs for the whole life of the process, so a peer that crashes
@@ -11,7 +11,7 @@
 //! inbound connection and its own supervisor re-establishes the
 //! outbound one.
 
-use crate::backoff::BackoffPolicy;
+use crate::backoff;
 use crate::stats::NetStats;
 use crate::{WireError, WireMsg};
 use simnet::{Node, NodeAction, NodeDriver, ObservationLog, Telemetry};
@@ -51,9 +51,6 @@ pub struct ClusterSpec {
     pub seed: u64,
     /// How long cluster formation may take before the run fails.
     pub connect_timeout: Duration,
-    /// Backoff policy shared by formation dials, steady-state
-    /// reconnects, and listener re-binds after a crash-restart.
-    pub backoff: BackoffPolicy,
 }
 
 impl ClusterSpec {
@@ -64,7 +61,6 @@ impl ClusterSpec {
             addrs,
             seed,
             connect_timeout: Duration::from_secs(10),
-            backoff: BackoffPolicy::default(),
         }
     }
 
@@ -318,7 +314,6 @@ where
         // failing the relaunch.
         let listener = bind_listener(
             self.spec.addrs[me.index()],
-            &self.spec.backoff,
             self.spec.seed,
             me,
             self.spec.connect_timeout,
@@ -354,12 +349,11 @@ where
             *slot = Some(Arc::clone(&peer_tx));
             let addr = self.spec.addrs[i];
             let seed = self.spec.seed;
-            let policy = self.spec.backoff;
             let stats = Arc::clone(&self.stats);
             let stop = Arc::clone(&stop);
             let events = tx.clone();
             supervisor_handles.push(thread::spawn(move || {
-                supervisor_loop::<N::Msg>(i, addr, me, seed, policy, peer_tx, stats, stop, events)
+                supervisor_loop::<N::Msg>(i, addr, me, seed, peer_tx, stats, stop, events)
             }));
         }
 
@@ -577,7 +571,6 @@ fn panicked(what: &str) -> io::Error {
 /// busy (a freshly restarted replica racing its predecessor's sockets).
 fn bind_listener(
     addr: SocketAddr,
-    policy: &BackoffPolicy,
     seed: u64,
     me: ReplicaId,
     timeout: Duration,
@@ -594,7 +587,7 @@ fn bind_listener(
                         format!("binding {addr} timed out: {e}"),
                     ));
                 }
-                thread::sleep(policy.delay(seed, me.0, attempt));
+                thread::sleep(backoff::delay(seed, me.0, attempt));
                 attempt += 1;
             }
         }
@@ -621,7 +614,6 @@ fn supervisor_loop<M>(
     addr: SocketAddr,
     me: ReplicaId,
     seed: u64,
-    policy: BackoffPolicy,
     peer_tx: Arc<PeerTx>,
     stats: Arc<NetStats>,
     stop: Arc<AtomicBool>,
@@ -642,7 +634,7 @@ fn supervisor_loop<M>(
             match TcpStream::connect(addr) {
                 Ok(s) => break s,
                 Err(_) => {
-                    let delay = policy.delay(seed, peer as u32, attempt);
+                    let delay = backoff::delay(seed, peer as u32, attempt);
                     stats.record_backoff(peer, delay.as_millis() as u64);
                     sleep_interruptible(delay, &stop);
                     attempt += 1;
@@ -654,7 +646,7 @@ fn supervisor_loop<M>(
         hello.extend_from_slice(&HELLO_MAGIC);
         hello.extend_from_slice(&me.0.to_be_bytes());
         if stream.write_all(&hello).is_err() {
-            let delay = policy.delay(seed, peer as u32, attempt);
+            let delay = backoff::delay(seed, peer as u32, attempt);
             stats.record_backoff(peer, delay.as_millis() as u64);
             sleep_interruptible(delay, &stop);
             continue 'connect;

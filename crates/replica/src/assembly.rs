@@ -54,7 +54,7 @@ where
 /// Resolves the protocol matrix to concrete types and runs the visitor.
 pub(crate) fn dispatch<V: ProtocolVisitor>(config: &ExperimentConfig, v: V) -> V::Out {
     let sys = &config.system();
-    let st = config.stratus_config(sys);
+    let st = config.stratus_config();
     let stratus = move |s: &SystemConfig, i| StratusMempool::new(s, st, i);
     let dag_fast = |s: &SystemConfig, i| DagMempool::with_mode(s, i, DagMode::FastPath);
     match config.protocol {

@@ -13,8 +13,7 @@ use smp_consensus::{ConsensusEngine, StateSize};
 use smp_mempool::{Mempool, MempoolStats};
 use smp_metrics::{BandwidthBreakdown, RunSummary};
 use smp_types::{
-    ExecutorKind, MempoolConfig, NetworkPreset, ReplicaId, SimTime, SystemConfig, MICROS_PER_MS,
-    MICROS_PER_SEC,
+    ExecutorKind, MempoolConfig, NetworkPreset, ReplicaId, SimTime, SystemConfig, MICROS_PER_SEC,
 };
 use smp_workload::{LoadDistribution, WorkloadSpec};
 use stratus::{DlbConfig, StratusConfig};
@@ -40,7 +39,7 @@ pub struct ExperimentConfig {
     pub warmup: SimTime,
     /// RNG / key seed.
     pub seed: u64,
-    /// PAB quorum override (`None` = `f + 1`).
+    /// PAB quorum override (`None` = `f + 1`), clamped to `[f + 1, 2f + 1]`.
     pub pab_quorum: Option<usize>,
     /// Power-of-d-choices parameter for DLB.
     pub dlb_d: usize,
@@ -52,8 +51,6 @@ pub struct ExperimentConfig {
     /// How many extra replicas (besides the leader) Byzantine senders
     /// still serve.
     pub byzantine_extra: usize,
-    /// View-change / pacemaker timeout.
-    pub view_timeout: SimTime,
     /// Number of shared-mempool dissemination shards per replica
     /// (`smp-shard`); `1` runs the backend mempool unwrapped.
     pub shards: usize,
@@ -85,7 +82,6 @@ impl ExperimentConfig {
             dlb_enabled: true,
             num_byzantine: 0,
             byzantine_extra: 0,
-            view_timeout: 1_000 * MICROS_PER_MS,
             shards: 1,
             executor: ExecutorKind::Sequential,
             telemetry: false,
@@ -183,12 +179,7 @@ impl ExperimentConfig {
             tx_payload_bytes: self.workload.payload_bytes,
             ..MempoolConfig::default()
         };
-        sys.view_change_timeout = self.view_timeout;
-        sys = sys.with_shards(self.shards).with_executor(self.executor);
-        if let Some(q) = self.pab_quorum {
-            sys = sys.with_pab_quorum(q);
-        }
-        sys
+        sys.with_shards(self.shards).with_executor(self.executor)
     }
 
     pub(crate) fn net_config(&self) -> NetConfig {
@@ -207,15 +198,16 @@ impl ExperimentConfig {
         }
     }
 
-    pub(crate) fn stratus_config(&self, sys: &SystemConfig) -> StratusConfig {
+    pub(crate) fn stratus_config(&self) -> StratusConfig {
         let dlb = if self.dlb_enabled {
             DlbConfig::default().with_d(self.dlb_d)
         } else {
             DlbConfig::disabled()
         };
-        let mut cfg = StratusConfig::default().with_dlb(dlb);
-        cfg.pab_quorum_override = Some(self.pab_quorum.unwrap_or(sys.f + 1));
-        cfg
+        StratusConfig {
+            pab_quorum_override: self.pab_quorum,
+            dlb,
+        }
     }
 }
 
@@ -424,6 +416,7 @@ pub fn saturation_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smp_types::MICROS_PER_MS;
 
     fn quick(protocol: Protocol, n: usize, rate: f64) -> ExperimentConfig {
         ExperimentConfig::new(protocol, n, rate)

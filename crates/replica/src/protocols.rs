@@ -20,7 +20,9 @@ pub enum Protocol {
     StratusPbft,
     /// Streamlet integrated with Stratus (S-SL).
     StratusStreamlet,
-    /// HotStuff-based shared mempool with reliable broadcast (Narwhal).
+    /// HotStuff over a reliable-broadcast shared mempool (Narwhal): the
+    /// paper's RB comparator, a Bracha echo and ready per batch, so O(n²)
+    /// signed messages.
     Narwhal,
     /// PBFT-based multi-leader protocol (MirBFT).
     MirBft,
@@ -61,7 +63,10 @@ impl Protocol {
             Protocol::StratusHotStuff => "HotStuff integrated with Stratus (this paper)",
             Protocol::StratusPbft => "PBFT integrated with Stratus (this paper)",
             Protocol::StratusStreamlet => "Streamlet integrated with Stratus (this paper)",
-            Protocol::Narwhal => "HotStuff based shared mempool with reliable broadcast",
+            Protocol::Narwhal => {
+                "HotStuff over a reliable-broadcast (RB) mempool, the paper's RB comparator: \
+                 a Bracha echo and ready per batch, O(n^2) signed messages"
+            }
             Protocol::MirBft => "PBFT based multi-leader protocol",
             Protocol::DagHotStuff => "HotStuff over a Mysticeti-style DAG mempool (certified)",
             Protocol::DagHotStuffFast => "HotStuff over a Mysticeti-style DAG mempool (fast path)",

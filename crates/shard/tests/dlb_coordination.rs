@@ -26,17 +26,7 @@ fn system() -> SystemConfig {
 
 fn sharded() -> (ShardedMempool<StratusMempool>, SmallRng) {
     let sys = system();
-    let cfg = StratusConfig {
-        dlb: DlbConfig {
-            estimator_window: 4,
-            busy_factor: 2.0,
-            d: 2,
-            ..DlbConfig::default()
-        },
-        // No limiter: the forwarding path is exercised in isolation.
-        data_bandwidth_share: None,
-        ..StratusConfig::default()
-    };
+    let cfg = StratusConfig::default().with_dlb(DlbConfig::default().with_d(2));
     let mp = ShardedMempool::sequential(&sys, K, 0, |_, shard_sys| {
         StratusMempool::new(shard_sys, cfg, ReplicaId(0))
     });
@@ -91,7 +81,9 @@ fn forged_ack(seed: u64, peer: u32, mb: &Microblock) -> StratusMsg {
 }
 
 /// Seals one microblock on `shard` per round and acks it from two peers
-/// after `delay`, inflating the shard's stable-time estimate.
+/// after `delay`, inflating the shard's stable-time estimate.  The
+/// estimator judges only once its window holds a tenth of its capacity
+/// plus one sample (11), hence 12 rounds.
 fn drive_shard_busy(
     mp: &mut ShardedMempool<StratusMempool>,
     shard: usize,
@@ -100,7 +92,7 @@ fn drive_shard_busy(
     rng: &mut SmallRng,
 ) {
     let seed = system().seed;
-    let txs: Vec<Transaction> = txs_for_shard(mp, shard, client).take(6).collect();
+    let txs: Vec<Transaction> = txs_for_shard(mp, shard, client).take(12).collect();
     for (round, tx) in txs.into_iter().enumerate() {
         let now = base + round as u64 * 1_000_000;
         let fx = mp.on_client_txs(now, vec![tx], rng);
@@ -110,7 +102,7 @@ fn drive_shard_busy(
             continue;
         };
         // Slow rounds after a fast baseline push the estimate past
-        // `busy_factor` times the floor.
+        // `BUSY_FACTOR` times the floor.
         let delay = if round < 3 { 10_000 } else { 80_000 };
         for peer in [1u32, 2u32] {
             let _ = mp.on_message(

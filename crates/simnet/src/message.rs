@@ -1,5 +1,9 @@
 //! The message contract between protocol crates and the simulator.
 
+/// What [`SimMessage::cpu_cost_us`] charges a message type that does not
+/// model its own receiver cost, in simulated microseconds.
+pub const DEFAULT_CPU_COST_US: f64 = 5.0;
+
 /// A message that can travel over the simulated network.
 ///
 /// Implementations provide the wire size (drives bandwidth/serialization
@@ -18,7 +22,7 @@ pub trait SimMessage: Clone + std::fmt::Debug {
     /// CPU time (simulated microseconds) the *receiver* spends handling
     /// the message before the protocol handler runs.
     fn cpu_cost_us(&self) -> f64 {
-        5.0
+        DEFAULT_CPU_COST_US
     }
 
     /// Whether the message should use the high-priority lane of the

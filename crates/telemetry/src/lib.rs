@@ -89,28 +89,24 @@ impl Telemetry {
         }
     }
 
-    /// A live handle with the default trace capacity.
+    /// A live handle retaining up to [`DEFAULT_TRACE_CAPACITY`] completed
+    /// spans.
     pub fn new() -> Self {
-        Telemetry::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// A live handle retaining up to `capacity` completed spans.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
-        Telemetry::build(capacity, false)
+        Telemetry::build(false)
     }
 
     /// A live handle for runs with no simulated clock (the real-socket
     /// runtime): spans stamp wall-clock-since-epoch microseconds as
     /// their timeline timestamp, so `span()` needs no `sim_now`.
     pub fn wall_clock() -> Self {
-        Telemetry::build(DEFAULT_TRACE_CAPACITY, true)
+        Telemetry::build(true)
     }
 
-    fn build(capacity: usize, wall_only: bool) -> Self {
+    fn build(wall_only: bool) -> Self {
         Telemetry {
             inner: Some(Arc::new(Inner {
                 registry: Mutex::new(MetricsRegistry::new()),
-                tracer: Mutex::new(Tracer::new(capacity)),
+                tracer: Mutex::new(Tracer::new(DEFAULT_TRACE_CAPACITY)),
                 epoch: Instant::now(),
                 epoch_unix_us: SystemTime::now()
                     .duration_since(UNIX_EPOCH)

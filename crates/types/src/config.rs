@@ -112,16 +112,8 @@ pub struct MempoolConfig {
     /// Target microblock size in bytes (transactions are batched until the
     /// accumulated payload reaches this size).
     pub batch_size_bytes: usize,
-    /// Seal a partial batch after this much time even if the target size
-    /// has not been reached (200 ms by default, Section VII-B).
-    pub batch_timeout: SimTime,
     /// Transaction payload size in bytes (128 B in the evaluation).
     pub tx_payload_bytes: usize,
-    /// Maximum number of microblock references pulled into one proposal
-    /// (the paper leaves this unconstrained; `usize::MAX` reproduces that).
-    pub max_refs_per_proposal: usize,
-    /// Maximum number of inline transactions per native proposal.
-    pub max_inline_txs_per_proposal: usize,
     /// Byte budget for a cross-shard proposal payload assembled by
     /// `smp-shard` (content that does not fit is carried over to the next
     /// proposal).  Unsharded mempools do not consult this limit.
@@ -139,10 +131,7 @@ impl Default for MempoolConfig {
     fn default() -> Self {
         MempoolConfig {
             batch_size_bytes: 128 * 1024,
-            batch_timeout: 200 * MICROS_PER_MS,
             tx_payload_bytes: 128,
-            max_refs_per_proposal: usize::MAX,
-            max_inline_txs_per_proposal: 8_000,
             max_proposal_bytes: 2 * 1024 * 1024,
         }
     }
@@ -157,14 +146,10 @@ pub struct SystemConfig {
     pub f: usize,
     /// Seed for key derivation and all simulation randomness.
     pub seed: u64,
-    /// PAB availability quorum `q ∈ [f+1, 2f+1]` (Section IV-A).
-    pub pab_quorum: usize,
     /// Network environment.
     pub network: NetworkPreset,
     /// Mempool batching parameters.
     pub mempool: MempoolConfig,
-    /// View-change / pacemaker timeout.
-    pub view_change_timeout: SimTime,
     /// Number of shared-mempool dissemination shards per replica
     /// (`smp-shard`).  `1` disables sharding and runs the backend mempool
     /// unwrapped.
@@ -187,10 +172,8 @@ impl SystemConfig {
             n,
             f,
             seed: 0x53_7472_6174_7573, // "Stratus"
-            pab_quorum: f + 1,
             network: NetworkPreset::Lan,
             mempool: MempoolConfig::default(),
-            view_change_timeout: 1_000 * MICROS_PER_MS,
             shards: 1,
             executor: ExecutorKind::Sequential,
         }
@@ -221,12 +204,6 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the PAB availability quorum, clamped to `[f+1, 2f+1]`.
-    pub fn with_pab_quorum(mut self, q: usize) -> Self {
-        self.pab_quorum = q.clamp(self.f + 1, 2 * self.f + 1);
-        self
-    }
-
     /// Sets the mempool batching parameters.
     pub fn with_mempool(mut self, mempool: MempoolConfig) -> Self {
         self.mempool = mempool;
@@ -238,22 +215,9 @@ impl SystemConfig {
         2 * self.f + 1
     }
 
-    /// The minimum availability quorum `f + 1`.
-    pub fn min_pab_quorum(&self) -> usize {
-        self.f + 1
-    }
-
     /// Iterator over every replica id in the system.
     pub fn replicas(&self) -> impl Iterator<Item = ReplicaId> {
         (0..self.n as u32).map(ReplicaId)
-    }
-
-    /// Whether `N >= 3f + 1` holds for the configured values.
-    pub fn is_valid(&self) -> bool {
-        self.n > 3 * self.f
-            && self.pab_quorum > self.f
-            && self.pab_quorum <= 2 * self.f + 1
-            && self.pab_quorum < self.n
     }
 }
 
@@ -286,16 +250,6 @@ mod tests {
         let c = SystemConfig::new(10);
         assert_eq!(c.f, 3);
         assert_eq!(c.consensus_quorum(), 7);
-        assert_eq!(c.min_pab_quorum(), 4);
-        assert!(c.is_valid());
-    }
-
-    #[test]
-    fn pab_quorum_is_clamped() {
-        let c = SystemConfig::new(10).with_pab_quorum(1);
-        assert_eq!(c.pab_quorum, 4); // f + 1
-        let c = SystemConfig::new(10).with_pab_quorum(100);
-        assert_eq!(c.pab_quorum, 7); // 2f + 1
     }
 
     #[test]
@@ -310,7 +264,6 @@ mod tests {
         let m = MempoolConfig::default();
         assert_eq!(m.batch_size_bytes, 128 * 1024);
         assert_eq!(m.tx_payload_bytes, 128);
-        assert_eq!(m.batch_timeout, 200_000);
         assert_eq!(m.txs_per_batch(), 1024);
     }
 

@@ -11,17 +11,18 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the synthetic delay trace.
+/// Baseline round-trip time in milliseconds (Virginia–Singapore ≈ 234).
+pub const BASE_RTT_MS: f64 = 233.8;
+/// Standard deviation of the per-sample jitter in milliseconds.
+pub const JITTER_MS: f64 = 0.15;
+/// Probability that a given minute contains a congestion spike.
+pub const SPIKE_PROBABILITY: f64 = 0.004;
+/// Additional delay during a spike, milliseconds.
+pub const SPIKE_EXTRA_MS: f64 = 8.0;
+
+/// Size of the synthetic delay trace; its shape is the constants above.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TraceConfig {
-    /// Baseline round-trip time in milliseconds (Virginia–Singapore ≈ 234).
-    pub base_rtt_ms: f64,
-    /// Standard deviation of the per-sample jitter in milliseconds.
-    pub jitter_ms: f64,
-    /// Probability that a given minute contains a congestion spike.
-    pub spike_probability: f64,
-    /// Additional delay during a spike, milliseconds.
-    pub spike_extra_ms: f64,
     /// Number of delay samples measured per minute.
     pub samples_per_minute: usize,
     /// Trace duration in minutes (24 h = 1440).
@@ -31,10 +32,6 @@ pub struct TraceConfig {
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
-            base_rtt_ms: 233.8,
-            jitter_ms: 0.15,
-            spike_probability: 0.004,
-            spike_extra_ms: 8.0,
             samples_per_minute: 4_000,
             minutes: 1_440,
         }
@@ -56,13 +53,13 @@ impl DelayTrace {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut samples = Vec::with_capacity(config.minutes);
         for _ in 0..config.minutes {
-            let spike = rng.gen_bool(config.spike_probability.clamp(0.0, 1.0));
-            let extra = if spike { config.spike_extra_ms } else { 0.0 };
+            let spike = rng.gen_bool(SPIKE_PROBABILITY);
+            let extra = if spike { SPIKE_EXTRA_MS } else { 0.0 };
             let minute: Vec<f64> = (0..config.samples_per_minute)
                 .map(|_| {
                     // Approximately normal jitter via the sum of uniforms.
                     let u: f64 = (0..4).map(|_| rng.gen::<f64>()).sum::<f64>() / 4.0 - 0.5;
-                    (config.base_rtt_ms + extra + u * 4.0 * config.jitter_ms).max(0.0)
+                    (BASE_RTT_MS + extra + u * 4.0 * JITTER_MS).max(0.0)
                 })
                 .collect();
             samples.push(minute);
@@ -122,7 +119,6 @@ mod tests {
         TraceConfig {
             samples_per_minute: 200,
             minutes: 60,
-            ..TraceConfig::default()
         }
     }
 
