@@ -20,7 +20,7 @@
 
 use smp_telemetry::{FlightRecorder, Telemetry};
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -100,12 +100,19 @@ pub fn spawn_admin(addr: SocketAddr, state: AdminState) -> io::Result<AdminHandl
 }
 
 fn accept_admin(listener: TcpListener, state: AdminState, stop: Arc<AtomicBool>) {
+    // Each client is served on a thread of its own, so a silent one holds
+    // up neither the next client nor shutdown, which cuts every client off.
+    let mut clients: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
-                // Admin traffic is rare and tiny: serve clients one at a
-                // time on the listener thread itself.
-                serve_client(stream, &state, &stop).ok();
+                let Ok(client) = stream.try_clone() else {
+                    continue;
+                };
+                let state = state.clone();
+                let thread = thread::spawn(move || drop(serve_client(stream, &state)));
+                clients.retain(|(_, thread)| !thread.is_finished());
+                clients.push((client, thread));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_millis(5));
@@ -113,30 +120,21 @@ fn accept_admin(listener: TcpListener, state: AdminState, stop: Arc<AtomicBool>)
             Err(_) => break,
         }
     }
+    for (client, thread) in clients {
+        client.shutdown(Shutdown::Both).ok();
+        thread.join().expect("admin client thread panicked");
+    }
 }
 
-fn serve_client(stream: TcpStream, state: &AdminState, stop: &AtomicBool) -> io::Result<()> {
+fn serve_client(stream: TcpStream, state: &AdminState) -> io::Result<()> {
     stream.set_nonblocking(false)?;
-    // Bounded reads so a silent client cannot pin the endpoint past
-    // shutdown.
-    stream.set_read_timeout(Some(Duration::from_millis(250)))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client hung up
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::Relaxed) {
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
+        if reader.read_line(&mut line)? == 0 {
+            return Ok(()); // client hung up
         }
         let cmd = line.trim().to_ascii_uppercase();
         let reply = match cmd.as_str() {
@@ -274,14 +272,12 @@ mod tests {
     }
 
     fn ask_fails(addr: SocketAddr) -> bool {
-        // After stop the listener is gone; a racing connect may still
-        // succeed in the kernel backlog but no reply ever arrives.
+        // After stop the listener is gone; a connection that raced it into
+        // the kernel backlog is reset when the listener closes, so no reply
+        // ever arrives.
         let Ok(mut stream) = TcpStream::connect(addr) else {
             return true;
         };
-        stream
-            .set_read_timeout(Some(Duration::from_millis(200)))
-            .unwrap();
         stream.write_all(b"HEALTH\n").ok();
         let mut reply = String::new();
         BufReader::new(stream).read_line(&mut reply).is_err() || reply.is_empty()

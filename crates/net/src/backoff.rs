@@ -1,12 +1,12 @@
 //! Deterministic exponential backoff for dials and reconnects.
 //!
-//! Both cluster formation and the steady-state reconnect supervisor
-//! retry through this one policy, so a replica that restarts mid-run
-//! redials its peers exactly the way the cluster first formed.  The
-//! jitter is derived from `(seed, peer, attempt)` with a splitmix64
-//! hash instead of a thread-local RNG: two runs with the same seed
-//! back off identically, which keeps chaos runs reproducible and the
-//! policy unit-testable without mocking time.
+//! Cluster formation, every redial and the listener's re-bind retry
+//! through this one policy, so a replica that restarts mid-run redials its
+//! peers exactly the way the cluster first formed.  The jitter is derived
+//! from `(seed, peer, attempt)` with a splitmix64 hash instead of a
+//! thread-local RNG: two runs with the same seed back off identically,
+//! which keeps chaos runs reproducible and the policy unit-testable
+//! without mocking time.
 
 use std::time::Duration;
 

@@ -11,44 +11,41 @@
 //!
 //! Design points, mirroring the paper's prototype transport:
 //!
-//! * **thread-per-peer I/O** — one reader thread per inbound connection,
-//!   one writer thread per outbound connection (no async runtime; the
-//!   image has no tokio),
-//! * **two-lane outbound queues** — each writer drains a high-priority
-//!   lane (consensus messages, the Stratus prioritization bit) before
-//!   the bulk lane (microblocks, fetch responses),
-//! * **length-prefixed frames** — byte encoding is supplied by the
-//!   embedding crate through [`WireMsg`] (for replicas, the
-//!   `smp-replica::wire::codec` module).  A frame whose *header* is
-//!   malformed kills the connection (the stream cannot be resynced); a
-//!   frame whose *body* fails to decode is counted by taxonomy and
-//!   skipped — the length prefix keeps the stream aligned, so one
-//!   garbage body never takes down an otherwise healthy connection.
+//! * **one state machine decides** — [`PeerTable`] owns the hello and its
+//!   timeout, framing, what a decode error costs, the lanes, backoff,
+//!   connection epochs and the formation barrier, and does no I/O;
+//! * **threads only move bytes** — an acceptor, a reader per inbound
+//!   connection and a link per peer that dials and writes on command, all
+//!   reporting to [`NetRuntime::run`]'s one loop (no async runtime; the
+//!   image has no tokio);
+//! * **two outbound lanes** — consensus messages (the Stratus priority
+//!   bit) go out at once; bulk ones (microblocks, fetch responses) go out
+//!   until 64 KiB of them await an ack, so a priority frame never waits
+//!   behind more bulk than that and one frame;
+//! * **length-prefixed frames** — the embedding crate encodes through
+//!   [`WireMsg`] (for replicas, `smp-replica::wire::codec`).  A bad frame
+//!   *header* ends the connection (the stream cannot be resynced); a bad
+//!   *body* is counted by taxonomy and skipped.
 //!
-//! The runtime is instrumented throughout ([`stats::NetStats`]:
-//! per-peer/per-lane counters, queue depths, handshake outcomes, decode
-//! errors by taxonomy — all lock-free atomics) and each process can
-//! expose a line-oriented admin socket ([`admin`]) answering `HEALTH`,
-//! `METRICS`, `SERIES`, and `TRACE` for live introspection.
-//!
-//! Connections are *supervised*: a per-peer supervisor thread owns the
-//! outbound connection and redials with deterministic exponential
-//! backoff ([`backoff::delay`]) whenever it drops, bumping a
-//! connection epoch each time it re-establishes.  While a peer is down,
-//! outbound frames keep queueing up to [`DISCONNECTED_QUEUE_CAP`]; the
-//! overflow is counted (`frames_dropped_disconnected`), never lost
-//! silently, and a priority frame caught mid-write is requeued at the
-//! front of its lane for the next epoch (`frames_requeued`).
+//! A dropped connection is redialled with deterministic exponential
+//! backoff ([`backoff::delay`]), each new connection a new epoch.  While a
+//! peer is down its frames queue up to [`DISCONNECTED_QUEUE_CAP`]; beyond
+//! it they are dropped and counted, and a priority frame caught mid-write
+//! is requeued for the next epoch.  Every such event is a lock-free
+//! counter in [`stats::NetStats`], and each process can serve an admin
+//! socket ([`admin`]) answering `HEALTH`, `METRICS`, `SERIES` and `TRACE`.
 
 pub mod admin;
 pub mod backoff;
+pub mod peers;
 pub mod runtime;
 pub mod stats;
 
 use std::fmt;
 
 pub use admin::{spawn_admin, AdminHandle, AdminState};
-pub use runtime::{ClusterSpec, NetReport, NetRuntime, DISCONNECTED_QUEUE_CAP};
+pub use peers::{ConnId, Output, PeerTable, DISCONNECTED_QUEUE_CAP};
+pub use runtime::{ClusterSpec, NetReport, NetRuntime};
 pub use stats::{NetStats, PeerStats, DECODE_TAXONOMY, STALL_QUEUE_DEPTH};
 
 /// Error raised while framing or deframing a message.
@@ -93,8 +90,8 @@ impl std::error::Error for WireError {}
 /// A message type that can travel over a real socket.
 ///
 /// Frames are `HEADER_BYTES` of fixed-size header followed by a body
-/// whose length the header states.  The runtime reads exactly the
-/// header, asks [`WireMsg::body_len`] how much more to read, then hands
+/// whose length the header states.  The [`PeerTable`] takes the header,
+/// asks [`WireMsg::body_len`] how much more to wait for, then hands
 /// header + body to [`WireMsg::decode`].  A [`WireMsg::body_len`] error
 /// is terminal for the connection (the stream cannot be resynced); a
 /// [`WireMsg::decode`] error is counted and the frame skipped — the

@@ -1,44 +1,26 @@
-//! The socket runtime: peer connections, two-lane writers, wall-clock
-//! timers, and the main event loop driving one [`Node`].
+//! The socket runtime: threads that only move bytes, and one loop that
+//! feeds a [`PeerTable`] and drives one [`Node`] on wall-clock timers.
 //!
-//! Every outbound connection is owned by a *reconnect supervisor*: a
-//! per-peer thread that dials with deterministic exponential backoff
-//! ([`backoff::delay`]), pumps the two-lane queue while the connection
-//! is healthy, and on a write failure bumps the connection epoch,
-//! requeues the priority frame it was holding, and redials.  The accept
-//! loop runs for the whole life of the process, so a peer that crashes
-//! and restarts is re-admitted: its fresh hello replaces the dead
-//! inbound connection and its own supervisor re-establishes the
-//! outbound one.
+//! The acceptor forwards what `accept` returns for the life of the run, so
+//! a restarted peer is re-admitted by its fresh hello.  A reader per inbound
+//! connection forwards what it reads, then that it closed; a link per peer
+//! dials and writes as told.  All report through one channel to
+//! [`NetRuntime::run`], which feeds the table and carries out its [`Output`]s.
 
-use crate::backoff;
-use crate::stats::NetStats;
-use crate::{WireError, WireMsg};
-use simnet::{Node, NodeAction, NodeDriver, ObservationLog, Telemetry};
+use crate::peers::{ConnId, Output, PeerTable};
+use crate::stats::{NetStats, PeerStats};
+use crate::{backoff, WireMsg};
+use simnet::{Node, NodeAction, NodeDriver, ObservationLog};
 use smp_types::{ReplicaId, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// Live inbound connections with their reader threads, shared between
-/// the accept loop and the shutdown path.
-type ReaderRegistry = Arc<Mutex<Vec<(TcpStream, JoinHandle<()>)>>>;
-
-/// Hello preamble exchanged once per connection: magic + dialer id.
-const HELLO_MAGIC: [u8; 4] = *b"SMPH";
-const HELLO_BYTES: usize = 8;
-
-/// Maximum frames a peer's outbound queue may hold while the peer is
-/// disconnected.  Beyond this, new frames are dropped and counted
-/// (`frames_dropped_disconnected`) — bounded loss instead of unbounded
-/// memory while a peer is down for a long repair.
-pub const DISCONNECTED_QUEUE_CAP: usize = 8_192;
 
 /// How the runtime finds its peers.
 #[derive(Clone, Debug)]
@@ -49,7 +31,7 @@ pub struct ClusterSpec {
     pub addrs: Vec<SocketAddr>,
     /// Deployment-wide seed (must match the reference simulation's).
     pub seed: u64,
-    /// How long cluster formation may take before the run fails.
+    /// How long cluster formation, and each inbound hello, may take.
     pub connect_timeout: Duration,
 }
 
@@ -78,13 +60,13 @@ pub struct NetReport<N> {
     /// Every observation the node emitted, in emission order, stamped
     /// with wall-clock microseconds since the run's epoch.
     pub observations: ObservationLog,
-    /// Frames received from peers.
+    /// Frames received from peers: [`PeerStats::frames_in`], summed.
     pub frames_in: u64,
-    /// Frames enqueued to peers.
+    /// Frames queued to peers: both outbound lanes' frames, summed.
     pub frames_out: u64,
-    /// Payload bytes received from peers.
+    /// Bytes received from peers: [`PeerStats::bytes_in`], summed.
     pub bytes_in: u64,
-    /// Payload bytes enqueued to peers.
+    /// Bytes queued to peers: both outbound lanes' bytes, summed.
     pub bytes_out: u64,
     /// Wall-clock duration of the run, in microseconds.
     pub wall_us: u64,
@@ -95,166 +77,19 @@ pub struct NetReport<N> {
     pub frame_errors: Vec<String>,
 }
 
-/// Two outbound lanes per peer: consensus-priority drains before bulk.
-struct Lanes {
-    high: VecDeque<Vec<u8>>,
-    bulk: VecDeque<Vec<u8>>,
-    closed: bool,
-    /// Whether the supervisor currently holds a live connection.  While
-    /// false, enqueues are bounded by [`DISCONNECTED_QUEUE_CAP`].
-    connected: bool,
-}
+/// What a listener's `accept` returns.
+type Accept = io::Result<(TcpStream, SocketAddr)>;
 
-struct PeerTx {
-    /// Index of the peer this queue feeds (for stats attribution).
-    peer: usize,
-    /// Queue-depth accounting happens under the lane mutex so the
-    /// supervisor draining a frame can never observe a depth the
-    /// enqueuer has not recorded yet.
-    stats: Arc<NetStats>,
-    lanes: Mutex<Lanes>,
-    cv: Condvar,
-}
-
-impl PeerTx {
-    fn new(peer: usize, stats: Arc<NetStats>) -> Self {
-        PeerTx {
-            peer,
-            stats,
-            lanes: Mutex::new(Lanes {
-                high: VecDeque::new(),
-                bulk: VecDeque::new(),
-                closed: false,
-                connected: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Queues a frame.  Returns `false` when the frame was dropped
-    /// because the peer is disconnected and the queue is at cap (the
-    /// caller counts it under `frames_dropped_disconnected`).
-    fn enqueue(&self, frame: Vec<u8>, priority: bool) -> bool {
-        let mut lanes = self.lanes.lock().expect("writer lane poisoned");
-        if lanes.closed {
-            return true;
-        }
-        if !lanes.connected && lanes.high.len() + lanes.bulk.len() >= DISCONNECTED_QUEUE_CAP {
-            return false;
-        }
-        self.stats.record_out(self.peer, priority, frame.len());
-        if priority {
-            lanes.high.push_back(frame);
-        } else {
-            lanes.bulk.push_back(frame);
-        }
-        self.cv.notify_one();
-        true
-    }
-
-    /// Puts an undelivered priority frame back at the front of its lane
-    /// so it is first out on the next connection epoch.
-    fn requeue_front(&self, frame: Vec<u8>) {
-        let mut lanes = self.lanes.lock().expect("writer lane poisoned");
-        self.stats.record_requeue(self.peer);
-        lanes.high.push_front(frame);
-        self.cv.notify_one();
-    }
-
-    fn set_connected(&self, connected: bool) {
-        let mut lanes = self.lanes.lock().expect("writer lane poisoned");
-        lanes.connected = connected;
-    }
-
-    fn close(&self) {
-        let mut lanes = self.lanes.lock().expect("writer lane poisoned");
-        lanes.closed = true;
-        self.cv.notify_one();
-    }
-
-    /// Blocks until a frame is available (priority lane first) or the
-    /// queue is closed *and* fully drained.  The flag says which lane
-    /// the frame came from (true = priority).
-    fn next(&self) -> Option<(Vec<u8>, bool)> {
-        let mut lanes = self.lanes.lock().expect("writer lane poisoned");
-        loop {
-            if let Some(f) = lanes.high.pop_front() {
-                self.stats.record_drain(self.peer);
-                return Some((f, true));
-            }
-            if let Some(f) = lanes.bulk.pop_front() {
-                self.stats.record_drain(self.peer);
-                return Some((f, false));
-            }
-            if lanes.closed {
-                return None;
-            }
-            lanes = self.cv.wait(lanes).expect("writer lane poisoned");
-        }
-    }
-
-    /// Empties both lanes, returning how many frames were discarded.
-    /// Used when the supervisor exits while the peer is unreachable.
-    fn discard_all(&self) -> usize {
-        let mut lanes = self.lanes.lock().expect("writer lane poisoned");
-        let n = lanes.high.len() + lanes.bulk.len();
-        for _ in 0..n {
-            self.stats.record_drain(self.peer);
-        }
-        lanes.high.clear();
-        lanes.bulk.clear();
-        n
-    }
-}
-
-/// Events flowing from the I/O threads into the main loop.
-enum Ev<M> {
-    PeerUp(ReplicaId),
-    /// An outbound dial to a peer completed its hello.
-    DialUp(ReplicaId),
-    Msg {
-        from: ReplicaId,
-        msg: M,
-        bytes: usize,
-    },
-    Fault(PeerFault),
-}
-
-/// What a reader thread reports besides frames.
-enum PeerFault {
-    /// The connection ended.  A clean EOF (`error: None`) is a peer
-    /// shutting down; only codec failures are errors.
-    Gone {
-        from: ReplicaId,
-        error: Option<WireError>,
-    },
-    /// A frame body failed to decode but the stream stayed aligned.
-    Frame { from: ReplicaId, error: WireError },
-}
-
-/// The faults of one run, as [`NetReport`] lists them.  The formation
-/// barrier and the run loop both see faults and record them alike.
-#[derive(Default)]
-struct FaultLog {
-    peer_errors: Vec<String>,
-    frame_errors: Vec<String>,
-}
-
-impl FaultLog {
-    fn record(&mut self, fault: PeerFault, telemetry: &Telemetry) {
-        match fault {
-            PeerFault::Gone { from, error } => {
-                telemetry.instant(format!("net.peer.{}.down", from.0));
-                if let Some(e) = error {
-                    self.peer_errors.push(format!("peer {}: {e}", from.0));
-                }
-            }
-            PeerFault::Frame { from, error } => {
-                telemetry.instant(format!("net.peer.{}.frame_error", from.0));
-                self.frame_errors.push(format!("peer {}: {error}", from.0));
-            }
-        }
-    }
+/// What the I/O threads report to the run loop.
+enum Ev {
+    Accepted(io::Result<TcpStream>),
+    Read(ConnId, Vec<u8>),
+    Closed(ConnId),
+    Dialed(usize, bool),
+    /// Every write before an ack went out.
+    Wrote(usize),
+    /// A write failed: the frame back, and whether its connection carried one.
+    Failed(usize, (Vec<u8>, bool), bool),
 }
 
 /// Drives one [`Node`] over real TCP connections and wall-clock timers.
@@ -274,13 +109,9 @@ where
     /// Wraps `node` for the deployment described by `spec`, in the same
     /// [`NodeDriver`] the reference simulation runs it in: same seed and
     /// id, same RNG stream.
-    pub fn new(node: N, spec: ClusterSpec, telemetry: Telemetry) -> Self {
+    pub fn new(node: N, spec: ClusterSpec, telemetry: simnet::Telemetry) -> Self {
         let n = spec.n();
-        assert!(
-            spec.me.index() < n,
-            "me={} out of range for {n} addresses",
-            spec.me.0
-        );
+        assert!(spec.me.index() < n, "no address for replica {}", spec.me.0);
         let driver = NodeDriver::new(node, spec.me, n, spec.seed, telemetry);
         NetRuntime {
             driver,
@@ -297,264 +128,185 @@ where
     }
 
     /// Forms the cluster, runs the node for `horizon_us` wall-clock
-    /// microseconds, shuts everything down cleanly, and reports.
-    ///
-    /// Cluster formation is a barrier: the node's `on_start` only runs
-    /// once every outbound dial has said hello *and* every peer's
-    /// inbound connection has said hello, so no frames are lost to
-    /// startup races.
+    /// microseconds, shuts everything down cleanly, and reports.  The
+    /// node's `on_start` runs once every peer is greeted both ways;
+    /// frames that arrive earlier are held until then.
     pub fn run(mut self, horizon_us: u64) -> io::Result<NetReport<N>> {
-        let n = self.spec.n();
-        let me = self.spec.me;
-        let peers = n - 1;
+        let (n, me) = (self.spec.n(), self.spec.me);
         let telemetry = self.driver.telemetry().clone();
-
-        // A restarted process may find its old sockets still draining in
-        // the kernel; re-bind with the shared backoff policy instead of
-        // failing the relaunch.
-        let listener = bind_listener(
-            self.spec.addrs[me.index()],
-            self.spec.seed,
-            me,
-            self.spec.connect_timeout,
-        )?;
+        let listener = bind_listener(&self.spec)?;
         listener.set_nonblocking(true)?;
-
-        let (tx, rx) = mpsc::channel::<Ev<N::Msg>>();
+        let (events, rx) = mpsc::channel();
         let stop = Arc::new(AtomicBool::new(false));
-        let readers: ReaderRegistry = Arc::new(Mutex::new(Vec::new()));
-
-        let accept_handle = {
-            let tx = tx.clone();
-            let stop = Arc::clone(&stop);
-            let readers = Arc::clone(&readers);
-            let stats = Arc::clone(&self.stats);
-            let hello_timeout = self.spec.connect_timeout;
-            let accept = move || listener.accept().map(|(stream, _)| stream);
-            thread::spawn(move || {
-                accept_loop::<N::Msg>(accept, n, hello_timeout, tx, stop, readers, stats)
-            })
+        // The acceptor, then one link per peer.
+        let mut threads = vec![{
+            let (events, stop) = (events.clone(), Arc::clone(&stop));
+            thread::spawn(move || accept_loop(|| listener.accept(), &events, &stop))
+        }];
+        let mut link = |i: usize| {
+            let (link, outs) = mpsc::channel();
+            let (addr, events) = (self.spec.addrs[i], events.clone());
+            threads.push(thread::spawn(move || link_loop(i, addr, outs, events)));
+            link
         };
-
-        // One reconnect supervisor per peer owns that peer's outbound
-        // connection for the life of the run (formation dial and
-        // steady-state redial are the same code path).
-        let mut peer_txs: Vec<Option<Arc<PeerTx>>> = (0..n).map(|_| None).collect();
-        let mut supervisor_handles = Vec::new();
-        for (i, slot) in peer_txs.iter_mut().enumerate() {
-            if i == me.index() {
-                continue;
-            }
-            let peer_tx = Arc::new(PeerTx::new(i, Arc::clone(&self.stats)));
-            *slot = Some(Arc::clone(&peer_tx));
-            let addr = self.spec.addrs[i];
-            let seed = self.spec.seed;
-            let stats = Arc::clone(&self.stats);
-            let stop = Arc::clone(&stop);
-            let events = tx.clone();
-            supervisor_handles.push(thread::spawn(move || {
-                supervisor_loop::<N::Msg>(i, addr, me, seed, peer_tx, stats, stop, events)
-            }));
-        }
-
-        // Barrier: wait until every dial and every inbound hello is in;
-        // buffer any early frames.
-        let mut pending: VecDeque<(ReplicaId, N::Msg, usize)> = VecDeque::new();
-        let mut faults = FaultLog::default();
-        let mut up: HashSet<ReplicaId> = HashSet::new();
-        let mut dialed: HashSet<ReplicaId> = HashSet::new();
-        let formation_deadline = Instant::now() + self.spec.connect_timeout;
-        while up.len() < peers || dialed.len() < peers {
-            let left = formation_deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                stop.store(true, Ordering::Relaxed);
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!(
-                        "cluster formation timed out: {}/{peers} peers up, {}/{peers} dialed",
-                        up.len(),
-                        dialed.len()
-                    ),
-                ));
-            }
-            match rx.recv_timeout(left) {
-                Ok(Ev::PeerUp(from)) => {
-                    telemetry.instant(format!("net.peer.{}.up", from.0));
-                    up.insert(from);
-                }
-                Ok(Ev::DialUp(to)) => {
-                    dialed.insert(to);
-                }
-                Ok(Ev::Msg { from, msg, bytes }) => pending.push_back((from, msg, bytes)),
-                Ok(Ev::Fault(fault)) => faults.record(fault, &telemetry),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => unreachable!("main keeps a sender"),
-            }
-        }
-
-        // The cluster is formed: start the clock and the node.
-        let epoch = Instant::now();
-        let mut st = RunState {
-            timers: BinaryHeap::new(),
-            timers_armed: 0,
-            loopback: VecDeque::new(),
-            observations: ObservationLog::new(),
-            peer_txs,
-            stats: Arc::clone(&self.stats),
-            frames_in: 0,
-            frames_out: 0,
-            bytes_in: 0,
-            bytes_out: 0,
+        let links = (0..n).map(|i| (i != me.index()).then(|| link(i))).collect();
+        let mut io = Threads {
+            events,
+            links,
+            readers: HashMap::new(),
         };
-        // Lent to the driver for each invocation, drained by `apply`.
+        let stats = Arc::clone(&self.stats);
+        let mut table = PeerTable::new(&self.spec, stats, telemetry.clone(), Instant::now());
+        // Node timers as (fire-at, arming order, tag): equal times fire in
+        // the order they were armed, the simulator's tie-break.
+        let mut timers = BinaryHeap::<Reverse<(SimTime, u64, u64)>>::new();
+        let (mut armed, mut loopback, mut observations) =
+            (0, VecDeque::new(), ObservationLog::new());
         let mut actions = Vec::new();
-        self.driver.start(now_us(epoch), &mut actions);
-        st.apply(&mut actions);
-        for (from, msg, bytes) in pending.drain(..) {
-            st.frames_in += 1;
-            st.bytes_in += bytes as u64;
-            self.driver.deliver(now_us(epoch), from, msg, &mut actions);
-            st.apply(&mut actions);
-        }
-
-        loop {
+        // The node's clock starts when the cluster forms.
+        let mut epoch: Option<Instant> = None;
+        let ended = loop {
+            table.tick(Instant::now());
+            let now = epoch.map_or(0, now_us);
+            if epoch.is_some() && now >= horizon_us {
+                break Ok(());
+            }
             // Self-sends first: they model the simulator's 1 µs loopback.
-            while let Some((from, msg)) = st.loopback.pop_front() {
-                let now = now_us(epoch);
-                if now >= horizon_us {
-                    break;
-                }
+            // Then due timers, in arming order, then the table's outputs.
+            if let Some((from, msg)) = loopback.pop_front() {
                 self.driver.deliver(now, from, msg, &mut actions);
-                st.apply(&mut actions);
-            }
-            let mut now = now_us(epoch);
-            // Fire every due timer.
-            while let Some(&Reverse((at, _, tag))) = st.timers.peek() {
-                if at > now || now >= horizon_us {
-                    break;
-                }
-                st.timers.pop();
+            } else if let Some(&Reverse((_, _, tag))) = timers.peek().filter(|t| t.0 .0 <= now) {
+                timers.pop();
                 self.driver.timer(now, tag, &mut actions);
-                st.apply(&mut actions);
-                now = now_us(epoch);
-            }
-            if now >= horizon_us {
-                break;
-            }
-            if !st.loopback.is_empty() {
-                continue;
-            }
-            let wake = st
-                .timers
-                .peek()
-                .map(|&Reverse((at, _, _))| at)
-                .unwrap_or(horizon_us)
-                .min(horizon_us);
-            let timeout = Duration::from_micros(wake.saturating_sub(now_us(epoch)));
-            match rx.recv_timeout(timeout) {
-                Ok(Ev::Msg { from, msg, bytes }) => {
-                    st.frames_in += 1;
-                    st.bytes_in += bytes as u64;
-                    self.driver.deliver(now_us(epoch), from, msg, &mut actions);
-                    st.apply(&mut actions);
+            } else {
+                match table.next_output() {
+                    Some(Output::Formed) => {
+                        epoch = Some(Instant::now());
+                        self.driver.start(0, &mut actions);
+                    }
+                    Some(Output::Deliver(from, msg)) => {
+                        self.driver.deliver(now, from, msg, &mut actions)
+                    }
+                    Some(Output::FormationTimedOut(why)) => break Err(timed_out(why)),
+                    Some(out) => io.carry(out),
+                    None => {
+                        let timer = timers.peek().map_or(horizon_us, |t| t.0 .0);
+                        let node = epoch.map(|e| e + Duration::from_micros(timer.min(horizon_us)));
+                        let wake = table.next_deadline().into_iter().chain(node).min();
+                        let wait = wake.map_or(Duration::MAX, |w| w - Instant::now().min(w));
+                        if let Ok(ev) = rx.recv_timeout(wait) {
+                            io.on_event(ev, &mut table);
+                        }
+                    }
                 }
-                Ok(Ev::Fault(fault)) => faults.record(fault, &telemetry),
-                Ok(Ev::PeerUp(from)) => {
-                    // A peer reconnected mid-run (crash-restart).
-                    telemetry.instant(format!("net.peer.{}.up", from.0));
-                }
-                Ok(Ev::DialUp(to)) => {
-                    telemetry.instant(format!("net.peer.{}.redial", to.0));
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => unreachable!("main keeps a sender"),
             }
-        }
-
-        // Clean shutdown: stop accepting, flush and close supervisors,
-        // then unblock and join readers.
+            for action in actions.drain(..) {
+                match action {
+                    NodeAction::Send { to, msg } if to == me => loopback.push_back((to, msg)),
+                    NodeAction::Send { to, msg } => table.send(to, &msg),
+                    NodeAction::SetTimer { at, tag } => {
+                        timers.push(Reverse((at, armed, tag)));
+                        armed += 1;
+                    }
+                    NodeAction::Observe(obs) => observations.push(obs),
+                }
+            }
+        };
         stop.store(true, Ordering::Relaxed);
-        for peer_tx in st.peer_txs.iter().flatten() {
-            peer_tx.close();
+        // Formation failed: the threads are left to end on their own.
+        ended?;
+
+        // Shutdown: the links write out what the table flushes to them,
+        // then close; then the readers.
+        table.close();
+        while let Some(out) = table.next_output() {
+            io.carry(out);
         }
-        for h in supervisor_handles {
-            h.join().map_err(|_| panicked("supervisor"))?;
+        io.links.clear();
+        for thread in threads {
+            thread
+                .join()
+                .map_err(|_| io::Error::other("an I/O thread panicked"))?;
         }
-        accept_handle.join().map_err(|_| panicked("acceptor"))?;
-        let readers = std::mem::take(&mut *readers.lock().expect("reader registry poisoned"));
-        for (stream, handle) in readers {
+        // Each reader reports its close last; the table counts them.
+        for (stream, _) in io.readers.values() {
             stream.shutdown(Shutdown::Both).ok();
-            handle.join().map_err(|_| panicked("reader"))?;
         }
-        drop(tx);
+        while !io.readers.is_empty() {
+            io.on_event(rx.recv().expect("`io` keeps a sender"), &mut table);
+        }
 
         // Final mirror of the lock-free counters into the registry, so
         // the post-run snapshot carries complete `net.*` totals even
         // when no sampler was attached.
         self.stats.publish(&telemetry);
-
+        let total = |counter: fn(&PeerStats) -> &AtomicU64| self.stats.sum_peers(counter);
         Ok(NetReport {
             node: self.driver.into_node(),
-            observations: st.observations,
-            frames_in: st.frames_in,
-            frames_out: st.frames_out,
-            bytes_in: st.bytes_in,
-            bytes_out: st.bytes_out,
-            wall_us: now_us(epoch),
-            peer_errors: faults.peer_errors,
-            frame_errors: faults.frame_errors,
+            observations,
+            frames_in: total(|p| &p.frames_in),
+            frames_out: total(|p| &p.out_high.frames) + total(|p| &p.out_bulk.frames),
+            bytes_in: total(|p| &p.bytes_in),
+            bytes_out: total(|p| &p.out_high.bytes) + total(|p| &p.out_bulk.bytes),
+            wall_us: epoch.map_or(0, now_us),
+            peer_errors: table.peer_errors,
+            frame_errors: table.frame_errors,
         })
     }
 }
 
-/// Per-run mutable state the action applier needs.
-struct RunState<M> {
-    /// (fire-at, arming order, tag): a min-heap by fire time, equal times
-    /// in the order they were armed — the simulator's tie-break.
-    timers: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    timers_armed: u64,
-    loopback: VecDeque<(ReplicaId, M)>,
-    observations: ObservationLog,
-    peer_txs: Vec<Option<Arc<PeerTx>>>,
-    stats: Arc<NetStats>,
-    frames_in: u64,
-    frames_out: u64,
-    bytes_in: u64,
-    bytes_out: u64,
+/// The I/O threads the run loop commands.
+struct Threads<M> {
+    events: Sender<Ev>,
+    /// Per peer (none for this replica): its link's dials and writes.
+    links: Vec<Option<Sender<Output<M>>>>,
+    /// Open inbound connections: a handle to shut each down, its reader.
+    readers: HashMap<ConnId, (TcpStream, JoinHandle<()>)>,
 }
 
-impl<M: WireMsg> RunState<M> {
-    fn apply(&mut self, actions: &mut Vec<NodeAction<M>>) {
-        for action in actions.drain(..) {
-            match action {
-                NodeAction::Send { to, msg } => {
-                    if to.index() >= self.peer_txs.len() {
-                        continue;
-                    }
-                    match &self.peer_txs[to.index()] {
-                        // `None` is this node itself: deliver locally.
-                        None => self.loopback.push_back((to, msg)),
-                        Some(peer_tx) => {
-                            let priority = msg.high_priority();
-                            let frame = msg.encode();
-                            let len = frame.len();
-                            // The queue records lane/depth counters itself
-                            // (under its lock, racing drains stay exact).
-                            if peer_tx.enqueue(frame, priority) {
-                                self.frames_out += 1;
-                                self.bytes_out += len as u64;
-                            } else {
-                                self.stats.record_dropped_disconnected(to.index(), 1);
-                            }
-                        }
-                    }
+impl<M: WireMsg> Threads<M> {
+    /// Carries out one of the table's I/O outputs.
+    fn carry(&mut self, out: Output<M>) {
+        match out {
+            Output::Dial(i, _) | Output::Write(i, ..) | Output::Ack(i) => {
+                if let Some(link) = &self.links[i] {
+                    link.send(out).ok();
                 }
-                NodeAction::SetTimer { at, tag } => {
-                    self.timers.push(Reverse((at, self.timers_armed, tag)));
-                    self.timers_armed += 1;
-                }
-                NodeAction::Observe(obs) => self.observations.push(obs),
             }
+            Output::Close(conn) => {
+                if let Some((stream, _)) = self.readers.get(&conn) {
+                    stream.shutdown(Shutdown::Both).ok();
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Hands one thread report to the table.
+    fn on_event(&mut self, ev: Ev, table: &mut PeerTable<M>) {
+        let now = Instant::now();
+        match ev {
+            Ev::Accepted(Ok(stream)) => {
+                // The kept clone can shut the connection while its reader blocks.
+                if let (Ok(reader), Some(conn)) = (stream.try_clone(), table.accepted(now)) {
+                    stream.set_nonblocking(false).ok();
+                    stream.set_nodelay(true).ok();
+                    let events = self.events.clone();
+                    let handle = thread::spawn(move || read_loop(conn, reader, events));
+                    self.readers.insert(conn, (stream, handle));
+                }
+            }
+            Ev::Accepted(Err(_)) => table.accept_failed(),
+            Ev::Read(conn, bytes) => table.read(conn, &bytes),
+            Ev::Closed(conn) => {
+                table.closed(conn);
+                if let Some((_, reader)) = self.readers.remove(&conn) {
+                    reader.join().expect("a reader thread panicked");
+                }
+            }
+            Ev::Dialed(i, connected) => table.dialed(i, connected, now),
+            Ev::Wrote(i) => table.wrote(i),
+            Ev::Failed(i, frame, carried) => table.write_failed(i, frame, carried, now),
         }
     }
 }
@@ -563,161 +315,38 @@ fn now_us(epoch: Instant) -> u64 {
     epoch.elapsed().as_micros() as u64
 }
 
-fn panicked(what: &str) -> io::Error {
-    io::Error::other(format!("{what} thread panicked"))
+fn timed_out(why: String) -> io::Error {
+    io::Error::new(io::ErrorKind::TimedOut, why)
 }
 
 /// Binds the listen socket, retrying with backoff while the address is
 /// busy (a freshly restarted replica racing its predecessor's sockets).
-fn bind_listener(
-    addr: SocketAddr,
-    seed: u64,
-    me: ReplicaId,
-    timeout: Duration,
-) -> io::Result<TcpListener> {
-    let deadline = Instant::now() + timeout;
-    let mut attempt = 0u32;
-    loop {
+fn bind_listener(spec: &ClusterSpec) -> io::Result<TcpListener> {
+    let addr = spec.addrs[spec.me.index()];
+    let deadline = Instant::now() + spec.connect_timeout;
+    for attempt in 0.. {
         match TcpListener::bind(addr) {
-            Ok(l) => return Ok(l),
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!("binding {addr} timed out: {e}"),
-                    ));
-                }
-                thread::sleep(backoff::delay(seed, me.0, attempt));
-                attempt += 1;
+            Err(e) if Instant::now() >= deadline => {
+                return Err(timed_out(format!("binding {addr} timed out: {e}")))
             }
+            Err(_) => thread::sleep(backoff::delay(spec.seed, spec.me.0, attempt)),
+            bound => return bound,
         }
     }
+    unreachable!("the deadline passes first")
 }
 
-/// Sleeps `total` in small slices, returning early once `stop` is set.
-fn sleep_interruptible(total: Duration, stop: &AtomicBool) {
-    let deadline = Instant::now() + total;
-    while !stop.load(Ordering::Relaxed) {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return;
-        }
-        thread::sleep(left.min(Duration::from_millis(10)));
-    }
-}
-
-/// Owns one peer's outbound connection for the life of the run: dial
-/// with backoff, say hello, pump frames; on failure, requeue and redial.
-#[allow(clippy::too_many_arguments)]
-fn supervisor_loop<M>(
-    peer: usize,
-    addr: SocketAddr,
-    me: ReplicaId,
-    seed: u64,
-    peer_tx: Arc<PeerTx>,
-    stats: Arc<NetStats>,
-    stop: Arc<AtomicBool>,
-    events: Sender<Ev<M>>,
-) {
-    let mut epoch = 0u64;
-    'connect: loop {
-        // Dial until the peer answers, backing off deterministically.
-        let mut attempt = 0u32;
-        let mut stream = loop {
-            if stop.load(Ordering::Relaxed) {
-                let lost = peer_tx.discard_all();
-                if lost > 0 {
-                    stats.record_dropped_disconnected(peer, lost as u64);
-                }
-                return;
-            }
-            match TcpStream::connect(addr) {
-                Ok(s) => break s,
-                Err(_) => {
-                    let delay = backoff::delay(seed, peer as u32, attempt);
-                    stats.record_backoff(peer, delay.as_millis() as u64);
-                    sleep_interruptible(delay, &stop);
-                    attempt += 1;
-                }
-            }
-        };
-        stream.set_nodelay(true).ok();
-        let mut hello = Vec::with_capacity(HELLO_BYTES);
-        hello.extend_from_slice(&HELLO_MAGIC);
-        hello.extend_from_slice(&me.0.to_be_bytes());
-        if stream.write_all(&hello).is_err() {
-            let delay = backoff::delay(seed, peer as u32, attempt);
-            stats.record_backoff(peer, delay.as_millis() as u64);
-            sleep_interruptible(delay, &stop);
-            continue 'connect;
-        }
-        epoch += 1;
-        if epoch > 1 {
-            stats.record_reconnect(peer);
-        }
-        peer_tx.set_connected(true);
-        events.send(Ev::DialUp(ReplicaId(peer as u32))).ok();
-
-        // Pump until the queue closes (shutdown) or the write fails.
-        while let Some((frame, priority)) = peer_tx.next() {
-            if stream.write_all(&frame).is_err() {
-                peer_tx.set_connected(false);
-                if priority {
-                    // First out on the next epoch; the requeue depth is
-                    // bounded by DISCONNECTED_QUEUE_CAP like any other
-                    // disconnected enqueue.
-                    peer_tx.requeue_front(frame);
-                } else {
-                    stats.record_dropped_disconnected(peer, 1);
-                }
-                continue 'connect;
-            }
-        }
-        stream.flush().ok();
-        stream.shutdown(Shutdown::Both).ok();
-        return;
-    }
-}
-
-/// Accepts inbound connections until `stop` is set, from `accept` — a
-/// nonblocking listener's `accept`.
-fn accept_loop<M: WireMsg>(
-    mut accept: impl FnMut() -> io::Result<TcpStream>,
-    n: usize,
-    hello_timeout: Duration,
-    tx: Sender<Ev<M>>,
-    stop: Arc<AtomicBool>,
-    readers: ReaderRegistry,
-    stats: Arc<NetStats>,
-) {
-    // Runs for the whole life of the process: a peer that crashes and
-    // restarts is re-admitted through a fresh hello, not locked out.
-    // The acceptor only accepts and spawns — the hello is read on the
-    // connection's own thread, so a client that connects and says nothing
-    // holds up neither the next accept nor shutdown.
+/// Forwards every accepted connection and every failed accept until
+/// `stop`, from `accept` — a nonblocking listener's `accept`.
+fn accept_loop(mut accept: impl FnMut() -> Accept, events: &Sender<Ev>, stop: &AtomicBool) {
     while !stop.load(Ordering::Relaxed) {
         match accept() {
-            Ok(stream) => {
-                stream.set_nonblocking(false).ok();
-                stream.set_nodelay(true).ok();
-                // The registry's clone is what lets shutdown unblock the
-                // thread, whether it is waiting for a hello or a frame.
-                let Ok(clone) = stream.try_clone() else {
-                    continue;
-                };
-                let tx = tx.clone();
-                let stats = Arc::clone(&stats);
-                let handle =
-                    thread::spawn(move || inbound_loop(stream, n, hello_timeout, tx, stats));
-                register_reader(&readers, clone, handle);
-            }
+            Ok((stream, _)) => drop(events.send(Ev::Accepted(Ok(stream)))),
             Err(e) => {
-                // Only `stop` ends the loop.  Running out of descriptors
-                // (EMFILE) or a connection aborted before it was accepted
-                // fails one accept, not the acceptor: counted, then
-                // retried like an empty backlog.
+                // Out of descriptors (EMFILE) or an aborted connection
+                // fails one accept, not the acceptor.
                 if e.kind() != io::ErrorKind::WouldBlock {
-                    stats.record_accept_error();
+                    events.send(Ev::Accepted(Err(e))).ok();
                 }
                 thread::sleep(Duration::from_millis(2));
             }
@@ -725,139 +354,55 @@ fn accept_loop<M: WireMsg>(
     }
 }
 
-/// Adds a reader to the registry after dropping the readers that already
-/// ended, so a closed or cut-off connection gives its descriptor back now
-/// rather than at shutdown, and a client that keeps reconnecting cannot
-/// grow the registry without bound.
-fn register_reader(readers: &ReaderRegistry, stream: TcpStream, handle: JoinHandle<()>) {
-    let mut registry = readers.lock().expect("reader registry poisoned");
-    registry.retain(|(_, handle)| !handle.is_finished());
-    registry.push((stream, handle));
-}
-
-/// One inbound connection, from its hello to its end.  A client that says
-/// nothing within `hello_timeout` is cut off and counted as a failed
-/// handshake.
-fn inbound_loop<M: WireMsg>(
-    stream: TcpStream,
-    n: usize,
-    hello_timeout: Duration,
-    tx: Sender<Ev<M>>,
-    stats: Arc<NetStats>,
-) {
-    stream.set_read_timeout(Some(hello_timeout)).ok();
-    let Some(from) = read_hello(&stream).filter(|from| from.index() < n) else {
-        stats.record_handshake_failure();
-        // Not just this fd — the registry holds a clone.
-        stream.shutdown(Shutdown::Both).ok();
-        return;
-    };
-    stream.set_read_timeout(None).ok();
-    stats.record_connect(from.index());
-    tx.send(Ev::PeerUp(from)).ok();
-    reader_loop(stream, from, tx, stats);
-}
-
-fn read_hello(mut stream: &TcpStream) -> Option<ReplicaId> {
-    let mut hello = [0u8; HELLO_BYTES];
-    stream.read_exact(&mut hello).ok()?;
-    if hello[..4] != HELLO_MAGIC {
-        return None;
-    }
-    Some(ReplicaId(u32::from_be_bytes([
-        hello[4], hello[5], hello[6], hello[7],
-    ])))
-}
-
-fn reader_loop<M: WireMsg>(
-    mut stream: TcpStream,
-    from: ReplicaId,
-    tx: Sender<Ev<M>>,
-    stats: Arc<NetStats>,
-) {
-    let mut header = vec![0u8; M::HEADER_BYTES];
+/// Forwards what one inbound connection reads until it ends.
+fn read_loop(conn: ConnId, mut stream: TcpStream, events: Sender<Ev>) {
+    let mut buf = vec![0u8; 64 * 1024];
     loop {
-        if stream.read_exact(&mut header).is_err() {
-            stats.record_disconnect(from.index());
-            tx.send(Ev::Fault(PeerFault::Gone { from, error: None }))
-                .ok();
-            return;
+        match stream.read(&mut buf) {
+            Ok(len) if len > 0 && events.send(Ev::Read(conn, buf[..len].to_vec())).is_ok() => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            _ => break,
         }
-        let body_len = match M::body_len(&header) {
-            Ok(len) => len,
-            Err(e) => {
-                // A bad header leaves the stream unframed: terminal.
-                // Shut the socket down (not just this fd — the accept
-                // registry holds a clone) so the peer sees the hangup
-                // now rather than at end-of-run cleanup.
-                stats.record_decode_error(e.kind);
-                stats.record_disconnect(from.index());
-                stream.shutdown(Shutdown::Both).ok();
-                tx.send(Ev::Fault(PeerFault::Gone {
-                    from,
-                    error: Some(e),
-                }))
-                .ok();
-                return;
+    }
+    events.send(Ev::Closed(conn)).ok();
+}
+
+/// Dials peer `i` and writes to it, one output at a time, until the
+/// run loop drops the queue.  Only failures and acks are reported, so
+/// frames go out back to back.
+fn link_loop<M>(i: usize, addr: SocketAddr, outs: Receiver<Output<M>>, events: Sender<Ev>) {
+    // The connection, and whether it has carried a frame.
+    let (mut stream, mut carried) = (None::<TcpStream>, false);
+    for out in outs {
+        let ev = match out {
+            Output::Dial(_, hello) => {
+                let greet =
+                    |mut s: TcpStream| s.set_nodelay(true).and(s.write_all(&hello)).map(|()| s);
+                stream = TcpStream::connect(addr).and_then(greet).ok();
+                carried = false;
+                Ev::Dialed(i, stream.is_some())
             }
+            Output::Write(_, bytes, priority) => {
+                let sent = stream.as_mut().is_some_and(|s| s.write_all(&bytes).is_ok());
+                let had_carried = std::mem::replace(&mut carried, sent);
+                stream = stream.filter(|_| sent);
+                if sent {
+                    continue;
+                }
+                Ev::Failed(i, (bytes, priority), had_carried)
+            }
+            Output::Ack(_) => Ev::Wrote(i),
+            _ => continue,
         };
-        let mut body = vec![0u8; body_len];
-        if stream.read_exact(&mut body).is_err() {
-            stats.record_disconnect(from.index());
-            tx.send(Ev::Fault(PeerFault::Gone { from, error: None }))
-                .ok();
-            return;
-        }
-        match M::decode(&header, &body) {
-            Ok(msg) => {
-                let bytes = M::HEADER_BYTES + body_len;
-                stats.record_in(from.index(), bytes);
-                if tx.send(Ev::Msg { from, msg, bytes }).is_err() {
-                    return;
-                }
-            }
-            Err(e) => {
-                // The length prefix kept the stream aligned: count the
-                // failure, skip the frame, keep the connection.
-                stats.record_decode_error(e.kind);
-                let fault = PeerFault::Frame { from, error: e };
-                if tx.send(Ev::Fault(fault)).is_err() {
-                    return;
-                }
-            }
-        }
+        events.send(ev).ok();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ended_readers_leave_the_registry_at_the_next_accept() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("local addr");
-        let dial = || TcpStream::connect(addr).expect("dial");
-        let readers: ReaderRegistry = Arc::new(Mutex::new(Vec::new()));
-
-        // A reader that is still running stays registered throughout.
-        let (release, hold) = mpsc::channel::<()>();
-        let live = thread::spawn(move || hold.recv().unwrap_or_default());
-        register_reader(&readers, dial(), live);
-        for _ in 0..8 {
-            let ended = thread::spawn(|| {});
-            while !ended.is_finished() {
-                thread::sleep(Duration::from_millis(1));
-            }
-            register_reader(&readers, dial(), ended);
-            assert_eq!(readers.lock().unwrap().len(), 2, "ended readers piled up");
-        }
-
-        release.send(()).expect("release the live reader");
-        for (_, handle) in std::mem::take(&mut *readers.lock().unwrap()) {
-            handle.join().expect("reader thread");
-        }
-    }
+    use crate::peers::HELLO_MAGIC;
+    use crate::WireError;
 
     /// A frame type for an acceptor that only ever sees hellos.
     #[derive(Clone, Debug)]
@@ -898,35 +443,44 @@ mod tests {
         ]);
         let accept = move || match failures.pop_front() {
             Some(e) => Err(e),
-            None => listener.accept().map(|(stream, _)| stream),
+            None => listener.accept(),
         };
-        let (tx, rx) = mpsc::channel::<Ev<Silent>>();
+        let (events, rx) = mpsc::channel();
         let stop = Arc::new(AtomicBool::new(false));
-        let readers: ReaderRegistry = Arc::new(Mutex::new(Vec::new()));
-        let stats = Arc::new(NetStats::new(2));
         let acceptor = {
-            let (stop, readers, stats) = (stop.clone(), readers.clone(), stats.clone());
-            thread::spawn(move || {
-                accept_loop(accept, 2, Duration::from_secs(5), tx, stop, readers, stats)
-            })
+            let (events, stop) = (events.clone(), Arc::clone(&stop));
+            thread::spawn(move || accept_loop(accept, &events, &stop))
+        };
+        let stats = Arc::new(NetStats::new(2));
+        let telemetry = smp_telemetry::Telemetry::new();
+        let spec = ClusterSpec::new(ReplicaId(0), vec![addr; 2], 1);
+        let mut table =
+            PeerTable::<Silent>::new(&spec, stats.clone(), telemetry.clone(), Instant::now());
+        let mut io = Threads {
+            events,
+            links: vec![None, None],
+            readers: HashMap::new(),
         };
 
         let mut dialer = TcpStream::connect(addr).expect("dial");
         dialer.write_all(&HELLO_MAGIC).expect("hello");
         dialer.write_all(&1u32.to_be_bytes()).expect("hello");
-        match rx.recv_timeout(Duration::from_secs(5)) {
-            Ok(Ev::PeerUp(from)) => assert_eq!(from, ReplicaId(1)),
-            _ => panic!("the connection after the accept errors was not admitted"),
+        let admitted = |s: &NetStats| s.peer(1).unwrap().connects.load(Ordering::Relaxed);
+        while admitted(&stats) == 0 {
+            match rx.recv_timeout(Duration::from_secs(5)) {
+                Ok(ev) => io.on_event(ev, &mut table),
+                Err(_) => panic!("the connection after the accept errors was not admitted"),
+            }
         }
-        let telemetry = Telemetry::new();
         stats.publish(&telemetry);
         assert_eq!(telemetry.snapshot().counter("net.accept.errors"), Some(2));
 
         stop.store(true, Ordering::Relaxed);
         acceptor.join().expect("the acceptor ends at stop");
         drop(dialer);
-        for (_, handle) in std::mem::take(&mut *readers.lock().unwrap()) {
-            handle.join().expect("reader thread");
+        while !io.readers.is_empty() {
+            io.on_event(rx.recv().expect("`io` keeps a sender"), &mut table);
         }
+        assert_eq!(table.connections(), 0);
     }
 }

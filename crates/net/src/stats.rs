@@ -1,12 +1,12 @@
 //! Lock-free runtime counters for the socket runtime.
 //!
-//! Reader threads, writer threads, and the main loop all record into
-//! plain atomics — observation never takes a lock on a hot path, so
-//! instrumentation cannot serialize I/O threads (and cannot perturb the
-//! protocol: these counters feed telemetry only).  A publisher (the
-//! flight-recorder sampler's pre-sample hook, the admin endpoint's
-//! refresh, or the runtime's shutdown path) periodically mirrors the
-//! totals into a [`Telemetry`] registry under `net.*` keys.
+//! The peer table records into plain atomics that observers on other
+//! threads read without a lock, so instrumentation cannot serialize the
+//! run loop (and cannot perturb the protocol: these counters feed
+//! telemetry only).  A publisher (the flight-recorder sampler's pre-sample
+//! hook, the admin endpoint's refresh, or the runtime's shutdown path)
+//! periodically mirrors the totals into a [`Telemetry`] registry under
+//! `net.*` keys.
 
 use smp_telemetry::Telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,7 +27,7 @@ pub const DECODE_TAXONOMY: &[&str] = &[
 ];
 
 /// Outbound queue depth at which an enqueue counts as a stall (a
-/// backpressure signal: the writer thread is not keeping up).
+/// backpressure signal: the peer's writes are not keeping up).
 pub const STALL_QUEUE_DEPTH: u64 = 1_024;
 
 /// Per-lane outbound counters.
@@ -63,8 +63,8 @@ pub struct PeerStats {
     pub disconnects: AtomicU64,
     /// Outbound connections re-established after the first epoch.
     pub reconnects: AtomicU64,
-    /// Total milliseconds the supervisor spent backing off between
-    /// dial attempts to this peer.
+    /// Total milliseconds spent backing off between dial attempts to
+    /// this peer.
     pub backoff_ms: AtomicU64,
     /// Priority frames put back at the front of the lane after a
     /// mid-write connection failure.
@@ -123,7 +123,7 @@ impl NetStats {
         }
     }
 
-    /// Records the writer thread draining one frame for peer `i`.
+    /// Records one frame leaving peer `i`'s queue.
     pub fn record_drain(&self, i: usize) {
         if let Some(p) = self.peers.get(i) {
             p.queue_depth.fetch_sub(1, Ordering::Relaxed);
@@ -156,7 +156,7 @@ impl NetStats {
         }
     }
 
-    /// Records the supervisor re-establishing peer `i`'s connection.
+    /// Records peer `i`'s outbound connection re-established.
     pub fn record_reconnect(&self, i: usize) {
         if let Some(p) = self.peers.get(i) {
             p.reconnects.fetch_add(1, Ordering::Relaxed);
@@ -208,7 +208,7 @@ impl NetStats {
         self.sum_peers(|p| &p.frames_dropped_disconnected)
     }
 
-    fn sum_peers(&self, f: impl Fn(&PeerStats) -> &AtomicU64) -> u64 {
+    pub(crate) fn sum_peers(&self, f: impl Fn(&PeerStats) -> &AtomicU64) -> u64 {
         self.peers
             .iter()
             .map(|p| f(p).load(Ordering::Relaxed))
