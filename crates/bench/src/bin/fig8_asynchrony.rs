@@ -2,7 +2,7 @@
 //! (delays of 100–300 ms) is injected — SMP-HS vs S-HS at a fixed offered
 //! rate of 25 KTx/s in the WAN setting.
 
-use simnet::FaultWindow;
+use simnet::{FaultAction, FaultSchedule};
 use smp_bench::{header, BenchRecorder, Scale};
 use smp_replica::{run, ExperimentConfig, Protocol};
 use smp_types::MICROS_PER_SEC;
@@ -19,12 +19,14 @@ fn main() {
     let total_secs = scale.pick(15u64, 30u64);
     let fluct_start = scale.pick(5u64, 10u64);
     let fluct_len = scale.pick(5u64, 10u64);
-    let window = FaultWindow {
-        start: fluct_start * MICROS_PER_SEC,
-        end: (fluct_start + fluct_len) * MICROS_PER_SEC,
-        min_delay_us: 100_000,
-        max_delay_us: 300_000,
-    };
+    let fluctuation = FaultSchedule::new().at(
+        fluct_start * MICROS_PER_SEC,
+        FaultAction::Fluctuation {
+            duration: fluct_len * MICROS_PER_SEC,
+            min_us: 100_000,
+            max_us: 300_000,
+        },
+    );
 
     let mut rec = BenchRecorder::from_args("fig8_asynchrony", scale);
     let mut series = Vec::new();
@@ -32,7 +34,7 @@ fn main() {
         let cfg = ExperimentConfig::new(protocol, n, rate)
             .wan()
             .with_duration(0, total_secs * MICROS_PER_SEC)
-            .with_fault_window(window);
+            .with_faults(fluctuation.clone());
         let r = run(&cfg);
         println!(
             "{}: total committed = {}, view changes = {}",

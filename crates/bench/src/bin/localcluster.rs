@@ -202,7 +202,6 @@ fn run_child(me: usize, args: &ClusterArgs) -> ! {
     let opts = NetRunOptions {
         tx_limit: Some(args.tx_limit),
         horizon_us: args.horizon_us,
-        telemetry: trace_out.is_some(),
         admin_addr,
         // Sample often enough that even a short CI run records several
         // windows per replica.

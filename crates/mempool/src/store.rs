@@ -252,11 +252,6 @@ impl FillTracker {
         self.executed
     }
 
-    /// Number of proposals still waiting for data.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Registers an incoming proposal.  `missing` lists the referenced
     /// microblocks not currently in the store; `awaiting_ready` says
     /// whether consensus is blocked on them (best-effort mempools) or can

@@ -8,7 +8,7 @@ use crate::protocols::Protocol;
 use crate::replica::{Behavior, Replica};
 use crate::wire::codec::WireCodec;
 use crate::wire::MempoolWire;
-use simnet::{FaultWindow, NetConfig, Node, Simulation, Telemetry};
+use simnet::{FaultSchedule, NetConfig, Node, Simulation, Telemetry};
 use smp_consensus::{ConsensusEngine, StateSize};
 use smp_mempool::{Mempool, MempoolStats};
 use smp_metrics::{BandwidthBreakdown, RunSummary};
@@ -27,8 +27,9 @@ pub struct ExperimentConfig {
     pub n: usize,
     /// Network environment.
     pub network: NetworkPreset,
-    /// Asynchrony windows injected into the network (Figure 8).
-    pub fault_windows: Vec<FaultWindow>,
+    /// What goes wrong in the run: crashes, partitions, bursts, Figure 8's
+    /// fluctuation.  Every simulated run of this configuration replays it.
+    pub faults: FaultSchedule,
     /// Offered client load.
     pub workload: WorkloadSpec,
     /// Microblock batch size in bytes.
@@ -71,7 +72,7 @@ impl ExperimentConfig {
             protocol,
             n,
             network: NetworkPreset::Lan,
-            fault_windows: Vec::new(),
+            faults: FaultSchedule::new(),
             workload: WorkloadSpec::even(rate_tps, 128),
             batch_size_bytes: 128 * 1024,
             duration: 5 * MICROS_PER_SEC,
@@ -144,9 +145,9 @@ impl ExperimentConfig {
         self
     }
 
-    /// Adds a network fluctuation window.
-    pub fn with_fault_window(mut self, w: FaultWindow) -> Self {
-        self.fault_windows.push(w);
+    /// Sets the fault schedule.
+    pub fn with_faults(mut self, faults: FaultSchedule) -> Self {
+        self.faults = faults;
         self
     }
 
@@ -182,10 +183,11 @@ impl ExperimentConfig {
         sys.with_shards(self.shards).with_executor(self.executor)
     }
 
-    pub(crate) fn net_config(&self) -> NetConfig {
-        let mut net = NetConfig::from_preset(self.network);
-        net.fault_windows = self.fault_windows.clone();
-        net
+    /// The simulated deployment of `nodes`: this configuration's network,
+    /// seed and fault schedule.
+    pub(crate) fn simulation<N: Node>(&self, nodes: Vec<N>) -> Simulation<N> {
+        Simulation::new(nodes, NetConfig::from_preset(self.network), self.seed)
+            .with_faults(self.faults.clone())
     }
 
     pub(crate) fn behavior_for(&self, i: usize) -> Behavior {
@@ -316,8 +318,7 @@ impl ProtocolVisitor for SimRun<'_> {
             Telemetry::disabled()
         };
         let nodes = (0..config.n).map(|i| build(i, &telemetry)).collect();
-        let mut sim = Simulation::new(nodes, config.net_config(), config.seed)
-            .with_telemetry(telemetry.clone());
+        let mut sim = config.simulation(nodes).with_telemetry(telemetry.clone());
         let horizon = config.warmup + config.duration;
         let mut now = 0;
         loop {

@@ -18,10 +18,7 @@ pub mod wire;
 pub use experiment::{
     run, run_sampled, saturation_sweep, ExperimentConfig, ExperimentResult, ReplicaSizes,
 };
-pub use netrun::{
-    run_replica_over_net, sim_commit_logs, sim_commit_logs_with_faults, NetRunOptions,
-    NetRunSummary,
-};
+pub use netrun::{run_replica_over_net, sim_commit_logs, NetRunOptions, NetRunSummary};
 pub use protocols::Protocol;
 pub use replica::{Behavior, Replica, ReplicaMetrics};
 pub use wire::codec::{

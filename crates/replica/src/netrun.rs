@@ -13,7 +13,7 @@ use crate::experiment::ExperimentConfig;
 use crate::replica::Replica;
 use crate::wire::codec::{self, WireCodec};
 use crate::wire::{MempoolWire, ReplicaMsg};
-use simnet::{Simulation, Telemetry};
+use simnet::Telemetry;
 use smp_consensus::ConsensusEngine;
 use smp_mempool::Mempool;
 use smp_net::{spawn_admin, AdminState, ClusterSpec, NetRuntime, WireError, WireMsg};
@@ -54,8 +54,6 @@ pub struct NetRunOptions {
     pub tx_limit: Option<u64>,
     /// Wall-clock run duration in microseconds.
     pub horizon_us: u64,
-    /// Attach a live telemetry sink (wall-clock timestamps).
-    pub telemetry: bool,
     /// Serve a line-oriented admin endpoint (`HEALTH`/`METRICS`/`SERIES`/
     /// `TRACE`) at this address for the duration of the run.  Implies a
     /// live telemetry sink.
@@ -75,7 +73,6 @@ impl Default for NetRunOptions {
         NetRunOptions {
             tx_limit: None,
             horizon_us: 1_000_000,
-            telemetry: false,
             admin_addr: None,
             flight_cadence_us: None,
             recover: false,
@@ -108,7 +105,8 @@ pub struct NetRunSummary {
     pub peer_errors: Vec<String>,
     /// Recoverable frame-body decode failures (connection survived).
     pub frame_errors: Vec<String>,
-    /// The run's telemetry sink (disabled unless requested).
+    /// The run's telemetry sink (disabled unless an admin endpoint or a
+    /// flight sampler was asked for).
     pub telemetry: Telemetry,
     /// The telemetry epoch as µs since the Unix epoch (None when the
     /// sink is disabled) — the cross-process trace-alignment anchor.
@@ -136,12 +134,9 @@ impl ProtocolVisitor for NetVisitor<'_> {
         let config = self.config;
         // No simulated clock exists under the socket runtime, so the
         // sink runs in wall-clock-only mode: spans self-stamp from the
-        // process epoch.  An admin endpoint or flight sampler needs a
-        // live sink to observe.
-        let want_telemetry = self.opts.telemetry
-            || self.opts.admin_addr.is_some()
-            || self.opts.flight_cadence_us.is_some();
-        let telemetry = if want_telemetry {
+        // process epoch.  Only an admin endpoint or a flight sampler has a
+        // use for a live sink.
+        let telemetry = if self.opts.admin_addr.is_some() || self.opts.flight_cadence_us.is_some() {
             Telemetry::wall_clock()
         } else {
             Telemetry::disabled()
@@ -244,7 +239,6 @@ struct SimVisitor<'a> {
     config: &'a ExperimentConfig,
     tx_limit: Option<u64>,
     horizon_us: u64,
-    faults: simnet::FaultSchedule,
 }
 
 impl ProtocolVisitor for SimVisitor<'_> {
@@ -260,8 +254,7 @@ impl ProtocolVisitor for SimVisitor<'_> {
         let nodes = (0..config.n)
             .map(|i| comparable(build(i, &Telemetry::disabled()), self.tx_limit))
             .collect();
-        let mut sim =
-            Simulation::new(nodes, config.net_config(), config.seed).with_faults(self.faults);
+        let mut sim = config.simulation(nodes);
         sim.run_until(self.horizon_us);
         (0..config.n)
             .map(|i| sim.node(i).commit_log().unwrap_or(&[]).to_vec())
@@ -269,27 +262,14 @@ impl ProtocolVisitor for SimVisitor<'_> {
     }
 }
 
-/// Reference run: executes `config` inside the simulator with commit
-/// logging on and returns every replica's committed-transaction-id
-/// sequence.  An `smp-net` cluster of the same configuration and seed
-/// must commit byte-identical sequences.
+/// Reference run: executes `config` inside the simulator, replaying its
+/// fault schedule, with commit logging on, and returns every replica's
+/// committed-transaction-id sequence.  An `smp-net` cluster of the same
+/// configuration and seed must commit byte-identical sequences.
 pub fn sim_commit_logs(
     config: &ExperimentConfig,
     tx_limit: Option<u64>,
     horizon_us: u64,
-) -> Vec<Vec<TxId>> {
-    sim_commit_logs_with_faults(config, tx_limit, horizon_us, simnet::FaultSchedule::new())
-}
-
-/// Like [`sim_commit_logs`], with a scripted [`simnet::FaultSchedule`]
-/// applied: crash/restart, partitions, and burst drop/delay replay
-/// deterministically against the same configuration and seed.  An empty
-/// schedule is byte-identical to [`sim_commit_logs`].
-pub fn sim_commit_logs_with_faults(
-    config: &ExperimentConfig,
-    tx_limit: Option<u64>,
-    horizon_us: u64,
-    faults: simnet::FaultSchedule,
 ) -> Vec<Vec<TxId>> {
     dispatch(
         config,
@@ -297,7 +277,6 @@ pub fn sim_commit_logs_with_faults(
             config,
             tx_limit,
             horizon_us,
-            faults,
         },
     )
 }

@@ -142,11 +142,6 @@ where
         self.recovering = true;
     }
 
-    /// Whether the replica is in crash-recovery mode.
-    pub fn is_recovering(&self) -> bool {
-        self.recovering
-    }
-
     /// Epoch-style teardown for an in-process restart: abandons every
     /// piece of volatile protocol state (pending verdicts, metrics — and
     /// the consensus/mempool rounds, which are simply never consulted

@@ -10,7 +10,7 @@
 //! also run twice and compared.
 
 use simnet::{FaultAction, FaultSchedule};
-use smp_replica::{sim_commit_logs, sim_commit_logs_with_faults, ExperimentConfig, Protocol};
+use smp_replica::{sim_commit_logs, ExperimentConfig, Protocol};
 use smp_types::ReplicaId;
 use smp_workload::LoadDistribution;
 
@@ -42,8 +42,8 @@ fn killed_replica_resyncs_to_byte_identical_log() {
     let schedule = FaultSchedule::new()
         .at(SETTLED_US, FaultAction::Crash(ReplicaId(3)))
         .at(SETTLED_US + 500_000, FaultAction::Restart(ReplicaId(3)));
-    let faulted =
-        sim_commit_logs_with_faults(&config, Some(TX_LIMIT), HORIZON_US, schedule.clone());
+    let config = config.with_faults(schedule);
+    let faulted = sim_commit_logs(&config, Some(TX_LIMIT), HORIZON_US);
     for (i, log) in faulted.iter().enumerate() {
         assert_eq!(
             log, &reference[i],
@@ -53,7 +53,7 @@ fn killed_replica_resyncs_to_byte_identical_log() {
 
     // Same seed, same schedule: the chaos run itself must replay
     // byte-identically.
-    let replay = sim_commit_logs_with_faults(&config, Some(TX_LIMIT), HORIZON_US, schedule);
+    let replay = sim_commit_logs(&config, Some(TX_LIMIT), HORIZON_US);
     assert_eq!(replay, faulted);
 }
 
@@ -61,8 +61,11 @@ fn killed_replica_resyncs_to_byte_identical_log() {
 fn empty_fault_schedule_is_provably_inert() {
     let config = single_source(4);
     let plain = sim_commit_logs(&config, Some(TX_LIMIT), 3_000_000);
-    let with_empty =
-        sim_commit_logs_with_faults(&config, Some(TX_LIMIT), 3_000_000, FaultSchedule::new());
+    let with_empty = sim_commit_logs(
+        &config.with_faults(FaultSchedule::new()),
+        Some(TX_LIMIT),
+        3_000_000,
+    );
     assert_eq!(plain, with_empty);
 }
 
@@ -78,7 +81,7 @@ fn partitioned_replica_catches_up_after_crash_recovery() {
         .at(SETTLED_US + 800_000, FaultAction::Heal)
         .at(SETTLED_US + 1_200_000, FaultAction::Crash(ReplicaId(3)))
         .at(SETTLED_US + 1_700_000, FaultAction::Restart(ReplicaId(3)));
-    let logs = sim_commit_logs_with_faults(&config, Some(TX_LIMIT), HORIZON_US, schedule);
+    let logs = sim_commit_logs(&config.with_faults(schedule), Some(TX_LIMIT), HORIZON_US);
     assert_eq!(logs[0].len(), TX_LIMIT as usize);
     for (i, log) in logs.iter().enumerate() {
         assert_eq!(log, &logs[0], "replica {i} diverged after recovery");
@@ -111,8 +114,8 @@ fn dag_mempool_stays_consistent_under_crash_and_heal() {
             .at(SETTLED_US + 600_000, FaultAction::Heal)
             .at(SETTLED_US + 1_000_000, FaultAction::Crash(ReplicaId(3)))
             .at(SETTLED_US + 1_500_000, FaultAction::Restart(ReplicaId(3)));
-        let faulted =
-            sim_commit_logs_with_faults(&config, Some(TX_LIMIT), HORIZON_US, schedule.clone());
+        let config = config.with_faults(schedule);
+        let faulted = sim_commit_logs(&config, Some(TX_LIMIT), HORIZON_US);
         for (i, log) in faulted.iter().enumerate() {
             assert_eq!(
                 log,
@@ -121,7 +124,7 @@ fn dag_mempool_stays_consistent_under_crash_and_heal() {
                 protocol.label()
             );
         }
-        let replay = sim_commit_logs_with_faults(&config, Some(TX_LIMIT), HORIZON_US, schedule);
+        let replay = sim_commit_logs(&config, Some(TX_LIMIT), HORIZON_US);
         assert_eq!(
             replay,
             faulted,
@@ -148,7 +151,8 @@ fn network_bursts_replay_deterministically() {
             },
         )
         .at(400_000, FaultAction::DropBurst { duration: 50_000 });
-    let run = || sim_commit_logs_with_faults(&config, Some(TX_LIMIT), HORIZON_US, schedule.clone());
+    let faulted = config.clone().with_faults(schedule);
+    let run = || sim_commit_logs(&faulted, Some(TX_LIMIT), HORIZON_US);
     let first = run();
     assert_eq!(first, run(), "burst chaos must replay identically");
 
@@ -163,4 +167,38 @@ fn network_bursts_replay_deterministically() {
             );
         }
     }
+}
+
+/// A fluctuation reorders proposals, the way TCP does across connections
+/// in the socket conformance failure: replica 0 sends view 4's proposal
+/// (transactions 0..=39, two 5 ms ticks of offers) inside the window, and
+/// it reaches replica 2 only after view 5's.  Replica 2 has left view 4 by
+/// then, so the pacemaker drops the late proposal, and its commits stop at
+/// the hole: it never executes views 1 to 4.  Preserved defect (ROADMAP:
+/// block sync): block sync turns this into "every log equals the
+/// reference".
+#[test]
+fn a_late_proposal_costs_one_replica_a_whole_block() {
+    // `net_conformance.rs`'s configuration: N-HS, n = 4, load on replica 0.
+    let config = single_source(4);
+    let horizon_us = 3_000_000;
+    let reference = sim_commit_logs(&config, Some(TX_LIMIT), horizon_us);
+    assert_eq!(reference[0].len(), TX_LIMIT as usize);
+    let faulted = config.with_faults(FaultSchedule::new().at(
+        12_000,
+        FaultAction::Fluctuation {
+            duration: 5_000,
+            min_us: 5_000,
+            max_us: 60_000,
+        },
+    ));
+    let logs = sim_commit_logs(&faulted, Some(TX_LIMIT), horizon_us);
+    for i in [0, 1, 3] {
+        assert_eq!(logs[i], reference[0], "replica {i} diverged");
+    }
+    assert_eq!(
+        logs[2],
+        reference[0][40..],
+        "replica 2 should lack exactly the first 40 transactions"
+    );
 }

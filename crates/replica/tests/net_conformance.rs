@@ -170,7 +170,6 @@ fn instrumented_cluster_commits_identical_sequence() {
                 let opts = NetRunOptions {
                     tx_limit: Some(tx_limit),
                     horizon_us,
-                    telemetry: true,
                     admin_addr: Some(admin_addrs[i]),
                     flight_cadence_us: Some(100_000),
                     ..NetRunOptions::default()

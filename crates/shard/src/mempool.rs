@@ -210,11 +210,6 @@ impl<M: Mempool> ShardedMempool<M> {
         Self::sequential(config, config.shards, salt, make)
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The router assigning transactions to shards.
     pub fn router(&self) -> &ShardRouter {
         &self.router

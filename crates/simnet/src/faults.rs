@@ -10,9 +10,8 @@
 //! against an unfaulted reference.
 //!
 //! The fault plane is **provably inert when unused**: an empty schedule
-//! adds no events, draws nothing from any RNG (burst jitter comes from a
-//! dedicated fault RNG, never the per-node streams), and leaves every
-//! delivery and timer untouched.
+//! adds no events, draws nothing from any RNG, and leaves every delivery
+//! and timer untouched.
 //!
 //! Supported faults:
 //!
@@ -33,14 +32,27 @@
 //!   *arriving* inside the window is dropped (client input is spared).
 //! * [`DelayBurst`](FaultAction::DelayBurst) — every peer delivery
 //!   arriving inside the window is deferred by a uniform extra delay
-//!   drawn from the fault RNG (network turbulence, Figure 8 style).  It
-//!   is not the Figure 8 experiment itself: that is a
-//!   [`FaultWindow`](crate::FaultWindow) of the network model, which acts
-//!   at send time on the sender's RNG — see [`netmodel`](crate::netmodel)
-//!   for why the two cannot be merged bit-identically.
+//!   drawn from the fault RNG (network turbulence).
+//! * [`Fluctuation`](FaultAction::Fluctuation) — every message that
+//!   *leaves* its sender inside the window takes a uniform delay in place
+//!   of base delay + jitter (the paper's NetEm experiment, Figure 8).
 //!
-//! The network faults act on **arrivals**, once each.  A delivery that
-//! arrived before a window opened and is still waiting for the
+//! # One plane, two delay rules
+//!
+//! Every fault is a schedule entry; the [`NetConfig`](crate::NetConfig)
+//! describes only the healthy network.  The two delay actions still
+//! follow different rules.  A fluctuation *replaces* a message's delay
+//! once, when it starts onto the wire, with one draw from the *sender's
+//! node RNG* at the point where the jitter draw is otherwise taken.  A
+//! delay burst *adds* delay when a delivery arrives, drawn from the
+//! dedicated fault RNG, and keeps deferring it until its window ends.
+//! Different moment, different stream: neither can be rewritten as the
+//! other with outputs bit-identical, so merging the rules waits for the
+//! re-record of every figure that uses either (ROADMAP: the consensus
+//! lane of the CPU inbox).
+//!
+//! The other network faults act on **arrivals**, once each.  A delivery
+//! that arrived before a window opened and is still waiting for the
 //! receiver's CPU is past the network and is served; only a crash
 //! reaches it.  A deferred delivery arrives again when its extra delay
 //! is up, and is filtered again then.
@@ -74,6 +86,17 @@ pub enum FaultAction {
         /// Minimum extra delay (clamped to at least 1 µs).
         min_us: SimTime,
         /// Maximum extra delay.
+        max_us: SimTime,
+    },
+    /// Give every peer message that leaves its sender within `duration` of
+    /// the scheduled time a uniform delay in `[min_us, max_us]` in place
+    /// of base delay + jitter.
+    Fluctuation {
+        /// Window length in simulated microseconds.
+        duration: SimTime,
+        /// Minimum one-way delay.
+        min_us: SimTime,
+        /// Maximum one-way delay.
         max_us: SimTime,
     },
 }

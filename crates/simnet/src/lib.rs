@@ -8,8 +8,7 @@
 //! * **per-replica outbound bandwidth** — every message is serialized
 //!   through a FIFO (with a strict-priority lane for consensus messages,
 //!   matching the Stratus prioritization optimization),
-//! * **per-link propagation latency and jitter**, with injectable
-//!   asynchrony windows (Figure 8's "network fluctuation"),
+//! * **per-link propagation latency and jitter**,
 //! * **per-message CPU cost**, so small deployments are CPU-bound the way
 //!   the paper's 4-vCPU instances are.  A delivery occupies its receiver's
 //!   CPU for [`SimMessage::cpu_cost_us`], rounded up to a whole
@@ -34,8 +33,11 @@
 //! the two hosts apart.  All randomness flows from a single seed, so every
 //! run is reproducible.
 //!
-//! Delay can be injected on two planes that differ in when they act and
-//! which RNG they draw from; [`netmodel`] says why both exist.
+//! Everything that goes wrong in a run — crashes, partitions, dropped or
+//! delayed deliveries, Figure 8's "network fluctuation" — is one
+//! [`FaultSchedule`] replayed against the healthy network the
+//! [`NetConfig`] describes; [`faults`] says why its two delay rules stay
+//! apart.
 //!
 //! # Example
 //!
@@ -91,7 +93,7 @@ pub use event::EventKind;
 pub use faults::{FaultAction, FaultSchedule};
 pub use link::{OutboundLink, Priority};
 pub use message::SimMessage;
-pub use netmodel::{FaultWindow, NetConfig};
+pub use netmodel::NetConfig;
 pub use observation::{ObsKind, Observation, ObservationLog, Tally};
 pub use runner::{Node, Simulation};
 pub use smp_telemetry::Telemetry;

@@ -111,9 +111,17 @@ pub struct Simulation<N: Node> {
     /// = fully connected).
     island: Vec<bool>,
     drop_until: SimTime,
-    delay_until: SimTime,
-    delay_min_us: SimTime,
-    delay_max_us: SimTime,
+    delay: DelayWindow,
+    fluctuation: DelayWindow,
+}
+
+/// The open delay burst or fluctuation: until when, and the bounds of its
+/// uniform draw.
+#[derive(Clone, Copy, Default)]
+struct DelayWindow {
+    until: SimTime,
+    min_us: SimTime,
+    max_us: SimTime,
 }
 
 impl<N: Node> Simulation<N> {
@@ -147,9 +155,8 @@ impl<N: Node> Simulation<N> {
             incarnation: vec![0; n],
             island: vec![false; n],
             drop_until: 0,
-            delay_until: 0,
-            delay_min_us: 0,
-            delay_max_us: 0,
+            delay: DelayWindow::default(),
+            fluctuation: DelayWindow::default(),
         }
     }
 
@@ -371,11 +378,26 @@ impl<N: Node> Simulation<N> {
                 min_us,
                 max_us,
             } => {
-                self.delay_until = self.now.saturating_add(duration);
-                self.delay_min_us = min_us;
-                self.delay_max_us = max_us.max(min_us);
+                self.delay = DelayWindow {
+                    until: self.now.saturating_add(duration),
+                    min_us,
+                    max_us: max_us.max(min_us),
+                };
                 self.telemetry
                     .instant_at("simnet.fault.delay_burst", self.now);
+            }
+            FaultAction::Fluctuation {
+                duration,
+                min_us,
+                max_us,
+            } => {
+                self.fluctuation = DelayWindow {
+                    until: self.now.saturating_add(duration),
+                    min_us,
+                    max_us,
+                };
+                self.telemetry
+                    .instant_at("simnet.fault.fluctuation", self.now);
             }
         }
     }
@@ -396,11 +418,11 @@ impl<N: Node> Simulation<N> {
             self.queue.take(slot);
             return;
         }
-        if peer && self.now < self.delay_until {
+        if peer && self.now < self.delay.until {
             // Back on the wire, to arrive (and be filtered) again.
             let extra = self
                 .fault_rng
-                .gen_range(self.delay_min_us..=self.delay_max_us)
+                .gen_range(self.delay.min_us..=self.delay.max_us)
                 .max(1);
             self.queue.requeue(slot, self.now + extra);
             return;
@@ -517,9 +539,21 @@ impl<N: Node> Simulation<N> {
         let ser = self.net.serialization_us(item.bytes);
         let done = self.now + ser;
         self.queue.push(done, EventKind::LinkFree { node });
-        // Jitter comes out of the sender's own stream.
+        // The delay comes out of the sender's own stream: base delay +
+        // jitter, or in a fluctuation one draw in their place.
         let rng = self.drivers[idx].rng();
-        let prop = self.net.propagation_us(node, item.to, self.now, rng);
+        let f = self.fluctuation;
+        let prop = if self.now < f.until {
+            let span = f.max_us.saturating_sub(f.min_us);
+            let extra = if span == 0 {
+                0
+            } else {
+                rng.gen_range(0..=span)
+            };
+            f.min_us + extra
+        } else {
+            self.net.propagation_us(node, item.to, rng)
+        };
         self.queue.push(
             done + prop,
             EventKind::Deliver {
@@ -865,6 +899,75 @@ mod tests {
             rec[0].0
         );
         assert_eq!(rec, run(), "burst jitter must replay identically");
+    }
+
+    /// The one-way delay of a message node 0 sends to node 1 at each of
+    /// `sends` (WAN, seed 7) under `faults`, in arrival order: arrival −
+    /// departure − the 8 µs a 100-byte message takes to serialize at
+    /// 100 Mb/s.
+    fn delays(faults: FaultSchedule, sends: &[SimTime]) -> Vec<SimTime> {
+        /// Node 0 forwards each client input, stamped with its departure
+        /// time, to node 1 at once.
+        struct Forwarder {
+            delays: Vec<SimTime>,
+        }
+        impl Node for Forwarder {
+            type Msg = TestMsg;
+            fn on_start(&mut self, _: &mut NodeCtx<'_, TestMsg>) {}
+            fn on_message(&mut self, ctx: &mut NodeCtx<'_, TestMsg>, _: ReplicaId, msg: TestMsg) {
+                let TestMsg::Small(sent) = msg else {
+                    unreachable!("only small messages are sent")
+                };
+                self.delays.push(ctx.now() - sent - 8);
+            }
+            fn on_client_input(&mut self, ctx: &mut NodeCtx<'_, TestMsg>, msg: TestMsg) {
+                ctx.send(ReplicaId(1), msg);
+            }
+            fn on_timer(&mut self, _: &mut NodeCtx<'_, TestMsg>, _: TimerTag) {}
+        }
+        let nodes = (0..2).map(|_| Forwarder { delays: vec![] }).collect();
+        let mut sim = Simulation::new(nodes, NetConfig::wan(), 7).with_faults(faults);
+        for &at in sends {
+            sim.schedule_client_input(at, ReplicaId(0), TestMsg::Small(at));
+        }
+        sim.run_until(MICROS_PER_MS * 1_000);
+        let delays = sim.node(1).delays.clone();
+        assert_eq!(delays.len(), sends.len());
+        delays
+    }
+
+    fn fluctuation(min_us: SimTime, max_us: SimTime) -> FaultSchedule {
+        FaultSchedule::new().at(
+            10_000,
+            FaultAction::Fluctuation {
+                duration: 1_000,
+                min_us,
+                max_us,
+            },
+        )
+    }
+
+    #[test]
+    fn a_message_leaving_inside_a_fluctuation_takes_its_delay() {
+        let sends: Vec<SimTime> = (10_000..11_000).step_by(50).collect();
+        for d in delays(fluctuation(100_000, 300_000), &sends) {
+            assert!((100_000..=300_000).contains(&d), "delay {d}");
+        }
+    }
+
+    #[test]
+    fn a_message_leaving_as_a_fluctuation_ends_takes_base_delay_and_jitter() {
+        let wan = NetConfig::wan();
+        let base = wan.one_way_delay_us..=wan.one_way_delay_us + wan.jitter_us;
+        for d in delays(fluctuation(100_000, 300_000), &[9_999, 11_000, 11_001]) {
+            assert!(base.contains(&d), "delay {d}");
+        }
+    }
+
+    #[test]
+    fn a_fluctuation_with_one_bound_delays_by_exactly_it() {
+        let sends = [10_000, 10_300, 10_999];
+        assert_eq!(delays(fluctuation(150_000, 150_000), &sends), [150_000; 3]);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use stratus;
 
 /// The most commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use simnet::{FaultWindow, NetConfig, Simulation};
+    pub use simnet::{FaultAction, FaultSchedule, NetConfig, Simulation};
     pub use smp_consensus::{ConsensusEngine, HotStuffEngine, PbftEngine, StreamletEngine};
     pub use smp_mempool::{DagMempool, Mempool, MempoolEvent, SimpleSmp};
     pub use smp_metrics::RunSummary;

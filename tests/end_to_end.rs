@@ -79,17 +79,16 @@ fn view_changes_stay_at_zero_in_the_failure_free_case() {
 
 #[test]
 fn network_fluctuation_does_not_stall_stratus() {
-    // A Figure-8-style asynchrony window in the middle of the run.
-    let window = simnet::FaultWindow {
-        start: 1_000_000,
-        end: 2_000_000,
-        min_delay_us: 100_000,
-        max_delay_us: 300_000,
+    // A Figure-8-style fluctuation in the middle of the run.
+    let window = FaultAction::Fluctuation {
+        duration: 1_000_000,
+        min_us: 100_000,
+        max_us: 300_000,
     };
     let cfg = quick(Protocol::StratusHotStuff, 7, 5_000.0)
         .wan()
         .with_duration(500_000, 3_000_000)
-        .with_fault_window(window);
+        .with_faults(FaultSchedule::new().at(1_000_000, window));
     let result = run_experiment(&cfg);
     assert!(
         result.committed_txs > 0,

@@ -56,12 +56,14 @@ fn byzantine(protocol: Protocol) -> ExperimentConfig {
 fn storm(protocol: Protocol) -> ExperimentConfig {
     lan(protocol)
         .with_duration(250_000, 1_750_000)
-        .with_fault_window(FaultWindow {
-            start: 400_000,
-            end: 1_200_000,
-            min_delay_us: 20_000,
-            max_delay_us: 120_000,
-        })
+        .with_faults(FaultSchedule::new().at(
+            400_000,
+            FaultAction::Fluctuation {
+                duration: 800_000,
+                min_us: 20_000,
+                max_us: 120_000,
+            },
+        ))
 }
 
 /// Same on the WAN preset, where proposals routinely outrun the data

@@ -135,7 +135,7 @@ fn stratus_lan_n100_commits_each_transaction_once_for_the_bytes_of_smp() {
     );
 }
 
-/// The same deployment through a delay burst (every message 20–120 ms late
+/// The same deployment through a fluctuation (every message 20–120 ms late
 /// for 0.8 s of the window): proofs now arrive after the proposals that
 /// name them, are queued again, and some microblocks commit a second time.
 /// A transaction still counts once — the observer's throughput is what the
@@ -146,12 +146,14 @@ fn stratus_lan_n100_counts_each_transaction_once_when_proofs_are_delayed() {
     let config = ExperimentConfig::new(Protocol::StratusHotStuff, 100, 20_000.0)
         .with_duration(500_000, 2_000_000)
         .with_batch_size(128 * 1024)
-        .with_fault_window(FaultWindow {
-            start: 800_000,
-            end: 1_600_000,
-            min_delay_us: 20_000,
-            max_delay_us: 120_000,
-        });
+        .with_faults(FaultSchedule::new().at(
+            800_000,
+            FaultAction::Fluctuation {
+                duration: 800_000,
+                min_us: 20_000,
+                max_us: 120_000,
+            },
+        ));
     let shs = run_experiment(&config);
     println!(
         "LAN n=100, delayed proofs: S-HS committed {} of {}",
