@@ -103,7 +103,7 @@ pub struct Simulation<N: Node> {
     faults: Vec<(SimTime, FaultAction)>,
     fault_idx: usize,
     /// Jitter source for delay bursts.  Deliberately separate from the
-    /// per-node RNGs so scripting faults never perturbs node streams.
+    /// per-node RNGs so a burst never perturbs node streams.
     fault_rng: SmallRng,
     crashed: Vec<bool>,
     incarnation: Vec<u32>,
@@ -162,7 +162,8 @@ impl<N: Node> Simulation<N> {
 
     /// Attaches a scripted fault schedule.  An empty schedule leaves the
     /// simulation byte-identical to one built without this call: faults
-    /// draw jitter from a dedicated RNG and add no events of their own.
+    /// add no events of their own, and only an open fluctuation draws from
+    /// a node's RNG, in place of that node's jitter draw.
     pub fn with_faults(mut self, schedule: FaultSchedule) -> Self {
         self.faults = schedule.into_sorted();
         self.fault_idx = 0;
