@@ -32,6 +32,7 @@ use smp_crypto::{DigestMap, KeyPair, ProofError, PublicKey, QuorumProof, Signatu
 use smp_telemetry::Telemetry;
 use smp_types::{Microblock, MicroblockId, ReplicaId, SimTime};
 use std::collections::hash_map::Entry;
+use std::sync::Arc;
 
 /// Probability `α` of requesting a given proof signer during `PAB-Fetch`
 /// (Algorithm 2).
@@ -52,7 +53,8 @@ struct PushState {
 #[derive(Clone, Debug)]
 pub struct PabEngine {
     me: ReplicaId,
-    keys: Vec<PublicKey>,
+    /// Every replica's public key: the deployment's shared directory.
+    keys: Arc<[PublicKey]>,
     my_key: KeyPair,
     quorum: usize,
     fetch_alpha: f64,
@@ -80,11 +82,10 @@ impl PabEngine {
     /// Creates the engine for replica `me` with availability quorum
     /// `quorum` and fetch sampling probability `fetch_alpha`.
     pub fn new(seed: u64, n: usize, me: ReplicaId, quorum: usize, fetch_alpha: f64) -> Self {
-        let keypairs = KeyPair::derive_all(seed, n);
         PabEngine {
             me,
-            keys: keypairs.iter().map(|k| k.public).collect(),
-            my_key: keypairs[me.index()],
+            keys: smp_crypto::directory(seed, n),
+            my_key: KeyPair::derive(seed, me.0),
             quorum,
             fetch_alpha: fetch_alpha.clamp(0.0, 1.0),
             push: DigestMap::default(),

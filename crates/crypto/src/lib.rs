@@ -9,8 +9,9 @@
 //!
 //! * [`hash`] — a 256-bit non-cryptographic digest used for transaction,
 //!   microblock and block identifiers.
-//! * [`keys`] / [`signature`] — per-replica key pairs and 64-byte
-//!   signatures (the paper uses ECDSA; Section VI).
+//! * [`keys`] / [`signature`] — per-replica key pairs, one shared public
+//!   key [`directory`] per deployment, and 64-byte signatures (the paper
+//!   uses ECDSA; Section VI).
 //! * [`proof`] — aggregated availability proofs: a digest, a signer bitmap
 //!   and one aggregate signature, constant in the quorum `q` (a stated
 //!   deviation: the paper concatenates `f+1` ECDSA signatures instead of
@@ -30,6 +31,6 @@ pub mod proof;
 pub mod signature;
 
 pub use hash::{Digest, DigestMap, DigestSet, DigestState, Hasher, DIGEST_BYTES};
-pub use keys::{KeyPair, PublicKey, SecretKey};
+pub use keys::{directory, key_derivations, KeyPair, PublicKey, SecretKey};
 pub use proof::{ProofError, QuorumProof, SIGNATURE_BYTES};
 pub use signature::Signature;

@@ -1,7 +1,7 @@
 //! Property-based tests for the crypto substrate.
 
 use proptest::prelude::*;
-use smp_crypto::{Digest, KeyPair, ProofError, PublicKey, QuorumProof, Signature};
+use smp_crypto::{directory, Digest, KeyPair, ProofError, PublicKey, QuorumProof, Signature};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The per-signature check a proof got when it was a list of signatures:
@@ -73,6 +73,15 @@ proptest! {
         let mut longer = bytes.clone();
         longer.push(extra);
         prop_assert_ne!(Digest::of_bytes(&bytes), Digest::of_bytes(&longer));
+    }
+
+    #[test]
+    fn directory_holds_each_replicas_derived_public_key(seed in any::<u64>(), n in 1usize..64) {
+        let keys = directory(seed, n);
+        prop_assert_eq!(keys.len(), n);
+        for (i, key) in keys.iter().enumerate() {
+            prop_assert_eq!(*key, KeyPair::derive(seed, i as u32).public);
+        }
     }
 
     #[test]

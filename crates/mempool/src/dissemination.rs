@@ -46,6 +46,7 @@ use smp_types::{
     Microblock, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime, SystemConfig,
     Transaction,
 };
+use std::sync::Arc;
 
 /// The two fetch messages every wire family has, so the core can emit
 /// each family's own variants.
@@ -494,7 +495,8 @@ pub fn certifiers(
 /// same bytes, whatever arrives later.
 #[derive(Clone, Debug)]
 pub(crate) struct CertificateBook {
-    keys: Vec<PublicKey>,
+    /// Every replica's public key: the deployment's shared directory.
+    keys: Arc<[PublicKey]>,
     my_key: KeyPair,
     quorum: usize,
     /// Signatures collected per id; a certificate once `quorum` are held.
@@ -504,10 +506,9 @@ pub(crate) struct CertificateBook {
 impl CertificateBook {
     /// An empty book for replica `me`, certifying at `2f + 1` signatures.
     pub(crate) fn new(config: &SystemConfig, me: ReplicaId) -> Self {
-        let keypairs = KeyPair::derive_all(config.seed, config.n);
         CertificateBook {
-            keys: keypairs.iter().map(|k| k.public).collect(),
-            my_key: keypairs[me.index()],
+            keys: smp_crypto::directory(config.seed, config.n),
+            my_key: KeyPair::derive(config.seed, me.0),
             quorum: config.consensus_quorum(),
             proofs: DigestMap::default(),
         }
