@@ -13,7 +13,7 @@
 //! reports that consensus may continue.
 
 use serde::{Deserialize, Serialize};
-use smp_types::{wire, BlockId, Payload, Proposal, ReplicaId, SimTime, View, WireSize};
+use smp_types::{BlockId, Payload, Proposal, ReplicaId, SimTime, View};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Message destination (mirrors the mempool's `Dest`; kept separate so the
@@ -74,31 +74,6 @@ pub enum ConsensusMsg {
         /// Highest quorum-certificate view the sender knows.
         high_qc_view: View,
     },
-}
-
-impl ConsensusMsg {
-    /// Stable label for bandwidth accounting: proposals vs votes.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ConsensusMsg::Propose(_) => "proposal",
-            ConsensusMsg::Vote { .. }
-            | ConsensusMsg::Prepare { .. }
-            | ConsensusMsg::Commit { .. }
-            | ConsensusMsg::NewView { .. } => "vote",
-        }
-    }
-}
-
-impl WireSize for ConsensusMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            ConsensusMsg::Propose(p) => p.wire_size(),
-            ConsensusMsg::Vote { .. }
-            | ConsensusMsg::Prepare { .. }
-            | ConsensusMsg::Commit { .. }
-            | ConsensusMsg::NewView { .. } => wire::VOTE_BYTES,
-        }
-    }
 }
 
 /// Outputs from the engine to the surrounding replica.
@@ -355,27 +330,6 @@ mod tests {
         assert!(!agg.record(View(0), View(23), block(23), ReplicaId(2)));
         assert!(!agg.record(View(0), View(41), block(41), ReplicaId(2)));
         assert_eq!(agg.len(), 18);
-    }
-
-    #[test]
-    fn consensus_msg_kinds_and_sizes() {
-        let p = Proposal::new(
-            View(1),
-            1,
-            BlockId::GENESIS,
-            ReplicaId(0),
-            Payload::Empty,
-            true,
-        );
-        assert_eq!(ConsensusMsg::Propose(p.clone()).kind(), "proposal");
-        let vote = ConsensusMsg::Vote {
-            view: View(1),
-            block: p.id,
-            voter: ReplicaId(1),
-        };
-        assert_eq!(vote.kind(), "vote");
-        assert_eq!(vote.wire_size(), wire::VOTE_BYTES);
-        assert!(ConsensusMsg::Propose(p).wire_size() >= wire::PROPOSAL_HEADER_BYTES);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use smp_crypto::{QuorumProof, Signature};
-use smp_types::{wire, Microblock, MicroblockId, SimTime, WireSize};
+use smp_types::{Microblock, MicroblockId, SimTime};
 
 /// Messages exchanged between Stratus mempool instances.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -50,100 +50,4 @@ pub enum StratusMsg {
     /// DLB: a busy replica forwards a microblock to the chosen proxy for
     /// dissemination on its behalf.
     LbForward(Microblock),
-}
-
-impl StratusMsg {
-    /// Stable label for bandwidth accounting (Table III splits traffic
-    /// into proposals, microblocks, votes and acks).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            StratusMsg::PabMsg(_) => "microblock",
-            StratusMsg::PabAck { .. } => "ack",
-            StratusMsg::PabProof { .. } => "proof",
-            StratusMsg::PabRequest { .. } => "fetch-req",
-            StratusMsg::PabResponse { .. } => "fetch-resp",
-            StratusMsg::LbQuery { .. } | StratusMsg::LbInfo { .. } => "lb-control",
-            StratusMsg::LbForward(_) => "lb-forward",
-        }
-    }
-
-    /// Whether the message is bulk data (subject to the token-bucket
-    /// limiter and the low-priority network lane).
-    pub fn is_bulk_data(&self) -> bool {
-        matches!(
-            self,
-            StratusMsg::PabMsg(_) | StratusMsg::PabResponse { .. } | StratusMsg::LbForward(_)
-        )
-    }
-}
-
-impl WireSize for StratusMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            StratusMsg::PabMsg(mb) | StratusMsg::LbForward(mb) => mb.wire_size(),
-            StratusMsg::PabAck { .. } => wire::ACK_BYTES,
-            StratusMsg::PabProof { proof, .. } => 32 + proof.wire_size(),
-            StratusMsg::PabRequest { ids } => wire::FETCH_REQUEST_BYTES + ids.len() * 32,
-            StratusMsg::PabResponse { mbs } => {
-                16 + mbs.iter().map(WireSize::wire_size).sum::<usize>()
-            }
-            StratusMsg::LbQuery { .. } => wire::LB_QUERY_BYTES,
-            StratusMsg::LbInfo { .. } => wire::LB_QUERY_BYTES + 8,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use smp_crypto::KeyPair;
-    use smp_types::{ClientId, ReplicaId, Transaction};
-
-    fn mb(n: usize) -> Microblock {
-        let txs = (0..n)
-            .map(|i| Transaction::synthetic(ClientId(1), i as u64, 128, 0))
-            .collect();
-        Microblock::seal(ReplicaId(0), txs, 0)
-    }
-
-    #[test]
-    fn data_messages_are_flagged_as_bulk() {
-        assert!(StratusMsg::PabMsg(mb(4)).is_bulk_data());
-        assert!(StratusMsg::LbForward(mb(4)).is_bulk_data());
-        assert!(!StratusMsg::LbQuery { token: 1 }.is_bulk_data());
-        assert!(!StratusMsg::PabProof {
-            id: mb(1).id,
-            proof: QuorumProof::new(mb(1).id.digest())
-        }
-        .is_bulk_data());
-    }
-
-    #[test]
-    fn control_messages_are_small() {
-        let kp = KeyPair::derive(0, 0);
-        let sig = Signature::sign(&kp.secret, &mb(1).id.digest());
-        assert!(StratusMsg::PabAck { id: mb(1).id, sig }.wire_size() <= 128);
-        assert!(StratusMsg::LbQuery { token: 9 }.wire_size() <= 64);
-        assert!(
-            StratusMsg::LbInfo {
-                token: 9,
-                stable_time_us: Some(10)
-            }
-            .wire_size()
-                <= 64
-        );
-    }
-
-    #[test]
-    fn kinds_match_table_iii_vocabulary() {
-        assert_eq!(StratusMsg::PabMsg(mb(1)).kind(), "microblock");
-        assert_eq!(
-            StratusMsg::PabAck {
-                id: mb(1).id,
-                sig: Signature::sign(&KeyPair::derive(0, 0).secret, &mb(1).id.digest())
-            }
-            .kind(),
-            "ack"
-        );
-    }
 }

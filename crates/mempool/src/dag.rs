@@ -40,8 +40,8 @@ use serde::{Deserialize, Serialize};
 use smp_crypto::{Digest, DigestSet, Hasher, SecretKey, Signature};
 use smp_telemetry::Telemetry;
 use smp_types::{
-    wire, DagMode, Microblock, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime,
-    SystemConfig, Transaction, WireSize,
+    DagMode, Microblock, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime,
+    SystemConfig, Transaction,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -161,36 +161,12 @@ pub enum DagMsg {
     },
 }
 
-impl DagMsg {
-    /// Stable label for bandwidth accounting.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            DagMsg::Block(b) if b.batch.is_some() => "microblock",
-            DagMsg::Block(_) => "dag-ack",
-            DagMsg::Fetch { .. } => "fetch-req",
-            DagMsg::FetchResp { .. } => "fetch-resp",
-        }
-    }
-}
-
 impl FetchWire for DagMsg {
     fn fetch(ids: Vec<MicroblockId>) -> Self {
         DagMsg::Fetch { ids }
     }
     fn fetch_resp(mbs: Vec<Microblock>) -> Self {
         DagMsg::FetchResp { mbs }
-    }
-}
-
-impl WireSize for DagMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            // Header (creator, round, seq, counts, signature) + one edge
-            // per parent + (id, signature) per ack + the batch body.
-            DagMsg::Block(b) => 40 + b.parents.len() * 12 + b.acks.len() * 44 + b.batch.wire_size(),
-            DagMsg::Fetch { ids } => wire::FETCH_REQUEST_BYTES + ids.len() * 32,
-            DagMsg::FetchResp { mbs } => 16 + mbs.iter().map(WireSize::wire_size).sum::<usize>(),
-        }
     }
 }
 

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use smp_crypto::{QuorumProof, Signature};
-use smp_types::{wire, Microblock, MicroblockId, ReplicaId, WireSize};
+use smp_types::{Microblock, MicroblockId, ReplicaId};
 
 /// Messages exchanged by the best-effort and gossip shared mempools.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -26,29 +26,6 @@ pub enum SmpMsg {
         /// The returned microblocks.
         mbs: Vec<Microblock>,
     },
-}
-
-impl SmpMsg {
-    /// Stable label for bandwidth accounting.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            SmpMsg::Microblock(_) => "microblock",
-            SmpMsg::Gossip { .. } => "microblock",
-            SmpMsg::Fetch { .. } => "fetch-req",
-            SmpMsg::FetchResp { .. } => "fetch-resp",
-        }
-    }
-}
-
-impl WireSize for SmpMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            SmpMsg::Microblock(mb) => mb.wire_size(),
-            SmpMsg::Gossip { mb, .. } => mb.wire_size() + 1,
-            SmpMsg::Fetch { ids } => wire::FETCH_REQUEST_BYTES + ids.len() * 32,
-            SmpMsg::FetchResp { mbs } => 16 + mbs.iter().map(WireSize::wire_size).sum::<usize>(),
-        }
-    }
 }
 
 /// Messages exchanged by the Narwhal-style reliable-broadcast mempool.
@@ -91,68 +68,4 @@ pub enum NarwhalMsg {
         /// The returned batches.
         mbs: Vec<Microblock>,
     },
-}
-
-impl NarwhalMsg {
-    /// Stable label for bandwidth accounting.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            NarwhalMsg::Batch(_) => "microblock",
-            NarwhalMsg::Echo { .. } => "rb-echo",
-            NarwhalMsg::Ready { .. } => "rb-ready",
-            NarwhalMsg::Certificate { .. } => "rb-cert",
-            NarwhalMsg::Fetch { .. } => "fetch-req",
-            NarwhalMsg::FetchResp { .. } => "fetch-resp",
-        }
-    }
-}
-
-impl WireSize for NarwhalMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            NarwhalMsg::Batch(mb) => mb.wire_size(),
-            NarwhalMsg::Echo { .. } | NarwhalMsg::Ready { .. } => wire::ACK_BYTES,
-            NarwhalMsg::Certificate { proof, .. } => 40 + proof.wire_size(),
-            NarwhalMsg::Fetch { ids } => wire::FETCH_REQUEST_BYTES + ids.len() * 32,
-            NarwhalMsg::FetchResp { mbs } => {
-                16 + mbs.iter().map(WireSize::wire_size).sum::<usize>()
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use smp_types::{ClientId, Transaction};
-
-    fn mb(n: usize) -> Microblock {
-        let txs = (0..n)
-            .map(|i| Transaction::synthetic(ClientId(0), i as u64, 128, 0))
-            .collect();
-        Microblock::seal(ReplicaId(0), txs, 0)
-    }
-
-    #[test]
-    fn smp_msg_kinds_and_sizes() {
-        let m = SmpMsg::Microblock(mb(10));
-        assert_eq!(m.kind(), "microblock");
-        assert!(m.wire_size() > 10 * 128);
-        let f = SmpMsg::Fetch {
-            ids: vec![mb(1).id, mb(2).id],
-        };
-        assert_eq!(f.kind(), "fetch-req");
-        assert!(f.wire_size() < 200);
-        let g = SmpMsg::Gossip { mb: mb(5), hops: 3 };
-        assert_eq!(g.kind(), "microblock");
-    }
-
-    #[test]
-    fn narwhal_control_messages_are_small() {
-        let kp = smp_crypto::KeyPair::derive(1, 0);
-        let sig = Signature::sign(&kp.secret, &mb(1).id.digest());
-        assert!(NarwhalMsg::Echo { id: mb(1).id, sig }.wire_size() <= 128);
-        assert!(NarwhalMsg::Ready { id: mb(1).id, sig }.wire_size() <= 128);
-        assert_eq!(NarwhalMsg::Batch(mb(3)).kind(), "microblock");
-    }
 }

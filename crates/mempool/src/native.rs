@@ -19,12 +19,6 @@ pub const MAX_INLINE_TXS_PER_PROPOSAL: usize = 8_000;
 #[derive(Clone, Debug, PartialEq)]
 pub enum NativeMsg {}
 
-impl smp_types::WireSize for NativeMsg {
-    fn wire_size(&self) -> usize {
-        match *self {}
-    }
-}
-
 /// The native mempool.
 #[derive(Clone, Debug)]
 pub struct NativeMempool {

@@ -12,14 +12,17 @@
 //! | `TRACE`   | retained spans as a compact chrome://tracing document  |
 //! | `QUIT`    | `bye`, then the connection closes                      |
 //!
-//! Anything else answers `err unknown command ...`.  The endpoint is an
-//! observer only: it reads shared telemetry state, never the protocol's.
+//! Anything else answers `err unknown command ...`.  A line that reaches
+//! 64 bytes without its newline answers `err line too long` and the
+//! connection closes: the endpoint never holds more of a line than that.
+//! The endpoint is an observer only: it reads shared telemetry state,
+//! never the protocol's.
 //! Before `METRICS`/`SERIES` it runs the state's refresh hook (which
 //! typically mirrors [`NetStats`](crate::NetStats) atomics into the
 //! registry) so replies reflect the counters as of the request.
 
 use smp_telemetry::{FlightRecorder, Telemetry};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -126,17 +129,28 @@ fn accept_admin(listener: TcpListener, state: AdminState, stop: Arc<AtomicBool>)
     }
 }
 
+/// Longest line read, newline included; the longest command is 7 bytes.
+const MAX_LINE_BYTES: u64 = 64;
+
 fn serve_client(stream: TcpStream, state: &AdminState) -> io::Result<()> {
     stream.set_nonblocking(false)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        let read = (&mut reader)
+            .take(MAX_LINE_BYTES)
+            .read_until(b'\n', &mut line)?;
+        if read == 0 {
             return Ok(()); // client hung up
         }
-        let cmd = line.trim().to_ascii_uppercase();
+        if read as u64 == MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+            writer.write_all(b"err line too long\n")?;
+            // FIN after the reply, before the close resets over unread bytes.
+            return writer.shutdown(Shutdown::Write);
+        }
+        let cmd = String::from_utf8_lossy(&line).trim().to_ascii_uppercase();
         let reply = match cmd.as_str() {
             "" => continue,
             "HEALTH" => {
@@ -281,6 +295,34 @@ mod tests {
         stream.write_all(b"HEALTH\n").ok();
         let mut reply = String::new();
         BufReader::new(stream).read_line(&mut reply).is_err() || reply.is_empty()
+    }
+
+    #[test]
+    fn an_endless_line_is_refused_not_buffered() {
+        let state = AdminState {
+            replica: 0,
+            telemetry: Telemetry::wall_clock(),
+            recorder: None,
+            refresh: None,
+            net: None,
+        };
+        let admin =
+            spawn_admin("127.0.0.1:0".parse().unwrap(), state).expect("spawn admin endpoint");
+        let stream = TcpStream::connect(admin.addr()).expect("connect admin");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let mut sender = stream.try_clone().unwrap();
+        // 1 MiB with no newline; the write fails once the endpoint closes.
+        let flood = thread::spawn(move || drop(sender.write_all(&vec![b'A'; 1 << 20])));
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("a reply within 2 s");
+        assert_eq!(reply, "err line too long\n");
+        reply.clear();
+        let after = reader.read_line(&mut reply).expect("EOF within 2 s");
+        assert_eq!(after, 0, "the connection closes after the refusal");
+        flood.join().unwrap();
     }
 
     #[test]

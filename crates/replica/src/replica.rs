@@ -473,7 +473,7 @@ where
         match &self.payload {
             ReplicaPayload::Mempool(m) => m.is_bulk(),
             ReplicaPayload::Consensus(_) => false,
-            ReplicaPayload::Sync(s) => matches!(s, SyncMsg::Response { .. }),
+            ReplicaPayload::Sync(s) => s.is_bulk(),
         }
     }
 }

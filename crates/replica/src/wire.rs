@@ -1,11 +1,15 @@
-//! The unified wire message of a replica and its cost model.
+//! The unified wire message of a replica and its model.
 //!
-//! A replica exchanges two families of messages: consensus messages
-//! (proposals, votes) and mempool messages (microblocks, acks, proofs,
-//! fetches, load-balancing control).  [`ReplicaMsg`] wraps both so the
-//! network simulator sees a single message type per protocol, and carries
-//! the priority bit used by the Stratus "prioritize consensus messages"
-//! optimization.
+//! A replica exchanges three families of messages: consensus messages
+//! (proposals, votes), mempool messages (microblocks, acks, proofs,
+//! fetches, load-balancing control) and state transfer.  [`ReplicaMsg`]
+//! wraps them so the network simulator sees a single message type per
+//! protocol, and carries the priority bit used by the Stratus "prioritize
+//! consensus messages" optimization.
+//!
+//! Everything about a message on the wire is decided here: the simulator's
+//! label, bytes ([`size`]), lane and CPU cost ([`cost`]), and the socket
+//! encoding ([`codec`]).
 
 pub mod codec;
 
@@ -15,6 +19,65 @@ use smp_mempool::{DagMsg, NarwhalMsg, NativeMsg, SmpMsg};
 use smp_shard::ShardedMsg;
 use smp_types::{Microblock, TxId, WireSize};
 use stratus::StratusMsg;
+
+/// The modelled wire bytes of each message: its own header fields from
+/// this table plus the [`WireSize`] of the data it carries (`smp_types`,
+/// `smp_crypto`).  Every `wire_size` below reads it.  The values and the
+/// order of their sums are what the recorded goldens and baselines were
+/// made with: changing one is a deliberate re-record.
+pub mod size {
+    use smp_types::{Microblock, WireSize};
+
+    /// Any consensus vote: the paper's ~100 B (introduction); view 8,
+    /// block hash 32, voter 4, signature 64.
+    pub const VOTE: usize = 108;
+    /// A PAB ack, Bracha echo or ready: the paper's ~100 B (Table III);
+    /// microblock id 32, signer 4, signature 64.
+    pub const ACK: usize = 100;
+    /// A DLB load query.  Nothing records why 48 B.
+    pub const LB_QUERY: usize = 48;
+    /// A fetch request before its ids: recorded as "microblock id +
+    /// requester" when a request named one id.
+    pub const FETCH_REQUEST: usize = 44;
+    /// A microblock or transaction id in a list: one digest.
+    pub const ID: usize = smp_crypto::DIGEST_BYTES;
+    /// A fetch response before its microblocks.  Nothing records why 16 B.
+    pub const FETCH_RESPONSE: usize = 16;
+    /// A PAB proof message before the proof: the microblock id.
+    pub const PROOF_HEADER: usize = 32;
+    /// A Narwhal certificate before the proof: batch id 32, creator 4,
+    /// transaction count 4.
+    pub const CERTIFICATE_HEADER: usize = 40;
+    /// A gossip relay's hop budget: a `u8`.
+    pub const GOSSIP_HOPS: usize = 1;
+    /// A DLB load reply's stable-time estimate, on top of [`LB_QUERY`]: a
+    /// `u64`.
+    pub const LB_ESTIMATE: usize = 8;
+    /// A DAG block's header (creator, round, seq, counts, signature), its
+    /// signature at the codec's 12-byte stand-in, not 64 B.
+    pub const DAG_BLOCK_HEADER: usize = 40;
+    /// A DAG parent edge: creator 4, round 8.
+    pub const DAG_EDGE: usize = 12;
+    /// A DAG block's ack: batch id 32 and the codec's 12-byte signature
+    /// stand-in, where [`ACK`] charges 64.
+    pub const DAG_ACK: usize = 44;
+    /// A state-transfer request: first missing index 8, and 4 B nothing
+    /// records.
+    pub const SYNC_REQUEST: usize = 12;
+    /// A state-transfer response before its [`ID`]s: first index 8,
+    /// count 8.
+    pub const SYNC_RESPONSE: usize = 16;
+
+    /// A fetch request naming `ids` microblocks.
+    pub fn fetch_request(ids: usize) -> usize {
+        FETCH_REQUEST + ids * ID
+    }
+
+    /// A fetch response returning `mbs`.
+    pub fn fetch_response(mbs: &[Microblock]) -> usize {
+        FETCH_RESPONSE + mbs.iter().map(WireSize::wire_size).sum::<usize>()
+    }
+}
 
 /// The receiver CPU cost model: what the simulator charges a replica, in
 /// microseconds, to handle each message before its handler runs.  Every
@@ -91,10 +154,14 @@ fn bodies_us(mbs: &[Microblock]) -> f64 {
     body_us(mbs.iter().map(|m| m.len()).sum())
 }
 
-/// Mempool message types routable by a replica.
-pub trait MempoolWire: WireSize + Clone + std::fmt::Debug {
-    /// Stable label for bandwidth accounting.
+/// Mempool message types routable by a replica.  Each family's impl below
+/// is that family's whole model on the simulated wire.
+pub trait MempoolWire: Clone + std::fmt::Debug {
+    /// Stable label for bandwidth accounting (Table III splits traffic
+    /// into proposals, microblocks, votes and acks).
     fn kind(&self) -> &'static str;
+    /// Modelled bytes on the wire.
+    fn wire_size(&self) -> usize;
     /// Whether the message is bulk data (low priority lane).
     fn is_bulk(&self) -> bool;
     /// CPU cost of handling the message at the receiver, in microseconds.
@@ -104,6 +171,9 @@ pub trait MempoolWire: WireSize + Clone + std::fmt::Debug {
 /// The native mempool sends nothing: no value of [`NativeMsg`] exists.
 impl MempoolWire for NativeMsg {
     fn kind(&self) -> &'static str {
+        match *self {}
+    }
+    fn wire_size(&self) -> usize {
         match *self {}
     }
     fn is_bulk(&self) -> bool {
@@ -116,7 +186,19 @@ impl MempoolWire for NativeMsg {
 
 impl MempoolWire for SmpMsg {
     fn kind(&self) -> &'static str {
-        SmpMsg::kind(self)
+        match self {
+            SmpMsg::Microblock(_) | SmpMsg::Gossip { .. } => "microblock",
+            SmpMsg::Fetch { .. } => "fetch-req",
+            SmpMsg::FetchResp { .. } => "fetch-resp",
+        }
+    }
+    fn wire_size(&self) -> usize {
+        match self {
+            SmpMsg::Microblock(mb) => mb.wire_size(),
+            SmpMsg::Gossip { mb, .. } => mb.wire_size() + size::GOSSIP_HOPS,
+            SmpMsg::Fetch { ids } => size::fetch_request(ids.len()),
+            SmpMsg::FetchResp { mbs } => size::fetch_response(mbs),
+        }
     }
     fn is_bulk(&self) -> bool {
         matches!(
@@ -135,7 +217,23 @@ impl MempoolWire for SmpMsg {
 
 impl MempoolWire for NarwhalMsg {
     fn kind(&self) -> &'static str {
-        NarwhalMsg::kind(self)
+        match self {
+            NarwhalMsg::Batch(_) => "microblock",
+            NarwhalMsg::Echo { .. } => "rb-echo",
+            NarwhalMsg::Ready { .. } => "rb-ready",
+            NarwhalMsg::Certificate { .. } => "rb-cert",
+            NarwhalMsg::Fetch { .. } => "fetch-req",
+            NarwhalMsg::FetchResp { .. } => "fetch-resp",
+        }
+    }
+    fn wire_size(&self) -> usize {
+        match self {
+            NarwhalMsg::Batch(mb) => mb.wire_size(),
+            NarwhalMsg::Echo { .. } | NarwhalMsg::Ready { .. } => size::ACK,
+            NarwhalMsg::Certificate { proof, .. } => size::CERTIFICATE_HEADER + proof.wire_size(),
+            NarwhalMsg::Fetch { ids } => size::fetch_request(ids.len()),
+            NarwhalMsg::FetchResp { mbs } => size::fetch_response(mbs),
+        }
     }
     fn is_bulk(&self) -> bool {
         matches!(self, NarwhalMsg::Batch(_) | NarwhalMsg::FetchResp { .. })
@@ -153,13 +251,28 @@ impl MempoolWire for NarwhalMsg {
 
 impl MempoolWire for DagMsg {
     fn kind(&self) -> &'static str {
-        DagMsg::kind(self)
+        match self {
+            DagMsg::Block(b) if b.batch.is_some() => "microblock",
+            DagMsg::Block(_) => "dag-ack",
+            DagMsg::Fetch { .. } => "fetch-req",
+            DagMsg::FetchResp { .. } => "fetch-resp",
+        }
+    }
+    fn wire_size(&self) -> usize {
+        match self {
+            DagMsg::Block(b) => {
+                size::DAG_BLOCK_HEADER
+                    + b.parents.len() * size::DAG_EDGE
+                    + b.acks.len() * size::DAG_ACK
+                    + b.batch.wire_size()
+            }
+            DagMsg::Fetch { ids } => size::fetch_request(ids.len()),
+            DagMsg::FetchResp { mbs } => size::fetch_response(mbs),
+        }
     }
     fn is_bulk(&self) -> bool {
-        matches!(
-            self,
-            DagMsg::Block(b) if b.batch.is_some()
-        ) || matches!(self, DagMsg::FetchResp { .. })
+        matches!(self, DagMsg::Block(b) if b.batch.is_some())
+            || matches!(self, DagMsg::FetchResp { .. })
     }
     fn cpu_cost_us(&self) -> f64 {
         match self {
@@ -177,10 +290,32 @@ impl MempoolWire for DagMsg {
 
 impl MempoolWire for StratusMsg {
     fn kind(&self) -> &'static str {
-        StratusMsg::kind(self)
+        match self {
+            StratusMsg::PabMsg(_) => "microblock",
+            StratusMsg::PabAck { .. } => "ack",
+            StratusMsg::PabProof { .. } => "proof",
+            StratusMsg::PabRequest { .. } => "fetch-req",
+            StratusMsg::PabResponse { .. } => "fetch-resp",
+            StratusMsg::LbQuery { .. } | StratusMsg::LbInfo { .. } => "lb-control",
+            StratusMsg::LbForward(_) => "lb-forward",
+        }
+    }
+    fn wire_size(&self) -> usize {
+        match self {
+            StratusMsg::PabMsg(mb) | StratusMsg::LbForward(mb) => mb.wire_size(),
+            StratusMsg::PabAck { .. } => size::ACK,
+            StratusMsg::PabProof { proof, .. } => size::PROOF_HEADER + proof.wire_size(),
+            StratusMsg::PabRequest { ids } => size::fetch_request(ids.len()),
+            StratusMsg::PabResponse { mbs } => size::fetch_response(mbs),
+            StratusMsg::LbQuery { .. } => size::LB_QUERY,
+            StratusMsg::LbInfo { .. } => size::LB_QUERY + size::LB_ESTIMATE,
+        }
     }
     fn is_bulk(&self) -> bool {
-        self.is_bulk_data()
+        matches!(
+            self,
+            StratusMsg::PabMsg(_) | StratusMsg::PabResponse { .. } | StratusMsg::LbForward(_)
+        )
     }
     fn cpu_cost_us(&self) -> f64 {
         match self {
@@ -202,6 +337,9 @@ impl MempoolWire for StratusMsg {
 impl<M: MempoolWire> MempoolWire for ShardedMsg<M> {
     fn kind(&self) -> &'static str {
         self.inner.kind()
+    }
+    fn wire_size(&self) -> usize {
+        self.inner.wire_size()
     }
     fn is_bulk(&self) -> bool {
         self.inner.is_bulk()
@@ -255,6 +393,14 @@ pub enum SyncMsg {
     },
 }
 
+impl SyncMsg {
+    /// Whether the message is bulk data: responses are; requests ride the
+    /// priority lane (they are tiny and latency-bound).
+    pub(crate) fn is_bulk(&self) -> bool {
+        matches!(self, SyncMsg::Response { .. })
+    }
+}
+
 impl<MM: MempoolWire> ReplicaMsg<MM> {
     /// Wraps a consensus message.
     pub fn consensus(msg: ConsensusMsg, priority: bool) -> Self {
@@ -272,10 +418,9 @@ impl<MM: MempoolWire> ReplicaMsg<MM> {
         }
     }
 
-    /// Wraps a recovery message.  Requests ride the priority lane (they
-    /// are tiny and latency-bound); responses are bulk data.
+    /// Wraps a recovery message on its lane (`SyncMsg::is_bulk`).
     pub fn sync(msg: SyncMsg) -> Self {
-        let priority = matches!(msg, SyncMsg::Request { .. });
+        let priority = !msg.is_bulk();
         ReplicaMsg {
             payload: ReplicaPayload::Sync(msg),
             priority,
@@ -286,19 +431,22 @@ impl<MM: MempoolWire> ReplicaMsg<MM> {
 impl<MM: MempoolWire> SimMessage for ReplicaMsg<MM> {
     fn wire_size(&self) -> usize {
         match &self.payload {
-            ReplicaPayload::Consensus(c) => c.wire_size(),
+            ReplicaPayload::Consensus(c) => match c {
+                ConsensusMsg::Propose(p) => p.wire_size(),
+                _ => size::VOTE,
+            },
             ReplicaPayload::Mempool(m) => m.wire_size(),
             ReplicaPayload::Sync(s) => match s {
-                SyncMsg::Request { .. } => 12,
-                SyncMsg::Response { entries, .. } => 16 + 32 * entries.len(),
+                SyncMsg::Request { .. } => size::SYNC_REQUEST,
+                SyncMsg::Response { entries, .. } => size::SYNC_RESPONSE + size::ID * entries.len(),
             },
         }
     }
 
     fn kind(&self) -> &'static str {
         match &self.payload {
-            ReplicaPayload::Consensus(c) => match c.kind() {
-                "proposal" => "proposal",
+            ReplicaPayload::Consensus(c) => match c {
+                ConsensusMsg::Propose(_) => "proposal",
                 _ => "vote",
             },
             ReplicaPayload::Mempool(m) => m.kind(),

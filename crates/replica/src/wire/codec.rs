@@ -840,6 +840,46 @@ where
 mod tests {
     use super::*;
 
+    /// A decode failure whose label `smp_net::DECODE_TAXONOMY` does not
+    /// list is counted as `"other"`.  The match has no wildcard, so a new
+    /// variant must take the next position here and a value in `all`.
+    #[test]
+    fn every_decode_error_label_is_countable() {
+        let position = |e: &DecodeError| match e {
+            DecodeError::Truncated { .. } => 0,
+            DecodeError::BadMagic(_) => 1,
+            DecodeError::BadVersion(_) => 2,
+            DecodeError::BadFlags(_) => 3,
+            DecodeError::OversizedFrame(_) => 4,
+            DecodeError::BadTag { .. } => 5,
+            DecodeError::BadBool(_) => 6,
+            DecodeError::TrailingBytes(_) => 7,
+            DecodeError::NestedShardGroup => 8,
+        };
+        let all = [
+            DecodeError::Truncated { needed: 2, have: 1 },
+            DecodeError::BadMagic(*b"nope"),
+            DecodeError::BadVersion(0),
+            DecodeError::BadFlags(0x80),
+            DecodeError::OversizedFrame(usize::MAX),
+            DecodeError::BadTag {
+                context: "test",
+                tag: 0xff,
+            },
+            DecodeError::BadBool(2),
+            DecodeError::TrailingBytes(1),
+            DecodeError::NestedShardGroup,
+        ];
+        for (i, e) in all.iter().enumerate() {
+            assert_eq!(position(e), i, "{e:?} is out of place");
+            let label = e.taxonomy();
+            assert!(
+                label != "other" && smp_net::DECODE_TAXONOMY.contains(&label),
+                "{e:?}: label {label} is not in smp_net::DECODE_TAXONOMY"
+            );
+        }
+    }
+
     fn mb(n: usize) -> Microblock {
         let txs = (0..n)
             .map(|i| Transaction::synthetic(ClientId(2), i as u64, 64, 5))

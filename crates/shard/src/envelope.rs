@@ -1,7 +1,5 @@
 //! The per-shard message envelope.
 
-use smp_types::WireSize;
-
 /// A mempool message tagged with the dissemination shard it belongs to.
 ///
 /// Shard-`j` instances across replicas form one logical broadcast group;
@@ -22,31 +20,5 @@ impl<M> ShardedMsg<M> {
     /// Wraps `inner` for `shard`.
     pub fn new(shard: u16, inner: M) -> Self {
         ShardedMsg { shard, inner }
-    }
-}
-
-impl<M: WireSize> WireSize for ShardedMsg<M> {
-    fn wire_size(&self) -> usize {
-        self.inner.wire_size()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[derive(Clone, Debug, PartialEq)]
-    struct Fake(usize);
-    impl WireSize for Fake {
-        fn wire_size(&self) -> usize {
-            self.0
-        }
-    }
-
-    #[test]
-    fn envelope_is_wire_transparent() {
-        let m = ShardedMsg::new(3, Fake(480));
-        assert_eq!(m.wire_size(), 480);
-        assert_eq!(m.shard, 3);
     }
 }

@@ -24,4 +24,4 @@ pub use microblock::Microblock;
 pub use proposal::{MicroblockRef, Payload, Proposal, SHARD_GROUP_TAG_BYTES};
 pub use time::{SimTime, MICROS_PER_MS, MICROS_PER_SEC};
 pub use transaction::Transaction;
-pub use wire::{WireSize, PROPOSAL_HEADER_BYTES, TX_OVERHEAD_BYTES, VOTE_BYTES};
+pub use wire::{WireSize, PROPOSAL_HEADER_BYTES, TX_OVERHEAD_BYTES};

@@ -1,11 +1,12 @@
-//! Wire-size modelling.
+//! Wire-size modelling of the data types.
 //!
 //! The paper's bandwidth analysis (Table III, Appendix A/B) depends on the
 //! relative sizes of transactions (~128 B payload), microblocks (tens of
 //! kilobytes), proposals (ids + proofs vs. full data), votes and acks
-//! (~100 B).  Every message type in the reproduction implements
-//! [`WireSize`] using the constants below so bandwidth accounting is
-//! consistent across protocols.
+//! (~100 B).  The data a message carries implements [`WireSize`] with the
+//! constants below, and mempool policy reads those sizes: the batcher's
+//! fill, the Stratus limiter, the sharded proposal budget.  What a message
+//! adds on top is decided in one place, `smp_replica::wire`.
 
 /// Per-transaction framing overhead in bytes (id + client + sequence).
 pub const TX_OVERHEAD_BYTES: usize = 40;
@@ -16,13 +17,6 @@ pub const MICROBLOCK_HEADER_BYTES: usize = 48;
 /// Header bytes of a proposal/block (view, parent hash, payload root,
 /// proposer, height).
 pub const PROPOSAL_HEADER_BYTES: usize = 120;
-
-/// Size of a consensus vote message (view, block hash, signature), matching
-/// the ~100 B figure quoted in the paper's introduction.
-pub const VOTE_BYTES: usize = 108;
-
-/// Size of a PAB acknowledgement (microblock id + signature share).
-pub const ACK_BYTES: usize = 100;
 
 /// Size of a quorum certificate reference embedded in a proposal header:
 /// the certified block's hash (32 B) and one aggregate signature (64 B),
@@ -35,12 +29,6 @@ pub const ACK_BYTES: usize = 100;
 /// at n = 4, 104 B at n = 64, 109 B at n = 100, at any quorum.  Nothing is
 /// charged per signature, so a proposal's size does not grow with `f`.
 pub const QC_BYTES: usize = 96;
-
-/// Size of a load-balancing query / info message.
-pub const LB_QUERY_BYTES: usize = 48;
-
-/// Size of a fetch request (microblock id + requester).
-pub const FETCH_REQUEST_BYTES: usize = 44;
 
 /// Types that know how many bytes they occupy on the (simulated) wire.
 pub trait WireSize {
@@ -87,11 +75,5 @@ mod tests {
     fn option_wire_size() {
         assert_eq!(Some(Fixed(7)).wire_size(), 7);
         assert_eq!(Option::<Fixed>::None.wire_size(), 0);
-    }
-
-    #[test]
-    #[allow(clippy::assertions_on_constants, clippy::manual_range_contains)]
-    fn vote_is_roughly_100_bytes() {
-        assert!(VOTE_BYTES >= 90 && VOTE_BYTES <= 128);
     }
 }
