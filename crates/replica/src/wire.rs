@@ -543,4 +543,10 @@ mod tests {
         let b: ReplicaMsg<SmpMsg> = ReplicaMsg::consensus(ConsensusMsg::Propose(big), false);
         assert!(b.cpu_cost_us() > s.cpu_cost_us());
     }
+
+    #[test]
+    #[allow(clippy::assertions_on_constants, clippy::manual_range_contains)]
+    fn vote_is_roughly_100_bytes() {
+        assert!(size::VOTE >= 90 && size::VOTE <= 128);
+    }
 }

@@ -66,3 +66,126 @@ mod tests {
         assert_eq!(cfg.n, 4);
     }
 }
+
+/// The messages of `mempool::messages` and `stratus::messages`, as
+/// `replica::wire` models them: label, bytes and lane.
+#[cfg(test)]
+mod messages {
+    mod tests {
+        use crate::crypto::{KeyPair, QuorumProof, Signature};
+        use crate::mempool::{NarwhalMsg, SmpMsg};
+        use crate::replica::MempoolWire;
+        use crate::stratus::StratusMsg;
+        use crate::types::{ClientId, Microblock, ReplicaId, Transaction};
+
+        fn mb(n: usize) -> Microblock {
+            let txs = (0..n)
+                .map(|i| Transaction::synthetic(ClientId(0), i as u64, 128, 0))
+                .collect();
+            Microblock::seal(ReplicaId(0), txs, 0)
+        }
+
+        #[test]
+        fn smp_msg_kinds_and_sizes() {
+            let m = SmpMsg::Microblock(mb(10));
+            assert_eq!(m.kind(), "microblock");
+            assert!(m.wire_size() > 10 * 128);
+            let f = SmpMsg::Fetch {
+                ids: vec![mb(1).id, mb(2).id],
+            };
+            assert_eq!(f.kind(), "fetch-req");
+            assert!(f.wire_size() < 200);
+            let g = SmpMsg::Gossip { mb: mb(5), hops: 3 };
+            assert_eq!(g.kind(), "microblock");
+        }
+
+        #[test]
+        fn narwhal_control_messages_are_small() {
+            let kp = KeyPair::derive(1, 0);
+            let sig = Signature::sign(&kp.secret, &mb(1).id.digest());
+            assert!(NarwhalMsg::Echo { id: mb(1).id, sig }.wire_size() <= 128);
+            assert!(NarwhalMsg::Ready { id: mb(1).id, sig }.wire_size() <= 128);
+            assert_eq!(NarwhalMsg::Batch(mb(3)).kind(), "microblock");
+        }
+
+        #[test]
+        fn data_messages_are_flagged_as_bulk() {
+            assert!(StratusMsg::PabMsg(mb(4)).is_bulk());
+            assert!(StratusMsg::LbForward(mb(4)).is_bulk());
+            assert!(!StratusMsg::LbQuery { token: 1 }.is_bulk());
+            assert!(!StratusMsg::PabProof {
+                id: mb(1).id,
+                proof: QuorumProof::new(mb(1).id.digest())
+            }
+            .is_bulk());
+        }
+
+        #[test]
+        fn control_messages_are_small() {
+            let kp = KeyPair::derive(0, 0);
+            let sig = Signature::sign(&kp.secret, &mb(1).id.digest());
+            assert!(StratusMsg::PabAck { id: mb(1).id, sig }.wire_size() <= 128);
+            assert!(StratusMsg::LbQuery { token: 9 }.wire_size() <= 64);
+            assert!(
+                StratusMsg::LbInfo {
+                    token: 9,
+                    stable_time_us: Some(10)
+                }
+                .wire_size()
+                    <= 64
+            );
+        }
+
+        #[test]
+        fn kinds_match_table_iii_vocabulary() {
+            assert_eq!(StratusMsg::PabMsg(mb(1)).kind(), "microblock");
+            assert_eq!(
+                StratusMsg::PabAck {
+                    id: mb(1).id,
+                    sig: Signature::sign(&KeyPair::derive(0, 0).secret, &mb(1).id.digest())
+                }
+                .kind(),
+                "ack"
+            );
+        }
+    }
+}
+
+/// The messages of `consensus::api`, as `replica::wire` models them:
+/// label and bytes.
+#[cfg(test)]
+mod api {
+    mod tests {
+        use crate::consensus::ConsensusMsg;
+        use crate::mempool::SmpMsg;
+        use crate::replica::wire::size;
+        use crate::replica::ReplicaMsg;
+        use crate::simnet::SimMessage;
+        use crate::types::{BlockId, Payload, Proposal, ReplicaId, View, PROPOSAL_HEADER_BYTES};
+
+        fn wrap(msg: ConsensusMsg) -> ReplicaMsg<SmpMsg> {
+            ReplicaMsg::consensus(msg, false)
+        }
+
+        #[test]
+        fn consensus_msg_kinds_and_sizes() {
+            let p = Proposal::new(
+                View(1),
+                1,
+                BlockId::GENESIS,
+                ReplicaId(0),
+                Payload::Empty,
+                true,
+            );
+            assert_eq!(wrap(ConsensusMsg::Propose(p.clone())).kind(), "proposal");
+            let vote = wrap(ConsensusMsg::Vote {
+                view: View(1),
+                block: p.id,
+                voter: ReplicaId(1),
+            });
+            assert_eq!(vote.kind(), "vote");
+            assert_eq!(vote.wire_size(), size::VOTE);
+            assert!(wrap(ConsensusMsg::Propose(p)).wire_size() >= PROPOSAL_HEADER_BYTES);
+        }
+    }
+}
