@@ -9,7 +9,8 @@
 //! A short tail, [`KEPT_VIEWS`] views deep, and nothing else.  [`Chain`]
 //! drops every block — committed or not — whose view is more than that
 //! below the last committed block's, and refuses to take one back, so a
-//! block that left can not commit a second time.  The pacemaker's
+//! block that left can not commit a second time.  Of a committed block it
+//! keeps the header only: the payload leaves with the `Committed` event.  The pacemaker's
 //! once-per-view sets and every [`VoteAggregator`] drop what lies that far
 //! below the *current* view and open nothing there, so a late or replayed
 //! vote can not re-create a quorum that fired.  The floors go by view
@@ -28,7 +29,9 @@
 
 use crate::api::{CEffects, CEvent, ConsensusMsg, VoteAggregator};
 use smp_crypto::{DigestMap, DigestSet};
-use smp_types::{BlockId, Proposal, ReplicaId, SimTime, SystemConfig, View, MICROS_PER_MS};
+use smp_types::{
+    BlockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, View, MICROS_PER_MS,
+};
 use std::collections::{BTreeSet, HashSet};
 
 /// How long a view may last before its replicas give up on it and move to
@@ -124,17 +127,14 @@ impl Chain {
     /// (ROADMAP: block sync): a PBFT / MirBFT commit quorum that fires
     /// before its block arrives never commits it.
     pub(crate) fn commit(&mut self, id: &BlockId, fx: &mut CEffects) -> bool {
-        let Some(p) = self
-            .blocks
-            .get(id)
-            .filter(|p| !self.committed.contains(&p.id))
-        else {
-            return false;
-        };
-        let proposal = p.clone();
-        self.mark_committed(proposal.id, proposal.view);
-        fx.event(CEvent::Committed { proposal });
-        true
+        match self.blocks.get(id) {
+            Some(p) if !self.committed.contains(&p.id) => {
+                let view = p.view;
+                self.emit_committed(*id, view, fx);
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Commits `tip` and every uncommitted ancestor, oldest first.
@@ -144,13 +144,25 @@ impl Chain {
         let mut chain = Vec::new();
         let mut cursor = self.blocks.get(&tip);
         while let Some(p) = cursor.filter(|p| !self.committed.contains(&p.id)) {
-            chain.push(p.clone());
+            chain.push((p.id, p.view));
             cursor = self.blocks.get(&p.parent);
         }
-        for proposal in chain.into_iter().rev() {
-            self.mark_committed(proposal.id, proposal.view);
-            fx.event(CEvent::Committed { proposal });
+        for (id, view) in chain.into_iter().rev() {
+            self.emit_committed(id, view, fx);
         }
+    }
+
+    /// Moves the held block `id`'s payload out into its `Committed` event,
+    /// keeping the header, and marks it committed.
+    fn emit_committed(&mut self, id: BlockId, view: View, fx: &mut CEffects) {
+        let held = self.blocks.get_mut(&id).expect("a held block");
+        let payload = std::mem::replace(&mut held.payload, Payload::Empty);
+        let proposal = Proposal {
+            payload,
+            ..held.clone()
+        };
+        self.mark_committed(id, view);
+        fx.event(CEvent::Committed { proposal });
     }
 }
 
@@ -374,7 +386,6 @@ impl TwoPhase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smp_types::Payload;
 
     /// A chain of empty blocks, one a view from view 1 on; `parent` of the
     /// first is genesis.
@@ -416,6 +427,21 @@ mod tests {
         // Views 84 ..= 100 are held, committed; what lies below is gone.
         assert!(chain.get(&blocks[83].id).is_some() && chain.is_committed(&blocks[83].id));
         assert!(chain.get(&blocks[82].id).is_none() && !chain.is_committed(&blocks[82].id));
+    }
+
+    #[test]
+    fn a_committed_block_hands_its_payload_on_and_keeps_its_header() {
+        use smp_types::{ClientId, Transaction};
+        let tx = Transaction::synthetic(ClientId(0), 0, 64, 0);
+        let full = Payload::inline(vec![tx]);
+        let p = Proposal::new(View(1), 1, BlockId::GENESIS, ReplicaId(0), full, true);
+        let (mut chain, mut fx) = (Chain::default(), CEffects::none());
+        chain.insert(&p);
+        assert!(chain.commit(&p.id, &mut fx));
+        assert!(matches!(&fx.events[..], [CEvent::Committed { proposal }] if *proposal == p));
+        let held = chain.get(&p.id).unwrap();
+        assert_eq!((held.id, held.view, held.parent), (p.id, p.view, p.parent));
+        assert!(held.payload.is_empty());
     }
 
     #[test]
