@@ -40,7 +40,7 @@
 //!
 //! Exit codes: 0 success, 1 divergence (replicas disagree, sim mismatch,
 //! peer/frame errors, or an unresponsive admin endpoint), 2 usage/spawn
-//! failures.
+//! failures — an unknown flag among them.
 
 use smp_bench::arg_value;
 use smp_crypto::Digest;
@@ -57,6 +57,42 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::thread;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+
+const USAGE: &str = "usage: localcluster [--protocol N-HS] [--n 4] [--rate 4000] \
+[--tx-limit 60] [--horizon-us 2500000] [--seed 42] [--batch-bytes 16384] \
+[--source <replica index|even>] [--check-sim] [--chaos] [--trace-out <dir>]";
+
+/// Flags followed by a value; the internal child-mode ones included.
+const VALUE_FLAGS: &[&str] = &[
+    "--protocol",
+    "--n",
+    "--rate",
+    "--tx-limit",
+    "--horizon-us",
+    "--seed",
+    "--batch-bytes",
+    "--source",
+    "--trace-out",
+    "--replica",
+    "--addrs",
+    "--admin-addr",
+];
+/// Flags that stand alone.
+const SWITCHES: &[&str] = &["--check-sim", "--chaos", "--recover"];
+
+/// The first argument that is neither a known flag nor a known flag's
+/// value.
+fn unknown_arg(args: &[String]) -> Option<&str> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            args.next();
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            return Some(arg);
+        }
+    }
+    None
+}
 
 fn parse_protocol(s: &str) -> Option<Protocol> {
     Protocol::all()
@@ -480,6 +516,11 @@ fn free_addrs(n: usize) -> Vec<SocketAddr> {
 }
 
 fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(arg) = unknown_arg(&argv) {
+        eprintln!("localcluster: unknown argument '{arg}'\n{USAGE}");
+        std::process::exit(2);
+    }
     let args = ClusterArgs::from_env();
     if let Some(me) = arg_value("--replica") {
         let me: usize = me.parse().unwrap_or_else(|_| {
@@ -723,5 +764,28 @@ fn main() {
 
     if failed || !agree || !sim_ok {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &str) -> Vec<String> {
+        args.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn known_flags_and_their_values_pass_and_anything_else_is_refused() {
+        let ok = argv("--protocol S-HS --n 4 --rate 0 --check-sim --chaos --trace-out --help");
+        assert_eq!(unknown_arg(&ok), None, "'--help' here is a directory name");
+        for (bad, first) in [
+            ("--help", "--help"),
+            ("--n 4 -h", "-h"),
+            ("4", "4"),
+            ("--rate=0 --n 4", "--rate=0"),
+        ] {
+            assert_eq!(unknown_arg(&argv(bad)), Some(first));
+        }
     }
 }

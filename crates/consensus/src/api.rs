@@ -84,6 +84,11 @@ pub enum CEvent {
     NeedPayload {
         /// View to propose in.
         view: View,
+        /// Whether the engine would rather wait for payload than propose
+        /// an empty block now: no block it holds carries a payload that
+        /// later views have to commit.  The replica decides whether to
+        /// wait; proposing at once is always correct.
+        may_wait: bool,
     },
     /// An incoming proposal must be verified/filled by the mempool
     /// (`FillProposal`) before the engine votes on it.

@@ -69,6 +69,7 @@ impl ConsensusEngine for HotStuffEngine {
         let mut fx = CEffects::none();
         self.pm.arm(&mut fx);
         self.pm.request_payload_if_leader(self.pm.view, &mut fx);
+        self.chain.let_wait(&mut fx);
         fx
     }
 
@@ -108,12 +109,14 @@ impl ConsensusEngine for HotStuffEngine {
             // Not used by HotStuff.
             ConsensusMsg::Prepare { .. } | ConsensusMsg::Commit { .. } => {}
         }
+        self.chain.let_wait(&mut fx);
         fx
     }
 
     fn on_timer(&mut self, _now: SimTime, tag: u64) -> CEffects {
         let mut fx = CEffects::none();
         self.pm.on_timer(tag, self.high_qc_view, &mut fx);
+        self.chain.let_wait(&mut fx);
         fx
     }
 
@@ -131,6 +134,7 @@ impl ConsensusEngine for HotStuffEngine {
         fx.broadcast(ConsensusMsg::Propose(proposal));
         // The leader votes for its own proposal.
         self.vote_for(view, id, &mut fx);
+        self.chain.let_wait(&mut fx);
         fx
     }
 
@@ -152,6 +156,7 @@ impl ConsensusEngine for HotStuffEngine {
             }
             ProposalVerdict::Reject => self.pm.reject(view, self.high_qc_view, &mut fx),
         }
+        self.chain.let_wait(&mut fx);
         fx
     }
 
@@ -197,7 +202,7 @@ mod tests {
         assert!(fx
             .events
             .iter()
-            .any(|ev| matches!(ev, CEvent::NeedPayload { view } if *view == View(1))));
+            .any(|ev| matches!(ev, CEvent::NeedPayload { view, .. } if *view == View(1))));
         let mut e0 = HotStuffEngine::new(&config, ReplicaId(0));
         let fx0 = e0.on_start(0);
         assert!(!fx0

@@ -83,7 +83,11 @@ impl MirBftEngine {
     fn request_payload(&mut self, fx: &mut CEffects) {
         self.awaiting_payload = true;
         let view = View(self.next_seq);
-        fx.event(CEvent::NeedPayload { view });
+        // An empty payload already skips this replica's cadence slot.
+        fx.event(CEvent::NeedPayload {
+            view,
+            may_wait: false,
+        });
     }
 
     /// The instance led by `leader`, if the system has such a replica.

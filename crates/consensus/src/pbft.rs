@@ -67,6 +67,7 @@ impl ConsensusEngine for PbftEngine {
         let mut fx = CEffects::none();
         self.pm.arm(&mut fx);
         self.pm.request_payload_if_leader(self.pm.view, &mut fx);
+        self.chain.let_wait(&mut fx);
         fx
     }
 
@@ -95,12 +96,14 @@ impl ConsensusEngine for PbftEngine {
             }
             ConsensusMsg::Vote { .. } => {}
         }
+        self.chain.let_wait(&mut fx);
         fx
     }
 
     fn on_timer(&mut self, _now: SimTime, tag: u64) -> CEffects {
         let mut fx = CEffects::none();
         self.pm.on_timer(tag, View(0), &mut fx);
+        self.chain.let_wait(&mut fx);
         fx
     }
 
@@ -142,6 +145,7 @@ impl ConsensusEngine for PbftEngine {
             }
             ProposalVerdict::Reject => self.pm.reject(view, View(0), &mut fx),
         }
+        self.chain.let_wait(&mut fx);
         fx
     }
 

@@ -123,7 +123,7 @@ impl<E: ConsensusEngine> EngineNet<E> {
         }
         for ev in fx.events {
             match ev {
-                CEvent::NeedPayload { view } => {
+                CEvent::NeedPayload { view, .. } => {
                     let fx2 = self.engines[idx].on_payload(self.now, view, Payload::Empty);
                     follow_ups.push(fx2);
                 }

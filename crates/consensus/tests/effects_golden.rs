@@ -77,7 +77,7 @@ impl<E: ConsensusEngine> Recorder<E> {
         h.update_u64(fx.events.len() as u64);
         for ev in &fx.events {
             match ev {
-                CEvent::NeedPayload { view } => {
+                CEvent::NeedPayload { view, .. } => {
                     h.update_u64(1);
                     h.update_u64(view.0);
                 }

@@ -73,7 +73,7 @@ impl Net {
         }
         for ev in fx.events {
             let fx = match ev {
-                CEvent::NeedPayload { view } if view.0 <= LAST => {
+                CEvent::NeedPayload { view, .. } if view.0 <= LAST => {
                     self.engines[i].on_payload(self.now, view, Payload::Empty)
                 }
                 CEvent::VerifyProposal { proposal } => self.engines[i].on_proposal_verdict(

@@ -14,7 +14,7 @@ use rand::rngs::SmallRng;
 use smp_crypto::QuorumProof;
 use smp_mempool::{
     Dissemination, Effects, FetchWire, FillStatus, LoadSnapshot, Mempool, MempoolEvent,
-    MempoolStats, Missing, TimerTag, FETCH_TIMEOUT,
+    MempoolStats, Missing, TimerTag, FETCH_TIMEOUT, RETIRE_TAG,
 };
 use smp_telemetry::Telemetry;
 use smp_types::{
@@ -250,6 +250,18 @@ impl StratusMempool {
             }
         }
     }
+
+    /// The retire step: drops the proof of every microblock that left the
+    /// store.
+    fn retire(&mut self, now: SimTime, effects: &mut Effects<StratusMsg>) {
+        let (pab, lb) = (&mut self.pab, &mut self.lb);
+        self.core.retire(now, effects, |id| {
+            pab.forget(id);
+            // A forward still open for a microblock that executed: its
+            // proxy delivered.
+            lb.on_proof_received(id);
+        });
+    }
 }
 
 impl Mempool for StratusMempool {
@@ -371,6 +383,8 @@ impl Mempool for StratusMempool {
             effects.timer(BANLIST_RESET_INTERVAL, BANLIST_RESET_TAG);
         } else if tag == LIMITER_TAG {
             self.drain_deferred(now, &mut effects);
+        } else if tag == RETIRE_TAG {
+            self.retire(now, &mut effects);
         } else if tag >= FORWARD_TAG_BASE {
             if let Some(mb) = self.lb.on_forward_timeout(tag - FORWARD_TAG_BASE) {
                 // The proxy never returned a proof: try again (it stays on
@@ -456,13 +470,7 @@ impl Mempool for StratusMempool {
     }
 
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<StratusMsg> {
-        let (pab, lb) = (&mut self.pab, &mut self.lb);
-        let effects = self.core.on_commit(now, proposal, |id| {
-            pab.forget(id);
-            // A forward still open for a microblock that committed: its
-            // proxy delivered.
-            lb.on_proof_received(id);
-        });
+        let effects = self.core.on_commit(now, proposal);
         let telemetry = self.core.telemetry();
         telemetry.gauge_set("pab.proofs.len", self.pab.proofs_known() as f64);
         telemetry.gauge_set("pab.push.len", self.pab.pushing() as f64);

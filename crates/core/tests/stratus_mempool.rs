@@ -454,7 +454,10 @@ fn valid_proof_from_other_signers_is_verified_and_the_first_is_kept() {
     let (status, _) = node.on_proposal(20, &proposal_of(ID, other.clone()), &mut rng);
     assert_eq!(status, FillStatus::Ready);
     let _ = node.on_message(30, ReplicaId(2), pab_proof(&other), &mut rng);
-    assert!(node.is_proposable(&ID), "the PabProof was acted on");
+    assert!(
+        !node.is_proposable(&ID),
+        "the proposal named it: a later PabProof does not queue it again"
+    );
     assert_eq!(proof_checks(&telemetry), (0, 3));
     // Only the first-stored proof is the held one.
     let _ = node.on_message(40, ReplicaId(0), pab_proof(&first), &mut rng);
@@ -484,6 +487,25 @@ fn proposal_that_overtakes_its_pab_proof_is_the_one_verification() {
 }
 
 #[test]
+fn a_pab_proof_after_a_proposal_named_its_id_does_not_queue_it_again() {
+    // A leader that proposes the moment it holds a proof can overtake the
+    // creator's `PabProof` broadcast: the proposal names the id first.
+    let (mut node, _) = observed();
+    let mut rng = SmallRng::seed_from_u64(1);
+    let proof = proof_by(ID, &[0, 1]);
+    let (status, _) = node.on_proposal(10, &proposal_of(ID, proof.clone()), &mut rng);
+    assert_eq!(status, FillStatus::Ready);
+    let _ = node.on_message(
+        20,
+        ReplicaId(0),
+        StratusMsg::PabProof { id: ID, proof },
+        &mut rng,
+    );
+    assert!(!node.is_proposable(&ID));
+    assert_eq!(node.make_payload(30), Payload::Empty);
+}
+
+#[test]
 fn a_proof_that_comes_after_its_microblock_retired_is_verified_and_dropped() {
     let fetch_timeout = smp_mempool::FETCH_TIMEOUT;
     let (mut nodes, mut rng) = network(StratusConfig::default());
@@ -502,20 +524,12 @@ fn a_proof_that_comes_after_its_microblock_retired_is_verified_and_dropped() {
         FillStatus::Ready
     );
     // It executes at 1 000 and is held for one fetch timeout …
-    let _ = nodes[1].on_commit(1_000, &proposal);
+    let fx = nodes[1].on_commit(1_000, &proposal);
+    assert_eq!(fx.timers, vec![(fetch_timeout, smp_mempool::RETIRE_TAG)]);
     assert_eq!(nodes[1].proofs_known(), 1);
-    // … until the first commit after that, which retires body and proof.
-    let empty = |view| {
-        Proposal::new(
-            View(view),
-            view,
-            BlockId::GENESIS,
-            ReplicaId(2),
-            Payload::Empty,
-            true,
-        )
-    };
-    let _ = nodes[1].on_commit(1_000 + fetch_timeout, &empty(2));
+    // … until the retire timer fires, which retires body and proof.
+    let fx = nodes[1].on_timer(1_000 + fetch_timeout, smp_mempool::RETIRE_TAG, &mut rng);
+    assert!(fx.is_empty(), "{fx:?}");
     let stats = nodes[1].stats();
     assert_eq!(
         (stats.stored_microblocks, stats.retired_microblocks),

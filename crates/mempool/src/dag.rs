@@ -32,7 +32,7 @@
 use crate::api::{Effects, FillStatus, Mempool, MempoolEvent, MempoolStats, TimerTag};
 use crate::dissemination::{
     certifiers, creators_then_proposer, unproven_ref, verify_certificates, CertificateBook,
-    Dissemination, FetchWire, Missing,
+    Dissemination, FetchWire, Missing, RETIRE_TAG,
 };
 use crate::fetcher::FETCH_TIMEOUT;
 use rand::rngs::SmallRng;
@@ -256,6 +256,16 @@ impl DagMempool {
     /// The configured commit-derivation mode.
     pub fn mode(&self) -> DagMode {
         self.mode
+    }
+
+    /// The retire step: drops the acks and certificate of every batch that
+    /// left the store.
+    fn retire(&mut self, now: SimTime, effects: &mut Effects<DagMsg>) {
+        let (support, my_acked) = (&mut self.support, &mut self.my_acked);
+        self.core.retire(now, effects, |id| {
+            support.forget(id);
+            my_acked.remove(id);
+        });
     }
 
     /// Whether `id`'s support pattern reached `2f + 1` locally.
@@ -559,7 +569,9 @@ impl Mempool for DagMempool {
 
     fn on_timer(&mut self, now: SimTime, tag: TimerTag, _rng: &mut SmallRng) -> Effects<DagMsg> {
         let mut effects = Effects::none();
-        if let Some(mb) = self.core.on_timer(now, tag, &mut effects) {
+        if tag == RETIRE_TAG {
+            self.retire(now, &mut effects);
+        } else if let Some(mb) = self.core.on_timer(now, tag, &mut effects) {
             self.pending_batches.push_back(mb);
             self.maybe_emit(now, &mut effects);
         }
@@ -621,11 +633,7 @@ impl Mempool for DagMempool {
     }
 
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<DagMsg> {
-        let (support, my_acked) = (&mut self.support, &mut self.my_acked);
-        self.core.on_commit(now, proposal, |id| {
-            support.forget(id);
-            my_acked.remove(id);
-        })
+        self.core.on_commit(now, proposal)
     }
 
     fn stats(&self) -> MempoolStats {
@@ -1161,6 +1169,10 @@ mod tests {
         let _ = node.on_commit(now, &p);
     }
 
+    fn retire(node: &mut DagMempool, now: SimTime) {
+        let _ = node.on_timer(now, RETIRE_TAG, &mut rng());
+    }
+
     #[test]
     fn a_retired_batch_leaves_no_support_behind_and_does_not_block_its_creator() {
         let (mut net, id, _) = one_batch(DagMode::Certified);
@@ -1171,7 +1183,7 @@ mod tests {
         // retires it one fetch timeout later.
         commit_refs(&mut net[3], 1_000, 1, payload);
         assert!(net[3].is_certified(&id), "held for δ");
-        commit_refs(&mut net[3], 1_000 + FETCH_TIMEOUT, 2, Payload::Empty);
+        retire(&mut net[3], 1_000 + FETCH_TIMEOUT);
         assert!(!net[3].is_certified(&id) && !net[3].my_acked.contains(&id));
         assert_eq!(net[3].stats().stored_microblocks, 0);
         // A straggler ack for it — replica 2's, in a block replica 3 had not

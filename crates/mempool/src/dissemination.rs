@@ -11,18 +11,25 @@
 //!
 //! # State ends at the commit frontier
 //!
-//! [`Dissemination::on_commit`] is also the retire step (the rule is in
-//! `store.rs`): a microblock that executed here `δ` ([`FETCH_TIMEOUT`]) ago
-//! leaves the store and is handed to the backend's `forget`, which drops
-//! the policy state it kept for the id (proofs, certificates, echo and ack
-//! sets).  From its execution on, this one place refuses the id:
+//! A microblock that executed here leaves the store `δ` ([`FETCH_TIMEOUT`])
+//! later (the rule is in `store.rs`), whenever the next commit comes: one
+//! timer, [`RETIRE_TAG`], is armed for the first executed microblock still
+//! held, and when it fires the backend runs [`Dissemination::retire`],
+//! whose `forget` drops the policy state it kept for each id that leaves
+//! (proofs, certificates, echo and ack sets).  From its execution on, this
+//! one place refuses the id:
 //! [`Dissemination::make_proposable`] does not queue it,
 //! [`Dissemination::missing`] does not report it, a copy of its body is not
 //! stored again, and a fetch that names it counts it as done.  A backend
 //! asks [`Dissemination::is_retired`] before it opens state of its own for
 //! an id — after it has verified whatever carried the id, never instead.
-//! No timer drives this: the step runs inside `on_commit`, which consensus
-//! calls for every block, empty ones included.
+//!
+//! **Proposed once.**  An id that a proposal seen here names is not queued
+//! again until it retires, even when the proof, certificate or body that
+//! makes it proposable arrives after the proposal (a leader that proposes
+//! the moment it holds a proof can overtake the creator's broadcast).  Ids
+//! of a proposal that never commits stay named: this replica does not
+//! propose them again, as it did not before.
 //!
 //! **What a laggard gets.**  A peer serves a microblock until `δ` after it
 //! executed it.  A replica that learns of a reference no later than the
@@ -40,13 +47,18 @@ use crate::messages::{NarwhalMsg, SmpMsg};
 use crate::store::{FillTracker, MicroblockStore, ProposalQueue, Retired};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use smp_crypto::{Digest, DigestMap, KeyPair, ProofError, PublicKey, QuorumProof, Signature};
+use smp_crypto::{
+    Digest, DigestMap, DigestSet, KeyPair, ProofError, PublicKey, QuorumProof, Signature,
+};
 use smp_telemetry::Telemetry;
 use smp_types::{
     Microblock, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime, SystemConfig,
     Transaction,
 };
 use std::sync::Arc;
+
+/// Timer tag of the retire step (see the module docs).
+pub const RETIRE_TAG: TimerTag = 0x5245_5449; // "RETI"
 
 /// The two fetch messages every wire family has, so the core can emit
 /// each family's own variants.
@@ -95,8 +107,13 @@ pub struct Dissemination {
     store: MicroblockStore,
     retired: Retired,
     queue: ProposalQueue,
+    /// Ids a proposal seen here named, until they retire: this replica
+    /// does not propose them again, whatever it learns of them later.
+    named: DigestSet<MicroblockId>,
     tracker: FillTracker,
     fetcher: FetchRetryState,
+    /// Whether the [`RETIRE_TAG`] timer is armed.
+    retire_armed: bool,
     created: u64,
     telemetry: Telemetry,
 }
@@ -112,8 +129,10 @@ impl Dissemination {
             store: MicroblockStore::new(),
             retired: Retired::new(FETCH_TIMEOUT),
             queue: ProposalQueue::new(),
+            named: DigestSet::default(),
             tracker: FillTracker::new(),
             fetcher: FetchRetryState::new(FETCH_TIMEOUT),
+            retire_armed: false,
             created: 0,
             telemetry: Telemetry::disabled(),
         }
@@ -213,7 +232,38 @@ impl Dissemination {
             self.tracker
                 .on_microblock(id, &self.store, &mut self.retired, now),
         );
+        self.arm_retire(now, effects);
         true
+    }
+
+    /// Arms the retire timer for the first executed microblock still held,
+    /// unless it is armed already.
+    fn arm_retire<M>(&mut self, now: SimTime, effects: &mut Effects<M>) {
+        if self.retire_armed {
+            return;
+        }
+        if let Some(due) = self.retired.next_due() {
+            effects.timer(due.saturating_sub(now), RETIRE_TAG);
+            self.retire_armed = true;
+        }
+    }
+
+    /// The retire step, for the backend to run when [`RETIRE_TAG`] fires:
+    /// every microblock that executed `δ` ago leaves the store, and
+    /// `forget` drops the backend's state for it.
+    pub fn retire<M>(
+        &mut self,
+        now: SimTime,
+        effects: &mut Effects<M>,
+        mut forget: impl FnMut(&MicroblockId),
+    ) {
+        self.retire_armed = false;
+        while let Some(id) = self.retired.pop_due(now) {
+            self.store.remove(&id);
+            self.named.remove(&id);
+            forget(&id);
+        }
+        self.arm_retire(now, effects);
     }
 
     fn prune_fetches(&mut self) {
@@ -262,9 +312,11 @@ impl Dissemination {
     }
 
     /// Makes `id` eligible for this replica's future proposals, unless it
-    /// has executed here: a committed microblock is not proposed again.
+    /// has executed here or a proposal seen here named it: a microblock is
+    /// proposed once, even when a proposal overtakes the proof, certificate
+    /// or body that makes it proposable.
     pub fn make_proposable(&mut self, id: MicroblockId) {
-        if !self.retired.contains(&id) {
+        if !self.retired.contains(&id) && !self.named.contains(&id) {
             self.queue.push(id);
         }
     }
@@ -310,15 +362,19 @@ impl Dissemination {
         }
     }
 
-    /// Takes the referenced microblocks out of the proposal queue (they
-    /// are no longer proposable by this replica) and returns the
-    /// references whose data is still wanted: not held locally, and not
-    /// executed here already.
+    /// Takes the referenced microblocks out of the proposal queue, and
+    /// keeps them out (they are no longer proposable by this replica), and
+    /// returns the references whose data is still wanted: not held
+    /// locally, and not executed here already.
     pub fn missing<'p>(&mut self, refs: &'p [MicroblockRef]) -> Vec<&'p MicroblockRef> {
         let mut missing = Vec::new();
         for r in refs {
             self.queue.remove(&r.id);
-            if !self.store.contains(&r.id) && !self.retired.contains(&r.id) {
+            if self.retired.contains(&r.id) {
+                continue;
+            }
+            self.named.insert(r.id);
+            if !self.store.contains(&r.id) {
                 missing.push(r);
             }
         }
@@ -378,14 +434,7 @@ impl Dissemination {
 
     /// Consensus committed `proposal`: its references stop being
     /// proposable and it executes as soon as all of its data is local.
-    /// Then the retire step: every microblock that executed `δ` ago leaves
-    /// the store, and `forget` drops the backend's state for it.
-    pub fn on_commit<M>(
-        &mut self,
-        now: SimTime,
-        proposal: &Proposal,
-        mut forget: impl FnMut(&MicroblockId),
-    ) -> Effects<M> {
+    pub fn on_commit<M>(&mut self, now: SimTime, proposal: &Proposal) -> Effects<M> {
         if let Payload::Refs(refs) = &proposal.payload {
             for r in refs {
                 self.queue.remove(&r.id);
@@ -395,10 +444,7 @@ impl Dissemination {
         effects.events = self
             .tracker
             .on_commit(proposal, &self.store, &mut self.retired, now);
-        while let Some(id) = self.retired.pop_due(now) {
-            self.store.remove(&id);
-            forget(&id);
-        }
+        self.arm_retire(now, &mut effects);
         let t = &self.telemetry;
         t.gauge_set("mempool.store.len", self.store.len() as f64);
         t.gauge_set("mempool.retired.len", self.retired.len() as f64);
@@ -619,16 +665,31 @@ mod tests {
         )
     }
 
-    /// Commits `p` at `now`; the ids handed to the backend, and the
-    /// transactions reported executed.
-    fn commit(core: &mut Dissemination, now: SimTime, p: &Proposal) -> (Vec<MicroblockId>, u32) {
-        let mut forgotten = Vec::new();
-        let fx: Effects<SmpMsg> = core.on_commit(now, p, |id| forgotten.push(*id));
+    /// Commits `p` at `now`; the transactions reported executed, and the
+    /// delay of the retire timer the commit armed, if it armed one.
+    fn commit(core: &mut Dissemination, now: SimTime, p: &Proposal) -> (u32, Option<SimTime>) {
+        let fx: Effects<SmpMsg> = core.on_commit(now, p);
         let executed = fx.events.iter().map(|e| match e {
             MempoolEvent::Executed { tx_count, .. } => *tx_count,
             other => panic!("unexpected event {other:?}"),
         });
-        (forgotten, executed.sum())
+        (executed.sum(), retire_timer(&fx))
+    }
+
+    fn retire_timer(fx: &Effects<SmpMsg>) -> Option<SimTime> {
+        match fx.timers[..] {
+            [] => None,
+            [(delay, RETIRE_TAG)] => Some(delay),
+            ref other => panic!("unexpected timers {other:?}"),
+        }
+    }
+
+    /// Runs the retire step at `now`, as its timer does; the ids handed to
+    /// the backend, and the delay of the next retire timer.
+    fn retire(core: &mut Dissemination, now: SimTime) -> (Vec<MicroblockId>, Option<SimTime>) {
+        let (mut forgotten, mut fx) = (Vec::new(), Effects::none());
+        core.retire(now, &mut fx, |id| forgotten.push(*id));
+        (forgotten, retire_timer(&fx))
     }
 
     fn served(core: &Dissemination, id: MicroblockId) -> bool {
@@ -645,24 +706,48 @@ mod tests {
         // executes it at 1 000: its first request and — that one lost — its
         // first retry, δ later, both land inside the peer's window.
         assert!(served(&peer, x.id), "first request, at 900");
-        assert_eq!(commit(&mut peer, 1_000, &proposal(1, &[&x])), (vec![], 1));
+        assert_eq!(
+            commit(&mut peer, 1_000, &proposal(1, &[&x])),
+            (1, Some(DELTA))
+        );
         assert!(peer.is_retired(&x.id) && peer.stats().stored_microblocks == 1);
-        assert_eq!(
-            commit(&mut peer, 900 + DELTA, &proposal(2, &[])),
-            (vec![], 0)
-        );
+        assert_eq!(retire(&mut peer, 900 + DELTA), (vec![], Some(100)));
         assert!(served(&peer, x.id), "first retry, at 900 + δ");
-        // The next commit at or after 1 000 + δ retires it, and hands the id
-        // to the backend: whoever asks from then on is not served.
-        assert_eq!(
-            commit(&mut peer, 1_000 + DELTA, &proposal(3, &[])),
-            (vec![x.id], 0)
-        );
+        // The retire step at 1 000 + δ retires it, and hands the id to the
+        // backend: whoever asks from then on is not served.
+        assert_eq!(retire(&mut peer, 1_000 + DELTA), (vec![x.id], None));
         assert!(!served(&peer, x.id));
         let stats = peer.stats();
         assert_eq!(
             (stats.stored_microblocks, stats.retired_microblocks),
             (0, 1)
+        );
+    }
+
+    #[test]
+    fn an_executed_body_leaves_the_store_delta_after_execution_with_no_further_commit() {
+        let (mut core, x, y) = (core(1), mb(2, 0), mb(3, 0));
+        core.hold(&x);
+        core.hold(&y);
+        // The first execution arms the one retire timer, for δ later; the
+        // second, while it is armed, arms nothing.
+        assert_eq!(
+            commit(&mut core, 1_000, &proposal(1, &[&x])),
+            (1, Some(DELTA))
+        );
+        assert_eq!(commit(&mut core, 5_000, &proposal(2, &[&y])), (1, None));
+        // It fires at 1 000 + δ: `x` leaves, and the timer is armed again
+        // for `y`, which leaves at 5 000 + δ.  No commit comes in between.
+        assert_eq!(retire(&mut core, 1_000 + DELTA), (vec![x.id], Some(4_000)));
+        assert!(!served(&core, x.id) && served(&core, y.id));
+        assert_eq!(retire(&mut core, 5_000 + DELTA), (vec![y.id], None));
+        assert_eq!(core.stats().stored_microblocks, 0);
+        // Executions after the queue emptied arm the timer anew.
+        let z = mb(2, 1);
+        core.hold(&z);
+        assert_eq!(
+            commit(&mut core, 9_000_000, &proposal(3, &[&z])),
+            (1, Some(DELTA))
         );
     }
 
@@ -679,8 +764,9 @@ mod tests {
             &mut fx,
         );
         assert_eq!(status, FillStatus::Ready);
-        // Committed at 1 000 without its data: nothing executes yet.
-        assert_eq!(commit(&mut core, 1_000, &p), (vec![], 0));
+        // Committed at 1 000 without its data: nothing executes yet, and
+        // nothing is to retire.
+        assert_eq!(commit(&mut core, 1_000, &p), (0, None));
         assert!(!core.is_retired(&x.id));
         // The body arrives at 400 000 and the proposal executes then.
         let mut fx: Effects<SmpMsg> = Effects::none();
@@ -689,16 +775,11 @@ mod tests {
             fx.events[..],
             [MempoolEvent::Executed { tx_count: 1, .. }]
         ));
+        assert_eq!(retire_timer(&fx), Some(DELTA));
         // δ after the commit it is still served; δ after the arrival it goes.
-        assert_eq!(
-            commit(&mut core, 1_000 + DELTA, &proposal(2, &[])),
-            (vec![], 0)
-        );
+        assert_eq!(retire(&mut core, 1_000 + DELTA).0, vec![]);
         assert!(served(&core, x.id));
-        assert_eq!(
-            commit(&mut core, 400_000 + DELTA, &proposal(3, &[])),
-            (vec![x.id], 0)
-        );
+        assert_eq!(retire(&mut core, 400_000 + DELTA), (vec![x.id], None));
         assert!(!served(&core, x.id));
     }
 
@@ -709,11 +790,8 @@ mod tests {
         core.make_proposable(x.id);
         assert!(core.is_proposable(&x.id));
         let p = proposal(1, &[&x]);
-        assert_eq!(commit(&mut core, 1_000, &p), (vec![], 1));
-        assert_eq!(
-            commit(&mut core, 1_000 + DELTA, &proposal(2, &[])),
-            (vec![x.id], 0)
-        );
+        assert_eq!(commit(&mut core, 1_000, &p), (1, Some(DELTA)));
+        assert_eq!(retire(&mut core, 1_000 + DELTA), (vec![x.id], None));
         // A late proof or certificate wants it proposable: refused.
         core.make_proposable(x.id);
         assert!(!core.is_proposable(&x.id));
@@ -725,7 +803,7 @@ mod tests {
         let again = proposal(3, &[&x]);
         let refs = Dissemination::refs_of(&again).unwrap();
         assert!(core.missing(refs).is_empty());
-        assert_eq!(commit(&mut core, 2_000_000, &again), (vec![], 0));
+        assert_eq!(commit(&mut core, 2_000_000, &again), (0, None));
         let stats = core.stats();
         assert_eq!(
             (stats.stored_microblocks, stats.retired_microblocks),
@@ -740,7 +818,7 @@ mod tests {
         // filled (it had judged it invalid) commits and executes with `x`
         // still absent, and a copy that arrives later is refused as retired.
         let action = core.request(vec![x.id], vec![ReplicaId(2), ReplicaId(3)]);
-        assert_eq!(commit(&mut core, 1_000, &proposal(1, &[&x])), (vec![], 1));
+        assert_eq!(commit(&mut core, 1_000, &proposal(1, &[&x])).0, 1);
         let mut fx: Effects<SmpMsg> = Effects::none();
         assert!(!core.absorb(2_000, x.clone(), &mut fx));
         assert_eq!(core.fetcher.outstanding(), 1);

@@ -8,7 +8,9 @@
 //! Stratus under skewed load (Figure 11).
 
 use crate::api::{Effects, FillStatus, Mempool, MempoolStats, TimerTag};
-use crate::dissemination::{creators_then_proposer, unproven_ref, Dissemination, Missing};
+use crate::dissemination::{
+    creators_then_proposer, unproven_ref, Dissemination, Missing, RETIRE_TAG,
+};
 use crate::messages::SmpMsg;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -133,7 +135,10 @@ impl Mempool for GossipSmp {
 
     fn on_timer(&mut self, now: SimTime, tag: TimerTag, _rng: &mut SmallRng) -> Effects<SmpMsg> {
         let mut effects = Effects::none();
-        if let Some(mb) = self.core.on_timer(now, tag, &mut effects) {
+        if tag == RETIRE_TAG {
+            // Nothing is kept per id outside the core.
+            self.core.retire(now, &mut effects, |_| {});
+        } else if let Some(mb) = self.core.on_timer(now, tag, &mut effects) {
             self.core.make_proposable(mb.id);
             self.core.hold(&mb);
             // The relay uses a dedicated RNG-free path on timeout: pick
@@ -173,8 +178,7 @@ impl Mempool for GossipSmp {
     }
 
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<SmpMsg> {
-        // Nothing is kept per id outside the core.
-        self.core.on_commit(now, proposal, |_| {})
+        self.core.on_commit(now, proposal)
     }
 
     fn stats(&self) -> MempoolStats {

@@ -74,7 +74,7 @@ pub use api::{
 };
 pub use batcher::{BatchOutcome, TxBatcher, BATCH_TIMEOUT, BATCH_TIMEOUT_TAG};
 pub use dag::{DagAck, DagBlock, DagMempool, DagMsg, DagParentRef};
-pub use dissemination::{Dissemination, FetchWire, Missing};
+pub use dissemination::{Dissemination, FetchWire, Missing, RETIRE_TAG};
 pub use fetcher::{FetchAction, FetchRetryState, FETCH_TAG_BASE, FETCH_TIMEOUT};
 pub use gossip::GossipSmp;
 pub use messages::{NarwhalMsg, SmpMsg};

@@ -19,7 +19,7 @@
 
 use crate::api::{Effects, FillStatus, Mempool, MempoolEvent, MempoolStats, TimerTag};
 use crate::dissemination::{
-    certifiers, verify_certificates, CertificateBook, Dissemination, Missing,
+    certifiers, verify_certificates, CertificateBook, Dissemination, Missing, RETIRE_TAG,
 };
 use crate::messages::NarwhalMsg;
 use rand::rngs::SmallRng;
@@ -59,6 +59,19 @@ impl NarwhalMempool {
     /// Whether `id` is certified locally.
     pub fn is_certified(&self, id: &MicroblockId) -> bool {
         self.readies.is_certified(id)
+    }
+
+    /// The retire step: drops the echoes, readies and metadata of every
+    /// batch that left the store.
+    fn retire(&mut self, now: SimTime, effects: &mut Effects<NarwhalMsg>) {
+        let (echoes, readies) = (&mut self.echoes, &mut self.readies);
+        let (ready_sent, meta) = (&mut self.ready_sent, &mut self.meta);
+        self.core.retire(now, effects, |id| {
+            echoes.forget(id);
+            readies.forget(id);
+            ready_sent.remove(id);
+            meta.remove(id);
+        });
     }
 
     /// Signs and counts this replica's own echo of `id`.  It never sends
@@ -200,7 +213,9 @@ impl Mempool for NarwhalMempool {
         _rng: &mut SmallRng,
     ) -> Effects<NarwhalMsg> {
         let mut effects = Effects::none();
-        if let Some(mb) = self.core.on_timer(now, tag, &mut effects) {
+        if tag == RETIRE_TAG {
+            self.retire(now, &mut effects);
+        } else if let Some(mb) = self.core.on_timer(now, tag, &mut effects) {
             self.disseminate(mb, &mut effects);
         }
         effects
@@ -237,14 +252,7 @@ impl Mempool for NarwhalMempool {
     }
 
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<NarwhalMsg> {
-        let (echoes, readies) = (&mut self.echoes, &mut self.readies);
-        let (ready_sent, meta) = (&mut self.ready_sent, &mut self.meta);
-        self.core.on_commit(now, proposal, |id| {
-            echoes.forget(id);
-            readies.forget(id);
-            ready_sent.remove(id);
-            meta.remove(id);
-        })
+        self.core.on_commit(now, proposal)
     }
 
     fn stats(&self) -> MempoolStats {
@@ -467,20 +475,13 @@ mod tests {
         let mut r = rng();
         let node = &mut nodes[2];
         assert_eq!(node.on_proposal(200, &p, &mut r).0, FillStatus::Ready);
-        let _ = node.on_commit(1_000, &p);
+        let fx = node.on_commit(1_000, &p);
+        assert_eq!(fx.timers, vec![(FETCH_TIMEOUT, RETIRE_TAG)]);
         assert!(
             node.is_certified(&id) && node.meta.contains_key(&id),
             "held for δ"
         );
-        let empty = Proposal::new(
-            View(6),
-            2,
-            BlockId::GENESIS,
-            ReplicaId(2),
-            Payload::Empty,
-            true,
-        );
-        let _ = node.on_commit(1_000 + FETCH_TIMEOUT, &empty);
+        let _ = node.on_timer(1_000 + FETCH_TIMEOUT, RETIRE_TAG, &mut r);
         let gone = |n: &NarwhalMempool| {
             n.echoes.get(&id).is_none()
                 && !n.is_certified(&id)

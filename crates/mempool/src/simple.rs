@@ -9,7 +9,7 @@
 //! senders.
 
 use crate::api::{Effects, FillStatus, Mempool, MempoolStats, TimerTag};
-use crate::dissemination::{unproven_ref, Dissemination, Missing};
+use crate::dissemination::{unproven_ref, Dissemination, Missing, RETIRE_TAG};
 use crate::messages::SmpMsg;
 use crate::store::MicroblockStore;
 use rand::rngs::SmallRng;
@@ -88,7 +88,10 @@ impl Mempool for SimpleSmp {
 
     fn on_timer(&mut self, now: SimTime, tag: TimerTag, _rng: &mut SmallRng) -> Effects<SmpMsg> {
         let mut effects = Effects::none();
-        if let Some(mb) = self.core.on_timer(now, tag, &mut effects) {
+        if tag == RETIRE_TAG {
+            // Nothing is kept per id outside the core.
+            self.core.retire(now, &mut effects, |_| {});
+        } else if let Some(mb) = self.core.on_timer(now, tag, &mut effects) {
             self.disseminate(mb, &mut effects);
         }
         effects
@@ -119,8 +122,7 @@ impl Mempool for SimpleSmp {
     }
 
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<SmpMsg> {
-        // Nothing is kept per id outside the core.
-        self.core.on_commit(now, proposal, |_| {})
+        self.core.on_commit(now, proposal)
     }
 
     fn stats(&self) -> MempoolStats {

@@ -135,6 +135,11 @@ impl Retired {
         first
     }
 
+    /// When the hold of the first executed microblock still held ends.
+    pub fn next_due(&self) -> Option<SimTime> {
+        self.held.front().map(|(due, _)| *due)
+    }
+
     /// The next executed microblock whose hold has ended by `now`.
     pub fn pop_due(&mut self, now: SimTime) -> Option<MicroblockId> {
         let (due, id) = *self.held.front()?;

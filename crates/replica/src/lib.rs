@@ -20,7 +20,7 @@ pub use experiment::{
 };
 pub use netrun::{run_replica_over_net, sim_commit_logs, NetRunOptions, NetRunSummary};
 pub use protocols::Protocol;
-pub use replica::{Behavior, Replica, ReplicaMetrics};
+pub use replica::{Behavior, Replica, ReplicaMetrics, PAYLOAD_HOLD};
 pub use wire::codec::{
     decode_frame, encode_frame, DecodeError, FrameHeader, WireCodec, CODEC_VERSION,
     FRAME_HEADER_BYTES, MAX_FRAME_BYTES,

@@ -3,10 +3,10 @@
 
 use crate::wire::{MempoolWire, ReplicaMsg, ReplicaPayload, SyncMsg};
 use simnet::{Node, NodeCtx, ObsKind, TimerTag};
-use smp_consensus::{CDest, CEffects, CEvent, ConsensusEngine, ProposalVerdict};
-use smp_mempool::{Dest, Effects, FillStatus, Mempool, MempoolEvent};
+use smp_consensus::{CDest, CEffects, CEvent, ConsensusEngine, ProposalVerdict, VIEW_TIMEOUT};
+use smp_mempool::{Dest, Effects, FillStatus, Mempool, MempoolEvent, BATCH_TIMEOUT};
 use smp_metrics::LatencyHistogram;
-use smp_types::{BlockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, TxId};
+use smp_types::{BlockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, TxId, View};
 use smp_workload::TxFactory;
 use std::collections::HashSet;
 
@@ -16,6 +16,8 @@ const TICK_TAG: TimerTag = u64::MAX;
 /// has bit 63 set, so `on_timer` must match it *before* testing
 /// [`MEMPOOL_TAG_FLAG`].
 const SYNC_TAG: TimerTag = u64::MAX - 1;
+/// Timer tag of a held view's deadline; bit 63 set, like [`SYNC_TAG`].
+const HOLD_TAG: TimerTag = u64::MAX - 2;
 /// Bit marking a timer as belonging to the mempool (consensus and workload
 /// tags never have it set because they are below 2^63).
 const MEMPOOL_TAG_FLAG: u64 = 1 << 63;
@@ -27,6 +29,12 @@ const SYNC_INTERVAL: SimTime = 200 * smp_types::MICROS_PER_MS;
 /// Maximum commit-log entries served in one `SyncResponse` (bounds the
 /// frame size; the requester keeps asking from its new tail).
 const SYNC_CHUNK: usize = 4_096;
+/// How long a leader with nothing to propose holds its view for payload
+/// before it proposes an empty block.  Longer than one [`BATCH_TIMEOUT`],
+/// so that a steady load never ends a hold empty, and a quarter of
+/// [`VIEW_TIMEOUT`], so that followers never time out a held view.
+pub const PAYLOAD_HOLD: SimTime = VIEW_TIMEOUT / 4;
+const _: () = assert!(BATCH_TIMEOUT < PAYLOAD_HOLD && PAYLOAD_HOLD < VIEW_TIMEOUT);
 
 /// How a replica behaves.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -96,6 +104,13 @@ where
     /// recovering it neither votes nor proposes (crash-fault model) —
     /// it only issues `SyncRequest`s and applies `SyncResponse`s.
     recovering: bool,
+    /// The view this replica leads and holds for payload, and when the hold
+    /// ends.  A leader holds when the engine lets it wait (`may_wait`: no
+    /// block in flight has a payload left to commit), the mempool is shared
+    /// (a peer's transactions can reach it) and it has nothing to propose.
+    /// It proposes on the first payload the mempool has after one of its
+    /// calls, or whatever it has at the deadline.
+    held: Option<(View, SimTime)>,
 }
 
 impl<E, M> Replica<E, M>
@@ -131,6 +146,7 @@ where
             tx_limit: None,
             commit_log: None,
             recovering: false,
+            held: None,
         }
     }
 
@@ -151,6 +167,7 @@ where
     /// change.
     pub fn drain_and_restart(&mut self) {
         self.pending_verdicts.clear();
+        self.held = None;
         self.metrics = ReplicaMetrics::default();
         if self.commit_log.is_some() {
             self.commit_log = Some(Vec::new());
@@ -222,12 +239,14 @@ where
     fn handle_consensus_event(&mut self, ctx: &mut NodeCtx<'_, ReplicaMsg<M::Msg>>, ev: CEvent) {
         let now = ctx.now();
         match ev {
-            CEvent::NeedPayload { view } => {
-                let span = ctx.telemetry().span_at("replica.make_payload", now);
-                let payload = self.mempool.make_payload(now);
-                drop(span);
-                let fx = self.engine.on_payload(now, view, payload);
-                self.apply_consensus_effects(ctx, fx);
+            CEvent::NeedPayload { view, may_wait } => {
+                let payload = self.make_payload(ctx);
+                if payload.is_empty() && may_wait && <M::Msg as MempoolWire>::SHARED {
+                    self.held = Some((view, now + PAYLOAD_HOLD));
+                    ctx.set_timer(PAYLOAD_HOLD, HOLD_TAG);
+                } else {
+                    self.propose(ctx, view, payload);
+                }
             }
             CEvent::VerifyProposal { proposal } => {
                 let span = ctx.telemetry().span_at("replica.verify_proposal", now);
@@ -264,6 +283,35 @@ where
             CEvent::ViewChange { abandoned } => {
                 ctx.observe(ObsKind::ViewChange { view: abandoned.0 });
             }
+        }
+    }
+
+    fn make_payload(&mut self, ctx: &mut NodeCtx<'_, ReplicaMsg<M::Msg>>) -> Payload {
+        let now = ctx.now();
+        let _span = ctx.telemetry().span_at("replica.make_payload", now);
+        self.mempool.make_payload(now)
+    }
+
+    fn propose(&mut self, ctx: &mut NodeCtx<'_, ReplicaMsg<M::Msg>>, view: View, payload: Payload) {
+        let fx = self.engine.on_payload(ctx.now(), view, payload);
+        self.apply_consensus_effects(ctx, fx);
+    }
+
+    /// After a mempool call: drops a hold on a view the engine has left,
+    /// and ends one with the first payload the mempool has — or with
+    /// whatever it has once the hold's deadline has passed.
+    fn retry_held(&mut self, ctx: &mut NodeCtx<'_, ReplicaMsg<M::Msg>>) {
+        let Some((view, deadline)) = self.held else {
+            return;
+        };
+        if self.engine.current_view() != view {
+            self.held = None;
+            return;
+        }
+        let payload = self.make_payload(ctx);
+        if !payload.is_empty() || deadline <= ctx.now() {
+            self.held = None;
+            self.propose(ctx, view, payload);
         }
     }
 
@@ -525,14 +573,15 @@ where
                 let fx = self.mempool.on_message(now, from, mm, ctx.rng());
                 drop(span);
                 self.apply_mempool_effects(ctx, fx);
+                self.retry_held(ctx);
             }
         }
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_, Self::Msg>, tag: TimerTag) {
         let now = ctx.now();
-        // SYNC_TAG has bit 63 set, so it must be matched before the
-        // MEMPOOL_TAG_FLAG test below.
+        // SYNC_TAG and HOLD_TAG have bit 63 set, so they must be matched
+        // before the MEMPOOL_TAG_FLAG test below.
         if tag == SYNC_TAG {
             if self.recovering {
                 self.request_sync(ctx);
@@ -542,6 +591,13 @@ where
         }
         if self.recovering {
             // Timers armed by the abandoned pre-crash epoch.
+            return;
+        }
+        if tag == HOLD_TAG {
+            // A hold ended early leaves its deadline timer behind.
+            if self.held.is_some_and(|(_, deadline)| deadline <= now) {
+                self.retry_held(ctx);
+            }
             return;
         }
         if tag == TICK_TAG {
@@ -554,6 +610,7 @@ where
                 self.metrics.client_txs += txs.len() as u64;
                 let fx = self.mempool.on_client_txs(now, txs, ctx.rng());
                 self.apply_mempool_effects(ctx, fx);
+                self.retry_held(ctx);
             }
             ctx.set_timer(TICK_INTERVAL, TICK_TAG);
         } else if tag & MEMPOOL_TAG_FLAG != 0 {
@@ -561,6 +618,7 @@ where
                 .mempool
                 .on_timer(now, tag & !MEMPOOL_TAG_FLAG, ctx.rng());
             self.apply_mempool_effects(ctx, fx);
+            self.retry_held(ctx);
         } else {
             let fx = self.engine.on_timer(now, tag);
             self.apply_consensus_effects(ctx, fx);

@@ -157,6 +157,10 @@ fn bodies_us(mbs: &[Microblock]) -> f64 {
 /// Mempool message types routable by a replica.  Each family's impl below
 /// is that family's whole model on the simulated wire.
 pub trait MempoolWire: Clone + std::fmt::Debug {
+    /// Whether the family's mempool shares transactions among replicas, so
+    /// that payload can reach a leader that has none: only then may a
+    /// leader hold its view for payload (see the replica).
+    const SHARED: bool = true;
     /// Stable label for bandwidth accounting (Table III splits traffic
     /// into proposals, microblocks, votes and acks).
     fn kind(&self) -> &'static str;
@@ -168,8 +172,10 @@ pub trait MempoolWire: Clone + std::fmt::Debug {
     fn cpu_cost_us(&self) -> f64;
 }
 
-/// The native mempool sends nothing: no value of [`NativeMsg`] exists.
+/// The native mempool sends nothing: no value of [`NativeMsg`] exists, and
+/// a leader proposes only what its own clients sent it.
 impl MempoolWire for NativeMsg {
+    const SHARED: bool = false;
     fn kind(&self) -> &'static str {
         match *self {}
     }
@@ -335,6 +341,7 @@ impl MempoolWire for StratusMsg {
 /// is what makes a one-shard deployment behave identically to an
 /// unsharded one.
 impl<M: MempoolWire> MempoolWire for ShardedMsg<M> {
+    const SHARED: bool = M::SHARED;
     fn kind(&self) -> &'static str {
         self.inner.kind()
     }

@@ -207,7 +207,7 @@ fn apply_consensus(
     }
     for ev in fx.events {
         match ev {
-            CEvent::NeedPayload { view } => {
+            CEvent::NeedPayload { view, .. } => {
                 let payload = replicas[at].mempool.make_payload(now);
                 let fx2 = replicas[at].engine.on_payload(now, view, payload);
                 apply_consensus(at, fx2, replicas, wire, now);
