@@ -80,7 +80,7 @@ impl StratusMempool {
 
     /// The PAB availability quorum in use.
     pub fn pab_quorum(&self) -> usize {
-        self.pab.quorum()
+        self.pab.book().quorum()
     }
 
     /// The workload estimator (exposed for tests and reporting).
@@ -95,7 +95,7 @@ impl StratusMempool {
 
     /// Number of availability proofs known locally.
     pub fn proofs_known(&self) -> usize {
-        self.pab.proofs_known()
+        self.pab.book().tracked()
     }
 
     /// Whether `id` is currently proposable (provably available and not
@@ -227,7 +227,7 @@ impl StratusMempool {
         if self.core.is_retired(&id) {
             return;
         }
-        self.pab.store_proof(id, &proof);
+        self.pab.book_mut().hold(id, &proof);
         self.core.make_proposable(id);
         if !self.core.store().contains(&id) && self.fetch_from_signers(id, &proof, rng, effects) {
             effects.event(MempoolEvent::FetchIssued { count: 1 });
@@ -293,7 +293,7 @@ impl Mempool for StratusMempool {
         match msg {
             StratusMsg::PabMsg(mb) => {
                 // Acknowledge to the disseminator (push phase, Algorithm 1).
-                let (id, sig) = (mb.id, self.pab.ack_for(&mb.id));
+                let (id, sig) = (mb.id, self.pab.book().sign(&mb.id.digest()));
                 effects.send(from, StratusMsg::PabAck { id, sig });
                 self.core.absorb(now, mb, &mut effects);
             }
@@ -405,9 +405,9 @@ impl Mempool for StratusMempool {
         // Ids without a known proof, or proven but not yet fetched
         // locally, stay queued for a later proposal.
         let mut skipped = Vec::new();
-        let pab = &self.pab;
+        let book = self.pab.book();
         let payload = self.core.drain_refs(|id, store| {
-            let Some((proof, mb)) = pab.proof_of(&id).zip(store.get(&id)) else {
+            let Some((proof, mb)) = book.get(&id).zip(store.get(&id)) else {
                 skipped.push(id);
                 return None;
             };
@@ -437,20 +437,12 @@ impl Mempool for StratusMempool {
         };
         // Every reference must carry a valid availability proof, otherwise
         // the proposal triggers a view change (Algorithm 3, lines 22-25).
-        for r in refs {
-            let Some(proof) = &r.proof else {
-                return (
-                    FillStatus::Invalid("reference without availability proof"),
-                    effects,
-                );
-            };
-            if self.pab.verify_proof(&r.id, proof).is_err() {
-                return (FillStatus::Invalid("invalid availability proof"), effects);
-            }
+        if let Err(invalid) = self.pab.verify_refs(refs) {
+            return (invalid, effects);
         }
         for r in refs.iter().filter(|r| !self.core.is_retired(&r.id)) {
             let proof = r.proof.as_ref().expect("verified above");
-            self.pab.store_proof(r.id, proof);
+            self.pab.book_mut().hold(r.id, proof);
         }
         let missing = self.core.missing(refs);
         if !missing.is_empty() {
@@ -472,7 +464,7 @@ impl Mempool for StratusMempool {
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<StratusMsg> {
         let effects = self.core.on_commit(now, proposal);
         let telemetry = self.core.telemetry();
-        telemetry.gauge_set("pab.proofs.len", self.pab.proofs_known() as f64);
+        telemetry.gauge_set("pab.proofs.len", self.pab.book().tracked() as f64);
         telemetry.gauge_set("pab.push.len", self.pab.pushing() as f64);
         effects
     }

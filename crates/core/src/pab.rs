@@ -12,12 +12,16 @@
 //! proofs and fetch targets that the [`crate::mempool::StratusMempool`]
 //! turns into wire messages.
 //!
-//! A proof is held once and verified once: the engine keeps the first
-//! verified proof it learns for an id, and a proof presented later — in a
-//! `PabProof`, or on a reference of any proposal — that *equals* the held
-//! one is valid without a second check.  Equality with the held proof is
-//! the only shortcut; every other proof is verified in full.  Every ack is
-//! verified singly before it is folded into the aggregate.
+//! The engine keeps what PAB adds to a quorum certificate — when a push
+//! began, for whom, and whom to fetch from — and two
+//! [`smp_mempool::CertificateBook`]s, as Narwhal keeps echoes and
+//! readies: one collects the push phase's acks, each verified singly
+//! before it is folded, the other holds the verified proof per id.  The
+//! holding book is also where every presented proof is checked: one that
+//! *equals* the held proof — in a `PabProof`, or on a reference of any
+//! proposal — is valid without a second check; every other proof is
+//! verified in full.  A proof this replica completes itself replaces a
+//! held one; a proof learned from the network only fills an empty slot.
 //!
 //! An instance ends with its microblock: [`PabEngine::forget`] drops the
 //! push state and the held proof once the microblock has retired (executed
@@ -28,21 +32,19 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use smp_crypto::{DigestMap, KeyPair, ProofError, PublicKey, QuorumProof, Signature};
+use smp_crypto::{DigestMap, ProofError, QuorumProof, Signature};
+use smp_mempool::{CertificateBook, FillStatus, Verified};
 use smp_telemetry::Telemetry;
-use smp_types::{Microblock, MicroblockId, ReplicaId, SimTime};
-use std::collections::hash_map::Entry;
-use std::sync::Arc;
+use smp_types::{Microblock, MicroblockId, MicroblockRef, ReplicaId, SimTime};
 
 /// Probability `α` of requesting a given proof signer during `PAB-Fetch`
 /// (Algorithm 2).
 pub const FETCH_ALPHA: f64 = 0.5;
 
 /// State of one PAB instance on the disseminating replica, from the
-/// broadcast until the proof is complete.
-#[derive(Clone, Debug)]
+/// broadcast until the proof is complete; its acks are in the ack book.
+#[derive(Clone, Copy, Debug)]
 struct PushState {
-    acks: QuorumProof,
     broadcast_at: SimTime,
     /// Original creator if this replica disseminates on behalf of someone
     /// else (DLB proxy), `None` when disseminating its own microblock.
@@ -53,14 +55,12 @@ struct PushState {
 #[derive(Clone, Debug)]
 pub struct PabEngine {
     me: ReplicaId,
-    /// Every replica's public key: the deployment's shared directory.
-    keys: Arc<[PublicKey]>,
-    my_key: KeyPair,
-    quorum: usize,
     fetch_alpha: f64,
     push: DigestMap<MicroblockId, PushState>,
-    /// The verified proof held per id: the first one learned.
-    proofs: DigestMap<MicroblockId, QuorumProof>,
+    /// The acks of the push phases in progress; the `q`-th makes a proof.
+    acks: CertificateBook,
+    /// The verified proof held per id.
+    held: CertificateBook,
     telemetry: Telemetry,
 }
 
@@ -68,8 +68,6 @@ pub struct PabEngine {
 /// mempool needs (who to hand the proof to, and how long stability took).
 #[derive(Clone, Debug)]
 pub struct ProofReady {
-    /// The microblock that became provably available.
-    pub id: MicroblockId,
     /// The availability proof.
     pub proof: QuorumProof,
     /// Time from broadcast to stability (drives the DLB estimator).
@@ -80,16 +78,16 @@ pub struct ProofReady {
 
 impl PabEngine {
     /// Creates the engine for replica `me` with availability quorum
-    /// `quorum` and fetch sampling probability `fetch_alpha`.
+    /// `quorum` (at least 2) and fetch sampling probability `fetch_alpha`.
     pub fn new(seed: u64, n: usize, me: ReplicaId, quorum: usize, fetch_alpha: f64) -> Self {
+        let held = CertificateBook::new(seed, n, me, quorum);
         PabEngine {
             me,
-            keys: smp_crypto::directory(seed, n),
-            my_key: KeyPair::derive(seed, me.0),
-            quorum,
             fetch_alpha: fetch_alpha.clamp(0.0, 1.0),
             push: DigestMap::default(),
-            proofs: DigestMap::default(),
+            // Same keys and quorum, derived once.
+            acks: held.clone(),
+            held,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -100,104 +98,86 @@ impl PabEngine {
         self.telemetry = telemetry;
     }
 
-    /// The configured availability quorum.
-    pub fn quorum(&self) -> usize {
-        self.quorum
+    /// The book of held proofs: the keys, the quorum `q`, this replica's
+    /// signature (its ack) and the verified proof per id.
+    pub fn book(&self) -> &CertificateBook {
+        &self.held
+    }
+
+    /// The book of held proofs, to hold a verified proof in.
+    pub fn book_mut(&mut self) -> &mut CertificateBook {
+        &mut self.held
     }
 
     /// Starts the push phase for `mb` with this replica as disseminator.
-    /// `origin` is the original creator when acting as a DLB proxy.
+    /// `origin` is the original creator when acting as a DLB proxy.  A
+    /// push of an id already being pushed starts again.
     pub fn start_push(&mut self, mb: &Microblock, now: SimTime, origin: Option<ReplicaId>) {
-        let mut acks = QuorumProof::new(mb.id.digest());
+        self.acks.forget(&mb.id);
         // The disseminator's own signature counts toward the quorum.
-        acks.add(Signature::sign(&self.my_key.secret, &mb.id.digest()));
-        self.push.insert(
-            mb.id,
-            PushState {
-                acks,
-                broadcast_at: now,
-                origin,
-            },
-        );
-    }
-
-    /// Whether this replica is running the push phase for `id` (it ends
-    /// with the proof).
-    pub fn is_pushing(&self, id: &MicroblockId) -> bool {
-        self.push.contains_key(id)
-    }
-
-    /// Produces the acknowledgement this replica sends back when it
-    /// receives a pushed microblock.
-    pub fn ack_for(&self, id: &MicroblockId) -> Signature {
-        Signature::sign(&self.my_key.secret, &id.digest())
+        let own = self.acks.sign(&mb.id.digest());
+        let _ = self.acks.add(mb.id, own);
+        let state = PushState {
+            broadcast_at: now,
+            origin,
+        };
+        self.push.insert(mb.id, state);
     }
 
     /// Records an acknowledgement received by the disseminator.  Returns
     /// the completed proof exactly once, when the quorum is first reached.
+    /// An ack for an id this replica is not pushing is not even verified.
     pub fn on_ack(&mut self, id: MicroblockId, sig: Signature, now: SimTime) -> Option<ProofReady> {
-        let state = self.push.get_mut(&id)?;
-        let signer_key = self.keys.get(sig.signer as usize)?;
-        if !sig.verify(signer_key, &id.digest()) {
+        if !self.push.contains_key(&id) {
             return None;
         }
-        state.acks.add(sig);
-        if !state.acks.has_quorum(self.quorum) {
-            return None;
-        }
-        // The push phase is over: the collected acks are the proof.
+        let proof = self.acks.add(id, sig).ok()??.clone();
+        // The push phase is over: the collected acks are the proof, held
+        // in place of any proof learned before.
+        self.acks.forget(&id);
+        self.held.forget(&id);
+        self.held.hold(id, &proof);
         let state = self.push.remove(&id)?;
-        self.proofs.insert(id, state.acks.clone());
         Some(ProofReady {
-            id,
-            proof: state.acks,
+            proof,
             stable_time: now.saturating_sub(state.broadcast_at),
             origin: state.origin,
         })
     }
 
-    /// Verifies an availability proof against the configured quorum.  A
-    /// proof equal to the one held for `id` was verified when it was
-    /// stored and is not checked again.
+    /// Verifies an availability proof against the configured quorum
+    /// ([`CertificateBook::verify`]).
     pub fn verify_proof(&self, id: &MicroblockId, proof: &QuorumProof) -> Result<(), ProofError> {
-        if self.proofs.get(id) == Some(proof) {
-            self.telemetry.counter_inc("pab.proof_known");
-            return Ok(());
-        }
-        self.telemetry.counter_inc("pab.proof_verified");
-        if proof.digest != id.digest() {
-            return Err(ProofError::WrongDigest);
-        }
-        proof.verify(&self.keys, self.quorum)
+        let verdict = self.held.verify(id, proof);
+        self.count(&verdict);
+        verdict.map(drop)
     }
 
-    /// Records a proof learned from the network (after verification); the
-    /// first proof stored for an id is the one kept.
-    pub fn store_proof(&mut self, id: MicroblockId, proof: &QuorumProof) {
-        if let Entry::Vacant(slot) = self.proofs.entry(id) {
-            slot.insert(proof.clone());
-        }
+    /// Checks that every reference of a proposal carries a valid
+    /// availability proof, counting each check as
+    /// [`PabEngine::verify_proof`] does.
+    pub fn verify_refs(&self, refs: &[MicroblockRef]) -> Result<(), FillStatus> {
+        self.held.verify_refs(refs, |verdict| self.count(verdict))
+    }
+
+    fn count(&self, verdict: &Result<Verified, ProofError>) {
+        let path = match verdict {
+            Ok(Verified::Held) => "pab.proof_known",
+            _ => "pab.proof_verified",
+        };
+        self.telemetry.counter_inc(path);
     }
 
     /// Ends the instance of `id`: its microblock retired.
     pub fn forget(&mut self, id: &MicroblockId) {
         self.push.remove(id);
-        self.proofs.remove(id);
+        self.acks.forget(id);
+        self.held.forget(id);
     }
 
-    /// Push phases in progress.
+    /// Push phases in progress (each ends with its proof).
     pub fn pushing(&self) -> usize {
         self.push.len()
-    }
-
-    /// Returns the locally known proof for `id`.
-    pub fn proof_of(&self, id: &MicroblockId) -> Option<&QuorumProof> {
-        self.proofs.get(id)
-    }
-
-    /// Number of proofs known locally.
-    pub fn proofs_known(&self) -> usize {
-        self.proofs.len()
     }
 
     /// Selects the replicas to ask for a missing microblock during the
@@ -233,6 +213,7 @@ impl PabEngine {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use smp_crypto::KeyPair;
     use smp_types::{ClientId, Transaction};
 
     const SEED: u64 = 0xA11CE;
@@ -242,6 +223,11 @@ mod tests {
             .map(|i| Transaction::synthetic(ClientId(creator), i as u64, 128, 0))
             .collect();
         Microblock::seal(ReplicaId(creator), txs, 0)
+    }
+
+    /// The ack `engine`'s replica sends for a pushed `id`.
+    fn ack(engine: &PabEngine, id: &MicroblockId) -> Signature {
+        engine.book().sign(&id.digest())
     }
 
     fn engines(n: usize, quorum: usize) -> Vec<PabEngine> {
@@ -255,9 +241,9 @@ mod tests {
         let mut engines = engines(4, 2); // f = 1, q = f + 1 = 2
         let mb = make_mb(0, 3);
         engines[0].start_push(&mb, 1_000, None);
-        assert!(engines[0].is_pushing(&mb.id));
+        assert_eq!(engines[0].pushing(), 1);
         // One remote ack plus the sender's own signature reaches q = 2.
-        let ack1 = engines[1].ack_for(&mb.id);
+        let ack1 = ack(&engines[1], &mb.id);
         let ready = engines[0]
             .on_ack(mb.id, ack1, 5_000)
             .expect("quorum reached");
@@ -266,8 +252,8 @@ mod tests {
         assert!(ready.origin.is_none());
         // The proof ends the push phase: its state is dropped, and
         // further acks do not produce the proof again.
-        assert!(!engines[0].is_pushing(&mb.id));
-        let ack2 = engines[2].ack_for(&mb.id);
+        assert_eq!(engines[0].pushing(), 0);
+        let ack2 = ack(&engines[2], &mb.id);
         assert!(engines[0].on_ack(mb.id, ack2, 6_000).is_none());
     }
 
@@ -276,8 +262,8 @@ mod tests {
         let mut engines = engines(7, 3);
         let mb = make_mb(0, 2);
         engines[0].start_push(&mb, 0, None);
-        let a1 = engines[1].ack_for(&mb.id);
-        let a2 = engines[2].ack_for(&mb.id);
+        let a1 = ack(&engines[1], &mb.id);
+        let a2 = ack(&engines[2], &mb.id);
         engines[0].on_ack(mb.id, a1, 10);
         let ready = engines[0]
             .on_ack(mb.id, a2, 20)
@@ -301,10 +287,10 @@ mod tests {
         let mut engines = engines(4, 2);
         let mb = make_mb(0, 2);
         engines[0].start_push(&mb, 0, None);
-        let ack = engines[1].ack_for(&mb.id);
-        let held = engines[0].on_ack(mb.id, ack, 10).unwrap().proof;
+        let sig = ack(&engines[1], &mb.id);
+        let held = engines[0].on_ack(mb.id, sig, 10).unwrap().proof;
         assert_eq!(held.bitmap(), [0b0011]);
-        engines[3].store_proof(mb.id, &held);
+        engines[3].book_mut().hold(mb.id, &held);
         let (digest, aggregate) = (held.digest, held.aggregate());
         // What a decoder hands over for hostile bytes: set bits beyond n
         // (in the counted byte, in a byte of their own), no bit at all,
@@ -327,7 +313,7 @@ mod tests {
         for (bitmap, aggregate, verdict) in cases {
             let proof = QuorumProof::from_parts(digest, aggregate, &bitmap).unwrap();
             assert_eq!(engines[3].verify_proof(&mb.id, &proof), Err(verdict));
-            assert_eq!(engines[3].proof_of(&mb.id), Some(&held));
+            assert_eq!(engines[3].book().get(&mb.id), Some(&held));
         }
         assert_eq!(engines[3].verify_proof(&mb.id, &held), Ok(()));
     }
@@ -344,9 +330,9 @@ mod tests {
         );
         assert!(engines[0].on_ack(mb.id, bogus, 1).is_none());
         // Unknown instance acks are ignored too.
-        let ack = engines[1].ack_for(&mb.id);
+        let sig = ack(&engines[1], &mb.id);
         let unknown = make_mb(2, 1);
-        assert!(engines[0].on_ack(unknown.id, ack, 1).is_none());
+        assert!(engines[0].on_ack(unknown.id, sig, 1).is_none());
     }
 
     #[test]
@@ -354,13 +340,13 @@ mod tests {
         let mut engines = engines(4, 3);
         let mb = make_mb(0, 1);
         engines[0].start_push(&mb, 0, None);
-        let ack1 = engines[1].ack_for(&mb.id);
+        let ack1 = ack(&engines[1], &mb.id);
         assert!(engines[0].on_ack(mb.id, ack1, 1).is_none());
         assert!(
             engines[0].on_ack(mb.id, ack1, 2).is_none(),
             "same signer replayed"
         );
-        let ack2 = engines[2].ack_for(&mb.id);
+        let ack2 = ack(&engines[2], &mb.id);
         assert!(engines[0].on_ack(mb.id, ack2, 3).is_some());
     }
 
@@ -369,8 +355,8 @@ mod tests {
         let mut engines = engines(4, 2);
         let mb = make_mb(3, 1); // created by replica 3
         engines[0].start_push(&mb, 100, Some(ReplicaId(3)));
-        let ack = engines[1].ack_for(&mb.id);
-        let ready = engines[0].on_ack(mb.id, ack, 200).unwrap();
+        let sig = ack(&engines[1], &mb.id);
+        let ready = engines[0].on_ack(mb.id, sig, 200).unwrap();
         assert_eq!(ready.origin, Some(ReplicaId(3)));
     }
 
@@ -380,10 +366,10 @@ mod tests {
         let mb = make_mb(0, 1);
         engines[0].start_push(&mb, 0, None);
         for i in 1..5u32 {
-            let ack = engines[i as usize].ack_for(&mb.id);
-            engines[0].on_ack(mb.id, ack, 10);
+            let sig = ack(&engines[i as usize], &mb.id);
+            engines[0].on_ack(mb.id, sig, 10);
         }
-        let proof = engines[0].proof_of(&mb.id).unwrap().clone();
+        let proof = engines[0].book().get(&mb.id).unwrap().clone();
         let mut rng = SmallRng::seed_from_u64(9);
         // Replica 1 signed the proof, so it must never ask itself; replica
         // 7 did not, so every signer is a candidate.
@@ -401,5 +387,41 @@ mod tests {
             let expected = proof.signers().into_iter().filter(|s| *s as usize != me);
             assert_eq!(seen, expected.collect());
         }
+    }
+
+    #[test]
+    fn a_second_push_of_an_id_starts_again_from_the_own_signature() {
+        let mut engines = engines(4, 3);
+        let mb = make_mb(0, 1);
+        let (sig1, sig2) = (ack(&engines[1], &mb.id), ack(&engines[2], &mb.id));
+        engines[0].start_push(&mb, 0, None);
+        assert!(engines[0].on_ack(mb.id, sig1, 1).is_none());
+        engines[0].start_push(&mb, 10, None);
+        // Replica 1's ack before the restart is forgotten with the push.
+        assert!(engines[0].on_ack(mb.id, sig2, 11).is_none());
+        let ready = engines[0].on_ack(mb.id, sig1, 12).expect("own, 2 and 1");
+        assert_eq!(
+            (ready.proof.signers(), ready.stable_time),
+            (vec![0, 1, 2], 2)
+        );
+    }
+
+    #[test]
+    fn an_own_proof_replaces_a_held_one_and_a_learned_one_does_not() {
+        let mut engines = engines(4, 2);
+        let mb = make_mb(0, 1);
+        let (sig1, sig3) = (ack(&engines[1], &mb.id), ack(&engines[3], &mb.id));
+        // A proof from a proxy's push (signers 2 and 3) is held first.
+        engines[2].start_push(&mb, 0, None);
+        let learned = engines[2].on_ack(mb.id, sig3, 1).unwrap().proof;
+        engines[0].book_mut().hold(mb.id, &learned);
+        // The replica's own push completes: its proof is the one held.
+        engines[0].start_push(&mb, 0, None);
+        let own = engines[0].on_ack(mb.id, sig1, 2).unwrap().proof;
+        assert_eq!(engines[0].book().get(&mb.id), Some(&own));
+        // A proof learned later fills no slot that is taken.
+        engines[0].book_mut().hold(mb.id, &learned);
+        assert_eq!(engines[0].book().get(&mb.id), Some(&own));
+        assert_eq!(engines[0].verify_proof(&mb.id, &learned), Ok(()));
     }
 }

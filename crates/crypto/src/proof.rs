@@ -30,11 +30,12 @@
 //! digest's message word and holds the product to the aggregate — one
 //! message hash and `q` additions, as a BLS multi-signature is checked
 //! against its signers' aggregate public key with one pairing (see
-//! [`crate::signature`]).  A holder of verified proofs (Stratus's
-//! `PabEngine`) may accept a proof that is *equal* to the one it already
-//! holds for the same id without running `verify` again; equality with a
-//! held certificate is the only shortcut, and everything else takes the
-//! full check.
+//! [`crate::signature`]).  The one holder of verified proofs,
+//! `smp_mempool::CertificateBook` (under Stratus, Narwhal and the
+//! certified DAG alike), accepts a proof that is *equal* to the one it
+//! already holds for the same id without running `verify` again; equality
+//! with a held certificate is the only shortcut, and everything else takes
+//! the full check.
 
 use crate::hash::Digest;
 use crate::keys::PublicKey;

@@ -31,8 +31,8 @@
 
 use crate::api::{Effects, FillStatus, Mempool, MempoolEvent, MempoolStats, TimerTag};
 use crate::dissemination::{
-    certifiers, creators_then_proposer, unproven_ref, verify_certificates, CertificateBook,
-    Dissemination, FetchWire, Missing, RETIRE_TAG,
+    certifiers, creators_then_proposer, unproven_ref, CertificateBook, Dissemination, FetchWire,
+    Missing, RETIRE_TAG,
 };
 use crate::fetcher::FETCH_TIMEOUT;
 use rand::rngs::SmallRng;
@@ -238,7 +238,7 @@ impl DagMempool {
     pub fn with_mode(config: &SystemConfig, me: ReplicaId, mode: DagMode) -> Self {
         DagMempool {
             core: Dissemination::new(config, me),
-            support: CertificateBook::new(config, me),
+            support: CertificateBook::new(config.seed, config.n, me, config.consensus_quorum()),
             mode,
             pending_batches: VecDeque::new(),
             unacked: Vec::new(),
@@ -607,14 +607,14 @@ impl Mempool for DagMempool {
     ) -> (FillStatus, Effects<DagMsg>) {
         let mut effects = Effects::none();
         let (me, proposer) = (self.core.me(), proposal.proposer);
-        let (keys, quorum) = (self.support.keys(), self.support.quorum());
+        let support = &self.support;
         let status = match self.mode {
             // Every reference must carry a valid support certificate.
             // Supported batches are recoverable from their ackers:
             // consensus proceeds and the data arrives in the background.
             DagMode::Certified => self.core.fill(
                 proposal,
-                |refs| verify_certificates(refs, keys, quorum),
+                |refs| support.verify_refs(refs, |_| ()),
                 |missing| certifiers(missing, me, proposer, rng),
                 Missing::Recoverable,
                 &mut effects,

@@ -12,9 +12,9 @@
 //! # State ends at the commit frontier
 //!
 //! A microblock that executed here leaves the store `δ` ([`FETCH_TIMEOUT`])
-//! later (the rule is in `store.rs`), whenever the next commit comes: one
-//! timer, [`RETIRE_TAG`], is armed for the first executed microblock still
-//! held, and when it fires the backend runs [`Dissemination::retire`],
+//! later (the rule is in `store.rs`), whether or not another commit comes:
+//! one timer, [`RETIRE_TAG`], is armed for the first executed microblock
+//! still held, and when it fires the backend runs [`Dissemination::retire`],
 //! whose `forget` drops the policy state it kept for each id that leaves
 //! (proofs, certificates, echo and ack sets).  From its execution on, this
 //! one place refuses the id:
@@ -495,24 +495,6 @@ pub fn creators_then_proposer(missing: &[&MicroblockRef], proposer: ReplicaId) -
     candidates
 }
 
-/// Checks that every reference carries a `quorum` certificate over its own
-/// id (Narwhal's reliable-broadcast readies, the DAG's acks).
-pub fn verify_certificates(
-    refs: &[MicroblockRef],
-    keys: &[PublicKey],
-    quorum: usize,
-) -> Result<(), FillStatus> {
-    for r in refs {
-        let Some(proof) = &r.proof else {
-            return Err(FillStatus::Invalid("missing batch certificate"));
-        };
-        if proof.digest != r.id.digest() || proof.verify(keys, quorum).is_err() {
-            return Err(FillStatus::Invalid("bad batch certificate"));
-        }
-    }
-    Ok(())
-}
-
 /// Fetch candidates of a certified reference: whoever signed the
 /// certificates of the missing microblocks other than `me`, in random
 /// order; the proposer if nobody else signed.
@@ -534,44 +516,57 @@ pub fn certifiers(
     }
     pool
 }
-/// One quorum certificate per microblock, built from signatures over its
-/// id: Narwhal's echoes and readies, the certified DAG's acks.  Signatures
-/// accumulate until the `quorum`-th, which freezes the certificate —
-/// every replica that certifies an id from the same signatures holds the
-/// same bytes, whatever arrives later.
+
+/// How [`CertificateBook::verify`] accepted a certificate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Verified {
+    /// It equals the certificate held for the id, checked when it was held.
+    Held,
+    /// The full check ran.
+    Checked,
+}
+
+/// One quorum certificate per microblock, and the one place where it is
+/// collected, held and checked: PAB's acks and proofs, Narwhal's echoes
+/// and readies, the certified DAG's acks.  Signatures accumulate until the
+/// `quorum`-th, which freezes the certificate — every replica that
+/// certifies an id from the same signatures holds the same bytes, whatever
+/// arrives later.  A backend's second book is a clone of its first.
 #[derive(Clone, Debug)]
-pub(crate) struct CertificateBook {
+pub struct CertificateBook {
     /// Every replica's public key: the deployment's shared directory.
     keys: Arc<[PublicKey]>,
     my_key: KeyPair,
     quorum: usize,
-    /// Signatures collected per id; a certificate once `quorum` are held.
-    proofs: DigestMap<MicroblockId, QuorumProof>,
+    /// Signatures collected per id, and whether they are its certificate
+    /// (frozen, or held whole): a flag, so no lookup reads the bitmap.
+    proofs: DigestMap<MicroblockId, (QuorumProof, bool)>,
 }
 
 impl CertificateBook {
-    /// An empty book for replica `me`, certifying at `2f + 1` signatures.
-    pub(crate) fn new(config: &SystemConfig, me: ReplicaId) -> Self {
+    /// An empty book for replica `me` of the `n` replicas keyed from
+    /// `seed`, certifying at `quorum` (at least 2) signatures.
+    pub fn new(seed: u64, n: usize, me: ReplicaId, quorum: usize) -> Self {
         CertificateBook {
-            keys: smp_crypto::directory(config.seed, config.n),
-            my_key: KeyPair::derive(config.seed, me.0),
-            quorum: config.consensus_quorum(),
+            keys: smp_crypto::directory(seed, n),
+            my_key: KeyPair::derive(seed, me.0),
+            quorum,
             proofs: DigestMap::default(),
         }
     }
 
     /// Every replica's public key, by replica index.
-    pub(crate) fn keys(&self) -> &[PublicKey] {
+    pub fn keys(&self) -> &[PublicKey] {
         &self.keys
     }
 
     /// Signatures a certificate takes.
-    pub(crate) fn quorum(&self) -> usize {
+    pub fn quorum(&self) -> usize {
         self.quorum
     }
 
     /// This replica's signature over `digest`.
-    pub(crate) fn sign(&self, digest: &Digest) -> Signature {
+    pub fn sign(&self, digest: &Digest) -> Signature {
         Signature::sign(&self.my_key.secret, digest)
     }
 
@@ -579,7 +574,7 @@ impl CertificateBook {
     /// replica's signature over `id`; `Ok(Some(certificate))` if it was the
     /// `quorum`-th, which happens once per id; `Ok(None)` otherwise (still
     /// short, a repeated signer, or certified already).
-    pub(crate) fn add(
+    pub fn add(
         &mut self,
         id: MicroblockId,
         sig: Signature,
@@ -592,38 +587,83 @@ impl CertificateBook {
         if !sig.verify(key, &digest) {
             return Err(ProofError::BadSignature(sig.signer));
         }
-        let proof = self
+        let (proof, certified) = self
             .proofs
             .entry(id)
-            .or_insert_with(|| QuorumProof::new(digest));
-        let completed =
-            !proof.has_quorum(self.quorum) && proof.add(sig) && proof.has_quorum(self.quorum);
+            .or_insert_with(|| (QuorumProof::new(digest), false));
+        let completed = !*certified && proof.add(sig) && proof.has_quorum(self.quorum);
+        *certified |= completed;
         Ok(completed.then_some(&*proof))
     }
 
-    /// Whether `proof` is a valid certificate of `id`; if so, and `id` has
-    /// none yet, it becomes the one.
-    pub(crate) fn adopt(&mut self, id: MicroblockId, proof: QuorumProof) -> bool {
-        let valid = proof.digest == id.digest() && proof.verify(&self.keys, self.quorum).is_ok();
-        if valid && !self.is_certified(&id) {
-            self.proofs.insert(id, proof);
+    /// Whether `proof` is a valid certificate of `id`.  One equal to the
+    /// certificate held for `id` is, without a second check
+    /// ([`Verified::Held`]); any other goes through the digest check and
+    /// [`QuorumProof::verify`], so an `Err` always comes from the full
+    /// check.
+    #[inline]
+    pub fn verify(&self, id: &MicroblockId, proof: &QuorumProof) -> Result<Verified, ProofError> {
+        if self.get(id) == Some(proof) {
+            return Ok(Verified::Held);
         }
-        valid
+        if proof.digest != id.digest() {
+            return Err(ProofError::WrongDigest);
+        }
+        proof.verify(&self.keys, self.quorum)?;
+        Ok(Verified::Checked)
+    }
+
+    /// Checks that every reference of a proposal carries a valid
+    /// certificate of its own id, telling `seen` each check's verdict.
+    pub fn verify_refs(
+        &self,
+        refs: &[MicroblockRef],
+        mut seen: impl FnMut(&Result<Verified, ProofError>),
+    ) -> Result<(), FillStatus> {
+        for r in refs {
+            let Some(proof) = &r.proof else {
+                return Err(FillStatus::Invalid("reference without availability proof"));
+            };
+            let verdict = self.verify(&r.id, proof);
+            seen(&verdict);
+            if verdict.is_err() {
+                return Err(FillStatus::Invalid("invalid availability proof"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Keeps `proof`, a certificate of `id` the caller verified, unless
+    /// `id` is certified already: the first one learned is held.
+    pub fn hold(&mut self, id: MicroblockId, proof: &QuorumProof) {
+        let held = self
+            .proofs
+            .entry(id)
+            .or_insert_with(|| (proof.clone(), true));
+        if !held.1 {
+            *held = (proof.clone(), true);
+        }
     }
 
     /// Drops whatever is held for `id` (it retired).
-    pub(crate) fn forget(&mut self, id: &MicroblockId) {
+    pub fn forget(&mut self, id: &MicroblockId) {
         self.proofs.remove(id);
     }
 
     /// The certificate of `id`, once it has one.
-    pub(crate) fn get(&self, id: &MicroblockId) -> Option<&QuorumProof> {
-        self.proofs.get(id).filter(|p| p.has_quorum(self.quorum))
+    pub fn get(&self, id: &MicroblockId) -> Option<&QuorumProof> {
+        let (proof, certified) = self.proofs.get(id)?;
+        certified.then_some(proof)
     }
 
     /// Whether `id` is certified.
-    pub(crate) fn is_certified(&self, id: &MicroblockId) -> bool {
+    pub fn is_certified(&self, id: &MicroblockId) -> bool {
         self.get(id).is_some()
+    }
+
+    /// Number of ids a certificate or signatures are held for.
+    pub fn tracked(&self) -> usize {
+        self.proofs.len()
     }
 }
 
@@ -830,12 +870,28 @@ mod tests {
         assert_eq!(core.fetcher.outstanding(), 0);
     }
 
+    /// The books of the replicas of an `n`-replica deployment, certifying
+    /// at `quorum` signatures.
+    fn books(n: usize, quorum: usize) -> Vec<CertificateBook> {
+        let seed = SystemConfig::new(n).seed;
+        (0..n as u32)
+            .map(|i| CertificateBook::new(seed, n, ReplicaId(i), quorum))
+            .collect()
+    }
+
+    /// The certificate of `id` signed by the replicas `signers`.
+    fn certificate(
+        books: &[CertificateBook],
+        id: MicroblockId,
+        signers: std::ops::Range<usize>,
+    ) -> QuorumProof {
+        let sigs = signers.map(|i| books[i].sign(&id.digest()));
+        QuorumProof::from_signatures(id.digest(), sigs)
+    }
+
     #[test]
     fn certificate_freezes_at_the_quorum_th_signature() {
-        let config = SystemConfig::new(4);
-        let books: Vec<CertificateBook> = (0..4)
-            .map(|i| CertificateBook::new(&config, ReplicaId(i)))
-            .collect();
+        let books = books(4, 3);
         let id = MicroblockId(Digest::of_u64(7));
         let sigs: Vec<Signature> = books.iter().map(|b| b.sign(&id.digest())).collect();
         let mut book = books[0].clone();
@@ -857,41 +913,42 @@ mod tests {
             "frozen: a fourth adds nothing"
         );
         assert_eq!(book.get(&id), certificate.as_ref());
-        // Adopted whole: only a valid certificate over the same id.
+        // Held whole: only a valid certificate over the same id verifies.
         let (mut fresh, certificate) = (books[3].clone(), certificate.unwrap());
-        assert!(!fresh.adopt(MicroblockId(Digest::of_u64(8)), certificate.clone()));
-        assert!(!fresh.adopt(id, QuorumProof::new(id.digest())));
-        assert!(fresh.adopt(id, certificate) && fresh.is_certified(&id));
+        let other = MicroblockId(Digest::of_u64(8));
+        assert!(fresh.verify(&other, &certificate).is_err());
+        assert!(fresh.verify(&id, &QuorumProof::new(id.digest())).is_err());
+        assert!(fresh.verify(&id, &certificate).is_ok());
+        fresh.hold(id, &certificate);
+        assert!(fresh.is_certified(&id));
     }
 
     #[test]
     fn signer_outside_the_replica_set_is_unknown_not_wrapped() {
-        let config = SystemConfig::new(4);
-        let mut book = CertificateBook::new(&config, ReplicaId(0));
+        let books = books(4, 3);
+        let mut book = books[0].clone();
         let id = MicroblockId(Digest::of_u64(7));
         // Replica 1's signature claiming signer 5 (5 % 4 == 1) and one of a
         // key pair the system does not have.
-        let mut wrapped = CertificateBook::new(&config, ReplicaId(1)).sign(&id.digest());
+        let mut wrapped = books[1].sign(&id.digest());
         wrapped.signer = 5;
-        let stranger = Signature::sign(&KeyPair::derive(config.seed, 9).secret, &id.digest());
+        let seed = SystemConfig::new(4).seed;
+        let stranger = Signature::sign(&KeyPair::derive(seed, 9).secret, &id.digest());
         for sig in [wrapped, stranger] {
             assert_eq!(
                 book.add(id, sig),
                 Err(ProofError::UnknownSigner(sig.signer))
             );
         }
-        assert!(book.proofs.is_empty(), "nothing was counted");
+        assert_eq!(book.tracked(), 0, "nothing was counted");
     }
 
     #[test]
     fn malformed_certificates_are_not_adopted_and_the_held_one_stays() {
-        let config = SystemConfig::new(4);
-        let mut book = CertificateBook::new(&config, ReplicaId(3));
+        let books = books(4, 3);
+        let mut book = books[3].clone();
         let id = MicroblockId(Digest::of_u64(7));
-        let held = QuorumProof::from_signatures(
-            id.digest(),
-            (0..3).map(|i| CertificateBook::new(&config, ReplicaId(i)).sign(&id.digest())),
-        );
+        let held = certificate(&books, id, 0..3);
         let (digest, aggregate) = (held.digest, held.aggregate());
         // Set bits beyond n, no bits, a quorum under an aggregate one bit
         // off, and an aggregate that does not cover a fourth named signer.
@@ -904,13 +961,102 @@ mod tests {
         ];
         for held_already in [false, true] {
             if held_already {
-                assert!(book.adopt(id, held.clone()));
+                book.hold(id, &held);
             }
             for (bitmap, aggregate) in &malformed {
                 let proof = QuorumProof::from_parts(digest, *aggregate, bitmap).unwrap();
-                assert!(!book.adopt(id, proof));
+                assert!(book.verify(&id, &proof).is_err());
                 assert_eq!(book.get(&id), held_already.then_some(&held));
             }
         }
+    }
+
+    #[test]
+    fn a_held_certificate_is_accepted_as_held_and_any_other_is_checked_in_full() {
+        // n = 7, f = 2: PAB's default quorum f + 1, and the 2f + 1 of
+        // Narwhal, D-HS and PAB's largest.
+        for quorum in [3, 5] {
+            let books = books(7, quorum);
+            let (mut book, id) = (books[6].clone(), MicroblockId(Digest::of_u64(7)));
+            let held = certificate(&books, id, 0..quorum);
+            assert_eq!(book.verify(&id, &held), Ok(Verified::Checked), "none held");
+            book.hold(id, &held);
+            assert_eq!(book.verify(&id, &held), Ok(Verified::Held), "q = {quorum}");
+            // Another valid signer set: checked in full, accepted, not held.
+            let other = certificate(&books, id, 7 - quorum..7);
+            assert_ne!(other, held);
+            assert_eq!(book.verify(&id, &other), Ok(Verified::Checked));
+            book.hold(id, &other);
+            assert_eq!(book.get(&id), Some(&held));
+            // A wrong digest, a bitmap below quorum, a signer bit outside
+            // the replica set and a flipped aggregate, none of them held.
+            let (digest, aggregate) = (held.digest, held.aggregate());
+            let bitmap = |extra: u8| [held.bitmap()[0] | extra];
+            let refused = [
+                (
+                    certificate(&books, MicroblockId(Digest::of_u64(8)), 0..quorum),
+                    ProofError::WrongDigest,
+                ),
+                (
+                    certificate(&books, id, 0..quorum - 1),
+                    ProofError::QuorumNotReached {
+                        have: quorum - 1,
+                        need: quorum,
+                    },
+                ),
+                (
+                    QuorumProof::from_parts(digest, aggregate, &bitmap(0b1000_0000)).unwrap(),
+                    ProofError::UnknownSigner(7),
+                ),
+                (
+                    QuorumProof::from_parts(digest, aggregate ^ 1, &bitmap(0)).unwrap(),
+                    ProofError::BadAggregate,
+                ),
+            ];
+            for (proof, error) in refused {
+                assert_eq!(book.verify(&id, &proof), Err(error), "q = {quorum}");
+                assert_eq!(book.get(&id), Some(&held));
+            }
+        }
+    }
+
+    #[test]
+    fn references_are_checked_in_order_and_each_verdict_is_seen() {
+        let books = books(4, 3);
+        let mut book = books[3].clone();
+        let (id, other) = (
+            MicroblockId(Digest::of_u64(7)),
+            MicroblockId(Digest::of_u64(8)),
+        );
+        book.hold(id, &certificate(&books, id, 0..3));
+        let proven = |id: MicroblockId, proof| MicroblockRef::proven(id, ReplicaId(0), 1, proof);
+        let held = proven(id, certificate(&books, id, 0..3));
+        let fresh = proven(other, certificate(&books, other, 1..4));
+        let forged = proven(other, QuorumProof::new(other.digest()));
+        let check = |refs: &[MicroblockRef]| {
+            let mut seen = Vec::new();
+            (book.verify_refs(refs, |v| seen.push(*v)), seen)
+        };
+        let checked = Ok(Verified::Checked);
+        assert_eq!(
+            check(&[held.clone(), fresh.clone()]),
+            (Ok(()), vec![Ok(Verified::Held), checked])
+        );
+        let short = ProofError::QuorumNotReached { have: 0, need: 3 };
+        assert_eq!(
+            check(&[fresh.clone(), forged, held.clone()]),
+            (
+                Err(FillStatus::Invalid("invalid availability proof")),
+                vec![checked, Err(short)]
+            )
+        );
+        let bare = MicroblockRef::unproven(id, ReplicaId(0), 1);
+        assert_eq!(
+            check(&[fresh, bare, held]),
+            (
+                Err(FillStatus::Invalid("reference without availability proof")),
+                vec![checked]
+            )
+        );
     }
 }

@@ -30,7 +30,6 @@ struct FetchEntry {
     ids: Vec<MicroblockId>,
     candidates: Vec<ReplicaId>,
     next_candidate: usize,
-    attempts: u32,
 }
 
 /// Bookkeeping for outstanding fetches and their retries.
@@ -95,7 +94,6 @@ impl FetchRetryState {
             ids: ids.clone(),
             candidates,
             next_candidate: 1,
-            attempts: 1,
         };
         self.entries.insert(tag, entry);
         self.issued += 1;
@@ -118,7 +116,6 @@ impl FetchRetryState {
         }
         let target = entry.candidates[entry.next_candidate % entry.candidates.len()];
         entry.next_candidate += 1;
-        entry.attempts += 1;
         self.issued += 1;
         Some(FetchAction {
             target,

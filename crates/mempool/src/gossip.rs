@@ -1,11 +1,11 @@
 //! A gossip-based shared mempool (SMP-HS-G in the paper).
 //!
 //! Instead of having the creator broadcast a microblock to everyone,
-//! the creator sends it to `fanout` random peers, and every replica relays
-//! it to `fanout` further random peers the first time it sees it.  This
-//! spreads dissemination cost but adds redundancy and a long tail latency
-//! (Section III-E, Solution-II discussion), which is why it underperforms
-//! Stratus under skewed load (Figure 11).
+//! the creator sends it to [`FANOUT`] random peers, and every replica
+//! relays it to [`FANOUT`] further random peers the first time it sees
+//! it.  This spreads dissemination cost but adds redundancy and a long
+//! tail latency (Section III-E, Solution-II discussion), which is why it
+//! underperforms Stratus under skewed load (Figure 11).
 
 use crate::api::{Effects, FillStatus, Mempool, MempoolStats, TimerTag};
 use crate::dissemination::{
@@ -17,8 +17,9 @@ use rand::seq::SliceRandom;
 use smp_telemetry::Telemetry;
 use smp_types::{Microblock, Payload, Proposal, ReplicaId, SimTime, SystemConfig, Transaction};
 
-/// Default gossip fan-out (the evaluation uses 3).
-pub const DEFAULT_FANOUT: usize = 3;
+/// Gossip fan-out: the peers a microblock is sent to, by its creator and
+/// by each relay (the evaluation uses 3).
+pub const FANOUT: usize = 3;
 
 /// Maximum relay hops.  With fan-out 3 this covers networks far larger
 /// than the 400 replicas evaluated in the paper.
@@ -29,22 +30,15 @@ pub const MAX_HOPS: u8 = 16;
 pub struct GossipSmp {
     core: Dissemination,
     n: usize,
-    fanout: usize,
     relayed: u64,
 }
 
 impl GossipSmp {
-    /// Creates the mempool for replica `me` with the default fan-out.
+    /// Creates the mempool for replica `me`.
     pub fn new(config: &SystemConfig, me: ReplicaId) -> Self {
-        Self::with_fanout(config, me, DEFAULT_FANOUT)
-    }
-
-    /// Creates the mempool with an explicit fan-out.
-    pub fn with_fanout(config: &SystemConfig, me: ReplicaId, fanout: usize) -> Self {
         GossipSmp {
             core: Dissemination::new(config, me),
             n: config.n,
-            fanout: fanout.max(1),
             relayed: 0,
         }
     }
@@ -60,7 +54,7 @@ impl GossipSmp {
             .filter(|r| *r != self.core.me() && !exclude.contains(r))
             .collect();
         peers.shuffle(rng);
-        peers.truncate(self.fanout);
+        peers.truncate(FANOUT);
         peers
     }
 
@@ -142,13 +136,13 @@ impl Mempool for GossipSmp {
             self.core.make_proposable(mb.id);
             self.core.hold(&mb);
             // The relay uses a dedicated RNG-free path on timeout: pick
-            // the first `fanout` peers deterministically after a rotation
+            // the first `FANOUT` peers deterministically after a rotation
             // keyed by the microblock id for spread.
             let start = (mb.id.digest().short() % self.n as u64) as u32;
             let peers: Vec<ReplicaId> = (0..self.n as u32)
                 .map(|i| ReplicaId((start + i) % self.n as u32))
                 .filter(|r| *r != self.core.me())
-                .take(self.fanout)
+                .take(FANOUT)
                 .collect();
             let hops = MAX_HOPS - 1;
             effects.multicast(peers, SmpMsg::Gossip { mb, hops });
@@ -223,7 +217,7 @@ mod tests {
         assert_eq!(fx.msgs.len(), 1);
         match &fx.msgs[0].0 {
             crate::api::Dest::Many(peers) => {
-                assert_eq!(peers.len(), DEFAULT_FANOUT);
+                assert_eq!(peers.len(), FANOUT);
                 assert!(!peers.contains(&ReplicaId(0)));
             }
             other => panic!("unexpected dest {other:?}"),

@@ -34,15 +34,18 @@
 //! | backend | shares a sealed batch by | proposable when | ref carries | verified by | missing data blocks consensus? | fetch candidates |
 //! |---|---|---|---|---|---|---|
 //! | [`SimpleSmp`] | broadcast | stored (own: sealed) | nothing | — | yes (`MustWait`) | the proposer |
-//! | [`GossipSmp`] | gossip to `fanout` peers, relayed on first receipt | stored (own: sealed) | nothing | — | yes (`MustWait`) | creators, then the proposer |
-//! | [`NarwhalMempool`] | reliable broadcast (batch, echo, ready) | `2f + 1` readies and stored | ready certificate | [`dissemination::verify_certificates`] | no | certificate signers, shuffled |
-//! | [`DagMempool`] certified | DAG block + piggybacked acks | `2f + 1` acks and stored, in creator `seq` order | ack certificate | [`dissemination::verify_certificates`] | no | certificate signers, shuffled |
+//! | [`GossipSmp`] | gossip to [`gossip::FANOUT`] peers, relayed on first receipt | stored (own: sealed) | nothing | — | yes (`MustWait`) | creators, then the proposer |
+//! | [`NarwhalMempool`] | reliable broadcast (batch, echo, ready) | `2f + 1` readies and stored | ready certificate | [`CertificateBook`] | no | certificate signers, shuffled |
+//! | [`DagMempool`] certified | DAG block + piggybacked acks | `2f + 1` acks and stored, in creator `seq` order | ack certificate | [`CertificateBook`] | no | certificate signers, shuffled |
 //! | [`DagMempool`] fast path | DAG block + piggybacked acks | stored, in creator `seq` order | nothing | — | yes (`MustWait`) | creators, then the proposer |
-//! | `stratus::StratusMempool` | PAB push (or DLB forward to a proxy) | availability proof known | PAB proof (`f + 1 ..= 2f + 1` acks, aggregated) | `PabEngine::verify_proof` | no | each signer with probability `α`, retried through the signers in turn |
+//! | `stratus::StratusMempool` | PAB push (or DLB forward to a proxy) | availability proof known | PAB proof (`f + 1 ..= 2f + 1` acks, aggregated) | [`CertificateBook`] | no | each signer with probability `α`, retried through the signers in turn |
 //!
-//! Narwhal (echoes, readies) and the certified DAG (acks) keep their
-//! signatures and certificates in one `dissemination::CertificateBook`,
-//! which freezes a batch's proof at the `2f + 1`-th signature.
+//! A microblock's quorum certificate is collected, held and checked in
+//! one place, [`CertificateBook`], built with its quorum (PAB's `q` for
+//! Stratus, `2f + 1` for Narwhal and D-HS), which freezes an id's proof at
+//! the quorum-th signature: Narwhal keeps two (echoes, readies), the
+//! certified DAG one (acks), `stratus::PabEngine` two (the push phase's
+//! acks, the verified proofs).
 //! [`NativeMempool`] ships transactions inline, has no store and does not
 //! use the core.
 //!
@@ -51,11 +54,11 @@
 //! verified singly on arrival — and costs the same on the wire whatever
 //! the backend and the quorum: 32 + 64 + `⌈n / 8⌉` bytes.  It is held
 //! once: the bitmap is shared between clones, so the copy on every message
-//! and reference is a count bump.  Under Stratus it is also verified once —
-//! `PabEngine::verify_proof` accepts a proof *equal* to the one it holds
-//! for that id, the only shortcut.  [`dissemination::verify_certificates`]
-//! checks every certificate in full: Narwhal and D-HS make too few checks
-//! (about one per batch and replica) for a memo to pay.
+//! and reference is a count bump.  It is also verified once:
+//! [`CertificateBook::verify`] accepts a certificate *equal* to the one the
+//! book holds for that id, the only shortcut, and checks any other in
+//! full; [`CertificateBook::verify_refs`] runs it over a proposal's
+//! references for all three certified backends.
 
 pub mod api;
 pub mod batcher;
@@ -74,7 +77,7 @@ pub use api::{
 };
 pub use batcher::{BatchOutcome, TxBatcher, BATCH_TIMEOUT, BATCH_TIMEOUT_TAG};
 pub use dag::{DagAck, DagBlock, DagMempool, DagMsg, DagParentRef};
-pub use dissemination::{Dissemination, FetchWire, Missing, RETIRE_TAG};
+pub use dissemination::{CertificateBook, Dissemination, FetchWire, Missing, Verified, RETIRE_TAG};
 pub use fetcher::{FetchAction, FetchRetryState, FETCH_TAG_BASE, FETCH_TIMEOUT};
 pub use gossip::GossipSmp;
 pub use messages::{NarwhalMsg, SmpMsg};

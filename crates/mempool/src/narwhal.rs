@@ -18,9 +18,7 @@
 //!   leader embeds next to the batch id in its proposal.
 
 use crate::api::{Effects, FillStatus, Mempool, MempoolEvent, MempoolStats, TimerTag};
-use crate::dissemination::{
-    certifiers, verify_certificates, CertificateBook, Dissemination, Missing, RETIRE_TAG,
-};
+use crate::dissemination::{certifiers, CertificateBook, Dissemination, Missing, RETIRE_TAG};
 use crate::messages::NarwhalMsg;
 use rand::rngs::SmallRng;
 use smp_crypto::{DigestMap, DigestSet, Signature};
@@ -45,7 +43,7 @@ pub struct NarwhalMempool {
 impl NarwhalMempool {
     /// Creates the mempool for replica `me`.
     pub fn new(config: &SystemConfig, me: ReplicaId) -> Self {
-        let readies = CertificateBook::new(config, me);
+        let readies = CertificateBook::new(config.seed, config.n, me, config.consensus_quorum());
         NarwhalMempool {
             core: Dissemination::new(config, me),
             // Same keys and quorum, derived once.
@@ -193,7 +191,8 @@ impl Mempool for NarwhalMempool {
                 tx_count,
                 proof,
             } => {
-                if self.readies.adopt(id, proof) {
+                if self.readies.verify(&id, &proof).is_ok() {
+                    self.readies.hold(id, &proof);
                     self.meta.entry(id).or_insert((creator, tx_count, now));
                     if self.core.store().contains(&id) {
                         self.core.make_proposable(id);
@@ -240,10 +239,10 @@ impl Mempool for NarwhalMempool {
         // Every reference must carry a valid certificate.  Certified
         // batches are guaranteed recoverable: consensus proceeds and the
         // data is fetched in the background from the certifiers.
-        let (me, keys, quorum) = (self.core.me(), self.readies.keys(), self.readies.quorum());
+        let (me, readies) = (self.core.me(), &self.readies);
         let status = self.core.fill(
             proposal,
-            |refs| verify_certificates(refs, keys, quorum),
+            |refs| readies.verify_refs(refs, |_| ()),
             |missing| certifiers(missing, me, proposal.proposer, rng),
             Missing::Recoverable,
             &mut effects,

@@ -82,14 +82,6 @@ impl Protocol {
         )
     }
 
-    /// Whether the protocol uses any shared mempool at all.
-    pub fn uses_shared_mempool(&self) -> bool {
-        !matches!(
-            self,
-            Protocol::NativeHotStuff | Protocol::NativePbft | Protocol::MirBft
-        )
-    }
-
     /// All protocols evaluated in the scalability experiment (Figure 7).
     pub fn figure7_set() -> Vec<Protocol> {
         vec![
@@ -119,11 +111,6 @@ impl Protocol {
             Protocol::DagHotStuffFast,
         ]
     }
-
-    /// Whether the protocol runs over the DAG mempool family.
-    pub fn is_dag(&self) -> bool {
-        matches!(self, Protocol::DagHotStuff | Protocol::DagHotStuffFast)
-    }
 }
 
 #[cfg(test)]
@@ -141,8 +128,6 @@ mod tests {
     fn stratus_flags() {
         assert!(Protocol::StratusPbft.is_stratus());
         assert!(!Protocol::SmpHotStuff.is_stratus());
-        assert!(Protocol::Narwhal.uses_shared_mempool());
-        assert!(!Protocol::NativePbft.uses_shared_mempool());
     }
 
     #[test]
@@ -155,10 +140,6 @@ mod tests {
     fn dag_protocols_are_shared_mempool_backends() {
         assert_eq!(Protocol::DagHotStuff.label(), "D-HS");
         assert_eq!(Protocol::DagHotStuffFast.label(), "D-HS-F");
-        assert!(Protocol::DagHotStuff.uses_shared_mempool());
-        assert!(Protocol::DagHotStuffFast.uses_shared_mempool());
         assert!(!Protocol::DagHotStuff.is_stratus());
-        assert!(Protocol::DagHotStuff.is_dag() && Protocol::DagHotStuffFast.is_dag());
-        assert!(!Protocol::Narwhal.is_dag());
     }
 }
