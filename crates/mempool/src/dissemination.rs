@@ -55,6 +55,7 @@ use smp_types::{
     Microblock, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime, SystemConfig,
     Transaction,
 };
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Timer tag of the retire step (see the module docs).
@@ -486,30 +487,34 @@ pub fn unproven_ref(id: MicroblockId, store: &MicroblockStore) -> Option<Microbl
     Some(MicroblockRef::unproven(id, mb.creator, mb.len() as u32))
 }
 
+/// `replicas` with every repeat after the first occurrence removed.
+fn first_occurrences(replicas: impl IntoIterator<Item = ReplicaId>) -> Vec<ReplicaId> {
+    let mut seen = HashSet::new();
+    replicas.into_iter().filter(|r| seen.insert(*r)).collect()
+}
+
 /// Fetch candidates without proofs: the creators of the missing
-/// microblocks first, then the proposer.
+/// microblocks first, then the proposer, each once.
 pub fn creators_then_proposer(missing: &[&MicroblockRef], proposer: ReplicaId) -> Vec<ReplicaId> {
-    let mut candidates: Vec<ReplicaId> = missing.iter().map(|r| r.creator).collect();
-    candidates.push(proposer);
-    candidates.dedup();
-    candidates
+    let creators = missing.iter().map(|r| r.creator);
+    first_occurrences(creators.chain([proposer]))
 }
 
 /// Fetch candidates of a certified reference: whoever signed the
-/// certificates of the missing microblocks other than `me`, in random
-/// order; the proposer if nobody else signed.
+/// certificates of the missing microblocks other than `me`, each once, in
+/// random order; the proposer if nobody else signed.
 pub fn certifiers(
     missing: &[&MicroblockRef],
     me: ReplicaId,
     proposer: ReplicaId,
     rng: &mut SmallRng,
 ) -> Vec<ReplicaId> {
-    let mut pool: Vec<ReplicaId> = missing
+    let signers = missing
         .iter()
         .filter_map(|r| r.proof.as_ref())
         .flat_map(|proof| proof.signers().into_iter().map(ReplicaId))
-        .filter(|r| *r != me)
-        .collect();
+        .filter(|r| *r != me);
+    let mut pool = first_occurrences(signers);
     pool.shuffle(rng);
     if pool.is_empty() {
         pool.push(proposer);
@@ -887,6 +892,46 @@ mod tests {
     ) -> QuorumProof {
         let sigs = signers.map(|i| books[i].sign(&id.digest()));
         QuorumProof::from_signatures(id.digest(), sigs)
+    }
+
+    #[test]
+    fn fetch_candidates_name_a_creator_once_in_first_seen_order() {
+        let (a, b, proposer) = (mb(1, 0), mb(2, 0), ReplicaId(3));
+        let refs: Vec<MicroblockRef> = [&a, &b, &a]
+            .iter()
+            .map(|m| MicroblockRef::unproven(m.id, m.creator, m.len() as u32))
+            .collect();
+        let missing: Vec<&MicroblockRef> = refs.iter().collect();
+        assert_eq!(
+            creators_then_proposer(&missing, proposer),
+            vec![ReplicaId(1), ReplicaId(2), proposer]
+        );
+        // A proposer that created one of them is not asked twice either.
+        assert_eq!(
+            creators_then_proposer(&missing, ReplicaId(1)),
+            vec![ReplicaId(1), ReplicaId(2)]
+        );
+    }
+
+    #[test]
+    fn fetch_candidates_name_a_certifier_once() {
+        use rand::SeedableRng;
+        let books = books(7, 3);
+        // Three missing references whose certificates share signers.
+        let refs: Vec<MicroblockRef> = (0..3u64)
+            .map(|i| {
+                let id = MicroblockId(Digest::of_u64(i));
+                let signers = i as usize..i as usize + 3;
+                MicroblockRef::proven(id, ReplicaId(0), 1, certificate(&books, id, signers))
+            })
+            .collect();
+        let missing: Vec<&MicroblockRef> = refs.iter().collect();
+        for seed in 0..16 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut pool = certifiers(&missing, ReplicaId(0), ReplicaId(6), &mut rng);
+            pool.sort();
+            assert_eq!(pool, (1..5).map(ReplicaId).collect::<Vec<_>>());
+        }
     }
 
     #[test]
