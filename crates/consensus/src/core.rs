@@ -39,7 +39,8 @@ use smp_types::{
 use std::collections::{BTreeSet, HashSet};
 
 /// How long a view may last before its replicas give up on it and move to
-/// the next one (HotStuff and PBFT); a Streamlet epoch lasts half of it.
+/// the next one (HotStuff and PBFT); a Streamlet epoch whose block is not
+/// notarized times out after half of it.
 pub const VIEW_TIMEOUT: SimTime = 1_000 * MICROS_PER_MS;
 
 /// How many views below the commit tip (blocks) or the current view
@@ -200,8 +201,10 @@ impl Chain {
 /// and the view change of HotStuff and PBFT: one timer per view (`tag =
 /// tag_base + view`), a `NewView` to the next leader on timeout or `Reject`,
 /// a leader that proposes on a quorum of them.  The two differ in `tag_base`
-/// and in the `high_qc_view` they put on the wire.  Streamlet, whose epochs
-/// tick on its own clock, uses the leadership and the gate only.
+/// and in the `high_qc_view` they put on the wire.  Streamlet uses the
+/// leadership, the gate and [`Pacemaker::abandon`]: an epoch ends on its
+/// block's notarization or on a shorter timer of its own, keyed by epoch
+/// the same way, and a timeout sends no `NewView`.
 #[derive(Clone, Debug)]
 pub(crate) struct Pacemaker {
     pub(crate) me: ReplicaId,
@@ -245,7 +248,7 @@ impl Pacemaker {
 
     /// Makes `view` the current one and forgets what fell below the floor.
     /// No timer is armed: [`Pacemaker::enter`] and the timeout do that, and
-    /// Streamlet's epochs tick on their own clock.
+    /// Streamlet arms its own epoch timer.
     pub(crate) fn set_view(&mut self, view: View) {
         self.view = view;
         let floor = self.floor();

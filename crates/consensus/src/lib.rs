@@ -20,7 +20,7 @@
 //! |---|---|---|---|---|---|
 //! | [`HotStuffEngine`] | `2f + 1` votes for the previous view, or `2f + 1` `NewView`s | the next leader | three-chain on a QC | `Pacemaker` | `high_qc`, the vote tally |
 //! | [`PbftEngine`] | it leads the view entered on commit, or `2f + 1` `NewView`s | everyone, twice | `TwoPhase` commit quorum, one block | `Pacemaker` | `last_committed` |
-//! | [`StreamletEngine`] | the epoch clock reaches an epoch it leads | everyone, for blocks extending the longest notarized chain | three notarized blocks in consecutive epochs finalize the middle one | none: epochs tick regardless | the epoch clock, `notarized`, the longest notarized tip |
+//! | [`StreamletEngine`] | it enters an epoch it leads, on the previous epoch's notarization or timeout | everyone, once per epoch and only in the current one, for a block extending the longest notarized chain | three notarized blocks in consecutive epochs finalize the middle one | an epoch ends on its block's notarization, or on its own timer | the highest epoch voted in, `notarized`, the longest notarized tip |
 //! | [`MirBftEngine`] | every 100 ms, every replica, if it has a payload | everyone, twice | `TwoPhase` commit quorum, one block | none | the cadence timer, `next_seq`, `instance_tips`, `awaiting_payload` |
 //!
 //! `tests/effects_golden.rs` pins every effect the engines emit.

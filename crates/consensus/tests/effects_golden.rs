@@ -6,11 +6,14 @@
 //! `(delay, tag)` and each event, in push order.  The constants below were
 //! recorded on the commit *before* the engines were rewritten on top of
 //! `core.rs`, so a refactor that claims "no effect changed" is proven by
-//! plain `cargo test` passing this file untouched.  The system-level
-//! goldens cannot stand in for it: `tests/golden_fingerprints.rs` hashes
-//! observations, not messages; its Streamlet row commits nothing; and its
-//! PBFT and MirBFT rows are fault-free, so their timeout / `NewView` /
-//! `Reject` paths never run there.
+//! plain `cargo test` passing this file untouched.  The Streamlet row was
+//! re-recorded when an epoch began to end as soon as its block is
+//! notarized (its timer keyed by epoch, one vote per epoch, only in the
+//! current one): its fault-free case went from 0 commits to 5 328.  The
+//! system-level goldens cannot stand in for this file:
+//! `tests/golden_fingerprints.rs` hashes observations, not messages, and
+//! its PBFT, Streamlet and MirBFT rows are fault-free, so their timeout /
+//! `NewView` / `Reject` paths never run there.
 //!
 //! To re-record (only for a deliberate behaviour change):
 //! `GOLDEN_PRINT=1 cargo test -p smp-consensus --test effects_golden --
@@ -282,9 +285,9 @@ fn fault_free<E: ConsensusEngine>(kind: &Kind<E>) -> String {
     digest_of(kind, &net)
 }
 
-/// Fault-free, n = 4, with every armed timer fired eight times: Streamlet's
-/// epochs and MirBFT's cadence tick; HotStuff and PBFT time out with every
-/// replica live, among stale timers of views already left.
+/// Fault-free, n = 4, with every armed timer fired eight times: MirBFT's
+/// cadence ticks; HotStuff, PBFT and Streamlet time out with every replica
+/// live, among stale timers of views already left.
 fn ticking<E: ConsensusEngine>(kind: &Kind<E>) -> String {
     let mut net = net_of(kind, 4, never);
     net.start();
@@ -525,7 +528,7 @@ const SCENARIOS: [&str; 5] = [
 const RECORDED: [(&str, [&str; 5]); 4] = [
     ("HotStuff", ["56281fe9230ad82e81201bc115b18059-13323", "a50f28571e5dd1141d782760a330cd96-59930", "eb14996a7fb8a5b9b96a090e56838e98-52", "573c410caf22967fbc0869c6e48c64c2-13334", "cccef8d7c9f3723d09232e0a419cfe82-1"]),
     ("PBFT", ["a616ada4cb909cdff327849d96d3b3d1-2962", "ac8e62d8c6fa94ff396f99bb86099f87-13324", "c142c8c01be33b994df3fabdde755297-80", "12e7a442b92b09269401ae78114caeb8-16", "c1a751d70692f88b5b5b4b32b1197069-4"]),
-    ("Streamlet", ["3208bdf4d14d27f0255934c48187c1f4-0", "a2ae2523d65fc6ce4cead0356c478fbb-32", "1c464fbb84acf390815bf21ad80e87e3-12", "cba20680fc2a94df9d05930c8b2956c6-12", "f1612c0aa4b8bfe047f1f2552a1acac8-2"]),
+    ("Streamlet", ["eea580c92b070b06153204306715b950-5328", "47dc21586a32c07c5797e0206569244b-21320", "4db9085f72068b5b27e13e70abfa00f2-76", "fe7e4471ec6b60f887c96685ca71134a-8012", "47adc91c7cc4335f1f405c33186cc155-2"]),
     ("MirBFT", ["fc4b7aa4ec52c59a8bb4e4b0434deb62-16", "a9b87ac78c1a553af430947a7ecdccc5-144", "cef716e82357b673344dafcfff628677-96", "fe20e44a166d58205cd906f16040aa56-64", "d88fc54c2735a966378d5db02dabaa11-4"]),
 ];
 

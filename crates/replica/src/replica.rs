@@ -3,6 +3,7 @@
 
 use crate::wire::{MempoolWire, ReplicaMsg, ReplicaPayload, SyncMsg};
 use simnet::{Node, NodeCtx, ObsKind, TimerTag};
+use smp_consensus::streamlet::EPOCH_DURATION;
 use smp_consensus::{CDest, CEffects, CEvent, ConsensusEngine, ProposalVerdict, VIEW_TIMEOUT};
 use smp_mempool::{Dest, Effects, FillStatus, Mempool, MempoolEvent, BATCH_TIMEOUT};
 use smp_metrics::LatencyHistogram;
@@ -32,9 +33,10 @@ const SYNC_CHUNK: usize = 4_096;
 /// How long a leader with nothing to propose holds its view for payload
 /// before it proposes an empty block.  Longer than one [`BATCH_TIMEOUT`],
 /// so that a steady load never ends a hold empty, and a quarter of
-/// [`VIEW_TIMEOUT`], so that followers never time out a held view.
+/// [`VIEW_TIMEOUT`] — half of Streamlet's [`EPOCH_DURATION`] — so that
+/// followers never time out a held view or epoch.
 pub const PAYLOAD_HOLD: SimTime = VIEW_TIMEOUT / 4;
-const _: () = assert!(BATCH_TIMEOUT < PAYLOAD_HOLD && PAYLOAD_HOLD < VIEW_TIMEOUT);
+const _: () = assert!(BATCH_TIMEOUT < PAYLOAD_HOLD && PAYLOAD_HOLD < EPOCH_DURATION);
 
 /// How a replica behaves.
 #[derive(Clone, Debug, PartialEq, Eq)]
