@@ -1,8 +1,9 @@
 //! The chain-and-pacemaker core under the four engines: plain structs an
 //! engine owns and calls (no trait, no policy object), to which it adds its
-//! vote and its commit rule.  Four known defects are *preserved here, not
-//! fixed*, each marked where it lives; ROADMAP's block-sync item (the one
-//! catch-up path) owns them.
+//! vote and its commit rule.  Three known defects are *preserved here, not
+//! fixed*, each marked where it lives and each about a block that was
+//! *never held* (never seen, below a gap, or later than its quorum);
+//! ROADMAP's block-sync item (the one catch-up path) owns them.
 //!
 //! # What is kept below the commit tip
 //!
@@ -23,13 +24,8 @@
 //! — the last votes of a quorum, a proposal a few views late — whose
 //! handling must not change; what the engines themselves read (the parent
 //! a new block extends, a three-chain, the last committed block a
-//! `commit_through` stops at) lies within three views of the tip.
-//!
-//! The four "Preserved defect" markers are untouched by this: each is about
-//! a block that was *never held* (dropped on arrival, never seen, below a
-//! gap, or later than its quorum), and the floor only lets go of blocks
-//! that were.  A replica behind by more than the tail is served by nobody
-//! today either — it needs the block sync that fixes those four.
+//! `commit_through` stops at) lies within three views of the tip.  A
+//! replica further behind than the tail needs block sync too.
 
 use crate::api::{CEffects, CEvent, ConsensusMsg, VoteAggregator};
 use smp_crypto::{DigestMap, DigestSet};
@@ -60,8 +56,9 @@ pub(crate) struct Chain {
     committed: DigestSet<BlockId>,
     /// Every block of `blocks`, lowest view first.
     by_view: BTreeSet<(View, BlockId)>,
-    /// Blocks below this view are gone and are not taken back.
-    floor: View,
+    /// The highest view committed; blocks more than [`KEPT_VIEWS`] below
+    /// it are gone and are not taken back.
+    top: View,
     committed_count: u64,
     /// Held blocks that carry a payload: the uncommitted ones, since a
     /// committed block keeps its header only.
@@ -72,7 +69,7 @@ impl Chain {
     /// Stores a copy of `p`; `false` if it was already known, or lies below
     /// the floor.
     pub(crate) fn insert(&mut self, p: &Proposal) -> bool {
-        let new = p.view >= self.floor && !self.blocks.contains_key(&p.id);
+        let new = p.view >= floor_below(self.top) && !self.blocks.contains_key(&p.id);
         if new {
             self.blocks.insert(p.id, p.clone());
             self.by_view.insert((p.view, p.id));
@@ -110,9 +107,9 @@ impl Chain {
     fn mark_committed(&mut self, id: BlockId, view: View) {
         self.committed.insert(id);
         self.committed_count += 1;
-        self.floor = self.floor.max(floor_below(view));
+        self.top = self.top.max(view);
         while let Some(&(view, old)) = self.by_view.first() {
-            if view >= self.floor {
+            if view >= floor_below(self.top) {
                 break;
             }
             self.by_view.pop_first();
@@ -197,14 +194,14 @@ impl Chain {
     }
 }
 
-/// Round-robin leadership, the once-per-view payload and proposal gate,
-/// and the view change of HotStuff and PBFT: one timer per view (`tag =
-/// tag_base + view`), a `NewView` to the next leader on timeout or `Reject`,
-/// a leader that proposes on a quorum of them.  The two differ in `tag_base`
-/// and in the `high_qc_view` they put on the wire.  Streamlet uses the
-/// leadership, the gate and [`Pacemaker::abandon`]: an epoch ends on its
-/// block's notarization or on a shorter timer of its own, keyed by epoch
-/// the same way, and a timeout sends no `NewView`.
+/// Round-robin leadership, proposal admission, the once-per-view payload
+/// and proposal gate, and the view change of HotStuff and PBFT: one timer
+/// per view (`tag = tag_base + view`), a `NewView` to the next leader on
+/// timeout or `Reject`, a leader that proposes on a quorum of them; the two
+/// differ in `tag_base` and the `high_qc_view` they put on the wire.
+/// Streamlet uses all but the view change, and [`Pacemaker::abandon`]: an
+/// epoch ends on its block's notarization or on a shorter epoch timer of
+/// its own, and a timeout sends no `NewView`.
 #[derive(Clone, Debug)]
 pub(crate) struct Pacemaker {
     pub(crate) me: ReplicaId,
@@ -303,12 +300,12 @@ impl Pacemaker {
         }
     }
 
-    /// Whether `p` comes from the leader of its view and is not stale.
-    /// Preserved defect (ROADMAP: block sync): a `Propose` with
-    /// `view < self.view` is dropped rather than kept as an ancestor, which
-    /// is where the commit gaps start.
-    pub(crate) fn accepts(&self, p: &Proposal) -> bool {
-        p.proposer == self.leader_of(p.view) && p.view >= self.view
+    /// The one admission rule: stores `p` if its view's leader proposed it
+    /// and nothing of its view or a later one has committed here (it could
+    /// only commit out of order), whatever the current view: a late block
+    /// is an ancestor, not a hole.  `true` if new.
+    pub(crate) fn admit(&self, chain: &mut Chain, p: &Proposal) -> bool {
+        p.proposer == self.leader_of(p.view) && p.view > chain.top && chain.insert(p)
     }
 
     fn send_new_view(&self, high_qc_view: View, fx: &mut CEffects) {
@@ -571,6 +568,39 @@ mod tests {
         chain.commit_through(blocks[59].id, &mut fx);
         assert!(chain.get(&orphan.id).is_none());
         assert_eq!(chain.len() as u64, KEPT_VIEWS + 1);
+    }
+
+    #[test]
+    fn a_late_proposal_is_admitted_unless_a_block_of_a_later_view_committed() {
+        let pm = {
+            let mut pm = Pacemaker::new(&SystemConfig::new(4), ReplicaId(0), 0);
+            pm.enter(View(10), &mut CEffects::none());
+            pm
+        };
+        let by = |view: u64, proposer: u32| {
+            let proposer = ReplicaId(proposer);
+            Proposal::new(
+                View(view),
+                view,
+                BlockId::GENESIS,
+                proposer,
+                Payload::Empty,
+                true,
+            )
+        };
+        let by_leader = |view: u64| by(view, View(view).leader(4).0);
+        let mut chain = Chain::default();
+        // Five views behind, from its leader: kept, once.
+        assert!(pm.admit(&mut chain, &by_leader(5)));
+        assert!(!pm.admit(&mut chain, &by_leader(5)));
+        // Not from its view's leader.
+        assert!(!pm.admit(&mut chain, &by(6, 0)));
+        // Once view 7 committed, a block of view 7 or below could only
+        // commit after it: refused.  A later one is still kept.
+        assert!(pm.admit(&mut chain, &by_leader(7)));
+        assert!(chain.commit(&by_leader(7).id, &mut CEffects::none()));
+        assert!(!pm.admit(&mut chain, &by_leader(6)));
+        assert!(pm.admit(&mut chain, &by_leader(8)));
     }
 
     #[test]

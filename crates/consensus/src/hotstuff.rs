@@ -77,16 +77,19 @@ impl ConsensusEngine for HotStuffEngine {
         let mut fx = CEffects::none();
         match msg {
             ConsensusMsg::Propose(p) => {
-                if !self.pm.accepts(&p) || !self.chain.insert(&p) {
+                if !self.pm.admit(&mut self.chain, &p) {
                     return fx;
                 }
-                // The parent now has a quorum certificate (embedded in the
-                // proposal); remember it and try to commit the three-chain.
+                // The parent now has a QC (embedded in the proposal): remember
+                // it and try the three-chain rule, on the newest QC's too if late.
                 if self.chain.height_of(&p.parent) + 1 == p.height && p.view > self.high_qc_view {
                     self.high_qc_block = p.parent;
                     self.high_qc_view = View(p.view.0.saturating_sub(1));
                 }
                 self.try_commit(p.parent, &mut fx);
+                if p.view < self.pm.view {
+                    self.try_commit(self.high_qc_block, &mut fx);
+                }
                 // Hand the proposal to the mempool before voting.
                 fx.event(CEvent::VerifyProposal { proposal: p });
             }
@@ -149,11 +152,9 @@ impl ConsensusEngine for HotStuffEngine {
             return fx;
         };
         match verdict {
-            ProposalVerdict::Accept => {
-                if view.0 + 1 >= self.pm.view.0 {
-                    self.vote_for(view, block, &mut fx);
-                }
-            }
+            // No vote in a view this replica has left.
+            ProposalVerdict::Accept if view >= self.pm.view => self.vote_for(view, block, &mut fx),
+            ProposalVerdict::Accept => {}
             ProposalVerdict::Reject => self.pm.reject(view, self.high_qc_view, &mut fx),
         }
         self.chain.let_wait(&mut fx);

@@ -75,7 +75,7 @@ impl ConsensusEngine for PbftEngine {
         let mut fx = CEffects::none();
         match msg {
             ConsensusMsg::Propose(p) => {
-                if !self.pm.accepts(&p) || !self.chain.insert(&p) {
+                if !self.pm.admit(&mut self.chain, &p) {
                     return fx;
                 }
                 self.pm.enter(p.view, &mut fx);
@@ -134,7 +134,7 @@ impl ConsensusEngine for PbftEngine {
         };
         let voter = self.pm.me;
         match verdict {
-            ProposalVerdict::Accept => {
+            ProposalVerdict::Accept if view >= self.pm.view => {
                 fx.broadcast(ConsensusMsg::Prepare {
                     view,
                     block,
@@ -143,6 +143,7 @@ impl ConsensusEngine for PbftEngine {
                 });
                 self.record_prepare(view, block, voter, &mut fx);
             }
+            ProposalVerdict::Accept => {}
             ProposalVerdict::Reject => self.pm.reject(view, View(0), &mut fx),
         }
         self.chain.let_wait(&mut fx);

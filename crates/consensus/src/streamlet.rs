@@ -135,7 +135,7 @@ impl ConsensusEngine for StreamletEngine {
         let mut fx = CEffects::none();
         match msg {
             ConsensusMsg::Propose(p) => {
-                if p.proposer != self.pm.leader_of(p.view) || !self.chain.insert(&p) {
+                if !self.pm.admit(&mut self.chain, &p) {
                     return fx;
                 }
                 // If we are behind, adopt the later epoch.
