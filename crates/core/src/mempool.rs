@@ -491,6 +491,10 @@ impl Mempool for StratusMempool {
         self.lb.apply_ban_view(&banned.iter().copied().collect());
     }
 
+    fn has_committed(&self, id: &MicroblockId) -> bool {
+        self.core.has_committed(id)
+    }
+
     fn stats(&self) -> MempoolStats {
         MempoolStats {
             forwarded_microblocks: self.lb.forwarded_total(),

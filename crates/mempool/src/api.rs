@@ -228,6 +228,15 @@ pub trait Mempool {
     /// deferred until missing data arrives) and garbage-collect.
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<Self::Msg>;
 
+    /// Whether a proposal committed here already named the microblock `id`
+    /// (it executed, or waits for its body), so that the replica's commit
+    /// log lists it once, as it executes once.  `false` by default: right
+    /// for payloads that name no microblock; a wrapper that does not
+    /// forward it lets such a microblock be listed twice.
+    fn has_committed(&self, _id: &MicroblockId) -> bool {
+        false
+    }
+
     /// Current counters.
     fn stats(&self) -> MempoolStats;
 

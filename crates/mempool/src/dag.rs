@@ -636,6 +636,10 @@ impl Mempool for DagMempool {
         self.core.on_commit(now, proposal)
     }
 
+    fn has_committed(&self, id: &MicroblockId) -> bool {
+        self.core.has_committed(id)
+    }
+
     fn stats(&self) -> MempoolStats {
         MempoolStats {
             forwarded_microblocks: self.blocks_out,

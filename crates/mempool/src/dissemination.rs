@@ -36,9 +36,9 @@
 //! serving peer executes it has its first request and its first retry (`δ`
 //! later) both land inside that window; one that learns of it up to `δ`
 //! later still has its first request served.  A replica further behind
-//! than that needs block sync (a ROADMAP item) and is no worse off
-//! than before, when it never learned the reference at all: proposals
-//! older than its view are dropped by the pacemaker.
+//! than that needs block sync (a ROADMAP item): the engines keep a late
+//! proposal and hand it here, so the reference is learned and fetched, but
+//! no peer holds the body any more.
 
 use crate::api::{Effects, FillStatus, MempoolEvent, MempoolStats, TimerTag};
 use crate::batcher::{TxBatcher, BATCH_TIMEOUT, BATCH_TIMEOUT_TAG};
@@ -153,6 +153,14 @@ impl Dissemination {
     /// or fetched any more.
     pub fn is_retired(&self, id: &MicroblockId) -> bool {
         self.retired.contains(id)
+    }
+
+    /// Whether a proposal committed here named `id`: it executed, or its
+    /// proposal waits for the body ([`Mempool::has_committed`]).
+    ///
+    /// [`Mempool::has_committed`]: crate::api::Mempool::has_committed
+    pub fn has_committed(&self, id: &MicroblockId) -> bool {
+        self.retired.contains(id) || self.tracker.commits(id)
     }
 
     /// The telemetry handle, for the backend's own counters.

@@ -15,7 +15,9 @@ use crate::messages::SmpMsg;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use smp_telemetry::Telemetry;
-use smp_types::{Microblock, Payload, Proposal, ReplicaId, SimTime, SystemConfig, Transaction};
+use smp_types::{
+    Microblock, MicroblockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, Transaction,
+};
 
 /// Gossip fan-out: the peers a microblock is sent to, by its creator and
 /// by each relay (the evaluation uses 3).
@@ -173,6 +175,10 @@ impl Mempool for GossipSmp {
 
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<SmpMsg> {
         self.core.on_commit(now, proposal)
+    }
+
+    fn has_committed(&self, id: &MicroblockId) -> bool {
+        self.core.has_committed(id)
     }
 
     fn stats(&self) -> MempoolStats {

@@ -254,6 +254,10 @@ impl Mempool for NarwhalMempool {
         self.core.on_commit(now, proposal)
     }
 
+    fn has_committed(&self, id: &MicroblockId) -> bool {
+        self.core.has_committed(id)
+    }
+
     fn stats(&self) -> MempoolStats {
         self.core.stats()
     }

@@ -14,7 +14,9 @@ use crate::messages::SmpMsg;
 use crate::store::MicroblockStore;
 use rand::rngs::SmallRng;
 use smp_telemetry::Telemetry;
-use smp_types::{Microblock, Payload, Proposal, ReplicaId, SimTime, SystemConfig, Transaction};
+use smp_types::{
+    Microblock, MicroblockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, Transaction,
+};
 
 /// Best-effort shared mempool.
 #[derive(Clone, Debug)]
@@ -123,6 +125,10 @@ impl Mempool for SimpleSmp {
 
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<SmpMsg> {
         self.core.on_commit(now, proposal)
+    }
+
+    fn has_committed(&self, id: &MicroblockId) -> bool {
+        self.core.has_committed(id)
     }
 
     fn stats(&self) -> MempoolStats {

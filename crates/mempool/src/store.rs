@@ -285,6 +285,12 @@ impl FillTracker {
         self.pending.contains_key(proposal)
     }
 
+    /// Whether a committed proposal that still waits for data names `id`.
+    pub fn commits(&self, id: &MicroblockId) -> bool {
+        let names = |p: &PendingProposal| p.refs.iter().any(|(r, _)| r == id);
+        self.pending.values().any(|p| p.committed && names(p))
+    }
+
     /// Executes `refs` at `now`, each microblock once: the event counts the
     /// transactions and reception times of the references that execute for
     /// the first time at this replica, which `retired` remembers.

@@ -7,7 +7,9 @@ use smp_consensus::streamlet::EPOCH_DURATION;
 use smp_consensus::{CDest, CEffects, CEvent, ConsensusEngine, ProposalVerdict, VIEW_TIMEOUT};
 use smp_mempool::{Dest, Effects, FillStatus, Mempool, MempoolEvent, BATCH_TIMEOUT};
 use smp_metrics::LatencyHistogram;
-use smp_types::{BlockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, TxId, View};
+use smp_types::{
+    BlockId, MicroblockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, TxId, View,
+};
 use smp_workload::TxFactory;
 use std::collections::HashSet;
 
@@ -319,7 +321,8 @@ where
 
     fn handle_commit(&mut self, ctx: &mut NodeCtx<'_, ReplicaMsg<M::Msg>>, proposal: Proposal) {
         if let Some(log) = self.commit_log.as_mut() {
-            record_inline_txs(log, &proposal.payload);
+            let mempool = &self.mempool;
+            record_inline_txs(log, &proposal.payload, &|id| mempool.has_committed(id));
         }
         let now = ctx.now();
         let span = ctx.telemetry().span_at("replica.commit", now);
@@ -497,19 +500,29 @@ where
 
 /// Appends what `payload` commits to `log`, in payload order (shard
 /// groups in group order): an inline transaction's id, or a referenced
-/// microblock's id standing in for its transactions.
-fn record_inline_txs(log: &mut Vec<TxId>, payload: &Payload) {
+/// microblock's id standing in for its transactions, unless `committed`
+/// says an earlier commit named the microblock.
+fn record_inline_txs(
+    log: &mut Vec<TxId>,
+    payload: &Payload,
+    committed: &dyn Fn(&MicroblockId) -> bool,
+) {
     match payload {
         Payload::Inline(txs) => log.extend(txs.iter().map(|t| t.id)),
         // Ref payloads commit whole microblocks; the microblock id digest
         // stands in for its transactions so ref-based protocols (SMP,
         // Narwhal, Stratus) still produce a comparable commit sequence
-        // across runtimes.
-        Payload::Refs(refs) => log.extend(refs.iter().map(|r| TxId(r.id.0))),
+        // across runtimes.  A microblock executes once, so it is listed
+        // once.
+        Payload::Refs(refs) => log.extend(
+            refs.iter()
+                .filter(|r| !committed(&r.id))
+                .map(|r| TxId(r.id.0)),
+        ),
         Payload::Empty => {}
         Payload::Sharded(groups) => {
             for (_, p) in groups {
-                record_inline_txs(log, p);
+                record_inline_txs(log, p, committed);
             }
         }
     }

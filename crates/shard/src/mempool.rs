@@ -8,8 +8,8 @@ use rand::SeedableRng;
 use smp_mempool::{Effects, FillStatus, Mempool, MempoolEvent, MempoolStats, TimerTag};
 use smp_telemetry::Telemetry;
 use smp_types::{
-    BlockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime, SystemConfig, Transaction,
-    WireSize, SHARD_GROUP_TAG_BYTES,
+    BlockId, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime, SystemConfig,
+    Transaction, WireSize, SHARD_GROUP_TAG_BYTES,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -629,6 +629,10 @@ impl<M: Mempool> Mempool for ShardedMempool<M> {
             shard.set_telemetry(telemetry.with_prefix(&format!("shard.{i}")));
         }
         self.telemetry = telemetry;
+    }
+
+    fn has_committed(&self, id: &MicroblockId) -> bool {
+        self.shards.iter().any(|mp| mp.has_committed(id))
     }
 
     fn stats(&self) -> MempoolStats {
