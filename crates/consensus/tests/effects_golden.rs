@@ -10,6 +10,11 @@
 //! re-recorded when an epoch began to end as soon as its block is
 //! notarized (its timer keyed by epoch, one vote per epoch, only in the
 //! current one): its fault-free case went from 0 commits to 5 328.  The
+//! HotStuff and PBFT ticking, rejecting and edges cases were re-recorded
+//! when a proposal below the current view began to be kept and verified
+//! (`Pacemaker::admit`) and both engines to vote only in the view they are
+//! in; HotStuff ticking went from 59 930 commits to 59 948, the other
+//! counts stayed.  The
 //! system-level goldens cannot stand in for this file:
 //! `tests/golden_fingerprints.rs` hashes observations, not messages, and
 //! its PBFT, Streamlet and MirBFT rows are fault-free, so their timeout /
@@ -526,8 +531,8 @@ const SCENARIOS: [&str; 5] = [
 /// `(engine, [digest-commits per scenario, in SCENARIOS order])`.
 #[rustfmt::skip]
 const RECORDED: [(&str, [&str; 5]); 4] = [
-    ("HotStuff", ["56281fe9230ad82e81201bc115b18059-13323", "a50f28571e5dd1141d782760a330cd96-59930", "eb14996a7fb8a5b9b96a090e56838e98-52", "573c410caf22967fbc0869c6e48c64c2-13334", "cccef8d7c9f3723d09232e0a419cfe82-1"]),
-    ("PBFT", ["a616ada4cb909cdff327849d96d3b3d1-2962", "ac8e62d8c6fa94ff396f99bb86099f87-13324", "c142c8c01be33b994df3fabdde755297-80", "12e7a442b92b09269401ae78114caeb8-16", "c1a751d70692f88b5b5b4b32b1197069-4"]),
+    ("HotStuff", ["56281fe9230ad82e81201bc115b18059-13323", "3a23d2f1e5aa8c800e6a411f0510d393-59948", "eb14996a7fb8a5b9b96a090e56838e98-52", "b75c3447edf6f6beace608552240d192-13334", "48b81e54bd09f1b3722e4091d285cbe2-1"]),
+    ("PBFT", ["a616ada4cb909cdff327849d96d3b3d1-2962", "7358e63f8515bd208eb8504197e143e2-13324", "c142c8c01be33b994df3fabdde755297-80", "4d71d1df411c42234e2f6c46a233e586-16", "6b74315778e357b359f94d76ee6edf88-4"]),
     ("Streamlet", ["eea580c92b070b06153204306715b950-5328", "47dc21586a32c07c5797e0206569244b-21320", "4db9085f72068b5b27e13e70abfa00f2-76", "fe7e4471ec6b60f887c96685ca71134a-8012", "47adc91c7cc4335f1f405c33186cc155-2"]),
     ("MirBFT", ["fc4b7aa4ec52c59a8bb4e4b0434deb62-16", "a9b87ac78c1a553af430947a7ecdccc5-144", "cef716e82357b673344dafcfff628677-96", "fe20e44a166d58205cd906f16040aa56-64", "d88fc54c2735a966378d5db02dabaa11-4"]),
 ];
