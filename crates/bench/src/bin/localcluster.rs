@@ -2,10 +2,11 @@
 //!
 //! Parent mode (default) reserves `n` loopback ports, re-executes itself
 //! once per replica in child mode, collects every child's committed
-//! transaction sequence and counters over stdout, and checks that all
-//! replicas agree.  With `--check-sim` it additionally runs the
-//! deterministic simulator on the same `ExperimentConfig` and seed and
-//! requires the socket cluster's commit sequence to be byte-identical.
+//! sequence (an entry per transaction, or per microblock for reference
+//! payloads) and counters over stdout, and checks that all replicas agree.
+//! With `--check-sim` it additionally runs the deterministic simulator on
+//! the same `ExperimentConfig` and seed and requires the socket cluster's
+//! commit sequence to be byte-identical.
 //!
 //! ```text
 //! localcluster [--protocol N-HS] [--n 4] [--rate 4000] [--tx-limit 60]
@@ -704,7 +705,7 @@ fn main() {
         if r.commits != reports[0].commits {
             eprintln!(
                 "localcluster: replica {i} commit sequence diverges from replica 0 \
-                 ({} vs {} txs); {}",
+                 ({} vs {} entries); {}",
                 r.commits.len(),
                 reports[0].commits.len(),
                 divergence_excerpt(&reports[0].commits, &r.commits)
@@ -714,7 +715,7 @@ fn main() {
     }
     if agree {
         println!(
-            "localcluster: all {} replicas agree on {} committed txs",
+            "localcluster: all {} replicas agree on {} committed entries",
             args.n,
             reports[0].commits.len()
         );
@@ -727,13 +728,13 @@ fn main() {
         let sim = sim_commit_logs(&config, Some(args.tx_limit), args.horizon_us + 1_000_000);
         if reports[0].commits == sim[0] {
             println!(
-                "localcluster: socket commit sequence matches the simulator ({} txs)",
+                "localcluster: socket commit sequence matches the simulator ({} entries)",
                 sim[0].len()
             );
         } else {
             eprintln!(
                 "localcluster: socket commit sequence diverges from the simulator \
-                 ({} vs {} txs); {}",
+                 ({} vs {} entries); {}",
                 reports[0].commits.len(),
                 sim[0].len(),
                 divergence_excerpt(&sim[0], &reports[0].commits)
