@@ -301,6 +301,37 @@ mod tests {
             .any(|(_, m)| matches!(m, ConsensusMsg::Vote { .. })));
     }
 
+    /// Preserved defect (ROADMAP: HotStuff lock): chained HotStuff locks on
+    /// the block two views below a certified one and votes only for a
+    /// proposal that extends the lock or carries a higher certificate (the
+    /// safeNode rule, Yin et al., PODC 2019).  This engine keeps no lock:
+    /// a replica that has voted for b1 ← b2 ← b3, and so is locked on b1,
+    /// votes for a view-5 proposal that extends genesis.  `sim_faults_n16`
+    /// commits such a sibling at seed 42.
+    #[test]
+    fn votes_for_a_proposal_that_abandons_its_locked_block() {
+        let config = SystemConfig::new(4);
+        let mut e = HotStuffEngine::new(&config, ReplicaId(0));
+        let _ = e.on_start(0);
+        let mut parent = BlockId::GENESIS;
+        for view in 1..=3u64 {
+            let leader = View(view).leader(4);
+            let p = Proposal::new(View(view), view, parent, leader, Payload::Empty, true);
+            let _ = e.on_message(view, leader, ConsensusMsg::Propose(p.clone()));
+            let _ = e.on_proposal_verdict(view, p.id, ProposalVerdict::Accept);
+            parent = p.id;
+        }
+        assert_eq!(e.current_view(), View(4));
+        let leader = View(5).leader(4);
+        let fork = Proposal::new(View(5), 1, BlockId::GENESIS, leader, Payload::Empty, true);
+        let _ = e.on_message(5, leader, ConsensusMsg::Propose(fork.clone()));
+        let fx = e.on_proposal_verdict(6, fork.id, ProposalVerdict::Accept);
+        assert!(fx.msgs.iter().any(|(_, m)| matches!(
+            m,
+            ConsensusMsg::Vote { view: View(5), block, .. } if *block == fork.id
+        )));
+    }
+
     #[test]
     fn stale_proposals_and_foreign_votes_are_ignored() {
         let config = SystemConfig::new(4);

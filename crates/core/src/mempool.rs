@@ -444,7 +444,7 @@ impl Mempool for StratusMempool {
             let proof = r.proof.as_ref().expect("verified above");
             self.pab.book_mut().hold(r.id, proof);
         }
-        let missing = self.core.missing(refs);
+        let missing = self.core.missing(proposal, refs);
         if !missing.is_empty() {
             // Consensus is NOT blocked: the proofs guarantee the data can be
             // recovered in the background (PAB-Provable Availability).

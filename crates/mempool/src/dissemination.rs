@@ -24,12 +24,21 @@
 //! asks [`Dissemination::is_retired`] before it opens state of its own for
 //! an id — after it has verified whatever carried the id, never instead.
 //!
-//! **Proposed once.**  An id that a proposal seen here names is not queued
-//! again until it retires, even when the proof, certificate or body that
-//! makes it proposable arrives after the proposal (a leader that proposes
-//! the moment it holds a proof can overtake the creator's broadcast).  Ids
-//! of a proposal that never commits stay named: this replica does not
-//! propose them again, as it did not before.
+//! **Proposed once, released by an orphan.**  An id that a proposal seen
+//! here names is not queued again while that proposal can still commit,
+//! even when the proof, certificate or body that makes it proposable
+//! arrives after the proposal (a leader that proposes the moment it holds a
+//! proof can overtake the creator's broadcast).  A proposal that can no
+//! longer commit gives its ids back.  The engines commit oldest first and
+//! refuse a proposal at or below the top committed view, so when a
+//! proposal commits whose parent is the previous commit seen here (genesis
+//! for the first), every proposal seen here with a lower view that did not
+//! commit is an orphan.  [`Dissemination::on_commit`] queues each of an
+//! orphan's ids again unless a later proposal named it, or it executed or
+//! committed here, and drops the orphan's fill tracking.  After a gap in
+//! the commits this replica saw, a lower proposal may be an ancestor that
+//! committed elsewhere, so such a commit releases nothing.  An id stays
+//! named until it retires or its orphan releases it.
 //!
 //! **What a laggard gets.**  A peer serves a microblock until `δ` after it
 //! executed it.  A replica that learns of a reference no later than the
@@ -47,15 +56,13 @@ use crate::messages::{NarwhalMsg, SmpMsg};
 use crate::store::{FillTracker, MicroblockStore, ProposalQueue, Retired};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use smp_crypto::{
-    Digest, DigestMap, DigestSet, KeyPair, ProofError, PublicKey, QuorumProof, Signature,
-};
+use smp_crypto::{Digest, DigestMap, KeyPair, ProofError, PublicKey, QuorumProof, Signature};
 use smp_telemetry::Telemetry;
 use smp_types::{
-    Microblock, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime, SystemConfig,
-    Transaction,
+    BlockId, Microblock, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime,
+    SystemConfig, Transaction, View,
 };
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// Timer tag of the retire step (see the module docs).
@@ -108,9 +115,16 @@ pub struct Dissemination {
     store: MicroblockStore,
     retired: Retired,
     queue: ProposalQueue,
-    /// Ids a proposal seen here named, until they retire: this replica
-    /// does not propose them again, whatever it learns of them later.
-    named: DigestSet<MicroblockId>,
+    /// Ids a proposal seen here named, with the highest view that named
+    /// each, until they retire or an orphan of that view releases them:
+    /// this replica does not propose them again meanwhile, whatever it
+    /// learns of them later.
+    named: DigestMap<MicroblockId, View>,
+    /// The ids each proposal seen here named, by view, until a commit
+    /// reaches its view: it committed then, or it is an orphan.
+    seen: BTreeMap<(View, BlockId), Vec<MicroblockId>>,
+    /// The last proposal committed here.
+    last_commit: BlockId,
     tracker: FillTracker,
     fetcher: FetchRetryState,
     /// Whether the [`RETIRE_TAG`] timer is armed.
@@ -130,7 +144,9 @@ impl Dissemination {
             store: MicroblockStore::new(),
             retired: Retired::new(FETCH_TIMEOUT),
             queue: ProposalQueue::new(),
-            named: DigestSet::default(),
+            named: DigestMap::default(),
+            seen: BTreeMap::new(),
+            last_commit: BlockId::GENESIS,
             tracker: FillTracker::new(),
             fetcher: FetchRetryState::new(FETCH_TIMEOUT),
             retire_armed: false,
@@ -325,7 +341,7 @@ impl Dissemination {
     /// proposed once, even when a proposal overtakes the proof, certificate
     /// or body that makes it proposable.
     pub fn make_proposable(&mut self, id: MicroblockId) {
-        if !self.retired.contains(&id) && !self.named.contains(&id) {
+        if !self.retired.contains(&id) && !self.named.contains_key(&id) {
             self.queue.push(id);
         }
     }
@@ -371,18 +387,27 @@ impl Dissemination {
         }
     }
 
-    /// Takes the referenced microblocks out of the proposal queue, and
-    /// keeps them out (they are no longer proposable by this replica), and
-    /// returns the references whose data is still wanted: not held
-    /// locally, and not executed here already.
-    pub fn missing<'p>(&mut self, refs: &'p [MicroblockRef]) -> Vec<&'p MicroblockRef> {
+    /// Takes the microblocks `proposal` references (`refs`) out of the
+    /// proposal queue, and keeps them out while it can commit (they are no
+    /// longer proposable by this replica), and returns the references whose
+    /// data is still wanted: not held locally, and not executed here
+    /// already.
+    pub fn missing<'p>(
+        &mut self,
+        proposal: &Proposal,
+        refs: &'p [MicroblockRef],
+    ) -> Vec<&'p MicroblockRef> {
+        let view = proposal.view;
+        let named = self.seen.entry((view, proposal.id)).or_default();
         let mut missing = Vec::new();
         for r in refs {
             self.queue.remove(&r.id);
             if self.retired.contains(&r.id) {
                 continue;
             }
-            self.named.insert(r.id);
+            let latest = self.named.entry(r.id).or_insert(view);
+            *latest = (*latest).max(view);
+            named.push(r.id);
             if !self.store.contains(&r.id) {
                 missing.push(r);
             }
@@ -423,7 +448,7 @@ impl Dissemination {
         if let Err(invalid) = verify(refs) {
             return invalid;
         }
-        let missing = self.missing(refs);
+        let missing = self.missing(proposal, refs);
         if missing.is_empty() {
             return FillStatus::Ready;
         }
@@ -443,6 +468,7 @@ impl Dissemination {
 
     /// Consensus committed `proposal`: its references stop being
     /// proposable and it executes as soon as all of its data is local.
+    /// The orphans it makes give their ids back (see the module docs).
     pub fn on_commit<M>(&mut self, now: SimTime, proposal: &Proposal) -> Effects<M> {
         if let Payload::Refs(refs) = &proposal.payload {
             for r in refs {
@@ -453,6 +479,7 @@ impl Dissemination {
         effects.events = self
             .tracker
             .on_commit(proposal, &self.store, &mut self.retired, now);
+        self.release_orphans(proposal);
         self.arm_retire(now, &mut effects);
         let t = &self.telemetry;
         t.gauge_set("mempool.store.len", self.store.len() as f64);
@@ -463,6 +490,32 @@ impl Dissemination {
             self.fetcher.outstanding() as f64,
         );
         effects
+    }
+
+    /// Forgets every proposal seen here up to `committed`'s view and, if
+    /// `committed` extends the previous commit, queues again each id whose
+    /// latest naming is a lower one of them and that has neither executed
+    /// nor committed here.
+    fn release_orphans(&mut self, committed: &Proposal) {
+        let contiguous = committed.parent == self.last_commit;
+        self.last_commit = committed.id;
+        while let Some(entry) = self.seen.first_entry() {
+            let (view, block) = *entry.key();
+            if view > committed.view {
+                break;
+            }
+            let ids = entry.remove();
+            if !contiguous || view == committed.view {
+                continue;
+            }
+            self.tracker.forget(&block);
+            for id in ids {
+                if self.named.get(&id) == Some(&view) && !self.has_committed(&id) {
+                    self.named.remove(&id);
+                    self.queue.push(id);
+                }
+            }
+        }
     }
 
     /// The core's counters; `forwarded_microblocks` is the backend's to
@@ -855,7 +908,7 @@ mod tests {
         // nothing, and executes with nothing new.
         let again = proposal(3, &[&x]);
         let refs = Dissemination::refs_of(&again).unwrap();
-        assert!(core.missing(refs).is_empty());
+        assert!(core.missing(&again, refs).is_empty());
         assert_eq!(commit(&mut core, 2_000_000, &again), (0, None));
         let stats = core.stats();
         assert_eq!(
@@ -881,6 +934,159 @@ mod tests {
         assert!(core.on_timer(DELTA, action.tag, &mut fx).is_none());
         assert!(fx.is_empty());
         assert_eq!(core.fetcher.outstanding(), 0);
+    }
+
+    /// What happens at a replica in a release case, in order.  A proposal
+    /// is named by its view; `parent` 0 is genesis, and a view no proposal
+    /// of this case has stands for a block this replica never saw.
+    #[derive(Clone, Copy)]
+    enum Step {
+        /// The proposal of `view` extending `parent` is filled here; it
+        /// names `x` if `names_x`.
+        See(u64, u64, bool),
+        /// The proposal of `view` extending `parent` commits here, seen or
+        /// not; it names `x` if `names_x`.
+        Commit(u64, u64, bool),
+        /// `x`'s body arrives.
+        Body,
+    }
+
+    /// Runs `steps` on replica 1 for `x`, a microblock of replica 2 whose
+    /// body is held from the start if `held`: whether `x` is proposable
+    /// at the end, and whether the proposal of view 2 is still tracked.
+    fn release_case(held: bool, steps: &[Step]) -> (bool, bool) {
+        let (mut core, x) = (core(1), mb(2, 0));
+        if held {
+            core.hold(&x);
+        }
+        let mut blocks: BTreeMap<u64, Proposal> = BTreeMap::new();
+        let mut block = |view: u64, parent: u64, names_x: bool| {
+            let parent = match parent {
+                0 => BlockId::GENESIS,
+                p => blocks
+                    .get(&p)
+                    .map_or(BlockId(Digest::of_u64(p)), |b: &Proposal| b.id),
+            };
+            let mbs: &[&Microblock] = if names_x { &[&x] } else { &[] };
+            let p = Proposal::new(
+                View(view),
+                view,
+                parent,
+                ReplicaId(0),
+                proposal(view, mbs).payload,
+                true,
+            );
+            blocks.entry(view).or_insert(p).clone()
+        };
+        for (t, step) in steps.iter().enumerate() {
+            let now = 1_000 * t as SimTime;
+            match *step {
+                Step::See(view, parent, names_x) => {
+                    let mut fx: Effects<SmpMsg> = Effects::none();
+                    let p = block(view, parent, names_x);
+                    let fetch_from = |_: &[&MicroblockRef]| vec![ReplicaId(2)];
+                    core.fill(&p, |_| Ok(()), fetch_from, Missing::Recoverable, &mut fx);
+                }
+                Step::Commit(view, parent, names_x) => {
+                    let _: Effects<SmpMsg> = core.on_commit(now, &block(view, parent, names_x));
+                }
+                Step::Body => {
+                    let mut fx: Effects<SmpMsg> = Effects::none();
+                    core.absorb(now, x.clone(), &mut fx);
+                }
+            }
+        }
+        let orphan = blocks.get(&2).map(|p| p.id).unwrap_or_default();
+        (core.is_proposable(&x.id), core.tracker.is_pending(&orphan))
+    }
+
+    #[test]
+    fn an_orphan_gives_back_only_the_ids_nothing_else_holds() {
+        use Step::*;
+        // In every case view 1 commits, view 2's proposal names `x`, and
+        // view 3 commits extending view 1 (or, in the gap case, a block
+        // this replica never saw), which leaves view 2 an orphan.
+        // (rule, body held, steps, `x` proposable, view 2 still tracked)
+        let cases: [(&str, bool, &[Step], bool, bool); 7] = [
+            (
+                "an orphan's id is proposable again",
+                true,
+                &[Commit(1, 0, false), See(2, 1, true), Commit(3, 1, false)],
+                true,
+                false,
+            ),
+            (
+                "an id the committed proposal names too is not re-queued",
+                true,
+                &[
+                    Commit(1, 0, false),
+                    See(2, 1, true),
+                    See(3, 1, true),
+                    Commit(3, 1, true),
+                ],
+                false,
+                false,
+            ),
+            (
+                "an id a later, still open proposal names stays named",
+                true,
+                &[
+                    Commit(1, 0, false),
+                    See(2, 1, true),
+                    See(3, 1, false),
+                    See(4, 3, true),
+                    Commit(3, 1, false),
+                ],
+                false,
+                false,
+            ),
+            (
+                "an executed id is not released",
+                false,
+                &[
+                    See(1, 0, true),
+                    Commit(1, 0, true),
+                    See(2, 1, true),
+                    Body,
+                    Commit(3, 1, false),
+                ],
+                false,
+                false,
+            ),
+            (
+                "a committed id still waiting for its body is not released",
+                false,
+                &[
+                    See(1, 0, true),
+                    Commit(1, 0, true),
+                    See(2, 1, true),
+                    Commit(3, 1, false),
+                ],
+                false,
+                false,
+            ),
+            (
+                "a commit whose parent is not the previous commit releases nothing",
+                false,
+                &[Commit(1, 0, false), See(2, 1, true), Commit(3, 9, false)],
+                false,
+                true,
+            ),
+            (
+                "the orphan's fill tracking is dropped",
+                false,
+                &[Commit(1, 0, false), See(2, 1, true), Commit(3, 1, false)],
+                true,
+                false,
+            ),
+        ];
+        for (rule, held, steps, proposable, tracked) in cases {
+            assert_eq!(release_case(held, steps), (proposable, tracked), "{rule}");
+        }
+        // The controls: before view 3 commits, `x` is named and view 2
+        // waits for its body.
+        let before = [Commit(1, 0, false), See(2, 1, true)];
+        assert_eq!(release_case(false, &before), (false, true));
     }
 
     /// The books of the replicas of an `n`-replica deployment, certifying
