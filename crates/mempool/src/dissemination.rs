@@ -28,17 +28,26 @@
 //! here names is not queued again while that proposal can still commit,
 //! even when the proof, certificate or body that makes it proposable
 //! arrives after the proposal (a leader that proposes the moment it holds a
-//! proof can overtake the creator's broadcast).  A proposal that can no
-//! longer commit gives its ids back.  The engines commit oldest first and
-//! refuse a proposal at or below the top committed view, so when a
-//! proposal commits whose parent is the previous commit seen here (genesis
-//! for the first), every proposal seen here with a lower view that did not
-//! commit is an orphan.  [`Dissemination::on_commit`] queues each of an
-//! orphan's ids again unless a later proposal named it, or it executed or
-//! committed here, and drops the orphan's fill tracking.  After a gap in
-//! the commits this replica saw, a lower proposal may be an ancestor that
-//! committed elsewhere, so such a commit releases nothing.  An id stays
-//! named until it retires or its orphan releases it.
+//! proof can overtake the creator's broadcast).  A proposal that is not
+//! expected to commit any more gives its ids back: when a proposal commits
+//! whose parent is the previous commit seen here (genesis for the first),
+//! every proposal seen here with a lower view that did not commit is an
+//! orphan.  [`Dissemination::on_commit`] queues each of an orphan's ids
+//! again unless a later proposal named it, or it executed or committed
+//! here.  After a gap in the commits this replica saw, a lower proposal may
+//! be an ancestor that committed elsewhere, so such a commit releases
+//! nothing.  An id stays named until it retires or its orphan releases it.
+//!
+//! The release is a bet, not a proof: no engine forbids a commit below its
+//! top committed view.  PBFT commits one block per commit quorum, so view
+//! `v` can commit after `v + 1` when `v + 1` was built on `v - 1`, and
+//! HotStuff's `commit_through` commits the uncommitted ancestors of its tip,
+//! which may lie below the top when the chain forks.  So an orphan keeps its
+//! fill tracking, and a late commit — one at or below the highest view
+//! committed here — releases nothing and names its ids again: it executes
+//! only once its bodies are local, as any commit does, and its ids are not
+//! queued again while it waits.  An id that was proposed again meanwhile
+//! commits twice and executes once.
 //!
 //! **What a laggard gets.**  A peer serves a microblock until `δ` after it
 //! executed it.  A replica that learns of a reference no later than the
@@ -123,8 +132,8 @@ pub struct Dissemination {
     /// The ids each proposal seen here named, by view, until a commit
     /// reaches its view: it committed then, or it is an orphan.
     seen: BTreeMap<(View, BlockId), Vec<MicroblockId>>,
-    /// The last proposal committed here.
-    last_commit: BlockId,
+    /// The view and id of the highest proposal committed here.
+    last_commit: (View, BlockId),
     tracker: FillTracker,
     fetcher: FetchRetryState,
     /// Whether the [`RETIRE_TAG`] timer is armed.
@@ -146,7 +155,7 @@ impl Dissemination {
             queue: ProposalQueue::new(),
             named: DigestMap::default(),
             seen: BTreeMap::new(),
-            last_commit: BlockId::GENESIS,
+            last_commit: (View(0), BlockId::GENESIS),
             tracker: FillTracker::new(),
             fetcher: FetchRetryState::new(FETCH_TIMEOUT),
             retire_armed: false,
@@ -495,12 +504,23 @@ impl Dissemination {
     /// Forgets every proposal seen here up to `committed`'s view and, if
     /// `committed` extends the previous commit, queues again each id whose
     /// latest naming is a lower one of them and that has neither executed
-    /// nor committed here.
+    /// nor committed here.  A commit at or below the previous commit's view
+    /// is late: it releases nothing, and its ids are named again.
     fn release_orphans(&mut self, committed: &Proposal) {
-        let contiguous = committed.parent == self.last_commit;
-        self.last_commit = committed.id;
+        let (top, last) = self.last_commit;
+        if committed.view <= top {
+            if let Payload::Refs(refs) = &committed.payload {
+                for r in refs.iter().filter(|r| !self.retired.contains(&r.id)) {
+                    let latest = self.named.entry(r.id).or_insert(committed.view);
+                    *latest = (*latest).max(committed.view);
+                }
+            }
+            return;
+        }
+        let contiguous = committed.parent == last;
+        self.last_commit = (committed.view, committed.id);
         while let Some(entry) = self.seen.first_entry() {
-            let (view, block) = *entry.key();
+            let view = entry.key().0;
             if view > committed.view {
                 break;
             }
@@ -508,7 +528,6 @@ impl Dissemination {
             if !contiguous || view == committed.view {
                 continue;
             }
-            self.tracker.forget(&block);
             for id in ids {
                 if self.named.get(&id) == Some(&view) && !self.has_committed(&id) {
                     self.named.remove(&id);
@@ -949,12 +968,16 @@ mod tests {
         Commit(u64, u64, bool),
         /// `x`'s body arrives.
         Body,
+        /// `x`'s proof or certificate arrives: the backend offers it to the
+        /// proposal queue.
+        Offer,
     }
 
     /// Runs `steps` on replica 1 for `x`, a microblock of replica 2 whose
-    /// body is held from the start if `held`: whether `x` is proposable
-    /// at the end, and whether the proposal of view 2 is still tracked.
-    fn release_case(held: bool, steps: &[Step]) -> (bool, bool) {
+    /// body is held from the start if `held`: whether, at the end, `x` is
+    /// proposable, the proposal of view 2 still waits for a body, and `x`
+    /// has executed.
+    fn release_case(held: bool, steps: &[Step]) -> (bool, bool, bool) {
         let (mut core, x) = (core(1), mb(2, 0));
         if held {
             core.hold(&x);
@@ -994,10 +1017,15 @@ mod tests {
                     let mut fx: Effects<SmpMsg> = Effects::none();
                     core.absorb(now, x.clone(), &mut fx);
                 }
+                Step::Offer => core.make_proposable(x.id),
             }
         }
         let orphan = blocks.get(&2).map(|p| p.id).unwrap_or_default();
-        (core.is_proposable(&x.id), core.tracker.is_pending(&orphan))
+        (
+            core.is_proposable(&x.id),
+            core.tracker.is_pending(&orphan),
+            core.is_retired(&x.id),
+        )
     }
 
     #[test]
@@ -1006,13 +1034,15 @@ mod tests {
         // In every case view 1 commits, view 2's proposal names `x`, and
         // view 3 commits extending view 1 (or, in the gap case, a block
         // this replica never saw), which leaves view 2 an orphan.
-        // (rule, body held, steps, `x` proposable, view 2 still tracked)
-        let cases: [(&str, bool, &[Step], bool, bool); 7] = [
+        // (rule, body held, steps, `x` proposable, view 2 waits, `x` executed)
+        type Case = (&'static str, bool, &'static [Step], bool, bool, bool);
+        let cases: [Case; 10] = [
             (
                 "an orphan's id is proposable again",
                 true,
                 &[Commit(1, 0, false), See(2, 1, true), Commit(3, 1, false)],
                 true,
+                false,
                 false,
             ),
             (
@@ -1026,6 +1056,7 @@ mod tests {
                 ],
                 false,
                 false,
+                true,
             ),
             (
                 "an id a later, still open proposal names stays named",
@@ -1037,6 +1068,7 @@ mod tests {
                     See(4, 3, true),
                     Commit(3, 1, false),
                 ],
+                false,
                 false,
                 false,
             ),
@@ -1052,6 +1084,7 @@ mod tests {
                 ],
                 false,
                 false,
+                true,
             ),
             (
                 "a committed id still waiting for its body is not released",
@@ -1063,6 +1096,7 @@ mod tests {
                     Commit(3, 1, false),
                 ],
                 false,
+                true,
                 false,
             ),
             (
@@ -1071,22 +1105,68 @@ mod tests {
                 &[Commit(1, 0, false), See(2, 1, true), Commit(3, 9, false)],
                 false,
                 true,
+                false,
             ),
             (
-                "the orphan's fill tracking is dropped",
+                "the orphan's fill tracking is kept",
                 false,
                 &[Commit(1, 0, false), See(2, 1, true), Commit(3, 1, false)],
                 true,
+                true,
+                false,
+            ),
+            (
+                "an orphan that commits late waits for its body, named again",
+                false,
+                &[
+                    Commit(1, 0, false),
+                    See(2, 1, true),
+                    Commit(3, 1, false),
+                    Commit(2, 1, true),
+                    Offer,
+                ],
+                false,
+                true,
+                false,
+            ),
+            (
+                "and executes when the body arrives",
+                false,
+                &[
+                    Commit(1, 0, false),
+                    See(2, 1, true),
+                    Commit(3, 1, false),
+                    Commit(2, 1, true),
+                    Body,
+                ],
+                false,
+                false,
+                true,
+            ),
+            (
+                "a late commit leaves the next commit contiguous",
+                false,
+                &[
+                    Commit(1, 0, false),
+                    See(2, 1, false),
+                    Commit(3, 1, false),
+                    Commit(2, 1, false),
+                    See(4, 3, true),
+                    Commit(5, 3, false),
+                ],
+                true,
+                false,
                 false,
             ),
         ];
-        for (rule, held, steps, proposable, tracked) in cases {
-            assert_eq!(release_case(held, steps), (proposable, tracked), "{rule}");
+        for (rule, held, steps, proposable, waits, executed) in cases {
+            let expected = (proposable, waits, executed);
+            assert_eq!(release_case(held, steps), expected, "{rule}");
         }
         // The controls: before view 3 commits, `x` is named and view 2
         // waits for its body.
         let before = [Commit(1, 0, false), See(2, 1, true)];
-        assert_eq!(release_case(false, &before), (false, true));
+        assert_eq!(release_case(false, &before), (false, true, false));
     }
 
     /// The books of the replicas of an `n`-replica deployment, certifying

@@ -285,11 +285,6 @@ impl FillTracker {
         self.pending.contains_key(proposal)
     }
 
-    /// Stops tracking `proposal` (it can no longer commit).
-    pub fn forget(&mut self, proposal: &BlockId) {
-        self.pending.remove(proposal);
-    }
-
     /// Whether a committed proposal that still waits for data names `id`.
     pub fn commits(&self, id: &MicroblockId) -> bool {
         let names = |p: &PendingProposal| p.refs.iter().any(|(r, _)| r == id);
