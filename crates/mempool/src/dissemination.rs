@@ -30,13 +30,15 @@
 //! arrives after the proposal (a leader that proposes the moment it holds a
 //! proof can overtake the creator's broadcast).  A proposal that is not
 //! expected to commit any more gives its ids back: when a proposal commits
-//! whose parent is the previous commit seen here (genesis for the first),
-//! every proposal seen here with a lower view that did not commit is an
-//! orphan.  [`Dissemination::on_commit`] queues each of an orphan's ids
-//! again unless a later proposal named it, or it executed or committed
-//! here.  After a gap in the commits this replica saw, a lower proposal may
-//! be an ancestor that committed elsewhere, so such a commit releases
-//! nothing.  An id stays named until it retires or its orphan releases it.
+//! whose parent is one of the last `KEPT_COMMITS` commits seen here
+//! (genesis before the first), every proposal seen here with a lower view
+//! that did not commit is an orphan.  [`Dissemination::on_commit`] queues
+//! each of an orphan's ids again unless a later proposal named it, or it
+//! executed or committed here.  The parent need not be the latest commit:
+//! a commit that forks off an earlier one abandons the proposals in
+//! between.  Over a parent never committed here, a lower proposal may be an
+//! ancestor that committed elsewhere, so such a commit releases nothing.
+//! An id stays named until it retires or its orphan releases it.
 //!
 //! The release is a bet, not a proof: no engine forbids a commit below its
 //! top committed view.  PBFT commits one block per commit quorum, so view
@@ -71,11 +73,15 @@ use smp_types::{
     BlockId, Microblock, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime,
     SystemConfig, Transaction, View,
 };
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Timer tag of the retire step (see the module docs).
 pub const RETIRE_TAG: TimerTag = 0x5245_5449; // "RETI"
+
+/// How many of the latest commits a commit may extend and still release
+/// orphans: as deep as the tail the consensus engines keep (`KEPT_VIEWS`).
+pub(crate) const KEPT_COMMITS: usize = 16;
 
 /// The two fetch messages every wire family has, so the core can emit
 /// each family's own variants.
@@ -132,8 +138,11 @@ pub struct Dissemination {
     /// The ids each proposal seen here named, by view, until a commit
     /// reaches its view: it committed then, or it is an orphan.
     seen: BTreeMap<(View, BlockId), Vec<MicroblockId>>,
-    /// The view and id of the highest proposal committed here.
-    last_commit: (View, BlockId),
+    /// The highest view committed here.
+    top_commit: View,
+    /// The ids of the last `KEPT_COMMITS` proposals committed here, in
+    /// commit order (genesis before the first).
+    recent_commits: VecDeque<BlockId>,
     tracker: FillTracker,
     fetcher: FetchRetryState,
     /// Whether the [`RETIRE_TAG`] timer is armed.
@@ -155,7 +164,8 @@ impl Dissemination {
             queue: ProposalQueue::new(),
             named: DigestMap::default(),
             seen: BTreeMap::new(),
-            last_commit: (View(0), BlockId::GENESIS),
+            top_commit: View(0),
+            recent_commits: VecDeque::from([BlockId::GENESIS]),
             tracker: FillTracker::new(),
             fetcher: FetchRetryState::new(FETCH_TIMEOUT),
             retire_armed: false,
@@ -502,13 +512,18 @@ impl Dissemination {
     }
 
     /// Forgets every proposal seen here up to `committed`'s view and, if
-    /// `committed` extends the previous commit, queues again each id whose
-    /// latest naming is a lower one of them and that has neither executed
-    /// nor committed here.  A commit at or below the previous commit's view
-    /// is late: it releases nothing, and its ids are named again.
+    /// `committed` extends one of the last `KEPT_COMMITS` commits, queues
+    /// again each id whose latest naming is a lower one of them and that
+    /// has neither executed nor committed here.  A commit at or below the
+    /// highest view committed here is late: it releases nothing, and its
+    /// ids are named again.
     fn release_orphans(&mut self, committed: &Proposal) {
-        let (top, last) = self.last_commit;
-        if committed.view <= top {
+        let contiguous = self.recent_commits.contains(&committed.parent);
+        if self.recent_commits.len() == KEPT_COMMITS {
+            self.recent_commits.pop_front();
+        }
+        self.recent_commits.push_back(committed.id);
+        if committed.view <= self.top_commit {
             if let Payload::Refs(refs) = &committed.payload {
                 for r in refs.iter().filter(|r| !self.retired.contains(&r.id)) {
                     let latest = self.named.entry(r.id).or_insert(committed.view);
@@ -517,8 +532,7 @@ impl Dissemination {
             }
             return;
         }
-        let contiguous = committed.parent == last;
-        self.last_commit = (committed.view, committed.id);
+        self.top_commit = committed.view;
         while let Some(entry) = self.seen.first_entry() {
             let view = entry.key().0;
             if view > committed.view {
@@ -1031,12 +1045,12 @@ mod tests {
     #[test]
     fn an_orphan_gives_back_only_the_ids_nothing_else_holds() {
         use Step::*;
-        // In every case view 1 commits, view 2's proposal names `x`, and
-        // view 3 commits extending view 1 (or, in the gap case, a block
-        // this replica never saw), which leaves view 2 an orphan.
+        // In most cases view 1 commits, view 2's proposal names `x`, and
+        // view 3 commits extending view 1 (or, in the gap cases, a block
+        // this replica never committed), which leaves view 2 an orphan.
         // (rule, body held, steps, `x` proposable, view 2 waits, `x` executed)
         type Case = (&'static str, bool, &'static [Step], bool, bool, bool);
-        let cases: [Case; 10] = [
+        let cases: [Case; 12] = [
             (
                 "an orphan's id is proposable again",
                 true,
@@ -1100,11 +1114,37 @@ mod tests {
                 false,
             ),
             (
-                "a commit whose parent is not the previous commit releases nothing",
+                "a commit over a parent never seen here releases nothing",
                 false,
                 &[Commit(1, 0, false), See(2, 1, true), Commit(3, 9, false)],
                 false,
                 true,
+                false,
+            ),
+            (
+                "a commit over a parent seen but never committed here releases nothing",
+                false,
+                &[
+                    Commit(1, 0, false),
+                    See(2, 1, true),
+                    See(3, 2, false),
+                    Commit(4, 3, false),
+                ],
+                false,
+                true,
+                false,
+            ),
+            (
+                "a fork commit over an earlier commit releases the proposals in between",
+                true,
+                &[
+                    Commit(1, 0, false),
+                    Commit(2, 1, false),
+                    See(3, 2, true),
+                    Commit(4, 1, false),
+                ],
+                true,
+                false,
                 false,
             ),
             (
@@ -1167,6 +1207,16 @@ mod tests {
         // waits for its body.
         let before = [Commit(1, 0, false), See(2, 1, true)];
         assert_eq!(release_case(false, &before), (false, true, false));
+        // A fork over the commit `depth` commits back: views 1 to 20 commit
+        // in a chain, view 21 names `x`, and view 22 extends view
+        // 21 - depth.  It releases `x` as deep as `KEPT_COMMITS`.
+        let fork = |depth: u64| {
+            let mut steps: Vec<Step> = (1..=20).map(|v| Commit(v, v - 1, false)).collect();
+            steps.extend([See(21, 20, true), Commit(22, 21 - depth, false)]);
+            release_case(true, &steps).0
+        };
+        assert!(fork(1) && fork(KEPT_COMMITS as u64));
+        assert!(!fork(KEPT_COMMITS as u64 + 1));
     }
 
     /// The books of the replicas of an `n`-replica deployment, certifying

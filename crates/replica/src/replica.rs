@@ -103,10 +103,12 @@ where
     /// entries as before.  Bounding it (a kept tail plus a snapshot for
     /// whoever asks below it) is ROADMAP's checkpointed-commit-log item.
     commit_log: Option<Vec<TxId>>,
-    /// Crash-recovery mode: the replica rejoined after losing its state
-    /// and is replaying the committed sequence from live peers.  While
-    /// recovering it neither votes nor proposes (crash-fault model) —
-    /// it only issues `SyncRequest`s and applies `SyncResponse`s.
+    /// Crash-recovery mode: a freshly exec'd process that rejoined with no
+    /// state and replays the committed sequence from live peers.  Without
+    /// the votes it cast before, it could vote twice in a view, so it
+    /// neither votes nor proposes — it only issues `SyncRequest`s and
+    /// applies `SyncResponse`s.  A replica restarted with its state (the
+    /// simulator's `Restart`) resumes as a full participant instead.
     recovering: bool,
     /// The view this replica leads and holds for payload, and when the hold
     /// ends.  A leader holds when the engine lets it wait (`may_wait`: no
@@ -159,23 +161,6 @@ where
     /// committed sequence from live peers via the `Sync` wire family.
     /// Used by a freshly exec'd process rejoining an in-flight cluster.
     pub fn start_recovery(&mut self) {
-        self.recovering = true;
-    }
-
-    /// Epoch-style teardown for an in-process restart: abandons every
-    /// piece of volatile protocol state (pending verdicts, metrics — and
-    /// the consensus/mempool rounds, which are simply never consulted
-    /// again) and re-enters as a recovering observer with an empty commit
-    /// log, exactly like a freshly exec'd process.  This mirrors the
-    /// teardown/respawn dance Narwhal-style designs perform on an epoch
-    /// change.
-    pub fn drain_and_restart(&mut self) {
-        self.pending_verdicts.clear();
-        self.held = None;
-        self.metrics = ReplicaMetrics::default();
-        if self.commit_log.is_some() {
-            self.commit_log = Some(Vec::new());
-        }
         self.recovering = true;
     }
 
@@ -564,18 +549,11 @@ where
         }
     }
 
-    fn on_restart(&mut self, ctx: &mut NodeCtx<'_, Self::Msg>) {
-        self.drain_and_restart();
-        self.on_start(ctx);
-    }
-
     fn on_message(&mut self, ctx: &mut NodeCtx<'_, Self::Msg>, from: ReplicaId, msg: Self::Msg) {
         let now = ctx.now();
         match msg.payload {
             ReplicaPayload::Sync(sm) => self.handle_sync(ctx, from, sm),
-            // A recovering replica abandoned its consensus/mempool
-            // epoch: protocol traffic addressed to the old incarnation
-            // is dropped, only Sync is live.
+            // A recovering process has no vote state: only Sync is live.
             _ if self.recovering => {}
             ReplicaPayload::Consensus(cm) => {
                 let span = ctx.telemetry().span_at("replica.consensus.on_message", now);
@@ -596,16 +574,11 @@ where
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_, Self::Msg>, tag: TimerTag) {
         let now = ctx.now();
         // SYNC_TAG and HOLD_TAG have bit 63 set, so they must be matched
-        // before the MEMPOOL_TAG_FLAG test below.
+        // before the MEMPOOL_TAG_FLAG test below.  Only a recovering
+        // process arms SYNC_TAG, and it arms no other timer.
         if tag == SYNC_TAG {
-            if self.recovering {
-                self.request_sync(ctx);
-                ctx.set_timer(SYNC_INTERVAL, SYNC_TAG);
-            }
-            return;
-        }
-        if self.recovering {
-            // Timers armed by the abandoned pre-crash epoch.
+            self.request_sync(ctx);
+            ctx.set_timer(SYNC_INTERVAL, SYNC_TAG);
             return;
         }
         if tag == HOLD_TAG {

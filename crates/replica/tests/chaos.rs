@@ -1,17 +1,20 @@
 //! Deterministic chaos suite: scripted crash/restart, partitions, and
 //! burst faults against the full replica stack inside the simulator.
 //!
-//! The contract under test is the crash-recovery story of the `Sync`
-//! wire family: a replica that loses its state mid-run re-syncs the
-//! committed sequence from live peers and ends the run with a log
-//! byte-identical to theirs — and, when the faults land after the
-//! workload settles, byte-identical to an entirely unfaulted reference
-//! run.  Every schedule replays deterministically, so each scenario is
-//! also run twice and compared.
+//! A crash loses what dies with a process; a restarted replica resumes
+//! with the state it kept, as one that restarts from disk does, and takes
+//! part again at once: it votes, proposes and offers.  When the faults
+//! land after the workload settles, every log ends byte-identical to an
+//! entirely unfaulted reference run.  Under load, the restarted replica
+//! never executes what committed while it was down (a preserved defect:
+//! nothing fetches a missing block).  The `Sync` wire family serves only a
+//! process that comes back with no state (`--recover` on sockets).  Every
+//! schedule replays deterministically, so each scenario is also run twice
+//! and compared.
 
 use simnet::{FaultAction, FaultSchedule};
 use smp_replica::{sim_commit_logs, ExperimentConfig, Protocol};
-use smp_types::{ReplicaId, TxId};
+use smp_types::{ClientId, ReplicaId, TxId};
 use smp_workload::LoadDistribution;
 use std::collections::HashSet;
 
@@ -60,8 +63,8 @@ fn killed_replica_resyncs_to_byte_identical_log() {
     assert_eq!(reference[0].len(), TX_LIMIT as usize);
 
     // Crash replica 3 after the workload settles, restart it 500 ms
-    // later: `on_restart` drains its state and it rejoins as a passive
-    // sync observer, replaying the committed sequence from its peers.
+    // later: it resumes with the log it kept, and nothing committed
+    // meanwhile.
     let schedule = FaultSchedule::new()
         .at(SETTLED_US, FaultAction::Crash(ReplicaId(3)))
         .at(SETTLED_US + 500_000, FaultAction::Restart(ReplicaId(3)));
@@ -95,9 +98,9 @@ fn empty_fault_schedule_is_provably_inert() {
 #[test]
 fn partitioned_replica_catches_up_after_crash_recovery() {
     // Partition replica 3 away while consensus keeps running, heal, then
-    // crash-and-restart it.  Whatever blocks it missed behind the cut,
-    // recovery rebuilds its log from the live peers' committed
-    // sequences, so all four logs end identical.
+    // crash-and-restart it.  The workload committed before the cut, so
+    // the views it missed carried nothing, and all four logs end
+    // identical.
     let config = single_source(4);
     let schedule = FaultSchedule::new()
         .at(SETTLED_US, FaultAction::Partition(vec![ReplicaId(3)]))
@@ -114,11 +117,10 @@ fn partitioned_replica_catches_up_after_crash_recovery() {
 #[test]
 fn dag_mempool_stays_consistent_under_crash_and_heal() {
     // The DAG backend keeps per-creator rounds, a parent frontier, and
-    // piggybacked ack state — all of it lost in a crash.  Block dedup is
-    // digest-based (not (creator, round)-based) precisely so a restarted
-    // replica's re-emitted low rounds are re-accepted by its peers; this
-    // scenario proves the whole plane survives the PR 6 crash/heal
-    // script with byte-identical logs, in both commit-derivation modes.
+    // piggybacked ack state, which a restarted replica resumes with; this
+    // scenario proves the whole plane survives a partition/heal then
+    // crash/restart script with byte-identical logs, in both
+    // commit-derivation modes.
     for protocol in [Protocol::DagHotStuff, Protocol::DagHotStuffFast] {
         // Four transactions per batch: the 60-tx workload spans 15 DAG
         // blocks (the commit log records one entry per referenced batch),
@@ -305,65 +307,120 @@ fn a_replica_partitioned_for_ten_seconds_never_executes_what_it_missed() {
     );
 }
 
-/// A crash and restart, then a partition and heal, on the honest S-HS row
-/// of the benchmark's `sim_faults_n16`: n = 16, 20 000 tx/s, 128 KiB
-/// batches, offers for 9 s and 3 s to drain.  Replica 3 crashes at 2 s and
-/// restarts at 4 s; replicas 1 and 2 are cut off from 7 s to 7.5 s.  Each
-/// fault alone costs S-HS under 1 % of its offers; together they cost 10 %
-/// while an orphaned proposal kept its references.  At seed 42 replica 2
-/// proposes view 114 inside the partition.  The proposal reaches every
-/// replica late, each one marks its 121 references named, and it never
-/// commits, so the 60 that no other block carried (≈ 13 000 transactions)
-/// were never proposed again.  Now the first commit over it releases them.
+const SEC: u64 = 1_000_000;
+
+/// The honest S-HS row of the benchmark's `sim_faults_n16` at `seed`:
+/// n = 16, 20 000 tx/s, 128 KiB batches; 9 s of offers (11 250 per
+/// replica) then 3 s to drain.
+fn shs_row(seed: u64) -> ExperimentConfig {
+    let mut config =
+        ExperimentConfig::new(Protocol::StratusHotStuff, 16, 20_000.0).with_batch_size(128 * 1024);
+    config.seed = seed;
+    config
+}
+
+const SHS_OFFERS: Option<u64> = Some(11_250);
+
+/// Replica 3 crashes at 2 s and restarts at 4 s.
+fn crash_and_restart() -> FaultSchedule {
+    FaultSchedule::new()
+        .at(2 * SEC, FaultAction::Crash(ReplicaId(3)))
+        .at(4 * SEC, FaultAction::Restart(ReplicaId(3)))
+}
+
+/// A crash and restart, then a partition and heal, on the S-HS row:
+/// replica 3 is down from 2 s to 4 s, and replicas 1 and 2 are cut off
+/// from 7 s to 7.5 s.  Replica 0 commits at least 98 % of what it commits
+/// without faults: 714 of 720 microblocks (250 transactions each, sealed
+/// on the batch timer) at seeds 40 to 45, and 720 with the crash alone.
+/// Together the faults cost 10 % while an orphaned proposal kept its
+/// references: at seed 42 replica 2 proposed a view inside the partition
+/// whose late proposal every replica saw, and the 60 references no other
+/// block carried were never proposed again.  The first commit over it now
+/// releases them.  And while a restarted replica stayed a passive observer
+/// it offered nothing more; it resumes with its state now, and offers.
 ///
-/// The measure is replica 0's commit log, one entry per microblock (250
-/// transactions, sealed on the batch timer), against the same run with the
-/// crash and restart only: a restarted replica rejoins as a passive
-/// observer and offers nothing more, so a run without faults commits 35
-/// microblocks of replica 3's that the faulted runs never offer.  What is
-/// still lost, seed 42 (about 1 % of the offers):
-/// - six microblocks (1 500 transactions) that replicas 1 and 2 sealed
-///   inside the partition: their PAB broadcast was dropped and is never
-///   repeated, so no proof forms and no leader learns of them (a
-///   push-retry prototype recovered only two of them);
-/// - about 240 transactions that replica 3 had not yet sealed when it
-///   crashed (the baseline loses them too).
+/// What is still lost: microblocks that replicas 1 and 2 sealed inside the
+/// partition.  Their PAB broadcast was dropped and is never repeated, so
+/// no proof forms and no leader learns of them.
 ///
-/// Only replica 0's log is read.  Replicas 1 and 2 commit the other branch
-/// of a HotStuff fork (ROADMAP: HotStuff lock): at seed 42 replica 0
-/// commits views 97 and 100–109, then view 116 over view 97, while
-/// replica 1 commits view 97 and then 116.  The ids of the views it never
-/// committed are orphans to it, come back and commit again, so its log
-/// lists them later than replica 0's; and replica 3, which syncs its log
-/// chunk by chunk from whichever peer answers, lists some twice at seed 45
-/// (ROADMAP: checkpointed commit log).
+/// Only replica 0's log is read.  A replica on the other branch of a
+/// HotStuff fork (ROADMAP: HotStuff lock) lists the ids of the views it
+/// never committed later, when they come back and commit again.
 #[test]
 fn stratus_keeps_its_offers_through_a_crash_then_a_partition() {
-    const SEC: u64 = 1_000_000;
-    let crash = FaultSchedule::new()
-        .at(2 * SEC, FaultAction::Crash(ReplicaId(3)))
-        .at(4 * SEC, FaultAction::Restart(ReplicaId(3)));
-    let composed = crash
-        .clone()
+    let composed = crash_and_restart()
         .at(
             7 * SEC,
             FaultAction::Partition(vec![ReplicaId(1), ReplicaId(2)]),
         )
         .at(15 * SEC / 2, FaultAction::Heal);
-    // 9 s of 1 250 tx/s per replica.
-    let offers = Some(11_250);
     for seed in 40..=45 {
-        let mut config = ExperimentConfig::new(Protocol::StratusHotStuff, 16, 20_000.0)
-            .with_batch_size(128 * 1024);
-        config.seed = seed;
         let committed = |faults: &FaultSchedule| {
-            let config = config.clone().with_faults(faults.clone());
-            sim_commit_logs(&config, offers, 12 * SEC)[0].len()
+            let config = shs_row(seed).with_faults(faults.clone());
+            sim_commit_logs(&config, SHS_OFFERS, 12 * SEC)[0].len()
         };
-        let (baseline, faulted) = (committed(&crash), committed(&composed));
+        let (baseline, faulted) = (committed(&FaultSchedule::new()), committed(&composed));
         assert!(
             faulted * 100 >= baseline * 98,
-            "seed {seed}: S-HS commits {faulted} microblocks, {baseline} with the crash alone"
+            "seed {seed}: S-HS commits {faulted} microblocks, {baseline} without faults"
+        );
+    }
+}
+
+/// The crash alone, on the S-HS row at seed 42: the restarted replica 3
+/// commits what comes after its restart, but never executes what the
+/// others committed while it was down — 120 of replica 0's 720
+/// microblocks.  Its chain tip is a block from before the crash, and
+/// `commit_through` stops at the first block it never received.
+/// Preserved defect (ROADMAP: block sync): fetching a missing block turns
+/// this into "replica 3's log equals replica 0's".
+#[test]
+fn a_restarted_replica_never_executes_what_committed_while_it_was_down() {
+    let config = shs_row(42).with_faults(crash_and_restart());
+    let logs = |horizon_us| sim_commit_logs(&config, SHS_OFFERS, horizon_us);
+    // Replica 0's log as replica 3 crashes and as it restarts.
+    let (at_crash, at_restart) = (logs(2 * SEC - 1), logs(4 * SEC));
+    let (crashed, restarted) = (at_crash[0].len(), at_restart[0].len());
+    assert_eq!(
+        at_crash[3], at_crash[0],
+        "replica 3 was level when it crashed"
+    );
+    let end = logs(12 * SEC);
+    assert_eq!(end[0].len(), 720);
+    assert_eq!(end[0][..restarted], at_restart[0][..]);
+    let missed = &end[0][crashed..restarted];
+    assert_eq!(missed.len(), 120);
+    let without_missed = [&end[0][..crashed], &end[0][restarted..]].concat();
+    assert_eq!(
+        end[3], without_missed,
+        "replica 3 executes everything else, in replica 0's order"
+    );
+}
+
+/// N-HS, n = 4, 1 000 tx/s offered at each replica; replica 3 is down from
+/// 2 s to 4 s.  A native mempool proposes a transaction only at the replica
+/// that received it, so replica 3's transactions commit at replica 0 only
+/// in blocks replica 3 proposed.  Every one it offers before the crash or
+/// up to 3 s after the restart commits there: sequence numbers below
+/// 5 000, of which 1 995 were offered before the crash.
+#[test]
+fn a_restarted_native_replica_proposes_blocks_that_commit() {
+    for seed in 40..=45 {
+        let mut config = ExperimentConfig::new(Protocol::NativeHotStuff, 4, 4_000.0)
+            .with_batch_size(16 * 1024)
+            .with_faults(crash_and_restart());
+        config.seed = seed;
+        let logs = commit_logs(&config, None, 8 * SEC);
+        let committed: HashSet<TxId> = logs[0].iter().copied().collect();
+        let lost: Vec<u64> = (0..5_000)
+            .filter(|&seq| !committed.contains(&TxId::derive(ClientId(3), seq)))
+            .collect();
+        assert!(
+            lost.is_empty(),
+            "seed {seed}: replica 0 lacks {} of replica 3's transactions, from seq {}",
+            lost.len(),
+            lost[0]
         );
     }
 }

@@ -106,8 +106,8 @@ impl<N: Node> NodeDriver<N> {
         self.invoke(now, out, |node, ctx| node.on_start(ctx))
     }
 
-    /// Boots a fresh incarnation at time `now`: the RNG restarts exactly
-    /// as a re-exec'd process's would, then `on_restart` runs.
+    /// Resumes the node after a crash at time `now`: the RNG restarts
+    /// exactly as a re-exec'd process's would, then `on_restart` runs.
     pub fn restart(&mut self, now: SimTime, out: &mut Vec<NodeAction<N::Msg>>) {
         self.rng = SmallRng::seed_from_u64(self.rng_seed);
         self.invoke(now, out, |node, ctx| node.on_restart(ctx))
@@ -227,10 +227,11 @@ mod tests {
         driver.start(0, &mut actions);
         driver.timer(1_000, 7, &mut actions);
         driver.restart(5_000, &mut actions);
+        driver.timer(6_000, 7, &mut actions);
         let draws = &driver.node().draws;
-        assert_eq!(draws.len(), 3);
+        assert_eq!(draws.len(), 3, "the default on_restart draws nothing");
         assert_ne!(draws[0], draws[1]);
-        assert_eq!(draws[0], draws[2], "a fresh incarnation replays the stream");
+        assert_eq!(draws[0], draws[2], "a restarted node replays the stream");
     }
 
     #[test]

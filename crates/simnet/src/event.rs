@@ -71,10 +71,6 @@ pub enum EventKind<M> {
         node: ReplicaId,
         /// Application-defined tag.
         tag: u64,
-        /// Incarnation of the node when it set the timer.  A timer whose
-        /// epoch no longer matches (the node crashed and restarted in
-        /// between) is dead on arrival.
-        epoch: u32,
     },
     /// The outbound link of `node` finished serializing a message and can
     /// start on the next queued one.

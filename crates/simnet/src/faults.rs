@@ -16,14 +16,15 @@
 //! Supported faults:
 //!
 //! * [`Crash`](FaultAction::Crash) / [`Restart`](FaultAction::Restart) —
-//!   a crashed node stops executing: the deliveries waiting for its CPU
-//!   are lost, later ones are dropped at its NIC, its timers never fire,
-//!   and its queued (not yet transmitting) outbound messages are lost.
-//!   Restart resurrects it with a fresh incarnation, CPU idle and inbox
-//!   empty: the per-node RNG is reseeded exactly as a freshly exec'd
-//!   process would be, timers from the previous incarnation are dead on
-//!   arrival, and the node's [`on_restart`](crate::Node::on_restart) hook
-//!   runs.
+//!   a crashed node stops executing: what dies with a process is lost —
+//!   the deliveries waiting for its CPU, later ones (dropped at its NIC)
+//!   and its queued (not yet transmitting) outbound messages.  Its timers
+//!   that come due meanwhile are parked.  Restart resumes it with the
+//!   state it kept, as a replica that restarts from disk does, CPU idle
+//!   and inbox empty: the per-node RNG is reseeded exactly as a freshly
+//!   exec'd process would be, the node's
+//!   [`on_restart`](crate::Node::on_restart) hook runs, then the parked
+//!   timers fire at once, in due order; later ones fire on time.
 //! * [`Partition`](FaultAction::Partition) / [`Heal`](FaultAction::Heal)
 //!   — severs every link between an island of nodes and the rest of the
 //!   cluster (deliveries crossing the cut are dropped); `Heal` restores
@@ -64,8 +65,8 @@ use smp_types::{ReplicaId, SimTime};
 pub enum FaultAction {
     /// Halt `0` at the scheduled time.  No-op if already crashed.
     Crash(ReplicaId),
-    /// Resurrect a crashed node with a fresh incarnation.  No-op if the
-    /// node is not crashed.
+    /// Resume a crashed node with the state it kept, firing the timers
+    /// that came due while it was down.  No-op if the node is not crashed.
     Restart(ReplicaId),
     /// Sever every link between the island and the rest of the cluster.
     /// Replaces any previous partition.

@@ -25,7 +25,8 @@
 //!   completions,
 //! * **timers** that fire once, at `now + delay`, equal times in arming
 //!   order, and cannot be cancelled (handlers ignore a stale one by its
-//!   tag); those of a crashed node or a previous incarnation never fire,
+//!   tag); one that comes due while its node is crashed fires when the
+//!   node restarts,
 //!
 //! while protocol logic runs as deterministic event-driven state machines
 //! implementing the [`Node`] trait, each hosted by a [`NodeDriver`] — the

@@ -37,11 +37,10 @@ pub trait Node {
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_, Self::Msg>, tag: TimerTag);
 
     /// Called when the fault plane resurrects the node after a scripted
-    /// crash (see [`FaultAction::Restart`]).
-    /// The default boots it like a fresh process.
-    fn on_restart(&mut self, ctx: &mut NodeCtx<'_, Self::Msg>) {
-        self.on_start(ctx);
-    }
+    /// crash (see [`FaultAction::Restart`]), before the timers that came
+    /// due while it was down fire.  The node kept its state, as a process
+    /// that restarts from disk does; the default resumes with it.
+    fn on_restart(&mut self, _ctx: &mut NodeCtx<'_, Self::Msg>) {}
 }
 
 /// Outbound `(bytes, messages)` per (node, message kind).
@@ -106,7 +105,9 @@ pub struct Simulation<N: Node> {
     /// per-node RNGs so a burst never perturbs node streams.
     fault_rng: SmallRng,
     crashed: Vec<bool>,
-    incarnation: Vec<u32>,
+    /// Per crashed node, in due order, the tags of its timers that came
+    /// due while it was down: they fire when it restarts.
+    parked: Vec<Vec<TimerTag>>,
     /// Membership of the current partition island, by node (nobody in it
     /// = fully connected).
     island: Vec<bool>,
@@ -152,7 +153,7 @@ impl<N: Node> Simulation<N> {
             fault_idx: 0,
             fault_rng: SmallRng::seed_from_u64(seed ^ 0xFAB1_7C0D_E5EE_D000),
             crashed: vec![false; n],
-            incarnation: vec![0; n],
+            parked: vec![Vec::new(); n],
             island: vec![false; n],
             drop_until: 0,
             delay: DelayWindow::default(),
@@ -298,12 +299,11 @@ impl<N: Node> Simulation<N> {
             }
             match *self.queue.kind(key.slot) {
                 EventKind::Deliver { to, from, .. } => self.arrive(key.slot, to.index(), from),
-                EventKind::Timer { node, tag, epoch } => {
+                EventKind::Timer { node, tag } => {
                     self.queue.take(key.slot);
                     let idx = node.index();
-                    // A crashed node's timers never fire; a timer set by
-                    // a previous incarnation is dead on arrival.
-                    if self.crashed[idx] || epoch != self.incarnation[idx] {
+                    if self.crashed[idx] {
+                        self.parked[idx].push(tag);
                         continue;
                     }
                     let _span = self.telemetry.span_at("simnet.timer", self.now);
@@ -350,12 +350,16 @@ impl<N: Node> Simulation<N> {
                 let idx = id.index();
                 if self.crashed[idx] {
                     self.crashed[idx] = false;
-                    // A fresh incarnation: old timers are dead, the CPU is
-                    // idle, and the driver reseeds and reboots the node.
-                    self.incarnation[idx] += 1;
+                    // The node resumes with its state, the CPU idle and
+                    // the RNG reseeded; the timers that came due while it
+                    // was down fire now, in due order.
                     self.cpu_free[idx] = self.now;
                     self.telemetry.instant_at("simnet.fault.restart", self.now);
                     self.invoke(idx, |d, now, out| d.restart(now, out));
+                    for tag in std::mem::take(&mut self.parked[idx]) {
+                        let _span = self.telemetry.span_at("simnet.timer", self.now);
+                        self.invoke(idx, |d, now, out| d.timer(now, tag, out));
+                    }
                 }
             }
             FaultAction::Partition(island) => {
@@ -488,14 +492,7 @@ impl<N: Node> Simulation<N> {
         match action {
             NodeAction::Send { to, msg } => self.send_message(sender, to, msg),
             NodeAction::SetTimer { at, tag } => {
-                self.queue.push(
-                    at,
-                    EventKind::Timer {
-                        node: sender,
-                        tag,
-                        epoch: self.incarnation[sender.index()],
-                    },
-                );
+                self.queue.push(at, EventKind::Timer { node: sender, tag });
             }
             NodeAction::Observe(obs) => self.observations.push(obs),
         }
@@ -972,22 +969,23 @@ mod tests {
     }
 
     #[test]
-    fn restart_skips_stale_timers_and_reboots_the_node() {
-        /// Sets two timers at every boot, tagged by incarnation.
+    fn restart_fires_the_timers_due_while_down_and_resumes_the_node() {
+        /// Arms three timers at boot, out of due order, and counts boots.
         struct Phoenix {
             starts: u64,
-            fired: Vec<TimerTag>,
+            fired: Vec<(SimTime, TimerTag)>,
         }
         impl Node for Phoenix {
             type Msg = TestMsg;
             fn on_start(&mut self, ctx: &mut NodeCtx<'_, TestMsg>) {
-                ctx.set_timer(5_000, self.starts * 10);
-                ctx.set_timer(12_000, self.starts * 10 + 1);
+                ctx.set_timer(7_000, 2);
+                ctx.set_timer(5_000, 1);
+                ctx.set_timer(12_000, 3);
                 self.starts += 1;
             }
             fn on_message(&mut self, _: &mut NodeCtx<'_, TestMsg>, _: ReplicaId, _: TestMsg) {}
-            fn on_timer(&mut self, _: &mut NodeCtx<'_, TestMsg>, tag: TimerTag) {
-                self.fired.push(tag);
+            fn on_timer(&mut self, ctx: &mut NodeCtx<'_, TestMsg>, tag: TimerTag) {
+                self.fired.push((ctx.now(), tag));
             }
         }
         let nodes = vec![Phoenix {
@@ -999,18 +997,24 @@ mod tests {
                 .at(2_000, FaultAction::Crash(ReplicaId(0)))
                 .at(10_000, FaultAction::Restart(ReplicaId(0))),
         );
+        sim.run_until(9_000);
+        assert!(sim.node(0).fired.is_empty(), "a crashed node runs nothing");
         sim.run_until(30_000);
-        // Boot-0 timers: one fires at 5 ms (crashed — dropped), one at
-        // 12 ms (after restart, but stale epoch — dropped).  Boot-1
-        // timers (default `on_restart` reboots via `on_start`) both fire.
-        assert_eq!(sim.node(0).starts, 2);
-        assert_eq!(sim.node(0).fired, vec![10, 11]);
+        // The timers due at 5 and 7 ms, while the node was down, fire at
+        // the restart in due order; the one due at 12 ms fires on time.
+        // The default `on_restart` does not boot the node again.
+        assert_eq!(sim.node(0).starts, 1);
+        assert_eq!(
+            sim.node(0).fired,
+            vec![(10_000, 1), (10_000, 2), (12_000, 3)]
+        );
         assert!(!sim.is_crashed(0));
+        assert_eq!(sim.queue.len(), 0);
     }
 
     #[test]
     fn restart_reseeds_the_node_rng() {
-        /// Records its first RNG draw of every boot.
+        /// Records its first RNG draw at boot and at every restart.
         struct Dice(Vec<u64>);
         impl Node for Dice {
             type Msg = TestMsg;
@@ -1018,6 +1022,9 @@ mod tests {
                 self.0.push(ctx.rng().gen());
                 // Jitter on the way out advances the stream past that draw.
                 ctx.send(ReplicaId(1 - ctx.id().0), TestMsg::Small(0));
+            }
+            fn on_restart(&mut self, ctx: &mut NodeCtx<'_, TestMsg>) {
+                self.on_start(ctx);
             }
             fn on_message(&mut self, _: &mut NodeCtx<'_, TestMsg>, _: ReplicaId, _: TestMsg) {}
             fn on_timer(&mut self, _: &mut NodeCtx<'_, TestMsg>, _: TimerTag) {}
@@ -1240,7 +1247,7 @@ mod tests {
         sim.schedule_client_input(2_600, ReplicaId(1), input(10, 10));
         sim.schedule_client_input(2_700, ReplicaId(1), input(11, 10));
         sim.run_until(20_000);
-        // Job 9 finds the new incarnation idle; jobs 10 and 11 wait for
+        // Job 9 finds the restarted node idle; jobs 10 and 11 wait for
         // it, in arrival order, and the old wake at 3 001 serves neither
         // early nor twice.
         assert_eq!(

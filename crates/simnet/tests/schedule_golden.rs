@@ -8,12 +8,15 @@
 //! handler invocation `(now, node, kind, from, cost)` in emission order
 //! together with `events_processed()`, plain and under a fault schedule
 //! whose crashes land on backlogs, whose restarts come before the crashed
-//! node's CPU would have freed, and whose delay burst, drop burst and
-//! partition each cover a backlog.
+//! node's CPU would have freed and fire the timers that came due while it
+//! was down, and whose delay burst, drop burst and partition each cover a
+//! backlog.
 //!
 //! The constants were recorded when CPU inboxes became arrival-order
-//! FIFOs; a change to how `simnet` stores or orders events is proven
-//! schedule-preserving by this file passing untouched.
+//! FIFOs, the faulted ones again when a restarted node began to resume
+//! with its timers instead of booting afresh; a change to how `simnet`
+//! stores or orders events is proven schedule-preserving by this file
+//! passing untouched.
 //!
 //! To re-record: `GOLDEN_PRINT=1 cargo test -p simnet --test
 //! schedule_golden -- --nocapture` prints the table rows.
@@ -47,7 +50,7 @@ impl SimMessage for Toy {
 }
 
 struct Chatter {
-    /// Timer rounds the node runs per boot.
+    /// Timer rounds the node runs.
     rounds: u64,
 }
 
@@ -126,9 +129,9 @@ impl Node for Chatter {
 }
 
 /// Every fault kind, each over a standing backlog.  Crash → restart gaps
-/// of 2–7 µs are far below the mean message cost, so the new incarnation
-/// boots before the old one's CPU would have freed, with the wake armed
-/// for the backlog it lost still in the queue.
+/// of 2–7 µs are far below the mean message cost, so the node resumes
+/// before its CPU would have freed, with the wake armed for the backlog it
+/// lost still in the queue.
 fn faults(n: u32) -> FaultSchedule {
     let r = ReplicaId;
     FaultSchedule::new()
@@ -243,9 +246,9 @@ type Case = (u32, bool, &'static str, usize, u64);
 #[rustfmt::skip]
 const CASES: [Case; 4] = [
     (8, false, "4be6f385adf45861", 4246, 11409),
-    (8, true, "5f79a66fc18825e1", 3570, 12184),
+    (8, true, "b8457321e82fbcbf", 2870, 9703),
     (32, false, "0dd5b9e389992270", 22659, 65270),
-    (32, true, "67cb936b894bfae7", 21573, 70598),
+    (32, true, "590cc5dc9aee5586", 19119, 63047),
 ];
 
 #[test]
