@@ -30,7 +30,7 @@
 use crate::api::{CEffects, CEvent, ConsensusMsg, VoteAggregator};
 use smp_crypto::{DigestMap, DigestSet};
 use smp_types::{
-    BlockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, View, MICROS_PER_MS,
+    BlockId, Payload, Proposal, ReplicaId, SimTime, SystemConfig, View, KEPT_VIEWS, MICROS_PER_MS,
 };
 use std::collections::{BTreeSet, HashSet};
 
@@ -38,10 +38,6 @@ use std::collections::{BTreeSet, HashSet};
 /// the next one (HotStuff and PBFT); a Streamlet epoch whose block is not
 /// notarized times out after half of it.
 pub const VIEW_TIMEOUT: SimTime = 1_000 * MICROS_PER_MS;
-
-/// How many views below the commit tip (blocks) or the current view
-/// (pacemaker sets, vote tallies) state is kept.
-pub(crate) const KEPT_VIEWS: u64 = 16;
 
 /// The lowest view kept when the tip (or the current view) is `view`.
 pub(crate) fn floor_below(view: View) -> View {
@@ -258,12 +254,14 @@ impl Pacemaker {
         self.new_views.len()
     }
 
-    /// Emits `NeedPayload`, once, if this replica leads `view` and `view`
-    /// is not below the floor.  It may not wait for payload unless the
-    /// engine says so ([`Chain::let_wait`]).
+    /// Emits `NeedPayload`, once, if this replica leads `view` and is in
+    /// it.  A late quorum for a view already left asks for nothing: its
+    /// proposal would be refused ([`Pacemaker::claim_proposal`]), and the
+    /// payload drawn for it would be lost.  It may not wait for payload
+    /// unless the engine says so ([`Chain::let_wait`]).
     pub(crate) fn request_payload_if_leader(&mut self, view: View, fx: &mut CEffects) {
         if self.is_leader(view)
-            && view >= self.floor()
+            && view == self.view
             && !self.proposed_in.contains(&view)
             && self.payload_requested_for.insert(view)
         {
@@ -420,6 +418,7 @@ impl TwoPhase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::CDest;
 
     /// A chain of empty blocks, one a view from view 1 on; `parent` of the
     /// first is genesis.
@@ -631,5 +630,95 @@ mod tests {
         assert_eq!(asked(&fx), 26);
         assert_eq!(pm.tallies(), 0);
         assert_eq!(pm.view, View(101));
+    }
+
+    /// The views each `NeedPayload` in `fx` asks for.
+    fn payload_views(fx: &CEffects) -> Vec<View> {
+        let view = |e: &CEvent| match e {
+            CEvent::NeedPayload { view, .. } => Some(*view),
+            _ => None,
+        };
+        fx.events.iter().filter_map(view).collect()
+    }
+
+    #[test]
+    fn a_late_quorum_for_a_view_already_left_asks_for_no_payload() {
+        // Replica 1 leads views 1, 5, 9, 13, ...; a quorum is 3 of 4.
+        let mut pm = Pacemaker::new(&SystemConfig::new(4), ReplicaId(1), 0);
+        let mut fx = CEffects::none();
+        pm.enter(View(10), &mut fx);
+        // A vote quorum of view 8, which makes this replica the leader of
+        // view 9: HotStuff enters view 9 (a no-op, it is past it) and asks.
+        pm.enter(View(9), &mut fx);
+        pm.request_payload_if_leader(View(9), &mut fx);
+        // A `NewView` quorum for view 9.
+        for voter in 0..4 {
+            pm.on_new_view(View(9), ReplicaId(voter), &mut fx);
+        }
+        assert_eq!(payload_views(&fx), []);
+        assert_eq!(pm.view, View(10));
+        // The same quorum for a view ahead enters it and asks, once.
+        for voter in 0..4 {
+            pm.on_new_view(View(13), ReplicaId(voter), &mut fx);
+        }
+        pm.request_payload_if_leader(View(13), &mut fx);
+        assert_eq!(payload_views(&fx), [View(13)]);
+        assert_eq!(pm.view, View(13));
+    }
+
+    /// Preserved defect (ROADMAP: view synchronisation): a `NewView` goes
+    /// only to the next leader and a timeout moves a replica on by one
+    /// view, so when the replicas straddle two adjacent views with their
+    /// timers in phase, every leader collects its quorum only once it has
+    /// left the view, and nobody proposes until the timers drift apart.
+    #[test]
+    fn replicas_straddling_two_views_in_phase_never_form_a_new_view_quorum() {
+        const N: usize = 16;
+        let config = SystemConfig::new(N);
+        let u = 20;
+        // The ten replicas ahead, in view u + 1, lead views u + 1 ..= u + 10;
+        // the six behind, in view u, lead the rest.
+        let ahead = |r: usize| (1..=10).any(|k| View(u + k).leader(N).0 as usize == r);
+        let mut pms: Vec<Pacemaker> = (0..N)
+            .map(|r| {
+                let mut pm = Pacemaker::new(&config, ReplicaId(r as u32), 0);
+                pm.enter(
+                    View(if ahead(r) { u + 1 } else { u }),
+                    &mut CEffects::none(),
+                );
+                pm
+            })
+            .collect();
+        assert_eq!((0..N).filter(|r| ahead(*r)).count(), 10);
+        let mut asked = Vec::new();
+        for _round in 0..3 {
+            // Every view timer fires at once; then every `NewView` lands.
+            let mut sent = Vec::new();
+            for pm in &mut pms {
+                let mut fx = CEffects::none();
+                let tag = pm.view.0;
+                pm.on_timer(tag, View(0), &mut fx);
+                asked.extend(payload_views(&fx));
+                sent.extend(fx.msgs);
+            }
+            for (dest, msg) in sent {
+                let (CDest::One(to), ConsensusMsg::NewView { view, voter, .. }) = (dest, msg)
+                else {
+                    panic!("a timeout sends one `NewView` to the next leader");
+                };
+                let mut fx = CEffects::none();
+                pms[to.0 as usize].on_new_view(view, voter, &mut fx);
+                asked.extend(payload_views(&fx));
+            }
+        }
+        assert_eq!(asked, [], "no leader proposes");
+        for (r, pm) in pms.iter().enumerate() {
+            let expected = if ahead(r) { u + 4 } else { u + 3 };
+            assert_eq!(
+                pm.view,
+                View(expected),
+                "replica {r} moved by its timer only"
+            );
+        }
     }
 }

@@ -150,6 +150,12 @@ impl BlockId {
     }
 }
 
+/// How many views below the commit tip (blocks) or the current view
+/// (pacemaker sets, vote tallies) the consensus engines keep state: a
+/// block more than this below the highest committed view is gone and can
+/// no longer commit at that replica.
+pub const KEPT_VIEWS: u64 = 16;
+
 /// A consensus view (or round / epoch, depending on the protocol).
 #[derive(
     Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,

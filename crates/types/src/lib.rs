@@ -19,6 +19,7 @@ pub mod wire;
 pub use config::{DagMode, ExecutorKind, MempoolConfig, NetworkPreset, SystemConfig};
 pub use ids::{
     mb_id_derivations, BlockId, ClientId, MicroblockId, ReplicaId, TxId, TxIdPrefix, View,
+    KEPT_VIEWS,
 };
 pub use microblock::Microblock;
 pub use proposal::{MicroblockRef, Payload, Proposal, SHARD_GROUP_TAG_BYTES};
