@@ -71,7 +71,7 @@ use smp_crypto::{Digest, DigestMap, KeyPair, ProofError, PublicKey, QuorumProof,
 use smp_telemetry::Telemetry;
 use smp_types::{
     BlockId, Microblock, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime,
-    SystemConfig, Transaction, View,
+    SystemConfig, Transaction, View, KEPT_VIEWS,
 };
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -80,8 +80,31 @@ use std::sync::Arc;
 pub const RETIRE_TAG: TimerTag = 0x5245_5449; // "RETI"
 
 /// How many of the latest commits a commit may extend and still release
-/// orphans: as deep as the tail the consensus engines keep (`KEPT_VIEWS`).
-pub(crate) const KEPT_COMMITS: usize = 16;
+/// orphans: as deep as the tail the consensus engines keep ([`KEPT_VIEWS`]).
+pub(crate) const KEPT_COMMITS: usize = KEPT_VIEWS as usize;
+
+/// The ids of the last [`KEPT_COMMITS`] proposals committed here, in commit
+/// order (genesis before the first): whether a commit extends what this
+/// replica saw commit, or lands over a gap — a parent never committed
+/// here, below which a proposal seen here may have committed elsewhere.
+#[derive(Clone, Debug)]
+pub(crate) struct RecentCommits(VecDeque<BlockId>);
+
+impl RecentCommits {
+    pub(crate) fn new() -> Self {
+        RecentCommits(VecDeque::from([BlockId::GENESIS]))
+    }
+
+    /// Records `committed`; `true` if its parent is one of the kept commits.
+    pub(crate) fn extend(&mut self, committed: &Proposal) -> bool {
+        let contiguous = self.0.contains(&committed.parent);
+        if self.0.len() == KEPT_COMMITS {
+            self.0.pop_front();
+        }
+        self.0.push_back(committed.id);
+        contiguous
+    }
+}
 
 /// The two fetch messages every wire family has, so the core can emit
 /// each family's own variants.
@@ -140,9 +163,8 @@ pub struct Dissemination {
     seen: BTreeMap<(View, BlockId), Vec<MicroblockId>>,
     /// The highest view committed here.
     top_commit: View,
-    /// The ids of the last `KEPT_COMMITS` proposals committed here, in
-    /// commit order (genesis before the first).
-    recent_commits: VecDeque<BlockId>,
+    /// The last `KEPT_COMMITS` commits seen here.
+    recent_commits: RecentCommits,
     tracker: FillTracker,
     fetcher: FetchRetryState,
     /// Whether the [`RETIRE_TAG`] timer is armed.
@@ -165,7 +187,7 @@ impl Dissemination {
             named: DigestMap::default(),
             seen: BTreeMap::new(),
             top_commit: View(0),
-            recent_commits: VecDeque::from([BlockId::GENESIS]),
+            recent_commits: RecentCommits::new(),
             tracker: FillTracker::new(),
             fetcher: FetchRetryState::new(FETCH_TIMEOUT),
             retire_armed: false,
@@ -518,11 +540,7 @@ impl Dissemination {
     /// highest view committed here is late: it releases nothing, and its
     /// ids are named again.
     fn release_orphans(&mut self, committed: &Proposal) {
-        let contiguous = self.recent_commits.contains(&committed.parent);
-        if self.recent_commits.len() == KEPT_COMMITS {
-            self.recent_commits.pop_front();
-        }
-        self.recent_commits.push_back(committed.id);
+        let contiguous = self.recent_commits.extend(committed);
         if committed.view <= self.top_commit {
             if let Payload::Refs(refs) = &committed.payload {
                 for r in refs.iter().filter(|r| !self.retired.contains(&r.id)) {

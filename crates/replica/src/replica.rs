@@ -4,7 +4,9 @@
 use crate::wire::{MempoolWire, ReplicaMsg, ReplicaPayload, SyncMsg};
 use simnet::{Node, NodeCtx, ObsKind, TimerTag};
 use smp_consensus::streamlet::EPOCH_DURATION;
-use smp_consensus::{CDest, CEffects, CEvent, ConsensusEngine, ProposalVerdict, VIEW_TIMEOUT};
+use smp_consensus::{
+    CDest, CEffects, CEvent, ConsensusEngine, ConsensusMsg, ProposalVerdict, VIEW_TIMEOUT,
+};
 use smp_mempool::{Dest, Effects, FillStatus, Mempool, MempoolEvent, BATCH_TIMEOUT};
 use smp_metrics::LatencyHistogram;
 use smp_types::{
@@ -281,9 +283,20 @@ where
         self.mempool.make_payload(now)
     }
 
+    /// Hands `payload` to the engine, then the proposal it made of it to
+    /// this replica's own mempool, as every other replica's learns of it.
     fn propose(&mut self, ctx: &mut NodeCtx<'_, ReplicaMsg<M::Msg>>, view: View, payload: Payload) {
-        let fx = self.engine.on_payload(ctx.now(), view, payload);
+        let now = ctx.now();
+        let fx = self.engine.on_payload(now, view, payload);
+        let own = fx.msgs.iter().find_map(|(_, msg)| match msg {
+            ConsensusMsg::Propose(p) => Some(p.clone()),
+            _ => None,
+        });
         self.apply_consensus_effects(ctx, fx);
+        if let Some(proposal) = own {
+            let (_, mfx) = self.mempool.on_proposal(now, &proposal, ctx.rng());
+            self.apply_mempool_effects(ctx, mfx);
+        }
     }
 
     /// After a mempool call: drops a hold on a view the engine has left,
