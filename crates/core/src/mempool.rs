@@ -40,6 +40,9 @@ pub const FORWARD_TAG_BASE: u64 = 0x5200_0000_0000_0000;
 pub const BANLIST_RESET_TAG: u64 = 0x4241_4e52;
 /// Timer tag for the token-bucket release check.
 pub const LIMITER_TAG: u64 = 0x4c49_4d49;
+/// Timer tag for the push retry: a push phase still open `δ` after it
+/// began is run again.
+pub const PUSH_RETRY_TAG: u64 = 0x5055_5348; // "PUSH"
 
 /// The Stratus shared mempool.
 #[derive(Clone, Debug)]
@@ -54,6 +57,8 @@ pub struct StratusMempool {
     estimator: StableTimeEstimator,
     limiter: TokenBucket,
     deferred: VecDeque<(Microblock, Option<ReplicaId>)>,
+    /// Whether the [`PUSH_RETRY_TAG`] timer is armed.
+    push_retry_armed: bool,
     started: bool,
     /// Whether the periodic banList reset fired since the last
     /// [`Mempool::load_snapshot`] drain, for cross-shard DLB coordination.
@@ -73,6 +78,7 @@ impl StratusMempool {
             estimator: StableTimeEstimator::default(),
             limiter: TokenBucket::for_bandwidth_share(bandwidth_bps, DATA_BANDWIDTH_SHARE),
             deferred: VecDeque::new(),
+            push_retry_armed: false,
             started: false,
             pending_reset: false,
         }
@@ -161,7 +167,34 @@ impl StratusMempool {
         self.core.telemetry().counter_inc("pab.push");
         self.pab.start_push(&mb, now, origin);
         effects.broadcast(StratusMsg::PabMsg(mb));
+        self.arm_push_retry(now, effects);
         Ok(())
+    }
+
+    /// Arms the push-retry timer for the oldest push phase in progress,
+    /// unless it is armed already.
+    fn arm_push_retry(&mut self, now: SimTime, effects: &mut Effects<StratusMsg>) {
+        if self.push_retry_armed {
+            return;
+        }
+        if let Some(due) = self.pab.next_push_due(FETCH_TIMEOUT) {
+            effects.timer(due.saturating_sub(now), PUSH_RETRY_TAG);
+            self.push_retry_armed = true;
+        }
+    }
+
+    /// Algorithm 2's retry period on the push side: every push phase still
+    /// open `δ` after it began — its broadcast or its acks were lost, say
+    /// to a partition — is run again through the limiter, keeping its DLB
+    /// origin.
+    fn retry_pushes(&mut self, now: SimTime, effects: &mut Effects<StratusMsg>) {
+        self.push_retry_armed = false;
+        for (id, origin) in self.pab.take_stale_pushes(now, FETCH_TIMEOUT) {
+            if let Some(mb) = self.core.store().get(&id).cloned() {
+                self.start_pab_broadcast(now, mb, origin, effects);
+            }
+        }
+        self.arm_push_retry(now, effects);
     }
 
     fn start_pab_broadcast(
@@ -383,6 +416,8 @@ impl Mempool for StratusMempool {
             effects.timer(BANLIST_RESET_INTERVAL, BANLIST_RESET_TAG);
         } else if tag == LIMITER_TAG {
             self.drain_deferred(now, &mut effects);
+        } else if tag == PUSH_RETRY_TAG {
+            self.retry_pushes(now, &mut effects);
         } else if tag == RETIRE_TAG {
             self.retire(now, &mut effects);
         } else if tag >= FORWARD_TAG_BASE {

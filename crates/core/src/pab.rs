@@ -180,6 +180,36 @@ impl PabEngine {
         self.push.len()
     }
 
+    /// When the oldest push phase in progress turns `age` old.
+    pub fn next_push_due(&self, age: SimTime) -> Option<SimTime> {
+        self.push.values().map(|s| s.broadcast_at + age).min()
+    }
+
+    /// Ends every push phase that has been in progress for at least `age`
+    /// at `now` and returns each id with its DLB origin, oldest first, to
+    /// be pushed again ([`PabEngine::start_push`]).
+    pub fn take_stale_pushes(
+        &mut self,
+        now: SimTime,
+        age: SimTime,
+    ) -> Vec<(MicroblockId, Option<ReplicaId>)> {
+        let mut stale: Vec<(SimTime, MicroblockId, Option<ReplicaId>)> = self
+            .push
+            .iter()
+            .filter(|(_, s)| s.broadcast_at + age <= now)
+            .map(|(id, s)| (s.broadcast_at, *id, s.origin))
+            .collect();
+        stale.sort_unstable();
+        for (_, id, _) in &stale {
+            self.push.remove(id);
+            self.acks.forget(id);
+        }
+        stale
+            .into_iter()
+            .map(|(_, id, origin)| (id, origin))
+            .collect()
+    }
+
     /// Selects the replicas to ask for a missing microblock during the
     /// recovery phase (Algorithm 2, `PAB-Fetch`): each signer of the proof
     /// other than this replica is requested with probability `α`; at least

@@ -9,12 +9,13 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use smp_crypto::{KeyPair, QuorumProof, Signature};
-use smp_mempool::{Dest, Effects, FillStatus, Mempool, MempoolEvent};
+use smp_mempool::{Dest, Effects, FillStatus, Mempool, MempoolEvent, FETCH_TIMEOUT};
 use smp_telemetry::Telemetry;
 use smp_types::{
-    BlockId, ClientId, MempoolConfig, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId,
-    SystemConfig, Transaction, View,
+    BlockId, ClientId, MempoolConfig, Microblock, MicroblockId, MicroblockRef, Payload, Proposal,
+    ReplicaId, SystemConfig, Transaction, View,
 };
+use stratus::mempool::PUSH_RETRY_TAG;
 use stratus::{DlbConfig, StratusConfig, StratusMempool, StratusMsg};
 
 const N: usize = 4;
@@ -580,4 +581,76 @@ fn a_proof_that_comes_after_its_microblock_retired_is_verified_and_dropped() {
         [MempoolEvent::Executed { tx_count: 0, .. }]
     ));
     assert_eq!(nodes[1].proofs_known(), 0);
+}
+
+/// The ids of the microblocks `fx` pushes (`PabMsg` broadcasts).
+fn pushed(fx: &Effects<StratusMsg>) -> Vec<MicroblockId> {
+    let push = |(dest, msg): &(Dest, StratusMsg)| match (dest, msg) {
+        (Dest::AllButSelf, StratusMsg::PabMsg(mb)) => Some(mb.id),
+        _ => None,
+    };
+    fx.msgs.iter().filter_map(push).collect()
+}
+
+#[test]
+fn a_push_still_open_after_delta_is_sent_again_and_a_proven_one_is_not() {
+    let (mut nodes, mut rng) = network(StratusConfig::default());
+    // The first microblock's broadcast is lost; the second's completes.
+    let lost = nodes[0].on_client_txs(0, txs(0, 4), &mut rng);
+    let [lost_id] = pushed(&lost)[..] else {
+        panic!("one push")
+    };
+    assert!(lost.timers.contains(&(FETCH_TIMEOUT, PUSH_RETRY_TAG)));
+    let fx = nodes[0].on_client_txs(1_000, txs(100, 4), &mut rng);
+    assert_eq!(pushed(&fx).len(), 1);
+    assert!(!fx.timers.iter().any(|(_, tag)| *tag == PUSH_RETRY_TAG));
+    route(&mut nodes, 0, fx, 2_000, &mut rng);
+    // δ after the first push, only the open one goes out again, and the
+    // timer is armed for its new push.
+    let retry = nodes[0].on_timer(FETCH_TIMEOUT, PUSH_RETRY_TAG, &mut rng);
+    assert_eq!(pushed(&retry), [lost_id]);
+    assert_eq!(retry.timers, [(FETCH_TIMEOUT, PUSH_RETRY_TAG)]);
+    // Delivered this time, it completes everywhere; with no push open, the
+    // timer sends and arms nothing.
+    route(&mut nodes, 0, retry, FETCH_TIMEOUT + 1_000, &mut rng);
+    let idle = nodes[0].on_timer(2 * FETCH_TIMEOUT, PUSH_RETRY_TAG, &mut rng);
+    assert!(idle.is_empty(), "{idle:?}");
+    for i in 0..N {
+        assert_eq!(
+            nodes[i].make_payload(3_000_000).ref_count(),
+            2,
+            "replica {i}"
+        );
+    }
+}
+
+#[test]
+fn a_proxied_push_sent_again_keeps_its_origin() {
+    let (mut nodes, mut rng) = network(StratusConfig::default());
+    // Replica 2 proxies a microblock of replica 0; its broadcast is lost.
+    let mb = Microblock::seal(ReplicaId(0), txs(0, 4), 0);
+    let fx = nodes[2].on_message(0, ReplicaId(0), StratusMsg::LbForward(mb.clone()), &mut rng);
+    assert_eq!(pushed(&fx), [mb.id]);
+    let retry = nodes[2].on_timer(FETCH_TIMEOUT, PUSH_RETRY_TAG, &mut rng);
+    assert_eq!(pushed(&retry), [mb.id]);
+    // One ack completes the proof (q = 2), which goes back to the origin
+    // only.
+    let fx = nodes[3].on_message(
+        FETCH_TIMEOUT,
+        ReplicaId(2),
+        StratusMsg::PabMsg(mb),
+        &mut rng,
+    );
+    let [(Dest::One(to), ack)] = &fx.msgs[..] else {
+        panic!("one ack: {fx:?}")
+    };
+    assert_eq!(*to, ReplicaId(2));
+    let fx = nodes[2].on_message(FETCH_TIMEOUT + 1, ReplicaId(3), ack.clone(), &mut rng);
+    let proofs: Vec<&Dest> = fx
+        .msgs
+        .iter()
+        .filter(|(_, m)| matches!(m, StratusMsg::PabProof { .. }))
+        .map(|(dest, _)| dest)
+        .collect();
+    assert_eq!(proofs, [&Dest::One(ReplicaId(0))]);
 }
