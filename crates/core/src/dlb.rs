@@ -49,7 +49,6 @@ struct SampleRound {
     mb: Microblock,
     targets: Vec<ReplicaId>,
     replies: HashMap<ReplicaId, Option<SimTime>>,
-    decided: bool,
 }
 
 #[derive(Clone, Debug)]
@@ -181,7 +180,6 @@ impl LoadBalancer {
                 mb,
                 targets: candidates.clone(),
                 replies: HashMap::new(),
-                decided: false,
             },
         );
         Some((token, candidates))
@@ -196,30 +194,20 @@ impl LoadBalancer {
         status: Option<SimTime>,
     ) -> Option<ForwardDecision> {
         let round = self.samples.get_mut(&token)?;
-        if round.decided || !round.targets.contains(&from) {
+        if !round.targets.contains(&from) {
             return None;
         }
         round.replies.insert(from, status);
         if round.replies.len() < round.targets.len() {
             return None;
         }
-        self.decide(token)
+        self.on_sample_timeout(token)
     }
 
     /// Handles the sampling timeout `τ`: decide with whatever replies have
-    /// arrived.
+    /// arrived, once per round (a round decided before its timeout is gone).
     pub fn on_sample_timeout(&mut self, token: u64) -> Option<ForwardDecision> {
-        self.decide(token)
-    }
-
-    fn decide(&mut self, token: u64) -> Option<ForwardDecision> {
-        let round = self.samples.get_mut(&token)?;
-        if round.decided {
-            self.samples.remove(&token);
-            return None;
-        }
-        round.decided = true;
-        let round = self.samples.remove(&token).expect("round exists");
+        let round = self.samples.remove(&token)?;
         let best = round
             .replies
             .iter()

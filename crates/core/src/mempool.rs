@@ -13,15 +13,14 @@ use crate::pab::{PabEngine, FETCH_ALPHA};
 use rand::rngs::SmallRng;
 use smp_crypto::QuorumProof;
 use smp_mempool::{
-    Dissemination, Effects, FetchWire, FillStatus, LoadSnapshot, Mempool, MempoolEvent,
-    MempoolStats, Missing, TimerTag, FETCH_TIMEOUT, RETIRE_TAG,
+    Deadlines, Dissemination, Effects, FetchWire, FillStatus, LoadSnapshot, Mempool, MempoolEvent,
+    MempoolStats, Missing, TimerTag, FETCH_TIMEOUT,
 };
 use smp_telemetry::Telemetry;
 use smp_types::{
     Microblock, MicroblockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime, SystemConfig,
     Transaction, WireSize,
 };
-use std::collections::VecDeque;
 
 impl FetchWire for StratusMsg {
     fn fetch(ids: Vec<MicroblockId>) -> Self {
@@ -32,17 +31,24 @@ impl FetchWire for StratusMsg {
     }
 }
 
-/// Timer-tag base for DLB sampling timeouts (`τ`).
-pub const SAMPLE_TAG_BASE: u64 = 0x5100_0000_0000_0000;
-/// Timer-tag base for DLB forward timeouts (`τ'`).
-pub const FORWARD_TAG_BASE: u64 = 0x5200_0000_0000_0000;
 /// Timer tag for the periodic banList reset.
 pub const BANLIST_RESET_TAG: u64 = 0x4241_4e52;
-/// Timer tag for the token-bucket release check.
-pub const LIMITER_TAG: u64 = 0x4c49_4d49;
-/// Timer tag for the push retry: a push phase still open `δ` after it
-/// began is run again.
-pub const PUSH_RETRY_TAG: u64 = 0x5055_5348; // "PUSH"
+/// Timer tag of the Stratus deadline table: push retries, the DLB
+/// timeouts `τ` and `τ'`, and the limiter's release.
+pub const STRATUS_DEADLINE_TAG: u64 = 0x5354_5241; // "STRA"
+
+/// What comes due in the Stratus deadline table.
+#[derive(Clone, Debug)]
+enum Due {
+    /// A push phase still open `δ` after it began.
+    Push(MicroblockId),
+    /// The sampling timeout `τ` of a DLB round.
+    Sample(u64),
+    /// The forward timeout `τ'` of a DLB forward.
+    Forward(u64),
+    /// A push the limiter held back, due when the bucket holds its tokens.
+    Release(Microblock, Option<ReplicaId>),
+}
 
 /// The Stratus shared mempool.
 #[derive(Clone, Debug)]
@@ -56,9 +62,9 @@ pub struct StratusMempool {
     lb: LoadBalancer,
     estimator: StableTimeEstimator,
     limiter: TokenBucket,
-    deferred: VecDeque<(Microblock, Option<ReplicaId>)>,
-    /// Whether the [`PUSH_RETRY_TAG`] timer is armed.
-    push_retry_armed: bool,
+    /// One entry per push phase in progress, DLB round and forward, and
+    /// push the limiter held back.
+    deadlines: Deadlines<Due>,
     started: bool,
     /// Whether the periodic banList reset fired since the last
     /// [`Mempool::load_snapshot`] drain, for cross-shard DLB coordination.
@@ -77,8 +83,7 @@ impl StratusMempool {
             lb: LoadBalancer::new(me, system.n, config.dlb),
             estimator: StableTimeEstimator::default(),
             limiter: TokenBucket::for_bandwidth_share(bandwidth_bps, DATA_BANDWIDTH_SHARE),
-            deferred: VecDeque::new(),
-            push_retry_armed: false,
+            deadlines: Deadlines::new(STRATUS_DEADLINE_TAG),
             started: false,
             pending_reset: false,
         }
@@ -136,7 +141,8 @@ impl StratusMempool {
                 for t in &targets {
                     effects.send(*t, StratusMsg::LbQuery { token });
                 }
-                effects.timer(SAMPLE_TIMEOUT, SAMPLE_TAG_BASE + token);
+                let timeout = Due::Sample(token);
+                self.deadlines.insert(now, SAMPLE_TIMEOUT, timeout, effects);
                 return;
             }
             // No eligible proxy: fall through to self-broadcast.
@@ -146,77 +152,46 @@ impl StratusMempool {
 
     /// Runs the PAB push phase for `mb` unless the token-bucket limiter
     /// holds bulk data back so that control traffic always has headroom
-    /// (Section VI, optimization 2); then the microblock is handed back
-    /// with the time until enough tokens are available.
-    fn push_or_wait(
+    /// (Section VI, optimization 2); then the push waits in the deadline
+    /// table until enough tokens are available.
+    fn start_pab_broadcast(
         &mut self,
         now: SimTime,
         mut mb: Microblock,
         origin: Option<ReplicaId>,
         effects: &mut Effects<StratusMsg>,
-    ) -> Result<(), (Microblock, SimTime)> {
+    ) {
         mb.disseminator = self.core.me();
-        let broadcast_bytes = mb.wire_size() * self.n.saturating_sub(1);
-        if !self.limiter.try_consume(now, broadcast_bytes) {
-            let delay = self
-                .limiter
-                .time_until_available(now, broadcast_bytes)
-                .max(1);
-            return Err((mb, delay));
+        let bytes = mb.wire_size() * self.n.saturating_sub(1);
+        if !self.limiter.try_consume(now, bytes) {
+            let delay = self.limiter.time_until_available(now, bytes).max(1);
+            self.deadlines
+                .insert(now, delay, Due::Release(mb, origin), effects);
+            return;
         }
         self.core.telemetry().counter_inc("pab.push");
         self.pab.start_push(&mb, now, origin);
+        let id = mb.id;
         effects.broadcast(StratusMsg::PabMsg(mb));
-        self.arm_push_retry(now, effects);
-        Ok(())
+        self.cancel_push_retry(&id);
+        self.deadlines
+            .insert(now, FETCH_TIMEOUT, Due::Push(id), effects);
     }
 
-    /// Arms the push-retry timer for the oldest push phase in progress,
-    /// unless it is armed already.
-    fn arm_push_retry(&mut self, now: SimTime, effects: &mut Effects<StratusMsg>) {
-        if self.push_retry_armed {
-            return;
-        }
-        if let Some(due) = self.pab.next_push_due(FETCH_TIMEOUT) {
-            effects.timer(due.saturating_sub(now), PUSH_RETRY_TAG);
-            self.push_retry_armed = true;
-        }
+    /// Drops the retry deadline of `id`'s push phase.
+    fn cancel_push_retry(&mut self, id: &MicroblockId) {
+        let retry = |due: &mut Due| matches!(due, Due::Push(push) if push == id);
+        self.deadlines.retain(|due| !retry(due));
     }
 
-    /// Algorithm 2's retry period on the push side: every push phase still
+    /// Algorithm 2's retry period on the push side: a push phase still
     /// open `δ` after it began — its broadcast or its acks were lost, say
     /// to a partition — is run again through the limiter, keeping its DLB
     /// origin.
-    fn retry_pushes(&mut self, now: SimTime, effects: &mut Effects<StratusMsg>) {
-        self.push_retry_armed = false;
-        for (id, origin) in self.pab.take_stale_pushes(now, FETCH_TIMEOUT) {
-            if let Some(mb) = self.core.store().get(&id).cloned() {
-                self.start_pab_broadcast(now, mb, origin, effects);
-            }
-        }
-        self.arm_push_retry(now, effects);
-    }
-
-    fn start_pab_broadcast(
-        &mut self,
-        now: SimTime,
-        mb: Microblock,
-        origin: Option<ReplicaId>,
-        effects: &mut Effects<StratusMsg>,
-    ) {
-        if let Err((mb, delay)) = self.push_or_wait(now, mb, origin, effects) {
-            self.deferred.push_back((mb, origin));
-            effects.timer(delay, LIMITER_TAG);
-        }
-    }
-
-    fn drain_deferred(&mut self, now: SimTime, effects: &mut Effects<StratusMsg>) {
-        while let Some((mb, origin)) = self.deferred.pop_front() {
-            if let Err((mb, delay)) = self.push_or_wait(now, mb, origin, effects) {
-                self.deferred.push_front((mb, origin));
-                effects.timer(delay, LIMITER_TAG);
-                break;
-            }
+    fn retry_push(&mut self, now: SimTime, id: MicroblockId, effects: &mut Effects<StratusMsg>) {
+        let origin = self.pab.end_push(&id);
+        if let Some((mb, origin)) = self.core.store().get(&id).cloned().zip(origin) {
+            self.start_pab_broadcast(now, mb, origin, effects);
         }
     }
 
@@ -227,6 +202,7 @@ impl StratusMempool {
     /// is the only signer).
     fn fetch_from_signers(
         &mut self,
+        now: SimTime,
         id: MicroblockId,
         proof: &QuorumProof,
         rng: &mut SmallRng,
@@ -238,11 +214,9 @@ impl StratusMempool {
         }
         let me = self.core.me();
         let signers = proof.signers().into_iter().map(ReplicaId);
-        let action = self
-            .core
-            .request(vec![id], signers.filter(|r| *r != me).collect());
+        let candidates = signers.filter(|r| *r != me).collect();
+        let action = self.core.request(now, vec![id], candidates, effects);
         effects.multicast(targets, StratusMsg::PabRequest { ids: action.ids });
-        effects.timer(FETCH_TIMEOUT, action.tag);
         true
     }
 
@@ -252,6 +226,7 @@ impl StratusMempool {
     /// after its microblock executed here has nothing left to do.
     fn adopt_proof(
         &mut self,
+        now: SimTime,
         id: MicroblockId,
         proof: QuorumProof,
         rng: &mut SmallRng,
@@ -262,7 +237,9 @@ impl StratusMempool {
         }
         self.pab.book_mut().hold(id, &proof);
         self.core.make_proposable(id);
-        if !self.core.store().contains(&id) && self.fetch_from_signers(id, &proof, rng, effects) {
+        if !self.core.store().contains(&id)
+            && self.fetch_from_signers(now, id, &proof, rng, effects)
+        {
             effects.event(MempoolEvent::FetchIssued { count: 1 });
         }
     }
@@ -276,24 +253,14 @@ impl StratusMempool {
         match decision {
             ForwardDecision::Forward { proxy, mb, token } => {
                 effects.send(proxy, StratusMsg::LbForward(mb));
-                effects.timer(FORWARD_TIMEOUT, FORWARD_TAG_BASE + token);
+                let timeout = Due::Forward(token);
+                self.deadlines
+                    .insert(now, FORWARD_TIMEOUT, timeout, effects);
             }
             ForwardDecision::SelfBroadcast { mb } => {
                 self.start_pab_broadcast(now, mb, None, effects);
             }
         }
-    }
-
-    /// The retire step: drops the proof of every microblock that left the
-    /// store.
-    fn retire(&mut self, now: SimTime, effects: &mut Effects<StratusMsg>) {
-        let (pab, lb) = (&mut self.pab, &mut self.lb);
-        self.core.retire(now, effects, |id| {
-            pab.forget(id);
-            // A forward still open for a microblock that executed: its
-            // proxy delivered.
-            lb.on_proof_received(id);
-        });
     }
 }
 
@@ -332,6 +299,7 @@ impl Mempool for StratusMempool {
             }
             StratusMsg::PabAck { id, sig } => {
                 if let Some(ready) = self.pab.on_ack(id, sig, now) {
+                    self.cancel_push_retry(&id);
                     let telemetry = self.core.telemetry();
                     telemetry.counter_inc("pab.stable");
                     telemetry.observe_us("pab.stable_time", ready.stable_time);
@@ -358,7 +326,7 @@ impl Mempool for StratusMempool {
                                 id,
                                 proof: ready.proof.clone(),
                             });
-                            self.adopt_proof(id, ready.proof, rng, &mut effects);
+                            self.adopt_proof(now, id, ready.proof, rng, &mut effects);
                         }
                     }
                 }
@@ -375,7 +343,7 @@ impl Mempool for StratusMempool {
                         proof: proof.clone(),
                     });
                 }
-                self.adopt_proof(id, proof, rng, &mut effects);
+                self.adopt_proof(now, id, proof, rng, &mut effects);
             }
             StratusMsg::PabRequest { ids } => self.core.serve_fetch(from, &ids, &mut effects),
             StratusMsg::PabResponse { mbs } => self.core.absorb_fetched(now, mbs, &mut effects),
@@ -414,23 +382,39 @@ impl Mempool for StratusMempool {
             self.lb.reset_banlist();
             self.pending_reset = true;
             effects.timer(BANLIST_RESET_INTERVAL, BANLIST_RESET_TAG);
-        } else if tag == LIMITER_TAG {
-            self.drain_deferred(now, &mut effects);
-        } else if tag == PUSH_RETRY_TAG {
-            self.retry_pushes(now, &mut effects);
-        } else if tag == RETIRE_TAG {
-            self.retire(now, &mut effects);
-        } else if tag >= FORWARD_TAG_BASE {
-            if let Some(mb) = self.lb.on_forward_timeout(tag - FORWARD_TAG_BASE) {
-                // The proxy never returned a proof: try again (it stays on
-                // the banList, so a different proxy will be sampled).
-                self.handle_new_microblock(now, mb, rng, &mut effects);
+        }
+        for due in self.deadlines.fire(tag, now, &mut effects) {
+            match due {
+                Due::Push(id) => self.retry_push(now, id, &mut effects),
+                Due::Sample(token) => {
+                    if let Some(decision) = self.lb.on_sample_timeout(token) {
+                        self.handle_forward_decision(now, decision, &mut effects);
+                    }
+                }
+                Due::Forward(token) => {
+                    if let Some(mb) = self.lb.on_forward_timeout(token) {
+                        // The proxy never returned a proof: try again (it
+                        // stays on the banList, so a different proxy will
+                        // be sampled).
+                        self.handle_new_microblock(now, mb, rng, &mut effects);
+                    }
+                }
+                Due::Release(mb, origin) => {
+                    self.start_pab_broadcast(now, mb, origin, &mut effects);
+                }
             }
-        } else if tag >= SAMPLE_TAG_BASE {
-            if let Some(decision) = self.lb.on_sample_timeout(tag - SAMPLE_TAG_BASE) {
-                self.handle_forward_decision(now, decision, &mut effects);
-            }
-        } else if let Some(mb) = self.core.on_timer(now, tag, &mut effects) {
+        }
+        // The retire step drops the proof and the push of every microblock
+        // that leaves the store.
+        let (pab, lb, deadlines) = (&mut self.pab, &mut self.lb, &mut self.deadlines);
+        let sealed = self.core.on_timer(now, tag, &mut effects, |id| {
+            pab.forget(id);
+            deadlines.retain(|due| !matches!(due, Due::Push(push) if push == id));
+            // A forward still open for a microblock that executed: its
+            // proxy delivered.
+            lb.on_proof_received(id);
+        });
+        if let Some(mb) = sealed {
             self.handle_new_microblock(now, mb, rng, &mut effects);
         }
         effects
@@ -461,7 +445,7 @@ impl Mempool for StratusMempool {
 
     fn on_proposal(
         &mut self,
-        _now: SimTime,
+        now: SimTime,
         proposal: &Proposal,
         rng: &mut SmallRng,
     ) -> (FillStatus, Effects<StratusMsg>) {
@@ -487,7 +471,7 @@ impl Mempool for StratusMempool {
             self.core.track(proposal, ids, Missing::Recoverable);
             for r in &missing {
                 let proof = r.proof.as_ref().expect("verified above");
-                self.fetch_from_signers(r.id, proof, rng, &mut effects);
+                self.fetch_from_signers(now, r.id, proof, rng, &mut effects);
             }
             effects.event(MempoolEvent::FetchIssued {
                 count: missing.len() as u32,

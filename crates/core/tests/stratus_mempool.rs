@@ -9,13 +9,13 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use smp_crypto::{KeyPair, QuorumProof, Signature};
-use smp_mempool::{Dest, Effects, FillStatus, Mempool, MempoolEvent, FETCH_TIMEOUT};
+use smp_mempool::{Dest, Effects, FillStatus, Mempool, MempoolEvent, DEADLINE_TAG, FETCH_TIMEOUT};
 use smp_telemetry::Telemetry;
 use smp_types::{
     BlockId, ClientId, MempoolConfig, Microblock, MicroblockId, MicroblockRef, Payload, Proposal,
     ReplicaId, SystemConfig, Transaction, View,
 };
-use stratus::mempool::PUSH_RETRY_TAG;
+use stratus::mempool::STRATUS_DEADLINE_TAG;
 use stratus::{DlbConfig, StratusConfig, StratusMempool, StratusMsg};
 
 const N: usize = 4;
@@ -315,16 +315,15 @@ fn limiter_defers_bulk_broadcasts_under_a_tight_budget() {
         second_broadcasts, 0,
         "second microblock is deferred by the limiter"
     );
+    // The release is due before the first push's retry: it arms the timer.
     assert!(fx2
         .timers
         .iter()
-        .any(|(_, tag)| *tag == stratus::mempool::LIMITER_TAG));
+        .any(|(delay, tag)| *tag == STRATUS_DEADLINE_TAG && *delay < FETCH_TIMEOUT));
     // After enough simulated time the deferred microblock is released.
-    let fx3 = node.on_timer(5_000_000, stratus::mempool::LIMITER_TAG, &mut rng);
-    assert!(fx3
-        .msgs
-        .iter()
-        .any(|(_, m)| matches!(m, StratusMsg::PabMsg(_))));
+    let first = pushed(&fx1);
+    let fx3 = node.on_timer(5_000_000, STRATUS_DEADLINE_TAG, &mut rng);
+    assert!(pushed(&fx3).iter().any(|id| !first.contains(id)));
 }
 
 #[test]
@@ -524,12 +523,19 @@ fn a_proof_that_comes_after_its_microblock_retired_is_verified_and_dropped() {
         nodes[1].on_proposal(30, &proposal, &mut rng).0,
         FillStatus::Ready
     );
-    // It executes at 1 000 and is held for one fetch timeout …
+    // It executes at 1 000 and is held for one fetch timeout.  (The router
+    // delivers the proof before the body, so replica 1 fetched at 10: the
+    // deadline timer armed then, done with once the body came, arms the
+    // retire step when it fires.)
     let fx = nodes[1].on_commit(1_000, &proposal);
-    assert_eq!(fx.timers, vec![(fetch_timeout, smp_mempool::RETIRE_TAG)]);
+    assert!(fx.timers.is_empty(), "{fx:?}");
     assert_eq!(nodes[1].proofs_known(), 1);
-    // … until the retire timer fires, which retires body and proof.
-    let fx = nodes[1].on_timer(1_000 + fetch_timeout, smp_mempool::RETIRE_TAG, &mut rng);
+    let fx = nodes[1].on_timer(10 + fetch_timeout, DEADLINE_TAG, &mut rng);
+    assert!(fx.msgs.is_empty(), "{fx:?}");
+    assert_eq!(fx.timers, vec![(990, DEADLINE_TAG)]);
+    assert_eq!(nodes[1].proofs_known(), 1);
+    // The retire step, at 1 000 + δ, retires body and proof.
+    let fx = nodes[1].on_timer(1_000 + fetch_timeout, DEADLINE_TAG, &mut rng);
     assert!(fx.is_empty(), "{fx:?}");
     let stats = nodes[1].stats();
     assert_eq!(
@@ -600,20 +606,23 @@ fn a_push_still_open_after_delta_is_sent_again_and_a_proven_one_is_not() {
     let [lost_id] = pushed(&lost)[..] else {
         panic!("one push")
     };
-    assert!(lost.timers.contains(&(FETCH_TIMEOUT, PUSH_RETRY_TAG)));
+    assert!(lost.timers.contains(&(FETCH_TIMEOUT, STRATUS_DEADLINE_TAG)));
     let fx = nodes[0].on_client_txs(1_000, txs(100, 4), &mut rng);
     assert_eq!(pushed(&fx).len(), 1);
-    assert!(!fx.timers.iter().any(|(_, tag)| *tag == PUSH_RETRY_TAG));
+    assert!(!fx
+        .timers
+        .iter()
+        .any(|(_, tag)| *tag == STRATUS_DEADLINE_TAG));
     route(&mut nodes, 0, fx, 2_000, &mut rng);
     // δ after the first push, only the open one goes out again, and the
     // timer is armed for its new push.
-    let retry = nodes[0].on_timer(FETCH_TIMEOUT, PUSH_RETRY_TAG, &mut rng);
+    let retry = nodes[0].on_timer(FETCH_TIMEOUT, STRATUS_DEADLINE_TAG, &mut rng);
     assert_eq!(pushed(&retry), [lost_id]);
-    assert_eq!(retry.timers, [(FETCH_TIMEOUT, PUSH_RETRY_TAG)]);
+    assert_eq!(retry.timers, [(FETCH_TIMEOUT, STRATUS_DEADLINE_TAG)]);
     // Delivered this time, it completes everywhere; with no push open, the
     // timer sends and arms nothing.
     route(&mut nodes, 0, retry, FETCH_TIMEOUT + 1_000, &mut rng);
-    let idle = nodes[0].on_timer(2 * FETCH_TIMEOUT, PUSH_RETRY_TAG, &mut rng);
+    let idle = nodes[0].on_timer(2 * FETCH_TIMEOUT, STRATUS_DEADLINE_TAG, &mut rng);
     assert!(idle.is_empty(), "{idle:?}");
     for i in 0..N {
         assert_eq!(
@@ -631,7 +640,7 @@ fn a_proxied_push_sent_again_keeps_its_origin() {
     let mb = Microblock::seal(ReplicaId(0), txs(0, 4), 0);
     let fx = nodes[2].on_message(0, ReplicaId(0), StratusMsg::LbForward(mb.clone()), &mut rng);
     assert_eq!(pushed(&fx), [mb.id]);
-    let retry = nodes[2].on_timer(FETCH_TIMEOUT, PUSH_RETRY_TAG, &mut rng);
+    let retry = nodes[2].on_timer(FETCH_TIMEOUT, STRATUS_DEADLINE_TAG, &mut rng);
     assert_eq!(pushed(&retry), [mb.id]);
     // One ack completes the proof (q = 2), which goes back to the origin
     // only.

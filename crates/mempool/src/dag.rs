@@ -32,7 +32,7 @@
 use crate::api::{Effects, FillStatus, Mempool, MempoolEvent, MempoolStats, TimerTag};
 use crate::dissemination::{
     certifiers, creators_then_proposer, unproven_ref, CertificateBook, Dissemination, FetchWire,
-    Missing, RETIRE_TAG,
+    Missing,
 };
 use crate::fetcher::FETCH_TIMEOUT;
 use rand::rngs::SmallRng;
@@ -256,16 +256,6 @@ impl DagMempool {
     /// The configured commit-derivation mode.
     pub fn mode(&self) -> DagMode {
         self.mode
-    }
-
-    /// The retire step: drops the acks and certificate of every batch that
-    /// left the store.
-    fn retire(&mut self, now: SimTime, effects: &mut Effects<DagMsg>) {
-        let (support, my_acked) = (&mut self.support, &mut self.my_acked);
-        self.core.retire(now, effects, |id| {
-            support.forget(id);
-            my_acked.remove(id);
-        });
     }
 
     /// Whether `id`'s support pattern reached `2f + 1` locally.
@@ -569,9 +559,14 @@ impl Mempool for DagMempool {
 
     fn on_timer(&mut self, now: SimTime, tag: TimerTag, _rng: &mut SmallRng) -> Effects<DagMsg> {
         let mut effects = Effects::none();
-        if tag == RETIRE_TAG {
-            self.retire(now, &mut effects);
-        } else if let Some(mb) = self.core.on_timer(now, tag, &mut effects) {
+        // The retire step drops the acks and certificate of every batch
+        // that leaves the store.
+        let (support, my_acked) = (&mut self.support, &mut self.my_acked);
+        let sealed = self.core.on_timer(now, tag, &mut effects, |id| {
+            support.forget(id);
+            my_acked.remove(id);
+        });
+        if let Some(mb) = sealed {
             self.pending_batches.push_back(mb);
             self.maybe_emit(now, &mut effects);
         }
@@ -601,7 +596,7 @@ impl Mempool for DagMempool {
 
     fn on_proposal(
         &mut self,
-        _now: SimTime,
+        now: SimTime,
         proposal: &Proposal,
         rng: &mut SmallRng,
     ) -> (FillStatus, Effects<DagMsg>) {
@@ -613,6 +608,7 @@ impl Mempool for DagMempool {
             // Supported batches are recoverable from their ackers:
             // consensus proceeds and the data arrives in the background.
             DagMode::Certified => self.core.fill(
+                now,
                 proposal,
                 |refs| support.verify_refs(refs, |_| ()),
                 |missing| certifiers(missing, me, proposer, rng),
@@ -622,6 +618,7 @@ impl Mempool for DagMempool {
             // Unproven references: consensus waits for the data, fetched
             // from the creators first, then the proposer.
             DagMode::FastPath => self.core.fill(
+                now,
                 proposal,
                 |_| Ok(()),
                 |missing| creators_then_proposer(missing, proposer),
@@ -659,6 +656,7 @@ mod tests {
     #![allow(clippy::needless_range_loop)]
     use super::*;
     use crate::api::Dest;
+    use crate::dissemination::DEADLINE_TAG;
     use rand::SeedableRng;
     use smp_crypto::{KeyPair, QuorumProof};
     use smp_types::{BlockId, ClientId, MempoolConfig, View};
@@ -1174,7 +1172,7 @@ mod tests {
     }
 
     fn retire(node: &mut DagMempool, now: SimTime) {
-        let _ = node.on_timer(now, RETIRE_TAG, &mut rng());
+        let _ = node.on_timer(now, DEADLINE_TAG, &mut rng());
     }
 
     #[test]

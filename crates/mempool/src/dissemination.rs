@@ -13,11 +13,12 @@
 //!
 //! A microblock that executed here leaves the store `δ` ([`FETCH_TIMEOUT`])
 //! later (the rule is in `store.rs`), whether or not another commit comes:
-//! one timer, [`RETIRE_TAG`], is armed for the first executed microblock
-//! still held, and when it fires the backend runs [`Dissemination::retire`],
-//! whose `forget` drops the policy state it kept for each id that leaves
-//! (proofs, certificates, echo and ack sets).  From its execution on, this
-//! one place refuses the id:
+//! each execution puts the retire step `δ` ahead in the core's deadline
+//! table, next to the fetch retries, and when it comes due
+//! [`Dissemination::on_timer`] runs it with the backend's `forget`, which
+//! drops the policy state the backend kept for each id that leaves (proofs,
+//! certificates, echo and ack sets).  From its execution on, this one place
+//! refuses the id:
 //! [`Dissemination::make_proposable`] does not queue it,
 //! [`Dissemination::missing`] does not report it, a copy of its body is not
 //! stored again, and a fetch that names it counts it as done.  A backend
@@ -62,7 +63,7 @@
 
 use crate::api::{Effects, FillStatus, MempoolEvent, MempoolStats, TimerTag};
 use crate::batcher::{TxBatcher, BATCH_TIMEOUT, BATCH_TIMEOUT_TAG};
-use crate::fetcher::{FetchAction, FetchRetryState, FETCH_TIMEOUT};
+use crate::fetcher::{Deadlines, Fetch, FetchAction, FETCH_TIMEOUT};
 use crate::messages::{NarwhalMsg, SmpMsg};
 use crate::store::{FillTracker, MicroblockStore, ProposalQueue, Retired};
 use rand::rngs::SmallRng;
@@ -76,8 +77,18 @@ use smp_types::{
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-/// Timer tag of the retire step (see the module docs).
-pub const RETIRE_TAG: TimerTag = 0x5245_5449; // "RETI"
+/// Timer tag of the core's deadline table: fetch retries and the retire
+/// step (see the module docs).
+pub const DEADLINE_TAG: TimerTag = 0x4445_4144; // "DEAD"
+
+/// What comes due in the core's deadline table.
+#[derive(Clone, Debug)]
+enum Due {
+    /// A fetch still open `δ` after its last request.
+    Fetch(Fetch),
+    /// The retire step of the microblocks that executed `δ` ago.
+    Retire(Vec<MicroblockId>),
+}
 
 /// How many of the latest commits a commit may extend and still release
 /// orphans: as deep as the tail the consensus engines keep ([`KEPT_VIEWS`]).
@@ -166,9 +177,9 @@ pub struct Dissemination {
     /// The last `KEPT_COMMITS` commits seen here.
     recent_commits: RecentCommits,
     tracker: FillTracker,
-    fetcher: FetchRetryState,
-    /// Whether the [`RETIRE_TAG`] timer is armed.
-    retire_armed: bool,
+    deadlines: Deadlines<Due>,
+    /// Fetch requests issued, retries included.
+    fetches: u64,
     created: u64,
     telemetry: Telemetry,
 }
@@ -182,15 +193,15 @@ impl Dissemination {
             me,
             batcher: TxBatcher::new(me, config.mempool),
             store: MicroblockStore::new(),
-            retired: Retired::new(FETCH_TIMEOUT),
+            retired: Retired::default(),
             queue: ProposalQueue::new(),
             named: DigestMap::default(),
             seen: BTreeMap::new(),
             top_commit: View(0),
             recent_commits: RecentCommits::new(),
             tracker: FillTracker::new(),
-            fetcher: FetchRetryState::new(FETCH_TIMEOUT),
-            retire_armed: false,
+            deadlines: Deadlines::new(DEADLINE_TAG),
+            fetches: 0,
             created: 0,
             telemetry: Telemetry::disabled(),
         }
@@ -258,25 +269,42 @@ impl Dissemination {
     }
 
     /// Handles the core's two timers.  The batch timeout returns the
-    /// partial batch it sealed, for the backend to share; a fetch retry
-    /// re-requests whatever is still missing from the next candidate.
+    /// partial batch it sealed, for the backend to share.  The deadline
+    /// table's re-requests what a fetch still misses `δ` after its last
+    /// request from the next candidate, and runs the retire step: every
+    /// microblock that executed `δ` ago leaves the store, and `forget`
+    /// drops the backend's state for it.
     pub fn on_timer<M: FetchWire>(
         &mut self,
         now: SimTime,
         tag: TimerTag,
         effects: &mut Effects<M>,
+        mut forget: impl FnMut(&MicroblockId),
     ) -> Option<Microblock> {
         if tag == BATCH_TIMEOUT_TAG {
             let mb = self.batcher.on_timeout(now)?;
             self.note_sealed(&mb);
             return Some(mb);
         }
-        if FetchRetryState::owns_tag(tag) {
-            let settled = settled(&self.store, &self.retired);
-            if let Some(action) = self.fetcher.on_timer(tag, settled) {
-                self.telemetry.counter_inc("fetcher.retry");
-                effects.send(action.target, M::fetch(action.ids));
-                effects.timer(self.fetcher.timeout, action.tag);
+        for due in self.deadlines.fire(tag, now, effects) {
+            match due {
+                Due::Fetch(mut fetch) => {
+                    let Some(action) = fetch.retry(settled(&self.store, &self.retired)) else {
+                        continue;
+                    };
+                    self.fetches += 1;
+                    self.telemetry.counter_inc("fetcher.retry");
+                    effects.send(action.target, M::fetch(action.ids));
+                    let retry = Due::Fetch(fetch);
+                    self.deadlines.insert(now, FETCH_TIMEOUT, retry, effects);
+                }
+                Due::Retire(ids) => {
+                    for id in ids {
+                        self.store.remove(&id);
+                        self.named.remove(&id);
+                        forget(&id);
+                    }
+                }
             }
         }
         None
@@ -296,44 +324,33 @@ impl Dissemination {
         self.telemetry.counter_inc("dissemination.mb_in");
         effects.events.extend(
             self.tracker
-                .on_microblock(id, &self.store, &mut self.retired, now),
+                .on_microblock(id, &self.store, &mut self.retired),
         );
-        self.arm_retire(now, effects);
+        self.schedule_retire(now, effects);
         true
     }
 
-    /// Arms the retire timer for the first executed microblock still held,
-    /// unless it is armed already.
-    fn arm_retire<M>(&mut self, now: SimTime, effects: &mut Effects<M>) {
-        if self.retire_armed {
-            return;
+    /// Puts the retire step of the microblocks that just executed `δ` ahead.
+    fn schedule_retire<M>(&mut self, now: SimTime, effects: &mut Effects<M>) {
+        let executed = self.retired.take_executed();
+        if !executed.is_empty() {
+            let retire = Due::Retire(executed);
+            self.deadlines.insert(now, FETCH_TIMEOUT, retire, effects);
         }
-        if let Some(due) = self.retired.next_due() {
-            effects.timer(due.saturating_sub(now), RETIRE_TAG);
-            self.retire_armed = true;
-        }
-    }
-
-    /// The retire step, for the backend to run when [`RETIRE_TAG`] fires:
-    /// every microblock that executed `δ` ago leaves the store, and
-    /// `forget` drops the backend's state for it.
-    pub fn retire<M>(
-        &mut self,
-        now: SimTime,
-        effects: &mut Effects<M>,
-        mut forget: impl FnMut(&MicroblockId),
-    ) {
-        self.retire_armed = false;
-        while let Some(id) = self.retired.pop_due(now) {
-            self.store.remove(&id);
-            self.named.remove(&id);
-            forget(&id);
-        }
-        self.arm_retire(now, effects);
     }
 
     fn prune_fetches(&mut self) {
-        self.fetcher.prune(settled(&self.store, &self.retired));
+        let settled = settled(&self.store, &self.retired);
+        self.deadlines.retain(|due| match due {
+            Due::Fetch(fetch) => fetch.prune(&settled),
+            Due::Retire(_) => true,
+        });
+    }
+
+    /// Fetches still open.
+    fn fetches_outstanding(&self) -> usize {
+        let fetches = self.deadlines.iter();
+        fetches.filter(|due| matches!(due, Due::Fetch(_))).count()
     }
 
     /// Stores a microblock received from a peer, resuming the proposals
@@ -462,12 +479,22 @@ impl Dissemination {
             .track(proposal, missing, policy == Missing::Blocks);
     }
 
-    /// Registers a fetch of `ids` with its ordered candidate list; the
-    /// caller sends the request and arms the retry timer `action.tag`.
-    pub fn request(&mut self, ids: Vec<MicroblockId>, candidates: Vec<ReplicaId>) -> FetchAction {
+    /// Registers a fetch of `ids` with its ordered candidate list, retried
+    /// `δ` from `now`; the caller sends the request.
+    pub fn request<M>(
+        &mut self,
+        now: SimTime,
+        ids: Vec<MicroblockId>,
+        candidates: Vec<ReplicaId>,
+        effects: &mut Effects<M>,
+    ) -> FetchAction {
         self.telemetry
             .counter_add("fetcher.fetch", ids.len() as u64);
-        self.fetcher.register(ids, candidates)
+        self.fetches += 1;
+        let (fetch, action) = Fetch::register(ids, candidates);
+        let retry = Due::Fetch(fetch);
+        self.deadlines.insert(now, FETCH_TIMEOUT, retry, effects);
+        action
     }
 
     /// `FillProposal`: has the backend `verify` the references, dequeues
@@ -476,6 +503,7 @@ impl Dissemination {
     /// consensus waits for the data.
     pub fn fill<M: FetchWire>(
         &mut self,
+        now: SimTime,
         proposal: &Proposal,
         verify: impl FnOnce(&[MicroblockRef]) -> Result<(), FillStatus>,
         candidates: impl FnOnce(&[&MicroblockRef]) -> Vec<ReplicaId>,
@@ -495,9 +523,8 @@ impl Dissemination {
         }
         let ids: Vec<MicroblockId> = missing.iter().map(|r| r.id).collect();
         self.track(proposal, ids.clone(), policy);
-        let action = self.request(ids.clone(), candidates(&missing));
+        let action = self.request(now, ids.clone(), candidates(&missing), effects);
         effects.send(action.target, M::fetch(action.ids));
-        effects.timer(self.fetcher.timeout, action.tag);
         effects.event(MempoolEvent::FetchIssued {
             count: ids.len() as u32,
         });
@@ -519,16 +546,16 @@ impl Dissemination {
         let mut effects = Effects::none();
         effects.events = self
             .tracker
-            .on_commit(proposal, &self.store, &mut self.retired, now);
+            .on_commit(proposal, &self.store, &mut self.retired);
         self.release_orphans(proposal);
-        self.arm_retire(now, &mut effects);
+        self.schedule_retire(now, &mut effects);
         let t = &self.telemetry;
         t.gauge_set("mempool.store.len", self.store.len() as f64);
         t.gauge_set("mempool.retired.len", self.retired.len() as f64);
         t.gauge_set("mempool.queue.slots", self.queue.slots() as f64);
         t.gauge_set(
             "mempool.fetch.outstanding",
-            self.fetcher.outstanding() as f64,
+            self.fetches_outstanding() as f64,
         );
         effects
     }
@@ -578,7 +605,7 @@ impl Dissemination {
             proposable_microblocks: self.queue.len(),
             created_microblocks: self.created,
             forwarded_microblocks: 0,
-            fetches_issued: self.fetcher.issued(),
+            fetches_issued: self.fetches,
             retired_microblocks: self.retired.len(),
         }
     }
@@ -823,7 +850,8 @@ mod tests {
     }
 
     /// Commits `p` at `now`; the transactions reported executed, and the
-    /// delay of the retire timer the commit armed, if it armed one.
+    /// delay of the deadline timer the commit armed for the retire step, if
+    /// it armed one.
     fn commit(core: &mut Dissemination, now: SimTime, p: &Proposal) -> (u32, Option<SimTime>) {
         let fx: Effects<SmpMsg> = core.on_commit(now, p);
         let executed = fx.events.iter().map(|e| match e {
@@ -836,16 +864,18 @@ mod tests {
     fn retire_timer(fx: &Effects<SmpMsg>) -> Option<SimTime> {
         match fx.timers[..] {
             [] => None,
-            [(delay, RETIRE_TAG)] => Some(delay),
+            [(delay, DEADLINE_TAG)] => Some(delay),
             ref other => panic!("unexpected timers {other:?}"),
         }
     }
 
-    /// Runs the retire step at `now`, as its timer does; the ids handed to
-    /// the backend, and the delay of the next retire timer.
+    /// Fires the deadline timer at `now`, with nothing but the retire step
+    /// due; the ids handed to the backend, and the delay of the next
+    /// deadline timer.
     fn retire(core: &mut Dissemination, now: SimTime) -> (Vec<MicroblockId>, Option<SimTime>) {
         let (mut forgotten, mut fx) = (Vec::new(), Effects::none());
-        core.retire(now, &mut fx, |id| forgotten.push(*id));
+        core.on_timer(now, DEADLINE_TAG, &mut fx, |id| forgotten.push(*id));
+        assert!(fx.msgs.is_empty(), "{fx:?}");
         (forgotten, retire_timer(&fx))
     }
 
@@ -868,7 +898,9 @@ mod tests {
             (1, Some(DELTA))
         );
         assert!(peer.is_retired(&x.id) && peer.stats().stored_microblocks == 1);
-        assert_eq!(retire(&mut peer, 900 + DELTA), (vec![], Some(100)));
+        // A firing before 1 000 + δ hands nothing over, and the timer armed
+        // for 1 000 + δ still stands.
+        assert_eq!(retire(&mut peer, 900 + DELTA), (vec![], None));
         assert!(served(&peer, x.id), "first retry, at 900 + δ");
         // The retire step at 1 000 + δ retires it, and hands the id to the
         // backend: whoever asks from then on is not served.
@@ -914,6 +946,7 @@ mod tests {
         let p = proposal(1, &[&x]);
         let mut fx: Effects<SmpMsg> = Effects::none();
         let status = core.fill(
+            0,
             &p,
             |_| Ok(()),
             |_| vec![ReplicaId(0)],
@@ -921,20 +954,25 @@ mod tests {
             &mut fx,
         );
         assert_eq!(status, FillStatus::Ready);
+        assert_eq!(retire_timer(&fx), Some(DELTA), "the fetch's retry");
         // Committed at 1 000 without its data: nothing executes yet, and
         // nothing is to retire.
         assert_eq!(commit(&mut core, 1_000, &p), (0, None));
         assert!(!core.is_retired(&x.id));
-        // The body arrives at 400 000 and the proposal executes then.
+        // The body arrives at 400 000 and the proposal executes then; the
+        // timer armed for the fetch, due first, stands for the retire step.
         let mut fx: Effects<SmpMsg> = Effects::none();
         core.absorb_fetched(400_000, vec![x.clone()], &mut fx);
         assert!(matches!(
             fx.events[..],
             [MempoolEvent::Executed { tx_count: 1, .. }]
         ));
-        assert_eq!(retire_timer(&fx), Some(DELTA));
+        assert_eq!(retire_timer(&fx), None);
+        // At δ the fetch, complete, asks for nothing, and the timer is
+        // armed for the retire step.
+        assert_eq!(retire(&mut core, DELTA), (vec![], Some(400_000)));
         // δ after the commit it is still served; δ after the arrival it goes.
-        assert_eq!(retire(&mut core, 1_000 + DELTA).0, vec![]);
+        assert_eq!(retire(&mut core, 1_000 + DELTA), (vec![], None));
         assert!(served(&core, x.id));
         assert_eq!(retire(&mut core, 400_000 + DELTA), (vec![x.id], None));
         assert!(!served(&core, x.id));
@@ -974,17 +1012,18 @@ mod tests {
         // A proof made this replica fetch `x`; then a proposal it never
         // filled (it had judged it invalid) commits and executes with `x`
         // still absent, and a copy that arrives later is refused as retired.
-        let action = core.request(vec![x.id], vec![ReplicaId(2), ReplicaId(3)]);
+        let mut fx: Effects<SmpMsg> = Effects::none();
+        core.request(0, vec![x.id], vec![ReplicaId(2), ReplicaId(3)], &mut fx);
+        assert_eq!(retire_timer(&fx), Some(DELTA));
         assert_eq!(commit(&mut core, 1_000, &proposal(1, &[&x])).0, 1);
         let mut fx: Effects<SmpMsg> = Effects::none();
         assert!(!core.absorb(2_000, x.clone(), &mut fx));
-        assert_eq!(core.fetcher.outstanding(), 1);
+        assert_eq!(core.fetches_outstanding(), 1);
         // Judged by the store alone the entry would ask for `x` again, every
-        // δ, for ever.
-        let mut fx: Effects<SmpMsg> = Effects::none();
-        assert!(core.on_timer(DELTA, action.tag, &mut fx).is_none());
-        assert!(fx.is_empty());
-        assert_eq!(core.fetcher.outstanding(), 0);
+        // δ, for ever.  It sends nothing, and the timer is armed for the
+        // retire step only.
+        assert_eq!(retire(&mut core, DELTA), (vec![], Some(1_000)));
+        assert_eq!(core.fetches_outstanding(), 0);
     }
 
     /// What happens at a replica in a release case, in order.  A proposal
@@ -1040,7 +1079,8 @@ mod tests {
                     let mut fx: Effects<SmpMsg> = Effects::none();
                     let p = block(view, parent, names_x);
                     let fetch_from = |_: &[&MicroblockRef]| vec![ReplicaId(2)];
-                    core.fill(&p, |_| Ok(()), fetch_from, Missing::Recoverable, &mut fx);
+                    let fetch = Missing::Recoverable;
+                    core.fill(now, &p, |_| Ok(()), fetch_from, fetch, &mut fx);
                 }
                 Step::Commit(view, parent, names_x) => {
                     let _: Effects<SmpMsg> = core.on_commit(now, &block(view, parent, names_x));

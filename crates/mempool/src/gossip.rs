@@ -8,9 +8,7 @@
 //! underperforms Stratus under skewed load (Figure 11).
 
 use crate::api::{Effects, FillStatus, Mempool, MempoolStats, TimerTag};
-use crate::dissemination::{
-    creators_then_proposer, unproven_ref, Dissemination, Missing, RETIRE_TAG,
-};
+use crate::dissemination::{creators_then_proposer, unproven_ref, Dissemination, Missing};
 use crate::messages::SmpMsg;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -131,10 +129,8 @@ impl Mempool for GossipSmp {
 
     fn on_timer(&mut self, now: SimTime, tag: TimerTag, _rng: &mut SmallRng) -> Effects<SmpMsg> {
         let mut effects = Effects::none();
-        if tag == RETIRE_TAG {
-            // Nothing is kept per id outside the core.
-            self.core.retire(now, &mut effects, |_| {});
-        } else if let Some(mb) = self.core.on_timer(now, tag, &mut effects) {
+        // Nothing is kept per id outside the core.
+        if let Some(mb) = self.core.on_timer(now, tag, &mut effects, |_| {}) {
             self.core.make_proposable(mb.id);
             self.core.hold(&mb);
             // The relay uses a dedicated RNG-free path on timeout: pick
@@ -158,12 +154,13 @@ impl Mempool for GossipSmp {
 
     fn on_proposal(
         &mut self,
-        _now: SimTime,
+        now: SimTime,
         proposal: &Proposal,
         _rng: &mut SmallRng,
     ) -> (FillStatus, Effects<SmpMsg>) {
         let mut effects = Effects::none();
         let status = self.core.fill(
+            now,
             proposal,
             |_| Ok(()),
             |missing| creators_then_proposer(missing, proposal.proposer),

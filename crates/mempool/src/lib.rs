@@ -25,10 +25,10 @@
 //! The five reference-based backends share one mechanism,
 //! [`Dissemination`]: batching (seal on size or timeout), the microblock
 //! store, the proposal queue, proposal fill tracking, serving and issuing
-//! fetches with retry timers, the `make_payload` drain loop, the payload
-//! preamble and the two fill outcomes of `on_proposal`, `on_commit`,
-//! `stats` and the `batcher.*` / `dissemination.*` / `fetcher.*`
-//! counters.  A backend's file holds only its *availability policy*, and
+//! fetches, one [`Deadlines`] table for the fetch retries and the retire
+//! step, the `make_payload` drain loop, the payload preamble and the two
+//! fill outcomes of `on_proposal`, `on_commit`, `stats` and the
+//! `batcher.*` / `dissemination.*` / `fetcher.*` counters.  A backend's file holds only its *availability policy*, and
 //! this table is the whole difference between the files:
 //!
 //! | backend | shares a sealed batch by | proposable when | ref carries | verified by | missing data blocks consensus? | fetch candidates |
@@ -77,8 +77,10 @@ pub use api::{
 };
 pub use batcher::{BatchOutcome, TxBatcher, BATCH_TIMEOUT, BATCH_TIMEOUT_TAG};
 pub use dag::{DagAck, DagBlock, DagMempool, DagMsg, DagParentRef};
-pub use dissemination::{CertificateBook, Dissemination, FetchWire, Missing, Verified, RETIRE_TAG};
-pub use fetcher::{FetchAction, FetchRetryState, FETCH_TAG_BASE, FETCH_TIMEOUT};
+pub use dissemination::{
+    CertificateBook, Dissemination, FetchWire, Missing, Verified, DEADLINE_TAG,
+};
+pub use fetcher::{Deadlines, Fetch, FetchAction, FETCH_TIMEOUT};
 pub use gossip::GossipSmp;
 pub use messages::{NarwhalMsg, SmpMsg};
 pub use narwhal::NarwhalMempool;

@@ -18,7 +18,7 @@
 //!   leader embeds next to the batch id in its proposal.
 
 use crate::api::{Effects, FillStatus, Mempool, MempoolEvent, MempoolStats, TimerTag};
-use crate::dissemination::{certifiers, CertificateBook, Dissemination, Missing, RETIRE_TAG};
+use crate::dissemination::{certifiers, CertificateBook, Dissemination, Missing};
 use crate::messages::NarwhalMsg;
 use rand::rngs::SmallRng;
 use smp_crypto::{DigestMap, DigestSet, Signature};
@@ -57,19 +57,6 @@ impl NarwhalMempool {
     /// Whether `id` is certified locally.
     pub fn is_certified(&self, id: &MicroblockId) -> bool {
         self.readies.is_certified(id)
-    }
-
-    /// The retire step: drops the echoes, readies and metadata of every
-    /// batch that left the store.
-    fn retire(&mut self, now: SimTime, effects: &mut Effects<NarwhalMsg>) {
-        let (echoes, readies) = (&mut self.echoes, &mut self.readies);
-        let (ready_sent, meta) = (&mut self.ready_sent, &mut self.meta);
-        self.core.retire(now, effects, |id| {
-            echoes.forget(id);
-            readies.forget(id);
-            ready_sent.remove(id);
-            meta.remove(id);
-        });
     }
 
     /// Signs and counts this replica's own echo of `id`.  It never sends
@@ -212,9 +199,17 @@ impl Mempool for NarwhalMempool {
         _rng: &mut SmallRng,
     ) -> Effects<NarwhalMsg> {
         let mut effects = Effects::none();
-        if tag == RETIRE_TAG {
-            self.retire(now, &mut effects);
-        } else if let Some(mb) = self.core.on_timer(now, tag, &mut effects) {
+        // The retire step drops the echoes, readies and metadata of every
+        // batch that leaves the store.
+        let (echoes, readies) = (&mut self.echoes, &mut self.readies);
+        let (ready_sent, meta) = (&mut self.ready_sent, &mut self.meta);
+        let sealed = self.core.on_timer(now, tag, &mut effects, |id| {
+            echoes.forget(id);
+            readies.forget(id);
+            ready_sent.remove(id);
+            meta.remove(id);
+        });
+        if let Some(mb) = sealed {
             self.disseminate(mb, &mut effects);
         }
         effects
@@ -231,7 +226,7 @@ impl Mempool for NarwhalMempool {
 
     fn on_proposal(
         &mut self,
-        _now: SimTime,
+        now: SimTime,
         proposal: &Proposal,
         rng: &mut SmallRng,
     ) -> (FillStatus, Effects<NarwhalMsg>) {
@@ -241,6 +236,7 @@ impl Mempool for NarwhalMempool {
         // data is fetched in the background from the certifiers.
         let (me, readies) = (self.core.me(), &self.readies);
         let status = self.core.fill(
+            now,
             proposal,
             |refs| readies.verify_refs(refs, |_| ()),
             |missing| certifiers(missing, me, proposal.proposer, rng),
@@ -273,6 +269,7 @@ mod tests {
     // node array and as the replica identity.
     #![allow(clippy::needless_range_loop)]
     use super::*;
+    use crate::dissemination::DEADLINE_TAG;
     use crate::fetcher::FETCH_TIMEOUT;
     use rand::SeedableRng;
     use smp_crypto::QuorumProof;
@@ -479,12 +476,12 @@ mod tests {
         let node = &mut nodes[2];
         assert_eq!(node.on_proposal(200, &p, &mut r).0, FillStatus::Ready);
         let fx = node.on_commit(1_000, &p);
-        assert_eq!(fx.timers, vec![(FETCH_TIMEOUT, RETIRE_TAG)]);
+        assert_eq!(fx.timers, vec![(FETCH_TIMEOUT, DEADLINE_TAG)]);
         assert!(
             node.is_certified(&id) && node.meta.contains_key(&id),
             "held for δ"
         );
-        let _ = node.on_timer(1_000 + FETCH_TIMEOUT, RETIRE_TAG, &mut r);
+        let _ = node.on_timer(1_000 + FETCH_TIMEOUT, DEADLINE_TAG, &mut r);
         let gone = |n: &NarwhalMempool| {
             n.echoes.get(&id).is_none()
                 && !n.is_certified(&id)

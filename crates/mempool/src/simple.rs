@@ -9,7 +9,7 @@
 //! senders.
 
 use crate::api::{Effects, FillStatus, Mempool, MempoolStats, TimerTag};
-use crate::dissemination::{unproven_ref, Dissemination, Missing, RETIRE_TAG};
+use crate::dissemination::{unproven_ref, Dissemination, Missing};
 use crate::messages::SmpMsg;
 use crate::store::MicroblockStore;
 use rand::rngs::SmallRng;
@@ -90,10 +90,8 @@ impl Mempool for SimpleSmp {
 
     fn on_timer(&mut self, now: SimTime, tag: TimerTag, _rng: &mut SmallRng) -> Effects<SmpMsg> {
         let mut effects = Effects::none();
-        if tag == RETIRE_TAG {
-            // Nothing is kept per id outside the core.
-            self.core.retire(now, &mut effects, |_| {});
-        } else if let Some(mb) = self.core.on_timer(now, tag, &mut effects) {
+        // Nothing is kept per id outside the core.
+        if let Some(mb) = self.core.on_timer(now, tag, &mut effects, |_| {}) {
             self.disseminate(mb, &mut effects);
         }
         effects
@@ -105,7 +103,7 @@ impl Mempool for SimpleSmp {
 
     fn on_proposal(
         &mut self,
-        _now: SimTime,
+        now: SimTime,
         proposal: &Proposal,
         _rng: &mut SmallRng,
     ) -> (FillStatus, Effects<SmpMsg>) {
@@ -114,6 +112,7 @@ impl Mempool for SimpleSmp {
         // everything missing is fetched from the leader that proposed it
         // (Section III-E, Problem-I).
         let status = self.core.fill(
+            now,
             proposal,
             |_| Ok(()),
             |_| vec![proposal.proposer],

@@ -5,7 +5,7 @@
 //! * a content-addressed store of microblocks received and not yet
 //!   retired ([`MicroblockStore`]),
 //! * the commit frontier ([`Retired`]): which microblocks have executed
-//!   here, and which of those are still held, and
+//!   here, and
 //! * a tracker of proposals whose referenced microblocks are not all
 //!   locally available yet ([`FillTracker`]) — when the last missing
 //!   microblock arrives, the tracker emits `ProposalReady` (if consensus
@@ -100,53 +100,33 @@ impl MicroblockStore {
 }
 
 /// The commit frontier of one replica: the first id word of every
-/// microblock that has executed here, and the executed microblocks that are
-/// still held, in execution order (see the module docs for the rule).
-#[derive(Clone, Debug)]
+/// microblock that has executed here (see the module docs for the rule),
+/// and the ids executed since the core last took them.
+#[derive(Clone, Debug, Default)]
 pub struct Retired {
-    /// How long an executed microblock is held: the fetch retry period `δ`.
-    hold: SimTime,
     words: DigestSet<u64>,
-    /// `(time the hold ends, id)`; times never decrease.
-    held: VecDeque<(SimTime, MicroblockId)>,
+    /// In execution order; the core puts their retire step `δ` ahead.
+    executed: Vec<MicroblockId>,
 }
 
 impl Retired {
-    /// An empty frontier that holds an executed microblock for `hold`.
-    pub fn new(hold: SimTime) -> Self {
-        Retired {
-            hold,
-            words: DigestSet::default(),
-            held: VecDeque::new(),
-        }
-    }
-
     /// Whether `id` has executed here.
     pub fn contains(&self, id: &MicroblockId) -> bool {
         self.words.contains(&id.digest().short())
     }
 
-    /// Records that `id` executes at `now`; `false` if it had before.
-    pub fn execute(&mut self, id: MicroblockId, now: SimTime) -> bool {
+    /// Records that `id` executes; `false` if it had before.
+    pub fn execute(&mut self, id: MicroblockId) -> bool {
         let first = self.words.insert(id.digest().short());
         if first {
-            self.held.push_back((now + self.hold, id));
+            self.executed.push(id);
         }
         first
     }
 
-    /// When the hold of the first executed microblock still held ends.
-    pub fn next_due(&self) -> Option<SimTime> {
-        self.held.front().map(|(due, _)| *due)
-    }
-
-    /// The next executed microblock whose hold has ended by `now`.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<MicroblockId> {
-        let (due, id) = *self.held.front()?;
-        (due <= now).then(|| {
-            self.held.pop_front();
-            id
-        })
+    /// The ids that executed since the last call, in execution order.
+    pub fn take_executed(&mut self) -> Vec<MicroblockId> {
+        std::mem::take(&mut self.executed)
     }
 
     /// Number of microblocks that have executed here.
@@ -300,13 +280,12 @@ impl FillTracker {
         refs: impl IntoIterator<Item = (MicroblockId, u32)>,
         store: &MicroblockStore,
         retired: &mut Retired,
-        now: SimTime,
     ) -> MempoolEvent {
         self.executed += 1;
         let mut tx_count = 0;
         let first = refs
             .into_iter()
-            .filter(|(id, _)| retired.execute(*id, now))
+            .filter(|(id, _)| retired.execute(*id))
             .map(|(id, txs)| {
                 tx_count += txs;
                 id
@@ -327,7 +306,6 @@ impl FillTracker {
         id: MicroblockId,
         store: &MicroblockStore,
         retired: &mut Retired,
-        now: SimTime,
     ) -> Vec<MempoolEvent> {
         let mut events = Vec::new();
         let mut completed = Vec::new();
@@ -347,7 +325,7 @@ impl FillTracker {
                 events.push(MempoolEvent::ProposalReady { proposal: pid });
             }
             if pending.committed {
-                events.push(self.execute(pid, pending.refs, store, retired, now));
+                events.push(self.execute(pid, pending.refs, store, retired));
             }
         }
         events
@@ -361,7 +339,6 @@ impl FillTracker {
         proposal: &Proposal,
         store: &MicroblockStore,
         retired: &mut Retired,
-        now: SimTime,
     ) -> Vec<MempoolEvent> {
         match &proposal.payload {
             Payload::Refs(refs) => {
@@ -370,7 +347,7 @@ impl FillTracker {
                     return Vec::new();
                 }
                 let refs = refs.iter().map(|r| (r.id, r.tx_count));
-                vec![self.execute(proposal.id, refs, store, retired, now)]
+                vec![self.execute(proposal.id, refs, store, retired)]
             }
             Payload::Inline(txs) => {
                 self.executed += 1;
@@ -399,9 +376,6 @@ impl FillTracker {
 mod tests {
     use super::*;
     use smp_types::{ClientId, MicroblockRef, ReplicaId, Transaction, View};
-
-    /// The hold of an executed microblock in these tests.
-    const DELTA: SimTime = 500;
 
     fn mb(creator: u32, base: u64, n: usize) -> Microblock {
         let txs: Vec<Transaction> = (0..n)
@@ -508,11 +482,11 @@ mod tests {
         store.insert(m1.clone());
         let p = refs_proposal(&[&m1, &m2]);
         let mut tracker = FillTracker::new();
-        let mut retired = Retired::new(DELTA);
+        let mut retired = Retired::default();
         tracker.track(&p, vec![m2.id], true);
         assert!(tracker.is_pending(&p.id));
         store.insert(m2.clone());
-        let events = tracker.on_microblock(m2.id, &store, &mut retired, 50);
+        let events = tracker.on_microblock(m2.id, &store, &mut retired);
         assert_eq!(events, vec![MempoolEvent::ProposalReady { proposal: p.id }]);
         assert!(!tracker.is_pending(&p.id));
     }
@@ -525,12 +499,12 @@ mod tests {
         store.insert(m1.clone());
         let p = refs_proposal(&[&m1, &m2]);
         let mut tracker = FillTracker::new();
-        let mut retired = Retired::new(DELTA);
+        let mut retired = Retired::default();
         tracker.track(&p, vec![m2.id], false);
         // Commit arrives while data is still missing: execution deferred.
-        assert!(tracker.on_commit(&p, &store, &mut retired, 40).is_empty());
+        assert!(tracker.on_commit(&p, &store, &mut retired).is_empty());
         store.insert(m2.clone());
-        let events = tracker.on_microblock(m2.id, &store, &mut retired, 50);
+        let events = tracker.on_microblock(m2.id, &store, &mut retired);
         assert_eq!(events.len(), 1);
         match &events[0] {
             MempoolEvent::Executed {
@@ -553,8 +527,8 @@ mod tests {
         store.insert(m1.clone());
         let p = refs_proposal(&[&m1]);
         let mut tracker = FillTracker::new();
-        let mut retired = Retired::new(DELTA);
-        let events = tracker.on_commit(&p, &store, &mut retired, 99);
+        let mut retired = Retired::default();
+        let events = tracker.on_commit(&p, &store, &mut retired);
         assert_eq!(events.len(), 1);
         match &events[0] {
             MempoolEvent::Executed { tx_count, .. } => assert_eq!(*tx_count, 4),
@@ -566,7 +540,7 @@ mod tests {
     fn inline_and_empty_payloads_execute_directly() {
         let store = MicroblockStore::new();
         let mut tracker = FillTracker::new();
-        let mut retired = Retired::new(DELTA);
+        let mut retired = Retired::default();
         let txs: Vec<Transaction> = (0..3)
             .map(|i| {
                 let mut t = Transaction::synthetic(ClientId(0), i, 128, 0);
@@ -582,7 +556,7 @@ mod tests {
             Payload::inline(txs),
             true,
         );
-        let events = tracker.on_commit(&inline, &store, &mut retired, 10);
+        let events = tracker.on_commit(&inline, &store, &mut retired);
         match &events[0] {
             MempoolEvent::Executed {
                 tx_count,
@@ -602,7 +576,7 @@ mod tests {
             Payload::Empty,
             true,
         );
-        let events = tracker.on_commit(&empty, &store, &mut retired, 10);
+        let events = tracker.on_commit(&empty, &store, &mut retired);
         match &events[0] {
             MempoolEvent::Executed { tx_count, .. } => assert_eq!(*tx_count, 0),
             other => panic!("unexpected event {other:?}"),
@@ -621,12 +595,12 @@ mod tests {
         store.insert(m.clone());
         for _ in 0..4 {
             let mut tracker = FillTracker::new();
-            let mut retired = Retired::new(DELTA);
+            let mut retired = Retired::default();
             for p in &proposals {
                 tracker.track(p, vec![m.id], true);
             }
             let ready: Vec<BlockId> = tracker
-                .on_microblock(m.id, &store, &mut retired, 50)
+                .on_microblock(m.id, &store, &mut retired)
                 .into_iter()
                 .map(|e| match e {
                     MempoolEvent::ProposalReady { proposal } => proposal,
@@ -646,11 +620,11 @@ mod tests {
         store.insert(m1.clone());
         let p = refs_proposal(&[&m1, &m2]);
         let mut tracker = FillTracker::new();
-        let mut retired = Retired::new(DELTA);
+        let mut retired = Retired::default();
         tracker.track(&p, vec![m2.id], true);
         store.insert(m3.clone());
         assert!(tracker
-            .on_microblock(m3.id, &store, &mut retired, 10)
+            .on_microblock(m3.id, &store, &mut retired)
             .is_empty());
         assert!(tracker.is_pending(&p.id));
     }
@@ -673,22 +647,22 @@ mod tests {
         store.insert(m1.clone());
         store.insert(m2.clone());
         let mut tracker = FillTracker::new();
-        let mut retired = Retired::new(DELTA);
+        let mut retired = Retired::default();
         let first = refs_proposal_in(View(1), &[&m1]);
         let second = refs_proposal_in(View(2), &[&m1, &m2]);
         let again = refs_proposal_in(View(3), &[&m1, &m2]);
         assert_eq!(
-            executed(&tracker.on_commit(&first, &store, &mut retired, 10)),
+            executed(&tracker.on_commit(&first, &store, &mut retired)),
             (2, 2)
         );
         // `m1` ran with the first proposal: the second orders `m2` only, and
         // a third that names nothing new executes with nothing to report.
         assert_eq!(
-            executed(&tracker.on_commit(&second, &store, &mut retired, 20)),
+            executed(&tracker.on_commit(&second, &store, &mut retired)),
             (3, 3)
         );
         assert_eq!(
-            executed(&tracker.on_commit(&again, &store, &mut retired, 30)),
+            executed(&tracker.on_commit(&again, &store, &mut retired)),
             (0, 0)
         );
         assert_eq!(tracker.executed_count(), 3);
@@ -696,20 +670,17 @@ mod tests {
     }
 
     #[test]
-    fn executed_microblocks_come_due_one_hold_later_in_execution_order() {
-        let mut retired = Retired::new(DELTA);
+    fn executed_microblocks_are_taken_once_in_execution_order() {
+        let mut retired = Retired::default();
         let (a, b) = (mb(0, 0, 1).id, mb(0, 10, 1).id);
         assert!(retired.is_empty() && !retired.contains(&a));
-        assert!(retired.execute(a, 100));
-        assert!(!retired.execute(a, 150), "once");
-        assert!(retired.execute(b, 200));
+        assert!(retired.execute(a));
+        assert!(!retired.execute(a), "once");
+        assert!(retired.execute(b));
         assert!(retired.contains(&a) && retired.contains(&b));
-        assert_eq!(retired.pop_due(100 + DELTA - 1), None);
-        assert_eq!(retired.pop_due(100 + DELTA), Some(a));
-        assert_eq!(retired.pop_due(100 + DELTA), None, "b is held until 700");
-        assert_eq!(retired.pop_due(10_000), Some(b));
-        assert_eq!(retired.pop_due(10_000), None);
-        // Leaving the hold does not un-retire an id.
+        assert_eq!(retired.take_executed(), [a, b]);
+        assert_eq!(retired.take_executed(), []);
+        // Being taken does not un-retire an id.
         assert!(retired.contains(&a) && retired.len() == 2);
     }
 

@@ -1,10 +1,10 @@
 //! Timer-tag multiplexing across shards.
 //!
-//! Backend mempools pick timer tags from overlapping ad-hoc namespaces
-//! (`BATCH_TIMEOUT_TAG`, `FETCH_TAG_BASE + n`, …), so two inner instances
-//! of the same backend would collide if their tags were forwarded
-//! unchanged, and the tag spaces are too scattered for bit-packing a
-//! shard index.  [`TimerMux`] instead allocates a fresh outer tag per
+//! Every instance of a backend arms the same few timer tags
+//! (`BATCH_TIMEOUT_TAG`, its deadline tables' tags, …), so two inner
+//! instances of the same backend would collide if their tags were
+//! forwarded unchanged, and the tag values are too scattered for
+//! bit-packing a shard index.  [`TimerMux`] instead allocates a fresh outer tag per
 //! armed timer and remembers which `(shard, inner tag)` it stands for;
 //! timers are one-shot at this layer, so entries are dropped when they
 //! fire.
