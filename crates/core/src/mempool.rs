@@ -40,7 +40,7 @@ pub const STRATUS_DEADLINE_TAG: u64 = 0x5354_5241; // "STRA"
 /// What comes due in the Stratus deadline table.
 #[derive(Clone, Debug)]
 enum Due {
-    /// A push phase still open `δ` after it began.
+    /// A push phase still open `δ` after its last send.
     Push(MicroblockId),
     /// The sampling timeout `τ` of a DLB round.
     Sample(u64),
@@ -185,14 +185,28 @@ impl StratusMempool {
     }
 
     /// Algorithm 2's retry period on the push side: a push phase still
-    /// open `δ` after it began — its broadcast or its acks were lost, say
-    /// to a partition — is run again through the limiter, keeping its DLB
-    /// origin.
+    /// open `δ` after its last send sends the microblock again to the
+    /// replicas whose ack is missing, keeping its acks and DLB origin; the
+    /// limiter is charged for those copies, or the retry waits for them.
     fn retry_push(&mut self, now: SimTime, id: MicroblockId, effects: &mut Effects<StratusMsg>) {
-        let origin = self.pab.end_push(&id);
-        if let Some((mb, origin)) = self.core.store().get(&id).cloned().zip(origin) {
-            self.start_pab_broadcast(now, mb, origin, effects);
+        let (Some(owed), Some(mb)) = (self.pab.owed(&id), self.core.store().get(&id)) else {
+            return;
+        };
+        let mut mb = mb.clone();
+        mb.disseminator = self.core.me();
+        let bytes = mb.wire_size() * owed.len();
+        if !self.limiter.try_consume(now, bytes) {
+            let delay = self.limiter.time_until_available(now, bytes).max(1);
+            self.deadlines.insert(now, delay, Due::Push(id), effects);
+            return;
         }
+        let telemetry = self.core.telemetry();
+        telemetry.counter_inc("pab.retry");
+        telemetry.counter_add("pab.retry_peers", owed.len() as u64);
+        self.pab.resent(&id, now);
+        effects.multicast(owed, StratusMsg::PabMsg(mb));
+        self.deadlines
+            .insert(now, FETCH_TIMEOUT, Due::Push(id), effects);
     }
 
     /// PAB recovery phase for one proven microblock that is not held

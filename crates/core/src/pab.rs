@@ -180,13 +180,25 @@ impl PabEngine {
         self.push.len()
     }
 
-    /// Ends the push phase of `id` without a proof, dropping its acks, to
-    /// be pushed again ([`PabEngine::start_push`]); its DLB origin, if one
-    /// was in progress.
-    pub fn end_push(&mut self, id: &MicroblockId) -> Option<Option<ReplicaId>> {
-        let state = self.push.remove(id)?;
-        self.acks.forget(id);
-        Some(state.origin)
+    /// The replicas whose ack the push phase of `id` still misses, while
+    /// it is in progress: the ones to send the microblock again.
+    pub(crate) fn owed(&self, id: &MicroblockId) -> Option<Vec<ReplicaId>> {
+        self.push.get(id)?;
+        let (acked, n) = (self.acks.signers(id), self.acks.keys().len() as u32);
+        Some(
+            (0..n)
+                .filter(|r| !acked.contains(r))
+                .map(ReplicaId)
+                .collect(),
+        )
+    }
+
+    /// The push phase of `id` sent its microblock again at `now`: its
+    /// stable time counts from this send.
+    pub(crate) fn resent(&mut self, id: &MicroblockId, now: SimTime) {
+        if let Some(state) = self.push.get_mut(id) {
+            state.broadcast_at = now;
+        }
     }
 
     /// Selects the replicas to ask for a missing microblock during the
@@ -413,6 +425,29 @@ mod tests {
             (ready.proof.signers(), ready.stable_time),
             (vec![0, 1, 2], 2)
         );
+    }
+
+    #[test]
+    fn a_push_owes_the_missing_acks_and_a_resend_restarts_its_stable_time() {
+        let mut engines = engines(4, 3);
+        let mb = make_mb(0, 1);
+        assert_eq!(engines[0].owed(&mb.id), None, "no push");
+        engines[0].start_push(&mb, 0, None);
+        let owed = |e: &PabEngine| e.owed(&mb.id).map(|r| r.into_iter().map(|r| r.0).collect());
+        assert_eq!(owed(&engines[0]), Some(vec![1, 2, 3]));
+        let sig2 = ack(&engines[2], &mb.id);
+        assert!(engines[0].on_ack(mb.id, sig2, 5).is_none());
+        assert_eq!(owed(&engines[0]), Some(vec![1, 3]));
+        // Sent again at 100: the ack kept and one more make the proof,
+        // stable 30 after the resend.
+        engines[0].resent(&mb.id, 100);
+        let sig3 = ack(&engines[3], &mb.id);
+        let ready = engines[0].on_ack(mb.id, sig3, 130).expect("own, 2 and 3");
+        assert_eq!(
+            (ready.proof.signers(), ready.stable_time),
+            (vec![0, 2, 3], 30)
+        );
+        assert_eq!(owed(&engines[0]), None, "proven");
     }
 
     #[test]

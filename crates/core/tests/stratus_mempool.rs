@@ -598,15 +598,48 @@ fn pushed(fx: &Effects<StratusMsg>) -> Vec<MicroblockId> {
     fx.msgs.iter().filter_map(push).collect()
 }
 
+/// The one message of `fx`: a microblock sent to an explicit replica set.
+fn resent(fx: &Effects<StratusMsg>) -> (Vec<ReplicaId>, Microblock) {
+    match &fx.msgs[..] {
+        [(Dest::Many(to), StratusMsg::PabMsg(mb))] => (to.clone(), mb.clone()),
+        other => panic!("one resend expected: {other:?}"),
+    }
+}
+
+/// The ack `node` sends when `mb` reaches it from replica `from`.
+fn ack(node: &mut StratusMempool, from: u32, mb: &Microblock, rng: &mut SmallRng) -> StratusMsg {
+    let fx = node.on_message(0, ReplicaId(from), StratusMsg::PabMsg(mb.clone()), rng);
+    let [(Dest::One(to), ack)] = &fx.msgs[..] else {
+        panic!("one ack: {fx:?}")
+    };
+    assert_eq!(*to, ReplicaId(from));
+    ack.clone()
+}
+
 #[test]
 fn a_push_still_open_after_delta_is_sent_again_and_a_proven_one_is_not() {
-    let (mut nodes, mut rng) = network(StratusConfig::default());
-    // The first microblock's broadcast is lost; the second's completes.
+    // q = 3 of 4: the own signature and two acks.
+    let config = StratusConfig {
+        pab_quorum_override: Some(3),
+        ..StratusConfig::default()
+    };
+    let (mut nodes, mut rng) = network(config);
+    let telemetry = Telemetry::new();
+    nodes[0].set_telemetry(telemetry.clone());
+    // The first microblock reaches replica 1 only, whose ack comes back.
     let lost = nodes[0].on_client_txs(0, txs(0, 4), &mut rng);
     let [lost_id] = pushed(&lost)[..] else {
         panic!("one push")
     };
     assert!(lost.timers.contains(&(FETCH_TIMEOUT, STRATUS_DEADLINE_TAG)));
+    let mb = match &lost.msgs[0].1 {
+        StratusMsg::PabMsg(mb) => mb.clone(),
+        other => panic!("unexpected {other:?}"),
+    };
+    let early = ack(&mut nodes[1], 0, &mb, &mut rng);
+    let fx = nodes[0].on_message(100, ReplicaId(1), early, &mut rng);
+    assert!(fx.is_empty(), "two of three: {fx:?}");
+    // The second microblock's push completes.
     let fx = nodes[0].on_client_txs(1_000, txs(100, 4), &mut rng);
     assert_eq!(pushed(&fx).len(), 1);
     assert!(!fx
@@ -614,22 +647,32 @@ fn a_push_still_open_after_delta_is_sent_again_and_a_proven_one_is_not() {
         .iter()
         .any(|(_, tag)| *tag == STRATUS_DEADLINE_TAG));
     route(&mut nodes, 0, fx, 2_000, &mut rng);
-    // δ after the first push, only the open one goes out again, and the
-    // timer is armed for its new push.
+    // δ after the first push, only the open one goes out again, to the two
+    // replicas whose ack is missing, and the timer is armed δ later.
     let retry = nodes[0].on_timer(FETCH_TIMEOUT, STRATUS_DEADLINE_TAG, &mut rng);
-    assert_eq!(pushed(&retry), [lost_id]);
+    let (owed, again) = resent(&retry);
+    assert_eq!(
+        (owed, again.id),
+        (vec![ReplicaId(2), ReplicaId(3)], lost_id)
+    );
     assert_eq!(retry.timers, [(FETCH_TIMEOUT, STRATUS_DEADLINE_TAG)]);
-    // Delivered this time, it completes everywhere; with no push open, the
-    // timer sends and arms nothing.
-    route(&mut nodes, 0, retry, FETCH_TIMEOUT + 1_000, &mut rng);
+    let counter = |name: &str| telemetry.snapshot().counter(name).unwrap_or(0);
+    assert_eq!((counter("pab.retry"), counter("pab.retry_peers")), (1, 2));
+    // One ack of the resend and replica 1's earlier one complete the proof;
+    // the stable time counts from the resend.
+    let late = ack(&mut nodes[2], 0, &again, &mut rng);
+    let fx = nodes[0].on_message(FETCH_TIMEOUT + 300, ReplicaId(2), late, &mut rng);
+    assert!(fx.events.contains(&MempoolEvent::MicroblockStable {
+        id: lost_id,
+        stable_time: 300
+    }));
+    route(&mut nodes, 0, fx, FETCH_TIMEOUT + 400, &mut rng);
+    // With no push open, the timer sends and arms nothing.
     let idle = nodes[0].on_timer(2 * FETCH_TIMEOUT, STRATUS_DEADLINE_TAG, &mut rng);
     assert!(idle.is_empty(), "{idle:?}");
+    assert_eq!(counter("pab.retry"), 1);
     for i in 0..N {
-        assert_eq!(
-            nodes[i].make_payload(3_000_000).ref_count(),
-            2,
-            "replica {i}"
-        );
+        assert!(nodes[i].is_proposable(&lost_id), "replica {i}");
     }
 }
 
@@ -640,21 +683,16 @@ fn a_proxied_push_sent_again_keeps_its_origin() {
     let mb = Microblock::seal(ReplicaId(0), txs(0, 4), 0);
     let fx = nodes[2].on_message(0, ReplicaId(0), StratusMsg::LbForward(mb.clone()), &mut rng);
     assert_eq!(pushed(&fx), [mb.id]);
+    // δ later it goes again to every other replica, none of which acked,
+    // with the proxy as its disseminator.
     let retry = nodes[2].on_timer(FETCH_TIMEOUT, STRATUS_DEADLINE_TAG, &mut rng);
-    assert_eq!(pushed(&retry), [mb.id]);
+    let (owed, again) = resent(&retry);
+    assert_eq!(owed, [ReplicaId(0), ReplicaId(1), ReplicaId(3)]);
+    assert_eq!((again.id, again.disseminator), (mb.id, ReplicaId(2)));
     // One ack completes the proof (q = 2), which goes back to the origin
     // only.
-    let fx = nodes[3].on_message(
-        FETCH_TIMEOUT,
-        ReplicaId(2),
-        StratusMsg::PabMsg(mb),
-        &mut rng,
-    );
-    let [(Dest::One(to), ack)] = &fx.msgs[..] else {
-        panic!("one ack: {fx:?}")
-    };
-    assert_eq!(*to, ReplicaId(2));
-    let fx = nodes[2].on_message(FETCH_TIMEOUT + 1, ReplicaId(3), ack.clone(), &mut rng);
+    let late = ack(&mut nodes[3], 2, &again, &mut rng);
+    let fx = nodes[2].on_message(FETCH_TIMEOUT + 1, ReplicaId(3), late, &mut rng);
     let proofs: Vec<&Dest> = fx
         .msgs
         .iter()

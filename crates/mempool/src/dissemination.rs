@@ -270,10 +270,8 @@ impl Dissemination {
 
     /// Handles the core's two timers.  The batch timeout returns the
     /// partial batch it sealed, for the backend to share.  The deadline
-    /// table's re-requests what a fetch still misses `δ` after its last
-    /// request from the next candidate, and runs the retire step: every
-    /// microblock that executed `δ` ago leaves the store, and `forget`
-    /// drops the backend's state for it.
+    /// table's retries each fetch still open from its next candidate, and
+    /// runs the retire step, where `forget` drops the backend's state.
     pub fn on_timer<M: FetchWire>(
         &mut self,
         now: SimTime,
@@ -345,12 +343,6 @@ impl Dissemination {
             Due::Fetch(fetch) => fetch.prune(&settled),
             Due::Retire(_) => true,
         });
-    }
-
-    /// Fetches still open.
-    fn fetches_outstanding(&self) -> usize {
-        let fetches = self.deadlines.iter();
-        fetches.filter(|due| matches!(due, Due::Fetch(_))).count()
     }
 
     /// Stores a microblock received from a peer, resuming the proposals
@@ -553,10 +545,11 @@ impl Dissemination {
         t.gauge_set("mempool.store.len", self.store.len() as f64);
         t.gauge_set("mempool.retired.len", self.retired.len() as f64);
         t.gauge_set("mempool.queue.slots", self.queue.slots() as f64);
-        t.gauge_set(
-            "mempool.fetch.outstanding",
-            self.fetches_outstanding() as f64,
-        );
+        let fetches = self
+            .deadlines
+            .iter()
+            .filter(|due| matches!(due, Due::Fetch(_)));
+        t.gauge_set("mempool.fetch.outstanding", fetches.count() as f64);
         effects
     }
 
@@ -805,6 +798,13 @@ impl CertificateBook {
         self.get(id).is_some()
     }
 
+    /// The replicas whose signature on `id` is counted, certified or not.
+    pub fn signers(&self, id: &MicroblockId) -> Vec<u32> {
+        self.proofs
+            .get(id)
+            .map_or(Vec::new(), |(proof, _)| proof.signers())
+    }
+
     /// Number of ids a certificate or signatures are held for.
     pub fn tracked(&self) -> usize {
         self.proofs.len()
@@ -877,6 +877,11 @@ mod tests {
         core.on_timer(now, DEADLINE_TAG, &mut fx, |id| forgotten.push(*id));
         assert!(fx.msgs.is_empty(), "{fx:?}");
         (forgotten, retire_timer(&fx))
+    }
+
+    fn fetches_outstanding(core: &Dissemination) -> usize {
+        let due = core.deadlines.iter();
+        due.filter(|due| matches!(due, Due::Fetch(_))).count()
     }
 
     fn served(core: &Dissemination, id: MicroblockId) -> bool {
@@ -1018,12 +1023,12 @@ mod tests {
         assert_eq!(commit(&mut core, 1_000, &proposal(1, &[&x])).0, 1);
         let mut fx: Effects<SmpMsg> = Effects::none();
         assert!(!core.absorb(2_000, x.clone(), &mut fx));
-        assert_eq!(core.fetches_outstanding(), 1);
+        assert_eq!(fetches_outstanding(&core), 1);
         // Judged by the store alone the entry would ask for `x` again, every
         // δ, for ever.  It sends nothing, and the timer is armed for the
         // retire step only.
         assert_eq!(retire(&mut core, DELTA), (vec![], Some(1_000)));
-        assert_eq!(core.fetches_outstanding(), 0);
+        assert_eq!(fetches_outstanding(&core), 0);
     }
 
     /// What happens at a replica in a release case, in order.  A proposal

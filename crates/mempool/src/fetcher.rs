@@ -8,7 +8,7 @@
 //! fires.  The dissemination core keeps one for its fetches and its retire
 //! step; Stratus keeps a second for its pushes, DLB timeouts and limiter.
 //!
-//! A [`Fetch`] is one outstanding request for missing microblocks: which
+//! A `Fetch` is one outstanding request for missing microblocks: which
 //! ids are still wanted and whom to ask next.  The caller says which ids
 //! are `settled` — held, or already retired (see `store.rs`): a fetch never
 //! looks at the store itself, so one whose microblocks executed and left
@@ -104,7 +104,7 @@ impl<K> Deadlines<K> {
 
 /// One outstanding fetch: the ids still wanted, and whom to ask, in turn.
 #[derive(Clone, Debug)]
-pub struct Fetch {
+pub(crate) struct Fetch {
     ids: Vec<MicroblockId>,
     candidates: Vec<ReplicaId>,
     next_candidate: usize,

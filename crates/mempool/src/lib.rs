@@ -80,7 +80,7 @@ pub use dag::{DagAck, DagBlock, DagMempool, DagMsg, DagParentRef};
 pub use dissemination::{
     CertificateBook, Dissemination, FetchWire, Missing, Verified, DEADLINE_TAG,
 };
-pub use fetcher::{Deadlines, Fetch, FetchAction, FETCH_TIMEOUT};
+pub use fetcher::{Deadlines, FetchAction, FETCH_TIMEOUT};
 pub use gossip::GossipSmp;
 pub use messages::{NarwhalMsg, SmpMsg};
 pub use narwhal::NarwhalMempool;
