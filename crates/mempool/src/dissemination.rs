@@ -270,8 +270,8 @@ impl Dissemination {
 
     /// Handles the core's two timers.  The batch timeout returns the
     /// partial batch it sealed, for the backend to share.  The deadline
-    /// table's retries each fetch still open from its next candidate, and
-    /// runs the retire step, where `forget` drops the backend's state.
+    /// table's timer retries each fetch still open from its next candidate
+    /// and runs the retire step, where `forget` drops the backend's state.
     pub fn on_timer<M: FetchWire>(
         &mut self,
         now: SimTime,

@@ -37,8 +37,8 @@ pub struct Deadlines<K> {
     tag: TimerTag,
     entries: BTreeMap<(SimTime, u64), K>,
     inserted: u64,
-    /// The due times of the timers armed and not fired yet, latest first:
-    /// each was armed before every earlier one in the list.
+    /// The due times of the timers armed and not fired yet, in arming
+    /// order: each is earlier than the one before, so the last fires first.
     armed: Vec<SimTime>,
 }
 
