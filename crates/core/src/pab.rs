@@ -13,7 +13,7 @@
 //! turns into wire messages.
 //!
 //! The engine keeps what PAB adds to a quorum certificate — when a push
-//! began, for whom, and whom to fetch from — and two
+//! last sent its microblock, for whom, and whom to fetch from — and two
 //! [`smp_mempool::CertificateBook`]s, as Narwhal keeps echoes and
 //! readies: one collects the push phase's acks, each verified singly
 //! before it is folded, the other holds the verified proof per id.  The
@@ -70,7 +70,7 @@ pub struct PabEngine {
 pub struct ProofReady {
     /// The availability proof.
     pub proof: QuorumProof,
-    /// Time from broadcast to stability (drives the DLB estimator).
+    /// Time from the latest send to stability (drives the DLB estimator).
     pub stable_time: SimTime,
     /// Original creator when the push phase was run by a DLB proxy.
     pub origin: Option<ReplicaId>,
