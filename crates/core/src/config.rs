@@ -41,8 +41,9 @@ impl DlbConfig {
     }
 }
 
-/// Configuration of the Stratus mempool.  The fetch probability `α` is
-/// [`crate::pab::FETCH_ALPHA`], the retry period `δ` is
+/// Configuration of the Stratus mempool.  A fetch asks the proof's signers
+/// one signer at a time, the next `δ` later
+/// ([`crate::pab::PabEngine::fetch_candidates`]), the retry period `δ` is
 /// [`smp_mempool::FETCH_TIMEOUT`], and the data limiter always runs at
 /// [`crate::limiter::DATA_BANDWIDTH_SHARE`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]

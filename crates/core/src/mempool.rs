@@ -9,7 +9,7 @@ use crate::dlb::{
 use crate::estimator::StableTimeEstimator;
 use crate::limiter::{TokenBucket, DATA_BANDWIDTH_SHARE};
 use crate::messages::StratusMsg;
-use crate::pab::{PabEngine, FETCH_ALPHA};
+use crate::pab::PabEngine;
 use rand::rngs::SmallRng;
 use smp_crypto::QuorumProof;
 use smp_mempool::{
@@ -79,7 +79,7 @@ impl StratusMempool {
         StratusMempool {
             core: Dissemination::new(system, me),
             n: system.n,
-            pab: PabEngine::new(system.seed, system.n, me, quorum, FETCH_ALPHA),
+            pab: PabEngine::new(system.seed, system.n, me, quorum, 0.0),
             lb: LoadBalancer::new(me, system.n, config.dlb),
             estimator: StableTimeEstimator::default(),
             limiter: TokenBucket::for_bandwidth_share(bandwidth_bps, DATA_BANDWIDTH_SHARE),
@@ -210,10 +210,10 @@ impl StratusMempool {
     }
 
     /// PAB recovery phase for one proven microblock that is not held
-    /// locally: ask a random subset of the proof's signers for it
-    /// (`PAB-Fetch`) and keep retrying through the signers in turn.
-    /// Returns whether a request went out (nobody to ask if this replica
-    /// is the only signer).
+    /// locally (`PAB-Fetch`): ask one of the proof's signers for it, and
+    /// the next one `δ` later until it arrives.  Returns whether a request
+    /// went out: none if this replica is the only signer, or if a fetch
+    /// still open asks for the id already.
     fn fetch_from_signers(
         &mut self,
         now: SimTime,
@@ -222,15 +222,14 @@ impl StratusMempool {
         rng: &mut SmallRng,
         effects: &mut Effects<StratusMsg>,
     ) -> bool {
-        let targets = self.pab.fetch_targets(proof, rng);
-        if targets.is_empty() {
+        let candidates = self.pab.fetch_candidates(proof, rng);
+        if candidates.is_empty() {
             return false;
         }
-        let me = self.core.me();
-        let signers = proof.signers().into_iter().map(ReplicaId);
-        let candidates = signers.filter(|r| *r != me).collect();
-        let action = self.core.request(now, vec![id], candidates, effects);
-        effects.multicast(targets, StratusMsg::PabRequest { ids: action.ids });
+        let Some(action) = self.core.request(now, vec![id], candidates, effects) else {
+            return false;
+        };
+        effects.send(action.target, StratusMsg::PabRequest { ids: action.ids });
         true
     }
 

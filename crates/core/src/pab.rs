@@ -5,11 +5,11 @@
 //! acknowledgements until it holds `q` of them, at which point it
 //! aggregates them into an availability proof.  In the **recovery phase**
 //! the proof is broadcast; a replica that holds a valid proof but not the
-//! data fetches it from a random subset of the proof's signers, retrying
-//! after `δ` until satisfied.
+//! data fetches it from the proof's signers, one signer at a time, the next
+//! `δ` later, until satisfied.
 //!
 //! The engine is transport-agnostic: its methods return the signatures,
-//! proofs and fetch targets that the [`crate::mempool::StratusMempool`]
+//! proofs and fetch candidates that the [`crate::mempool::StratusMempool`]
 //! turns into wire messages.
 //!
 //! The engine keeps what PAB adds to a quorum certificate — when a push
@@ -31,15 +31,11 @@
 //! core has retired.
 
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::seq::SliceRandom;
 use smp_crypto::{DigestMap, ProofError, QuorumProof, Signature};
 use smp_mempool::{CertificateBook, FillStatus, Verified};
 use smp_telemetry::Telemetry;
 use smp_types::{Microblock, MicroblockId, MicroblockRef, ReplicaId, SimTime};
-
-/// Probability `α` of requesting a given proof signer during `PAB-Fetch`
-/// (Algorithm 2).
-pub const FETCH_ALPHA: f64 = 0.5;
 
 /// State of one PAB instance on the disseminating replica, from the
 /// broadcast until the proof is complete; its acks are in the ack book.
@@ -55,7 +51,6 @@ struct PushState {
 #[derive(Clone, Debug)]
 pub struct PabEngine {
     me: ReplicaId,
-    fetch_alpha: f64,
     push: DigestMap<MicroblockId, PushState>,
     /// The acks of the push phases in progress; the `q`-th makes a proof.
     acks: CertificateBook,
@@ -78,12 +73,13 @@ pub struct ProofReady {
 
 impl PabEngine {
     /// Creates the engine for replica `me` with availability quorum
-    /// `quorum` (at least 2) and fetch sampling probability `fetch_alpha`.
-    pub fn new(seed: u64, n: usize, me: ReplicaId, quorum: usize, fetch_alpha: f64) -> Self {
+    /// `quorum` (at least 2).  The last argument, once the probability of
+    /// asking each signer in `PAB-Fetch`, is ignored: a fetch asks one
+    /// signer at a time ([`PabEngine::fetch_candidates`]).
+    pub fn new(seed: u64, n: usize, me: ReplicaId, quorum: usize, _fetch_alpha: f64) -> Self {
         let held = CertificateBook::new(seed, n, me, quorum);
         PabEngine {
             me,
-            fetch_alpha: fetch_alpha.clamp(0.0, 1.0),
             push: DigestMap::default(),
             // Same keys and quorum, derived once.
             acks: held.clone(),
@@ -201,32 +197,19 @@ impl PabEngine {
         }
     }
 
-    /// Selects the replicas to ask for a missing microblock during the
-    /// recovery phase (Algorithm 2, `PAB-Fetch`): each signer of the proof
-    /// other than this replica is requested with probability `α`; at least
-    /// one target is returned whenever there is such a signer, so the
-    /// fetch makes progress.  Retries walk the signers through the fetch
-    /// core's candidate list, not through here.
-    pub fn fetch_targets(&self, proof: &QuorumProof, rng: &mut SmallRng) -> Vec<ReplicaId> {
-        let candidates: Vec<ReplicaId> = proof
+    /// The replicas to ask for a missing microblock during the recovery
+    /// phase (Algorithm 2, `PAB-Fetch`), in the order to ask them: every
+    /// signer of the proof other than this replica, shuffled.  A fetch asks
+    /// the first and the next one `δ` later, until the body arrives.
+    pub fn fetch_candidates(&self, proof: &QuorumProof, rng: &mut SmallRng) -> Vec<ReplicaId> {
+        let mut candidates: Vec<ReplicaId> = proof
             .signers()
             .into_iter()
             .map(ReplicaId)
             .filter(|r| *r != self.me)
             .collect();
-        if candidates.is_empty() {
-            return Vec::new();
-        }
-        let mut targets: Vec<ReplicaId> = candidates
-            .iter()
-            .copied()
-            .filter(|_| rng.gen::<f64>() < self.fetch_alpha)
-            .collect();
-        if targets.is_empty() {
-            let pick = candidates[rng.gen_range(0..candidates.len())];
-            targets.push(pick);
-        }
-        targets
+        candidates.shuffle(rng);
+        candidates
     }
 }
 
@@ -236,6 +219,7 @@ mod tests {
     use rand::SeedableRng;
     use smp_crypto::KeyPair;
     use smp_types::{ClientId, Transaction};
+    use std::collections::BTreeSet;
 
     const SEED: u64 = 0xA11CE;
 
@@ -253,7 +237,7 @@ mod tests {
 
     fn engines(n: usize, quorum: usize) -> Vec<PabEngine> {
         (0..n as u32)
-            .map(|i| PabEngine::new(SEED, n, ReplicaId(i), quorum, FETCH_ALPHA))
+            .map(|i| PabEngine::new(SEED, n, ReplicaId(i), quorum, 0.0))
             .collect()
     }
 
@@ -382,7 +366,7 @@ mod tests {
     }
 
     #[test]
-    fn fetch_targets_are_signers_other_than_self() {
+    fn fetch_candidates_are_every_signer_but_self_once_in_a_seeded_order() {
         let mut engines = engines(10, 5);
         let mb = make_mb(0, 1);
         engines[0].start_push(&mb, 0, None);
@@ -391,22 +375,23 @@ mod tests {
             engines[0].on_ack(mb.id, sig, 10);
         }
         let proof = engines[0].book().get(&mb.id).unwrap().clone();
-        let mut rng = SmallRng::seed_from_u64(9);
-        // Replica 1 signed the proof, so it must never ask itself; replica
-        // 7 did not, so every signer is a candidate.
-        for me in [1, 7] {
-            let mut seen = std::collections::BTreeSet::new();
-            for _ in 0..20 {
-                let targets = engines[me].fetch_targets(&proof, &mut rng);
-                assert!(!targets.is_empty());
-                for t in &targets {
-                    assert!(proof.signers().contains(&t.0));
-                    assert_ne!(t.index(), me);
-                    seen.insert(t.0);
-                }
+        assert_eq!(proof.signers(), [0, 1, 2, 3, 4]);
+        let order = |me: usize, seed: u64| -> Vec<u32> {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let candidates = engines[me].fetch_candidates(&proof, &mut rng);
+            candidates.into_iter().map(|r| r.0).collect()
+        };
+        // Replica 1 signed the proof, so it never asks itself; replica 7
+        // did not, so every signer is a candidate.
+        for (me, expected) in [(1, vec![0, 2, 3, 4]), (7, vec![0, 1, 2, 3, 4])] {
+            let orders: BTreeSet<Vec<u32>> = (0..8).map(|seed| order(me, seed)).collect();
+            for candidates in &orders {
+                let mut sorted = candidates.clone();
+                sorted.sort_unstable();
+                assert_eq!(sorted, expected, "replica {me}: each signer once");
             }
-            let expected = proof.signers().into_iter().filter(|s| *s as usize != me);
-            assert_eq!(seen, expected.collect());
+            assert!(orders.len() > 1, "replica {me}: the seed orders them");
+            assert_eq!(order(me, 3), order(me, 3), "one seed, one order");
         }
     }
 

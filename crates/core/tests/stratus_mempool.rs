@@ -701,3 +701,64 @@ fn a_proxied_push_sent_again_keeps_its_origin() {
         .collect();
     assert_eq!(proofs, [&Dest::One(ReplicaId(0))]);
 }
+
+/// Where `fx` sends `PabRequest`s, each for `id` alone.
+fn fetch_requests(fx: &Effects<StratusMsg>, id: MicroblockId) -> Vec<Dest> {
+    let request = |(dest, msg): &(Dest, StratusMsg)| match msg {
+        StratusMsg::PabRequest { ids } => {
+            assert_eq!(ids, &[id]);
+            Some(dest.clone())
+        }
+        _ => None,
+    };
+    fx.msgs.iter().filter_map(request).collect()
+}
+
+#[test]
+fn a_missing_proven_microblock_is_fetched_from_one_signer_at_a_time() {
+    // Replica 3 learns a proof signed by 0, 1 and itself; it never saw the
+    // microblock.
+    let (mut node, telemetry) = observed();
+    let mut rng = SmallRng::seed_from_u64(1);
+    let mb = Microblock::seal(ReplicaId(0), txs(0, 4), 0);
+    let proof = proof_by(mb.id, &[0, 1, 3]);
+    let msg = StratusMsg::PabProof {
+        id: mb.id,
+        proof: proof.clone(),
+    };
+    let fx = node.on_message(10, ReplicaId(0), msg, &mut rng);
+    let [Dest::One(first)] = fetch_requests(&fx, mb.id)[..] else {
+        panic!("one request to one replica: {fx:?}")
+    };
+    assert!([ReplicaId(0), ReplicaId(1)].contains(&first), "{first:?}");
+    // δ later the other signer is asked.
+    let fx = node.on_timer(10 + FETCH_TIMEOUT, DEADLINE_TAG, &mut rng);
+    let [Dest::One(second)] = fetch_requests(&fx, mb.id)[..] else {
+        panic!("one retry to one replica: {fx:?}")
+    };
+    assert!([ReplicaId(0), ReplicaId(1)].contains(&second) && second != first);
+    // A proposal naming the id while the fetch is open asks nobody.
+    let proposal = proposal_of(mb.id, proof);
+    let (status, fx) = node.on_proposal(20 + FETCH_TIMEOUT, &proposal, &mut rng);
+    assert_eq!(status, FillStatus::Ready);
+    assert!(fetch_requests(&fx, mb.id).is_empty(), "{fx:?}");
+    assert!(fx.timers.is_empty(), "{fx:?}");
+    // The body arrives: the next firing sends nothing, and a second copy
+    // is a duplicate.
+    let body = || StratusMsg::PabResponse {
+        mbs: vec![mb.clone()],
+    };
+    let _ = node.on_message(30 + FETCH_TIMEOUT, second, body(), &mut rng);
+    let fx = node.on_timer(10 + 2 * FETCH_TIMEOUT, DEADLINE_TAG, &mut rng);
+    assert!(fx.msgs.is_empty(), "{fx:?}");
+    let _ = node.on_message(40 + FETCH_TIMEOUT, first, body(), &mut rng);
+    let counter = |name: &str| telemetry.snapshot().counter(name).unwrap_or(0);
+    assert_eq!(
+        (
+            counter("fetcher.fetch"),
+            counter("fetcher.retry"),
+            counter("fetcher.dup_resp")
+        ),
+        (1, 1, 1)
+    );
+}

@@ -65,9 +65,11 @@ pub enum MempoolEvent {
         /// First-reception times of the transactions (for latency).
         receive_times: Vec<SimTime>,
     },
-    /// Missing microblocks had to be fetched while filling a proposal.
+    /// Missing microblocks had to be fetched while filling a proposal (or,
+    /// in Stratus, on learning a proof).
     FetchIssued {
-        /// How many microblocks were requested.
+        /// How many microblocks were missing; each is requested now or by a
+        /// fetch still open.
         count: u32,
     },
 }

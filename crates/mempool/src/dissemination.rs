@@ -356,7 +356,8 @@ impl Dissemination {
         new
     }
 
-    /// Handles a fetch response.
+    /// Handles a fetch response; a copy of a microblock held or retired
+    /// here already counts as `fetcher.dup_resp`.
     pub fn absorb_fetched<M>(
         &mut self,
         now: SimTime,
@@ -364,7 +365,9 @@ impl Dissemination {
         effects: &mut Effects<M>,
     ) {
         for mb in mbs {
-            self.admit(now, mb, effects);
+            if !self.admit(now, mb, effects) {
+                self.telemetry.counter_inc("fetcher.dup_resp");
+            }
         }
         self.prune_fetches();
     }
@@ -471,9 +474,29 @@ impl Dissemination {
             .track(proposal, missing, policy == Missing::Blocks);
     }
 
-    /// Registers a fetch of `ids` with its ordered candidate list, retried
-    /// `δ` from `now`; the caller sends the request.
+    /// Whether a fetch still open wants `id`: it is asked for again from
+    /// that fetch's next candidate, so nothing else requests it meanwhile.
+    fn fetching(&self, id: &MicroblockId) -> bool {
+        self.deadlines
+            .iter()
+            .any(|due| matches!(due, Due::Fetch(fetch) if fetch.wants(id)))
+    }
+
+    /// Registers a fetch of those of `ids` that no open fetch wants yet,
+    /// with its ordered candidate list, retried `δ` from `now`; the caller
+    /// sends the request.  `None` if every id is being fetched already.
     pub fn request<M>(
+        &mut self,
+        now: SimTime,
+        mut ids: Vec<MicroblockId>,
+        candidates: Vec<ReplicaId>,
+        effects: &mut Effects<M>,
+    ) -> Option<FetchAction> {
+        ids.retain(|id| !self.fetching(id));
+        (!ids.is_empty()).then(|| self.open_fetch(now, ids, candidates, effects))
+    }
+
+    fn open_fetch<M>(
         &mut self,
         now: SimTime,
         ids: Vec<MicroblockId>,
@@ -490,9 +513,9 @@ impl Dissemination {
     }
 
     /// `FillProposal`: has the backend `verify` the references, dequeues
-    /// them and, if some are missing, tracks the proposal and fetches them
-    /// from the first of `candidates(missing)`.  `policy` decides whether
-    /// consensus waits for the data.
+    /// them and, if some are missing, tracks the proposal and fetches those
+    /// no open fetch wants yet from the first of `candidates(wanted)`.
+    /// `policy` decides whether consensus waits for the data.
     pub fn fill<M: FetchWire>(
         &mut self,
         now: SimTime,
@@ -515,8 +538,15 @@ impl Dissemination {
         }
         let ids: Vec<MicroblockId> = missing.iter().map(|r| r.id).collect();
         self.track(proposal, ids.clone(), policy);
-        let action = self.request(now, ids.clone(), candidates(&missing), effects);
-        effects.send(action.target, M::fetch(action.ids));
+        let wanted: Vec<&MicroblockRef> = missing
+            .into_iter()
+            .filter(|r| !self.fetching(&r.id))
+            .collect();
+        if !wanted.is_empty() {
+            let wanted_ids = wanted.iter().map(|r| r.id).collect();
+            let action = self.open_fetch(now, wanted_ids, candidates(&wanted), effects);
+            effects.send(action.target, M::fetch(action.ids));
+        }
         effects.event(MempoolEvent::FetchIssued {
             count: ids.len() as u32,
         });
@@ -814,6 +844,7 @@ impl CertificateBook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Dest;
     use smp_types::{BlockId, ClientId, View};
 
     /// The `δ` of the cores below.
@@ -1029,6 +1060,53 @@ mod tests {
         // retire step only.
         assert_eq!(retire(&mut core, DELTA), (vec![], Some(1_000)));
         assert_eq!(fetches_outstanding(&core), 0);
+    }
+
+    /// The fetch requests in `fx`: target and ids.
+    fn requests(fx: &Effects<SmpMsg>) -> Vec<(ReplicaId, Vec<MicroblockId>)> {
+        let request = |(dest, msg): &(Dest, SmpMsg)| match (dest, msg) {
+            (Dest::One(to), SmpMsg::Fetch { ids }) => (*to, ids.clone()),
+            other => panic!("unexpected message {other:?}"),
+        };
+        fx.msgs.iter().map(request).collect()
+    }
+
+    #[test]
+    fn an_id_being_fetched_is_requested_by_its_open_fetch_only() {
+        let (mut core, x, y) = (core(1), mb(2, 0), mb(3, 0));
+        let mut fx: Effects<SmpMsg> = Effects::none();
+        let first = core.request(0, vec![x.id], vec![ReplicaId(2), ReplicaId(0)], &mut fx);
+        assert_eq!(first.map(|a| a.target), Some(ReplicaId(2)));
+        // A second request for `x` sends nothing and arms nothing.
+        let mut fx: Effects<SmpMsg> = Effects::none();
+        let second = core.request(10, vec![x.id], vec![ReplicaId(3)], &mut fx);
+        assert!(second.is_none() && fx.is_empty(), "{fx:?}");
+        // A proposal naming both asks for `y` alone, from `y`'s creator.
+        let p = proposal(1, &[&x, &y]);
+        let candidates = |missing: &[&MicroblockRef]| {
+            assert_eq!(missing.iter().map(|r| r.id).collect::<Vec<_>>(), [y.id]);
+            creators_then_proposer(missing, ReplicaId(0))
+        };
+        let mut fx: Effects<SmpMsg> = Effects::none();
+        let status = core.fill(20, &p, |_| Ok(()), candidates, Missing::Blocks, &mut fx);
+        assert_eq!(status, FillStatus::MustWait(vec![x.id, y.id]));
+        assert_eq!(requests(&fx), [(ReplicaId(3), vec![y.id])]);
+        assert_eq!(fetches_outstanding(&core), 2);
+        // δ after the first request its retry asks the next candidate for
+        // `x`; the second fetch's retry comes δ after its own request.
+        let mut fx: Effects<SmpMsg> = Effects::none();
+        core.on_timer(DELTA, DEADLINE_TAG, &mut fx, |_| ());
+        assert_eq!(requests(&fx), [(ReplicaId(0), vec![x.id])]);
+        let mut fx: Effects<SmpMsg> = Effects::none();
+        core.on_timer(20 + DELTA, DEADLINE_TAG, &mut fx, |_| ());
+        assert_eq!(requests(&fx), [(ReplicaId(0), vec![y.id])]);
+        // `x` arrives: its fetch is done, and its next retry sends nothing.
+        let mut fx: Effects<SmpMsg> = Effects::none();
+        core.absorb_fetched(30 + DELTA, vec![x.clone()], &mut fx);
+        assert_eq!(fetches_outstanding(&core), 1);
+        let mut fx: Effects<SmpMsg> = Effects::none();
+        core.on_timer(2 * DELTA, DEADLINE_TAG, &mut fx, |_| ());
+        assert!(fx.msgs.is_empty(), "{fx:?}");
     }
 
     /// What happens at a replica in a release case, in order.  A proposal

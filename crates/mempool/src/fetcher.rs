@@ -139,6 +139,11 @@ impl Fetch {
         (fetch, action)
     }
 
+    /// Whether `id` is one of the ids still wanted.
+    pub fn wants(&self, id: &MicroblockId) -> bool {
+        self.ids.contains(id)
+    }
+
     /// Drops the `settled` ids; `false` once none is left.
     pub fn prune(&mut self, settled: impl Fn(&MicroblockId) -> bool) -> bool {
         self.ids.retain(|id| !settled(id));

@@ -38,7 +38,7 @@
 //! | [`NarwhalMempool`] | reliable broadcast (batch, echo, ready) | `2f + 1` readies and stored | ready certificate | [`CertificateBook`] | no | certificate signers, shuffled |
 //! | [`DagMempool`] certified | DAG block + piggybacked acks | `2f + 1` acks and stored, in creator `seq` order | ack certificate | [`CertificateBook`] | no | certificate signers, shuffled |
 //! | [`DagMempool`] fast path | DAG block + piggybacked acks | stored, in creator `seq` order | nothing | — | yes (`MustWait`) | creators, then the proposer |
-//! | `stratus::StratusMempool` | PAB push (or DLB forward to a proxy) | availability proof known | PAB proof (`f + 1 ..= 2f + 1` acks, aggregated) | [`CertificateBook`] | no | each signer with probability `α`, retried through the signers in turn |
+//! | `stratus::StratusMempool` | PAB push (or DLB forward to a proxy) | availability proof known | PAB proof (`f + 1 ..= 2f + 1` acks, aggregated) | [`CertificateBook`] | no | proof signers, shuffled: one signer at a time, the next `δ` later |
 //!
 //! A microblock's quorum certificate is collected, held and checked in
 //! one place, [`CertificateBook`], built with its quorum (PAB's `q` for
