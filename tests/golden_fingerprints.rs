@@ -40,6 +40,13 @@
 //! 92 entries) and now commits what the other shared-mempool rows do
 //! (2 988, 332 entries).  Since then a row recorded at zero committed
 //! transactions fails here: a run that commits nothing pins nothing.
+//! "S-HS byzantine" and "S-HS storm" were re-recorded when a PAB fetch
+//! began to ask one signer of the proof at a time, the next one `δ` later,
+//! where it had asked each signer with probability one half, and a request
+//! for an id that an open fetch wants began to send nothing.  They are the
+//! only rows in which a Stratus replica fetches (45 and 15 fetches now); their
+//! entry counts went 533 → 537 and 700 → 711, their committed counts
+//! stayed.  The SMP-*, D-HS-F and D-HS rows that fetch did not move.
 //! A refactor that claims "no model output
 //! changed" is proven by plain `cargo test` passing this file untouched; a
 //! change that is *meant* to alter behaviour must re-record the constants
@@ -157,13 +164,13 @@ fn cases() -> Vec<Case> {
         ("D-HS", lan, DagHotStuff, "80718749ed62b9fbb9f78b5e4633bdbb-476", 2988),
         ("D-HS-F", lan, DagHotStuffFast, "d5bbf708acd2192911b83180fc9f014c-497", 2988),
         ("S-HS k=4", sharded, StratusHotStuff, "10551f62bd8ed9352862084605d0854f-1642", 2987),
-        ("S-HS byzantine", byzantine, StratusHotStuff, "615768509c2e061b77223a7e0c2bb175-533", 2988),
+        ("S-HS byzantine", byzantine, StratusHotStuff, "aee9f1c4b37b774d5eaadc365fe1b17a-537", 2988),
         ("SMP-HS byzantine", byzantine, SmpHotStuff, "fab3c320632ab54bef8a8f99777f2b39-443", 2988),
         ("SMP-HS-G byzantine", byzantine, SmpHotStuffGossip, "bcc26c62256f072363f927aed24e2c43-404", 2988),
         ("Narwhal byzantine", byzantine, Narwhal, "3cf0e94445bf00bf9e09bbef2038161d-453", 2241),
         ("D-HS byzantine", byzantine, DagHotStuff, "9fae3d7a647f8434d50af66f89dd55e2-473", 2241),
         ("D-HS-F byzantine", byzantine, DagHotStuffFast, "f5b2697bc1da760a9018520643a6bf3a-573", 2988),
-        ("S-HS storm", storm, StratusHotStuff, "d474dc0f5cee062ddfa1f15f71dd0fc3-700", 6988),
+        ("S-HS storm", storm, StratusHotStuff, "e4dd41c8b342feb3ecf72f242c05297c-711", 6988),
         ("Narwhal storm", storm, Narwhal, "83e51525303ae3b9531db07160c0fcbd-683", 6988),
         ("D-HS storm", storm, DagHotStuff, "59d166b6d4117c8094f94f3f8ae2794f-685", 6988),
         ("SMP-HS wan", wan, SmpHotStuff, "af2fce4a02828e4bcc128bdeefec1dbf-105", 9992),
