@@ -6,7 +6,9 @@
 //! aggregates them into an availability proof.  In the **recovery phase**
 //! the proof is broadcast; a replica that holds a valid proof but not the
 //! data fetches it from the proof's signers, one signer at a time, the next
-//! `δ` later, until satisfied.
+//! `δ` later, until satisfied.  Algorithm 2 asks each signer with
+//! probability `α`; this is its `α → 0` corner, in which each request
+//! brings back at most one copy of the microblock.
 //!
 //! The engine is transport-agnostic: its methods return the signatures,
 //! proofs and fetch candidates that the [`crate::mempool::StratusMempool`]
