@@ -4,9 +4,8 @@
 //! once per replica in child mode, collects every child's committed
 //! sequence (an entry per transaction, or per microblock for reference
 //! payloads) and counters over stdout, and checks that all replicas agree.
-//! With `--check-sim` it additionally runs the deterministic simulator on
-//! the same `ExperimentConfig` and seed and requires the socket cluster's
-//! commit sequence to be byte-identical.
+//! With `--check-sim` it additionally requires the socket cluster's
+//! commit sequence to be byte-identical to the simulator's.
 //!
 //! ```text
 //! localcluster [--protocol N-HS] [--n 4] [--rate 4000] [--tx-limit 60]
@@ -15,18 +14,29 @@
 //!              [--trace-out <dir>]
 //! ```
 //!
-//! With `--chaos` the parent SIGKILLs the last replica at 30% of the
-//! horizon, restarts it 200 ms later in recovery mode (`--recover`), and
-//! holds the resurrected process to the same agreement (and, with
-//! `--check-sim`, simulator-conformance) bar as everyone else: the
-//! recovered replica must re-sync the committed sequence over the `Sync`
+//! A run ends when its work is done.  The parent runs the deterministic
+//! simulator on the same `ExperimentConfig` and seed first; that log is
+//! the reference.  Children print each `commit` line as they commit, and
+//! once every child's log holds every reference entry, in any order, the
+//! parent writes `stop` on their stdin.  `--horizon-us` is the longest a
+//! run may last: a run that offers nothing (`--rate 0`) lasts it, and a
+//! loaded run that reaches it exits 1, naming each replica and how many
+//! reference entries it lacks.
+//!
+//! With `--chaos` the parent SIGKILLs the last replica once every log
+//! covers the reference, restarts it 200 ms later in recovery mode
+//! (`--recover`), and stops the cluster once the recovered replica covers
+//! the reference too.  The resurrected process is held to the same
+//! agreement (and, with `--check-sim`, simulator-conformance) bar as
+//! everyone else: it must re-sync the committed sequence over the `Sync`
 //! wire family and finish byte-identical.  The kill/restart instants are
 //! stamped into `cluster_trace.json` as global instant events when
 //! `--trace-out` is active.
 //!
 //! With `--trace-out <dir>` the run becomes fully observed: each child
-//! serves an admin endpoint the parent polls mid-run (`HEALTH`,
-//! `METRICS`, and `SERIES` must all answer), runs a flight-recorder
+//! serves an admin endpoint the parent polls while the cluster runs
+//! (`HEALTH`, `METRICS`, and `SERIES` must all answer, and the cluster is
+//! not stopped before they have), runs a flight-recorder
 //! sampler, and writes its per-replica trace / flight-recorder series /
 //! metrics snapshot into `<dir>`.  After the run the parent merges them
 //! into two cluster-wide artifacts: `cluster_trace.json` (one
@@ -35,33 +45,42 @@
 //! series plus a cluster metrics rollup).
 //!
 //! Child mode (`--replica <i> --addrs a,b,...`) is internal: it calls
-//! [`smp_replica::run_replica_over_net`] and reports on stdout with
-//! `commit <64-hex-txid>` / `stat <key> <value>` / `peer_error <msg>` /
-//! `frame_error <msg>` lines.
+//! [`smp_replica::run_replica_over_net`], stops on a `stop` line or the
+//! end of its stdin, and reports on stdout with `commit <64-hex-txid>` /
+//! `stat <key> <value>` / `peer_error <msg>` / `frame_error <msg>` lines.
 //!
 //! Exit codes: 0 success, 1 divergence (replicas disagree, sim mismatch,
-//! peer/frame errors, or an unresponsive admin endpoint), 2 usage/spawn
-//! failures — an unknown flag among them.
+//! a loaded run that reached its horizon, peer/frame errors, or an
+//! unresponsive admin endpoint), 2 usage/spawn failures — an unknown flag
+//! among them.
 
 use smp_bench::arg_value;
 use smp_crypto::Digest;
 use smp_metrics::JsonValue;
+use smp_net::{bind_loopback, probe};
 use smp_replica::{
     run_replica_over_net, sim_commit_logs, ExperimentConfig, NetRunOptions, NetRunSummary, Protocol,
 };
 use smp_telemetry::{merge_chrome_traces, merge_cluster_series, rollup_snapshots, MetricsSnapshot};
 use smp_types::{ReplicaId, TxId};
 use smp_workload::LoadDistribution;
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::HashSet;
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Child, ChildStdin, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 const USAGE: &str = "usage: localcluster [--protocol N-HS] [--n 4] [--rate 4000] \
 [--tx-limit 60] [--horizon-us 2500000] [--seed 42] [--batch-bytes 16384] \
-[--source <replica index|even>] [--check-sim] [--chaos] [--trace-out <dir>]";
+[--source <replica index|even>] [--check-sim] [--chaos] [--trace-out <dir>]
+A run ends once every replica has committed the simulator's log for the same \
+config and seed; --horizon-us is the longest it may last (a loaded run that \
+reaches it fails).";
 
 /// Flags followed by a value; the internal child-mode ones included.
 const VALUE_FLAGS: &[&str] = &[
@@ -103,7 +122,6 @@ fn parse_protocol(s: &str) -> Option<Protocol> {
 
 /// Cluster parameters shared by parent and children, rebuilt from the
 /// command line so every process derives the identical config.
-#[derive(Clone)]
 struct ClusterArgs {
     protocol: Protocol,
     n: usize,
@@ -167,36 +185,6 @@ impl ClusterArgs {
         config.seed = self.seed;
         config
     }
-
-    /// The flags a child needs to rebuild this exact config.
-    fn forward(&self) -> Vec<String> {
-        let mut f = vec![
-            "--protocol".into(),
-            self.protocol.label().to_string(),
-            "--n".into(),
-            self.n.to_string(),
-            "--rate".into(),
-            self.rate.to_string(),
-            "--tx-limit".into(),
-            self.tx_limit.to_string(),
-            "--horizon-us".into(),
-            self.horizon_us.to_string(),
-            "--seed".into(),
-            self.seed.to_string(),
-            "--batch-bytes".into(),
-            self.batch_bytes.to_string(),
-            "--source".into(),
-            match self.source {
-                Some(i) => i.to_string(),
-                None => "even".into(),
-            },
-        ];
-        if let Some(dir) = arg_value("--trace-out") {
-            f.push("--trace-out".into());
-            f.push(dir);
-        }
-        f
-    }
 }
 
 fn txid_hex(id: &TxId) -> String {
@@ -240,25 +228,47 @@ fn run_child(me: usize, args: &ClusterArgs) -> ! {
         tx_limit: Some(args.tx_limit),
         horizon_us: args.horizon_us,
         admin_addr,
-        // Sample often enough that even a short CI run records several
-        // windows per replica.
+        // A window every 250 ms, and a last one when the run ends.
         flight_cadence_us: observed.then_some(250_000),
         recover: std::env::args().any(|a| a == "--recover"),
     };
-    let summary = run_replica_over_net(&args.config(), ReplicaId(me as u32), addrs, &opts)
-        .unwrap_or_else(|e| {
-            eprintln!("localcluster: replica {me} failed: {e}");
-            std::process::exit(2);
+    // The parent ends the run with a `stop` line; the end of stdin (the
+    // parent gone) ends it too.  The reader is left to the process's exit:
+    // a run that ends at its horizon hears neither.
+    let stop = Arc::new(AtomicBool::new(false));
+    {
+        let stop = Arc::clone(&stop);
+        thread::spawn(move || {
+            let _ = io::stdin()
+                .lines()
+                .find(|l| l.as_ref().map_or(true, |l| l == "stop"));
+            stop.store(true, Ordering::Relaxed);
         });
+    }
+    // Commits go out as they happen, so the parent sees the run's progress.
+    let mut streamed = 0;
+    let summary = run_replica_over_net(&args.config(), ReplicaId(me as u32), addrs, &opts, |log| {
+        print_commits(&log[streamed..]);
+        streamed = log.len();
+        stop.load(Ordering::Relaxed)
+    })
+    .unwrap_or_else(|e| {
+        eprintln!("localcluster: replica {me} failed: {e}");
+        std::process::exit(2);
+    });
+    print_commits(&summary.commit_log[streamed..]);
     report_child(me, &summary, trace_out.as_deref());
     let clean = summary.peer_errors.is_empty() && summary.frame_errors.is_empty();
     std::process::exit(if clean { 0 } else { 1 });
 }
 
-fn report_child(me: usize, summary: &NetRunSummary, trace_out: Option<&str>) {
-    for id in &summary.commit_log {
+fn print_commits(ids: &[TxId]) {
+    for id in ids {
         println!("commit {}", txid_hex(id));
     }
+}
+
+fn report_child(me: usize, summary: &NetRunSummary, trace_out: Option<&str>) {
     let stats: [(&str, u64); 9] = [
         ("committed_txs", summary.committed_txs),
         ("client_txs", summary.client_txs),
@@ -303,34 +313,57 @@ fn report_child(me: usize, summary: &NetRunSummary, trace_out: Option<&str>) {
 
 // --------------------------------------------------------------- parent
 
+/// What one child process has printed so far.
 #[derive(Default)]
 struct ChildReport {
     commits: Vec<TxId>,
+    /// Reference entries `commits` does not hold yet.
+    missing: HashSet<TxId>,
     stats: std::collections::BTreeMap<String, u64>,
     peer_errors: Vec<String>,
     frame_errors: Vec<String>,
 }
 
-fn parse_child_output(text: &str) -> ChildReport {
-    let mut r = ChildReport::default();
-    for line in text.lines() {
+impl ChildReport {
+    /// Takes in one line of the child's output.
+    fn hear(&mut self, line: &str) {
         if let Some(hex) = line.strip_prefix("commit ") {
             if let Some(id) = txid_from_hex(hex.trim()) {
-                r.commits.push(id);
+                self.missing.remove(&id);
+                self.commits.push(id);
             }
         } else if let Some(rest) = line.strip_prefix("stat ") {
             if let Some((key, value)) = rest.split_once(' ') {
                 if let Ok(v) = value.trim().parse() {
-                    r.stats.insert(key.to_string(), v);
+                    self.stats.insert(key.to_string(), v);
                 }
             }
         } else if let Some(e) = line.strip_prefix("peer_error ") {
-            r.peer_errors.push(e.to_string());
+            self.peer_errors.push(e.to_string());
         } else if let Some(e) = line.strip_prefix("frame_error ") {
-            r.frame_errors.push(e.to_string());
+            self.frame_errors.push(e.to_string());
         }
     }
-    r
+}
+
+/// One child process: a replica's first incarnation or, under `--chaos`,
+/// the victim's recovered one.
+struct Proc {
+    replica: usize,
+    child: Child,
+    /// Taken when the parent tells the child to stop.
+    stdin: Option<ChildStdin>,
+    report: ChildReport,
+    open: bool,
+    killed: bool,
+}
+
+/// What the parent hears from its children, by process index.
+enum Heard {
+    /// A line the child printed.
+    Line(usize, String),
+    /// Its stdout closed: it has exited.
+    Closed(usize),
 }
 
 /// Pinpoints where two commit sequences diverge: the first differing
@@ -361,69 +394,6 @@ fn divergence_excerpt(reference: &[TxId], other: &[TxId]) -> String {
         excerpt(reference),
         excerpt(other)
     )
-}
-
-/// One line-oriented admin request/reply against a child's endpoint.
-fn admin_ask(addr: SocketAddr, cmd: &str) -> io::Result<String> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(format!("{cmd}\n").as_bytes())?;
-    let mut reply = String::new();
-    BufReader::new(stream).read_line(&mut reply)?;
-    if reply.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "empty admin reply",
-        ));
-    }
-    Ok(reply.trim_end().to_string())
-}
-
-/// Polls every child's admin endpoint mid-run: `HEALTH`, `METRICS`, and
-/// `SERIES` must all answer before the run's horizon elapses.  Returns
-/// one error line per replica that failed.
-fn poll_admin_endpoints(admin_addrs: Vec<SocketAddr>, horizon_us: u64) -> Vec<String> {
-    let start = Instant::now();
-    // Let the cluster form and commit some work first, but stay well
-    // inside the horizon so this is genuinely a *mid-run* observation.
-    thread::sleep(Duration::from_micros(horizon_us / 3));
-    let deadline = start + Duration::from_micros(horizon_us.saturating_sub(horizon_us / 5));
-    let mut failures = Vec::new();
-    for (i, addr) in admin_addrs.into_iter().enumerate() {
-        let verdict = loop {
-            match check_admin(addr, i) {
-                Ok(detail) => break Ok(detail),
-                Err(e) => {
-                    if Instant::now() >= deadline {
-                        break Err(e);
-                    }
-                    thread::sleep(Duration::from_millis(100));
-                }
-            }
-        };
-        match verdict {
-            Ok(detail) => println!("localcluster: replica {i} admin ok mid-run ({detail})"),
-            Err(e) => failures.push(format!("replica {i} admin endpoint at {addr}: {e}")),
-        }
-    }
-    failures
-}
-
-fn check_admin(addr: SocketAddr, i: usize) -> Result<String, String> {
-    let health = admin_ask(addr, "HEALTH").map_err(|e| format!("HEALTH: {e}"))?;
-    if !health.starts_with(&format!("ok replica={i} ")) {
-        return Err(format!("HEALTH replied '{health}'"));
-    }
-    let metrics = admin_ask(addr, "METRICS").map_err(|e| format!("METRICS: {e}"))?;
-    if !metrics.starts_with('{') {
-        return Err(format!("METRICS not a JSON object: '{metrics}'"));
-    }
-    let series = admin_ask(addr, "SERIES").map_err(|e| format!("SERIES: {e}"))?;
-    if !series.contains("smp-flightrec-v1") {
-        return Err(format!("SERIES not schema-versioned: '{series}'"));
-    }
-    Ok(health)
 }
 
 /// Merges the per-replica artifacts the children wrote under `dir` into
@@ -504,16 +474,15 @@ fn unix_us() -> u64 {
         .as_micros() as u64
 }
 
-fn free_addrs(n: usize) -> Vec<SocketAddr> {
-    // Bind-then-drop reserves distinct ephemeral ports; children rebind
-    // them immediately after, so reuse by another process is unlikely.
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr"))
-        .collect()
+/// `n` distinct loopback ports, free a moment ago: the children bind them
+/// again right after.
+fn reserve_ports(n: usize) -> Vec<SocketAddr> {
+    bind_loopback(n)
+        .unwrap_or_else(|e| {
+            eprintln!("localcluster: cannot reserve loopback ports: {e}");
+            std::process::exit(2);
+        })
+        .1
 }
 
 fn main() {
@@ -532,6 +501,11 @@ fn main() {
     }
 
     let config = args.config();
+    let chaos = std::env::args().any(|a| a == "--chaos");
+    if chaos && args.n < 2 {
+        eprintln!("localcluster: --chaos needs at least 2 replicas");
+        std::process::exit(2);
+    }
     println!(
         "localcluster: {} n={} rate={} tx_limit={} horizon={}us seed={}",
         args.protocol.label(),
@@ -542,143 +516,157 @@ fn main() {
         args.seed
     );
 
-    let addrs = free_addrs(args.n);
-    let addr_list = addrs
+    // The reference: what every replica must commit before the run ends.
+    let sim = sim_commit_logs(&config, Some(args.tx_limit), args.horizon_us + 1_000_000);
+    let loaded = !sim[0].is_empty();
+    if chaos && !loaded {
+        eprintln!("localcluster: --chaos needs a workload that commits");
+        std::process::exit(2);
+    }
+
+    // With --trace-out, the run is observed: every child also gets an
+    // admin endpoint the parent polls.  One reservation gives both sets of
+    // ports, so none is in both.
+    let trace_dir = arg_value("--trace-out");
+    let mut ports = reserve_ports(args.n * if trace_dir.is_some() { 2 } else { 1 });
+    let admin_addrs = ports.split_off(args.n);
+    let addr_list = ports
         .iter()
         .map(|a| a.to_string())
         .collect::<Vec<_>>()
         .join(",");
-    // With --trace-out, the run is observed: every child gets an admin
-    // endpoint (the parent reserves the ports so it knows where to
-    // poll — children only report stdout after they exit).
-    let trace_dir = arg_value("--trace-out");
-    let admin_addrs = if trace_dir.is_some() {
-        free_addrs(args.n)
-    } else {
-        Vec::new()
-    };
+    let (heard_by, heard) = mpsc::channel();
+    // Starts replica `replica` as child process `id`, with a thread that
+    // forwards its stdout.
     let exe = std::env::current_exe().expect("current exe");
-    let mut children = Vec::new();
-    for i in 0..args.n {
+    let reference: HashSet<TxId> = sim[0].iter().copied().collect();
+    let launch = |id: usize, replica: usize, recover: bool| {
         let mut cmd = Command::new(&exe);
-        cmd.args(["--replica", &i.to_string(), "--addrs", &addr_list])
-            .args(args.forward());
-        if let Some(admin) = admin_addrs.get(i) {
+        // A child parses the parent's own flags, so it builds the same config.
+        cmd.args(std::env::args().skip(1)).args([
+            "--replica",
+            &replica.to_string(),
+            "--addrs",
+            &addr_list,
+        ]);
+        if let Some(admin) = admin_addrs.get(replica) {
             cmd.args(["--admin-addr", &admin.to_string()]);
         }
-        let child = cmd
+        if recover {
+            cmd.arg("--recover");
+        }
+        let mut child = cmd
+            .stdin(Stdio::piped())
             .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
             .spawn()
             .unwrap_or_else(|e| {
-                eprintln!("localcluster: cannot spawn replica {i}: {e}");
+                eprintln!("localcluster: cannot spawn replica {replica}: {e}");
                 std::process::exit(2);
             });
-        children.push(child);
-    }
-
-    // Live observation: while children run, poll each admin endpoint
-    // once mid-run (HEALTH + METRICS + SERIES must answer).
-    let poller = (!admin_addrs.is_empty()).then(|| {
-        let admin_addrs = admin_addrs.clone();
-        let horizon_us = args.horizon_us;
-        thread::spawn(move || poll_admin_endpoints(admin_addrs, horizon_us))
-    });
-
-    // Chaos: SIGKILL the last replica at 30% of the horizon, then
-    // respawn it 200 ms later with `--recover`.  The first incarnation's
-    // output and exit status are discarded; the resurrected process is
-    // held to the same agreement bar as everyone else, which forces the
-    // `Sync` re-sync path over real sockets.
-    let chaos = std::env::args().any(|a| a == "--chaos");
-    if chaos && args.n < 2 {
-        eprintln!("localcluster: --chaos needs at least 2 replicas");
-        std::process::exit(2);
-    }
-    let chaos_handle = chaos.then(|| {
-        let victim = args.n - 1;
-        let mut first = children.pop().expect("victim child");
-        let exe = exe.clone();
-        let mut respawn_args: Vec<String> = vec![
-            "--replica".into(),
-            victim.to_string(),
-            "--addrs".into(),
-            addr_list.clone(),
-        ];
-        respawn_args.extend(args.forward());
-        if let Some(admin) = admin_addrs.get(victim) {
-            respawn_args.push("--admin-addr".into());
-            respawn_args.push(admin.to_string());
-        }
-        respawn_args.push("--recover".into());
-        let kill_after = Duration::from_micros(args.horizon_us * 3 / 10);
+        let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        let heard_by = heard_by.clone();
         thread::spawn(move || {
-            thread::sleep(kill_after);
-            let kill_unix_us = unix_us();
-            first.kill().expect("kill victim");
-            first.wait().expect("reap victim");
-            thread::sleep(Duration::from_millis(200));
-            let child = Command::new(&exe)
-                .args(&respawn_args)
-                .stdout(Stdio::piped())
-                .stderr(Stdio::inherit())
-                .spawn()
-                .expect("respawn victim");
-            (kill_unix_us, unix_us(), child)
-        })
-    });
-
-    let mut reports = Vec::new();
+            for line in stdout.lines().map_while(Result::ok) {
+                heard_by.send(Heard::Line(id, line)).ok();
+            }
+            heard_by.send(Heard::Closed(id)).ok();
+        });
+        let missing = reference.clone();
+        Proc {
+            replica,
+            stdin: child.stdin.take(),
+            child,
+            report: ChildReport {
+                missing,
+                ..Default::default()
+            },
+            open: true,
+            killed: false,
+        }
+    };
+    let mut procs: Vec<Proc> = (0..args.n).map(|i| launch(i, i, false)).collect();
     let mut failed = false;
-    for (i, mut child) in children.into_iter().enumerate() {
-        let mut text = String::new();
-        child
-            .stdout
-            .take()
-            .expect("piped stdout")
-            .read_to_string(&mut text)
-            .expect("read child stdout");
-        let status = child.wait().expect("wait for child");
-        if !status.success() {
-            eprintln!("localcluster: replica {i} exited with {status}");
-            failed = true;
+    // The observed run's admin endpoints answer before the cluster may stop.
+    let deadline = Instant::now() + Duration::from_micros(args.horizon_us);
+    for (i, &addr) in admin_addrs.iter().enumerate() {
+        match probe(addr, i as u32, deadline) {
+            Ok(health) => println!("localcluster: replica {i} admin ok mid-run ({health})"),
+            Err(e) => {
+                eprintln!("localcluster: replica {i} admin endpoint at {addr}: {e}");
+                failed = true;
+            }
         }
-        reports.push(parse_child_output(&text));
     }
 
-    // Collect the resurrected victim last: its run started late and ends
-    // after the survivors, so this read naturally waits out recovery.
+    // The run: children stream their commits.  Under --chaos the last
+    // replica is SIGKILLed once every log covers the reference and
+    // respawned 200 ms later with `--recover`, which forces the `Sync`
+    // re-sync path over real sockets.  Once every live replica covers
+    // the reference (the recovered one included), every child is told to
+    // stop.  A run that offers nothing, or never gets there, lasts its
+    // horizon.
+    let mut victim = chaos.then_some(args.n - 1);
     let mut fault_timeline: Vec<(String, u64)> = Vec::new();
-    if let Some(handle) = chaos_handle {
-        let victim = args.n - 1;
-        let (kill_us, restart_us, mut child) = handle.join().expect("chaos thread");
-        println!(
-            "localcluster: chaos SIGKILLed replica {victim} and respawned it \
-             {}ms later with --recover",
-            restart_us.saturating_sub(kill_us) / 1_000
-        );
-        fault_timeline.push((format!("fault.kill.replica.{victim}"), kill_us));
-        fault_timeline.push((format!("fault.restart.replica.{victim}"), restart_us));
-        let mut text = String::new();
-        child
-            .stdout
-            .take()
-            .expect("piped stdout")
-            .read_to_string(&mut text)
-            .expect("read recovered child stdout");
-        let status = child.wait().expect("wait for recovered child");
-        if !status.success() {
-            eprintln!("localcluster: recovered replica {victim} exited with {status}");
-            failed = true;
+    while procs.iter().any(|p| p.open) {
+        match heard.recv().expect("`launch` keeps a sender") {
+            Heard::Line(p, line) => procs[p].report.hear(&line),
+            Heard::Closed(p) => procs[p].open = false,
         }
-        reports.push(parse_child_output(&text));
+        // Every live replica holds the reference: kill the chaos victim,
+        // or end the run.
+        if !loaded
+            || procs
+                .iter()
+                .any(|p| !p.killed && !p.report.missing.is_empty())
+        {
+            continue;
+        }
+        if let Some(v) = victim.take() {
+            let kill_us = unix_us();
+            procs[v].child.kill().expect("kill victim");
+            procs[v].killed = true;
+            thread::sleep(Duration::from_millis(200));
+            let restart_us = unix_us();
+            procs.push(launch(procs.len(), v, true));
+            println!(
+                "localcluster: chaos SIGKILLed replica {v} and respawned it \
+                 {}ms later with --recover",
+                restart_us.saturating_sub(kill_us) / 1_000
+            );
+            fault_timeline.push((format!("fault.kill.replica.{v}"), kill_us));
+            fault_timeline.push((format!("fault.restart.replica.{v}"), restart_us));
+        } else {
+            for p in &mut procs {
+                if let Some(mut stdin) = p.stdin.take() {
+                    writeln!(stdin, "stop").ok();
+                }
+            }
+        }
     }
 
-    if let Some(poller) = poller {
-        for e in poller.join().expect("admin poller thread") {
-            eprintln!("localcluster: mid-run admin poll failed: {e}");
+    // The victim's first incarnation is not reported: its recovered one
+    // takes its place, last.
+    let mut reports = Vec::new();
+    for mut p in procs {
+        let status = p.child.wait().expect("wait for child");
+        if p.killed {
+            continue;
+        }
+        if !status.success() {
+            eprintln!("localcluster: replica {} exited with {status}", p.replica);
             failed = true;
         }
+        if !p.report.missing.is_empty() {
+            eprintln!(
+                "localcluster: replica {} lacks {} of the {} reference entries at its {}us horizon",
+                p.replica,
+                p.report.missing.len(),
+                sim[0].len(),
+                args.horizon_us
+            );
+            failed = true;
+        }
+        reports.push(p.report);
     }
 
     for (i, r) in reports.iter().enumerate() {
@@ -725,7 +713,6 @@ fn main() {
     // simulator's sequence for the same config and seed.
     let mut sim_ok = true;
     if std::env::args().any(|a| a == "--check-sim") {
-        let sim = sim_commit_logs(&config, Some(args.tx_limit), args.horizon_us + 1_000_000);
         if reports[0].commits == sim[0] {
             println!(
                 "localcluster: socket commit sequence matches the simulator ({} entries)",

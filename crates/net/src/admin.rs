@@ -27,7 +27,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Shared state the admin endpoint serves from.
 #[derive(Clone)]
@@ -86,10 +86,9 @@ impl Drop for AdminHandle {
     }
 }
 
-/// Binds `addr` and serves admin commands on a background thread until
+/// Serves admin commands on `listener`, on a background thread, until
 /// the returned handle stops (or drops).
-pub fn spawn_admin(addr: SocketAddr, state: AdminState) -> io::Result<AdminHandle> {
-    let listener = TcpListener::bind(addr)?;
+pub fn spawn_admin(listener: TcpListener, state: AdminState) -> io::Result<AdminHandle> {
     let bound = listener.local_addr()?;
     listener.set_nonblocking(true)?;
     let stop = Arc::new(AtomicBool::new(false));
@@ -100,6 +99,48 @@ pub fn spawn_admin(addr: SocketAddr, state: AdminState) -> io::Result<AdminHandl
         stop,
         handle: Some(handle),
     })
+}
+
+/// Sends `cmd` to the endpoint at `addr` and returns its one-line reply.
+pub fn ask(addr: SocketAddr, cmd: &str) -> io::Result<String> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
+    (&stream).write_all(format!("{cmd}\n").as_bytes())?;
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply)?;
+    match reply.trim_end() {
+        "" => Err(io::ErrorKind::UnexpectedEof.into()),
+        line => Ok(line.to_string()),
+    }
+}
+
+/// Asks replica `replica`'s endpoint at `addr` for `HEALTH`, `METRICS`
+/// and `SERIES`, again every 20 ms while it is not up yet or answers
+/// amiss, until all three answer well or `deadline` passes.  Returns the
+/// `HEALTH` reply, or what went wrong last.
+pub fn probe(addr: SocketAddr, replica: u32, deadline: Instant) -> Result<String, String> {
+    let check = || {
+        let reply = |cmd| ask(addr, cmd).map_err(|e| format!("{cmd}: {e}"));
+        let health = reply("HEALTH")?;
+        if !health.starts_with(&format!("ok replica={replica} ")) {
+            return Err(format!("HEALTH replied '{health}'"));
+        }
+        let metrics = reply("METRICS")?;
+        if !metrics.starts_with('{') {
+            return Err(format!("METRICS not a JSON object: '{metrics}'"));
+        }
+        let series = reply("SERIES")?;
+        if !series.contains("smp-flightrec-v1") {
+            return Err(format!("SERIES not schema-versioned: '{series}'"));
+        }
+        Ok(health)
+    };
+    loop {
+        match check() {
+            Err(_) if Instant::now() < deadline => thread::sleep(Duration::from_millis(20)),
+            verdict => return verdict,
+        }
+    }
 }
 
 fn accept_admin(listener: TcpListener, state: AdminState, stop: Arc<AtomicBool>) {
@@ -210,15 +251,7 @@ mod tests {
     use std::io::BufRead;
 
     fn ask(addr: SocketAddr, cmd: &str) -> String {
-        let mut stream = TcpStream::connect(addr).expect("connect admin");
-        stream
-            .write_all(format!("{cmd}\n").as_bytes())
-            .expect("send command");
-        let mut reply = String::new();
-        BufReader::new(stream)
-            .read_line(&mut reply)
-            .expect("read reply");
-        reply.trim_end().to_string()
+        super::ask(addr, cmd).expect("admin reply")
     }
 
     #[test]
@@ -245,8 +278,8 @@ mod tests {
             })),
             net: Some(net),
         };
-        let mut admin =
-            spawn_admin("127.0.0.1:0".parse().unwrap(), state).expect("spawn admin endpoint");
+        let mut admin = spawn_admin(TcpListener::bind("127.0.0.1:0").unwrap(), state)
+            .expect("spawn admin endpoint");
         let addr = admin.addr();
 
         let health = ask(addr, "health");
@@ -306,8 +339,8 @@ mod tests {
             refresh: None,
             net: None,
         };
-        let admin =
-            spawn_admin("127.0.0.1:0".parse().unwrap(), state).expect("spawn admin endpoint");
+        let admin = spawn_admin(TcpListener::bind("127.0.0.1:0").unwrap(), state)
+            .expect("spawn admin endpoint");
         let stream = TcpStream::connect(admin.addr()).expect("connect admin");
         stream
             .set_read_timeout(Some(Duration::from_secs(2)))
@@ -334,8 +367,8 @@ mod tests {
             refresh: None,
             net: None,
         };
-        let admin =
-            spawn_admin("127.0.0.1:0".parse().unwrap(), state).expect("spawn admin endpoint");
+        let admin = spawn_admin(TcpListener::bind("127.0.0.1:0").unwrap(), state)
+            .expect("spawn admin endpoint");
         assert_eq!(
             ask(admin.addr(), "SERIES"),
             "err no flight recorder attached"

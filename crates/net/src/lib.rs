@@ -16,8 +16,8 @@
 //!   connection epochs and the formation barrier, and does no I/O;
 //! * **threads only move bytes** — an acceptor, a reader per inbound
 //!   connection and a link per peer that dials and writes on command, all
-//!   reporting to [`NetRuntime::run`]'s one loop (no async runtime; the
-//!   image has no tokio);
+//!   reporting to [`NetRuntime::run_until`]'s one loop (no async runtime;
+//!   the image has no tokio);
 //! * **two outbound lanes** — consensus messages (the Stratus priority
 //!   bit) go out at once; bulk ones (microblocks, fetch responses) go out
 //!   until 64 KiB of them await an ack, so a priority frame never waits
@@ -43,9 +43,9 @@ pub mod stats;
 
 use std::fmt;
 
-pub use admin::{spawn_admin, AdminHandle, AdminState};
+pub use admin::{probe, spawn_admin, AdminHandle, AdminState};
 pub use peers::{ConnId, Output, PeerTable, DISCONNECTED_QUEUE_CAP};
-pub use runtime::{ClusterSpec, NetReport, NetRuntime};
+pub use runtime::{bind_loopback, ClusterSpec, NetReport, NetRuntime};
 pub use stats::{NetStats, PeerStats, DECODE_TAXONOMY, STALL_QUEUE_DEPTH};
 
 /// Error raised while framing or deframing a message.

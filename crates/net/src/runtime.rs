@@ -5,7 +5,8 @@
 //! a restarted peer is re-admitted by its fresh hello.  A reader per inbound
 //! connection forwards what it reads, then that it closed; a link per peer
 //! dials and writes as told.  All report through one channel to
-//! [`NetRuntime::run`], which feeds the table and carries out its [`Output`]s.
+//! [`NetRuntime::run_until`], which feeds the table and carries out its
+//! [`Output`]s.
 
 use crate::peers::{ConnId, Output, PeerTable};
 use crate::stats::{NetStats, PeerStats};
@@ -70,11 +71,31 @@ pub struct NetReport<N> {
     pub bytes_out: u64,
     /// Wall-clock duration of the run, in microseconds.
     pub wall_us: u64,
+    /// The end predicate ended the run; `false` when the horizon did.
+    pub done: bool,
     /// Per-peer connection/codec failures observed during the run.
     pub peer_errors: Vec<String>,
     /// Recoverable frame-body decode failures (the connection survived;
     /// the frame was counted by taxonomy and skipped).
     pub frame_errors: Vec<String>,
+}
+
+/// The longest the run loop waits before it asks its end predicate again.
+const DONE_POLL: Duration = Duration::from_millis(10);
+
+/// Binds `n` listeners on distinct loopback ports, for a cluster of
+/// runtimes in one process ([`NetRuntime::with_listener`]), and returns
+/// them with their addresses.  A caller that hands the addresses to other
+/// processes drops the listeners first, and those processes bind again.
+pub fn bind_loopback(n: usize) -> io::Result<(Vec<TcpListener>, Vec<SocketAddr>)> {
+    (0..n)
+        .map(|_| {
+            let listener = TcpListener::bind("127.0.0.1:0")?;
+            let addr = listener.local_addr()?;
+            Ok((listener, addr))
+        })
+        .collect::<io::Result<Vec<_>>>()
+        .map(|bound| bound.into_iter().unzip())
 }
 
 /// What a listener's `accept` returns.
@@ -100,6 +121,7 @@ where
     driver: NodeDriver<N>,
     spec: ClusterSpec,
     stats: Arc<NetStats>,
+    listener: Option<TcpListener>,
 }
 
 impl<N: Node> NetRuntime<N>
@@ -117,7 +139,15 @@ where
             driver,
             spec,
             stats: Arc::new(NetStats::new(n)),
+            listener: None,
         }
+    }
+
+    /// Listens on `listener`, already bound to this replica's address (see
+    /// [`bind_loopback`]), instead of binding it when the run starts.
+    pub fn with_listener(mut self, listener: TcpListener) -> Self {
+        self.listener = Some(listener);
+        self
     }
 
     /// The runtime's lock-free counters.  Grab a handle before
@@ -128,13 +158,30 @@ where
     }
 
     /// Forms the cluster, runs the node for `horizon_us` wall-clock
-    /// microseconds, shuts everything down cleanly, and reports.  The
-    /// node's `on_start` runs once every peer is greeted both ways;
-    /// frames that arrive earlier are held until then.
-    pub fn run(mut self, horizon_us: u64) -> io::Result<NetReport<N>> {
+    /// microseconds, shuts everything down cleanly, and reports: a run
+    /// whose end predicate never holds (see [`run_until`](Self::run_until)).
+    pub fn run(self, horizon_us: u64) -> io::Result<NetReport<N>> {
+        self.run_until(horizon_us, |_| false)
+    }
+
+    /// Forms the cluster, runs the node until `done(node)` holds or
+    /// `horizon_us` wall-clock microseconds have passed, shuts everything
+    /// down cleanly, and reports which of the two ended it.  `done` is
+    /// asked after every event and at least every 10 ms.  The
+    /// node's `on_start` runs once every peer is greeted both ways; frames
+    /// that arrive earlier are held until then, and the clock and `done`
+    /// start with it.
+    pub fn run_until(
+        mut self,
+        horizon_us: u64,
+        mut done: impl FnMut(&N) -> bool,
+    ) -> io::Result<NetReport<N>> {
         let (n, me) = (self.spec.n(), self.spec.me);
         let telemetry = self.driver.telemetry().clone();
-        let listener = bind_listener(&self.spec)?;
+        let listener = self
+            .listener
+            .take()
+            .map_or_else(|| bind_listener(&self.spec), Ok)?;
         listener.set_nonblocking(true)?;
         let (events, rx) = mpsc::channel();
         let stop = Arc::new(AtomicBool::new(false));
@@ -168,8 +215,8 @@ where
         let ended = loop {
             table.tick(Instant::now());
             let now = epoch.map_or(0, now_us);
-            if epoch.is_some() && now >= horizon_us {
-                break Ok(());
+            if epoch.is_some() && (now >= horizon_us || done(self.driver.node())) {
+                break Ok(now < horizon_us);
             }
             // Self-sends first: they model the simulator's 1 µs loopback.
             // Then due timers, in arming order, then the table's outputs.
@@ -193,8 +240,8 @@ where
                         let timer = timers.peek().map_or(horizon_us, |t| t.0 .0);
                         let node = epoch.map(|e| e + Duration::from_micros(timer.min(horizon_us)));
                         let wake = table.next_deadline().into_iter().chain(node).min();
-                        let wait = wake.map_or(Duration::MAX, |w| w - Instant::now().min(w));
-                        if let Ok(ev) = rx.recv_timeout(wait) {
+                        let wait = wake.map_or(DONE_POLL, |w| w - Instant::now().min(w));
+                        if let Ok(ev) = rx.recv_timeout(wait.min(DONE_POLL)) {
                             io.on_event(ev, &mut table);
                         }
                     }
@@ -214,7 +261,7 @@ where
         };
         stop.store(true, Ordering::Relaxed);
         // Formation failed: the threads are left to end on their own.
-        ended?;
+        let done = ended?;
 
         // Shutdown: the links write out what the table flushes to them,
         // then close; then the readers.
@@ -249,6 +296,7 @@ where
             bytes_in: total(|p| &p.bytes_in),
             bytes_out: total(|p| &p.out_high.bytes) + total(|p| &p.out_bulk.bytes),
             wall_us: epoch.map_or(0, now_us),
+            done,
             peer_errors: table.peer_errors,
             frame_errors: table.frame_errors,
         })

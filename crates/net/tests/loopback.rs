@@ -5,13 +5,12 @@
 //! (`peer_table.rs`), with no socket at all.
 
 use simnet::{Node, NodeCtx, ObsKind, SimMessage, Telemetry, TimerTag};
-use smp_net::{ClusterSpec, NetRuntime, PeerStats, WireError, WireMsg};
+use smp_net::{bind_loopback, ClusterSpec, NetRuntime, PeerStats, WireError, WireMsg};
 use smp_types::{ReplicaId, SimTime};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::thread;
-use std::time::Duration;
 
 /// Toy wire message: `[magic, priority, u32 value]`, 6-byte header, no body.
 #[derive(Clone, Debug, PartialEq)]
@@ -108,33 +107,39 @@ impl Node for Ring {
     fn on_timer(&mut self, _ctx: &mut NodeCtx<'_, Tok>, _tag: TimerTag) {}
 }
 
-/// Reserves `n` distinct loopback ports by briefly binding them.
-fn free_addrs(n: usize) -> Vec<SocketAddr> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr"))
-        .collect()
+/// A single-node runtime on a freshly bound loopback port.
+fn lone<N: Node>(node: N) -> NetRuntime<N>
+where
+    N::Msg: WireMsg,
+{
+    let (mut listeners, addrs) = bind_loopback(1).expect("bind loopback");
+    let spec = ClusterSpec::new(ReplicaId(0), addrs, 7);
+    NetRuntime::new(node, spec, Telemetry::disabled()).with_listener(listeners.remove(0))
 }
 
 #[test]
 fn token_ring_over_real_sockets() {
     let n = 3;
     let rounds = 5u32;
-    let addrs = free_addrs(n);
-    let handles: Vec<_> = (0..n)
-        .map(|i| {
+    let (listeners, addrs) = bind_loopback(n).expect("bind loopback");
+    let handles: Vec<_> = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(i, listener)| {
             let spec = ClusterSpec::new(ReplicaId(i as u32), addrs.clone(), 42);
             thread::spawn(move || {
                 let node = Ring {
                     rounds,
                     seen: Vec::new(),
                 };
-                let runtime = NetRuntime::new(node, spec, Telemetry::disabled());
+                let runtime =
+                    NetRuntime::new(node, spec, Telemetry::disabled()).with_listener(listener);
                 let stats = runtime.stats();
-                (runtime.run(2_000_000).expect("runtime run"), stats)
+                // Each replica holds the token `rounds` times; the horizon
+                // only bounds a broken ring.
+                let report =
+                    runtime.run_until(10_000_000, |ring| ring.seen.len() == rounds as usize);
+                (report.expect("runtime run"), stats)
             })
         })
         .collect();
@@ -142,6 +147,7 @@ fn token_ring_over_real_sockets() {
         .into_iter()
         .map(|h| h.join().expect("replica thread"))
         .unzip();
+    assert!(reports.iter().all(|r| r.done), "the ring did not complete");
 
     // Every hop was delivered exactly once, in ring order.
     let total: usize = reports.iter().map(|r| r.node.seen.len()).sum();
@@ -193,30 +199,21 @@ fn token_ring_over_real_sockets() {
 /// the accepts queued behind it nor shutdown.
 #[test]
 fn silent_connection_blocks_neither_formation_nor_shutdown() {
-    let addrs = free_addrs(2);
-    let run = |i: u32, telemetry: Telemetry| {
+    let (mut listeners, addrs) = bind_loopback(2).expect("bind loopback");
+    // Connected before either replica starts, so replica 0's acceptor
+    // meets the silent stream first.
+    let silent = TcpStream::connect(addrs[0]).expect("dial replica 0");
+    let mut run = |i: u32, telemetry: Telemetry| {
         let spec = ClusterSpec::new(ReplicaId(i), addrs.clone(), 23);
         let ring = Ring {
             rounds: 1,
             seen: Vec::new(),
         };
-        thread::spawn(move || NetRuntime::new(ring, spec, telemetry).run(300_000))
+        let runtime = NetRuntime::new(ring, spec, telemetry).with_listener(listeners.remove(0));
+        thread::spawn(move || runtime.run(300_000))
     };
     let telemetry = Telemetry::wall_clock();
     let zero = run(0, telemetry.clone());
-
-    // Replica 1 is not started until the silent stream is connected, so
-    // replica 0's acceptor meets the silent stream first.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let silent = loop {
-        match TcpStream::connect(addrs[0]) {
-            Ok(s) => break s,
-            Err(_) if std::time::Instant::now() < deadline => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => panic!("dial replica 0: {e}"),
-        }
-    };
     let one = run(1, Telemetry::disabled());
 
     let zero = zero
@@ -268,17 +265,43 @@ impl Node for Ticker {
 
 #[test]
 fn wall_clock_timers_fire_at_or_after_their_instant() {
-    let addrs = free_addrs(1);
-    let spec = ClusterSpec::new(ReplicaId(0), addrs, 7);
     let ticker = Ticker {
         fired: Vec::new(),
         armed_for: 0,
     };
-    let report = NetRuntime::new(ticker, spec, Telemetry::disabled())
-        .run(200_000)
-        .expect("single-node run");
+    let report = lone(ticker).run(200_000).expect("single-node run");
     assert_eq!(report.node.fired, vec![1, 2, 3, 4]);
     assert!(report.wall_us >= 200_000);
+}
+
+/// A run whose end predicate never holds lasts its horizon, and its
+/// report says the horizon ended it.
+#[test]
+fn a_predicate_that_never_holds_ends_at_the_horizon() {
+    let ticker = Ticker {
+        fired: Vec::new(),
+        armed_for: 0,
+    };
+    let report = lone(ticker)
+        .run_until(100_000, |_| false)
+        .expect("single-node run");
+    assert!(!report.done);
+    assert!(report.wall_us >= 100_000);
+}
+
+/// An idle node is still asked its end predicate, at least every 10 ms:
+/// one that holds on its 50th call ends a run with no events left.
+#[test]
+fn an_idle_run_asks_its_predicate_until_it_holds() {
+    let mut asked = 0;
+    let report = lone(SameInstant { fired: Vec::new() })
+        .run_until(10_000_000, |_| {
+            asked += 1;
+            asked == 50
+        })
+        .expect("single-node run");
+    assert!(report.done);
+    assert!(report.wall_us < 5_000_000, "ran {} us", report.wall_us);
 }
 
 /// Arms eight timers for one instant, in an order that is neither that of
@@ -307,12 +330,8 @@ impl Node for SameInstant {
 
 #[test]
 fn timers_armed_for_one_instant_fire_in_arming_order() {
-    let addrs = free_addrs(1);
-    let spec = ClusterSpec::new(ReplicaId(0), addrs, 7);
     let node = SameInstant { fired: Vec::new() };
-    let report = NetRuntime::new(node, spec, Telemetry::disabled())
-        .run(50_000)
-        .expect("single-node run");
+    let report = lone(node).run(50_000).expect("single-node run");
     assert_eq!(report.node.fired, ARMING_ORDER);
 }
 
@@ -349,11 +368,12 @@ impl Node for Chatter {
 /// write is requeued so traffic resumes without loss on the new epoch.
 #[test]
 fn supervisor_redials_after_peer_drops_the_connection() {
-    let addrs = free_addrs(2);
-    let fake_peer = TcpListener::bind(addrs[1]).expect("bind fake peer");
+    let (mut listeners, addrs) = bind_loopback(2).expect("bind loopback");
+    let fake_peer = listeners.pop().expect("replica 1's listener");
 
     let spec = ClusterSpec::new(ReplicaId(0), addrs.clone(), 17);
-    let rt = NetRuntime::new(Chatter { sent: 0 }, spec, Telemetry::disabled());
+    let rt = NetRuntime::new(Chatter { sent: 0 }, spec, Telemetry::disabled())
+        .with_listener(listeners.remove(0));
     let stats = rt.stats();
     let runtime = thread::spawn(move || rt.run(1_500_000).expect("runtime run"));
 

@@ -18,7 +18,9 @@ pub mod wire;
 pub use experiment::{
     run, run_sampled, saturation_sweep, ExperimentConfig, ExperimentResult, ReplicaSizes,
 };
-pub use netrun::{run_replica_over_net, sim_commit_logs, NetRunOptions, NetRunSummary};
+pub use netrun::{
+    run_cluster_over_net, run_replica_over_net, sim_commit_logs, NetRunOptions, NetRunSummary,
+};
 pub use protocols::Protocol;
 pub use replica::{Behavior, Replica, ReplicaMetrics, PAYLOAD_HOLD};
 pub use wire::codec::{

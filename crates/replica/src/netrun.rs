@@ -4,8 +4,9 @@
 //! [`experiment::run`](crate::experiment::run) drives inside the simulator
 //! run here over real TCP: this module supplies the [`smp_net::WireMsg`]
 //! impl for [`ReplicaMsg`] (framing via [`wire::codec`](crate::wire::codec)),
-//! the visitor that assembles *one* replica for *this* process, and a
-//! simulator reference runner producing the commit log an `smp-net`
+//! the visitor that assembles *one* replica for *this* process, a cluster
+//! of them as threads of one process that ends when its work is done, and
+//! a simulator reference runner producing the commit log an `smp-net`
 //! cluster must reproduce byte-for-byte.
 
 use crate::assembly::{comparable, dispatch, ProtocolVisitor};
@@ -16,11 +17,16 @@ use crate::wire::{MempoolWire, ReplicaMsg};
 use simnet::Telemetry;
 use smp_consensus::ConsensusEngine;
 use smp_mempool::Mempool;
-use smp_net::{spawn_admin, AdminState, ClusterSpec, NetRuntime, WireError, WireMsg};
+use smp_net::{
+    bind_loopback, spawn_admin, AdminState, ClusterSpec, NetRuntime, WireError, WireMsg,
+};
 use smp_telemetry::{FlightSampler, DEFAULT_WINDOW_CAPACITY};
 use smp_types::{ReplicaId, TxId};
+use std::collections::HashSet;
 use std::io;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::thread;
 
 impl<MM> WireMsg for ReplicaMsg<MM>
 where
@@ -52,7 +58,8 @@ pub struct NetRunOptions {
     /// Cap on client transactions offered per replica (finite workloads
     /// make cross-runtime commit logs comparable).
     pub tx_limit: Option<u64>,
-    /// Wall-clock run duration in microseconds.
+    /// The longest the run may last, wall-clock microseconds from cluster
+    /// formation; a run ends sooner once its end predicate holds.
     pub horizon_us: u64,
     /// Serve a line-oriented admin endpoint (`HEALTH`/`METRICS`/`SERIES`/
     /// `TRACE`) at this address for the duration of the run.  Implies a
@@ -119,7 +126,12 @@ struct NetVisitor<'a> {
     config: &'a ExperimentConfig,
     me: ReplicaId,
     addrs: Vec<SocketAddr>,
+    /// This replica's listener, when the caller bound it already.
+    listener: Option<TcpListener>,
+    /// The admin endpoint's listener, bound from `opts.admin_addr`.
+    admin: Option<TcpListener>,
     opts: &'a NetRunOptions,
+    done: &'a mut dyn FnMut(&[TxId]) -> bool,
 }
 
 impl ProtocolVisitor for NetVisitor<'_> {
@@ -136,7 +148,7 @@ impl ProtocolVisitor for NetVisitor<'_> {
         // sink runs in wall-clock-only mode: spans self-stamp from the
         // process epoch.  Only an admin endpoint or a flight sampler has a
         // use for a live sink.
-        let telemetry = if self.opts.admin_addr.is_some() || self.opts.flight_cadence_us.is_some() {
+        let telemetry = if self.admin.is_some() || self.opts.flight_cadence_us.is_some() {
             Telemetry::wall_clock()
         } else {
             Telemetry::disabled()
@@ -148,7 +160,10 @@ impl ProtocolVisitor for NetVisitor<'_> {
             replica.start_recovery();
         }
         let spec = ClusterSpec::new(self.me, self.addrs, config.seed);
-        let runtime = NetRuntime::new(replica, spec, node_telemetry.clone());
+        let mut runtime = NetRuntime::new(replica, spec, node_telemetry.clone());
+        if let Some(listener) = self.listener {
+            runtime = runtime.with_listener(listener);
+        }
         let stats = runtime.stats();
 
         // Observers: both publish the runtime's lock-free counters into
@@ -164,13 +179,13 @@ impl ProtocolVisitor for NetVisitor<'_> {
                 Some(Box::new(move || stats.publish(&publish_to))),
             )
         });
-        let admin = match self.opts.admin_addr {
-            Some(addr) => {
+        let admin = match self.admin {
+            Some(listener) => {
                 let net = std::sync::Arc::clone(&stats);
                 let stats = std::sync::Arc::clone(&stats);
                 let publish_to = node_telemetry.clone();
                 Some(spawn_admin(
-                    addr,
+                    listener,
                     AdminState {
                         replica: self.me.0,
                         telemetry: telemetry.clone(),
@@ -183,7 +198,10 @@ impl ProtocolVisitor for NetVisitor<'_> {
             None => None,
         };
 
-        let report = runtime.run(self.opts.horizon_us)?;
+        let done = self.done;
+        let report = runtime.run_until(self.opts.horizon_us, |node| {
+            done(node.commit_log().unwrap_or(&[]))
+        })?;
 
         let flight_series = sampler.map(|s| {
             let recorder = s.stop();
@@ -214,14 +232,29 @@ impl ProtocolVisitor for NetVisitor<'_> {
 }
 
 /// Runs replica `me` of `config`'s deployment over real sockets.
-/// `addrs[i]` is the listen address of replica `i`; the call blocks for
-/// `opts.horizon_us` wall-clock microseconds of measurement (plus
-/// cluster formation).
+/// `addrs[i]` is the listen address of replica `i`.  The call blocks
+/// through cluster formation and then until `done(commit_log)` holds, or
+/// for at most `opts.horizon_us` wall-clock microseconds.  `done` is asked
+/// after every event and at least every 10 ms.
 pub fn run_replica_over_net(
     config: &ExperimentConfig,
     me: ReplicaId,
     addrs: Vec<SocketAddr>,
     opts: &NetRunOptions,
+    mut done: impl FnMut(&[TxId]) -> bool,
+) -> io::Result<NetRunSummary> {
+    let admin = opts.admin_addr.map(TcpListener::bind).transpose()?;
+    run_replica(config, me, addrs, (None, admin), opts, &mut done)
+}
+
+/// Runs one replica on its listen and admin sockets, when bound already.
+fn run_replica(
+    config: &ExperimentConfig,
+    me: ReplicaId,
+    addrs: Vec<SocketAddr>,
+    (listener, admin): (Option<TcpListener>, Option<TcpListener>),
+    opts: &NetRunOptions,
+    done: &mut dyn FnMut(&[TxId]) -> bool,
 ) -> io::Result<NetRunSummary> {
     assert_eq!(addrs.len(), config.n, "need one listen address per replica");
     dispatch(
@@ -230,9 +263,108 @@ pub fn run_replica_over_net(
             config,
             me,
             addrs,
+            listener,
+            admin,
             opts,
+            done,
         },
     )
+}
+
+/// Runs every replica of `config` as a thread of this process, replica
+/// `i` with `opts[i]`, each on a loopback listener bound before any of
+/// them starts.  Admin endpoints are bound up front too, so
+/// `opts[i].admin_addr` may name port 0.
+///
+/// The cluster is done when every replica's commit log holds every entry
+/// of `reference` (the simulator's log for the same config and seed, see
+/// [`sim_commit_logs`]), in any order.  A replica that is done keeps
+/// running until all are, since a leader that stopped at its own commit
+/// would leave its peers without the certificate.  `while_running` runs on
+/// the calling thread meanwhile, given the admin endpoints' addresses in
+/// replica order (say, to poll them), and the replicas end together once
+/// it has returned and the cluster is done.
+///
+/// A cluster that reaches its horizon short of the reference fails, naming
+/// each replica and how many reference entries it lacks.  With an empty
+/// `reference` there is nothing to wait for, and the run lasts its horizon.
+pub fn run_cluster_over_net(
+    config: &ExperimentConfig,
+    reference: &[TxId],
+    opts: &[NetRunOptions],
+    while_running: impl FnOnce(&[SocketAddr]),
+) -> io::Result<Vec<NetRunSummary>> {
+    assert_eq!(opts.len(), config.n, "need options for every replica");
+    let (listeners, addrs) = bind_loopback(config.n)?;
+    let admins = opts
+        .iter()
+        .map(|o| o.admin_addr.map(TcpListener::bind).transpose())
+        .collect::<io::Result<Vec<_>>>()?;
+    let admin_addrs = admins
+        .iter()
+        .flatten()
+        .map(TcpListener::local_addr)
+        .collect::<io::Result<Vec<_>>>()?;
+    let wanted: HashSet<TxId> = reference.iter().copied().collect();
+    // Replicas whose log holds the whole reference (none ever holds an
+    // empty one), and whether `while_running` has returned.
+    let (covered, released) = (AtomicUsize::new(0), AtomicBool::new(false));
+    let summaries = thread::scope(|s| {
+        let replicas: Vec<_> = listeners
+            .into_iter()
+            .zip(admins)
+            .zip(opts)
+            .enumerate()
+            .map(|(i, ((listener, admin), opts))| {
+                let (addrs, wanted, covered, released) =
+                    (addrs.clone(), &wanted, &covered, &released);
+                s.spawn(move || {
+                    let (mut missing, mut read) = (wanted.clone(), 0);
+                    let mut done = |log: &[TxId]| {
+                        if !missing.is_empty() {
+                            for id in &log[read..] {
+                                missing.remove(id);
+                            }
+                            read = log.len();
+                            if missing.is_empty() {
+                                covered.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        covered.load(Ordering::Relaxed) == config.n
+                            && released.load(Ordering::Relaxed)
+                    };
+                    let me = ReplicaId(i as u32);
+                    run_replica(config, me, addrs, (Some(listener), admin), opts, &mut done)
+                })
+            })
+            .collect();
+        while_running(&admin_addrs);
+        released.store(true, Ordering::Relaxed);
+        replicas
+            .into_iter()
+            .map(|r| r.join().expect("a replica thread panicked"))
+            .collect::<io::Result<Vec<_>>>()
+    })?;
+    let short: Vec<String> = summaries
+        .iter()
+        .enumerate()
+        .filter_map(|(i, r)| {
+            let lacks = wanted
+                .iter()
+                .filter(|id| !r.commit_log.contains(id))
+                .count();
+            (lacks > 0).then(|| format!("replica {i} lacks {lacks} of {}", wanted.len()))
+        })
+        .collect();
+    if short.is_empty() {
+        return Ok(summaries);
+    }
+    let horizon_us = opts[0].horizon_us;
+    let why = format!(
+        "the {horizon_us} us horizon came first: {}",
+        short.join(", ")
+    );
+    Err(io::Error::new(io::ErrorKind::TimedOut, why))
 }
 
 struct SimVisitor<'a> {

@@ -5,144 +5,73 @@
 //! The multi-process variant of this check is the `localcluster` binary
 //! (one OS process per replica); this test runs the four socket
 //! runtimes as threads of one process, which exercises the same codec,
-//! connection formation, two-lane writers, and wall-clock timers.
+//! connection formation, two-lane writers, and wall-clock timers.  Each
+//! cluster ends once every replica holds the simulator's whole log.
 
+use smp_crypto::Digest;
+use smp_net::probe;
 use smp_replica::{
-    run_replica_over_net, sim_commit_logs, ExperimentConfig, NetRunOptions, NetRunSummary, Protocol,
+    run_cluster_over_net, sim_commit_logs, ExperimentConfig, NetRunOptions, NetRunSummary, Protocol,
 };
-use smp_types::{ReplicaId, TxId};
+use smp_types::TxId;
 use smp_workload::LoadDistribution;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Mutex, MutexGuard};
-use std::thread;
+use std::collections::HashSet;
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-/// The socket tests run one at a time: each spawns a four-replica
-/// cluster whose wall-clock timers assume it has the cores to itself,
-/// and the test harness would otherwise run them side by side.
-fn serial() -> MutexGuard<'static, ()> {
-    static SOCKET_TESTS: Mutex<()> = Mutex::new(());
-    // The lock guards no data, so a test that panicked while holding it
-    // left nothing half-updated.
-    SOCKET_TESTS.lock().unwrap_or_else(|e| e.into_inner())
-}
+/// The longest a cluster may run: one that needs it has failed.
+const LIMIT_US: u64 = 10_000_000;
 
-fn free_addrs(n: usize) -> Vec<SocketAddr> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr"))
-        .collect()
-}
-
-fn run_cluster(config: &ExperimentConfig, opts: &NetRunOptions) -> Vec<NetRunSummary> {
-    let addrs = free_addrs(config.n);
-    let handles: Vec<_> = (0..config.n)
-        .map(|i| {
-            let config = config.clone();
-            let opts = opts.clone();
-            let addrs = addrs.clone();
-            thread::spawn(move || {
-                run_replica_over_net(&config, ReplicaId(i as u32), addrs, &opts)
-                    .expect("net replica run")
-            })
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|h| h.join().expect("replica thread"))
-        .collect()
-}
-
-/// Runs `cluster(horizon_us)` and holds every replica's commit log to the
-/// simulator's.  A log that differs from the simulator's at some index
-/// fails at once.  A log that is a *strict prefix* means the wall-clock
-/// horizon fired before the workload was through (a loaded host): the
-/// cluster is run once more, on fresh ports, with the horizon doubled.
-fn conformant_reports(
-    sim_logs: &[Vec<TxId>],
-    horizon_us: u64,
-    cluster: impl Fn(u64) -> Vec<NetRunSummary>,
-) -> Vec<NetRunSummary> {
-    for horizon_us in [horizon_us, 2 * horizon_us] {
-        let reports = cluster(horizon_us);
-        let mut truncated = false;
-        for (i, (r, sim)) in reports.iter().zip(sim_logs).enumerate() {
-            if let Some(at) = r.commit_log.iter().zip(sim).position(|(a, b)| a != b) {
-                panic!(
-                    "replica {i}: socket commit log diverges from simulator at index {at} \
-                     ({:?} vs {:?})",
-                    r.commit_log[at], sim[at]
-                );
-            }
-            assert!(
-                r.commit_log.len() <= sim.len(),
-                "replica {i}: socket committed {} txs, simulator only {}",
-                r.commit_log.len(),
-                sim.len()
-            );
-            if r.commit_log.len() < sim.len() {
-                eprintln!(
-                    "replica {i}: {} of {} txs committed when the {horizon_us} us horizon fired",
-                    r.commit_log.len(),
-                    sim.len()
-                );
-                truncated = true;
-            }
-        }
-        if !truncated {
-            return reports;
-        }
-    }
-    panic!("socket commit logs are still a strict prefix of the simulator's at twice the horizon");
-}
-
-#[test]
-fn socket_cluster_commits_the_simulator_sequence() {
-    let _serial = serial();
-    // Single-source workload: only replica 0 offers transactions, so the
-    // committed sequence is fully determined by the protocol (FIFO from
-    // one queue), not by cross-replica timing.
-    let config = ExperimentConfig::new(Protocol::NativeHotStuff, 4, 4_000.0)
+/// Single-source workload: only replica 0 offers transactions, so the
+/// committed sequence is fully determined by the protocol (FIFO from one
+/// queue), not by cross-replica timing.
+fn single_source_nhs() -> ExperimentConfig {
+    ExperimentConfig::new(Protocol::NativeHotStuff, 4, 4_000.0)
         .with_distribution(LoadDistribution::SingleReplica(0))
-        .with_batch_size(16 * 1024);
-    let tx_limit = 60u64;
+        .with_batch_size(16 * 1024)
+}
 
-    let sim_logs = sim_commit_logs(&config, Some(tx_limit), 3_000_000);
-    assert_eq!(sim_logs[0].len(), tx_limit as usize);
+fn loaded(tx_limit: u64, horizon_us: u64) -> NetRunOptions {
+    NetRunOptions {
+        tx_limit: Some(tx_limit),
+        horizon_us,
+        ..NetRunOptions::default()
+    }
+}
 
-    let reports = conformant_reports(&sim_logs, 2_500_000, |horizon_us| {
-        run_cluster(
-            &config,
-            &NetRunOptions {
-                tx_limit: Some(tx_limit),
-                horizon_us,
-                ..NetRunOptions::default()
-            },
-        )
-    });
-    for (i, r) in reports.iter().enumerate() {
+/// Holds every replica's commit log to the simulator's, entry by entry.
+fn assert_replays(reports: &[NetRunSummary], sim_logs: &[Vec<TxId>]) {
+    for (i, (r, sim)) in reports.iter().zip(sim_logs).enumerate() {
+        if let Some(at) =
+            (0..r.commit_log.len().max(sim.len())).find(|&k| r.commit_log.get(k) != sim.get(k))
+        {
+            panic!(
+                "replica {i}: socket commit log diverges from simulator at index {at} \
+                 ({:?} vs {:?})",
+                r.commit_log.get(at),
+                sim.get(at)
+            );
+        }
         assert!(
             r.peer_errors.is_empty(),
             "replica {i} peer errors: {:?}",
             r.peer_errors
         );
     }
-    assert!(reports[0].frames_out > 0, "replica 0 sent no frames");
-    assert!(reports[1].bytes_in > 0, "replica 1 received no bytes");
 }
 
-fn admin_ask(addr: SocketAddr, cmd: &str) -> Option<String> {
-    let stream = TcpStream::connect(addr).ok()?;
-    stream.set_read_timeout(Some(Duration::from_secs(2))).ok()?;
-    let mut writer = stream.try_clone().ok()?;
-    writer.write_all(format!("{cmd}\n").as_bytes()).ok()?;
-    let mut reply = String::new();
-    BufReader::new(stream).read_line(&mut reply).ok()?;
-    Some(reply.trim_end().to_string())
+#[test]
+fn socket_cluster_commits_the_simulator_sequence() {
+    let config = single_source_nhs();
+    let sim_logs = sim_commit_logs(&config, Some(60), 3_000_000);
+    assert_eq!(sim_logs[0].len(), 60);
+
+    let opts = vec![loaded(60, LIMIT_US); config.n];
+    let reports =
+        run_cluster_over_net(&config, &sim_logs[0], &opts, |_| {}).expect("socket cluster");
+    assert_replays(&reports, &sim_logs);
+    assert!(reports[0].frames_out > 0, "replica 0 sent no frames");
+    assert!(reports[1].bytes_in > 0, "replica 1 received no bytes");
 }
 
 /// Telemetry must be a pure observer: a cluster running with the full
@@ -152,76 +81,32 @@ fn admin_ask(addr: SocketAddr, cmd: &str) -> Option<String> {
 /// as the uninstrumented cluster checked above.
 #[test]
 fn instrumented_cluster_commits_identical_sequence() {
-    let _serial = serial();
-    let config = ExperimentConfig::new(Protocol::NativeHotStuff, 4, 4_000.0)
-        .with_distribution(LoadDistribution::SingleReplica(0))
-        .with_batch_size(16 * 1024);
-    let tx_limit = 60u64;
-    let sim_logs = sim_commit_logs(&config, Some(tx_limit), 3_000_000);
-    assert_eq!(sim_logs[0].len(), tx_limit as usize);
+    let config = single_source_nhs();
+    let sim_logs = sim_commit_logs(&config, Some(60), 3_000_000);
+    assert_eq!(sim_logs[0].len(), 60);
 
-    let run_observed_cluster = |horizon_us: u64| {
-        let addrs = free_addrs(config.n);
-        let admin_addrs = free_addrs(config.n);
-        let handles: Vec<_> = (0..config.n)
-            .map(|i| {
-                let config = config.clone();
-                let addrs = addrs.clone();
-                let opts = NetRunOptions {
-                    tx_limit: Some(tx_limit),
-                    horizon_us,
-                    admin_addr: Some(admin_addrs[i]),
-                    flight_cadence_us: Some(100_000),
-                    ..NetRunOptions::default()
-                };
-                thread::spawn(move || {
-                    run_replica_over_net(&config, ReplicaId(i as u32), addrs, &opts)
-                        .expect("net replica run")
-                })
-            })
-            .collect();
-
-        // Mid-run, every replica's admin endpoint must answer HEALTH and
-        // METRICS (retry while the cluster forms).
-        for (i, addr) in admin_addrs.iter().enumerate() {
-            let deadline = Instant::now() + Duration::from_secs(10);
-            let health = loop {
-                match admin_ask(*addr, "HEALTH") {
-                    Some(reply) => break reply,
-                    None if Instant::now() < deadline => {
-                        thread::sleep(Duration::from_millis(50));
-                    }
-                    None => panic!("replica {i} admin endpoint never answered HEALTH"),
-                }
-            };
-            assert!(
-                health.starts_with(&format!("ok replica={i} ")),
-                "replica {i} HEALTH: {health}"
-            );
-            let metrics = admin_ask(*addr, "METRICS").expect("METRICS reply");
-            assert!(
-                metrics.starts_with('{'),
-                "replica {i} METRICS not JSON: {metrics}"
-            );
-            let series = admin_ask(*addr, "SERIES").expect("SERIES reply");
-            assert!(
-                series.contains("smp-flightrec-v1"),
-                "replica {i} SERIES not schema-versioned: {series}"
-            );
+    let opts = vec![
+        NetRunOptions {
+            admin_addr: Some("127.0.0.1:0".parse().unwrap()),
+            flight_cadence_us: Some(100_000),
+            ..loaded(60, LIMIT_US)
+        };
+        config.n
+    ];
+    // The cluster is not told to stop before every endpoint has answered
+    // HEALTH, METRICS and SERIES (retried while the cluster forms).
+    let poll = |admin_addrs: &[SocketAddr]| {
+        assert_eq!(admin_addrs.len(), config.n);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for (i, &addr) in admin_addrs.iter().enumerate() {
+            if let Err(e) = probe(addr, i as u32, deadline) {
+                panic!("replica {i} admin endpoint: {e}");
+            }
         }
-
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("replica thread"))
-            .collect()
     };
-    let reports = conformant_reports(&sim_logs, 2_500_000, run_observed_cluster);
+    let reports = run_cluster_over_net(&config, &sim_logs[0], &opts, poll).expect("socket cluster");
+    assert_replays(&reports, &sim_logs);
     for (i, r) in reports.iter().enumerate() {
-        assert!(
-            r.peer_errors.is_empty(),
-            "replica {i} peer errors: {:?}",
-            r.peer_errors
-        );
         assert!(
             r.frame_errors.is_empty(),
             "replica {i} frame errors: {:?}",
@@ -237,8 +122,8 @@ fn instrumented_cluster_commits_identical_sequence() {
         let frames_in: u64 = (0..config.n)
             .filter_map(|p| snap.counter(&format!("replica.{i}.net.peer.{p}.frames_in")))
             .sum();
-        // Readers count at decode time; the main loop stops draining at
-        // the horizon, so the socket-level count can only run ahead.
+        // Readers count at decode time; the main loop stops draining when
+        // the run ends, so the socket-level count can only run ahead.
         assert!(
             frames_in >= r.frames_in && r.frames_in > 0,
             "replica {i} counters diverge: socket {frames_in} < main loop {}",
@@ -249,30 +134,30 @@ fn instrumented_cluster_commits_identical_sequence() {
 
 #[test]
 fn socket_cluster_runs_stratus_end_to_end() {
-    let _serial = serial();
     // The full PAB/DLB stack over real sockets: microblocks, acks, proofs
     // and LbInfo all cross the codec.  Stratus commits referenced
-    // payloads, so the commit log holds microblock ids.
+    // payloads, so the commit log holds microblock ids.  Each replica
+    // offers its 400 transactions in 100 ms, inside one batch timeout, so
+    // what a microblock holds does not depend on wall-clock timer drift.
     let config =
-        ExperimentConfig::new(Protocol::StratusHotStuff, 4, 2_000.0).with_batch_size(16 * 1024);
-    let reports = run_cluster(
-        &config,
-        &NetRunOptions {
-            tx_limit: Some(400),
-            horizon_us: 2_500_000,
-            ..NetRunOptions::default()
-        },
-    );
+        ExperimentConfig::new(Protocol::StratusHotStuff, 4, 16_000.0).with_batch_size(16 * 1024);
+    let sim_logs = sim_commit_logs(&config, Some(400), 3_000_000);
+    assert!(!sim_logs[0].is_empty());
+
+    // Every replica holds every microblock the simulator commits, or the
+    // run fails at its horizon; and it holds no other.
+    let opts = vec![loaded(400, LIMIT_US); config.n];
+    let reports =
+        run_cluster_over_net(&config, &sim_logs[0], &opts, |_| {}).expect("socket cluster");
+    let reference: HashSet<&TxId> = sim_logs[0].iter().collect();
     for (i, r) in reports.iter().enumerate() {
         assert!(
             r.peer_errors.is_empty(),
             "replica {i} peer errors: {:?}",
             r.peer_errors
         );
-        assert!(
-            !r.commit_log.is_empty(),
-            "replica {i} committed nothing over sockets"
-        );
+        let held: HashSet<&TxId> = r.commit_log.iter().collect();
+        assert_eq!(held, reference, "replica {i} commits another set");
     }
     // Safety, as the benchmark's ledger checks it: a replica may commit
     // around a proposal it missed, so the logs need not be prefixes of one
@@ -297,5 +182,27 @@ fn socket_cluster_runs_stratus_end_to_end() {
                 "replicas {i} and {j} order their common commits differently"
             );
         }
+    }
+}
+
+/// A reference entry that never commits keeps the cluster running to its
+/// horizon, and the failure names every replica and what it lacks.
+#[test]
+fn cluster_short_of_the_reference_fails_at_its_horizon() {
+    let config = single_source_nhs();
+    let mut reference = sim_commit_logs(&config, Some(60), 3_000_000).swap_remove(0);
+    reference.push(TxId(Digest([7; 4])));
+
+    let started = Instant::now();
+    let opts = vec![loaded(60, 1_000_000); config.n];
+    let err = run_cluster_over_net(&config, &reference, &opts, |_| {})
+        .expect_err("a cluster that never commits an entry cannot finish");
+    assert!(started.elapsed() >= Duration::from_secs(1));
+    let message = err.to_string();
+    for i in 0..config.n {
+        assert!(
+            message.contains(&format!("replica {i} lacks 1 of 61")),
+            "{message}"
+        );
     }
 }
