@@ -14,19 +14,18 @@
 //!              [--trace-out <dir>]
 //! ```
 //!
-//! A run ends when its work is done.  The parent runs the deterministic
-//! simulator on the same `ExperimentConfig` and seed first; that log is
-//! the reference.  Children print each `commit` line as they commit, and
-//! once every child's log holds every reference entry, in any order, the
-//! parent writes `stop` on their stdin.  `--horizon-us` is the longest a
-//! run may last: a run that offers nothing (`--rate 0`) lasts it, and a
-//! loaded run that reaches it exits 1, naming each replica and how many
-//! reference entries it lacks.
+//! A run ends when its work is done.  Children print each `commit` line
+//! as they commit, and how many transactions they have committed; once
+//! every child has committed every transaction the workload offers
+//! (`--tx-limit` from each offering replica), the parent writes `stop` on
+//! their stdin.  `--horizon-us` is the longest a run may last: a run that
+//! offers nothing (`--rate 0`) lasts it, and a loaded run that reaches it
+//! exits 1, naming each replica and how many transactions it lacks.
 //!
-//! With `--chaos` the parent SIGKILLs the last replica once every log
-//! covers the reference, restarts it 200 ms later in recovery mode
-//! (`--recover`), and stops the cluster once the recovered replica covers
-//! the reference too.  The resurrected process is held to the same
+//! With `--chaos` the parent SIGKILLs the last replica once every replica
+//! has committed the workload, restarts it 200 ms later in recovery mode
+//! (`--recover`), and stops the cluster once the recovered replica holds
+//! as many entries as its peers.  The resurrected process is held to the same
 //! agreement (and, with `--check-sim`, simulator-conformance) bar as
 //! everyone else: it must re-sync the committed sequence over the `Sync`
 //! wire family and finish byte-identical.  The kill/restart instants are
@@ -64,7 +63,6 @@ use smp_replica::{
 use smp_telemetry::{merge_chrome_traces, merge_cluster_series, rollup_snapshots, MetricsSnapshot};
 use smp_types::{ReplicaId, TxId};
 use smp_workload::LoadDistribution;
-use std::collections::HashSet;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -78,9 +76,8 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 const USAGE: &str = "usage: localcluster [--protocol N-HS] [--n 4] [--rate 4000] \
 [--tx-limit 60] [--horizon-us 2500000] [--seed 42] [--batch-bytes 16384] \
 [--source <replica index|even>] [--check-sim] [--chaos] [--trace-out <dir>]
-A run ends once every replica has committed the simulator's log for the same \
-config and seed; --horizon-us is the longest it may last (a loaded run that \
-reaches it fails).";
+A run ends once every replica has committed every offered transaction; \
+--horizon-us is the longest it may last (a loaded run that reaches it fails).";
 
 /// Flags followed by a value; the internal child-mode ones included.
 const VALUE_FLAGS: &[&str] = &[
@@ -246,10 +243,15 @@ fn run_child(me: usize, args: &ClusterArgs) -> ! {
         });
     }
     // Commits go out as they happen, so the parent sees the run's progress.
-    let mut streamed = 0;
-    let summary = run_replica_over_net(&args.config(), ReplicaId(me as u32), addrs, &opts, |log| {
+    let (mut streamed, mut told) = (0, 0);
+    let id = ReplicaId(me as u32);
+    let summary = run_replica_over_net(&args.config(), id, addrs, &opts, |log, committed| {
         print_commits(&log[streamed..]);
         streamed = log.len();
+        if committed > told {
+            println!("stat committed_txs {committed}");
+            told = committed;
+        }
         stop.load(Ordering::Relaxed)
     })
     .unwrap_or_else(|e| {
@@ -317,8 +319,6 @@ fn report_child(me: usize, summary: &NetRunSummary, trace_out: Option<&str>) {
 #[derive(Default)]
 struct ChildReport {
     commits: Vec<TxId>,
-    /// Reference entries `commits` does not hold yet.
-    missing: HashSet<TxId>,
     stats: std::collections::BTreeMap<String, u64>,
     peer_errors: Vec<String>,
     frame_errors: Vec<String>,
@@ -329,7 +329,6 @@ impl ChildReport {
     fn hear(&mut self, line: &str) {
         if let Some(hex) = line.strip_prefix("commit ") {
             if let Some(id) = txid_from_hex(hex.trim()) {
-                self.missing.remove(&id);
                 self.commits.push(id);
             }
         } else if let Some(rest) = line.strip_prefix("stat ") {
@@ -354,6 +353,8 @@ struct Proc {
     /// Taken when the parent tells the child to stop.
     stdin: Option<ChildStdin>,
     report: ChildReport,
+    /// Started with `--recover`: it executes nothing and syncs its log.
+    recover: bool,
     open: bool,
     killed: bool,
 }
@@ -467,22 +468,30 @@ fn merge_cluster_artifacts(
     Ok((trace_path, flight_path))
 }
 
+/// The live replicas that lack part of what the run waits for, as
+/// (replica, how much it lacks, of how many, of what): the `offered`
+/// transactions or, for a recovered replica (which executes nothing), the
+/// entries its peers' logs hold.
+fn lacking(procs: &[Proc], offered: u64) -> impl Iterator<Item = (usize, u64, u64, &str)> {
+    let live = || procs.iter().filter(|p| !p.killed);
+    let longest = live().map(|p| p.report.commits.len()).max().unwrap_or(0) as u64;
+    live().filter_map(move |p| {
+        let (has, wants, what) = if p.recover {
+            let has = p.report.commits.len() as u64;
+            (has, longest, "entries its peers hold")
+        } else {
+            let has = p.report.stats.get("committed_txs").copied().unwrap_or(0);
+            (has, offered, "offered transactions")
+        };
+        (has < wants).then_some((p.replica, wants - has, wants, what))
+    })
+}
+
 fn unix_us() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .expect("clock before unix epoch")
         .as_micros() as u64
-}
-
-/// `n` distinct loopback ports, free a moment ago: the children bind them
-/// again right after.
-fn reserve_ports(n: usize) -> Vec<SocketAddr> {
-    bind_loopback(n)
-        .unwrap_or_else(|e| {
-            eprintln!("localcluster: cannot reserve loopback ports: {e}");
-            std::process::exit(2);
-        })
-        .1
 }
 
 fn main() {
@@ -516,19 +525,29 @@ fn main() {
         args.seed
     );
 
-    // The reference: what every replica must commit before the run ends.
-    let sim = sim_commit_logs(&config, Some(args.tx_limit), args.horizon_us + 1_000_000);
-    let loaded = !sim[0].is_empty();
-    if chaos && !loaded {
+    // What every replica must commit before the run ends: each offering
+    // replica's whole workload.
+    let sources = args.source.map_or(args.n, |_| 1) as u64;
+    let offered = if args.rate > 0.0 {
+        sources * args.tx_limit
+    } else {
+        0
+    };
+    if chaos && offered == 0 {
         eprintln!("localcluster: --chaos needs a workload that commits");
         std::process::exit(2);
     }
 
     // With --trace-out, the run is observed: every child also gets an
     // admin endpoint the parent polls.  One reservation gives both sets of
-    // ports, so none is in both.
+    // ports, so none is in both; the children bind them again right after.
     let trace_dir = arg_value("--trace-out");
-    let mut ports = reserve_ports(args.n * if trace_dir.is_some() { 2 } else { 1 });
+    let mut ports = bind_loopback(args.n * if trace_dir.is_some() { 2 } else { 1 })
+        .unwrap_or_else(|e| {
+            eprintln!("localcluster: cannot reserve loopback ports: {e}");
+            std::process::exit(2);
+        })
+        .1;
     let admin_addrs = ports.split_off(args.n);
     let addr_list = ports
         .iter()
@@ -539,7 +558,6 @@ fn main() {
     // Starts replica `replica` as child process `id`, with a thread that
     // forwards its stdout.
     let exe = std::env::current_exe().expect("current exe");
-    let reference: HashSet<TxId> = sim[0].iter().copied().collect();
     let launch = |id: usize, replica: usize, recover: bool| {
         let mut cmd = Command::new(&exe);
         // A child parses the parent's own flags, so it builds the same config.
@@ -571,15 +589,12 @@ fn main() {
             }
             heard_by.send(Heard::Closed(id)).ok();
         });
-        let missing = reference.clone();
         Proc {
             replica,
             stdin: child.stdin.take(),
             child,
-            report: ChildReport {
-                missing,
-                ..Default::default()
-            },
+            report: ChildReport::default(),
+            recover,
             open: true,
             killed: false,
         }
@@ -599,12 +614,11 @@ fn main() {
     }
 
     // The run: children stream their commits.  Under --chaos the last
-    // replica is SIGKILLed once every log covers the reference and
-    // respawned 200 ms later with `--recover`, which forces the `Sync`
-    // re-sync path over real sockets.  Once every live replica covers
-    // the reference (the recovered one included), every child is told to
-    // stop.  A run that offers nothing, or never gets there, lasts its
-    // horizon.
+    // replica is SIGKILLed once every replica has committed the workload
+    // and respawned 200 ms later with `--recover`, which forces the `Sync`
+    // re-sync path over real sockets.  Once no live replica lacks
+    // anything (the recovered one included), every child is told to stop.
+    // A run that offers nothing, or never gets there, lasts its horizon.
     let mut victim = chaos.then_some(args.n - 1);
     let mut fault_timeline: Vec<(String, u64)> = Vec::new();
     while procs.iter().any(|p| p.open) {
@@ -612,13 +626,7 @@ fn main() {
             Heard::Line(p, line) => procs[p].report.hear(&line),
             Heard::Closed(p) => procs[p].open = false,
         }
-        // Every live replica holds the reference: kill the chaos victim,
-        // or end the run.
-        if !loaded
-            || procs
-                .iter()
-                .any(|p| !p.killed && !p.report.missing.is_empty())
-        {
+        if offered == 0 || lacking(&procs, offered).next().is_some() {
             continue;
         }
         if let Some(v) = victim.take() {
@@ -644,6 +652,13 @@ fn main() {
         }
     }
 
+    for (replica, lacks, of, what) in lacking(&procs, offered) {
+        eprintln!(
+            "localcluster: replica {replica} lacks {lacks} of the {of} {what} at its {}us horizon",
+            args.horizon_us
+        );
+        failed = true;
+    }
     // The victim's first incarnation is not reported: its recovered one
     // takes its place, last.
     let mut reports = Vec::new();
@@ -654,16 +669,6 @@ fn main() {
         }
         if !status.success() {
             eprintln!("localcluster: replica {} exited with {status}", p.replica);
-            failed = true;
-        }
-        if !p.report.missing.is_empty() {
-            eprintln!(
-                "localcluster: replica {} lacks {} of the {} reference entries at its {}us horizon",
-                p.replica,
-                p.report.missing.len(),
-                sim[0].len(),
-                args.horizon_us
-            );
             failed = true;
         }
         reports.push(p.report);
@@ -713,6 +718,7 @@ fn main() {
     // simulator's sequence for the same config and seed.
     let mut sim_ok = true;
     if std::env::args().any(|a| a == "--check-sim") {
+        let sim = sim_commit_logs(&config, Some(args.tx_limit), args.horizon_us + 1_000_000);
         if reports[0].commits == sim[0] {
             println!(
                 "localcluster: socket commit sequence matches the simulator ({} entries)",

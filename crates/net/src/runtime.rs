@@ -80,7 +80,8 @@ pub struct NetReport<N> {
     pub frame_errors: Vec<String>,
 }
 
-/// The longest the run loop waits before it asks its end predicate again.
+/// The longest [`NetRuntime::run_until`]'s loop waits before it asks its
+/// end predicate again.
 const DONE_POLL: Duration = Duration::from_millis(10);
 
 /// Binds `n` listeners on distinct loopback ports, for a cluster of
@@ -161,20 +162,32 @@ where
     /// microseconds, shuts everything down cleanly, and reports: a run
     /// whose end predicate never holds (see [`run_until`](Self::run_until)).
     pub fn run(self, horizon_us: u64) -> io::Result<NetReport<N>> {
-        self.run_until(horizon_us, |_| false)
+        self.drive(horizon_us, Duration::MAX, |_, _| false)
     }
 
-    /// Forms the cluster, runs the node until `done(node)` holds or
-    /// `horizon_us` wall-clock microseconds have passed, shuts everything
-    /// down cleanly, and reports which of the two ended it.  `done` is
-    /// asked after every event and at least every 10 ms.  The
-    /// node's `on_start` runs once every peer is greeted both ways; frames
-    /// that arrive earlier are held until then, and the clock and `done`
-    /// start with it.
+    /// Forms the cluster, runs the node until `done(node, observations)`
+    /// holds or `horizon_us` wall-clock microseconds have passed, shuts
+    /// everything down cleanly, and reports which of the two ended it.
+    /// `done` is asked after every event and at least every 10 ms, with
+    /// every observation the node has emitted so far.  The node's
+    /// `on_start` runs once every peer is greeted both ways; frames that
+    /// arrive earlier are held until then, and the clock and `done` start
+    /// with it.
     pub fn run_until(
+        self,
+        horizon_us: u64,
+        done: impl FnMut(&N, &ObservationLog) -> bool,
+    ) -> io::Result<NetReport<N>> {
+        self.drive(horizon_us, DONE_POLL, done)
+    }
+
+    /// The run loop: waits at most `poll` for an event before it asks
+    /// `done` again.
+    fn drive(
         mut self,
         horizon_us: u64,
-        mut done: impl FnMut(&N) -> bool,
+        poll: Duration,
+        mut done: impl FnMut(&N, &ObservationLog) -> bool,
     ) -> io::Result<NetReport<N>> {
         let (n, me) = (self.spec.n(), self.spec.me);
         let telemetry = self.driver.telemetry().clone();
@@ -215,7 +228,7 @@ where
         let ended = loop {
             table.tick(Instant::now());
             let now = epoch.map_or(0, now_us);
-            if epoch.is_some() && (now >= horizon_us || done(self.driver.node())) {
+            if epoch.is_some() && (now >= horizon_us || done(self.driver.node(), &observations)) {
                 break Ok(now < horizon_us);
             }
             // Self-sends first: they model the simulator's 1 µs loopback.
@@ -240,8 +253,8 @@ where
                         let timer = timers.peek().map_or(horizon_us, |t| t.0 .0);
                         let node = epoch.map(|e| e + Duration::from_micros(timer.min(horizon_us)));
                         let wake = table.next_deadline().into_iter().chain(node).min();
-                        let wait = wake.map_or(DONE_POLL, |w| w - Instant::now().min(w));
-                        if let Ok(ev) = rx.recv_timeout(wait.min(DONE_POLL)) {
+                        let wait = wake.map_or(poll, |w| w - Instant::now().min(w));
+                        if let Ok(ev) = rx.recv_timeout(wait.min(poll)) {
                             io.on_event(ev, &mut table);
                         }
                     }

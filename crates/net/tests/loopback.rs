@@ -138,7 +138,7 @@ fn token_ring_over_real_sockets() {
                 // Each replica holds the token `rounds` times; the horizon
                 // only bounds a broken ring.
                 let report =
-                    runtime.run_until(10_000_000, |ring| ring.seen.len() == rounds as usize);
+                    runtime.run_until(10_000_000, |ring, _| ring.seen.len() == rounds as usize);
                 (report.expect("runtime run"), stats)
             })
         })
@@ -283,7 +283,7 @@ fn a_predicate_that_never_holds_ends_at_the_horizon() {
         armed_for: 0,
     };
     let report = lone(ticker)
-        .run_until(100_000, |_| false)
+        .run_until(100_000, |_, _| false)
         .expect("single-node run");
     assert!(!report.done);
     assert!(report.wall_us >= 100_000);
@@ -295,7 +295,7 @@ fn a_predicate_that_never_holds_ends_at_the_horizon() {
 fn an_idle_run_asks_its_predicate_until_it_holds() {
     let mut asked = 0;
     let report = lone(SameInstant { fired: Vec::new() })
-        .run_until(10_000_000, |_| {
+        .run_until(10_000_000, |_, _| {
             asked += 1;
             asked == 50
         })

@@ -14,7 +14,7 @@ use crate::experiment::ExperimentConfig;
 use crate::replica::Replica;
 use crate::wire::codec::{self, WireCodec};
 use crate::wire::{MempoolWire, ReplicaMsg};
-use simnet::Telemetry;
+use simnet::{ObsKind, Telemetry};
 use smp_consensus::ConsensusEngine;
 use smp_mempool::Mempool;
 use smp_net::{
@@ -22,7 +22,6 @@ use smp_net::{
 };
 use smp_telemetry::{FlightSampler, DEFAULT_WINDOW_CAPACITY};
 use smp_types::{ReplicaId, TxId};
-use std::collections::HashSet;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -131,7 +130,7 @@ struct NetVisitor<'a> {
     /// The admin endpoint's listener, bound from `opts.admin_addr`.
     admin: Option<TcpListener>,
     opts: &'a NetRunOptions,
-    done: &'a mut dyn FnMut(&[TxId]) -> bool,
+    done: &'a mut dyn FnMut(&[TxId], u64) -> bool,
 }
 
 impl ProtocolVisitor for NetVisitor<'_> {
@@ -198,9 +197,15 @@ impl ProtocolVisitor for NetVisitor<'_> {
             None => None,
         };
 
-        let done = self.done;
-        let report = runtime.run_until(self.opts.horizon_us, |node| {
-            done(node.commit_log().unwrap_or(&[]))
+        let (done, mut committed, mut read) = (self.done, 0, 0);
+        let report = runtime.run_until(self.opts.horizon_us, |node, observations| {
+            for o in &observations.entries()[read..] {
+                if let ObsKind::Committed { txs, .. } = o.kind {
+                    committed += u64::from(txs);
+                }
+            }
+            read = observations.len();
+            done(node.commit_log().unwrap_or(&[]), committed)
         })?;
 
         let flight_series = sampler.map(|s| {
@@ -233,108 +238,92 @@ impl ProtocolVisitor for NetVisitor<'_> {
 
 /// Runs replica `me` of `config`'s deployment over real sockets.
 /// `addrs[i]` is the listen address of replica `i`.  The call blocks
-/// through cluster formation and then until `done(commit_log)` holds, or
-/// for at most `opts.horizon_us` wall-clock microseconds.  `done` is asked
-/// after every event and at least every 10 ms.
+/// through cluster formation and then until `done(commit_log,
+/// committed_txs)` holds, or for at most `opts.horizon_us` wall-clock
+/// microseconds; `committed_txs` counts the transactions the replica has
+/// executed.  `done` is asked after every event and at least every 10 ms.
 pub fn run_replica_over_net(
     config: &ExperimentConfig,
     me: ReplicaId,
     addrs: Vec<SocketAddr>,
     opts: &NetRunOptions,
-    mut done: impl FnMut(&[TxId]) -> bool,
-) -> io::Result<NetRunSummary> {
-    let admin = opts.admin_addr.map(TcpListener::bind).transpose()?;
-    run_replica(config, me, addrs, (None, admin), opts, &mut done)
-}
-
-/// Runs one replica on its listen and admin sockets, when bound already.
-fn run_replica(
-    config: &ExperimentConfig,
-    me: ReplicaId,
-    addrs: Vec<SocketAddr>,
-    (listener, admin): (Option<TcpListener>, Option<TcpListener>),
-    opts: &NetRunOptions,
-    done: &mut dyn FnMut(&[TxId]) -> bool,
+    mut done: impl FnMut(&[TxId], u64) -> bool,
 ) -> io::Result<NetRunSummary> {
     assert_eq!(addrs.len(), config.n, "need one listen address per replica");
-    dispatch(
+    let visitor = NetVisitor {
         config,
-        NetVisitor {
-            config,
-            me,
-            addrs,
-            listener,
-            admin,
-            opts,
-            done,
-        },
-    )
+        me,
+        addrs,
+        listener: None,
+        admin: opts.admin_addr.map(TcpListener::bind).transpose()?,
+        opts,
+        done: &mut done,
+    };
+    dispatch(config, visitor)
 }
 
-/// Runs every replica of `config` as a thread of this process, replica
-/// `i` with `opts[i]`, each on a loopback listener bound before any of
-/// them starts.  Admin endpoints are bound up front too, so
-/// `opts[i].admin_addr` may name port 0.
+/// Runs every replica of `config` with `opts` as a thread of this
+/// process, each on a loopback listener bound before any of them starts.
+/// With `opts.admin_addr` every replica binds an admin endpoint there up
+/// front too, so it names port 0 (for distinct ports).
 ///
-/// The cluster is done when every replica's commit log holds every entry
-/// of `reference` (the simulator's log for the same config and seed, see
-/// [`sim_commit_logs`]), in any order.  A replica that is done keeps
-/// running until all are, since a leader that stopped at its own commit
-/// would leave its peers without the certificate.  `while_running` runs on
-/// the calling thread meanwhile, given the admin endpoints' addresses in
-/// replica order (say, to poll them), and the replicas end together once
-/// it has returned and the cluster is done.
+/// The cluster is done when every replica has committed `txs`
+/// transactions: every transaction the workload offers, for a run that
+/// is to commit them all.  A replica that is done keeps running until all
+/// are, since a leader that stopped at its own commit would leave its
+/// peers without the certificate.  `while_running` runs on the calling
+/// thread meanwhile, given the admin endpoints' addresses in replica
+/// order (say, to poll them), and the replicas end together once it has
+/// returned and the cluster is done.
 ///
-/// A cluster that reaches its horizon short of the reference fails, naming
-/// each replica and how many reference entries it lacks.  With an empty
-/// `reference` there is nothing to wait for, and the run lasts its horizon.
+/// A cluster that reaches its horizon short of `txs` fails, naming each
+/// replica that is and how many transactions it lacks.  With `txs` 0
+/// there is nothing to wait for, and the run lasts its horizon.
 pub fn run_cluster_over_net(
     config: &ExperimentConfig,
-    reference: &[TxId],
-    opts: &[NetRunOptions],
+    txs: u64,
+    opts: &NetRunOptions,
     while_running: impl FnOnce(&[SocketAddr]),
 ) -> io::Result<Vec<NetRunSummary>> {
-    assert_eq!(opts.len(), config.n, "need options for every replica");
     let (listeners, addrs) = bind_loopback(config.n)?;
-    let admins = opts
-        .iter()
-        .map(|o| o.admin_addr.map(TcpListener::bind).transpose())
+    let admins = (0..config.n)
+        .map(|_| opts.admin_addr.map(TcpListener::bind).transpose())
         .collect::<io::Result<Vec<_>>>()?;
     let admin_addrs = admins
         .iter()
         .flatten()
         .map(TcpListener::local_addr)
         .collect::<io::Result<Vec<_>>>()?;
-    let wanted: HashSet<TxId> = reference.iter().copied().collect();
-    // Replicas whose log holds the whole reference (none ever holds an
-    // empty one), and whether `while_running` has returned.
-    let (covered, released) = (AtomicUsize::new(0), AtomicBool::new(false));
+    // Replicas that have committed `txs` transactions (none ever has with
+    // `txs` 0), and whether `while_running` has returned.
+    let (finished, released) = (AtomicUsize::new(0), AtomicBool::new(false));
     let summaries = thread::scope(|s| {
         let replicas: Vec<_> = listeners
             .into_iter()
             .zip(admins)
-            .zip(opts)
             .enumerate()
-            .map(|(i, ((listener, admin), opts))| {
-                let (addrs, wanted, covered, released) =
-                    (addrs.clone(), &wanted, &covered, &released);
+            .map(|(i, (listener, admin))| {
+                let (addrs, finished, released) = (addrs.clone(), &finished, &released);
                 s.spawn(move || {
-                    let (mut missing, mut read) = (wanted.clone(), 0);
-                    let mut done = |log: &[TxId]| {
-                        if !missing.is_empty() {
-                            for id in &log[read..] {
-                                missing.remove(id);
-                            }
-                            read = log.len();
-                            if missing.is_empty() {
-                                covered.fetch_add(1, Ordering::Relaxed);
-                            }
+                    let mut counted = false;
+                    let mut done = |_: &[TxId], committed: u64| {
+                        if !counted && txs > 0 && committed >= txs {
+                            counted = true;
+                            finished.fetch_add(1, Ordering::Relaxed);
                         }
-                        covered.load(Ordering::Relaxed) == config.n
+                        finished.load(Ordering::Relaxed) == config.n
                             && released.load(Ordering::Relaxed)
                     };
-                    let me = ReplicaId(i as u32);
-                    run_replica(config, me, addrs, (Some(listener), admin), opts, &mut done)
+                    let visitor = NetVisitor {
+                        config,
+                        me: ReplicaId(i as u32),
+                        addrs,
+                        listener: Some(listener),
+                        admin,
+                        opts,
+                        done: &mut done,
+                    };
+                    dispatch(config, visitor)
                 })
             })
             .collect();
@@ -348,20 +337,15 @@ pub fn run_cluster_over_net(
     let short: Vec<String> = summaries
         .iter()
         .enumerate()
-        .filter_map(|(i, r)| {
-            let lacks = wanted
-                .iter()
-                .filter(|id| !r.commit_log.contains(id))
-                .count();
-            (lacks > 0).then(|| format!("replica {i} lacks {lacks} of {}", wanted.len()))
-        })
+        .filter(|(_, r)| r.committed_txs < txs)
+        .map(|(i, r)| format!("replica {i} lacks {} of {txs}", txs - r.committed_txs))
         .collect();
     if short.is_empty() {
         return Ok(summaries);
     }
-    let horizon_us = opts[0].horizon_us;
     let why = format!(
-        "the {horizon_us} us horizon came first: {}",
+        "the {} us horizon came first: {}",
+        opts.horizon_us,
         short.join(", ")
     );
     Err(io::Error::new(io::ErrorKind::TimedOut, why))
