@@ -27,8 +27,9 @@
 //!   *header* ends the connection (the stream cannot be resynced); a bad
 //!   *body* is counted by taxonomy and skipped.
 //!
-//! A dropped connection is redialled with deterministic exponential
-//! backoff ([`backoff::delay`]), each new connection a new epoch.  While a
+//! A dropped connection (a write failed, or an idle link found its peer
+//! gone) is redialled with deterministic exponential backoff
+//! ([`backoff::delay`]), each new connection a new epoch.  While a
 //! peer is down its frames queue up to [`DISCONNECTED_QUEUE_CAP`]; beyond
 //! it they are dropped and counted, and a priority frame caught mid-write
 //! is requeued for the next epoch.  Every such event is a lock-free

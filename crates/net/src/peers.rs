@@ -218,6 +218,15 @@ impl<M: WireMsg> PeerTable<M> {
         }
     }
 
+    /// Peer `i` closed the connection its link held, which had carried a
+    /// frame or not: it is redialled as after a failed write.  A peer
+    /// that died, or restarted, is thus found with nothing to send it.
+    pub fn hung_up(&mut self, i: usize, carried: bool, now: Instant) {
+        if matches!(self.peers[i].link, Link::Up(_)) {
+            self.lost(i, carried, now);
+        }
+    }
+
     /// An inbound connection was accepted: its bytes go to [`read`](Self::read)
     /// under the returned id — none once closing: the host drops it.
     pub fn accepted(&mut self, now: Instant) -> Option<ConnId> {

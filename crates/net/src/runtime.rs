@@ -4,9 +4,9 @@
 //! The acceptor forwards what `accept` returns for the life of the run, so
 //! a restarted peer is re-admitted by its fresh hello.  A reader per inbound
 //! connection forwards what it reads, then that it closed; a link per peer
-//! dials and writes as told.  All report through one channel to
-//! [`NetRuntime::run_until`], which feeds the table and carries out its
-//! [`Output`]s.
+//! dials and writes as told and, when idle, reports its peer's hangup.
+//! All report through one channel to [`NetRuntime::run_until`], which
+//! feeds the table and carries out its [`Output`]s.
 
 use crate::peers::{ConnId, Output, PeerTable};
 use crate::stats::{NetStats, PeerStats};
@@ -18,7 +18,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -112,6 +112,9 @@ enum Ev {
     Wrote(usize),
     /// A write failed: the frame back, and whether its connection carried one.
     Failed(usize, (Vec<u8>, bool), bool),
+    /// The peer closed an idle link's connection, which had carried a
+    /// frame or not.
+    HungUp(usize, bool),
 }
 
 /// Drives one [`Node`] over real TCP connections and wall-clock timers.
@@ -368,6 +371,7 @@ impl<M: WireMsg> Threads<M> {
             Ev::Dialed(i, connected) => table.dialed(i, connected, now),
             Ev::Wrote(i) => table.wrote(i),
             Ev::Failed(i, frame, carried) => table.write_failed(i, frame, carried, now),
+            Ev::HungUp(i, carried) => table.hung_up(i, carried, now),
         }
     }
 }
@@ -434,16 +438,16 @@ fn read_loop(conn: ConnId, mut stream: TcpStream, events: Sender<Ev>) {
 fn link_loop<M>(i: usize, addr: SocketAddr, outs: Receiver<Output<M>>, events: Sender<Ev>) {
     // The connection, and whether it has carried a frame.
     let (mut stream, mut carried) = (None::<TcpStream>, false);
-    for out in outs {
-        let ev = match out {
-            Output::Dial(_, hello) => {
+    loop {
+        let ev = match outs.recv_timeout(HANGUP_POLL) {
+            Ok(Output::Dial(_, hello)) => {
                 let greet =
                     |mut s: TcpStream| s.set_nodelay(true).and(s.write_all(&hello)).map(|()| s);
                 stream = TcpStream::connect(addr).and_then(greet).ok();
                 carried = false;
                 Ev::Dialed(i, stream.is_some())
             }
-            Output::Write(_, bytes, priority) => {
+            Ok(Output::Write(_, bytes, priority)) => {
                 let sent = stream.as_mut().is_some_and(|s| s.write_all(&bytes).is_ok());
                 let had_carried = std::mem::replace(&mut carried, sent);
                 stream = stream.filter(|_| sent);
@@ -452,10 +456,32 @@ fn link_loop<M>(i: usize, addr: SocketAddr, outs: Receiver<Output<M>>, events: S
                 }
                 Ev::Failed(i, (bytes, priority), had_carried)
             }
-            Output::Ack(_) => Ev::Wrote(i),
-            _ => continue,
+            Ok(Output::Ack(_)) => Ev::Wrote(i),
+            Ok(_) => continue,
+            // Idle: a peer that died (or restarted) is noticed now, not at
+            // the next write, which may never come.
+            Err(RecvTimeoutError::Timeout) => match stream.take_if(|s| hung_up(s)) {
+                Some(_) => Ev::HungUp(i, carried),
+                None => continue,
+            },
+            Err(RecvTimeoutError::Disconnected) => return,
         };
         events.send(ev).ok();
+    }
+}
+
+/// How long a link waits for work before it looks for its peer's hangup.
+const HANGUP_POLL: Duration = Duration::from_millis(50);
+
+/// Whether the peer closed `stream`.  A peer only reads what a link
+/// writes, so all there is to read is the end of the stream or an error.
+fn hung_up(stream: &TcpStream) -> bool {
+    stream.set_nonblocking(true).ok();
+    let peeked = stream.peek(&mut [0]);
+    stream.set_nonblocking(false).ok();
+    match peeked {
+        Ok(read) => read == 0,
+        Err(e) => e.kind() != io::ErrorKind::WouldBlock,
     }
 }
 

@@ -7,10 +7,11 @@
 use simnet::{Node, NodeCtx, ObsKind, SimMessage, Telemetry, TimerTag};
 use smp_net::{bind_loopback, ClusterSpec, NetRuntime, PeerStats, WireError, WireMsg};
 use smp_types::{ReplicaId, SimTime};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::thread;
+use std::time::{Duration, Instant};
 
 /// Toy wire message: `[magic, priority, u32 value]`, 6-byte header, no body.
 #[derive(Clone, Debug, PartialEq)]
@@ -326,6 +327,43 @@ impl Node for SameInstant {
     fn on_timer(&mut self, _ctx: &mut NodeCtx<'_, Tok>, tag: TimerTag) {
         self.fired.push(tag);
     }
+}
+
+/// A peer that hangs up a link with nothing to send on it, as a killed
+/// process does, is redialled all the same: a restarted peer must not
+/// wait for traffic to be greeted back.
+#[test]
+fn an_idle_link_whose_peer_hung_up_is_redialled() {
+    let (mut listeners, addrs) = bind_loopback(2).expect("bind loopback");
+    let fake_peer = listeners.pop().expect("replica 1's listener");
+    fake_peer.set_nonblocking(true).expect("nonblocking accept");
+    let spec = ClusterSpec::new(ReplicaId(0), addrs.clone(), 19);
+    let node = SameInstant { fired: Vec::new() };
+    let rt = NetRuntime::new(node, spec, Telemetry::disabled()).with_listener(listeners.remove(0));
+    let runtime = thread::spawn(move || rt.run(100_000).expect("runtime run"));
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    for dial in ["first dial", "redial"] {
+        let mut conn = loop {
+            match fake_peer.accept() {
+                Ok((conn, _)) => break conn,
+                Err(e) if e.kind() == ErrorKind::WouldBlock && Instant::now() < deadline => {
+                    thread::sleep(Duration::from_millis(5));
+                }
+                Err(e) => panic!("no {dial}: {e}"),
+            }
+        };
+        conn.set_nonblocking(false).expect("blocking reads");
+        let mut hello = [0u8; 8];
+        conn.read_exact(&mut hello).expect("read hello");
+        assert_eq!(&hello[..4], b"SMPH", "{dial}");
+        // Dropping `conn` hangs up the first one.
+    }
+    let mut to_zero = TcpStream::connect(addrs[0]).expect("dial replica 0");
+    let hello = [&b"SMPH"[..], &1u32.to_be_bytes()].concat();
+    to_zero.write_all(&hello).expect("send hello");
+    let report = runtime.join().expect("runtime thread");
+    assert!(report.peer_errors.is_empty(), "{:?}", report.peer_errors);
 }
 
 #[test]

@@ -596,6 +596,23 @@ fn a_connection_that_carried_a_frame_resets_the_backoff() {
     assert_eq!(at - host.now, backoff::delay(SEED, 1, 0));
 }
 
+/// A link whose peer hung up is redialled as after a failed write: at once
+/// if its connection carried a frame, else after a backoff.  A hangup
+/// reported for a link that is not up changes nothing.
+#[test]
+fn a_link_its_peer_hung_up_is_redialled() {
+    let mut host = Host::formed(3);
+    host.table.hung_up(1, true, host.now);
+    assert!(matches!(&host.outputs()[..], [Output::Dial(1, _)]));
+    host.table.hung_up(1, true, host.now);
+    assert!(host.outputs().is_empty(), "already redialling");
+
+    host.table.hung_up(2, false, host.now);
+    assert!(host.outputs().is_empty());
+    let at = host.table.next_deadline().expect("a redial is due");
+    assert_eq!(at - host.now, backoff::delay(SEED, 2, 0));
+}
+
 /// What `ended_readers_leave_the_registry_at_the_next_accept` checked of
 /// the reader registry: a connection that ends, whatever state it ended
 /// in, leaves nothing behind, and a client that keeps reconnecting cannot
