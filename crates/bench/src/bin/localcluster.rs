@@ -35,8 +35,8 @@
 //! With `--trace-out <dir>` the run becomes fully observed: each child
 //! serves an admin endpoint the parent polls while the cluster runs
 //! (`HEALTH`, `METRICS`, and `SERIES` must all answer, and the cluster is
-//! not stopped before they have), runs a flight-recorder
-//! sampler, and writes its per-replica trace / flight-recorder series /
+//! not stopped before they have), whose thread also samples its flight
+//! recorder, and writes its per-replica trace / flight-recorder series /
 //! metrics snapshot into `<dir>`.  After the run the parent merges them
 //! into two cluster-wide artifacts: `cluster_trace.json` (one
 //! chrome://tracing timeline, one track per replica, wall-clocks aligned
@@ -58,7 +58,8 @@ use smp_crypto::Digest;
 use smp_metrics::JsonValue;
 use smp_net::{bind_loopback, probe};
 use smp_replica::{
-    run_replica_over_net, sim_commit_logs, ExperimentConfig, NetRunOptions, NetRunSummary, Protocol,
+    offered_txs, run_replica_over_net, sim_commit_logs, ExperimentConfig, NetRunOptions,
+    NetRunSummary, Protocol,
 };
 use smp_telemetry::{merge_chrome_traces, merge_cluster_series, rollup_snapshots, MetricsSnapshot};
 use smp_types::{ReplicaId, TxId};
@@ -220,13 +221,10 @@ fn run_child(me: usize, args: &ClusterArgs) -> ! {
             std::process::exit(2);
         })
     });
-    let observed = trace_out.is_some() || admin_addr.is_some();
     let opts = NetRunOptions {
         tx_limit: Some(args.tx_limit),
         horizon_us: args.horizon_us,
         admin_addr,
-        // A window every 250 ms, and a last one when the run ends.
-        flight_cadence_us: observed.then_some(250_000),
         recover: std::env::args().any(|a| a == "--recover"),
     };
     // The parent ends the run with a `stop` line; the end of stdin (the
@@ -527,12 +525,7 @@ fn main() {
 
     // What every replica must commit before the run ends: each offering
     // replica's whole workload.
-    let sources = args.source.map_or(args.n, |_| 1) as u64;
-    let offered = if args.rate > 0.0 {
-        sources * args.tx_limit
-    } else {
-        0
-    };
+    let offered = offered_txs(&config, Some(args.tx_limit));
     if chaos && offered == 0 {
         eprintln!("localcluster: --chaos needs a workload that commits");
         std::process::exit(2);

@@ -1,12 +1,19 @@
-//! Line-oriented TCP admin endpoint for live introspection.
+//! The socket replica's one observer: a line-oriented TCP admin endpoint
+//! whose thread also keeps the flight recorder.
 //!
-//! Each process can expose one admin socket.  A client connects, sends
-//! one uppercase command per line, and receives one line back (JSON
-//! documents are compact, single-line).  Commands:
+//! Every 250 ms the endpoint's thread publishes the socket runtime's
+//! lock-free counters ([`NetStats`]) into the registry under
+//! `replica.<i>.net.*` and samples its [`FlightRecorder`]; it publishes
+//! again before each `METRICS`/`SERIES` reply, and once more, with a last
+//! sample, when it stops.  It is the only publisher of those counters.
+//! It reads shared telemetry state, never the protocol's.
+//!
+//! A client connects, sends one uppercase command per line, and receives
+//! one line back (JSON documents are compact, single-line).  Commands:
 //!
 //! | command   | reply                                                  |
 //! |-----------|--------------------------------------------------------|
-//! | `HEALTH`  | `ok replica=<id> uptime_us=<n> spans=<n>` (plus `reconnects=`/`requeued=`/`dropped_disconnected=`/`backoff_ms=` when [`NetStats`](crate::NetStats) is attached) |
+//! | `HEALTH`  | `ok replica=<id> uptime_us=<n> spans=<n> reconnects=<n> requeued=<n> dropped_disconnected=<n> backoff_ms=<n>` |
 //! | `METRICS` | the metrics registry as compact JSON                   |
 //! | `SERIES`  | the flight recorder's window series as compact JSON    |
 //! | `TRACE`   | retained spans as a compact chrome://tracing document  |
@@ -15,13 +22,9 @@
 //! Anything else answers `err unknown command ...`.  A line that reaches
 //! 64 bytes without its newline answers `err line too long` and the
 //! connection closes: the endpoint never holds more of a line than that.
-//! The endpoint is an observer only: it reads shared telemetry state,
-//! never the protocol's.
-//! Before `METRICS`/`SERIES` it runs the state's refresh hook (which
-//! typically mirrors [`NetStats`](crate::NetStats) atomics into the
-//! registry) so replies reflect the counters as of the request.
 
-use smp_telemetry::{FlightRecorder, Telemetry};
+use crate::NetStats;
+use smp_telemetry::{FlightRecorder, Telemetry, DEFAULT_WINDOW_CAPACITY};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,31 +32,46 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Shared state the admin endpoint serves from.
-#[derive(Clone)]
+/// How often the observer samples the flight recorder.
+const FLIGHT_CADENCE: Duration = Duration::from_millis(250);
+
+/// What the admin endpoint observes.
+#[derive(Clone, Debug)]
 pub struct AdminState {
-    /// This process's replica id (reported by `HEALTH`).
+    /// This process's replica id (reported by `HEALTH`, and the
+    /// `replica.<id>` prefix the socket counters are published under).
     pub replica: u32,
     /// The process's telemetry sink (`METRICS`, `TRACE`, uptime).
     pub telemetry: Telemetry,
-    /// The flight recorder behind `SERIES`, when a sampler is attached.
-    pub recorder: Option<Arc<Mutex<FlightRecorder>>>,
-    /// Hook run before `METRICS`/`SERIES` replies, typically publishing
-    /// lock-free counters into the registry.
-    pub refresh: Option<Arc<dyn Fn() + Send + Sync>>,
-    /// The socket runtime's counters; when attached, `HEALTH` appends
-    /// reconnect/requeue/drop totals so a degraded peer is visible from
-    /// one line mid-run.
-    pub net: Option<Arc<crate::NetStats>>,
+    /// The socket runtime's counters: `HEALTH` appends reconnect, requeue
+    /// and drop totals, so a degraded peer is visible from one line
+    /// mid-run.
+    pub net: Arc<NetStats>,
 }
 
-impl std::fmt::Debug for AdminState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdminState")
-            .field("replica", &self.replica)
-            .field("recorder", &self.recorder.is_some())
-            .field("refresh", &self.refresh.is_some())
-            .finish()
+/// What the endpoint's threads share: the state, the registry view the
+/// counters are published into, and the recorder.
+struct Observer {
+    state: AdminState,
+    published: Telemetry,
+    recorder: Mutex<FlightRecorder>,
+}
+
+impl Observer {
+    /// Mirrors the socket counters into the registry.
+    fn publish(&self) {
+        self.state.net.publish(&self.published);
+    }
+
+    /// Publishes, then records one window.
+    fn sample(&self) {
+        self.publish();
+        let telemetry = &self.state.telemetry;
+        let now_us = telemetry.epoch_elapsed_us();
+        self.recorder
+            .lock()
+            .expect("flight recorder poisoned")
+            .sample(telemetry.snapshot(), now_us);
     }
 }
 
@@ -62,7 +80,7 @@ impl std::fmt::Debug for AdminState {
 pub struct AdminHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    thread: Option<JoinHandle<FlightRecorder>>,
 }
 
 impl AdminHandle {
@@ -71,33 +89,42 @@ impl AdminHandle {
         self.addr
     }
 
-    /// Stops the listener and joins its thread.
-    pub fn stop(&mut self) {
+    /// Stops the endpoint, joins its thread and returns the flight
+    /// recorder, whose last window was sampled at the stop.
+    pub fn stop(mut self) -> FlightRecorder {
         self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            h.join().ok();
-        }
+        let thread = self.thread.take().expect("a handle stops once");
+        thread.join().expect("the admin thread panicked")
     }
 }
 
 impl Drop for AdminHandle {
     fn drop(&mut self) {
-        self.stop();
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(thread) = self.thread.take() {
+            thread.join().ok();
+        }
     }
 }
 
-/// Serves admin commands on `listener`, on a background thread, until
-/// the returned handle stops (or drops).
+/// Serves admin commands on `listener` and samples the flight recorder,
+/// on a background thread, until the returned handle stops (or drops).
 pub fn spawn_admin(listener: TcpListener, state: AdminState) -> io::Result<AdminHandle> {
     let bound = listener.local_addr()?;
     listener.set_nonblocking(true)?;
     let stop = Arc::new(AtomicBool::new(false));
+    let cadence_us = FLIGHT_CADENCE.as_micros() as u64;
+    let observer = Observer {
+        published: simnet::node_telemetry(&state.telemetry, state.replica as usize),
+        state,
+        recorder: Mutex::new(FlightRecorder::new(DEFAULT_WINDOW_CAPACITY, cadence_us)),
+    };
     let stop2 = Arc::clone(&stop);
-    let handle = thread::spawn(move || accept_admin(listener, state, stop2));
+    let thread = thread::spawn(move || observe(listener, Arc::new(observer), &stop2));
     Ok(AdminHandle {
         addr: bound,
         stop,
-        handle: Some(handle),
+        thread: Some(thread),
     })
 }
 
@@ -143,37 +170,54 @@ pub fn probe(addr: SocketAddr, replica: u32, deadline: Instant) -> Result<String
     }
 }
 
-fn accept_admin(listener: TcpListener, state: AdminState, stop: Arc<AtomicBool>) {
+/// The observer's loop: accepts clients and samples on the cadence until
+/// `stop`, then cuts every client off and samples a last time.
+fn observe(listener: TcpListener, observer: Arc<Observer>, stop: &AtomicBool) -> FlightRecorder {
     // Each client is served on a thread of its own, so a silent one holds
-    // up neither the next client nor shutdown, which cuts every client off.
+    // up neither the next client, nor sampling, nor shutdown.
     let mut clients: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+    let mut next_sample = Instant::now() + FLIGHT_CADENCE;
     while !stop.load(Ordering::Relaxed) {
+        if Instant::now() >= next_sample {
+            observer.sample();
+            next_sample = Instant::now() + FLIGHT_CADENCE;
+        }
         match listener.accept() {
             Ok((stream, _)) => {
                 let Ok(client) = stream.try_clone() else {
                     continue;
                 };
-                let state = state.clone();
-                let thread = thread::spawn(move || drop(serve_client(stream, &state)));
+                let observer = Arc::clone(&observer);
+                let thread = thread::spawn(move || drop(serve_client(stream, &observer)));
                 clients.retain(|(_, thread)| !thread.is_finished());
                 clients.push((client, thread));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
+            // Nothing to accept, or a connection that failed before its
+            // accept: neither ends the observer.
+            Err(_) => thread::sleep(Duration::from_millis(5)),
         }
     }
     for (client, thread) in clients {
         client.shutdown(Shutdown::Both).ok();
         thread.join().expect("admin client thread panicked");
     }
+    observer.sample();
+    let observer = Arc::into_inner(observer).expect("every client thread has ended");
+    observer
+        .recorder
+        .into_inner()
+        .expect("flight recorder poisoned")
 }
 
 /// Longest line read, newline included; the longest command is 7 bytes.
 const MAX_LINE_BYTES: u64 = 64;
 
-fn serve_client(stream: TcpStream, state: &AdminState) -> io::Result<()> {
+fn serve_client(stream: TcpStream, observer: &Observer) -> io::Result<()> {
+    let AdminState {
+        replica,
+        telemetry,
+        net,
+    } = &observer.state;
     stream.set_nonblocking(false)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
@@ -194,44 +238,26 @@ fn serve_client(stream: TcpStream, state: &AdminState) -> io::Result<()> {
         let cmd = String::from_utf8_lossy(&line).trim().to_ascii_uppercase();
         let reply = match cmd.as_str() {
             "" => continue,
-            "HEALTH" => {
-                let mut reply = format!(
-                    "ok replica={} uptime_us={} spans={}",
-                    state.replica,
-                    state.telemetry.epoch_elapsed_us(),
-                    state.telemetry.trace_len(),
-                );
-                if let Some(net) = &state.net {
-                    reply.push_str(&format!(
-                        " reconnects={} requeued={} dropped_disconnected={} backoff_ms={}",
-                        net.reconnects_total(),
-                        net.frames_requeued_total(),
-                        net.frames_dropped_disconnected_total(),
-                        net.backoff_ms_total(),
-                    ));
-                }
-                reply
-            }
+            "HEALTH" => format!(
+                "ok replica={replica} uptime_us={} spans={} reconnects={} requeued={} \
+                 dropped_disconnected={} backoff_ms={}",
+                telemetry.epoch_elapsed_us(),
+                telemetry.trace_len(),
+                net.reconnects_total(),
+                net.frames_requeued_total(),
+                net.frames_dropped_disconnected_total(),
+                net.backoff_ms_total(),
+            ),
             "METRICS" => {
-                if let Some(refresh) = &state.refresh {
-                    refresh();
-                }
-                state.telemetry.registry_json().to_compact()
+                observer.publish();
+                telemetry.registry_json().to_compact()
             }
-            "SERIES" => match &state.recorder {
-                Some(recorder) => {
-                    if let Some(refresh) = &state.refresh {
-                        refresh();
-                    }
-                    recorder
-                        .lock()
-                        .expect("flight recorder poisoned")
-                        .to_json()
-                        .to_compact()
-                }
-                None => "err no flight recorder attached".to_string(),
-            },
-            "TRACE" => state.telemetry.trace_json().to_compact(),
+            "SERIES" => {
+                observer.publish();
+                let recorder = observer.recorder.lock().expect("flight recorder poisoned");
+                recorder.to_json().to_compact()
+            }
+            "TRACE" => telemetry.trace_json().to_compact(),
             "QUIT" => {
                 writer.write_all(b"bye\n")?;
                 return Ok(());
@@ -247,39 +273,33 @@ fn serve_client(stream: TcpStream, state: &AdminState) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smp_telemetry::FlightRecorder;
     use std::io::BufRead;
 
     fn ask(addr: SocketAddr, cmd: &str) -> String {
         super::ask(addr, cmd).expect("admin reply")
     }
 
-    #[test]
-    fn admin_answers_every_command() {
+    /// An endpoint for replica 3 of a two-replica deployment, and the
+    /// counters it observes.
+    fn observed() -> (AdminHandle, Telemetry, Arc<NetStats>) {
         let telemetry = Telemetry::wall_clock();
-        telemetry.counter_add("net.peer.1.frames_in", 7);
-        telemetry.instant("net.peer.1.up");
-        let recorder = Arc::new(Mutex::new(FlightRecorder::new(8, 1_000)));
-        recorder
-            .lock()
-            .unwrap()
-            .sample(telemetry.snapshot(), telemetry.epoch_elapsed_us());
-        let refreshed = Arc::new(AtomicBool::new(false));
-        let refreshed2 = Arc::clone(&refreshed);
-        let net = Arc::new(crate::NetStats::new(2));
-        net.record_reconnect(1);
-        net.record_backoff(1, 12);
+        let net = Arc::new(NetStats::new(2));
         let state = AdminState {
             replica: 3,
-            telemetry,
-            recorder: Some(recorder),
-            refresh: Some(Arc::new(move || {
-                refreshed2.store(true, Ordering::Relaxed);
-            })),
-            net: Some(net),
+            telemetry: telemetry.clone(),
+            net: Arc::clone(&net),
         };
-        let mut admin = spawn_admin(TcpListener::bind("127.0.0.1:0").unwrap(), state)
+        let admin = spawn_admin(TcpListener::bind("127.0.0.1:0").unwrap(), state)
             .expect("spawn admin endpoint");
+        (admin, telemetry, net)
+    }
+
+    #[test]
+    fn admin_answers_every_command() {
+        let (admin, telemetry, net) = observed();
+        telemetry.instant("net.peer.1.up");
+        net.record_reconnect(1);
+        net.record_backoff(1, 12);
         let addr = admin.addr();
 
         let health = ask(addr, "health");
@@ -291,12 +311,7 @@ mod tests {
             health.contains("reconnects=1") && health.contains("backoff_ms=12"),
             "HEALTH must surface net counters: {health}"
         );
-        let metrics = ask(addr, "METRICS");
-        assert!(metrics.contains("net.peer.1.frames_in"));
-        assert!(
-            refreshed.load(Ordering::Relaxed),
-            "refresh hook did not run"
-        );
+        assert!(ask(addr, "METRICS").starts_with('{'));
         let series = ask(addr, "SERIES");
         assert!(series.contains("smp-flightrec-v1"));
         let trace = ask(addr, "TRACE");
@@ -331,16 +346,54 @@ mod tests {
     }
 
     #[test]
+    fn metrics_shows_the_socket_counters_as_they_stand() {
+        let (admin, _, net) = observed();
+        net.record_in(1, 100);
+        net.record_in(1, 50);
+        let metrics = ask(admin.addr(), "METRICS");
+        assert!(
+            metrics.contains(r#""replica.3.net.peer.1.frames_in":{"type":"counter","value":2}"#),
+            "METRICS lacks the published counter: {metrics}"
+        );
+        net.record_in(1, 10);
+        assert!(ask(admin.addr(), "METRICS")
+            .contains(r#""replica.3.net.peer.1.bytes_in":{"type":"counter","value":160}"#));
+    }
+
+    #[test]
+    fn a_run_longer_than_one_cadence_records_a_window() {
+        let (admin, _, net) = observed();
+        net.record_in(1, 100);
+        let started = Instant::now();
+        while ask(admin.addr(), "SERIES").contains(r#""windows":[]"#) {
+            assert!(started.elapsed() < 10 * FLIGHT_CADENCE, "no window sampled");
+            thread::sleep(FLIGHT_CADENCE / 10);
+        }
+        let recorder = admin.stop();
+        assert!(recorder.len() >= 2, "a window on the cadence, one at stop");
+        let first = recorder.windows().next().unwrap();
+        assert!(first.end_us >= FLIGHT_CADENCE.as_micros() as u64);
+        let key = "replica.3.net.peer.1.frames_in";
+        assert_eq!(first.delta.counter(key), Some(1));
+    }
+
+    #[test]
+    fn stop_adds_a_window_with_the_last_counters() {
+        let (admin, _, net) = observed();
+        net.record_in(1, 100);
+        net.record_in(1, 100);
+        let recorder = admin.stop();
+        let key = "replica.3.net.peer.1.frames_in";
+        assert!(!recorder.is_empty(), "stop samples a window");
+        assert_eq!(
+            recorder.last_snapshot().and_then(|s| s.counter(key)),
+            Some(2)
+        );
+    }
+
+    #[test]
     fn an_endless_line_is_refused_not_buffered() {
-        let state = AdminState {
-            replica: 0,
-            telemetry: Telemetry::wall_clock(),
-            recorder: None,
-            refresh: None,
-            net: None,
-        };
-        let admin = spawn_admin(TcpListener::bind("127.0.0.1:0").unwrap(), state)
-            .expect("spawn admin endpoint");
+        let (admin, ..) = observed();
         let stream = TcpStream::connect(admin.addr()).expect("connect admin");
         stream
             .set_read_timeout(Some(Duration::from_secs(2)))
@@ -356,22 +409,5 @@ mod tests {
         let after = reader.read_line(&mut reply).expect("EOF within 2 s");
         assert_eq!(after, 0, "the connection closes after the refusal");
         flood.join().unwrap();
-    }
-
-    #[test]
-    fn series_without_recorder_is_an_error_line() {
-        let state = AdminState {
-            replica: 0,
-            telemetry: Telemetry::wall_clock(),
-            recorder: None,
-            refresh: None,
-            net: None,
-        };
-        let admin = spawn_admin(TcpListener::bind("127.0.0.1:0").unwrap(), state)
-            .expect("spawn admin endpoint");
-        assert_eq!(
-            ask(admin.addr(), "SERIES"),
-            "err no flight recorder attached"
-        );
     }
 }

@@ -155,8 +155,8 @@ where
     }
 
     /// The runtime's lock-free counters.  Grab a handle before
-    /// [`run`](NetRuntime::run) to publish or poll them concurrently
-    /// (flight-recorder sampler, admin endpoint).
+    /// [`run`](NetRuntime::run) to poll them concurrently (the admin
+    /// endpoint publishes them).
     pub fn stats(&self) -> Arc<NetStats> {
         Arc::clone(&self.stats)
     }
@@ -193,7 +193,6 @@ where
         mut done: impl FnMut(&N, &ObservationLog) -> bool,
     ) -> io::Result<NetReport<N>> {
         let (n, me) = (self.spec.n(), self.spec.me);
-        let telemetry = self.driver.telemetry().clone();
         let listener = self
             .listener
             .take()
@@ -219,12 +218,19 @@ where
             readers: HashMap::new(),
         };
         let stats = Arc::clone(&self.stats);
-        let mut table = PeerTable::new(&self.spec, stats, telemetry.clone(), Instant::now());
+        let telemetry = self.driver.telemetry().clone();
+        let mut table = PeerTable::new(&self.spec, stats, telemetry, Instant::now());
         // Node timers as (fire-at, arming order, tag): equal times fire in
         // the order they were armed, the simulator's tie-break.
         let mut timers = BinaryHeap::<Reverse<(SimTime, u64, u64)>>::new();
         let (mut armed, mut loopback, mut observations) =
             (0, VecDeque::new(), ObservationLog::new());
+        // The last time the node saw.  A message arrives at the wall
+        // clock's time; a timer fires at its due time, or at `seen` if that
+        // is later, as in the simulator.  So a timer armed in a timer's
+        // handler comes due relative to when that timer was due, not to
+        // when the loop reached it, and ties keep their arming order.
+        let mut seen = 0;
         let mut actions = Vec::new();
         // The node's clock starts when the cluster forms.
         let mut epoch: Option<Instant> = None;
@@ -237,10 +243,12 @@ where
             // Self-sends first: they model the simulator's 1 µs loopback.
             // Then due timers, in arming order, then the table's outputs.
             if let Some((from, msg)) = loopback.pop_front() {
+                seen = now;
                 self.driver.deliver(now, from, msg, &mut actions);
-            } else if let Some(&Reverse((_, _, tag))) = timers.peek().filter(|t| t.0 .0 <= now) {
+            } else if let Some(&Reverse((at, _, tag))) = timers.peek().filter(|t| t.0 .0 <= now) {
                 timers.pop();
-                self.driver.timer(now, tag, &mut actions);
+                seen = seen.max(at);
+                self.driver.timer(seen, tag, &mut actions);
             } else {
                 match table.next_output() {
                     Some(Output::Formed) => {
@@ -248,6 +256,7 @@ where
                         self.driver.start(0, &mut actions);
                     }
                     Some(Output::Deliver(from, msg)) => {
+                        seen = now;
                         self.driver.deliver(now, from, msg, &mut actions)
                     }
                     Some(Output::FormationTimedOut(why)) => break Err(timed_out(why)),
@@ -299,10 +308,6 @@ where
             io.on_event(rx.recv().expect("`io` keeps a sender"), &mut table);
         }
 
-        // Final mirror of the lock-free counters into the registry, so
-        // the post-run snapshot carries complete `net.*` totals even
-        // when no sampler was attached.
-        self.stats.publish(&telemetry);
         let total = |counter: fn(&PeerStats) -> &AtomicU64| self.stats.sum_peers(counter);
         Ok(NetReport {
             node: self.driver.into_node(),

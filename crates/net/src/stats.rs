@@ -3,10 +3,10 @@
 //! The peer table records into plain atomics that observers on other
 //! threads read without a lock, so instrumentation cannot serialize the
 //! run loop (and cannot perturb the protocol: these counters feed
-//! telemetry only).  A publisher (the flight-recorder sampler's pre-sample
-//! hook, the admin endpoint's refresh, or the runtime's shutdown path)
-//! periodically mirrors the totals into a [`Telemetry`] registry under
-//! `net.*` keys.
+//! telemetry only).  One publisher, the admin endpoint's thread
+//! ([`crate::admin`]), mirrors the totals into a [`Telemetry`] registry
+//! under `net.*` keys: on its sampling cadence, before each reply that
+//! reads the registry, and at stop.
 
 use smp_telemetry::Telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};

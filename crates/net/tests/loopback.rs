@@ -211,11 +211,12 @@ fn silent_connection_blocks_neither_formation_nor_shutdown() {
             seen: Vec::new(),
         };
         let runtime = NetRuntime::new(ring, spec, telemetry).with_listener(listeners.remove(0));
-        thread::spawn(move || runtime.run(300_000))
+        let stats = runtime.stats();
+        (stats, thread::spawn(move || runtime.run(300_000)))
     };
     let telemetry = Telemetry::wall_clock();
-    let zero = run(0, telemetry.clone());
-    let one = run(1, Telemetry::disabled());
+    let (stats, zero) = run(0, telemetry.clone());
+    let (_, one) = run(1, Telemetry::disabled());
 
     let zero = zero
         .join()
@@ -230,6 +231,7 @@ fn silent_connection_blocks_neither_formation_nor_shutdown() {
     assert_eq!(zero.node.seen, vec![2]);
     assert!(zero.peer_errors.is_empty(), "{:?}", zero.peer_errors);
     // Shutdown ended the wait for the hello, and it counts as a failed one.
+    stats.publish(&telemetry);
     assert_eq!(
         telemetry.snapshot().counter("net.handshake.failed"),
         Some(1)

@@ -19,7 +19,8 @@ pub use experiment::{
     run, run_sampled, saturation_sweep, ExperimentConfig, ExperimentResult, ReplicaSizes,
 };
 pub use netrun::{
-    run_cluster_over_net, run_replica_over_net, sim_commit_logs, NetRunOptions, NetRunSummary,
+    offered_txs, run_cluster_over_net, run_replica_over_net, sim_commit_logs, NetRunOptions,
+    NetRunSummary,
 };
 pub use protocols::Protocol;
 pub use replica::{Behavior, Replica, ReplicaMetrics, PAYLOAD_HOLD};

@@ -20,7 +20,6 @@ use smp_mempool::Mempool;
 use smp_net::{
     bind_loopback, spawn_admin, AdminState, ClusterSpec, NetRuntime, WireError, WireMsg,
 };
-use smp_telemetry::{FlightSampler, DEFAULT_WINDOW_CAPACITY};
 use smp_types::{ReplicaId, TxId};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -60,14 +59,11 @@ pub struct NetRunOptions {
     /// The longest the run may last, wall-clock microseconds from cluster
     /// formation; a run ends sooner once its end predicate holds.
     pub horizon_us: u64,
-    /// Serve a line-oriented admin endpoint (`HEALTH`/`METRICS`/`SERIES`/
-    /// `TRACE`) at this address for the duration of the run.  Implies a
-    /// live telemetry sink.
+    /// Observe the replica: serve a line-oriented admin endpoint
+    /// (`HEALTH`/`METRICS`/`SERIES`/`TRACE`) at this address for the
+    /// duration of the run, whose thread also samples the flight recorder
+    /// ([`smp_net::admin`]).  Implies a live telemetry sink.
     pub admin_addr: Option<SocketAddr>,
-    /// Run a background flight-recorder sampler on this wall-clock
-    /// cadence (µs), retaining recent metrics windows.  Implies a live
-    /// telemetry sink.
-    pub flight_cadence_us: Option<u64>,
     /// Start in crash-recovery mode: the replica boots as a passive
     /// sync observer, replays the committed sequence from its peers via
     /// the `Sync` wire family, and never runs the engine or workload.
@@ -80,7 +76,6 @@ impl Default for NetRunOptions {
             tx_limit: None,
             horizon_us: 1_000_000,
             admin_addr: None,
-            flight_cadence_us: None,
             recover: false,
         }
     }
@@ -111,13 +106,14 @@ pub struct NetRunSummary {
     pub peer_errors: Vec<String>,
     /// Recoverable frame-body decode failures (connection survived).
     pub frame_errors: Vec<String>,
-    /// The run's telemetry sink (disabled unless an admin endpoint or a
-    /// flight sampler was asked for).
+    /// The run's telemetry sink (disabled unless an admin endpoint was
+    /// asked for).
     pub telemetry: Telemetry,
     /// The telemetry epoch as µs since the Unix epoch (None when the
     /// sink is disabled) — the cross-process trace-alignment anchor.
     pub epoch_unix_us: Option<u64>,
-    /// The flight recorder's exported series (None when no sampler ran).
+    /// The flight recorder's exported series (None when no admin
+    /// endpoint observed the run).
     pub flight_series: Option<smp_metrics::JsonValue>,
 }
 
@@ -145,57 +141,31 @@ impl ProtocolVisitor for NetVisitor<'_> {
         let config = self.config;
         // No simulated clock exists under the socket runtime, so the
         // sink runs in wall-clock-only mode: spans self-stamp from the
-        // process epoch.  Only an admin endpoint or a flight sampler has a
-        // use for a live sink.
-        let telemetry = if self.admin.is_some() || self.opts.flight_cadence_us.is_some() {
+        // process epoch.  Only an observer has a use for a live sink.
+        let telemetry = if self.admin.is_some() {
             Telemetry::wall_clock()
         } else {
             Telemetry::disabled()
         };
         let i = self.me.index();
-        let node_telemetry = simnet::node_telemetry(&telemetry, i);
         let mut replica = comparable(build(i, &telemetry), self.opts.tx_limit);
         if self.opts.recover {
             replica.start_recovery();
         }
         let spec = ClusterSpec::new(self.me, self.addrs, config.seed);
-        let mut runtime = NetRuntime::new(replica, spec, node_telemetry.clone());
+        let mut runtime = NetRuntime::new(replica, spec, simnet::node_telemetry(&telemetry, i));
         if let Some(listener) = self.listener {
             runtime = runtime.with_listener(listener);
         }
-        let stats = runtime.stats();
-
-        // Observers: both publish the runtime's lock-free counters into
-        // the registry before reading it, and neither touches protocol
-        // state — instrumentation on/off leaves commit logs identical.
-        let sampler = self.opts.flight_cadence_us.map(|cadence_us| {
-            let stats = std::sync::Arc::clone(&stats);
-            let publish_to = node_telemetry.clone();
-            FlightSampler::spawn(
-                telemetry.clone(),
-                std::time::Duration::from_micros(cadence_us),
-                DEFAULT_WINDOW_CAPACITY,
-                Some(Box::new(move || stats.publish(&publish_to))),
-            )
-        });
-        let admin = match self.admin {
-            Some(listener) => {
-                let net = std::sync::Arc::clone(&stats);
-                let stats = std::sync::Arc::clone(&stats);
-                let publish_to = node_telemetry.clone();
-                Some(spawn_admin(
-                    listener,
-                    AdminState {
-                        replica: self.me.0,
-                        telemetry: telemetry.clone(),
-                        recorder: sampler.as_ref().map(FlightSampler::recorder),
-                        refresh: Some(std::sync::Arc::new(move || stats.publish(&publish_to))),
-                        net: Some(net),
-                    },
-                )?)
-            }
-            None => None,
+        // The observer publishes the runtime's lock-free counters and
+        // samples the flight recorder; it never touches protocol state, so
+        // instrumentation on/off leaves commit logs identical.
+        let state = AdminState {
+            replica: self.me.0,
+            telemetry: telemetry.clone(),
+            net: runtime.stats(),
         };
+        let admin = self.admin.map(|l| spawn_admin(l, state)).transpose()?;
 
         let (done, mut committed, mut read) = (self.done, 0, 0);
         let report = runtime.run_until(self.opts.horizon_us, |node, observations| {
@@ -208,12 +178,7 @@ impl ProtocolVisitor for NetVisitor<'_> {
             done(node.commit_log().unwrap_or(&[]), committed)
         })?;
 
-        let flight_series = sampler.map(|s| {
-            let recorder = s.stop();
-            let json = recorder.lock().expect("flight recorder poisoned").to_json();
-            json
-        });
-        drop(admin);
+        let flight_series = admin.map(|admin| admin.stop().to_json());
 
         let tally = report.observations.tally(|r| r == self.me, ..);
         let node = report.node;
@@ -267,24 +232,24 @@ pub fn run_replica_over_net(
 /// With `opts.admin_addr` every replica binds an admin endpoint there up
 /// front too, so it names port 0 (for distinct ports).
 ///
-/// The cluster is done when every replica has committed `txs`
-/// transactions: every transaction the workload offers, for a run that
-/// is to commit them all.  A replica that is done keeps running until all
-/// are, since a leader that stopped at its own commit would leave its
-/// peers without the certificate.  `while_running` runs on the calling
-/// thread meanwhile, given the admin endpoints' addresses in replica
-/// order (say, to poll them), and the replicas end together once it has
-/// returned and the cluster is done.
+/// The cluster is done when every replica has committed every
+/// transaction the workload offers ([`offered_txs`]).  A replica that is
+/// done keeps running until all are, since a leader that stopped at its
+/// own commit would leave its peers without the certificate.
+/// `while_running` runs on the calling thread meanwhile, given the admin
+/// endpoints' addresses in replica order (say, to poll them), and the
+/// replicas end together once it has returned and the cluster is done.
 ///
-/// A cluster that reaches its horizon short of `txs` fails, naming each
-/// replica that is and how many transactions it lacks.  With `txs` 0
-/// there is nothing to wait for, and the run lasts its horizon.
+/// A cluster that reaches its horizon short of its offer fails, naming
+/// each replica that is and how many transactions it lacks.  A workload
+/// that offers nothing leaves nothing to wait for, and the run lasts its
+/// horizon.
 pub fn run_cluster_over_net(
     config: &ExperimentConfig,
-    txs: u64,
     opts: &NetRunOptions,
     while_running: impl FnOnce(&[SocketAddr]),
 ) -> io::Result<Vec<NetRunSummary>> {
+    let txs = offered_txs(config, opts.tx_limit);
     let (listeners, addrs) = bind_loopback(config.n)?;
     let admins = (0..config.n)
         .map(|_| opts.admin_addr.map(TcpListener::bind).transpose())
@@ -349,6 +314,15 @@ pub fn run_cluster_over_net(
         short.join(", ")
     );
     Err(io::Error::new(io::ErrorKind::TimedOut, why))
+}
+
+/// The transactions a run of `config` offers with `tx_limit` per replica:
+/// the limit from every replica whose share of the workload is not zero,
+/// and none when the rate is 0 or there is no limit.
+pub fn offered_txs(config: &ExperimentConfig, tx_limit: Option<u64>) -> u64 {
+    let rates = config.workload.rates(config.n);
+    let sources = rates.iter().filter(|&&rate| rate > 0.0).count() as u64;
+    tx_limit.map_or(0, |limit| sources * limit)
 }
 
 struct SimVisitor<'a> {

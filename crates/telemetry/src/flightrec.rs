@@ -10,23 +10,17 @@
 //! `localcluster` parent, over the admin socket) can pull at any moment
 //! to see *what changed lately*, not just totals since boot.
 //!
-//! [`FlightSampler`] is the live half: a background thread sampling a
-//! [`Telemetry`] sink on a fixed wall-clock cadence, with an optional
-//! pre-sample hook so lock-free sources (the socket runtime's atomics)
-//! can publish into the registry right before each snapshot.
+//! The recorder itself keeps no clock and runs no thread: under the
+//! socket runtime the admin endpoint's thread (`smp_net::admin`) is the
+//! one observer that samples it, on a fixed wall-clock cadence.
 //!
 //! The exported series is schema-versioned ([`FLIGHTREC_SCHEMA`]);
 //! [`merge_cluster_series`] unions per-replica series into the
 //! cluster-wide artifact `localcluster` writes.
 
 use crate::registry::MetricsSnapshot;
-use crate::Telemetry;
 use smp_metrics::JsonValue;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Schema tag stamped into every exported per-process series.
 pub const FLIGHTREC_SCHEMA: &str = "smp-flightrec-v1";
@@ -64,7 +58,7 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder retaining up to `capacity` windows.  `cadence_us` is
-    /// advisory — it records the sampler's intended period in the export
+    /// advisory — it records the sampling period in the export
     /// so consumers can distinguish sparse data from a slow cadence.
     pub fn new(capacity: usize, cadence_us: u64) -> Self {
         FlightRecorder {
@@ -182,97 +176,10 @@ pub fn merge_cluster_series(
     JsonValue::Object(pairs)
 }
 
-/// Background sampler: records one [`FlightWindow`] per cadence tick
-/// until stopped, plus a final window at shutdown.
-pub struct FlightSampler {
-    recorder: Arc<Mutex<FlightRecorder>>,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl FlightSampler {
-    /// Spawns a sampler over `telemetry`.  Every `cadence`, it first runs
-    /// `pre_sample` (publish lock-free counters into the registry), then
-    /// records a window stamped with the telemetry epoch clock.  On a
-    /// disabled handle the sampler thread exits immediately.
-    pub fn spawn(
-        telemetry: Telemetry,
-        cadence: Duration,
-        capacity: usize,
-        pre_sample: Option<Box<dyn Fn() + Send>>,
-    ) -> FlightSampler {
-        let recorder = Arc::new(Mutex::new(FlightRecorder::new(
-            capacity,
-            cadence.as_micros() as u64,
-        )));
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = {
-            let recorder = Arc::clone(&recorder);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                if !telemetry.is_enabled() {
-                    return;
-                }
-                loop {
-                    // Sleep in small slices so stop() never waits a full
-                    // cadence; sample on the cadence boundary.
-                    let tick_start = std::time::Instant::now();
-                    while tick_start.elapsed() < cadence {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        std::thread::sleep(cadence.min(Duration::from_millis(20)));
-                    }
-                    if let Some(hook) = &pre_sample {
-                        hook();
-                    }
-                    let now_us = telemetry.epoch_elapsed_us();
-                    recorder
-                        .lock()
-                        .expect("flight recorder poisoned")
-                        .sample(telemetry.snapshot(), now_us);
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                }
-            })
-        };
-        FlightSampler {
-            recorder,
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// The shared recorder (for the admin endpoint's `SERIES` command).
-    pub fn recorder(&self) -> Arc<Mutex<FlightRecorder>> {
-        Arc::clone(&self.recorder)
-    }
-
-    /// Stops the sampler (after one final sample) and returns the
-    /// recorder.
-    pub fn stop(mut self) -> Arc<Mutex<FlightRecorder>> {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            handle.join().ok();
-        }
-        Arc::clone(&self.recorder)
-    }
-}
-
-impl Drop for FlightSampler {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            handle.join().ok();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SnapValue;
+    use crate::{SnapValue, Telemetry};
 
     #[test]
     fn windows_hold_per_interval_counter_deltas() {
@@ -348,41 +255,6 @@ mod tests {
         );
         // The series parses back (what the cluster merge does).
         assert_eq!(JsonValue::parse(&doc.to_pretty()).unwrap(), doc);
-    }
-
-    #[test]
-    fn sampler_records_on_cadence_and_final_sample_on_stop() {
-        let t = Telemetry::new();
-        t.counter_add("ticks", 1);
-        let sampler = FlightSampler::spawn(
-            t.clone(),
-            Duration::from_millis(10),
-            16,
-            Some(Box::new({
-                let t = t.clone();
-                move || t.counter_add("hooked", 1)
-            })),
-        );
-        std::thread::sleep(Duration::from_millis(35));
-        let recorder = sampler.stop();
-        let rec = recorder.lock().unwrap();
-        assert!(!rec.is_empty(), "no windows sampled");
-        // The pre-sample hook ran before every window.
-        let hooked: u64 = rec
-            .windows()
-            .filter_map(|w| w.delta.counter("hooked"))
-            .sum();
-        assert_eq!(hooked, rec.next_seq);
-        assert!(rec.last_snapshot().is_some());
-    }
-
-    #[test]
-    fn sampler_on_disabled_handle_is_inert() {
-        let sampler =
-            FlightSampler::spawn(Telemetry::disabled(), Duration::from_millis(1), 4, None);
-        std::thread::sleep(Duration::from_millis(10));
-        let recorder = sampler.stop();
-        assert!(recorder.lock().unwrap().is_empty());
     }
 
     #[test]

@@ -25,7 +25,7 @@ mod registry;
 mod tracer;
 
 pub use flightrec::{
-    merge_cluster_series, FlightRecorder, FlightSampler, FlightWindow, CLUSTER_FLIGHTREC_SCHEMA,
+    merge_cluster_series, FlightRecorder, FlightWindow, CLUSTER_FLIGHTREC_SCHEMA,
     DEFAULT_WINDOW_CAPACITY, FLIGHTREC_SCHEMA,
 };
 pub use registry::{rollup_snapshots, Metric, MetricsRegistry, MetricsSnapshot, SnapValue};
